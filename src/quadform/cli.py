@@ -288,6 +288,14 @@ def _need_ratio(form) -> RatioSpec:
     return form
 
 
+def _ratio_grid_payload(quantity: str, grid, results, tol) -> dict:
+    payloads = [_result_payload(res, tol) for res in results]
+    return {"quantity": quantity, "grid": [float(x) for x in grid],
+            "values": [p["value"] for p in payloads],
+            "error_bounds": [p["error_bound"] for p in payloads],
+            "methods": [res.method for res in results], "tol": tol}
+
+
 def cmd_ratio_cdf(args) -> dict:
     doc = _load(args.document)
     _apply_doc_defaults(args, doc)
@@ -295,16 +303,9 @@ def cmd_ratio_cdf(args) -> dict:
     method = args.method
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        values, bounds, methods = [], [], []
-        for r in grid:
-            res = ratio.cdf_ratio(spec, float(r), method=method, tol=args.tol)
-            payload = _result_payload(res, args.tol)
-            values.append(payload["value"])
-            bounds.append(payload["error_bound"])
-            methods.append(res.method)
-        return {"quantity": "ratio_cdf", "grid": [float(x) for x in grid],
-                "values": values, "error_bounds": bounds, "methods": methods,
-                "tol": args.tol}
+        results = [ratio.cdf_ratio(spec, float(r), method=method, tol=args.tol)
+                   for r in grid]
+        return _ratio_grid_payload("ratio_cdf", grid, results, args.tol)
     if args.r is None:
         raise InvalidInputError("provide --r or --grid")
     res = ratio.cdf_ratio(spec, args.r, method=method, tol=args.tol)
@@ -316,6 +317,12 @@ def cmd_ratio_cdf(args) -> dict:
 
 def cmd_ratio_pdf(args) -> dict:
     spec = _need_ratio(parse_document(_load(args.document)))
+    if args.grid is not None:
+        grid = _parse_grid(args.grid)
+        results = ratio.pdf_ratio_spa_grid(spec, grid)
+        return _ratio_grid_payload("ratio_pdf", grid, results, args.tol)
+    if args.r is None:
+        raise InvalidInputError("provide --r or --grid")
     res = ratio.pdf_ratio_spa(spec, args.r)
     out = _result_payload(res, args.tol)
     out["quantity"] = "ratio_pdf"
@@ -418,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio-pdf", help="saddlepoint density of a ratio")
     common(p, with_method=False)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--grid", default=None, help="start:stop:count")
     p.set_defaults(fn=cmd_ratio_pdf)
 
     p = sub.add_parser("ratio-moment", help="moments of a ratio")

@@ -6,7 +6,13 @@ across r; the weights genuinely change with r).
 
 Density: Butler's saddlepoint approximation
 f(r) ~= J_r(t0) M_{Q_r}(t0) / sqrt(2 pi K''_{Q_r}(t0)) with t0 the root
-of K'_{Q_r} = 0 and J_r the tilted mean of the denominator form.
+of K'_{Q_r} = 0 and J_r the tilted mean of the denominator form.  One
+batched kernel evaluates it over an array of thresholds: a stacked
+eigendecomposition of A - rB and a vectorised safeguarded Newton solve
+of the saddlepoint equations.  The normalising mass comes from a
+vectorised adaptive 21-point Gauss-Kronrod rule (QUADPACK's qk21) whose
+sweeps each evaluate all open panels in one kernel call; every density
+call or grid computes its own mass.
 
 Moments: two routes, an infinite series in powers of (I - beta B) and a
 one-dimensional integral (Laplace representation of the denominator
@@ -36,12 +42,11 @@ against closed-form and Monte Carlo oracles:
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy import integrate, special
 
-from . import approx, inversion, reduction
+from . import inversion, reduction
 from .errors import (
     ConvergenceFailureError,
     DegenerateConstantError,
@@ -50,7 +55,6 @@ from .errors import (
     NotApplicableError,
 )
 from .forms import (
-    EffectiveForm,
     MethodResult,
     MomentExistence,
     RatioSpec,
@@ -176,20 +180,20 @@ def _product_moment_coeffs(a1, a2, mu, p, j_hi, mu_scales=None):
             j = k - i
             gm = np.zeros((ns, n, n))
             if i >= 1 and (i - 1, j) in g_prev:
-                gm += np.einsum("ab,sbc->sac", a1, g_prev[(i - 1, j)])
+                gm += a1 @ g_prev[(i - 1, j)]
                 gm += h_rows[:, i - 1, j][:, None, None] * a1[None, :, :]
             if j >= 1 and (i, j - 1) in g_prev:
-                gm += np.einsum("ab,sbc->sac", a2, g_prev[(i, j - 1)])
+                gm += a2 @ g_prev[(i, j - 1)]
                 gm += h_rows[:, i, j - 1][:, None, None] * a2[None, :, :]
             tr = np.trace(gm, axis1=1, axis2=2)
             if central:
                 h_rows[:, i, j] = tr / (2.0 * k)
             else:
-                gv = np.einsum("snm,sm->sn", gm, mus)
+                gv = (gm @ mus[:, :, None])[:, :, 0]
                 if i >= 1 and (i - 1, j) in v_prev:
-                    gv += np.einsum("ab,sb->sa", a1, v_prev[(i - 1, j)])
+                    gv += v_prev[(i - 1, j)] @ a1.T
                 if j >= 1 and (i, j - 1) in v_prev:
-                    gv += np.einsum("ab,sb->sa", a2, v_prev[(i, j - 1)])
+                    gv += v_prev[(i, j - 1)] @ a2.T
                 v_cur[(i, j)] = gv
                 h_rows[:, i, j] = (tr + np.einsum("sn,sn->s", mus, gv)) / (2.0 * k)
             g_cur[(i, j)] = gm
@@ -371,79 +375,261 @@ def ratio_moment_integral(spec: RatioSpec, p: int,
                         {"quad_error": err, "whitened_dim": a.shape[0]})
 
 
-def _pdf_ratio_spa_raw(a, b, mu, r: float) -> tuple[float, float, float]:
-    """Unnormalized Butler density at r in whitened coordinates."""
-    m_r = a - r * b
-    lam_full, p_eig = np.linalg.eigh((m_r + m_r.T) / 2.0)
-    delta = p_eig.T @ mu
-    h_mat = p_eig.T @ b @ p_eig
-    scale = float(np.max(np.abs(lam_full), initial=0.0))
-    nonzero = np.abs(lam_full) > RANK_TOL * scale if scale > 0 else np.zeros_like(lam_full, bool)
-    if not np.any(nonzero):
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21): the nodes on [0, 1] in
+# descending order with their Kronrod weights, and the weights of the
+# embedded 10-point Gauss rule at the nodes _XGK[1::2]
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980223537, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# the same rule on [-1, 1] in ascending order; the Gauss nodes sit at the
+# odd positions
+_GK_X = np.concatenate([-_XGK[:10], _XGK[::-1]])
+_GK_W = np.concatenate([_WGK[:10], _WGK[::-1]])
+_G_W = np.concatenate([_WG, _WG[::-1]])
+
+_CHUNK = 256          # thresholds per stacked eigendecomposition; bounds peak memory
+_NEWTON_MAX = 200
+_MASS_LIMIT = 300     # panels of the normalising quadrature
+_OK, _VANISHES, _OUTSIDE = 0, 1, 2
+
+
+def _saddlepoint_roots(w, d2):
+    """Root of K'(t) = sum w (1/g + d2/g^2), g = 1 - 2 w t, for every row.
+
+    Each row needs a positive and a negative weight, so the root lies in
+    the open MGF strip (1/(2 min w), 1/(2 max w)), where K' is
+    increasing.  Newton steps that leave the shrinking bracket are
+    replaced by bisection; a row stops once its step is at rounding level
+    in t relative to the strip width, and is then left untouched, so a
+    row's root does not depend on the other rows of the batch.
+    """
+    lo = 0.5 / np.min(w, axis=1)
+    hi = 0.5 / np.max(w, axis=1)
+    t_tol = 4.0 * np.finfo(float).eps * np.minimum(-lo, hi)
+    t = np.zeros(w.shape[0])
+    active = np.arange(w.shape[0])
+    for _ in range(_NEWTON_MAX):
+        if active.size == 0:
+            break
+        ww, dd, tt = w[active], d2[active], t[active]
+        g = 1.0 / (1.0 - 2.0 * ww * tt[:, None])
+        k1 = np.sum(ww * g * (1.0 + dd * g), axis=1)
+        k2 = 2.0 * np.sum((ww * g) ** 2 * (1.0 + 2.0 * dd * g), axis=1)
+        lo_a = np.where(k1 < 0.0, tt, lo[active])
+        hi_a = np.where(k1 > 0.0, tt, hi[active])
+        newton = tt - k1 / k2
+        t_new = np.where((newton > lo_a) & (newton < hi_a), newton, 0.5 * (lo_a + hi_a))
+        t_new = np.where(k1 == 0.0, tt, t_new)
+        lo[active], hi[active], t[active] = lo_a, hi_a, t_new
+        active = active[np.abs(t_new - tt) > t_tol[active]]
+    return t
+
+
+def _butler_chunk(a, b, mu, r):
+    """_butler_kernel on one stack of thresholds."""
+    m_r = a - r[:, None, None] * b
+    lam, p_eig = np.linalg.eigh((m_r + np.swapaxes(m_r, 1, 2)) / 2.0)
+    delta = mu @ p_eig                                   # rows P'mu
+    h_mat = np.swapaxes(p_eig, 1, 2) @ (b @ p_eig)       # P'BP
+    scale = np.max(np.abs(lam), axis=1)
+    # complete form: zero-eigenvalue directions drop out of K entirely
+    nonzero = np.abs(lam) > RANK_TOL * scale[:, None]
+    w = np.where(nonzero, lam, 0.0)
+    d2 = np.where(nonzero, delta, 0.0) ** 2
+    straddles = np.any(w > 0.0, axis=1) & np.any(w < 0.0, axis=1)
+    status = np.where(scale > 0.0, np.where(straddles, _OK, _OUTSIDE), _VANISHES)
+    ok = status == _OK
+    value = np.zeros(r.size)
+    t0 = np.full(r.size, math.nan)
+    j_r = np.full(r.size, math.nan)
+    if np.any(ok):
+        w, d2, lam, delta, h_mat = w[ok], d2[ok], lam[ok], delta[ok], h_mat[ok]
+        t = _saddlepoint_roots(w, d2)
+        g = 1.0 - 2.0 * w * t[:, None]
+        k0 = np.sum(-0.5 * np.log(g) + t[:, None] * d2 * w / g, axis=1)
+        k2 = 2.0 * np.sum(w**2 * (1.0 / g**2 + 2.0 * d2 / g**3), axis=1)
+        g_full = 1.0 / (1.0 - 2.0 * t[:, None] * lam)
+        gd = g_full * delta
+        j = (np.sum(g_full * np.diagonal(h_mat, axis1=1, axis2=2), axis=1)
+             + (gd[:, None, :] @ h_mat @ gd[:, :, None])[:, 0, 0])
+        value[ok] = j * np.exp(k0 - 0.5 * np.log(2.0 * math.pi * k2))
+        t0[ok], j_r[ok] = t, j
+    return value, t0, j_r, status
+
+
+def _butler_kernel(a, b, mu, r):
+    """Unnormalized Butler density at every threshold of r, in whitened
+    coordinates.
+
+    One stacked eigendecomposition of A - rB per chunk of _CHUNK
+    thresholds and one vectorised saddlepoint solve.  Returns arrays
+    (value, t0, j_r, status): status is _VANISHES where A - rB is zero and
+    _OUTSIDE where 0 is not strictly inside the support of Q_r; the value
+    there is 0 and t0, j_r are nan.
+    """
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        parts = [_butler_chunk(a, b, mu, r[i:i + _CHUNK])
+                 for i in range(0, r.size, _CHUNK)]
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+
+
+def _raise_for_status(status, r) -> None:
+    """The scalar error of the first threshold the kernel could not evaluate."""
+    bad = np.flatnonzero(status != _OK)
+    if bad.size == 0:
+        return
+    i = int(bad[0])
+    if status[i] == _VANISHES:
         raise NotApplicableError("A - rB vanishes; ratio is degenerate at r",
                                  condition="nondegenerate form")
-    # complete form: zero-eigenvalue directions drop out entirely
-    red = reduction.group_eigenvalues(
-        EffectiveForm(lam_full[nonzero], delta[nonzero] ** 2, 0.0, 0.0)
-    )
-    sol = approx.saddlepoint_solve(red, 0.0)
-    g = 1.0 / (1.0 - 2.0 * sol.t0 * lam_full)
-    j_r = float(np.sum(g * np.diag(h_mat)) + (g * delta) @ h_mat @ (g * delta))
-    log_f = sol.cgf_value - 0.5 * math.log(2.0 * math.pi * sol.cgf_second)
-    return j_r * math.exp(log_f), sol.t0, j_r
+    raise DomainError(f"r={float(r[i])} outside the support of the ratio: "
+                      "x'(A - rB)x does not take both signs")
+
+
+def _pdf_ratio_spa_raw(a, b, mu, r: float) -> tuple[float, float, float]:
+    """Unnormalized Butler density at r in whitened coordinates."""
+    value, t0, j_r, status = _butler_kernel(a, b, mu, [r])
+    _raise_for_status(status, [r])
+    return float(value[0]), float(t0[0]), float(j_r[0])
+
+
+def _qk21(f, lo, hi):
+    """21-point Gauss-Kronrod estimates on the panels [lo, hi], with
+    QUADPACK's error estimate; f is evaluated on all panels in one call."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fx = f((centre[:, None] + half[:, None] * _GK_X).ravel()).reshape(lo.size, _GK_X.size)
+    resk = fx @ _GK_W
+    resg = fx[:, 1::2] @ _G_W
+    resabs = np.abs(fx) @ _GK_W * np.abs(half)
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _GK_W * np.abs(half)
+    err = np.abs((resk - resg) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    eps = np.finfo(float).eps
+    err = np.where(resabs > np.finfo(float).tiny / (50.0 * eps),
+                   np.maximum(50.0 * eps * resabs, err), err)
+    return resk * half, err
+
+
+def _gauss_kronrod(f, points, epsabs, epsrel, limit):
+    """Adaptive 21-point Gauss-Kronrod quadrature of a vectorised f over
+    [points[0], points[-1]], split at the inner points.
+
+    Globally adaptive like QUADPACK's QAG, in sweeps: each sweep bisects
+    the panels with the largest error estimates, just as many as the
+    others' errors leave room for under the tolerance, and evaluates all
+    new panels in one call of f.  Stops at the tolerance, at `limit`
+    panels, or at a non-finite estimate.  Returns (integral, error).
+    """
+    lo = np.asarray(points[:-1], dtype=float)
+    hi = np.asarray(points[1:], dtype=float)
+    val, err = _qk21(f, lo, hi)
+    while True:
+        total, total_err = float(val.sum()), float(err.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        if total_err <= tol or lo.size >= limit or not math.isfinite(total_err):
+            return total, total_err
+        order = np.argsort(err)[::-1]
+        n_split = int(np.searchsorted(np.cumsum(err[order]), total_err - tol)) + 1
+        split = order[:min(n_split, limit - lo.size)]
+        keep = np.ones(lo.size, bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _qk21(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
 
 
 def _spa_mass(a, b, mu) -> float:
     """Total mass of the unnormalized Butler density (support folded onto
-    a bounded interval; points outside the support contribute zero).
+    (-1, 1) by r = s/(1 - s^2); points outside the support contribute
+    zero), by the vectorised adaptive Gauss-Kronrod rule.
 
     Returns nan when the quadrature cannot produce a usable mass; the
     caller then skips normalization.
     """
-    def integrand(s: float) -> float:
-        if abs(s) >= 1.0:
-            return 0.0
+    def integrand(s):
         r = s / (1.0 - s * s)
         jac = (1.0 + s * s) / (1.0 - s * s) ** 2
-        try:
-            val, _, _ = _pdf_ratio_spa_raw(a, b, mu, r)
-        except (DomainError, NotApplicableError):
-            return 0.0
-        return val * jac
+        return _butler_kernel(a, b, mu, r)[0] * jac
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(integrand, -1.0, 1.0, limit=300,
-                                      epsabs=1e-10, epsrel=1e-9, points=[0.0])
-        except Exception:
-            return math.nan
+    try:
+        val, err = _gauss_kronrod(integrand, [-1.0, 0.0, 1.0], epsabs=1e-10,
+                                  epsrel=1e-9, limit=_MASS_LIMIT)
+    except np.linalg.LinAlgError:
+        # eigh did not converge on some node
+        return math.nan
     if not math.isfinite(val) or val <= 0.0 or err > 0.05 * val:
         return math.nan
     return float(val)
 
 
-def pdf_ratio_spa(spec: RatioSpec, r: float, normalize: bool = True) -> MethodResult:
-    """Butler's saddlepoint density of the ratio at r.
+def pdf_ratio_spa_grid(spec: RatioSpec, grid, normalize: bool = True) -> list[MethodResult]:
+    """Butler's saddlepoint density of the ratio at every point of grid.
 
     Works in the eigenbasis of the whitened A - rB: with Q_r the induced
     form, t0 solving K'_{Q_r}(t0) = 0,
     f(r) ~= J_r(t0) M_{Q_r}(t0) / sqrt(2 pi K''_{Q_r}(t0)),
     J_r(t) = tr[(I-2t Lam)^{-1} H] + d'(I-2t Lam)^{-1} H (I-2t Lam)^{-1} d,
-    H the denominator matrix and d the mean, both rotated.
+    H the denominator matrix and d the mean, both rotated.  All points
+    go through one batched kernel: a stacked eigendecomposition of
+    A - rB and a vectorised safeguarded Newton solve of the saddlepoint
+    equations.
 
     The raw formula is exact only up to a Stirling-type factor that is
     constant in r for central ratios; by default the density is divided
-    by its own total mass (computed once by quadrature), which removes
-    that factor.  The raw value and the mass stay in diagnostics.
+    by its own total mass, computed once per grid by a vectorised
+    adaptive 21-point Gauss-Kronrod rule that evaluates every open panel
+    in one kernel call.  The raw value and the mass stay in diagnostics;
+    diagnostics["normalized"] says whether the division happened (it is
+    skipped when the mass is not usable).  A point outside the support
+    raises DomainError, a point where A - rB vanishes NotApplicableError.
     """
     a, b, mu = _whiten(spec)
-    raw, t0, j_r = _pdf_ratio_spa_raw(a, b, mu, r)
-    diagnostics = {"t0": t0, "correction": j_r, "threshold": r, "raw_value": raw}
-    value = raw
-    if normalize:
-        mass = _spa_mass(a, b, mu)
-        diagnostics["normalization_mass"] = mass
-        if mass > 0.0 and math.isfinite(mass):
-            value = raw / mass
-    return MethodResult(value, None, "ratio_spa", "approximate", diagnostics)
+    r = np.atleast_1d(np.asarray(grid, dtype=float))
+    raw, t0, j_r, status = _butler_kernel(a, b, mu, r)
+    _raise_for_status(status, r)
+    # _spa_mass gives a positive mass or nan
+    mass = _spa_mass(a, b, mu) if normalize else math.nan
+    normalized = math.isfinite(mass)
+    out = []
+    for i in range(r.size):
+        diagnostics = {"t0": float(t0[i]), "correction": float(j_r[i]),
+                       "threshold": float(r[i]), "raw_value": float(raw[i]),
+                       "normalized": normalized}
+        if normalize:
+            diagnostics["normalization_mass"] = mass
+        value = float(raw[i]) / mass if normalized else float(raw[i])
+        out.append(MethodResult(value, None, "ratio_spa", "approximate", diagnostics))
+    return out
+
+
+def pdf_ratio_spa(spec: RatioSpec, r: float, normalize: bool = True) -> MethodResult:
+    """Butler's saddlepoint density of the ratio at r: the one-point case
+    of pdf_ratio_spa_grid, which documents the method."""
+    return pdf_ratio_spa_grid(spec, [r], normalize)[0]

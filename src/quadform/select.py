@@ -124,29 +124,3 @@ def _definite_series(red: ReducedForm, q: float, kind: str, tol: float,
     fn = series.cdf_series if cumulative else series.pdf_series
     return fn(eff, q, kind=kind, tol=tol)
 
-
-def ccdf_accurate(red: ReducedForm, q: float, tol: float = 1e-8):
-    """Upper-tail probability with full relative accuracy where possible.
-
-    Uses the saddlepoint log-CCDF in deep tails (below the double-precision
-    resolution of 1 - CDF) and exact/inversion methods elsewhere.
-    """
-    log_r = transforms.chernoff_log_tail(red, q, "right") if red.n_groups else 0.0
-    if log_r < math.log(1e-14):
-        res = approx.cdf_spa(red, q, "lugannani_rice")
-        log_ccdf = res.diagnostics.get("log_ccdf")
-        if log_ccdf is not None:
-            return math.exp(log_ccdf), res
-        return 1.0 - res.value, res
-    res = cdf(red, q, "auto", tol)
-    return 1.0 - res.value, res
-
-
-def chernoff_tail_estimate(red: ReducedForm, q: float) -> float:
-    """min of the two Chernoff tail bounds at q (used by the pre-check)."""
-    if red.n_groups == 0 and red.sigma_gauss == 0.0:
-        return 0.0
-    log_l = transforms.chernoff_log_tail(red, q, "left")
-    log_r = transforms.chernoff_log_tail(red, q, "right")
-    lt = min(log_l, log_r)
-    return math.exp(max(lt, -745.0)) if lt < 0 else 1.0

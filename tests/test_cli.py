@@ -86,6 +86,21 @@ class TestCommands:
         assert code == 0
         assert abs(payload["value"] - 0.5) < 1e-8
 
+    def test_ratio_pdf_grid(self, capsys, docs):
+        code, out, _ = run_cli(capsys, "ratio-pdf", "--grid", "0.1:0.9:5",
+                               docs["beta.json"])
+        assert code == 0
+        grid = json.loads(out)
+        for r, value in zip(grid["grid"], grid["values"]):
+            code, out, _ = run_cli(capsys, "ratio-pdf", "--r", repr(r), docs["beta.json"])
+            assert code == 0
+            assert abs(json.loads(out)["value"] - value) <= 1e-12 * abs(value)
+        code, out, _ = run_cli(capsys, "ratio-cdf", "--grid", "0.1:0.9:5",
+                               docs["beta.json"])
+        assert code == 0
+        assert sorted(json.loads(out)) == sorted(grid)
+        assert len(grid["values"]) == 5
+
     def test_grid_reuses_reduction(self, capsys, docs):
         code, out, _ = run_cli(capsys, "cdf", "--grid", "0:4:5", docs["chisq2.json"])
         payload = json.loads(out)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import quadform as qf
+from quadform import approx, ratio, reduction
+from quadform.forms import EffectiveForm
 
 
 CAUCHY = qf.RatioSpec([[0.0, 0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
@@ -124,6 +126,142 @@ class TestPdfRatioSpa:
         normalized_mass = np.trapezoid(raw, grid) / \
             qf.pdf_ratio_spa(spec, 1.0).diagnostics["normalization_mass"]
         assert abs(normalized_mass - 1.0) < 0.05
+
+    def test_normalized_flag(self, monkeypatch):
+        spec = f_ratio_spec()
+        assert qf.pdf_ratio_spa(spec, 1.0).diagnostics["normalized"] is True
+        raw = qf.pdf_ratio_spa(spec, 1.0, normalize=False)
+        assert raw.diagnostics["normalized"] is False
+        # an unusable mass leaves the raw value, and says so
+        monkeypatch.setattr(ratio, "_spa_mass", lambda a, b, mu: math.nan)
+        res = qf.pdf_ratio_spa(spec, 1.0)
+        assert res.diagnostics["normalized"] is False
+        assert res.value == raw.value
+
+
+def _scalar_butler(a, b, mu, r):
+    """The per-point Butler density the batched kernel replaced: grouped
+    eigenvalues and the scalar approx.saddlepoint_solve."""
+    m_r = a - r * b
+    lam_full, p_eig = np.linalg.eigh((m_r + m_r.T) / 2.0)
+    delta = p_eig.T @ mu
+    h_mat = p_eig.T @ b @ p_eig
+    scale = float(np.max(np.abs(lam_full), initial=0.0))
+    nonzero = np.abs(lam_full) > ratio.RANK_TOL * scale if scale > 0 \
+        else np.zeros_like(lam_full, bool)
+    if not np.any(nonzero):
+        raise qf.NotApplicableError("A - rB vanishes")
+    red = reduction.group_eigenvalues(
+        EffectiveForm(lam_full[nonzero], delta[nonzero] ** 2, 0.0, 0.0)
+    )
+    sol = approx.saddlepoint_solve(red, 0.0)
+    g = 1.0 / (1.0 - 2.0 * sol.t0 * lam_full)
+    j_r = float(np.sum(g * np.diag(h_mat)) + (g * delta) @ h_mat @ (g * delta))
+    log_f = sol.cgf_value - 0.5 * math.log(2.0 * math.pi * sol.cgf_second)
+    return j_r * math.exp(log_f), sol.t0, j_r
+
+
+def _random_ratio(rng, n, rank_deficit, noncentral):
+    m = rng.standard_normal((n, n))
+    a = (m + m.T) / 2.0
+    f = rng.standard_normal((n, n - rank_deficit))
+    b = f @ f.T / n + (0.0 if rank_deficit else 0.5 * np.eye(n))
+    mu = rng.standard_normal(n) * 0.7 if noncentral else np.zeros(n)
+    return a, b, mu
+
+
+class TestButlerKernel:
+    @pytest.mark.parametrize("rank_deficit", [0, 2])
+    @pytest.mark.parametrize("noncentral", [False, True])
+    def test_matches_scalar_path(self, rank_deficit, noncentral):
+        rng = np.random.default_rng(40 + 2 * rank_deficit + int(noncentral))
+        for n in (2, 3, 5, 8, 13, 21, 30):
+            if n - rank_deficit < 1:
+                continue
+            a, b, mu = _random_ratio(rng, n, rank_deficit, noncentral)
+            bw, bv = np.linalg.eigh(b)
+            keep = bw > 1e-10 * bw.max()
+            half = bv[:, keep] / np.sqrt(bw[keep])
+            gen = np.linalg.eigvalsh(half.T @ a @ half)
+            grid = np.concatenate([np.linspace(gen[0], gen[-1], 9)[1:-1],
+                                   [gen[0] - 1.0, gen[-1] + 1.0]])
+            value, t0, j_r, status = ratio._butler_kernel(a, b, mu, grid)
+            for i, r in enumerate(grid):
+                try:
+                    want = _scalar_butler(a, b, mu, float(r))
+                except qf.DomainError:
+                    assert status[i] == ratio._OUTSIDE and value[i] == 0.0
+                    with pytest.raises(qf.DomainError):
+                        ratio._pdf_ratio_spa_raw(a, b, mu, float(r))
+                    continue
+                got = ratio._pdf_ratio_spa_raw(a, b, mu, float(r))
+                assert got == (value[i], t0[i], j_r[i])
+                assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), (n, r)
+                assert abs(got[1] - want[1]) <= 1e-12 * max(abs(want[1]), 1e-300)
+                assert abs(got[2] - want[2]) <= 1e-12 * abs(want[2])
+
+    def test_outside_support(self):
+        a, b, mu = ratio._whiten(f_ratio_spec())
+        value, _, _, status = ratio._butler_kernel(a, b, mu, [-1.0, 1.0])
+        assert value[0] == 0.0 and value[1] > 0.0
+        assert list(status) == [ratio._OUTSIDE, ratio._OK]
+        with pytest.raises(qf.DomainError):
+            ratio._pdf_ratio_spa_raw(a, b, mu, -1.0)
+        with pytest.raises(qf.DomainError):
+            qf.pdf_ratio_spa(f_ratio_spec(), -1.0)
+
+    def test_vanishing_form(self):
+        spec = qf.RatioSpec(np.eye(3), np.eye(3), np.zeros(3), np.eye(3))
+        a, b, mu = ratio._whiten(spec)
+        value, _, _, status = ratio._butler_kernel(a, b, mu, [1.0])
+        assert value[0] == 0.0 and status[0] == ratio._VANISHES
+        with pytest.raises(qf.NotApplicableError):
+            ratio._pdf_ratio_spa_raw(a, b, mu, 1.0)
+        with pytest.raises(qf.NotApplicableError):
+            qf.pdf_ratio_spa(spec, 1.0)
+
+    def test_chunk_boundaries(self):
+        a, b, mu = _random_ratio(np.random.default_rng(9), 4, 0, True)
+        s = np.linspace(-0.999, 0.999, 2 * ratio._CHUNK + 37)
+        r = s / (1.0 - s * s)
+        whole = ratio._butler_kernel(a, b, mu, r)
+        for cut in (1, 37, ratio._CHUNK - 1, ratio._CHUNK, ratio._CHUNK + 1,
+                    2 * ratio._CHUNK):
+            left = ratio._butler_kernel(a, b, mu, r[:cut])
+            right = ratio._butler_kernel(a, b, mu, r[cut:])
+            for w, lp, rp in zip(whole, left, right):
+                assert np.array_equal(w, np.concatenate([lp, rp]), equal_nan=True)
+
+
+SINGULAR_B = qf.RatioSpec(
+    [[1.0, 0.3, -0.2], [0.3, -0.5, 0.4], [-0.2, 0.4, 0.8]],
+    np.diag([1.0, 0.6, 0.0]), [0.3, 0.0, -0.5], np.eye(3),
+)
+
+
+class TestSpaMass:
+    def test_gauss_kronrod_table(self):
+        # Kronrod rule exact to degree 31, embedded Gauss rule to degree 19
+        for d in range(32):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(ratio._GK_W @ ratio._GK_X**d - exact) < 1e-14
+            if d < 20:
+                assert abs(ratio._G_W @ ratio._GK_X[1::2] ** d - exact) < 1e-14
+
+    @pytest.mark.parametrize("spec", [f_ratio_spec(), CAUCHY, SINGULAR_B],
+                             ids=["f", "cauchy", "singular_b"])
+    def test_matches_quad(self, spec):
+        a, b, mu = ratio._whiten(spec)
+
+        def integrand(s):
+            r = s / (1.0 - s * s)
+            jac = (1.0 + s * s) / (1.0 - s * s) ** 2
+            return ratio._butler_kernel(a, b, mu, [r])[0][0] * jac
+
+        want, _ = integrate.quad(integrand, -1.0, 1.0, limit=500, epsabs=1e-13,
+                                 epsrel=1e-12, points=[0.0])
+        got = ratio._spa_mass(a, b, mu)
+        assert abs(got - want) <= 1e-8 * want
 
 
 class TestMomentExistence:
