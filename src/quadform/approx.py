@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import transforms
 from .errors import DomainError, InvalidInputError, NotApplicableError
@@ -29,7 +29,6 @@ from .forms import (
 )
 
 FAMILIES = ("satterthwaite", "pearson", "hbe", "wood", "liu")
-SADDLE_RTOL = 1e-10
 
 
 def match(kappas: CumulantSet, family: str) -> MatchedSurrogate:
@@ -171,6 +170,8 @@ def surrogate_cumulants(sur: MatchedSurrogate, order: int) -> CumulantSet:
 
 
 def surrogate_cdf(sur: MatchedSurrogate, q: float) -> float:
+    from scipy import stats  # heavy import, needed only by moment matching
+
     p = sur.params
     if sur.family == "scaled_chisq":
         return float(stats.chi2.cdf(q / p["a"], p["b"]))
@@ -219,9 +220,9 @@ def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
 def saddlepoint_solve(red: ReducedForm, q: float) -> SaddlepointSolution:
     """Solve the saddlepoint equation K'(t0) = q on the MGF strip.
 
-    K' is strictly increasing (K'' > 0), so bracketed root finding from
-    t = 0 toward the relevant boundary converges; q outside the interior
-    of the support has no root and raises DomainError.
+    K' is strictly increasing (K'' > 0), so the safeguarded Newton
+    iteration of transforms._cgf_prime_root converges from t = 0; q
+    outside the interior of the support has no root and raises DomainError.
     """
     lo_s, hi_s = transforms.support(red)
     if not lo_s < q < hi_s:
@@ -232,18 +233,6 @@ def saddlepoint_solve(red: ReducedForm, q: float) -> SaddlepointSolution:
     t0 = transforms._cgf_prime_root(red, q)
     if t0 is None:
         raise DomainError(f"saddlepoint equation has no root for q={q}")
-    dom = transforms.mgf_domain(red)
-    for _ in range(4):
-        # Newton polish; brentq is already near machine precision in t,
-        # this cleans up K' residuals when K'' is large near a boundary
-        resid = transforms.cgf_derivative(red, t0, 1) - q
-        if abs(resid) <= SADDLE_RTOL * (1.0 + abs(q)):
-            break
-        step = resid / transforms.cgf_derivative(red, t0, 2)
-        t_new = t0 - step
-        if not dom.contains(t_new):
-            break
-        t0 = t_new
     kval = transforms.log_mgf(red, t0)
     cgf2 = transforms.cgf_derivative(red, t0, 2)
     arg = 2.0 * (t0 * q - kval)
@@ -303,20 +292,29 @@ def cdf_spa(red: ReducedForm, q: float, variant: str = "lugannani_rice") -> Meth
     if variant == "lugannani_rice":
         if w > 0.0:
             # log CCDF via the Mills ratio: 1 - F = phi(w) [M(w) - 1/w + 1/v]
-            mills = math.exp(stats.norm.logsf(w) - stats.norm.logpdf(w))
+            mills = math.exp(special.log_ndtr(-w) - _norm_logpdf(w))
             rest = mills - 1.0 / w + 1.0 / v
             if rest > 0:
-                diagnostics["log_ccdf"] = stats.norm.logpdf(w) + math.log(rest)
+                diagnostics["log_ccdf"] = _norm_logpdf(w) + math.log(rest)
     elif v / w > 0:
-        diagnostics["log_ccdf"] = float(stats.norm.logsf(w + math.log(v / w) / w))
+        diagnostics["log_ccdf"] = float(special.log_ndtr(-(w + math.log(v / w) / w)))
     return MethodResult(min(max(value, 0.0), 1.0), None, method, "approximate",
                         dict(diagnostics, raw_value=value))
 
 
+# the standard normal density as scipy.stats.norm evaluates it
+_NORM_PDF_C = np.sqrt(2 * np.pi)
+_NORM_PDF_LOGC = np.log(_NORM_PDF_C)
+
+
+def _norm_logpdf(x: float) -> float:
+    return -x**2 / 2.0 - _NORM_PDF_LOGC
+
+
 def _spa_point(variant: str, w: float, v: float) -> float:
     if variant == "lugannani_rice":
-        return float(stats.norm.cdf(w) + stats.norm.pdf(w) * (1.0 / w - 1.0 / v))
-    return float(stats.norm.cdf(w + math.log(v / w) / w))
+        return float(special.ndtr(w) + np.exp(-w**2 / 2.0) / _NORM_PDF_C * (1.0 / w - 1.0 / v))
+    return float(special.ndtr(w + math.log(v / w) / w))
 
 
 def _switch_scale(red: ReducedForm) -> float:

@@ -201,17 +201,6 @@ def cmd_reduce(args) -> dict:
     }
 
 
-def _eval_pointwise(red, grid, fn, method, tol):
-    values, bounds, methods = [], [], []
-    for x in grid:
-        res = fn(red, float(x), method, tol)
-        payload = _result_payload(res, tol)
-        values.append(payload["value"])
-        bounds.append(payload["error_bound"])
-        methods.append(res.method)
-    return values, bounds, methods
-
-
 def cmd_cdf(args, quantity="cdf") -> dict:
     doc = _load(args.document)
     _apply_doc_defaults(args, doc)
@@ -220,15 +209,7 @@ def cmd_cdf(args, quantity="cdf") -> dict:
     fn = select.cdf if quantity == "cdf" else select.pdf
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        values, bounds, methods = _eval_pointwise(red, grid, fn, args.method, args.tol)
-        return {
-            "quantity": quantity,
-            "grid": [float(x) for x in grid],
-            "values": values,
-            "error_bounds": bounds,
-            "methods": methods,
-            "tol": args.tol,
-        }
+        return _grid_payload(quantity, grid, fn(red, grid, args.method, args.tol), args.tol)
     if args.q is None:
         raise InvalidInputError("provide --q or --grid")
     res = fn(red, args.q, args.method, args.tol)
@@ -288,7 +269,7 @@ def _need_ratio(form) -> RatioSpec:
     return form
 
 
-def _ratio_grid_payload(quantity: str, grid, results, tol) -> dict:
+def _grid_payload(quantity: str, grid, results, tol) -> dict:
     payloads = [_result_payload(res, tol) for res in results]
     return {"quantity": quantity, "grid": [float(x) for x in grid],
             "values": [p["value"] for p in payloads],
@@ -305,7 +286,7 @@ def cmd_ratio_cdf(args) -> dict:
         grid = _parse_grid(args.grid)
         results = [ratio.cdf_ratio(spec, float(r), method=method, tol=args.tol)
                    for r in grid]
-        return _ratio_grid_payload("ratio_cdf", grid, results, args.tol)
+        return _grid_payload("ratio_cdf", grid, results, args.tol)
     if args.r is None:
         raise InvalidInputError("provide --r or --grid")
     res = ratio.cdf_ratio(spec, args.r, method=method, tol=args.tol)
@@ -320,7 +301,7 @@ def cmd_ratio_pdf(args) -> dict:
     if args.grid is not None:
         grid = _parse_grid(args.grid)
         results = ratio.pdf_ratio_spa_grid(spec, grid)
-        return _ratio_grid_payload("ratio_pdf", grid, results, args.tol)
+        return _grid_payload("ratio_pdf", grid, results, args.tol)
     if args.r is None:
         raise InvalidInputError("provide --r or --grid")
     res = ratio.pdf_ratio_spa(spec, args.r)

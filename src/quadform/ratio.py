@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import inversion, reduction
 from .errors import (
@@ -364,6 +364,8 @@ def ratio_moment_integral(spec: RatioSpec, p: int,
         val = math.exp((p - 1.0) * math.log(t) + log_phi - lgp
                        + p * math.log(2.0) + math.lgamma(p + 1.0)) * d_p
         return val / (1.0 - s) ** 2
+
+    from scipy import integrate  # loaded only by the moment integral
 
     val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=quadrature_tol,
                               epsrel=quadrature_tol, limit=500)

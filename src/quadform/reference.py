@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import signal, stats
 
 from .errors import InvalidInputError, NotApplicableError
 from .forms import McResult, RatioSpec, RawComplexForm, RawForm, ReducedForm
@@ -141,6 +140,8 @@ def grid_cdf(red: ReducedForm, grid_step: float = 1e-3, span: float | None = Non
     accuracy is O(grid_step^2) away from density singularities.  Only
     meant for L <= 3, sigma = 0.
     """
+    from scipy import signal, stats  # heavy imports, needed only here
+
     if red.sigma_gauss != 0.0:
         raise NotApplicableError("grid reference requires sigma = 0", condition="sigma=0")
     if red.n_groups == 0 or red.n_groups > 3:

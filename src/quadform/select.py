@@ -2,18 +2,29 @@
 
 Selection heuristics: far tails (Chernoff estimate below 1e-8) go to the
 saddlepoint, which keeps the exact exponential decay rate; central forms
-with even degrees of freedom use the finite partial-fraction formula;
+with even degrees of freedom use the finite partial-fraction formula
+(where its floating-point bound exceeds the tolerance, the result of the
+route below it is taken instead when that reports a smaller bound);
 positive (or negative) definite forms use the chi-square-density
 expansion; everything else, including Gaussian components, uses the
 Davies lattice.
+
+``cdf`` and ``pdf`` take a scalar point or an array of points.  An array
+is routed once and evaluated per route: the partial-fraction expansion
+and the series coefficients are shared by all points, while Davies,
+Imhof and the saddlepoint run point by point.  Each point gets the
+route, method, provenance and bound that a call with that point alone
+gives.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import approx, inversion, series, transforms
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, QuadFormError
 from .forms import MethodResult, ReducedForm
 from .reduction import classify
 
@@ -30,24 +41,14 @@ def _negate(red: ReducedForm) -> ReducedForm:
     return ReducedForm(-red.omega, red.nu, red.delta2, red.sigma_gauss, -red.const)
 
 
-def select_method(red: ReducedForm, quantity: str = "cdf", q: float = 0.0,
-                  tail_hint: str | None = None) -> str:
-    """Pick a method identifier for the given form and evaluation point.
-
-    tail_hint: "left"/"right" force the tail route, "none" suppresses the
-    Chernoff pre-check, None (default) lets the pre-check decide.
-    """
+def _generic_method(red: ReducedForm, quantity: str, central_even: bool = True) -> str:
+    """The route of a point outside the far tails (central_even=False skips
+    the partial-fraction formula)."""
     cls = classify(red)
-    tail = tail_hint in ("left", "right")
-    if tail_hint != "none" and not tail and red.n_groups > 0:
-        log_l = transforms.chernoff_log_tail(red, q, "left")
-        log_r = transforms.chernoff_log_tail(red, q, "right")
-        tail = min(log_l, log_r) < math.log(TAIL_THRESHOLD)
-    if tail:
-        return "spa_lr" if quantity == "cdf" else "spa"
     if red.n_groups == 0:
         return "davies"
-    if (cls.centrality == "central" and cls.even_degrees and not cls.has_gaussian):
+    if (central_even and cls.centrality == "central" and cls.even_degrees
+            and not cls.has_gaussian):
         return "central_even"
     if cls.definiteness in ("positive", "negative") and not cls.has_gaussian:
         return "ruben"
@@ -56,71 +57,149 @@ def select_method(red: ReducedForm, quantity: str = "cdf", q: float = 0.0,
     return "davies"
 
 
-def cdf(red: ReducedForm, q: float, method: str = "auto",
-        tol: float = 1e-8) -> MethodResult:
-    """CDF dispatch by method name (method="auto" applies select_method)."""
-    if method == "auto":
-        method = select_method(red, "cdf", q)
-        if method in ("spa_lr", "spa_bn"):
-            # extreme points can sit at the support edge where the
-            # saddlepoint has no root; fall back to the generic routing
-            try:
-                return cdf(red, q, method, tol)
-            except DomainError:
-                fallback = select_method(red, "cdf", q, tail_hint="none")
-                return cdf(red, q, fallback, tol)
-    if method == "central_even":
-        return series.cdf_central_even(red, q)
-    if method in ("ruben", "kotz", "laguerre"):
-        return _definite_series(red, q, method, tol, cumulative=True)
-    if method == "imhof":
-        return inversion.cdf_imhof(red, q, tol=tol)
-    if method == "davies":
-        return inversion.cdf_davies(red, q, tol=tol)
-    if method == "spa_lr":
-        return approx.cdf_spa(red, q, "lugannani_rice")
-    if method == "spa_bn":
-        return approx.cdf_spa(red, q, "barndorff_nielsen")
-    if method in approx.FAMILIES:
-        return approx.cdf_matched(red, q, method)
-    raise InvalidInputError(f"unknown CDF method {method!r}")
+def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
+                  tail_hint: str | None = None):
+    """Pick a method identifier for the given form and evaluation point.
+
+    q may be an array; the result is then a list with one identifier per
+    point, from both Chernoff tails computed in one array call each.
+    tail_hint: "left"/"right" force the tail route, "none" suppresses the
+    Chernoff pre-check, None (default) lets the pre-check decide.
+    """
+    qs = np.asarray(q, dtype=float)
+    pts = np.atleast_1d(qs)
+    forced = tail_hint in ("left", "right")
+    tail = np.full(pts.shape, forced)
+    if tail_hint != "none" and not forced and red.n_groups > 0:
+        log_l = transforms.chernoff_log_tail(red, pts, "left")
+        log_r = transforms.chernoff_log_tail(red, pts, "right")
+        tail = np.minimum(log_l, log_r) < math.log(TAIL_THRESHOLD)
+    spa = "spa_lr" if quantity == "cdf" else "spa"
+    generic = _generic_method(red, quantity) if not tail.all() else spa
+    methods = [spa if t else generic for t in tail]
+    return methods[0] if qs.ndim == 0 else methods
 
 
-def pdf(red: ReducedForm, q: float, method: str = "auto",
-        tol: float = 1e-8) -> MethodResult:
-    """PDF dispatch by method name."""
-    if method == "auto":
+def cdf(red: ReducedForm, q, method: str = "auto", tol: float = 1e-8):
+    """CDF dispatch by method name (method="auto" applies select_method).
+
+    q may be an array: the result is then a list of MethodResult, one per
+    point, and the error of the first point that fails is raised.
+    """
+    return _dispatch(red, q, method, tol, "cdf")
+
+
+def pdf(red: ReducedForm, q, method: str = "auto", tol: float = 1e-8):
+    """PDF dispatch by method name (q scalar or array, as for cdf)."""
+    return _dispatch(red, q, method, tol, "pdf")
+
+
+def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str):
+    qs = np.asarray(q, dtype=float)
+    pts = np.atleast_1d(qs)
+    out: list = [None] * pts.size
+    todo = np.arange(pts.size)
+    if quantity == "pdf" and method == "auto":
         lo_s, hi_s = transforms.support(red)
-        if not lo_s < q < hi_s:
-            return MethodResult(0.0, 0.0, "support", "exact",
-                                {"note": "outside the support"})
-        method = select_method(red, "pdf", q)
+        inside = (lo_s < pts) & (pts < hi_s)
+        for i in np.flatnonzero(~inside):
+            out[i] = MethodResult(0.0, 0.0, "support", "exact",
+                                  {"note": "outside the support"})
+        todo = np.flatnonzero(inside)
+    auto = method == "auto"
+    methods = select_method(red, quantity, pts[todo]) if auto and todo.size else \
+        [method] * todo.size
+    for name in dict.fromkeys(methods):
+        idx = todo[[m == name for m in methods]]
+        for i, res in zip(idx, _evaluate(red, pts[idx], name, tol, quantity, auto)):
+            out[i] = res
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return out[0] if qs.ndim == 0 else out
+
+
+def _each(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
+    """fn at every point; a point's library error takes its slot."""
+    out = []
+    for x in xs:
+        try:
+            out.append(fn(red, float(x), *args, **kwargs))
+        except QuadFormError as exc:
+            out.append(exc)
+    return out
+
+
+def _evaluate(red: ReducedForm, xs: np.ndarray, method: str, tol: float,
+              quantity: str, auto: bool) -> list:
+    """One outcome (MethodResult or library error) per point of one route."""
+    cumulative = quantity == "cdf"
     if method == "central_even":
-        return series.pdf_central_even(red, q)
+        pfe = series.partial_fractions(red)
+        fn = series.cdf_central_even if cumulative else series.pdf_central_even
+        out = fn(red, xs, pfe)
+        # the terms cancel when there are many distinct weights: past tol,
+        # auto also tries the route the point would take without the formula
+        # and keeps whichever result reports the smaller bound
+        redo = [i for i, res in enumerate(out) if auto and res.error_bound > tol]
+        if redo:
+            alt = _generic_method(red, quantity, central_even=False)
+            for i, res in zip(redo, _evaluate(red, xs[redo], alt, tol, quantity, auto)):
+                if (isinstance(res, MethodResult) and res.error_bound is not None
+                        and res.error_bound < out[i].error_bound):
+                    out[i] = MethodResult(
+                        res.value, res.error_bound, res.method, res.provenance,
+                        dict(res.diagnostics, central_even_bound=out[i].error_bound))
+        return out
     if method in ("ruben", "kotz", "laguerre"):
-        return _definite_series(red, q, method, tol, cumulative=False)
+        return _definite_series(red, xs, method, tol, cumulative)
     if method == "imhof":
-        return inversion.pdf_imhof(red, q, tol=tol)
+        fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
+        return _each(fn, red, xs, tol=tol)
+    if cumulative:
+        if method == "davies":
+            return _each(inversion.cdf_davies, red, xs, tol=tol)
+        if method in ("spa_lr", "spa_bn"):
+            variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
+            return _each(_cdf_spa, red, xs, variant, tol, auto)
+        if method in approx.FAMILIES:
+            return _each(approx.cdf_matched, red, xs, method)
+        raise InvalidInputError(f"unknown CDF method {method!r}")
     if method in ("spa", "spa_lr"):
-        return approx.pdf_spa(red, q)
+        return _each(approx.pdf_spa, red, xs)
     raise InvalidInputError(f"unknown PDF method {method!r}")
 
 
-def _definite_series(red: ReducedForm, q: float, kind: str, tol: float,
-                     cumulative: bool) -> MethodResult:
-    """Series evaluation, mapping negative definite forms to negated ones."""
-    cls = classify(red)
-    if cls.definiteness == "negative":
-        res = _definite_series(_negate(red), -q, kind, tol, cumulative)
-        if cumulative:
-            # P(Q <= q) = P(-Q >= -q); the negated form is continuous
-            value = 1.0 - res.value
-            raw = 1.0 - res.diagnostics.get("raw_value", res.value)
-            return MethodResult(value, res.error_bound, res.method, res.provenance,
-                                dict(res.diagnostics, raw_value=raw, negated=True))
-        return MethodResult(res.value, res.error_bound, res.method, res.provenance,
-                            dict(res.diagnostics, negated=True))
-    eff = red.effective()
-    fn = series.cdf_series if cumulative else series.pdf_series
-    return fn(eff, q, kind=kind, tol=tol)
+def _cdf_spa(red: ReducedForm, q: float, variant: str, tol: float,
+             auto: bool) -> MethodResult:
+    try:
+        return approx.cdf_spa(red, q, variant)
+    except DomainError:
+        if not auto:
+            raise
+        # extreme points can sit at the support edge where the
+        # saddlepoint has no root; fall back to the generic routing
+        fallback = select_method(red, "cdf", q, tail_hint="none")
+        return cdf(red, q, fallback, tol)
 
+
+def _definite_series(red: ReducedForm, xs: np.ndarray, kind: str, tol: float,
+                     cumulative: bool) -> list:
+    """Series outcomes at the points xs, mapping negative definite forms to
+    negated ones."""
+    if classify(red).definiteness == "negative":
+        res = _definite_series(_negate(red), -xs, kind, tol, cumulative)
+        return [r if isinstance(r, Exception) else _negated(r, cumulative) for r in res]
+    fn = series.cdf_series if cumulative else series.pdf_series
+    return fn(red.effective(), xs, kind=kind, tol=tol)
+
+
+def _negated(res: MethodResult, cumulative: bool) -> MethodResult:
+    if cumulative:
+        # P(Q <= q) = P(-Q >= -q); the negated form is continuous
+        value = 1.0 - res.value
+        raw = 1.0 - res.diagnostics.get("raw_value", res.value)
+        return MethodResult(value, res.error_bound, res.method, res.provenance,
+                            dict(res.diagnostics, raw_value=raw, negated=True))
+    return MethodResult(res.value, res.error_bound, res.method, res.provenance,
+                        dict(res.diagnostics, negated=True))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ConvergenceFailureError, NotApplicableError
 from .forms import (
@@ -47,16 +47,15 @@ def _require_central_even(red: ReducedForm, op: str) -> None:
 def _exp_series(log_coeffs: np.ndarray, c0: float) -> np.ndarray:
     """Taylor coefficients of c0 * exp(sum_{n>=1} g_n s^n) up to len(g).
 
-    Standard recursion n c_n = sum_{r=1}^{n} r g_r c_{n-r}.
+    Standard recursion n c_n = sum_{r=1}^{n} r g_r c_{n-r}, one dot
+    product per coefficient.
     """
     n = log_coeffs.shape[0]
+    rg = np.arange(1, n + 1) * log_coeffs
     c = np.zeros(n + 1)
     c[0] = c0
     for k in range(1, n + 1):
-        acc = 0.0
-        for r in range(1, k + 1):
-            acc += r * log_coeffs[r - 1] * c[k - r]
-        c[k] = acc / k
+        c[k] = rg[:k] @ c[k - 1::-1] / k
     return c
 
 
@@ -138,45 +137,69 @@ def _alt_partial_fractions(red: ReducedForm):
     return out
 
 
-def _scaled_chi2_cdf(q: np.ndarray, w: float, dof: int) -> np.ndarray:
-    """CDF of w * chi2_dof at q (elementwise)."""
-    if w > 0:
-        return stats.chi2.cdf(q / w, dof)
-    return stats.chi2.sf(q / w, dof)
+# scipy.stats.chi2 by the formulas it uses internally, with its support
+# masks: chdtr, chdtrc and xlogy give nan below 0, where stats gives cdf 0,
+# sf 1 and pdf 0
+def _chi2_cdf(dof, y):
+    return np.where(y > 0.0, special.chdtr(dof, y), 0.0)
 
 
-def cdf_central_even(red: ReducedForm, q: float,
-                     pfe: PartialFractionExpansion | None = None) -> MethodResult:
-    """Closed-form CDF of a central even-dof form, exact up to floating point."""
+def _chi2_sf(dof, y):
+    return np.where(y > 0.0, special.chdtrc(dof, y), 1.0)
+
+
+def _chi2_pdf(dof, y):
+    log_f = (special.xlogy(dof / 2. - 1, y) - y / 2. - special.gammaln(dof / 2.)
+             - (np.log(2) * dof) / 2.)
+    return np.where(y >= 0.0, np.exp(log_f), 0.0)
+
+
+def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,
+                  density: bool):
+    """Partial-fraction CDF/PDF at a scalar q or elementwise over an array.
+
+    The (points x terms) matrix of A_lk F_lk(x) is summed along the term axis
+    in term order.  The terms cancel when there are many distinct weights;
+    the error bound n_terms * eps * (sum |A_lk F_lk| - |sum A_lk F_lk|) is
+    the rounding error that cancellation adds to the value's own relative
+    rounding (a few ulp, unreported as for every exact result).
+    """
     pfe = pfe if pfe is not None else partial_fractions(red)
-    x = q - red.const
-    val = sum(a * float(_scaled_chi2_cdf(np.asarray(x), w, 2 * k)) for w, k, a in pfe.terms)
-    return MethodResult(
-        value=min(max(val, 0.0), 1.0),
-        error_bound=0.0,
-        method="central_even",
-        provenance="exact",
-        diagnostics={"raw_value": val, "floating_point_caveat": True,
-                     "n_terms": len(pfe.terms)},
-    )
+    w, k, a = (np.array(v) for v in zip(*pfe.terms))
+    qs = np.asarray(q, dtype=float)
+    y = (np.atleast_1d(qs) - red.const)[:, None] / w
+    if density:
+        terms = a / np.abs(w) * _chi2_pdf(2 * k, y)
+    else:
+        terms = a * np.where(w > 0, _chi2_cdf(2 * k, y), _chi2_sf(2 * k, y))
+    raw = np.cumsum(terms, axis=1)[:, -1]
+    bound = w.size * np.finfo(float).eps * (np.abs(terms).sum(axis=1) - np.abs(raw))
+    hi = math.inf if density else 1.0
+    out = [
+        MethodResult(
+            value=min(max(float(v), 0.0), hi),
+            error_bound=max(float(b), 0.0),
+            method="central_even",
+            provenance="exact",
+            diagnostics={"raw_value": float(v), "floating_point_caveat": True,
+                         "n_terms": w.size},
+        )
+        for v, b in zip(raw, bound)
+    ]
+    return out[0] if qs.ndim == 0 else out
 
 
-def pdf_central_even(red: ReducedForm, q: float,
-                     pfe: PartialFractionExpansion | None = None) -> MethodResult:
-    """Closed-form PDF of a central even-dof form."""
-    pfe = pfe if pfe is not None else partial_fractions(red)
-    x = q - red.const
-    val = sum(
-        a / abs(w) * float(stats.chi2.pdf(x / w, 2 * k)) for w, k, a in pfe.terms
-    )
-    return MethodResult(
-        value=max(val, 0.0),
-        error_bound=0.0,
-        method="central_even",
-        provenance="exact",
-        diagnostics={"raw_value": val, "floating_point_caveat": True,
-                     "n_terms": len(pfe.terms)},
-    )
+def cdf_central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None = None):
+    """Closed-form CDF of a central even-dof form, exact up to floating point.
+
+    q may be an array: one MethodResult per point, sharing the expansion.
+    """
+    return _central_even(red, q, pfe, density=False)
+
+
+def pdf_central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None = None):
+    """Closed-form PDF of a central even-dof form (q scalar or array)."""
+    return _central_even(red, q, pfe, density=True)
 
 
 def _require_positive_definite(eff: EffectiveForm, op: str) -> None:
@@ -227,39 +250,41 @@ def _series_coefficients_impl(eff: EffectiveForm, kind: str, beta: float | None,
     _require_positive_definite(eff, f"{kind} series")
     lam, h2 = eff.lam, eff.h2
     n = eff.n_terms
+    # the log-coefficients are power sums over the weights: sum them over the
+    # distinct weights with their counts, and the noncentral terms over the
+    # variables that carry a noncentrality
+    lam_u, counts = np.unique(lam, return_counts=True)
+    lam_h, h2_h = lam[h2 != 0.0], h2[h2 != 0.0]
+    ks = np.arange(1, k_terms + 1)
+
+    def psum(base, weight, shift=0):
+        """sum_i weight_i base_i^(k - shift) for k = 1..k_terms."""
+        return (base[None, :] ** (ks[:, None] - shift)) @ weight.astype(float)
+
     if kind == "ruben":
         beta = default_beta(eff, kind) if beta is None else float(beta)
         if not 0.0 < beta < 2.0 * lam.min():
             raise NotApplicableError(
                 "chi-square expansion needs 0 < beta < 2 min(lam)", condition="beta range"
             )
-        eta = 1.0 - beta / lam
-        ks = np.arange(1, k_terms + 1)[:, None]
-        d = (eta[None, :] ** ks).sum(axis=1) + ks[:, 0] * beta * (
-            (h2 / lam)[None, :] * eta[None, :] ** (ks - 1)
-        ).sum(axis=1)
+        d = psum(1.0 - beta / lam_u, counts) + ks * beta * psum(
+            1.0 - beta / lam_h, h2_h / lam_h, shift=1)
         c0 = math.exp(-0.5 * float(h2.sum()) + 0.5 * float(np.log(beta / lam).sum()))
-        c = _exp_series(d / (2.0 * np.arange(1, k_terms + 1)), c0)
+        c = _exp_series(d / (2.0 * ks), c0)
     elif kind == "kotz":
         beta = None
-        inv = 1.0 / (2.0 * lam)
-        ks = np.arange(1, k_terms + 1)[:, None]
-        d = 0.5 * ((1.0 - ks * h2[None, :]) * inv[None, :] ** ks).sum(axis=1)
+        d = 0.5 * (psum(1.0 / (2.0 * lam_u), counts) - ks * psum(1.0 / (2.0 * lam_h), h2_h))
         c0 = math.exp(-0.5 * float(h2.sum()) - 0.5 * float(np.log(2.0 * lam).sum()))
-        c = _exp_series(d / np.arange(1, k_terms + 1), c0)
+        c = _exp_series(d / ks, c0)
     elif kind == "laguerre":
         beta = default_beta(eff, kind) if beta is None else float(beta)
         if beta <= lam.max() / 2.0:
             raise NotApplicableError(
                 "Laguerre series needs beta > max(lam)/2", condition="beta range"
             )
-        gam = 1.0 - lam / beta
-        ks = np.arange(1, k_terms + 1)[:, None]
-        d = 0.5 * (
-            (gam[None, :] ** ks).sum(axis=1)
-            - ks[:, 0] / beta * ((lam * h2)[None, :] * gam[None, :] ** (ks - 1)).sum(axis=1)
-        )
-        c = _exp_series(d / np.arange(1, k_terms + 1), 1.0)
+        d = 0.5 * (psum(1.0 - lam_u / beta, counts)
+                   - ks / beta * psum(1.0 - lam_h / beta, lam_h * h2_h, shift=1))
+        c = _exp_series(d / ks, 1.0)
     else:
         raise NotApplicableError(f"unknown series kind {kind!r}", condition="kind")
     return SeriesCoefficients(kind=kind, beta=beta, c=c, d=d, n_vars=n)
@@ -271,56 +296,72 @@ def _extend(coeffs: SeriesCoefficients, eff: EffectiveForm, k_terms: int) -> Ser
     return series_coefficients(eff, coeffs.kind, coeffs.beta, k_terms)
 
 
-def _series_terms(coeffs: SeriesCoefficients, x: float, cumulative: bool) -> np.ndarray:
-    """Per-term contributions of the truncated expansion at the shifted
-    point x >= 0 (log-gamma arithmetic throughout)."""
+def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool) -> np.ndarray:
+    """(points x terms) contributions of the truncated expansion at shifted
+    points x > 0 (log-gamma arithmetic throughout)."""
     kind, beta, c = coeffs.kind, coeffs.beta, coeffs.c
     n = coeffs.n_vars
     kk = np.arange(c.shape[0])
+    x = x[:, None]
     if kind == "ruben":
         y = x / beta
         if cumulative:
-            base = stats.chi2.cdf(y, n + 2 * kk)
+            base = _chi2_cdf(n + 2 * kk, y)
         else:
-            base = stats.chi2.pdf(y, n + 2 * kk) / beta
+            base = _chi2_pdf(n + 2 * kk, y) / beta
         return c * base
     if kind == "kotz":
-        if x == 0.0:
-            out = np.zeros_like(c)
-            if not cumulative and n == 2:
-                out[0] = c[0]  # q^{N/2-1} = 1 at the origin for N = 2
-            return out
         expo = (n / 2.0 + kk) if cumulative else (n / 2.0 + kk - 1.0)
         lg = special.gammaln(n / 2.0 + kk + (1.0 if cumulative else 0.0))
-        return (-1.0) ** kk * c * np.exp(expo * math.log(x) - lg)
+        return (-1.0) ** kk * c * np.exp(expo * np.log(x) - lg)
     # laguerre
     y = x / (2.0 * beta)
     if cumulative:
         # integrating the density term by parts gives
         # d/dy [y^{a} e^{-y} L_{k-1}^{(a)}(y)] = k y^{a-1} e^{-y} L_k^{(a-1)}(y)
         # with a = N/2, so the k-th CDF term carries L_{k-1}^{(N/2)}
-        out = np.empty_like(c)
-        out[0] = c[0] * stats.chi2.cdf(x / beta, n)
+        out = np.empty((x.shape[0], c.shape[0]))
+        out[:, :1] = c[0] * _chi2_cdf(n, x / beta)
         if c.shape[0] > 1:
             k = kk[1:]
             lg = special.gammaln(k) - special.gammaln(n / 2.0 + k)
-            lpow = (n / 2.0) * math.log(y) - y if y > 0 else -math.inf
+            lpow = (n / 2.0) * np.log(y) - y
             lag = special.eval_genlaguerre(k - 1, n / 2.0, y)
-            out[1:] = c[1:] * np.exp(lg + lpow) * lag
+            out[:, 1:] = c[1:] * np.exp(lg + lpow) * lag
         return out
-    k = kk
-    lg = special.gammaln(k + 1.0) - special.gammaln(n / 2.0 + k)
-    if y > 0:
-        lpow = (n / 2.0 - 1.0) * math.log(y) - y
-    else:
-        lpow = 0.0 if n == 2 else -math.inf
-    lag = special.eval_genlaguerre(k, n / 2.0 - 1.0, y)
+    lg = special.gammaln(kk + 1.0) - special.gammaln(n / 2.0 + kk)
+    lpow = (n / 2.0 - 1.0) * np.log(y) - y
+    lag = special.eval_genlaguerre(kk, n / 2.0 - 1.0, y)
     return c * np.exp(lg + lpow) * lag / (2.0 * beta)
 
 
-def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q: float) -> float:
+def _ruben_poles(eff: EffectiveForm, beta: float):
+    """c0, the poles a_i and delta_i = prod_{j!=i} (a_i - a_j) of the majorant
+    |c_k| <= c0 [theta^k] prod_i (1 - a_i theta)^(-1) of the central
+    even-count chi-square expansion.
+
+    a_i = xi_{2i-1}, where xi = |1 - beta/lam| sorted descending is paired
+    consecutively.  A pole at 0 is the factor 1 and is left out, so when
+    every weight equals beta there are none and the remainder is exactly 0;
+    so is a pole below 1e-9 of the largest, whose share of the remainder is
+    below 1e-9^K and which the tie-break below could not separate.
+    """
+    lam = eff.lam
+    c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
+    xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
+    reps = xi[0::2].astype(float)
+    reps = reps[reps > 1e-9 * reps[0]]
+    # the bound is continuous in xi; break ties so the pole expansion is defined
+    for i in range(1, reps.size):
+        while np.any(np.abs(reps[:i] - reps[i]) < 1e-9 * reps[0]):
+            reps[i] *= 1.0 - 1e-7
+    delta = [np.prod(a - np.delete(reps, i)) for i, a in enumerate(reps)]
+    return c0, reps, delta
+
+
+def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q):
     """Rigorous bound on the chi-square-expansion *density* truncation error
-    for central forms with an even variable count.
+    for central forms with an even variable count (q scalar or array).
 
     Uses |c_k| <= c0 * [theta^k] prod_{i<=N/2} (1 - xi_{2i-1} theta)^{-1}
     (xi = |1 - beta/lam| sorted descending, paired consecutively) and the
@@ -333,122 +374,123 @@ def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q: flo
         raise NotApplicableError(
             "bound requires an even number of variables", condition="even count"
         )
-    lam = eff.lam
-    n = eff.n_terms
-    xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
-    reps = xi[0::2].astype(float).copy()
-    # bound is continuous in xi; break ties so the pole expansion is defined
-    for i in range(1, reps.size):
-        while np.any(np.abs(reps[:i] - reps[i]) < 1e-9 * max(reps[0], 1e-300)):
-            reps[i] *= 1.0 - 1e-7
-    c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
-    m = k_trunc + n // 2 - 1
+    c0, reps, delta = _ruben_poles(eff, beta)
+    m = k_trunc + eff.n_terms // 2 - 1
     b = 2.0 * beta
-    total = 0.0
-    for i, a in enumerate(reps):
-        delta_i = np.prod(reps[i] - np.delete(reps, i)) if reps.size > 1 else 1.0
+    qs = np.asarray(q, dtype=float)
+    total = np.zeros(qs.shape)
+    for a, delta_i in zip(reps, delta):
         # h(q, a, b, m) = sum_{k>m} a^k q^k e^{-q/b} / (b^{k+1} k!)
         #              = e^{(a-1)q/b} P[Pois(aq/b) > m] / b
-        z = a * q / b
-        tail = (math.exp(z - q / b) * float(special.gammainc(m + 1, z))) / b if z > 0 else 0.0
-        total += tail / delta_i if reps.size > 1 else tail
-    return abs(c0 * total)
+        z = a * qs / b
+        tail = np.where(z > 0, np.exp(z - qs / b) * special.gammainc(m + 1, z) / b, 0.0)
+        total = total + tail / delta_i
+    out = np.abs(c0 * total)
+    return float(out) if qs.ndim == 0 else out
 
 
-def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: float) -> float | None:
+def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: np.ndarray):
     """Rigorous CDF remainder bound for the central even-count chi-square
-    expansion: sum_{k>K} |c_k| F(...) <= F_{K+1}-term * geometric tail."""
+    expansion at the points x: sum_{k>K} |c_k| F(...) <= F_{K+1}-term *
+    geometric tail.  None when the majorant does not converge."""
     if np.any(eff.h2 != 0.0) or eff.n_terms % 2 != 0:
         return None
-    lam = eff.lam
-    beta = coeffs.beta
     n = eff.n_terms
     k_trunc = coeffs.c.shape[0] - 1
-    xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
-    reps = xi[0::2].astype(float).copy()
+    c0, reps, delta = _ruben_poles(eff, coeffs.beta)
     if np.any(reps >= 1.0):
         return None
-    for i in range(1, reps.size):
-        while np.any(np.abs(reps[:i] - reps[i]) < 1e-9 * max(reps[0], 1e-300)):
-            reps[i] *= 1.0 - 1e-7
-    c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
-    lead = float(stats.chi2.cdf(x / beta, n + 2 * (k_trunc + 1)))
-    total = 0.0
-    for i, a in enumerate(reps):
-        delta_i = np.prod(reps[i] - np.delete(reps, i)) if reps.size > 1 else 1.0
-        geo = a ** (k_trunc + n // 2) / (1.0 - a)
-        total += geo / delta_i if reps.size > 1 else geo
-    return abs(c0 * total) * lead
+    geo = sum(a ** (k_trunc + n // 2) / (1.0 - a) / delta_i for a, delta_i in zip(reps, delta))
+    return abs(c0 * geo) * _chi2_cdf(n + 2 * (k_trunc + 1), x / coeffs.beta)
 
 
-def _evaluate_series(eff: EffectiveForm, q: float, kind: str, beta: float | None,
-                     tol: float, cumulative: bool) -> MethodResult:
-    x = q - eff.const
+def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
+                     tol: float, cumulative: bool):
+    """Series CDF/PDF at a scalar q, or at every point of an array.
+
+    The points share the coefficients.  Each keeps the truncation K that
+    its own 64 -> 130 -> ... doubling picks: a point leaves the batch once
+    it converges.  A scalar q raises a point's failure; an array returns
+    it in that point's slot.
+    """
+    qs = np.asarray(q, dtype=float)
+    xs = np.atleast_1d(qs) - eff.const
     name = f"{kind}_{'cdf' if cumulative else 'pdf'}"
-    if x <= 0.0:
-        return MethodResult(0.0, 0.0, name, "exact",
-                            {"raw_value": 0.0, "note": "below support"})
-    if kind == "kotz":
+    out: list = [None] * xs.size
+    for i in np.flatnonzero(xs <= 0.0):
+        out[i] = MethodResult(0.0, 0.0, name, "exact",
+                              {"raw_value": 0.0, "note": "below support"})
+    active = np.flatnonzero(xs > 0.0)
+    if kind == "kotz" and active.size:
         k1 = float(np.sum(eff.lam * (1.0 + eff.h2)))
-        if x > KOTZ_MAX_Q_FACTOR * max(k1, 0.0):
-            raise NotApplicableError(
+        far = xs[active] > KOTZ_MAX_Q_FACTOR * max(k1, 0.0)
+        for i in active[far]:
+            out[i] = NotApplicableError(
                 "power series is ill-conditioned far beyond the mean "
-                f"(q - const = {x:.3g} > {KOTZ_MAX_Q_FACTOR} * mean)",
+                f"(q - const = {xs[i]:.3g} > {KOTZ_MAX_Q_FACTOR} * mean)",
                 condition="q range",
             )
-    coeffs = series_coefficients(eff, kind, beta, k_terms=64)
+        active = active[~far]
+    coeffs = series_coefficients(eff, kind, beta, k_terms=64) if active.size else None
     central_even = bool(np.all(eff.h2 == 0.0)) and eff.n_terms % 2 == 0
-    while True:
+    while active.size:
+        x = xs[active]
         terms = _series_terms(coeffs, x, cumulative)
-        partial = float(np.cumsum(terms)[-1])
-        k_used = terms.shape[0] - 1
-        bound = None
-        provenance = "heuristic"
+        partial = np.cumsum(terms, axis=1)[:, -1]
+        k_used = terms.shape[1] - 1
+        last = np.abs(terms[:, -HEURISTIC_RUN:])
+        heuristic_bound = np.max(last, axis=1)
+        bound, provenance = heuristic_bound, "heuristic"
         if kind == "ruben":
+            rig = None
             if central_even:
-                if cumulative:
-                    bound = _ruben_cdf_tail_bound(coeffs, eff, x)
-                else:
-                    bound = ruben_truncation_bound(eff, coeffs.beta, k_used, x)
-                if bound is not None:
-                    provenance = "rigorous"
-            if bound is None and cumulative:
+                rig = (_ruben_cdf_tail_bound(coeffs, eff, x) if cumulative
+                       else ruben_truncation_bound(eff, coeffs.beta, k_used, x))
+            if rig is not None:
+                bound, provenance = rig, "rigorous"
+            elif cumulative:
                 # residual mixture mass; rigorous only for a true mixture
-                bound = abs(1.0 - float(coeffs.c.sum()))
+                bound = np.full(x.size, abs(1.0 - float(coeffs.c.sum())))
                 provenance = "rigorous" if np.all(coeffs.c >= 0.0) else "heuristic"
-        if bound is None:
-            bound = float(np.max(np.abs(terms[-HEURISTIC_RUN:])))
-            provenance = "heuristic"
-        tiny_run = np.all(np.abs(terms[-HEURISTIC_RUN:]) < tol / 100.0)
-        if (provenance == "rigorous" and bound < tol) or tiny_run:
-            if provenance != "rigorous":
-                bound = float(np.max(np.abs(terms[-HEURISTIC_RUN:])))
-            value = partial
-            raw = value
-            if cumulative:
-                value = min(max(value, 0.0), 1.0)
-            else:
-                value = max(value, 0.0)
-            return MethodResult(value, float(bound), name, provenance,
-                                {"raw_value": raw, "k_truncation": k_used,
-                                 "beta": coeffs.beta})
+        tiny_run = np.all(last < tol / 100.0, axis=1)
+        done = tiny_run | ((bound < tol) if provenance == "rigorous" else False)
+        final = bound if provenance == "rigorous" else heuristic_bound
+        for j in np.flatnonzero(done):
+            raw = float(partial[j])
+            value = min(max(raw, 0.0), 1.0) if cumulative else max(raw, 0.0)
+            out[active[j]] = MethodResult(value, float(final[j]), name, provenance,
+                                          {"raw_value": raw, "k_truncation": k_used,
+                                           "beta": coeffs.beta})
         if k_used >= K_MAX:
-            res = MethodResult(partial, float(bound), name, provenance,
-                               {"raw_value": partial, "k_truncation": k_used,
-                                "beta": coeffs.beta})
-            raise ConvergenceFailureError(
-                f"{name} did not reach tol={tol} within {K_MAX} terms", result=res
-            )
+            for j in np.flatnonzero(~done):
+                res = MethodResult(float(partial[j]), float(bound[j]), name, provenance,
+                                   {"raw_value": float(partial[j]), "k_truncation": k_used,
+                                    "beta": coeffs.beta})
+                out[active[j]] = ConvergenceFailureError(
+                    f"{name} did not reach tol={tol} within {K_MAX} terms", result=res
+                )
+            break
+        active = active[~done]
         coeffs = _extend(coeffs, eff, min(2 * (k_used + 1), K_MAX))
+    if qs.ndim == 0:
+        if isinstance(out[0], Exception):
+            raise out[0]
+        return out[0]
+    return out
 
 
-def cdf_series(eff: EffectiveForm, q: float, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10) -> MethodResult:
-    """Truncated-series CDF of a positive definite form at q."""
+def cdf_series(eff: EffectiveForm, q, kind: str = "ruben",
+               beta: float | None = None, tol: float = 1e-10):
+    """Truncated-series CDF of a positive definite form at q.
+
+    q may be an array: one entry per point, a MethodResult or the error
+    (ConvergenceFailureError, NotApplicableError) that point alone raised.
+    """
     return _evaluate_series(eff, q, kind, beta, tol, cumulative=True)
 
 
-def pdf_series(eff: EffectiveForm, q: float, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10) -> MethodResult:
-    """Truncated-series PDF of a positive definite form at q."""
+def pdf_series(eff: EffectiveForm, q, kind: str = "ruben",
+               beta: float | None = None, tol: float = 1e-10):
+    """Truncated-series PDF of a positive definite form at q (scalar or
+    array, as cdf_series)."""
     return _evaluate_series(eff, q, kind, beta, tol, cumulative=False)

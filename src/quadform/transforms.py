@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, InvalidInputError
 from .forms import CumulantSet, MgfDomain, ReducedForm
@@ -40,17 +39,22 @@ def _require_in_domain(red: ReducedForm, t: float) -> None:
         )
 
 
-def log_mgf(red: ReducedForm, t: float) -> float:
-    """Cumulant generating function K(t) = log M(t)."""
-    _require_in_domain(red, t)
+def _cgf(red: ReducedForm, t):
+    """K(t) without the domain check; t scalar or array (one value per t)."""
     w, nu, d2 = red.omega, red.nu, red.delta2
-    g = 1.0 - 2.0 * w * t
-    return float(
-        -0.5 * np.sum(nu * np.log(g))
-        + t * np.sum(d2 * w / g)
+    g = 1.0 - 2.0 * np.multiply.outer(t, w)
+    return (
+        -0.5 * np.sum(nu * np.log(g), axis=-1)
+        + t * np.sum(d2 * w / g, axis=-1)
         + 0.5 * red.sigma_gauss**2 * t**2
         + red.const * t
     )
+
+
+def log_mgf(red: ReducedForm, t: float) -> float:
+    """Cumulant generating function K(t) = log M(t)."""
+    _require_in_domain(red, t)
+    return float(_cgf(red, t))
 
 
 def mgf(red: ReducedForm, t: float) -> float:
@@ -153,56 +157,127 @@ def support(red: ReducedForm) -> tuple[float, float]:
     return lo, hi
 
 
-def _cgf_prime_root(red: ReducedForm, y: float):
-    """Solve K'(t) = y, returning None if y is outside the range of K'."""
+def _cgf_prime_root(red: ReducedForm, y):
+    """Solve K'(t) = y for a scalar or an array of targets.
+
+    A scalar y returns the root as a float, or None when y is outside the
+    range of K'; an array returns one root per target, nan where none
+    exists.  K'' > 0, so K' is increasing on the MGF strip, and a Newton
+    iteration that keeps a bracket [lo, hi] around the root and falls back
+    to bisection converges from t = 0 for every target in the range.
+    """
+    ys = np.asarray(y, dtype=float)
+    roots = _solve_cgf_prime(red, np.atleast_1d(ys))
+    if ys.ndim == 0:
+        return None if math.isnan(roots[0]) else float(roots[0])
+    return roots
+
+
+_NEWTON_MAX = 200
+_EPS = np.finfo(float).eps
+_sum = np.add.reduce   # np.sum without its Python wrapper; same pairwise sum
+
+
+def _solve_cgf_prime(red: ReducedForm, y: np.ndarray) -> np.ndarray:
     dom = mgf_domain(red)
-    kp0 = cgf_derivative(red, 0.0, 1)
-    if y == kp0:
-        return 0.0
-    side = 1.0 if y > kp0 else -1.0
-    bound = dom.t_right if side > 0 else dom.t_left
-    # expand toward the relevant boundary by halving the remaining gap
-    t = 0.0
-    for _ in range(200):
-        t_next = t + side * max(abs(t), 1.0) if math.isinf(bound) else 0.5 * (t + bound)
-        try:
-            kp = cgf_derivative(red, t_next, 1)
-        except (OverflowError, FloatingPointError):
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    s2, c = red.sigma_gauss**2, red.const
+    # K' tends to +-inf at a finite strip end or with a Gaussian term, and to
+    # const (the support edge) at an infinite end without one
+    has_root = np.isfinite(y)
+    if s2 == 0.0:
+        if math.isinf(dom.t_right):
+            has_root &= y < c
+        if math.isinf(dom.t_left):
+            has_root &= y > c
+    # K'(t) - y = sum inv (wnu + wd2 inv) + s2 t + c - y and
+    # K''(t) = sum inv^2 (w2nu + w2d2 inv) + s2, with inv = 1 / (1 - 2 w t)
+    coef = (2.0 * w, w * nu, w * d2, 2.0 * w * w * nu, 4.0 * w * w * d2)
+    # rounding floor of K' near t = 0, where a relative step test cannot end
+    noise = 4.0 * _EPS * (float(np.sum(np.abs(w) * (nu + d2))) + abs(c) + np.abs(y))
+    out = np.full(y.shape, math.nan)
+    if y.size == 1:
+        # a batch of one runs on floats: the array loop's bookkeeping would
+        # cost more than the sums
+        if has_root[0]:
+            out[0] = _newton_one(coef, s2, c, float(y[0]), dom, float(noise[0]))
+        return out
+    idx = np.flatnonzero(has_root)
+    y, noise = y[idx], noise[idx]
+    t = np.zeros(idx.size)
+    lo = np.full(idx.size, dom.t_left)
+    hi = np.full(idx.size, dom.t_right)
+    w2, wnu, wd2, w2nu, w2d2 = coef
+    for _ in range(_NEWTON_MAX):
+        if idx.size == 0:
             break
-        if not math.isfinite(kp):
-            break
-        if (kp - y) * side >= 0:
-            lo, hi = (t, t_next) if side > 0 else (t_next, t)
-            return float(optimize.brentq(
-                lambda s: cgf_derivative(red, s, 1) - y, lo, hi, xtol=1e-300, rtol=1e-15,
-            ))
-        t = t_next
-    return None
+        inv = 1.0 / (1.0 - np.multiply.outer(t, w2))
+        f = _sum(inv * (wnu + wd2 * inv), axis=-1) + s2 * t + c - y
+        kpp = _sum(inv * inv * (w2nu + w2d2 * inv), axis=-1) + s2
+        lo = np.where(f < 0.0, t, lo)
+        hi = np.where(f > 0.0, t, hi)
+        # a Newton step goes at most halfway to either end of the bracket,
+        # so it never leaves it and never lands next to a pole of K'
+        t_new = np.clip(t - f / kpp, 0.5 * (lo + t), 0.5 * (t + hi))
+        done = (np.abs(t_new - t) <= 2.0 * _EPS * np.abs(t_new)) | (np.abs(f) <= noise)
+        if done.any():
+            out[idx[done]] = t_new[done]
+            keep = ~done
+            idx, y, t, lo, hi, noise = (idx[keep], y[keep], t_new[keep], lo[keep],
+                                        hi[keep], noise[keep])
+        else:
+            t = t_new
+    return out
 
 
-def chernoff_log_tail(red: ReducedForm, y: float, side: str) -> float:
-    """log of the Chernoff bound on a tail probability.
+def _newton_one(coef, s2: float, c: float, y: float, dom: MgfDomain,
+                noise: float) -> float:
+    """The iteration of _solve_cgf_prime for one target, in float arithmetic."""
+    w2, wnu, wd2, w2nu, w2d2 = coef
+    t, lo, hi = 0.0, dom.t_left, dom.t_right
+    for _ in range(_NEWTON_MAX):
+        inv = 1.0 / (1.0 - t * w2)
+        f = float(_sum(inv * (wnu + wd2 * inv))) + s2 * t + c - y
+        kpp = float(_sum(inv * inv * (w2nu + w2d2 * inv))) + s2
+        if f < 0.0:
+            lo = t
+        elif f > 0.0:
+            hi = t
+        t_new = min(max(t - f / kpp, 0.5 * (lo + t)), 0.5 * (t + hi))
+        if abs(t_new - t) <= 2.0 * _EPS * abs(t_new) or abs(f) <= noise:
+            return t_new
+        t = t_new
+    return math.nan
+
+
+def chernoff_log_tail(red: ReducedForm, y, side: str):
+    """log of the Chernoff bound on a tail probability, at a scalar y or
+    elementwise over an array of points.
 
     side="right": log P(Q > y) <= inf_{t>0} K(t) - t y;
     side="left":  log P(Q <= y) <= inf_{t<0} K(t) - t y.
     Returns 0.0 when the bound is vacuous (y on the wrong side of the
-    mean) and -inf when y is outside the support.
+    mean) and -inf when y is outside the support.  Any t inside the MGF
+    strip gives a valid bound, so a point whose root is out of reach uses
+    a t next to the strip end.
     """
+    ys = np.asarray(y, dtype=float)
+    yy = np.atleast_1d(ys)
     lo_s, hi_s = support(red)
+    mean = float(np.sum(red.omega * (red.nu + red.delta2))) + red.const   # K'(0)
     if side == "right":
-        if y >= hi_s:
-            return -math.inf
-        if y <= cgf_derivative(red, 0.0, 1):
-            return 0.0
+        outside, vacuous = yy >= hi_s, yy <= mean
     else:
-        if y <= lo_s:
-            return -math.inf
-        if y >= cgf_derivative(red, 0.0, 1):
-            return 0.0
-    t = _cgf_prime_root(red, y)
-    if t is None:
-        # K' never reaches y inside the domain: push t toward the boundary
-        dom = mgf_domain(red)
-        bnd = dom.t_right if side == "right" else dom.t_left
-        t = bnd * (1 - 1e-9) if math.isfinite(bnd) else math.copysign(1e8, bnd)
-    return log_mgf(red, t) - t * y
+        outside, vacuous = yy <= lo_s, yy >= mean
+    out = np.where(outside, -math.inf, 0.0)
+    solve = ~outside & ~vacuous
+    if solve.any():
+        y_s = yy[solve]
+        t = _solve_cgf_prime(red, y_s)
+        miss = np.isnan(t)
+        if miss.any():
+            dom = mgf_domain(red)
+            bnd = dom.t_right if side == "right" else dom.t_left
+            t[miss] = bnd * (1 - 1e-9) if math.isfinite(bnd) else math.copysign(1e8, bnd)
+        out[solve] = _cgf(red, t) - t * y_s
+    return float(out[0]) if ys.ndim == 0 else out

@@ -1,0 +1,276 @@
+"""Array evaluation of cdf/pdf, the K'(t) = y solver, the dot-product
+coefficient recursion and the partial-fraction rounding bound."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+import quadform as qf
+from quadform import select, series, transforms
+from quadform.cli import main
+
+EPS = np.finfo(float).eps
+
+FORMS = {
+    "central_even": qf.ReducedForm([2.0, 1.0, 0.5], [2, 4, 2], [0.0] * 3, 0.0, 0.3),
+    "noncentral": qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.5, 0.0, 1.2]),
+    "central_mixed": qf.ReducedForm([1.2, 0.4], [3, 2], [0.0, 0.0]),
+    "negative": qf.ReducedForm([-1.0, -0.3], [2, 3], [0.4, 0.0], 0.0, 0.5),
+    "indefinite": qf.ReducedForm([1.0, -0.6, 0.4], [2, 3, 2], [0.3, 0.0, 0.5], 0.0, -0.2),
+    "gaussian": qf.ReducedForm([1.0, -0.6], [3, 3], [0.3, 0.0], 1.0, 0.1),
+}
+
+
+def _points(red):
+    """Both far tails (saddlepoint routes), the bulk, and the support edge:
+    outside it, on it (the saddlepoint DomainError fallback) and just
+    inside it."""
+    ks = qf.cumulants(red, 2)
+    mean, sd = ks.get(1), math.sqrt(ks.get(2))
+    pts = list(np.linspace(mean - 20.0 * sd, mean + 30.0 * sd, 11))
+    for edge, inward in zip(transforms.support(red), (1.0, -1.0)):
+        if math.isfinite(edge):
+            pts += [edge - inward, edge, edge + inward * 1e-9, edge + inward * 0.1 * sd]
+    return np.array(pts)
+
+
+def _same(batch, single):
+    assert batch.method == single.method
+    assert batch.provenance == single.provenance
+    if single.error_bound is None:
+        assert batch.error_bound is None
+    else:
+        assert batch.error_bound == pytest.approx(single.error_bound, rel=1e-13, abs=0.0)
+    assert abs(batch.value - single.value) <= 1e-13
+
+
+class TestGridMatchesPointwise:
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    @pytest.mark.parametrize("name", list(FORMS))
+    def test_auto(self, name, quantity):
+        red = FORMS[name]
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        qs = _points(red)
+        batch = fn(red, qs)
+        assert len(batch) == qs.size
+        for q, res in zip(qs, batch):
+            _same(res, fn(red, float(q)))
+        if not (name == "gaussian" and quantity == "pdf"):   # there, every route is "spa"
+            assert len({res.method for res in batch}) >= 2
+
+    @pytest.mark.parametrize("name", ["central_even", "negative", "central_mixed"])
+    def test_saddlepoint_fallback_at_the_edge(self, name):
+        red = FORMS[name]
+        lo, hi = transforms.support(red)
+        edge = lo if math.isfinite(lo) else hi
+        assert select.select_method(red, "cdf", edge) == "spa_lr"
+        res = select.cdf(red, np.array([edge, edge]))[0]
+        assert res.method != "spa_lr"
+        _same(res, select.cdf(red, edge))
+
+    @pytest.mark.parametrize("method", ["ruben", "kotz", "laguerre", "imhof", "davies",
+                                        "spa_lr", "central_even"])
+    def test_named_methods(self, method):
+        red = FORMS["central_even"]
+        qs = np.array([0.5, 2.0, 6.0, 11.0])
+        for q, res in zip(qs, select.cdf(red, qs, method)):
+            _same(res, select.cdf(red, float(q), method))
+
+    def test_select_method_array(self):
+        red = FORMS["indefinite"]
+        qs = _points(red)
+        assert select.select_method(red, "cdf", qs) == [
+            select.select_method(red, "cdf", float(q)) for q in qs]
+
+    def test_first_failing_point_raises(self):
+        red = FORMS["central_mixed"]
+        with pytest.raises(qf.NotApplicableError, match="beyond the mean"):
+            select.cdf(red, np.array([1.0, 1e3, 2.0]), "kotz")
+
+    def test_scalar_returns_one_result(self):
+        red = FORMS["noncentral"]
+        assert isinstance(select.cdf(red, 2.0), qf.MethodResult)
+        assert isinstance(select.cdf(red, np.array([2.0])), list)
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+@pytest.mark.parametrize("doc", [
+    {"kind": "reduced", "omega": [2.0, 1.0, -0.5], "nu": [2, 4, 2], "delta2": [0, 0, 0]},
+    {"kind": "reduced", "omega": [1.0, 0.3], "nu": [3, 2], "delta2": [0.5, 0.0]},
+    {"kind": "reduced", "omega": [1.0, -0.6], "nu": [3, 3], "delta2": [0.3, 0.0],
+     "sigma": 1.0},
+])
+def test_cli_grid_equals_single_points(tmp_path, capsys, quantity, doc):
+    path = _write(tmp_path, "form.json", doc)
+    assert main([quantity, "--grid=-2:14:5", path]) == 0
+    grid = json.loads(capsys.readouterr().out)
+    for j, q in enumerate(grid["grid"]):
+        assert main([quantity, "--q", repr(q), path]) == 0
+        one = json.loads(capsys.readouterr().out)
+        assert grid["values"][j] == one["value"]
+        assert grid["error_bounds"][j] == one["error_bound"]
+        assert grid["methods"][j] == one["method"]
+
+
+def _kprime_mp(red, t, order=1):
+    """K'(t) (order 1) or K''(t) (order 2) in mpmath arithmetic."""
+    t = mp.mpf(t)
+    s2 = mp.mpf(red.sigma_gauss) ** 2
+    out = mp.mpf(red.const) + s2 * t if order == 1 else s2
+    for w, nu, d2 in zip(red.omega, red.nu, red.delta2):
+        w, g = mp.mpf(w), 1 - 2 * mp.mpf(w) * t
+        out += (w * (int(nu) / g + mp.mpf(d2) / g**2) if order == 1
+                else 2 * w**2 * (int(nu) / g**2 + 2 * mp.mpf(d2) / g**3))
+    return out
+
+
+class TestRootSolver:
+    SPREAD = qf.ReducedForm([100.0, 0.01, 1.0], [1, 2, 1], [0.5, 0.0, 1.0], 0.0, 0.2)
+    NEGATIVE = qf.ReducedForm([-3.0, -0.01], [2, 1], [0.0, 0.7], 0.0, 1.0)
+
+    @pytest.mark.parametrize("red", [SPREAD, NEGATIVE, FORMS["indefinite"],
+                                     FORMS["gaussian"]])
+    def test_matches_mpmath(self, red):
+        ks = qf.cumulants(red, 2)
+        mean, sd = ks.get(1), math.sqrt(ks.get(2))
+        ys = [mean + z * sd for z in (-3.0, -0.5, 0.01, 1.0, 6.0, 40.0)]
+        lo, hi = transforms.support(red)
+        ys += [lo + 1e-6 * sd] if math.isfinite(lo) else []
+        ys += [hi - 1e-6 * sd] if math.isfinite(hi) else []
+        ys = [y for y in ys if lo < y < hi]
+        roots = transforms._cgf_prime_root(red, np.array(ys))
+        scale = float(np.sum(np.abs(red.omega) * (red.nu + red.delta2))) + abs(red.const)
+        with mp.workdps(30):
+            for y, t in zip(ys, roots):
+                ref = mp.findroot(lambda s: _kprime_mp(red, s) - y, mp.mpf(t))
+                # near a support edge K'(t) - y cancels: the rounding of K'
+                # divided by K'' is as close as a double root can get there
+                floor = 16 * EPS * (abs(y) + scale) / _kprime_mp(red, ref, 2)
+                assert abs(t - ref) <= 1e-12 * abs(ref) + floor, (y, t, ref)
+                assert transforms._cgf_prime_root(red, y) == t
+
+    def test_outside_the_range_of_kprime(self):
+        for red, outside in ((self.SPREAD, [0.2, -1.0]), (self.NEGATIVE, [1.0, 5.0])):
+            for y in outside:
+                assert transforms._cgf_prime_root(red, y) is None
+            assert np.isnan(transforms._cgf_prime_root(red, np.array(outside))).all()
+
+    def test_gaussian_term_has_every_root(self):
+        red = qf.ReducedForm([-1.0], [2], [0.0], 0.5, 0.0)
+        t = transforms._cgf_prime_root(red, 50.0)
+        assert t is not None and float(_kprime_mp(red, t)) == pytest.approx(50.0, rel=1e-13)
+
+    def test_chernoff_array_matches_scalar(self):
+        red = FORMS["indefinite"]
+        ys = np.linspace(-30.0, 40.0, 23)
+        for side in ("left", "right"):
+            arr = transforms.chernoff_log_tail(red, ys, side)
+            assert list(arr) == [transforms.chernoff_log_tail(red, float(y), side)
+                                 for y in ys]
+
+
+def _exp_series_loop(log_coeffs, c0):
+    """The Python double loop the dot-product recursion replaced."""
+    n = log_coeffs.shape[0]
+    c = np.zeros(n + 1)
+    c[0] = c0
+    for k in range(1, n + 1):
+        acc = 0.0
+        for r in range(1, k + 1):
+            acc += r * log_coeffs[r - 1] * c[k - r]
+        c[k] = acc / k
+    return c
+
+
+@pytest.mark.parametrize("k_terms", [64, 512, 4096])
+def test_exp_series_matches_loop(k_terms):
+    # log of prod (1 - r_j s)^(-m_j): positive coefficients, so the
+    # comparison can be relative throughout
+    n = np.arange(1, k_terms + 1)
+    g = sum(m * r**n / n for r, m in ((0.9, 1.5), (0.5, 2.0), (0.999, 0.5)))
+    new = series._exp_series(g, 0.7)
+    old = _exp_series_loop(g, 0.7)
+    assert np.all(np.abs(new - old) <= 1e-13 * np.abs(old))
+
+
+def _central_even_form(groups, indefinite=False):
+    w = np.exp(-np.log(30.0) * np.arange(groups) / (groups - 1))
+    if indefinite:
+        w = w * np.where(np.arange(groups) % 3 == 0, -1.0, 1.0)
+    return qf.ReducedForm(w, [2] * groups, [0.0] * groups)
+
+
+def _central_even_exact(red, x):
+    """The partial-fraction CDF sum of an all-nu=2 form in 50-digit arithmetic."""
+    with mp.workdps(50):
+        w = [mp.mpf(v) for v in red.omega]
+        total = mp.mpf(0)
+        for l, wl in enumerate(w):
+            a = 1 / mp.fprod(1 - wj / wl for j, wj in enumerate(w) if j != l)
+            z = mp.mpf(x) / wl
+            f = (1 - mp.exp(-z / 2) if z > 0 else 0) if wl > 0 else \
+                (mp.exp(-z / 2) if z > 0 else 1)
+            total += a * f
+        return total
+
+
+class TestCentralEvenBound:
+    @pytest.mark.parametrize("groups,indefinite", [(6, False), (6, True), (20, False),
+                                                   (50, False)])
+    def test_bound_covers_rounding(self, groups, indefinite):
+        red = _central_even_form(groups, indefinite)
+        ks = qf.cumulants(red, 2)
+        qs = ks.get(1) + math.sqrt(ks.get(2)) * np.array([-1.5, -0.5, 0.0, 1.0, 3.0])
+        for q, res in zip(qs, series.cdf_central_even(red, qs)):
+            exact = _central_even_exact(red, q)
+            err = abs(float(mp.mpf(res.diagnostics["raw_value"]) - exact))
+            # the value's own relative rounding is not part of the bound
+            assert err <= res.error_bound + 4 * groups * EPS * abs(float(exact))
+            assert res.provenance == "exact"
+
+    def test_large_bound_reroutes_auto(self):
+        red = _central_even_form(50)
+        ks = qf.cumulants(red, 2)
+        qs = ks.get(1) + math.sqrt(ks.get(2)) * np.array([-1.0, 0.0, 1.0])
+        ce = series.cdf_central_even(red, qs)
+        assert min(res.error_bound for res in ce) > 1e-8
+        for q, res in zip(qs, select.cdf(red, qs)):
+            assert res.method == "ruben_cdf"
+            assert res.diagnostics["central_even_bound"] > 1e-8
+            assert abs(res.value - float(_central_even_exact(red, q))) <= max(
+                res.error_bound, 1e-12)
+
+    def test_few_groups_stay_exact(self):
+        red = _central_even_form(6)
+        res = select.cdf(red, 1.0)
+        assert res.method == "central_even" and 0.0 < res.error_bound < 1e-12
+
+
+def test_grid_does_not_import_scipy_stats(tmp_path):
+    path = _write(tmp_path, "form.json", {"kind": "reduced", "omega": [1.0, 0.5, -0.3],
+                                          "nu": [2, 3, 1], "delta2": [0.2, 0.0, 0.0]})
+    code = (
+        "import sys, io, contextlib\n"
+        "from quadform import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['cdf', '--grid=-3:9:5', {path!r}]) == 0\n"
+        f"    assert cli.main(['pdf', '--grid=-3:9:5', {path!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'stats'], ['scipy', 'signal'])))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

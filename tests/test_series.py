@@ -220,3 +220,15 @@ class TestTruncationBound:
             b_spread = qf.ruben_truncation_bound(spread, beta, k, 2.0)
             b_clustered = qf.ruben_truncation_bound(clustered, beta, k, 2.0)
             assert b_spread < b_clustered
+
+    def test_equal_weights_terminate(self):
+        # beta equals every weight, so every pole xi is 0 and the remainder
+        # is exactly 0; multiplying a zero pole never breaks the tie
+        red = qf.ReducedForm([1.0], [4], [0.0])
+        for q in (0.5, 3.0, 9.0):
+            cdf = qf.select.cdf(red, q, "ruben")
+            pdf = qf.select.pdf(red, q, "ruben")
+            assert abs(cdf.value - (1.0 - math.exp(-q / 2) * (1.0 + q / 2))) < 1e-14
+            assert abs(pdf.value - q * math.exp(-q / 2) / 4.0) < 1e-14
+            assert cdf.provenance == pdf.provenance == "rigorous"
+            assert cdf.error_bound == pdf.error_bound == 0.0
