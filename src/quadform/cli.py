@@ -356,19 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=True):
+    def common(p, with_method=True, with_tol=True):
         p.add_argument("document", help="JSON form specification")
-        p.add_argument("--tol", type=float, default=1e-8)
+        if with_tol:
+            p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--pretty", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-terms", dest="max_terms", type=int, default=500)
-        p.add_argument("--quadrature-tol", dest="quadrature_tol", type=float,
-                       default=1e-10)
         if with_method:
             p.add_argument("--method", default="auto", choices=select.CDF_METHODS)
 
     p = sub.add_parser("reduce", help="canonical reduced parameters")
-    common(p, with_method=False)
+    common(p, with_method=False, with_tol=False)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("cdf", help="cumulative distribution function")
@@ -389,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_quantile)
 
     p = sub.add_parser("moments", help="raw moments from cumulants")
-    common(p, with_method=False)
+    common(p, with_method=False, with_tol=False)
     p.add_argument("--order", type=int, default=4)
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("cumulants", help="cumulants of the form")
-    common(p, with_method=False)
+    common(p, with_method=False, with_tol=False)
     p.add_argument("--order", type=int, default=4)
     p.set_defaults(fn=cmd_cumulants)
 
@@ -415,12 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", dest="p", type=int, required=True)
     p.add_argument("--ratio-method", dest="method", default="auto",
                    choices=("auto", "series", "integral"))
+    p.add_argument("--max-terms", dest="max_terms", type=int, default=500)
+    p.add_argument("--quadrature-tol", dest="quadrature_tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_ratio_moment)
 
     p = sub.add_parser("mc-check", help="compare a method against Monte Carlo")
     common(p)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--n", type=int, default=10**6)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_mc_check)
 
     return parser

@@ -349,16 +349,15 @@ class ImhofParams:
 
 @dataclass(frozen=True)
 class DaviesParams:
-    """Lattice spacing, truncation index and convergence-factor scale."""
+    """Lattice spacing and truncation index."""
 
     delta: float
     k_max: int
-    tau: float = 0.0
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.delta <= 0 or self.k_max < 1 or self.tau < 0:
-            raise InvalidInputError("need delta > 0, k_max >= 1, tau >= 0")
+        if self.delta <= 0 or self.k_max < 1:
+            raise InvalidInputError("need delta > 0 and k_max >= 1")
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,17 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
 * Imhof: modulus-phase integrand sin(theta(u)) / (u rho(u)) on a
   trapezoid grid over [0, U], with the closed-form tail bound used to
   pick U and Richardson panel doubling to control quadrature error.
-  Requires sigma = 0.
+  Requires sigma = 0.  The CDF and the density share one start rule, one
+  panel-doubling driver and the tail-bound pieces.
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
   term.  Truncation is controlled by computable bounds on the integrand
   tail; the lattice aliasing error is bounded through Chernoff bounds on
   the distribution's tails, which also drive the choice of Delta.
 
-The additive constant is handled by shifting the evaluation point.
+Both read the modulus and phase of phi from one kernel,
+``transforms._log_cf`` (Imhof's u is twice its frequency).  Their bounds
+add the rounding error of the node sum.  The additive constant is
+handled by shifting the evaluation point.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ IMHOF_PANELS_MAX = 2**23
 IMHOF_PANELS_START = 64
 DAVIES_POINTS_MAX = 2**25
 _LOG_TINY = -745.0
+_EPS = np.finfo(float).eps
 
 
 def _require_no_gaussian(red: ReducedForm, op: str) -> None:
@@ -38,6 +43,28 @@ def _require_no_gaussian(red: ReducedForm, op: str) -> None:
             f"{op} does not support a Gaussian component; use the Davies lattice",
             condition="sigma=0",
         )
+
+
+def _exact_cdf(red: ReducedForm, q: float, method: str) -> MethodResult | None:
+    """The CDF of a point mass, or at a point on or outside the support."""
+    if red.n_groups == 0 and red.sigma_gauss == 0.0:
+        v = 1.0 if q >= red.const else 0.0
+        return MethodResult(v, 0.0, method, "exact", {"raw_value": v})
+    lo_s, hi_s = transforms.support(red)
+    if q >= hi_s:
+        return MethodResult(1.0, 0.0, method, "exact",
+                            {"raw_value": 1.0, "note": "at or above the support"})
+    if q <= lo_s:
+        return MethodResult(0.0, 0.0, method, "exact",
+                            {"raw_value": 0.0, "note": "at or below the support"})
+    return None
+
+
+def _rounding_bound(mass: float, n: int) -> float:
+    """Floating-point error of 1/2 - S (or of S) where S sums n terms whose
+    magnitudes add up to ``mass``: half an ulp of the result plus a
+    summation error growing with log2(n)."""
+    return _EPS * (0.5 + (math.log2(n) + 4.0) * mass)
 
 
 def imhof_integrand(red: ReducedForm, u, q: float):
@@ -49,43 +76,52 @@ def imhof_integrand(red: ReducedForm, u, q: float):
     """
     _require_no_gaussian(red, "imhof integrand")
     u = np.asarray(u, dtype=float)
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    wu = np.multiply.outer(u, w)
-    theta = 0.5 * (nu * np.arctan(wu) + d2 * wu / (1.0 + wu**2)).sum(axis=-1) - 0.5 * u * q
-    log_rho = 0.25 * (nu * np.log1p(wu**2)).sum(axis=-1) + 0.5 * (
-        d2 * wu**2 / (1.0 + wu**2)
-    ).sum(axis=-1)
-    return theta, np.exp(log_rho)
+    log_mod, phase = transforms._log_cf(red, 0.5 * u)
+    return phase - 0.5 * u * q, np.exp(-log_mod)
 
 
 def _imhof_f(red: ReducedForm, u: np.ndarray, q: float) -> np.ndarray:
     """sin(theta)/(u rho) with the analytic limit spliced in at u = 0."""
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    out = np.empty_like(u)
-    zero = u == 0.0
-    if np.any(~zero):
-        uu = u[~zero]
-        wu = np.multiply.outer(uu, w)
-        theta = 0.5 * (nu * np.arctan(wu) + d2 * wu / (1.0 + wu**2)).sum(axis=-1) \
-            - 0.5 * uu * q
-        log_rho = 0.25 * (nu * np.log1p(wu**2)).sum(axis=-1) + 0.5 * (
-            d2 * wu**2 / (1.0 + wu**2)
-        ).sum(axis=-1)
-        out[~zero] = np.sin(theta) * np.exp(-log_rho) / uu
-    out[zero] = 0.5 * float(np.sum(w * (nu + d2))) - 0.5 * q
+    log_mod, phase = transforms._log_cf(red, 0.5 * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(phase - 0.5 * u * q) * np.exp(log_mod) / u
+    out[u == 0.0] = 0.5 * float(np.sum(red.omega * (red.nu + red.delta2))) - 0.5 * q
     return out
+
+
+def _imhof_pdf_f(red: ReducedForm, u: np.ndarray, q: float) -> np.ndarray:
+    """cos(theta)/rho, the density's integrand."""
+    log_mod, phase = transforms._log_cf(red, 0.5 * u)
+    return np.cos(phase - 0.5 * u * q) * np.exp(log_mod)
+
+
+def _rho(red: ReducedForm, u: float) -> float:
+    """rho(u) at one u."""
+    return float(np.exp(-transforms._log_cf(red, 0.5 * u)[0]))
+
+
+def _log_rho_floor(red: ReducedForm, u_max: float) -> float:
+    """Lower bound on log rho(u) - k log u over u >= U, with k = sum(nu)/2:
+    (1/2) sum nu log|w| + (1/2) sum d2 w^2 U^2 / (1 + w^2 U^2)."""
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    return (0.5 * float(np.sum(nu * np.log(np.abs(w))))
+            + 0.5 * float(np.sum(d2 * w**2 * u_max**2 / (1.0 + w**2 * u_max**2))))
+
+
+def _balanced_c1(red: ReducedForm) -> float | None:
+    """c1 = (1/2) sum (nu + d2)/|w| when the positive and negative dof counts
+    differ by a multiple of 4 (the limiting phase is then a multiple of pi),
+    else None."""
+    nu = red.nu
+    if int(nu[red.omega > 0].sum() - nu[red.omega < 0].sum()) % 4:
+        return None
+    return 0.5 * float(np.sum((nu + red.delta2) / np.abs(red.omega)))
 
 
 def imhof_tail_bound(red: ReducedForm, u_max: float) -> float:
     """Closed-form bound T_U on the neglected CDF-integral tail beyond U."""
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    k = 0.5 * float(nu.sum())
-    log_b = (
-        -math.log(math.pi * k)
-        - k * math.log(u_max)
-        - 0.5 * float(np.sum(nu * np.log(np.abs(w))))
-        - 0.5 * float(np.sum(d2 * w**2 * u_max**2 / (1.0 + w**2 * u_max**2)))
-    )
+    k = 0.5 * float(red.nu.sum())
+    log_b = -math.log(math.pi * k) - k * math.log(u_max) - _log_rho_floor(red, u_max)
     return math.exp(min(log_b, 700.0))
 
 
@@ -97,29 +133,20 @@ def _imhof_pick_u(red: ReducedForm, tol: float, x: float) -> float:
     and enlarged geometrically if needed."""
     nu = red.nu
     k = 0.5 * float(nu.sum())
-    log_scale = (
-        -0.5 * float(np.sum(nu * np.log(np.abs(red.omega))))
-        - 0.5 * float(red.delta2.sum())
-    )
-    log_u_plain = (-math.log(math.pi * k) + log_scale - math.log(tol / 2.0)) / k
-    candidates = [math.exp(min(max(log_u_plain, 0.0), 60.0))]
+    log_scale = (-0.5 * float(np.sum(nu * np.log(np.abs(red.omega))))
+                 - 0.5 * float(red.delta2.sum()))
+    log_tol = math.log(tol / 2.0)
+    log_us = [(-math.log(math.pi * k) + log_scale - log_tol) / k]
     if x != 0.0:
-        log_u_ibp = (
-            math.log(2.0) - math.log(math.pi * abs(x) / 2.0) + log_scale
-            - math.log(tol / 2.0)
-        ) / (k + 1.0)
-        candidates.append(math.exp(min(max(log_u_ibp, 0.0), 60.0)))
-    dof_gap = int(red.nu[red.omega > 0].sum() - red.nu[red.omega < 0].sum())
-    if dof_gap % 4 == 0:
-        c1 = 0.5 * float(np.sum((red.nu + red.delta2) / np.abs(red.omega)))
-        log_u_bal = (
-            math.log(max(c1, 1e-300)) - math.log(math.pi * (k + 1.0)) + log_scale
-            - math.log(tol / 2.0)
-        ) / (k + 1.0)
-        candidates.append(math.exp(min(max(log_u_bal, 0.0), 60.0)))
-    u = min(candidates)
+        log_us.append((math.log(2.0) - math.log(math.pi * abs(x) / 2.0) + log_scale - log_tol)
+                      / (k + 1.0))
+    c1 = _balanced_c1(red)
+    if c1 is not None:
+        log_us.append((math.log(max(c1, 1e-300)) - math.log(math.pi * (k + 1.0)) + log_scale
+                       - log_tol) / (k + 1.0))
+    u = min(math.exp(min(max(log_u, 0.0), 60.0)) for log_u in log_us)
     for _ in range(120):
-        best = min(imhof_tail_bound(red, u), imhof_tail_bound_ibp(red, u, x),
+        best = min(imhof_tail_bound(red, u), _ibp_majorant(red, u, x) / (math.pi * u),
                    imhof_tail_bound_balanced(red, u, x))
         if best <= tol / 2.0 or u > 1e25:
             break
@@ -145,24 +172,22 @@ def _imhof_slope_floor(red: ReducedForm, u_max: float, x: float) -> float:
     return max(abs(x) / 2.0 - m1, 0.0)
 
 
-def imhof_tail_bound_ibp(red: ReducedForm, u_max: float, x: float) -> float:
-    """Integration-by-parts bound on the oscillatory tail beyond U.
-
-    With g = 1/(u rho theta'), the tail equals g(U) cos(theta(U)) plus
-    int g' cos(theta); bounding |theta'| below by theta_min and
-    int |theta''| du by C2/U (termwise, using 2w^2 u <= |w|(1+w^2 u^2))
-    gives |tail|/pi <= [2 + C2/(U theta_min)] / (pi U rho(U) theta_min).
-    Infinite when no positive slope floor exists (x too small).
-    """
+def _ibp_majorant(red: ReducedForm, u_max: float, x: float) -> float:
+    """[2 + C2/(U theta_min)] / (rho(U) theta_min), the integration-by-parts
+    bound on the oscillatory tail int_U^inf e^{i theta} / rho: with
+    g = 1/(rho theta'), the tail is a boundary term plus int g' e^{i theta};
+    |theta'| is bounded below by theta_min and int |theta''| du by C2/U
+    (termwise, using 2w^2 u <= |w|(1+w^2 u^2)).  Infinite when no positive
+    slope floor exists (x too small).  The CDF divides it by pi U, the
+    density by 2 pi."""
     theta_min = _imhof_slope_floor(red, u_max, x)
     if theta_min <= 0.0:
         return math.inf
-    c2 = 0.5 * float(np.sum((red.nu + 3.0 * red.delta2)))
-    _, rho = imhof_integrand(red, np.array([u_max]), x)
-    rho_u = float(rho[0])
+    c2 = 0.5 * float(np.sum(red.nu + 3.0 * red.delta2))
+    rho_u = _rho(red, u_max)
     if not math.isfinite(rho_u):
         return 0.0
-    return (2.0 + c2 / (u_max * theta_min)) / (math.pi * u_max * rho_u * theta_min)
+    return (2.0 + c2 / (u_max * theta_min)) / (rho_u * theta_min)
 
 
 def imhof_tail_bound_balanced(red: ReducedForm, u_max: float, x: float) -> float:
@@ -175,20 +200,16 @@ def imhof_tail_bound_balanced(red: ReducedForm, u_max: float, x: float) -> float
     phase bounds the remainder without needing a slope floor; this is
     the regime (x near 0, light dofs) where both other bounds are weak.
     """
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    dof_gap = int(nu[w > 0].sum() - nu[w < 0].sum())
-    if dof_gap % 4 != 0:
+    c1 = _balanced_c1(red)
+    if c1 is None:
         return math.inf
+    w, nu, d2 = red.omega, red.nu, red.delta2
     k = 0.5 * float(nu.sum())
-    c1 = 0.5 * float(np.sum((nu + d2) / np.abs(w)))
-    log_noncent = -0.5 * float(np.sum(d2 * w**2 * u_max**2 / (1.0 + w**2 * u_max**2)))
-    log_prod = 0.5 * float(np.sum(nu * np.log(np.abs(w))))
-    # int_U^inf u^{-2} / rho du <= e^{noncent} U^{-(k+1)} / ((k+1) prod)
-    i2 = math.exp(min(log_noncent - log_prod, 700.0)) * u_max ** -(k + 1.0) / (k + 1.0)
+    # int_U^inf u^{-2} / rho du <= U^{-(k+1)} / ((k+1) e^{floor})
+    i2 = math.exp(min(-_log_rho_floor(red, u_max), 700.0)) * u_max ** -(k + 1.0) / (k + 1.0)
     total = c1 * i2
     if x != 0.0:
-        _, rho = imhof_integrand(red, np.array([u_max]), x)
-        rho_u = float(rho[0])
+        rho_u = _rho(red, u_max)
         if math.isfinite(rho_u):
             m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / (1.0 + (w * u_max) ** 2)))
             t_u = imhof_tail_bound(red, u_max)
@@ -196,19 +217,56 @@ def imhof_tail_bound_balanced(red: ReducedForm, u_max: float, x: float) -> float
     return total / math.pi
 
 
-def _imhof_tail_correction(red: ReducedForm, u_max: float, x: float) -> float:
-    """Leading integration-by-parts term of the oscillatory tail,
-    int_U^inf sin(theta)/(u rho) du ~= cos(theta(U)) / (theta'(U) U rho(U)).
+def _boundary_term(red: ReducedForm, u_max: float, x: float) -> complex:
+    """e^{i theta(U)} / (theta'(U) rho(U)), the leading integration-by-parts
+    term of the oscillatory tail int_U^inf e^{i theta}/rho: the CDF tail is
+    its real part over U, the density's tail minus its imaginary part.
 
-    Only applied when the slope floor is positive so the sign of theta'
-    is stable over the tail; pure value refinement, the rigorous bounds
-    dominate it either way.
+    Zero unless the slope floor is positive, so the sign of theta' is
+    stable over the tail; pure value refinement, the bounds dominate it.
     """
     if _imhof_slope_floor(red, u_max, x) <= 0.0:
-        return 0.0
-    theta, rho = imhof_integrand(red, np.array([u_max]), x)
-    slope = _imhof_phase_slope(red, u_max, x)
-    return float(np.cos(theta[0]) / (slope * u_max * rho[0]))
+        return 0j
+    theta, rho = imhof_integrand(red, u_max, x)
+    return complex(np.exp(1j * theta) / (_imhof_phase_slope(red, u_max, x) * rho))
+
+
+def _start_panels(red: ReducedForm, u_max: float, x: float) -> int:
+    """IMHOF_PANELS_START, doubled to at least ~8 panels per period of the
+    integrand: Richardson is never trusted on an undersampled oscillation."""
+    w = np.abs(red.omega)
+    phase_rate = 0.5 * float(np.sum(red.nu * w + red.delta2 * w)) + 0.5 * abs(x)
+    min_panels = 8.0 * u_max * phase_rate / (2.0 * math.pi)
+    panels = IMHOF_PANELS_START
+    while panels < min(min_panels, IMHOF_PANELS_MAX / 2):
+        panels *= 2
+    return panels
+
+
+def _trapezoid(f, u_max: float, panels: int, cap: int, target: float, scale: float):
+    """(1/scale) int_0^U f by the trapezoid rule on ``panels`` panels, then
+    halving the step (new midpoints only) while fewer than ``cap`` panels
+    and the Richardson estimate is above ``target``.
+
+    Returns the integral, the last Richardson estimate (inf when the step
+    was never halved), the final panel count and the rounding bound of
+    the node sum.
+    """
+    fu = f(np.linspace(0.0, u_max, panels + 1))
+    total = float(np.trapezoid(fu, dx=u_max / panels))
+    mass = float(np.sum(np.abs(fu))) * (u_max / panels)
+    quad_est = math.inf
+    while panels < cap:
+        fu = f(np.linspace(0.0, u_max, 2 * panels + 1)[1::2])
+        step = u_max / (2 * panels)
+        total_new = 0.5 * total + float(np.sum(fu)) * step
+        mass = 0.5 * mass + float(np.sum(np.abs(fu))) * step
+        panels *= 2
+        quad_est = abs(total_new - total) / scale
+        total = total_new
+        if quad_est <= target:
+            break
+    return total / scale, quad_est, panels, _rounding_bound(mass / scale, panels + 1)
 
 
 def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
@@ -220,71 +278,42 @@ def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     until the Richardson estimate meets the tolerance.
     """
     _require_no_gaussian(red, "imhof CDF")
-    if red.n_groups == 0:
-        return MethodResult(1.0 if q >= red.const else 0.0, 0.0, "imhof", "exact",
-                            {"raw_value": 1.0 if q >= red.const else 0.0})
-    lo_s, hi_s = transforms.support(red)
-    if q >= hi_s:
-        return MethodResult(1.0, 0.0, "imhof", "exact",
-                            {"raw_value": 1.0, "note": "at or above the support"})
-    if q <= lo_s:
-        return MethodResult(0.0, 0.0, "imhof", "exact",
-                            {"raw_value": 0.0, "note": "at or below the support"})
+    exact = _exact_cdf(red, q, "imhof")
+    if exact is not None:
+        return exact
     x = q - red.const
     if params is not None:
         # one halved-grid pass first so a Richardson estimate is available
         u_max, tol = params.u_max, params.tol
-        panels = max(params.panels // 2, 2)
-        fixed = True
+        panels, cap, target = max(params.panels // 2, 2), max(params.panels, 4), -math.inf
     else:
-        u_max, panels = _imhof_pick_u(red, tol, x), IMHOF_PANELS_START
-        fixed = False
-        # never trust Richardson on an undersampled oscillation: start with
-        # at least ~8 panels per period of the integrand
-        phase_rate = 0.5 * float(
-            np.sum(red.nu * np.abs(red.omega) + red.delta2 * np.abs(red.omega))
-        ) + 0.5 * abs(x)
-        min_panels = 8.0 * u_max * phase_rate / (2.0 * math.pi)
-        while panels < min(min_panels, IMHOF_PANELS_MAX / 2):
-            panels *= 2
+        u_max = _imhof_pick_u(red, tol, x)
+        panels, cap = _start_panels(red, u_max, x), IMHOF_PANELS_MAX
+        # drive the quadrature below the tail target: the oscillatory tail
+        # cancels far below T_U, so a tight grid keeps the value accurate
+        # even when the reported (conservative) bound is dominated by T_U
+        target = min(tol, 1e-8) / 2.0
 
     t_plain = imhof_tail_bound(red, u_max)
-    t_ibp = imhof_tail_bound_ibp(red, u_max, x)
+    # the CDF integrand carries an extra 1/u <= 1/U
+    t_ibp = _ibp_majorant(red, u_max, x) / (math.pi * u_max)
     t_bal = imhof_tail_bound_balanced(red, u_max, x)
     t_u = min(t_plain, t_ibp, t_bal)
-    # drive the quadrature below the tail target: the oscillatory tail
-    # cancels far below T_U, so a tight grid keeps the value accurate even
-    # when the reported (conservative) bound is dominated by T_U
-    quad_target = min(tol, 1e-8) / 2.0
-    grid = np.linspace(0.0, u_max, panels + 1)
-    total = float(np.trapezoid(_imhof_f(red, grid, x), dx=u_max / panels))
-    quad_est = math.inf
-    panel_cap = max(params.panels, 4) if fixed else IMHOF_PANELS_MAX
-    while panels < panel_cap:
-        mid = np.linspace(0.0, u_max, 2 * panels + 1)[1::2]
-        total_new = 0.5 * total + float(np.sum(_imhof_f(red, mid, x))) * (
-            u_max / (2 * panels)
-        )
-        panels *= 2
-        quad_est = abs(total_new - total) / math.pi
-        total = total_new
-        if not fixed and quad_est <= quad_target:
-            break
-    value = 0.5 - total / math.pi
+    integral, quad_est, panels, rounding = _trapezoid(
+        lambda u: _imhof_f(red, u, x), u_max, panels, cap, target, math.pi)
+    value = 0.5 - integral
     # the boundary-term refinement is only trustworthy in the regime where
     # the integration-by-parts budget is the binding bound
-    if t_ibp <= min(t_plain, t_bal):
-        correction = -_imhof_tail_correction(red, u_max, x) / math.pi
-    else:
-        correction = 0.0
-    bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0)
+    correction = (-_boundary_term(red, u_max, x).real / (math.pi * u_max)
+                  if t_ibp <= min(t_plain, t_bal) else 0.0)
+    bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
     raw = value + correction
     res = MethodResult(
         min(max(raw, 0.0), 1.0), float(bound), "imhof", "rigorous",
         {"raw_value": raw, "u_max": u_max, "panels": panels, "tail_bound": t_u,
          "quad_estimate": quad_est, "tail_correction": correction},
     )
-    if not fixed and bound > tol:
+    if params is None and bound > tol:
         raise ConvergenceFailureError(
             f"imhof did not reach tol={tol} (achieved {bound:.3e})", result=res
         )
@@ -301,32 +330,15 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     """
     _require_no_gaussian(red, "imhof PDF")
     x = q - red.const
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    k = 0.5 * float(nu.sum())
+    k = 0.5 * float(red.nu.sum())
 
     def tail_plain(u_max: float) -> float:
         # |integrand| <= 1/rho; integrable only for sum(nu) > 2
         if k <= 1.0:
             return math.inf
-        log_b = (
-            -math.log(2.0 * math.pi * (k - 1.0))
-            + (1.0 - k) * math.log(u_max)
-            - 0.5 * float(np.sum(nu * np.log(np.abs(w))))
-            - 0.5 * float(np.sum(d2 * w**2 * u_max**2 / (1.0 + w**2 * u_max**2)))
-        )
+        log_b = (-math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u_max)
+                 - _log_rho_floor(red, u_max))
         return math.exp(min(log_b, 700.0))
-
-    def tail_ibp(u_max: float) -> float:
-        # same integration-by-parts device as the CDF, without the 1/u factor
-        theta_min = _imhof_slope_floor(red, u_max, x)
-        if theta_min <= 0.0:
-            return math.inf
-        c2 = 0.5 * float(np.sum(nu + 3.0 * d2))
-        _, rho_u = imhof_integrand(red, np.array([u_max]), x)
-        rho_u = float(rho_u[0])
-        if not math.isfinite(rho_u):
-            return 0.0
-        return (2.0 + c2 / (u_max * theta_min)) / (2.0 * math.pi * rho_u * theta_min)
 
     def residual_est(u_max: float) -> float:
         # size of the next integration-by-parts order once the boundary
@@ -334,80 +346,38 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
         theta_min = _imhof_slope_floor(red, u_max, x)
         if theta_min <= 0.0:
             return math.inf
-        c2 = 0.5 * float(np.sum(nu + 3.0 * d2))
-        _, rho_u = imhof_integrand(red, np.array([u_max]), x)
-        rho_u = float(rho_u[0])
+        rho_u = _rho(red, u_max)
         if not math.isfinite(rho_u):
             return 0.0
-        return (c2 + nu.sum()) / (2.0 * math.pi * rho_u * theta_min**2 * u_max)
+        c2 = 0.5 * float(np.sum(red.nu + 3.0 * red.delta2))
+        return (c2 + red.nu.sum()) / (2.0 * math.pi * rho_u * theta_min**2 * u_max)
 
     def tail(u_max: float) -> float:
-        return min(tail_plain(u_max), tail_ibp(u_max))
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        wu = np.multiply.outer(u, w)
-        theta = 0.5 * (nu * np.arctan(wu) + d2 * wu / (1.0 + wu**2)).sum(axis=-1) \
-            - 0.5 * u * x
-        log_rho = 0.25 * (nu * np.log1p(wu**2)).sum(axis=-1) + 0.5 * (
-            d2 * wu**2 / (1.0 + wu**2)
-        ).sum(axis=-1)
-        return np.cos(theta) * np.exp(-log_rho)
+        return min(tail_plain(u_max), _ibp_majorant(red, u_max, x) / (2.0 * math.pi))
 
     if params is not None:
         u_max, panels = params.u_max, params.panels
-        fixed = True
+        cap = panels
     else:
-        fixed = False
         u_max = 1.0
         while min(tail(u_max), residual_est(u_max)) > tol / 2.0 and u_max < 1e7:
             u_max *= 2.0
-        panels = IMHOF_PANELS_START
-        phase_rate = 0.5 * float(np.sum(nu * np.abs(w) + d2 * np.abs(w))) + 0.5 * abs(x)
-        min_panels = 8.0 * u_max * phase_rate / (2.0 * math.pi)
-        while panels < min(min_panels, IMHOF_PANELS_MAX / 2):
-            panels *= 2
+        panels, cap = _start_panels(red, u_max, x), IMHOF_PANELS_MAX
     t_plain_u = tail_plain(u_max)
-    t_ibp_u = tail_ibp(u_max)
+    t_ibp_u = _ibp_majorant(red, u_max, x) / (2.0 * math.pi)
     correct_tail = t_ibp_u < t_plain_u
     t_u = min(t_plain_u, t_ibp_u, residual_est(u_max) if correct_tail else math.inf)
-    grid = np.linspace(0.0, u_max, panels + 1)
-    total = float(np.trapezoid(integrand(grid), dx=u_max / panels))
-    quad_est = math.inf
-    while not fixed and panels < IMHOF_PANELS_MAX:
-        mid = np.linspace(0.0, u_max, 2 * panels + 1)[1::2]
-        total_new = 0.5 * total + float(np.sum(integrand(mid))) * (u_max / (2 * panels))
-        panels *= 2
-        quad_est = abs(total_new - total) / (2.0 * math.pi)
-        total = total_new
-        if quad_est <= min(tol, 1e-8) / 2.0:
-            break
-    value = total / (2.0 * math.pi)
-    if correct_tail and _imhof_slope_floor(red, u_max, x) > 0.0:
-        theta_u, rho_u = imhof_integrand(red, np.array([u_max]), x)
-        slope = _imhof_phase_slope(red, u_max, x)
-        value -= float(np.sin(theta_u[0]) / (rho_u[0] * slope)) / (2.0 * math.pi)
-    bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0)
+    value, quad_est, panels, rounding = _trapezoid(
+        lambda u: _imhof_pdf_f(red, u, x), u_max, panels, cap, min(tol, 1e-8) / 2.0,
+        2.0 * math.pi)
+    if correct_tail:
+        value -= _boundary_term(red, u_max, x).imag / (2.0 * math.pi)
+    bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
     return MethodResult(
         max(value, 0.0), float(bound), "imhof", "heuristic",
         {"raw_value": value, "u_max": u_max, "panels": panels, "tail_bound": t_u,
          "quad_estimate": quad_est},
     )
-
-
-def _davies_log_a(red: ReducedForm, u: np.ndarray) -> np.ndarray:
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    wu2 = np.multiply.outer(u**2, 4.0 * w**2)
-    return (
-        -2.0 * (np.multiply.outer(u**2, w**2 * d2) / (1.0 + wu2)).sum(axis=-1)
-        - 0.5 * (red.sigma_gauss * u) ** 2
-        - 0.25 * (nu * np.log1p(wu2)).sum(axis=-1)
-    )
-
-
-def _davies_theta(red: ReducedForm, u: np.ndarray) -> np.ndarray:
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    wu = np.multiply.outer(u, 2.0 * w)
-    return (0.5 * nu * np.arctan(wu) + 0.5 * d2 * wu / (1.0 + wu**2)).sum(axis=-1)
 
 
 def davies_truncation_bound(red: ReducedForm, u_max: float) -> float:
@@ -457,38 +427,19 @@ def _davies_lattice_bound(red: ReducedForm, x: float, spread: float) -> float:
     return 0.0 if lt >= 0.0 else math.exp(max(lt, _LOG_TINY))
 
 
-def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int, tau: float) -> float:
-    total = 0.0
+def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int):
+    """The lattice value 1/2 - (1/pi) sum_k Im{phi(u_k) e^{-i u_k x}}/(k + 1/2)
+    over k = 0..k_max, and the rounding bound of that sum."""
+    total = mass = 0.0
     block = 1 << 18
     for start in range(0, k_max + 1, block):
         idx = np.arange(start, min(start + block, k_max + 1), dtype=float)
         u = (idx + 0.5) * delta
-        log_a = _davies_log_a(red, u)
-        if tau > 0.0:
-            log_a = log_a - 0.5 * (tau * u) ** 2
-        theta = _davies_theta(red, u)
-        total += float(np.sum(np.exp(log_a) * np.sin(theta - u * x) / (idx + 0.5)))
-    return 0.5 - total / math.pi
-
-
-def _davies_tau_correction(red: ReducedForm, x: float, u_max: float, tau: float):
-    """Bias of the Gaussian convergence factor, removed by direct quadrature
-    of (1 - e^(-tau^2 u^2 / 2)) Im{phi e^{-iux}}/(pi u) over (0, U)."""
-    def f(u):
-        if u == 0.0:
-            return 0.0
-        la = float(_davies_log_a(red, np.array([u]))[0])
-        th = float(_davies_theta(red, np.array([u]))[0])
-        return -math.expm1(-0.5 * (tau * u) ** 2) * math.exp(la) * math.sin(th - u * x) / u
-    val, err = _quad(f, 0.0, u_max)
-    return val / math.pi, err / math.pi
-
-
-def _quad(f, a, b):
-    from scipy.integrate import quad
-
-    val, err = quad(f, a, b, limit=400, epsabs=1e-12, epsrel=1e-10)
-    return val, err
+        log_mod, phase = transforms._log_cf(red, u)
+        terms = np.exp(log_mod) * np.sin(phase - u * x) / (idx + 0.5)
+        total += float(np.sum(terms))
+        mass += float(np.sum(np.abs(terms)))
+    return 0.5 - total / math.pi, _rounding_bound(mass / math.pi, k_max + 1)
 
 
 def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
@@ -496,31 +447,20 @@ def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
     """CDF by the midpoint-lattice inversion sum with computable bounds.
 
     Supports Gaussian components and weights of both signs.  The reported
-    bound is truncation + lattice aliasing (+ convergence-factor
-    correction error when tau > 0).
+    bound is truncation + lattice aliasing + the rounding of the sum.
     """
-    if red.n_groups == 0 and red.sigma_gauss == 0.0:
-        v = 1.0 if q >= red.const else 0.0
-        return MethodResult(v, 0.0, "davies", "exact", {"raw_value": v})
-    lo_s, hi_s = transforms.support(red)
-    if q >= hi_s:
-        return MethodResult(1.0, 0.0, "davies", "exact",
-                            {"raw_value": 1.0, "note": "at or above the support"})
-    if q <= lo_s:
-        return MethodResult(0.0, 0.0, "davies", "exact",
-                            {"raw_value": 0.0, "note": "at or below the support"})
+    exact = _exact_cdf(red, q, "davies")
+    if exact is not None:
+        return exact
     x = q - red.const
-    chi = red.shifted(0.0)
 
     if params is not None:
-        delta, k_max, tau = params.delta, params.k_max, params.tau
-        tol = params.tol
+        delta, k_max, tol = params.delta, params.k_max, params.tol
         u_max = (k_max + 0.5) * delta
         trunc = davies_truncation_bound(red, u_max)
         lattice = _davies_lattice_bound(red, x, 2.0 * math.pi / delta)
     else:
-        tau = 0.0
-        k1 = transforms.cumulants(chi, 2)
+        k1 = transforms.cumulants(red.shifted(0.0), 2)
         sd = math.sqrt(max(k1.get(2), 1e-300))
         spread = max(8.0 * sd, abs(x - k1.get(1)) + 4.0 * sd)
         lattice = _davies_lattice_bound(red, x, spread)
@@ -535,26 +475,16 @@ def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
         while trunc > tol / 2.0 and (u_max / delta) < DAVIES_POINTS_MAX:
             u_max *= 1.5
             trunc = davies_truncation_bound(red, u_max)
-        k_max = int(math.ceil(u_max / delta - 0.5))
-        k_max = max(min(k_max, DAVIES_POINTS_MAX), 8)
+        k_max = max(min(int(math.ceil(u_max / delta - 0.5)), DAVIES_POINTS_MAX), 8)
         u_max = (k_max + 0.5) * delta
         trunc = davies_truncation_bound(red, u_max)
 
-    value = _davies_sum(chi, x, delta, k_max, tau)
-    bound = trunc + lattice
-    diagnostics = {
-        "raw_value": value, "delta": delta, "k_max": k_max, "u_max": u_max,
-        "truncation_bound": trunc, "lattice_bound": lattice, "tau": tau,
-    }
-    if tau > 0.0:
-        corr, corr_err = _davies_tau_correction(chi, x, u_max, tau)
-        value -= corr
-        # the truncation bound covers the damped lattice tail and the
-        # correction-integral tail separately, so it enters twice
-        bound += corr_err + trunc
-        diagnostics["tau_correction"] = corr
+    value, rounding = _davies_sum(red, x, delta, k_max)
+    bound = trunc + lattice + rounding
     res = MethodResult(min(max(value, 0.0), 1.0), float(bound), "davies", "rigorous",
-                       dict(diagnostics, raw_value=value))
+                       {"raw_value": value, "delta": delta, "k_max": k_max,
+                        "u_max": u_max, "truncation_bound": trunc,
+                        "lattice_bound": lattice})
     if params is None and bound > tol:
         raise ConvergenceFailureError(
             f"davies did not reach tol={tol} (achieved {bound:.3e})", result=res

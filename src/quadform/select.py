@@ -33,8 +33,6 @@ TAIL_THRESHOLD = 1e-8
 CDF_METHODS = ("auto", "central_even", "ruben", "kotz", "laguerre", "imhof",
                "davies", "spa_lr", "spa_bn", "satterthwaite", "pearson", "hbe",
                "wood", "liu")
-PDF_METHODS = ("auto", "central_even", "ruben", "kotz", "laguerre", "imhof",
-               "spa_lr")
 
 
 def _negate(red: ReducedForm) -> ReducedForm:

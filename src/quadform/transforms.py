@@ -15,6 +15,7 @@ from .errors import DomainError, InvalidInputError
 from .forms import CumulantSet, MgfDomain, ReducedForm
 
 DEFAULT_CUMULANT_ORDER = 8
+_sum = np.add.reduce   # np.sum without its Python wrapper; same pairwise sum
 
 
 def mgf_domain(red: ReducedForm) -> MgfDomain:
@@ -67,18 +68,37 @@ def mgf(red: ReducedForm, t: float) -> float:
     return math.exp(lv) if lv < 709.0 else math.inf
 
 
+def _log_cf(red: ReducedForm, beta):
+    """log|phi(beta)| and the unwrapped phase arg phi(beta) - beta const.
+
+    With z = 2 beta w, a group adds -nu/4 log(1 + z^2) - d2/2 z^2/(1 + z^2)
+    to the log-modulus and nu/2 arctan z + d2/2 z/(1 + z^2) to the phase;
+    the Gaussian term adds -(sigma beta)^2/2 to the log-modulus.  Summing
+    the arctans keeps the phase continuous in beta.  beta is a scalar or an
+    array; one value per beta.  The group axis comes first, so each
+    elementwise pass runs along beta and the sums add whole rows.
+    """
+    col = (slice(None),) + (None,) * np.ndim(beta)
+    w, nu, d2 = red.omega, red.nu[col], red.delta2[col]
+    z = np.multiply.outer(w, 2.0 * beta)
+    z2 = z * z
+    log_mod = 0.25 * _sum(nu * np.log1p(z2), axis=0)
+    phase = nu * np.arctan(z)
+    if red.delta2.any():
+        g = 1.0 + z2
+        log_mod = log_mod + 0.5 * _sum(d2 * z2 / g, axis=0)
+        phase += d2 * z / g
+    log_mod = -log_mod
+    if red.sigma_gauss:
+        log_mod = log_mod - 0.5 * (red.sigma_gauss * beta) ** 2
+    return log_mod, 0.5 * _sum(phase, axis=0)
+
+
 def cf(red: ReducedForm, beta) -> complex | np.ndarray:
     """Characteristic function at real frequency beta (scalar or array)."""
     beta = np.asarray(beta, dtype=float)
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    g = 1.0 - 2j * np.multiply.outer(beta, w)
-    log_phi = (
-        -0.5 * (np.log(g) * nu).sum(axis=-1)
-        + 1j * beta * (d2 * w / g).sum(axis=-1)
-        - 0.5 * (red.sigma_gauss * beta) ** 2
-        + 1j * beta * red.const
-    )
-    out = np.exp(log_phi)
+    log_mod, phase = _log_cf(red, beta)
+    out = np.exp(log_mod + 1j * (phase + beta * red.const))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -175,7 +195,6 @@ def _cgf_prime_root(red: ReducedForm, y):
 
 _NEWTON_MAX = 200
 _EPS = np.finfo(float).eps
-_sum = np.add.reduce   # np.sum without its Python wrapper; same pairwise sum
 
 
 def _solve_cgf_prime(red: ReducedForm, y: np.ndarray) -> np.ndarray:

@@ -165,6 +165,19 @@ class TestExitCodes:
         assert code == 3
         assert "davies" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("cdf", "--q", "1", "--seed", "1"),
+        ("pdf", "--q", "1", "--max-terms", "10"),
+        ("quantile", "--p", "0.5", "--quadrature-tol", "1e-9"),
+        ("reduce", "--tol", "1e-6"),
+        ("moments", "--tol", "1e-6"),
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, docs, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, docs["chisq2.json"]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "cdf", "--q", "1", "/nonexistent.json")
         assert code == 2

@@ -83,7 +83,43 @@ class TestCdfImhof:
             assert -res.error_bound <= raw <= 1.0 + res.error_bound
 
 
+    @pytest.mark.parametrize("panels", [2, 3, 5, 64])
+    def test_fixed_params_panels(self, panels):
+        red = qf.ReducedForm([1.2, -0.5], [3, 2], [0.3, 0.0])
+        res = qf.cdf_imhof(red, 0.7, params=ImhofParams(u_max=6.0, panels=panels))
+        # one halved-grid pass, then doubling up to the requested count
+        expect = max(panels // 2, 2)
+        while expect < max(panels, 4):
+            expect *= 2
+        assert res.diagnostics["panels"] == expect
+        assert math.isfinite(res.diagnostics["quad_estimate"])
+
+
+class TestRoundingBound:
+    # central, even dofs: the partial fractions and a 40-digit integral agree
+    LEFT_TAIL = qf.ReducedForm([10.0, -1.0], [30, 2], [0.0, 0.0])
+    EXACT = 3.946907638314353e-16
+
+    @pytest.mark.parametrize("fn", [qf.cdf_imhof, qf.cdf_davies])
+    def test_far_tail_value_within_bound(self, fn):
+        res = fn(self.LEFT_TAIL, 1.0, tol=1e-8)
+        assert res.provenance == "rigorous"
+        assert abs(res.diagnostics["raw_value"] - self.EXACT) <= res.error_bound
+
+    def test_partial_fractions_agree(self):
+        ref = qf.cdf_central_even(self.LEFT_TAIL, 1.0)
+        assert abs(ref.value - self.EXACT) <= 4e-16 * self.EXACT
+
+
 class TestPdfImhof:
+    @pytest.mark.parametrize("panels", [2, 5, 64])
+    def test_fixed_params_do_not_refine(self, panels):
+        red = qf.ReducedForm([1.2, -0.5], [3, 2], [0.3, 0.0])
+        res = qf.pdf_imhof(red, 0.7, params=ImhofParams(u_max=6.0, panels=panels))
+        assert res.diagnostics["panels"] == panels
+        assert res.diagnostics["quad_estimate"] == math.inf
+
+
     def test_chi22_density(self):
         res = qf.pdf_imhof(CHI22, 2.0, tol=1e-8)
         assert abs(res.value - math.exp(-1.0) / 2.0) < 1e-7
@@ -126,16 +162,6 @@ class TestCdfDavies:
             mc = float(np.mean(draws <= q))
             se = math.sqrt(mc * (1 - mc) / draws.size)
             assert abs(res.value - mc) < 3.0 * se
-
-    def test_convergence_factor_consistency(self):
-        red = qf.ReducedForm([1.5, -0.8], [2, 2], [0.4, 0.1], 0.5, 0.0)
-        base = qf.cdf_davies(red, 1.0, tol=1e-8)
-        params = DaviesParams(delta=base.diagnostics["delta"],
-                              k_max=base.diagnostics["k_max"],
-                              tau=0.3, tol=1e-8)
-        smoothed = qf.cdf_davies(red, 1.0, params=params)
-        assert abs(smoothed.value - base.value) < 1e-6
-        assert smoothed.diagnostics["tau"] == 0.3
 
     def test_lattice_halving_bound(self, rng):
         for _ in range(50):

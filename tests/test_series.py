@@ -5,9 +5,45 @@ import pytest
 from scipy import integrate, stats
 
 import quadform as qf
-from quadform.series import _alt_partial_fractions
+from quadform.series import _exp_series, _require_central_even
 
 from conftest import make_rng
+
+
+def _alt_partial_fractions(red):
+    """Coefficients alpha_lk of 1/(z prod (1+w_l z)^(m_l)) = 1/z + sum alpha_lk/(1+w_l z)^k.
+
+    Independent expansion that cross-checks the finite-sum identity
+    alpha_{l,k} = -w_l A_{l,k} + alpha_{l,k+1}.
+    """
+    _require_central_even(red, "partial fractions")
+    omega = red.omega
+    m = red.nu // 2
+    out = {}
+    for l, (w_l, m_l) in enumerate(zip(omega, m)):
+        order = int(m_l)
+        others = [j for j in range(omega.size) if j != l]
+        # substitute s = 1 + w_l z, i.e. z = (s-1)/w_l:
+        # H(z)(1+w_l z)^{m_l} = [w_l/(s-1)] prod_{j!=l} (alpha_j + r_j s)^{-m_j}
+        # expand around s=0; the 1/(s-1) factor contributes -sum s^n.
+        r = omega[others] / w_l
+        alpha = 1.0 - r
+        mj = m[others].astype(float)
+        g_base = np.zeros(order - 1) if order > 1 else np.zeros(0)
+        for n in range(1, order):
+            g_base[n - 1] = -np.sum(mj * (-1.0) ** (n + 1) * (r / alpha) ** n / n) if others else 0.0
+        if others:
+            c0 = math.exp(-float(np.sum(mj * np.log(np.abs(alpha)))))
+            if np.sum(mj[alpha < 0]) % 2 == 1:
+                c0 = -c0
+        else:
+            c0 = 1.0
+        prod_coeffs = _exp_series(g_base, c0) if order > 1 else np.array([c0])
+        # multiply by -w_l * (1 + s + s^2 + ...)
+        conv = -w_l * np.cumsum(prod_coeffs[:order])
+        for k in range(1, order + 1):
+            out[(l, k)] = float(conv[order - k])
+    return out
 
 
 class TestPartialFractions:

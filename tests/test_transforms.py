@@ -91,6 +91,47 @@ class TestCf:
             assert abs(lhs - rhs) < 1e-14
 
 
+def complex_log_cf(red, beta):
+    """log phi(beta) - i beta const by complex logarithms, one factor at a time.
+
+    Each principal argument lies in (-pi/2, pi/2), so the sum needs no
+    unwrapping."""
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    g = 1.0 - 2j * np.multiply.outer(beta, w)
+    return (np.sum(-0.5 * nu * np.log(g) + 1j * np.multiply.outer(beta, d2 * w) / g, axis=-1)
+            - 0.5 * (red.sigma_gauss * beta) ** 2)
+
+
+class TestLogCfKernel:
+    @pytest.mark.parametrize("central", [True, False])
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_against_complex_logarithms(self, rng, central, gaussian):
+        small = np.array([0.0, 1e-8, 1e-3, 0.1, 0.7, 1.0, 3.0, 10.0])
+        big = np.array([1e2, 1e3, 1e4, 1e5, 1e6])
+        betas = np.concatenate([small, big, -small[1:], -big])
+        for _ in range(10):
+            red = random_reduced(rng, central=central, gaussian=gaussian, max_groups=6)
+            log_mod, phase = qf.transforms._log_cf(red, betas)
+            ref = complex_log_cf(red, betas)
+            mod, ref_mod = np.exp(log_mod), np.exp(ref.real)
+            assert np.all(np.abs(mod - ref_mod) <= 1e-13 * ref_mod)
+            assert np.all(np.abs(phase - ref.imag) <= 1e-12 * (1.0 + np.abs(ref.imag)))
+            # a scalar beta gives the same value as its slot of the array
+            lm0, ph0 = qf.transforms._log_cf(red, float(betas[4]))
+            assert lm0 == log_mod[4] and ph0 == phase[4]
+
+    def test_zero_frequency(self, rng):
+        red = random_reduced(rng, gaussian=True)
+        log_mod, phase = qf.transforms._log_cf(red, 0.0)
+        assert log_mod == 0.0 and phase == 0.0
+
+    def test_cf_reads_the_kernel(self, rng):
+        red = random_reduced(rng, gaussian=True)
+        betas = np.linspace(-4.0, 4.0, 9)
+        ref = np.exp(complex_log_cf(red, betas) + 1j * betas * red.const)
+        assert np.allclose(qf.cf(red, betas), ref, rtol=1e-13, atol=1e-15)
+
+
 class TestCgfDerivative:
     def test_first_derivative_is_mean(self, rng):
         for _ in range(5):
