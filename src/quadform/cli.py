@@ -227,13 +227,8 @@ def cmd_quantile(args) -> dict:
     doc = _load(args.document)
     _apply_doc_defaults(args, doc)
     red = _to_reduced(parse_document(doc))
-    method = args.method
-
-    def cdf_fn(form, x):
-        return select.cdf(form, x, method, min(args.tol * 1e-2, 1e-9))
-
-    q = inversion.quantile(red, args.p, cdf=cdf_fn, tol=args.tol)
-    check = select.cdf(red, q, method, args.tol)
+    q = inversion.quantile(red, args.p, tol=args.tol, method=args.method)
+    check = select.cdf(red, q, args.method, args.tol)
     return {
         "quantity": "quantile",
         "p": args.p,

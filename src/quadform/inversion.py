@@ -493,44 +493,35 @@ def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
 
 
 def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8) -> MethodResult:
-    """Imhof when sigma = 0 (cheaper grid reuse), Davies otherwise; on a
-    convergence failure of either, fall back to the other's best result."""
-    try:
-        if red.sigma_gauss == 0.0 and red.n_groups:
-            return cdf_imhof(red, q, tol=tol)
+    """The inversion leaf of method="auto": Imhof when sigma = 0, falling back
+    to Davies when Imhof does not reach tol (if both fail, the failure with
+    the smaller bound is raised); Davies alone with a Gaussian term, which
+    Imhof does not support."""
+    if red.sigma_gauss != 0.0 or not red.n_groups:
         return cdf_davies(red, q, tol=tol)
+    try:
+        return cdf_imhof(red, q, tol=tol)
     except ConvergenceFailureError as exc:
-        alt = cdf_davies if red.sigma_gauss == 0.0 and red.n_groups else cdf_imhof
         try:
-            return alt(red, q, tol=tol)
-        except NotApplicableError:
-            raise exc from None
+            return cdf_davies(red, q, tol=tol)
         except ConvergenceFailureError as exc2:
-            best = exc2 if (exc2.result.error_bound < exc.result.error_bound) else exc
-            raise best from None
+            raise min(exc, exc2, key=lambda e: e.result.error_bound) from None
 
 
-def quantile(red: ReducedForm, p: float, cdf=None, tol: float = 1e-8,
-             method: str = "auto") -> float:
+def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto") -> float:
     """Solve F(q) = p by bracketed root finding on the chosen CDF method.
 
     The bracket starts at mean +/- 2 sd and widens geometrically until the
-    sign changes; Brent's method then drives |F(q) - p| below tol.  When a
-    CDF evaluation exhausts its resource limits, its best value is used
-    (root finding only needs a consistent monotone surrogate).
+    sign changes; Brent's method then drives |F(q) - p| below tol.  The
+    inner CDF runs at min(tol/100, 1e-9); when an evaluation exhausts its
+    resource limits, its best value is used (root finding only needs a
+    consistent monotone surrogate).
     """
     if not 0.0 < p < 1.0:
         raise InvalidInputError("quantile level p must be in (0, 1)")
-    if cdf is None:
-        from . import select  # runtime import; select dispatches back here
+    from . import select  # runtime import; select dispatches back here
 
-        inner_tol = min(tol * 1e-2, 1e-9)
-
-        def cdf(form, x):
-            try:
-                return select.cdf(form, x, method, inner_tol)
-            except ConvergenceFailureError as exc:
-                return exc.result
+    inner_tol = min(tol * 1e-2, 1e-9)
     ks = transforms.cumulants(red, 2)
     center, sd = ks.get(1), math.sqrt(max(ks.get(2), 1e-300))
     lo_s, hi_s = transforms.support(red)
@@ -544,7 +535,11 @@ def quantile(red: ReducedForm, p: float, cdf=None, tol: float = 1e-8,
             return -p
         if math.isfinite(hi_s) and x >= hi_s - edge:
             return 1.0 - p
-        return cdf(red, x).value - p
+        try:
+            res = select.cdf(red, x, method, inner_tol)
+        except ConvergenceFailureError as exc:
+            res = exc.result
+        return res.value - p
 
     lo, hi = center - 2.0 * sd, center + 2.0 * sd
     lo = max(lo, lo_s) if math.isfinite(lo_s) else lo

@@ -46,7 +46,7 @@ import math
 import numpy as np
 from scipy import special
 
-from . import inversion, reduction
+from . import inversion, reduction, select
 from .errors import (
     ConvergenceFailureError,
     DegenerateConstantError,
@@ -80,21 +80,18 @@ def _reduce_at(spec: RatioSpec, r: float) -> ReducedForm | float:
         return float(exc.value)
 
 
-def cdf_ratio(spec: RatioSpec, r: float, method: str = "davies",
+def cdf_ratio(spec: RatioSpec, r: float, method: str = "auto",
               tol: float = 1e-8) -> MethodResult:
-    """CDF of the ratio at r through the induced indefinite form at zero."""
+    """CDF of the ratio at r through the induced indefinite form at zero, by
+    ``inversion.cdf_auto_inversion`` when method="auto", else ``select.cdf``."""
     red = _reduce_at(spec, r)
     if isinstance(red, float):
         v = 1.0 if red <= 0.0 else 0.0
         return MethodResult(v, 0.0, "degenerate", "exact", {"constant": red})
-    if method == "davies":
-        res = inversion.cdf_davies(red, 0.0, tol=tol)
-    elif method == "imhof":
-        res = inversion.cdf_imhof(red, 0.0, tol=tol)
-    elif method == "auto":
+    if method == "auto":
         res = inversion.cdf_auto_inversion(red, 0.0, tol=tol)
     else:
-        raise InvalidInputError(f"unsupported ratio CDF method {method!r}")
+        res = select.cdf(red, 0.0, method, tol)
     diag = dict(res.diagnostics, threshold=r)
     return MethodResult(res.value, res.error_bound, f"ratio_{res.method}",
                         res.provenance, diag)

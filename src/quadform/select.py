@@ -1,13 +1,14 @@
 """Automatic method selection and name-based dispatch for CDF/PDF queries.
 
-Selection heuristics: far tails (Chernoff estimate below 1e-8) go to the
-saddlepoint, which keeps the exact exponential decay rate; central forms
-with even degrees of freedom use the finite partial-fraction formula
-(where its floating-point bound exceeds the tolerance, the result of the
-route below it is taken instead when that reports a smaller bound);
-positive (or negative) definite forms use the chi-square-density
-expansion; everything else, including Gaussian components, uses the
-Davies lattice.
+One policy routes every point: far tails (Chernoff estimate below 1e-8)
+go to the saddlepoint, which keeps the exact exponential decay rate;
+forms with a Gaussian term use Davies (CDF) or the saddlepoint (PDF);
+otherwise central even-dof forms use the partial-fraction formula (past
+tol, the route below it is also tried and the smaller bound kept),
+definite forms the chi-square-density expansion and all others Imhof.
+An auto Imhof CDF point runs ``inversion.cdf_auto_inversion`` (Imhof,
+then Davies); a saddlepoint point without a root takes the route it
+would have outside the tails.
 
 ``cdf`` and ``pdf`` take a scalar point or an array of points.  An array
 is routed once and evaluated per route: the partial-fraction expansion
@@ -43,16 +44,13 @@ def _generic_method(red: ReducedForm, quantity: str, central_even: bool = True) 
     """The route of a point outside the far tails (central_even=False skips
     the partial-fraction formula)."""
     cls = classify(red)
-    if red.n_groups == 0:
-        return "davies"
-    if (central_even and cls.centrality == "central" and cls.even_degrees
-            and not cls.has_gaussian):
+    if cls.has_gaussian or red.n_groups == 0:
+        return "davies" if quantity == "cdf" else "spa"
+    if central_even and cls.centrality == "central" and cls.even_degrees:
         return "central_even"
-    if cls.definiteness in ("positive", "negative") and not cls.has_gaussian:
+    if cls.definiteness in ("positive", "negative"):
         return "ruben"
-    if quantity == "pdf":
-        return "imhof" if not cls.has_gaussian else "spa"
-    return "davies"
+    return "imhof"
 
 
 def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
@@ -61,14 +59,13 @@ def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
 
     q may be an array; the result is then a list with one identifier per
     point, from both Chernoff tails computed in one array call each.
-    tail_hint: "left"/"right" force the tail route, "none" suppresses the
-    Chernoff pre-check, None (default) lets the pre-check decide.
+    tail_hint="none" suppresses the Chernoff pre-check (the saddlepoint
+    fallback's route); None (default) lets the pre-check decide.
     """
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
-    forced = tail_hint in ("left", "right")
-    tail = np.full(pts.shape, forced)
-    if tail_hint != "none" and not forced and red.n_groups > 0:
+    tail = np.zeros(pts.shape, dtype=bool)
+    if tail_hint != "none" and red.n_groups > 0:
         log_l = transforms.chernoff_log_tail(red, pts, "left")
         log_r = transforms.chernoff_log_tail(red, pts, "right")
         tail = np.minimum(log_l, log_r) < math.log(TAIL_THRESHOLD)
@@ -153,6 +150,8 @@ def _evaluate(red: ReducedForm, xs: np.ndarray, method: str, tol: float,
         return _definite_series(red, xs, method, tol, cumulative)
     if method == "imhof":
         fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
+        if cumulative and auto:
+            fn = inversion.cdf_auto_inversion
         return _each(fn, red, xs, tol=tol)
     if cumulative:
         if method == "davies":
@@ -176,9 +175,12 @@ def _cdf_spa(red: ReducedForm, q: float, variant: str, tol: float,
         if not auto:
             raise
         # extreme points can sit at the support edge where the
-        # saddlepoint has no root; fall back to the generic routing
+        # saddlepoint has no root; evaluate by the route outside the tails
         fallback = select_method(red, "cdf", q, tail_hint="none")
-        return cdf(red, q, fallback, tol)
+        res = _evaluate(red, np.array([q]), fallback, tol, "cdf", auto)[0]
+        if isinstance(res, Exception):
+            raise res
+        return res
 
 
 def _definite_series(red: ReducedForm, xs: np.ndarray, kind: str, tol: float,

@@ -12,6 +12,7 @@ Two families:
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -70,32 +71,29 @@ def partial_fractions(red: ReducedForm) -> PartialFractionExpansion:
     _require_central_even(red, "partial fractions")
     omega = red.omega
     m = red.nu // 2
+    # all poles at once: row l holds r_j, alpha_j and m_j over the j != l
+    size = omega.size
+    off = ~np.eye(size, dtype=bool)
+    r = (omega[None, :] / omega[:, None])[off].reshape(size, size - 1)
+    alpha = 1.0 - r
+    if np.any(alpha == 0.0):
+        raise NotApplicableError(
+            "repeated weights must be grouped before partial fractions",
+            condition="distinct weights",
+        )
+    mj = np.broadcast_to(m.astype(float), (size, size))[off].reshape(size, size - 1)
+    ratio = r / alpha
+    # log G_l(s) = sum_j -m_j [log alpha_j + log(1 + (r_j/alpha_j) s)]
+    log_c0 = -np.sum(mj * np.log(np.abs(alpha)), axis=1)
+    odd = np.sum(np.where(alpha < 0, mj, 0.0), axis=1) % 2 == 1
+    g = np.zeros((size, int(m.max()) - 1))
+    for n in range(1, g.shape[1] + 1):
+        g[:, n - 1] = -np.sum(mj * (-1.0) ** (n + 1) * ratio**n / n, axis=1)
     terms = []
     for l, (w_l, m_l) in enumerate(zip(omega, m)):
-        others = [j for j in range(omega.size) if j != l]
         order = int(m_l)
-        if not others:
-            coeffs = np.zeros(order)
-            coeffs_full = np.concatenate(([1.0], coeffs))
-        else:
-            r = omega[others] / w_l
-            alpha = 1.0 - r
-            if np.any(alpha == 0.0):
-                raise NotApplicableError(
-                    "repeated weights must be grouped before partial fractions",
-                    condition="distinct weights",
-                )
-            # log G_l(s) = sum_j -m_j [log alpha_j + log(1 + (r_j/alpha_j) s)]
-            mj = m[others].astype(float)
-            ratio = r / alpha
-            g = np.array([
-                -np.sum(mj * (-1.0) ** (n + 1) * ratio**n / n)
-                for n in range(1, order)
-            ]) if order > 1 else np.zeros(0)
-            c0 = math.exp(-float(np.sum(mj * np.log(np.abs(alpha)))))
-            sign = -1.0 if np.sum(mj[alpha < 0]) % 2 == 1 else 1.0
-            c0 *= sign
-            coeffs_full = _exp_series(g, c0)
+        c0 = -math.exp(log_c0[l]) if odd[l] else math.exp(log_c0[l])
+        coeffs_full = _exp_series(g[l, :order - 1], c0)
         for k in range(1, order + 1):
             terms.append((float(w_l), int(k), float(coeffs_full[order - k])))
     return PartialFractionExpansion(tuple(terms))
@@ -314,13 +312,22 @@ def _ruben_poles(eff: EffectiveForm, beta: float):
     c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
     xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
     reps = xi[0::2].astype(float)
-    reps = reps[reps > 1e-9 * reps[0]]
-    # the bound is continuous in xi; break ties so the pole expansion is defined
-    for i in range(1, reps.size):
-        while np.any(np.abs(reps[:i] - reps[i]) < 1e-9 * reps[0]):
+    tie = 1e-9 * reps[0]
+    reps = reps[reps > tie]
+    # the bound is continuous in xi; break ties so the pole expansion is
+    # defined: shrink each pole until it is tie away from the earlier ones,
+    # whose nearest are its neighbours in the sorted list ``done``
+    done: list = []
+    for i in range(reps.size):
+        k = bisect.bisect(done, reps[i])
+        while ((k and reps[i] - done[k - 1] < tie)
+               or (k < len(done) and done[k] - reps[i] < tie)):
             reps[i] *= 1.0 - 1e-7
-    delta = [np.prod(a - np.delete(reps, i)) for i, a in enumerate(reps)]
-    return c0, reps, delta
+            k = bisect.bisect(done, reps[i])
+        done.insert(k, float(reps[i]))
+    diff = reps[:, None] - reps[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return c0, reps, np.prod(diff, axis=1)
 
 
 def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q):

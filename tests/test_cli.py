@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from quadform.cli import main
+import quadform as qf
+from quadform.cli import main, parse_document
 
 
 def run_cli(capsys, *args):
@@ -79,6 +80,39 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0
         assert abs(payload["value"] - 2 * math.log(2)) < 1e-7
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "reduced", "omega": [1.0], "nu": [2], "delta2": [0.0]},
+        {"kind": "reduced", "omega": [1.0, -0.6], "nu": [1, 3], "delta2": [0.5, 0.0]},
+    ])
+    def test_quantile_equals_library(self, capsys, tmp_path, doc):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "quantile", "--p", "0.3", str(path))
+        assert code == 0
+        assert json.loads(out)["value"] == qf.quantile(parse_document(doc), 0.3)
+
+    @pytest.mark.parametrize("method", ["imhof", "davies", "auto"])
+    def test_ratio_cdf_equals_library(self, capsys, tmp_path, method):
+        # F(3, 5): x'Ax / x'Bx with A, B disjoint scaled identities
+        a, b = np.diag([1 / 3] * 3 + [0.0] * 5), np.diag([0.0] * 3 + [0.2] * 5)
+        spec = qf.RatioSpec(a, b, np.zeros(8), np.eye(8))
+        path = tmp_path / "f35.json"
+        path.write_text(json.dumps({"kind": "ratio", "a": a.tolist(), "b": b.tolist(),
+                                    "mu": [0.0] * 8, "sigma_mat": np.eye(8).tolist()}))
+        code, out, _ = run_cli(capsys, "ratio-cdf", "--r", "1.3", "--method", method,
+                               str(path))
+        assert code == 0
+        res = qf.cdf_ratio(spec, 1.3, method=method)
+        payload = json.loads(out)
+        assert (payload["value"], payload["error_bound"], payload["method"]) == \
+            (res.value, res.error_bound, res.method)
+
+    def test_ratio_cdf_takes_every_cdf_method(self, capsys, docs):
+        code, out, _ = run_cli(capsys, "ratio-cdf", "--r", "0.3", "--method", "spa_lr",
+                               docs["beta.json"])
+        assert code == 0
+        assert json.loads(out)["method"] == "ratio_spa_lr"
 
     def test_ratio_moment(self, capsys, docs):
         code, out, _ = run_cli(capsys, "ratio-moment", "--p", "1", docs["beta.json"])

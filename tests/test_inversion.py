@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
 import quadform as qf
+from quadform import inversion, select
 from quadform.forms import DaviesParams, ImhofParams
 from quadform.inversion import cdf_auto_inversion
 from quadform.reference import sample_reduced
@@ -15,6 +17,8 @@ CHI21 = qf.ReducedForm([1.0], [1], [0.0])
 CHI22 = qf.ReducedForm([1.0], [2], [0.0])
 EX1 = qf.ReducedForm([2.0, -2.0], [1, 1], [0.125, 0.125], 2.0, 1.0)
 FAILURE_CASE = qf.ReducedForm([1.0, 0.6**4], [1, 1], [1.0, 7.0])
+# X1^2 - X2^2 = 2 U V with U, V independent N(0, 1): density K0(|q|/2) / (2 pi)
+LIGHT = qf.ReducedForm([1.0, -1.0], [1, 1], [0.0, 0.0])
 
 
 def best_effort(fn, *args, **kwargs):
@@ -225,3 +229,69 @@ class TestQuantile:
     def test_invalid_level(self):
         with pytest.raises(qf.InvalidInputError):
             qf.quantile(CHI22, 1.5)
+
+
+class TestRouter:
+    @pytest.mark.parametrize("red,cdf_route,pdf_route", [
+        (LIGHT, "imhof", "imhof"),
+        (qf.ReducedForm([1.0, -0.6], [1, 3], [0.5, 0.0]), "imhof", "imhof"),
+        (qf.ReducedForm([1.0, -0.6], [2, 4], [0.5, 0.0]), "imhof", "imhof"),
+        (qf.ReducedForm([2.0, 1.0, -0.5], [2, 4, 2], [0.0] * 3), "central_even",
+         "central_even"),
+        (qf.ReducedForm([1.2, 0.4], [3, 2], [0.0, 0.0]), "ruben", "ruben"),
+        (qf.ReducedForm([-1.0, -0.3], [2, 3], [0.4, 0.0]), "ruben", "ruben"),
+        (EX1, "davies", "spa"),
+        (qf.ReducedForm([1.0, 0.5], [2, 2], [0.0, 0.0], 1.0), "davies", "spa"),
+    ])
+    def test_route_at_the_mean(self, red, cdf_route, pdf_route):
+        mean = qf.cumulants(red, 1).get(1)
+        assert select.select_method(red, "cdf", mean) == cdf_route
+        assert select.select_method(red, "pdf", mean) == pdf_route
+
+    def test_central_even_indefinite_reroutes_to_imhof(self):
+        red = qf.ReducedForm([2.0, 1.0, -0.5], [2, 4, 2], [0.0] * 3)
+        for quantity in ("cdf", "pdf"):
+            assert select._generic_method(red, quantity, central_even=False) == "imhof"
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_light_dof_closed_form(self, quantity):
+        qs = np.array([-20.0, -3.0, -0.5, 0.0, 0.3, 2.0, 8.0])
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        with mp.workdps(30):
+            for q, res in zip(qs, fn(LIGHT, qs)):
+                a = mp.mpf(abs(q)) / 2
+                if quantity == "cdf":
+                    exact = mp.mpf(1) / 2 + mp.sign(q) * mp.quad(
+                        lambda s: mp.besselk(0, s), [0, a]) / mp.pi
+                    assert res.provenance == "rigorous"
+                    # a work ceiling (Davies spends 2^25 lattice points here)
+                    assert res.diagnostics["panels"] <= 2**19
+                elif q == 0.0:
+                    # the density is infinite at 0; the route claims no accuracy there
+                    assert math.isinf(res.error_bound)
+                    continue
+                else:
+                    exact = mp.besselk(0, a) / (2 * mp.pi)
+                assert res.method == "imhof"
+                assert abs(res.value - float(exact)) <= res.error_bound, q
+
+    def test_auto_leaf_falls_back_to_davies(self, monkeypatch):
+        def failing(name, bound):
+            def fn(red, q, tol):
+                raise qf.ConvergenceFailureError(
+                    name, result=qf.MethodResult(0.5, bound, name, "rigorous", {}))
+            return fn
+
+        red = qf.ReducedForm([1.0, -0.4], [3, 2], [0.2, 0.0])
+        monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-3))
+        assert cdf_auto_inversion(red, 0.7).method == "davies"
+        monkeypatch.setattr(inversion, "cdf_davies", failing("davies", 1e-2))
+        with pytest.raises(qf.ConvergenceFailureError, match="imhof"):
+            cdf_auto_inversion(red, 0.7)
+        monkeypatch.setattr(inversion, "cdf_davies", failing("davies", 1e-4))
+        with pytest.raises(qf.ConvergenceFailureError, match="davies"):
+            cdf_auto_inversion(red, 0.7)
+        # with a Gaussian term Davies alone runs
+        monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-9))
+        with pytest.raises(qf.ConvergenceFailureError, match="davies"):
+            cdf_auto_inversion(EX1, 0.7)

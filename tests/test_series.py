@@ -5,7 +5,9 @@ import pytest
 from scipy import integrate, stats
 
 import quadform as qf
-from quadform.series import _exp_series, _require_central_even
+from quadform.forms import EffectiveForm
+from quadform.series import (_exp_series, _require_central_even, _ruben_poles,
+                             default_beta)
 
 from conftest import make_rng
 
@@ -46,7 +48,41 @@ def _alt_partial_fractions(red):
     return out
 
 
+def _loop_partial_fractions(red):
+    """The pole-by-pole expansion that partial_fractions computes as one
+    (poles x poles) broadcast: the oracle for it."""
+    omega = red.omega
+    m = red.nu // 2
+    terms = []
+    for l, (w_l, m_l) in enumerate(zip(omega, m)):
+        others = [j for j in range(omega.size) if j != l]
+        order = int(m_l)
+        r = omega[others] / w_l
+        alpha = 1.0 - r
+        mj = m[others].astype(float)
+        ratio = r / alpha
+        g = np.array([-np.sum(mj * (-1.0) ** (n + 1) * ratio**n / n)
+                      for n in range(1, order)]) if order > 1 else np.zeros(0)
+        c0 = math.exp(-float(np.sum(mj * np.log(np.abs(alpha)))))
+        c0 *= -1.0 if np.sum(mj[alpha < 0]) % 2 == 1 else 1.0
+        coeffs_full = _exp_series(g, c0)
+        for k in range(1, order + 1):
+            terms.append((float(w_l), int(k), float(coeffs_full[order - k])))
+    return terms
+
+
 class TestPartialFractions:
+    @pytest.mark.parametrize("groups", [6, 50, 130])
+    def test_matches_loop(self, groups):
+        rng = make_rng(groups)
+        w = rng.uniform(0.2, 3.0, groups) * np.where(np.arange(groups) % 3 == 0, -1.0, 1.0)
+        red = qf.ReducedForm(w, rng.choice([2, 4, 6], groups), [0.0] * groups)
+        assert 6 in red.nu
+        new = qf.partial_fractions(red).terms
+        old = _loop_partial_fractions(red)
+        # the same sums over the same operands, so equal, not merely close
+        assert list(new) == old
+
     def test_single_power(self):
         pfe = qf.partial_fractions(qf.ReducedForm([1.0], [4], [0.0]))
         coeffs = {(w, k): a for w, k, a in pfe.terms}
@@ -225,7 +261,43 @@ class TestSeriesEvaluation:
             assert abs(a - b) < 1e-8
 
 
+def _loop_ruben_poles(eff, beta):
+    """_ruben_poles with a scan of every earlier pole per tie-break step and
+    one product per pole: the oracle for it."""
+    lam = eff.lam
+    c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
+    xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
+    reps = xi[0::2].astype(float)
+    reps = reps[reps > 1e-9 * reps[0]]
+    for i in range(1, reps.size):
+        while np.any(np.abs(reps[:i] - reps[i]) < 1e-9 * reps[0]):
+            reps[i] *= 1.0 - 1e-7
+    return c0, reps, [np.prod(a - np.delete(reps, i)) for i, a in enumerate(reps)]
+
+
 class TestTruncationBound:
+    @pytest.mark.parametrize("case", ["random", "cascade"])
+    def test_poles_match_loop(self, case):
+        if case == "random":
+            # nu = 4 groups give tied poles
+            red = qf.ReducedForm(make_rng(5).uniform(0.2, 3.0, 40), [2, 4] * 20, [0.0] * 40)
+            eff = red.effective()
+            beta = default_beta(eff, "ruben")
+        else:
+            # poles xi = 1 - beta/lam: a run of ties next to a pole half a
+            # shrink step away, which the shrunk ties pass
+            beta = 0.5
+            xi = [0.9] * 8 + [0.9 * (1 - 0.5e-7)] * 2 + [0.6] * 4 + [0.3, 0.2]
+            eff = EffectiveForm(beta / (1.0 - np.array(xi)), np.zeros(len(xi)), 0.0, 0.0)
+        c0, reps, delta = _ruben_poles(eff, beta)
+        c0_loop, reps_loop, delta_loop = _loop_ruben_poles(eff, beta)
+        assert c0 == c0_loop and np.array_equal(reps, reps_loop)
+        assert len(set(reps)) == reps.size
+        # the same factors with an exact 1 in place of the own pole; the
+        # product's order may differ, which moves it by at most n eps relative
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(delta - delta_loop) <= reps.size * eps * np.abs(delta_loop))
+
     def test_bound_vanishes_with_k(self):
         eff = qf.EffectiveForm([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         beta = 2.0 / 3.0
