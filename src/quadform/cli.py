@@ -308,14 +308,12 @@ def cmd_ratio_pdf(args) -> dict:
 
 def cmd_ratio_moment(args) -> dict:
     spec = _need_ratio(parse_document(_load(args.document)))
-    if args.method in ("auto", "series"):
-        res = ratio.ratio_moment_series(spec, args.p, j_max=args.max_terms,
-                                        tol=args.tol)
-    elif args.method == "integral":
+    if args.method == "integral":
         res = ratio.ratio_moment_integral(spec, args.p,
                                           quadrature_tol=args.quadrature_tol)
     else:
-        raise InvalidInputError("ratio-moment method must be series or integral")
+        res = ratio.ratio_moment_series(spec, args.p, j_max=args.max_terms,
+                                        tol=args.tol)
     out = _result_payload(res, args.tol)
     out["quantity"] = "ratio_moment"
     out["p"] = args.p

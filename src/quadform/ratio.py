@@ -8,8 +8,9 @@ Density: Butler's saddlepoint approximation
 f(r) ~= J_r(t0) M_{Q_r}(t0) / sqrt(2 pi K''_{Q_r}(t0)) with t0 the root
 of K'_{Q_r} = 0 and J_r the tilted mean of the denominator form.  One
 batched kernel evaluates it over an array of thresholds: a stacked
-eigendecomposition of A - rB and a vectorised safeguarded Newton solve
-of the saddlepoint equations.  The normalising mass comes from a
+eigendecomposition of A - rB, then the library's one K'(t) = y solver
+(transforms._solve_cgf_prime, a safeguarded Newton iteration) with one
+row of weights per threshold.  The normalising mass comes from a
 vectorised adaptive 21-point Gauss-Kronrod rule (QUADPACK's qk21) whose
 sweeps each evaluate all open panels in one kernel call; every density
 call or grid computes its own mass.
@@ -17,6 +18,8 @@ call or grid computes its own mass.
 Moments: two routes, an infinite series in powers of (I - beta B) and a
 one-dimensional integral (Laplace representation of the denominator
 power), both built on recursions for quadratic-form product moments.
+The integral runs on the same batched qk21 rule, with one stacked
+eigendecomposition per sweep.
 
 Series route, derived from the generating function below and validated
 against closed-form and Monte Carlo oracles:
@@ -46,7 +49,7 @@ import math
 import numpy as np
 from scipy import special
 
-from . import inversion, reduction, select
+from . import inversion, reduction, select, transforms
 from .errors import (
     ConvergenceFailureError,
     DegenerateConstantError,
@@ -133,9 +136,14 @@ def moment_exists(spec: RatioSpec, p: int) -> MomentExistence:
     space of B: P2'AP2 != 0 -> exists iff 2p < rank(B); else
     P1'AP2 != 0 -> exists iff p < rank(B); else exists.
     """
+    return _whitened_existence(spec, p)[0]
+
+
+def _whitened_existence(spec: RatioSpec, p: int):
+    """moment_exists(spec, p) and the whitened (a, b, mu) it decided on."""
     if p < 1:
         raise InvalidInputError("moment order p must be a positive integer")
-    a, b, _ = _whiten(spec)
+    a, b, mu = _whiten(spec)
     w, u = np.linalg.eigh(b)
     scale = float(np.max(np.abs(w), initial=0.0))
     if scale <= 0.0:
@@ -143,15 +151,29 @@ def moment_exists(spec: RatioSpec, p: int) -> MomentExistence:
     keep = w > RANK_TOL * scale
     r_b = int(keep.sum())
     if r_b == b.shape[0]:
-        return MomentExistence(True, "denominator positive definite", r_b)
+        return MomentExistence(True, "denominator positive definite", r_b), (a, b, mu)
     p1 = u[:, keep]
     p2 = u[:, ~keep]
     a_scale = max(float(np.linalg.norm(a, 2)), 1e-300)
     if float(np.linalg.norm(p2.T @ a @ p2, 2)) > RANK_TOL * a_scale:
-        return MomentExistence(2 * p < r_b, "numerator quadratic in null(B)", r_b)
-    if float(np.linalg.norm(p1.T @ a @ p2, 2)) > RANK_TOL * a_scale:
-        return MomentExistence(p < r_b, "numerator linear in null(B)", r_b)
-    return MomentExistence(True, "numerator avoids null(B)", r_b)
+        exist = MomentExistence(2 * p < r_b, "numerator quadratic in null(B)", r_b)
+    elif float(np.linalg.norm(p1.T @ a @ p2, 2)) > RANK_TOL * a_scale:
+        exist = MomentExistence(p < r_b, "numerator linear in null(B)", r_b)
+    else:
+        exist = MomentExistence(True, "numerator avoids null(B)", r_b)
+    return exist, (a, b, mu)
+
+
+def _moment_prologue(spec: RatioSpec, p: int):
+    """The whitened (a, b, mu) of both moment routes; NotApplicableError
+    when E[R^p] does not exist."""
+    exist, whitened = _whitened_existence(spec, p)
+    if not exist.exists:
+        raise NotApplicableError(
+            f"E[R^{p}] does not exist ({exist.condition}, rank {exist.r_b})",
+            condition="moment existence",
+        )
+    return whitened
 
 
 def _product_moment_coeffs(a1, a2, mu, p, j_hi, mu_scales=None):
@@ -218,15 +240,7 @@ def ratio_moment_series(spec: RatioSpec, p: int, beta: float | None = None,
     admissible interval.  Truncation stops when a geometric remainder
     estimate from the trailing term ratios falls below tol.
     """
-    if p < 1:
-        raise InvalidInputError("moment order p must be a positive integer")
-    a, b, mu = _whiten(spec)
-    exist = moment_exists(spec, p)
-    if not exist.exists:
-        raise NotApplicableError(
-            f"E[R^{p}] does not exist ({exist.condition}, rank {exist.r_b})",
-            condition="moment existence",
-        )
+    a, b, mu = _moment_prologue(spec, p)
     n = a.shape[0]
     b_eigs = np.linalg.eigvalsh(b)
     b_max = float(b_eigs.max())
@@ -303,23 +317,23 @@ def ratio_moment_series(spec: RatioSpec, p: int, beta: float | None = None,
         j_hi = min(2 * j_hi, j_max)
 
 
-def _inner_moment_scalar(lam, means, p):
-    """d_p = E[(w'Cw)^p] / (2^p p!) for w ~ N(means, I), C = diag(lam).
+def _inner_moments(lam, means, p):
+    """d_p = E[(w'Cw)^p] / (2^p p!) for w ~ N(means, I), C = diag(lam), one
+    value per row of lam and means.
 
     Recursion: u_{n,k} = lam_n (d_{k-1} + u_{n,k-1}),
     v_{n,k} = lam_n v_{n,k-1} + means_n^2 u_{n,k},
     d_k = sum_n (u_{n,k} + v_{n,k}) / (2k).
     """
     h2 = means**2
-    d = np.zeros(p + 1)
-    d[0] = 1.0
+    d = np.ones(lam.shape[0])
     u = np.zeros_like(lam)
     v = np.zeros_like(lam)
     for k in range(1, p + 1):
-        u = lam * (d[k - 1] + u)
+        u = lam * (d[:, None] + u)
         v = lam * v + h2 * u
-        d[k] = float(np.sum(u + v)) / (2.0 * k)
-    return d[p]
+        d = np.sum(u + v, axis=1) / (2.0 * k)
+    return d
 
 
 def ratio_moment_integral(spec: RatioSpec, p: int,
@@ -328,43 +342,42 @@ def ratio_moment_integral(spec: RatioSpec, p: int,
 
     phi(t) = |I + 2tB|^{-1/2} exp( (1/2) mu'[(I+2tB)^{-1} - I] mu ),
     C = L A L with L = (I + 2tB)^{-1/2}, w ~ N(L mu, I); the inner
-    product moment uses the per-t eigendecomposition of C.  The integral
-    is mapped onto (0, 1) by t = s/(1-s) and evaluated adaptively.
+    product moment uses the eigendecomposition of C at each t.
+
+    The integral is mapped onto (0, 1) by t = (s/(1-s))^2.  At infinity
+    the integrand is a series in powers of t^(-1/2) = (1-s)/s, so in s it
+    is smooth up to s = 1.  (Under t = s/(1-s) half-integer powers of
+    (1 - s) remain: an odd rank of B leaves an infinite derivative at
+    s = 1, and rank 1 an integrable infinity that bisection cannot
+    resolve.)  It is evaluated by the same vectorised adaptive 21-point
+    Gauss-Kronrod rule (QUADPACK's qk21) that normalises the saddlepoint
+    density: each sweep evaluates all new panels with one stacked
+    eigendecomposition of C.
     """
-    if p < 1:
-        raise InvalidInputError("moment order p must be a positive integer")
-    a, b, mu = _whiten(spec)
-    exist = moment_exists(spec, p)
-    if not exist.exists:
-        raise NotApplicableError(
-            f"E[R^{p}] does not exist ({exist.condition}, rank {exist.r_b})",
-            condition="moment existence",
-        )
+    a, b, mu = _moment_prologue(spec, p)
     wb, ub = np.linalg.eigh(b)
     wb = np.clip(wb, 0.0, None)
     a_rot = ub.T @ a @ ub
     mu_rot = ub.T @ mu
-    lgp = math.lgamma(p)
+    log_const = p * math.log(2.0) + math.lgamma(p + 1.0) - math.lgamma(p)
 
-    def integrand(s: float) -> float:
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
-        t = s / (1.0 - s)
-        inv_sqrt = 1.0 / np.sqrt(1.0 + 2.0 * t * wb)
-        c = (inv_sqrt[:, None] * a_rot) * inv_sqrt[None, :]
+    def nodes(s):
+        x = s / (1.0 - s)
+        t = x * x
+        tw = 2.0 * t[:, None] * wb
+        inv_sqrt = 1.0 / np.sqrt(1.0 + tw)
+        c = (inv_sqrt[:, :, None] * a_rot) * inv_sqrt[:, None, :]
         lam, q_eig = np.linalg.eigh(c)
-        means = q_eig.T @ (inv_sqrt * mu_rot)
-        d_p = _inner_moment_scalar(lam, means, p)
-        log_phi = -0.5 * float(np.sum(np.log1p(2.0 * t * wb))) - 0.5 * float(
-            np.sum((1.0 - inv_sqrt**2) * mu_rot**2)
-        )
-        val = math.exp((p - 1.0) * math.log(t) + log_phi - lgp
-                       + p * math.log(2.0) + math.lgamma(p + 1.0)) * d_p
-        return val / (1.0 - s) ** 2
+        means = (np.swapaxes(q_eig, 1, 2) @ (inv_sqrt * mu_rot)[:, :, None])[:, :, 0]
+        log_phi = (-0.5 * np.sum(np.log1p(tw), axis=1)
+                   - 0.5 * np.sum((1.0 - inv_sqrt**2) * mu_rot**2, axis=1))
+        val = np.exp((p - 1.0) * np.log(t) + log_phi + log_const)
+        return val * _inner_moments(lam, means, p) * 2.0 * x / (1.0 - s) ** 2
 
-    from scipy import integrate  # loaded only by the moment integral
+    def integrand(s):
+        return np.concatenate([nodes(s[i:i + _CHUNK]) for i in range(0, s.size, _CHUNK)])
 
-    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=quadrature_tol,
+    val, err = _gauss_kronrod(integrand, [0.0, 1.0], epsabs=quadrature_tol,
                               epsrel=quadrature_tol, limit=500)
     if not math.isfinite(val) or err > max(quadrature_tol, 1e-6 * abs(val)) * 100:
         res = MethodResult(val, float(err), "magnus_integral", "heuristic",
@@ -404,42 +417,9 @@ _GK_X = np.concatenate([-_XGK[:10], _XGK[::-1]])
 _GK_W = np.concatenate([_WGK[:10], _WGK[::-1]])
 _G_W = np.concatenate([_WG, _WG[::-1]])
 
-_CHUNK = 256          # thresholds per stacked eigendecomposition; bounds peak memory
-_NEWTON_MAX = 200
+_CHUNK = 256          # matrices per stacked eigendecomposition; bounds peak memory
 _MASS_LIMIT = 300     # panels of the normalising quadrature
 _OK, _VANISHES, _OUTSIDE = 0, 1, 2
-
-
-def _saddlepoint_roots(w, d2):
-    """Root of K'(t) = sum w (1/g + d2/g^2), g = 1 - 2 w t, for every row.
-
-    Each row needs a positive and a negative weight, so the root lies in
-    the open MGF strip (1/(2 min w), 1/(2 max w)), where K' is
-    increasing.  Newton steps that leave the shrinking bracket are
-    replaced by bisection; a row stops once its step is at rounding level
-    in t relative to the strip width, and is then left untouched, so a
-    row's root does not depend on the other rows of the batch.
-    """
-    lo = 0.5 / np.min(w, axis=1)
-    hi = 0.5 / np.max(w, axis=1)
-    t_tol = 4.0 * np.finfo(float).eps * np.minimum(-lo, hi)
-    t = np.zeros(w.shape[0])
-    active = np.arange(w.shape[0])
-    for _ in range(_NEWTON_MAX):
-        if active.size == 0:
-            break
-        ww, dd, tt = w[active], d2[active], t[active]
-        g = 1.0 / (1.0 - 2.0 * ww * tt[:, None])
-        k1 = np.sum(ww * g * (1.0 + dd * g), axis=1)
-        k2 = 2.0 * np.sum((ww * g) ** 2 * (1.0 + 2.0 * dd * g), axis=1)
-        lo_a = np.where(k1 < 0.0, tt, lo[active])
-        hi_a = np.where(k1 > 0.0, tt, hi[active])
-        newton = tt - k1 / k2
-        t_new = np.where((newton > lo_a) & (newton < hi_a), newton, 0.5 * (lo_a + hi_a))
-        t_new = np.where(k1 == 0.0, tt, t_new)
-        lo[active], hi[active], t[active] = lo_a, hi_a, t_new
-        active = active[np.abs(t_new - tt) > t_tol[active]]
-    return t
 
 
 def _butler_chunk(a, b, mu, r):
@@ -461,7 +441,9 @@ def _butler_chunk(a, b, mu, r):
     j_r = np.full(r.size, math.nan)
     if np.any(ok):
         w, d2, lam, delta, h_mat = w[ok], d2[ok], lam[ok], delta[ok], h_mat[ok]
-        t = _saddlepoint_roots(w, d2)
+        # K'_{Q_r}(t) = 0 on the strip (1/(2 min w), 1/(2 max w)), which holds 0
+        t = transforms._solve_cgf_prime(w, 1.0, d2, np.zeros(w.shape[0]),
+                                        0.5 / np.min(w, axis=1), 0.5 / np.max(w, axis=1))
         g = 1.0 - 2.0 * w * t[:, None]
         k0 = np.sum(-0.5 * np.log(g) + t[:, None] * d2 * w / g, axis=1)
         k2 = 2.0 * np.sum(w**2 * (1.0 / g**2 + 2.0 * d2 / g**3), axis=1)

@@ -182,12 +182,12 @@ def _cgf_prime_root(red: ReducedForm, y):
 
     A scalar y returns the root as a float, or None when y is outside the
     range of K'; an array returns one root per target, nan where none
-    exists.  K'' > 0, so K' is increasing on the MGF strip, and a Newton
-    iteration that keeps a bracket [lo, hi] around the root and falls back
-    to bisection converges from t = 0 for every target in the range.
+    exists.
     """
     ys = np.asarray(y, dtype=float)
-    roots = _solve_cgf_prime(red, np.atleast_1d(ys))
+    dom = mgf_domain(red)
+    roots = _solve_cgf_prime(red.omega, red.nu, red.delta2, np.atleast_1d(ys),
+                             dom.t_left, dom.t_right, red.sigma_gauss**2, red.const)
     if ys.ndim == 0:
         return None if math.isnan(roots[0]) else float(roots[0])
     return roots
@@ -197,40 +197,48 @@ _NEWTON_MAX = 200
 _EPS = np.finfo(float).eps
 
 
-def _solve_cgf_prime(red: ReducedForm, y: np.ndarray) -> np.ndarray:
-    dom = mgf_domain(red)
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    s2, c = red.sigma_gauss**2, red.const
+def _solve_cgf_prime(w, nu, d2, y: np.ndarray, t_lo, t_hi, s2: float = 0.0,
+                     c: float = 0.0) -> np.ndarray:
+    """Root of K'(t) = sum w (nu + d2 / g) / g + s2 t + c = y, g = 1 - 2 w t,
+    for every row: one target y, one MGF strip (t_lo, t_hi) and one row of
+    weights (w, nu, d2) each.  A single row of weights is shared by all
+    targets; s2 and c are common to all rows.
+
+    Returns nan where y is outside the range of K'.  K'' > 0, so K' is
+    increasing on the strip, and a Newton iteration that keeps a bracket
+    [lo, hi] around the root and falls back to bisection converges from
+    t = 0 for every target in the range.  A row stops on its own test and
+    is then left untouched, so its root does not depend on the other rows.
+    """
+    lo = np.broadcast_to(t_lo, y.shape)
+    hi = np.broadcast_to(t_hi, y.shape)
     # K' tends to +-inf at a finite strip end or with a Gaussian term, and to
-    # const (the support edge) at an infinite end without one
+    # c (the support edge) at an infinite end without one
     has_root = np.isfinite(y)
     if s2 == 0.0:
-        if math.isinf(dom.t_right):
-            has_root &= y < c
-        if math.isinf(dom.t_left):
-            has_root &= y > c
+        has_root &= (np.isfinite(hi) | (y < c)) & (np.isfinite(lo) | (y > c))
     # K'(t) - y = sum inv (wnu + wd2 inv) + s2 t + c - y and
     # K''(t) = sum inv^2 (w2nu + w2d2 inv) + s2, with inv = 1 / (1 - 2 w t)
     coef = (2.0 * w, w * nu, w * d2, 2.0 * w * w * nu, 4.0 * w * w * d2)
     # rounding floor of K' near t = 0, where a relative step test cannot end
-    noise = 4.0 * _EPS * (float(np.sum(np.abs(w) * (nu + d2))) + abs(c) + np.abs(y))
+    noise = 4.0 * _EPS * (_sum(np.abs(w) * (nu + d2), axis=-1) + abs(c) + np.abs(y))
     out = np.full(y.shape, math.nan)
     if y.size == 1:
         # a batch of one runs on floats: the array loop's bookkeeping would
         # cost more than the sums
         if has_root[0]:
-            out[0] = _newton_one(coef, s2, c, float(y[0]), dom, float(noise[0]))
+            out[0] = _newton_one([x.reshape(-1) for x in coef], s2, c, float(y[0]),
+                                 float(lo[0]), float(hi[0]), float(noise[0]))
         return out
     idx = np.flatnonzero(has_root)
-    y, noise = y[idx], noise[idx]
+    y, lo, hi, noise = y[idx], lo[idx], hi[idx], noise[idx]
+    coef = [_rows(x, idx) for x in coef]
     t = np.zeros(idx.size)
-    lo = np.full(idx.size, dom.t_left)
-    hi = np.full(idx.size, dom.t_right)
-    w2, wnu, wd2, w2nu, w2d2 = coef
     for _ in range(_NEWTON_MAX):
         if idx.size == 0:
             break
-        inv = 1.0 / (1.0 - np.multiply.outer(t, w2))
+        w2, wnu, wd2, w2nu, w2d2 = coef
+        inv = 1.0 / (1.0 - t[:, None] * w2)
         f = _sum(inv * (wnu + wd2 * inv), axis=-1) + s2 * t + c - y
         kpp = _sum(inv * inv * (w2nu + w2d2 * inv), axis=-1) + s2
         lo = np.where(f < 0.0, t, lo)
@@ -244,16 +252,22 @@ def _solve_cgf_prime(red: ReducedForm, y: np.ndarray) -> np.ndarray:
             keep = ~done
             idx, y, t, lo, hi, noise = (idx[keep], y[keep], t_new[keep], lo[keep],
                                         hi[keep], noise[keep])
+            coef = [_rows(x, keep) for x in coef]
         else:
             t = t_new
     return out
 
 
-def _newton_one(coef, s2: float, c: float, y: float, dom: MgfDomain,
+def _rows(x: np.ndarray, sel) -> np.ndarray:
+    """The rows sel of a coefficient array; one shared row (1-D) stays."""
+    return x if x.ndim == 1 else x[sel]
+
+
+def _newton_one(coef, s2: float, c: float, y: float, lo: float, hi: float,
                 noise: float) -> float:
     """The iteration of _solve_cgf_prime for one target, in float arithmetic."""
     w2, wnu, wd2, w2nu, w2d2 = coef
-    t, lo, hi = 0.0, dom.t_left, dom.t_right
+    t = 0.0
     for _ in range(_NEWTON_MAX):
         inv = 1.0 / (1.0 - t * w2)
         f = float(_sum(inv * (wnu + wd2 * inv))) + s2 * t + c - y
@@ -292,7 +306,7 @@ def chernoff_log_tail(red: ReducedForm, y, side: str):
     solve = ~outside & ~vacuous
     if solve.any():
         y_s = yy[solve]
-        t = _solve_cgf_prime(red, y_s)
+        t = _cgf_prime_root(red, y_s)
         miss = np.isnan(t)
         if miss.any():
             dom = mgf_domain(red)

@@ -140,16 +140,20 @@ class TestRootSolver:
     SPREAD = qf.ReducedForm([100.0, 0.01, 1.0], [1, 2, 1], [0.5, 0.0, 1.0], 0.0, 0.2)
     NEGATIVE = qf.ReducedForm([-3.0, -0.01], [2, 1], [0.0, 0.7], 0.0, 1.0)
 
-    @pytest.mark.parametrize("red", [SPREAD, NEGATIVE, FORMS["indefinite"],
-                                     FORMS["gaussian"]])
-    def test_matches_mpmath(self, red):
+    @staticmethod
+    def _targets(red):
         ks = qf.cumulants(red, 2)
         mean, sd = ks.get(1), math.sqrt(ks.get(2))
         ys = [mean + z * sd for z in (-3.0, -0.5, 0.01, 1.0, 6.0, 40.0)]
         lo, hi = transforms.support(red)
         ys += [lo + 1e-6 * sd] if math.isfinite(lo) else []
         ys += [hi - 1e-6 * sd] if math.isfinite(hi) else []
-        ys = [y for y in ys if lo < y < hi]
+        return [y for y in ys if lo < y < hi]
+
+    @pytest.mark.parametrize("red", [SPREAD, NEGATIVE, FORMS["indefinite"],
+                                     FORMS["gaussian"]])
+    def test_matches_mpmath(self, red):
+        ys = self._targets(red)
         roots = transforms._cgf_prime_root(red, np.array(ys))
         scale = float(np.sum(np.abs(red.omega) * (red.nu + red.delta2))) + abs(red.const)
         with mp.workdps(30):
@@ -160,6 +164,20 @@ class TestRootSolver:
                 floor = 16 * EPS * (abs(y) + scale) / _kprime_mp(red, ref, 2)
                 assert abs(t - ref) <= 1e-12 * abs(ref) + floor, (y, t, ref)
                 assert transforms._cgf_prime_root(red, y) == t
+        # a stacked call: one row of weights, target and MGF strip per row,
+        # from this form and from its weights doubled
+        twice = qf.ReducedForm(2.0 * red.omega, red.nu, red.delta2, red.sigma_gauss,
+                               red.const)
+        rows = [(form, y) for form in (red, twice) for y in self._targets(form)]
+        doms = [transforms.mgf_domain(form) for form, _ in rows]
+        stacked = transforms._solve_cgf_prime(
+            np.array([form.omega for form, _ in rows]),
+            np.array([form.nu for form, _ in rows]),
+            np.array([form.delta2 for form, _ in rows]), np.array([y for _, y in rows]),
+            np.array([d.t_left for d in doms]), np.array([d.t_right for d in doms]),
+            red.sigma_gauss**2, red.const)
+        for (form, y), t in zip(rows, stacked):
+            assert transforms._cgf_prime_root(form, y) == t
 
     def test_outside_the_range_of_kprime(self):
         for red, outside in ((self.SPREAD, [0.2, -1.0]), (self.NEGATIVE, [1.0, 5.0])):
@@ -261,14 +279,19 @@ class TestCentralEvenBound:
 def test_grid_does_not_import_scipy_stats(tmp_path):
     path = _write(tmp_path, "form.json", {"kind": "reduced", "omega": [1.0, 0.5, -0.3],
                                           "nu": [2, 3, 1], "delta2": [0.2, 0.0, 0.0]})
+    ratio_path = _write(tmp_path, "ratio.json", {"kind": "ratio", "a": [[1, 0], [0, 0]],
+                                                 "b": [[1, 0], [0, 1]], "mu": [0, 0],
+                                                 "sigma_mat": [[1, 0], [0, 1]]})
     code = (
         "import sys, io, contextlib\n"
         "from quadform import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['cdf', '--grid=-3:9:5', {path!r}]) == 0\n"
         f"    assert cli.main(['pdf', '--grid=-3:9:5', {path!r}]) == 0\n"
+        "    assert cli.main(['ratio-moment', '--p', '1', '--ratio-method', 'integral', "
+        f"{ratio_path!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'stats'], ['scipy', 'signal'])))\n"
+        "(['scipy', 'stats'], ['scipy', 'signal'], ['scipy', 'integrate'])))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -114,11 +114,15 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["method"] == "ratio_spa_lr"
 
-    def test_ratio_moment(self, capsys, docs):
-        code, out, _ = run_cli(capsys, "ratio-moment", "--p", "1", docs["beta.json"])
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_ratio_moment(self, capsys, docs, method):
+        code, out, _ = run_cli(capsys, "ratio-moment", "--p", "1", "--ratio-method",
+                               method, docs["beta.json"])
         payload = json.loads(out)
         assert code == 0
         assert abs(payload["value"] - 0.5) < 1e-8
+        assert payload["method"] == {"series": "bao_kan_series",
+                                     "integral": "magnus_integral"}[method]
 
     def test_ratio_pdf_grid(self, capsys, docs):
         code, out, _ = run_cli(capsys, "ratio-pdf", "--grid", "0.1:0.9:5",
@@ -211,6 +215,13 @@ class TestExitCodes:
             main([*argv, docs["chisq2.json"]])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unknown_ratio_method(self, capsys, docs):
+        with pytest.raises(SystemExit) as exc:
+            main(["ratio-moment", "--p", "1", "--ratio-method", "laplace",
+                  docs["beta.json"]])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "cdf", "--q", "1", "/nonexistent.json")

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 import quadform as qf
-from quadform import approx, ratio, reduction
+from quadform import approx, ratio, reduction, transforms
 from quadform.forms import EffectiveForm
 
 
@@ -170,21 +170,56 @@ def _random_ratio(rng, n, rank_deficit, noncentral):
     return a, b, mu
 
 
+def _butler_battery(rank_deficit, noncentral):
+    """(a, b, mu, grid) for n from 2 to 30: seven thresholds inside the
+    support of the ratio and one beyond each end."""
+    rng = np.random.default_rng(40 + 2 * rank_deficit + int(noncentral))
+    for n in (2, 3, 5, 8, 13, 21, 30):
+        if n - rank_deficit < 1:
+            continue
+        a, b, mu = _random_ratio(rng, n, rank_deficit, noncentral)
+        bw, bv = np.linalg.eigh(b)
+        keep = bw > 1e-10 * bw.max()
+        half = bv[:, keep] / np.sqrt(bw[keep])
+        gen = np.linalg.eigvalsh(half.T @ a @ half)
+        grid = np.concatenate([np.linspace(gen[0], gen[-1], 9)[1:-1],
+                               [gen[0] - 1.0, gen[-1] + 1.0]])
+        yield a, b, mu, grid
+
+
+def _old_saddlepoint_roots(w, d2):
+    """The Butler kernel's own K'(t) = 0 solver that the shared
+    transforms._solve_cgf_prime replaced: Newton steps that leave the
+    shrinking bracket are replaced by bisection, and a row stops once its
+    step is at rounding level relative to the strip width."""
+    lo = 0.5 / np.min(w, axis=1)
+    hi = 0.5 / np.max(w, axis=1)
+    t_tol = 4.0 * np.finfo(float).eps * np.minimum(-lo, hi)
+    t = np.zeros(w.shape[0])
+    active = np.arange(w.shape[0])
+    for _ in range(200):
+        if active.size == 0:
+            break
+        ww, dd, tt = w[active], d2[active], t[active]
+        g = 1.0 / (1.0 - 2.0 * ww * tt[:, None])
+        k1 = np.sum(ww * g * (1.0 + dd * g), axis=1)
+        k2 = 2.0 * np.sum((ww * g) ** 2 * (1.0 + 2.0 * dd * g), axis=1)
+        lo_a = np.where(k1 < 0.0, tt, lo[active])
+        hi_a = np.where(k1 > 0.0, tt, hi[active])
+        newton = tt - k1 / k2
+        t_new = np.where((newton > lo_a) & (newton < hi_a), newton, 0.5 * (lo_a + hi_a))
+        t_new = np.where(k1 == 0.0, tt, t_new)
+        lo[active], hi[active], t[active] = lo_a, hi_a, t_new
+        active = active[np.abs(t_new - tt) > t_tol[active]]
+    return t
+
+
 class TestButlerKernel:
     @pytest.mark.parametrize("rank_deficit", [0, 2])
     @pytest.mark.parametrize("noncentral", [False, True])
     def test_matches_scalar_path(self, rank_deficit, noncentral):
-        rng = np.random.default_rng(40 + 2 * rank_deficit + int(noncentral))
-        for n in (2, 3, 5, 8, 13, 21, 30):
-            if n - rank_deficit < 1:
-                continue
-            a, b, mu = _random_ratio(rng, n, rank_deficit, noncentral)
-            bw, bv = np.linalg.eigh(b)
-            keep = bw > 1e-10 * bw.max()
-            half = bv[:, keep] / np.sqrt(bw[keep])
-            gen = np.linalg.eigvalsh(half.T @ a @ half)
-            grid = np.concatenate([np.linspace(gen[0], gen[-1], 9)[1:-1],
-                                   [gen[0] - 1.0, gen[-1] + 1.0]])
+        for a, b, mu, grid in _butler_battery(rank_deficit, noncentral):
+            n = a.shape[0]
             value, t0, j_r, status = ratio._butler_kernel(a, b, mu, grid)
             for i, r in enumerate(grid):
                 try:
@@ -199,6 +234,23 @@ class TestButlerKernel:
                 assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), (n, r)
                 assert abs(got[1] - want[1]) <= 1e-12 * max(abs(want[1]), 1e-300)
                 assert abs(got[2] - want[2]) <= 1e-12 * abs(want[2])
+
+    @pytest.mark.parametrize("rank_deficit", [0, 2])
+    @pytest.mark.parametrize("noncentral", [False, True])
+    def test_matches_old_roots(self, monkeypatch, rank_deficit, noncentral):
+        for a, b, mu, grid in _butler_battery(rank_deficit, noncentral):
+            got = ratio._butler_kernel(a, b, mu, grid)
+            got_mass = ratio._spa_mass(a, b, mu)
+            with monkeypatch.context() as m:
+                m.setattr(transforms, "_solve_cgf_prime",
+                          lambda w, nu, d2, y, lo, hi: _old_saddlepoint_roots(w, d2))
+                want = ratio._butler_kernel(a, b, mu, grid)
+                want_mass = ratio._spa_mass(a, b, mu)
+            assert np.array_equal(got[3], want[3])
+            ok = got[3] == ratio._OK
+            for g, w in zip(got[:3], want[:3]):
+                assert np.all(np.abs(g[ok] - w[ok]) <= 1e-12 * np.abs(w[ok])), a.shape
+            assert abs(got_mass - want_mass) <= 1e-12 * want_mass
 
     def test_outside_support(self):
         a, b, mu = ratio._whiten(f_ratio_spec())
@@ -297,7 +349,88 @@ class TestMomentExistence:
                     assert not flags[i]
 
 
+def _inner_moment_scalar(lam, means, p):
+    """d_p = E[(w'Cw)^p] / (2^p p!) for w ~ N(means, I), C = diag(lam)."""
+    h2 = means**2
+    d = np.zeros(p + 1)
+    d[0] = 1.0
+    u = np.zeros_like(lam)
+    v = np.zeros_like(lam)
+    for k in range(1, p + 1):
+        u = lam * (d[k - 1] + u)
+        v = lam * v + h2 * u
+        d[k] = float(np.sum(u + v)) / (2.0 * k)
+    return d[p]
+
+
+def _quad_moment_integral(spec, p, quadrature_tol=1e-10):
+    """The moment integral that the batched Gauss-Kronrod rule replaced: a
+    scalar integrand with one eigendecomposition per node, integrated by
+    scipy.integrate.quad.  Returns (value, error estimate)."""
+    if p < 1:
+        raise qf.InvalidInputError("moment order p must be a positive integer")
+    a, b, mu = ratio._whiten(spec)
+    if not qf.moment_exists(spec, p).exists:
+        raise qf.NotApplicableError("moment does not exist")
+    wb, ub = np.linalg.eigh(b)
+    wb = np.clip(wb, 0.0, None)
+    a_rot = ub.T @ a @ ub
+    mu_rot = ub.T @ mu
+    lgp = math.lgamma(p)
+
+    def integrand(s):
+        if s <= 0.0 or s >= 1.0:
+            return 0.0
+        t = s / (1.0 - s)
+        inv_sqrt = 1.0 / np.sqrt(1.0 + 2.0 * t * wb)
+        c = (inv_sqrt[:, None] * a_rot) * inv_sqrt[None, :]
+        lam, q_eig = np.linalg.eigh(c)
+        means = q_eig.T @ (inv_sqrt * mu_rot)
+        d_p = _inner_moment_scalar(lam, means, p)
+        log_phi = -0.5 * float(np.sum(np.log1p(2.0 * t * wb))) - 0.5 * float(
+            np.sum((1.0 - inv_sqrt**2) * mu_rot**2)
+        )
+        val = math.exp((p - 1.0) * math.log(t) + log_phi - lgp
+                       + p * math.log(2.0) + math.lgamma(p + 1.0)) * d_p
+        return val / (1.0 - s) ** 2
+
+    return integrate.quad(integrand, 0.0, 1.0, epsabs=quadrature_tol,
+                          epsrel=quadrature_tol, limit=500)
+
+
+# rank(B) = 4 and A linear in null(B): E[R^p] exists for p < 4
+LINEAR_NULL_B = qf.RatioSpec(
+    [[0.6, 0.2, -0.1, 0.3, 0.5, 0.0], [0.2, -0.4, 0.2, 0.0, 0.0, 0.7],
+     [-0.1, 0.2, 0.9, -0.3, 0.4, 0.0], [0.3, 0.0, -0.3, 0.2, 0.0, 0.2],
+     [0.5, 0.0, 0.4, 0.0, 0.0, 0.0], [0.0, 0.7, 0.0, 0.2, 0.0, 0.0]],
+    np.diag([1.0, 0.6, 0.3, 0.8, 0.0, 0.0]), [0.2, -0.3, 0.0, 0.4, 0.5, -0.1], np.eye(6),
+)
+
+
+def _moment_oracle_specs():
+    rng = np.random.default_rng(71)
+    specs = [BETA_HALF, LINEAR_NULL_B]
+    for n in (2, 3, 5, 8, 13, 21, 34):
+        specs += [random_pd_ratio(rng, n), random_pd_ratio(rng, n, noncentral=True)]
+    return specs
+
+
 class TestMoments:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_integral_matches_quad_oracle(self, p):
+        for spec in _moment_oracle_specs():
+            # at the default tolerance QAGS itself is off by up to 4e-12
+            # relative on these forms; at 1e-13 it is the sharper reference
+            want, _ = _quad_moment_integral(spec, p, quadrature_tol=1e-13)
+            got = qf.ratio_moment_integral(spec, p)
+            assert abs(got.value - want) <= 1e-12 * abs(want), (spec.dim, p)
+        with pytest.raises(qf.NotApplicableError):
+            _quad_moment_integral(SINGULAR_B, p)
+        for route in (qf.ratio_moment_integral, qf.ratio_moment_series):
+            with pytest.raises(qf.NotApplicableError):
+                route(SINGULAR_B, p)
+
+
     def test_beta_half_series(self):
         assert abs(qf.ratio_moment_series(BETA_HALF, 1, tol=1e-10).value - 0.5) < 1e-9
         assert abs(qf.ratio_moment_series(BETA_HALF, 2, tol=1e-10).value - 0.375) < 1e-9
@@ -311,6 +444,14 @@ class TestMoments:
         for p in (1, 2, 3):
             assert abs(qf.ratio_moment_series(spec, p).value - 1.0) < 1e-10
             assert abs(qf.ratio_moment_integral(spec, p).value - 1.0) < 1e-8
+
+    def test_rank_one_denominator(self):
+        # R = 2x^2 / (x^2 / 2) = 4; the moment integrand has its slowest
+        # decay in t here, which the quadrature map has to absorb
+        spec = qf.RatioSpec([[2.0]], [[0.5]], [0.7], [[1.0]])
+        for p in (1, 2, 3):
+            for route in (qf.ratio_moment_series, qf.ratio_moment_integral):
+                assert abs(route(spec, p).value - 4.0**p) <= 1e-12 * 4.0**p
 
     def test_nonexistent_moment_rejected(self):
         with pytest.raises(qf.NotApplicableError):
