@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -166,14 +167,24 @@ def _load(path: str) -> dict:
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _apply_doc_defaults(args, doc: dict, default_method: str = "auto") -> None:
-    """Documents may carry their own method/tol; explicit flags win."""
-    if getattr(args, "method", None) == default_method and "method" in doc:
-        if doc["method"] not in select.CDF_METHODS:
-            raise InvalidInputError(f"unknown document method {doc['method']!r}")
-        args.method = doc["method"]
-    if getattr(args, "tol", None) == 1e-8 and "tol" in doc:
-        args.tol = float(doc["tol"])
+def _load_form(args):
+    """The form of ``args.document``.  Documents may carry their own
+    method/tol; explicit flags win (an unset flag is None).  The tol, from
+    either, must be finite and positive."""
+    doc = _load(args.document)
+    form = parse_document(doc)
+    if getattr(args, "method", "") is None:
+        args.method = doc.get("method", "auto")
+        if args.method not in select.CDF_METHODS:
+            raise InvalidInputError(f"unknown document method {args.method!r}")
+    tol = doc.get("tol", 1e-8) if args.tol is None else args.tol
+    try:
+        args.tol = float(tol)
+    except (TypeError, ValueError):
+        args.tol = math.nan
+    if not 0.0 < args.tol < math.inf:
+        raise InvalidInputError(f"tol must be a finite positive number, not {tol!r}")
+    return form
 
 
 def cmd_reduce(args) -> dict:
@@ -202,10 +213,7 @@ def cmd_reduce(args) -> dict:
 
 
 def cmd_cdf(args, quantity="cdf") -> dict:
-    doc = _load(args.document)
-    _apply_doc_defaults(args, doc)
-    form = parse_document(doc)
-    red = _to_reduced(form)
+    red = _to_reduced(_load_form(args))
     fn = select.cdf if quantity == "cdf" else select.pdf
     if args.grid is not None:
         grid = _parse_grid(args.grid)
@@ -224,9 +232,7 @@ def cmd_pdf(args) -> dict:
 
 
 def cmd_quantile(args) -> dict:
-    doc = _load(args.document)
-    _apply_doc_defaults(args, doc)
-    red = _to_reduced(parse_document(doc))
+    red = _to_reduced(_load_form(args))
     q = inversion.quantile(red, args.p, tol=args.tol, method=args.method)
     check = select.cdf(red, q, args.method, args.tol)
     return {
@@ -273,9 +279,7 @@ def _grid_payload(quantity: str, grid, results, tol) -> dict:
 
 
 def cmd_ratio_cdf(args) -> dict:
-    doc = _load(args.document)
-    _apply_doc_defaults(args, doc)
-    spec = _need_ratio(parse_document(doc))
+    spec = _need_ratio(_load_form(args))
     method = args.method
     if args.grid is not None:
         grid = _parse_grid(args.grid)
@@ -292,7 +296,7 @@ def cmd_ratio_cdf(args) -> dict:
 
 
 def cmd_ratio_pdf(args) -> dict:
-    spec = _need_ratio(parse_document(_load(args.document)))
+    spec = _need_ratio(_load_form(args))
     if args.grid is not None:
         grid = _parse_grid(args.grid)
         results = ratio.pdf_ratio_spa_grid(spec, grid)
@@ -307,7 +311,7 @@ def cmd_ratio_pdf(args) -> dict:
 
 
 def cmd_ratio_moment(args) -> dict:
-    spec = _need_ratio(parse_document(_load(args.document)))
+    spec = _need_ratio(_load_form(args))
     if args.method == "integral":
         res = ratio.ratio_moment_integral(spec, args.p,
                                           quadrature_tol=args.quadrature_tol)
@@ -321,7 +325,7 @@ def cmd_ratio_moment(args) -> dict:
 
 
 def cmd_mc_check(args) -> dict:
-    form = parse_document(_load(args.document))
+    form = _load_form(args)
     if isinstance(form, RatioSpec):
         raise InvalidInputError("mc-check applies to quadratic forms")
     mc = reference.mc_cdf(form, args.q, n=args.n, seed=args.seed)
@@ -352,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_method=True, with_tol=True):
         p.add_argument("document", help="JSON form specification")
         if with_tol:
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=float, default=None)
         p.add_argument("--pretty", action="store_true")
         if with_method:
-            p.add_argument("--method", default="auto", choices=select.CDF_METHODS)
+            p.add_argument("--method", default=None, choices=select.CDF_METHODS)
 
     p = sub.add_parser("reduce", help="canonical reduced parameters")
     common(p, with_method=False, with_tol=False)

@@ -7,7 +7,8 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   trapezoid grid over [0, U], with the closed-form tail bound used to
   pick U and Richardson panel doubling to control quadrature error.
   Requires sigma = 0.  The CDF and the density share one start rule, one
-  panel-doubling driver and the tail-bound pieces.
+  panel-doubling driver and one tail record per truncation point U: it
+  reads phi(U) once, and every tail bound at U derives from it.
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
   term.  Truncation is controlled by computable bounds on the integrand
   tail; the lattice aliasing error is bounded through Chernoff bounds on
@@ -21,7 +22,9 @@ handled by shifting the evaluation point.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -95,140 +98,120 @@ def _imhof_pdf_f(red: ReducedForm, u: np.ndarray, q: float) -> np.ndarray:
     return np.cos(phase - 0.5 * u * q) * np.exp(log_mod)
 
 
-def _rho(red: ReducedForm, u: float) -> float:
-    """rho(u) at one u."""
-    return float(np.exp(-transforms._log_cf(red, 0.5 * u)[0]))
-
-
-def _log_rho_floor(red: ReducedForm, u_max: float) -> float:
-    """Lower bound on log rho(u) - k log u over u >= U, with k = sum(nu)/2:
-    (1/2) sum nu log|w| + (1/2) sum d2 w^2 U^2 / (1 + w^2 U^2)."""
+def _tail_form(red: ReducedForm) -> tuple:
+    """The U-free constants (k, c1, c2, (1/2) sum nu log|w|) of ``_tail``."""
     w, nu, d2 = red.omega, red.nu, red.delta2
-    return (0.5 * float(np.sum(nu * np.log(np.abs(w))))
-            + 0.5 * float(np.sum(d2 * w**2 * u_max**2 / (1.0 + w**2 * u_max**2))))
+    c1 = (None if int(nu[w > 0].sum() - nu[w < 0].sum()) % 4
+          else 0.5 * float(np.sum((nu + d2) / np.abs(w))))
+    return (0.5 * float(nu.sum()), c1, 0.5 * float(np.sum(nu + 3.0 * d2)),
+            0.5 * float(np.sum(nu * np.log(np.abs(w)))))
 
 
-def _balanced_c1(red: ReducedForm) -> float | None:
-    """c1 = (1/2) sum (nu + d2)/|w| when the positive and negative dof counts
-    differ by a multiple of 4 (the limiting phase is then a multiple of pi),
-    else None."""
-    nu = red.nu
-    if int(nu[red.omega > 0].sum() - nu[red.omega < 0].sum()) % 4:
-        return None
-    return 0.5 * float(np.sum((nu + red.delta2) / np.abs(red.omega)))
+class _Tail(NamedTuple):
+    """The Imhof tail at one truncation point U and shifted point x.
+
+    With k = sum(nu)/2, c2 = (1/2) sum (nu + 3 d2), s the slope floor, and
+    c1 = (1/2) sum (nu + d2)/|w| when the positive and negative dof counts
+    differ by a multiple of 4 (the limiting phase is then a multiple of pi):
+    * T_U = U^-k e^-floor / (pi k); the density's |integrand| <= 1/rho is
+      integrable for k > 1, giving U^(1-k) e^-floor / (2 pi (k - 1)).
+    * With g = 1/(rho theta'), the tail int_U^inf e^{i theta}/rho is a
+      boundary term plus int g' e^{i theta}, and int |theta''| du <= c2/U
+      (termwise, as 2w^2 u <= |w|(1 + w^2 u^2)): hence the majorant
+      [2 + c2/(U s)] / (rho(U) s).  The density's residual estimate
+      (c2 + 2k) / (2 pi rho s^2 U) sizes the next order.
+    * Balanced phase: |sin of the chi part| <= c1/u, and the pure
+      x-oscillation is integrated by parts with its exact linear phase, so
+      no slope floor is needed (x near 0, light dofs).
+    * The boundary term leads int_U^inf e^{i theta}/rho (the CDF tail is its
+      real part over U, the density's minus its imaginary part).  It needs
+      a slope floor, which fixes the sign of theta', and only refines values.
+    """
+
+    u: float
+    log_floor: float    # lower bound on log rho(u) - k log u over u >= U
+    rho: float          # rho(U); inf when it overflows, and the tail is then 0
+    theta: float        # theta(U)
+    dtheta: float       # theta'(U) where the slope floor is positive, else 0
+    m1: float           # (1/2) sum (nu + d2)|w|/(1 + w^2 U^2) >= |chi part of theta'|
+    slope_floor: float  # max(|x|/2 - m1, 0) <= |theta'| over [U, inf) (m1 decreases)
+    plain: float        # T_U, the CDF's closed-form tail bound
+    ibp: float          # the majorant: the CDF divides it by pi U, the density by 2 pi
+    balanced: float     # the CDF's balanced-phase bound (inf without c1)
+    pdf_plain: float    # the density's bound from |integrand| <= 1/rho
+    residual: float     # the density's residual estimate
+    boundary: complex   # e^{i theta(U)} / (theta'(U) rho(U)) where dtheta is set
+
+
+def _tail(red: ReducedForm, u: float, x: float, form: tuple) -> _Tail:
+    """The tail record at U = u from one ``_log_cf`` call; form = _tail_form(red)."""
+    k, c1, c2, log_w = form
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    log_mod, phase = transforms._log_cf(red, 0.5 * u)
+    theta = float(phase - 0.5 * u * x)
+    log_floor = log_w + 0.5 * float(np.sum(d2 * w**2 * u**2 / (1.0 + w**2 * u**2)))
+    g = 1.0 + (w * u) ** 2
+    m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / g))
+    s = max(abs(x) / 2.0 - m1, 0.0)
+    dtheta, boundary = 0.0, 0j
+    with np.errstate(over="ignore"):
+        rho = float(np.exp(-log_mod))
+        if s > 0.0:
+            dtheta = (0.5 * float(np.sum(nu * w / g + d2 * w * (1.0 - (w * u) ** 2) / g**2))
+                      - 0.5 * x)
+            boundary = complex(np.exp(1j * theta) / (dtheta * rho))
+    finite = math.isfinite(rho)
+    plain = math.exp(min(-math.log(math.pi * k) - k * math.log(u) - log_floor, 700.0))
+    if s <= 0.0:
+        ibp = residual = math.inf
+    elif not finite:
+        ibp = residual = 0.0
+    else:
+        ibp = (2.0 + c2 / (u * s)) / (rho * s)
+        residual = (c2 + 2.0 * k) / (2.0 * math.pi * rho * s**2 * u)
+    balanced = math.inf
+    if c1 is not None:
+        # int_U^inf u^{-2} / rho du <= U^{-(k+1)} / ((k+1) e^{floor}), which
+        # overflows (no bound) only at a fixed U < 1 with a large k
+        with contextlib.suppress(OverflowError):
+            balanced = c1 * (math.exp(min(-log_floor, 700.0)) * u ** -(k + 1.0) / (k + 1.0))
+        if x != 0.0 and finite:
+            balanced += (2.0 / abs(x)) * (2.0 / (u * rho) + m1 * math.pi * plain)
+        balanced /= math.pi
+    pdf_plain = math.inf if k <= 1.0 else math.exp(min(
+        -math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u) - log_floor, 700.0))
+    return _Tail(u, log_floor, rho, theta, dtheta, m1, s, plain, ibp, balanced, pdf_plain,
+                 residual, boundary)
 
 
 def imhof_tail_bound(red: ReducedForm, u_max: float) -> float:
     """Closed-form bound T_U on the neglected CDF-integral tail beyond U."""
-    k = 0.5 * float(red.nu.sum())
-    log_b = -math.log(math.pi * k) - k * math.log(u_max) - _log_rho_floor(red, u_max)
-    return math.exp(min(log_b, 700.0))
+    return _tail(red, u_max, 0.0, _tail_form(red)).plain
 
 
-def _imhof_pick_u(red: ReducedForm, tol: float, x: float) -> float:
-    """Smallest U putting the better of the two tail bounds below tol/2.
+def _imhof_pick_u(red: ReducedForm, tol: float, x: float, form: tuple):
+    """Smallest U putting the best CDF tail bound below tol/2, and its record.
 
     Closed-form first guesses from the power-law parts of T_U and of the
     integration-by-parts bound, then verified against the exact bounds
     and enlarged geometrically if needed."""
-    nu = red.nu
-    k = 0.5 * float(nu.sum())
-    log_scale = (-0.5 * float(np.sum(nu * np.log(np.abs(red.omega))))
-                 - 0.5 * float(red.delta2.sum()))
+    k, c1, _, log_w = form
+    log_scale = -log_w - 0.5 * float(red.delta2.sum())
     log_tol = math.log(tol / 2.0)
     log_us = [(-math.log(math.pi * k) + log_scale - log_tol) / k]
     if x != 0.0:
         log_us.append((math.log(2.0) - math.log(math.pi * abs(x) / 2.0) + log_scale - log_tol)
                       / (k + 1.0))
-    c1 = _balanced_c1(red)
     if c1 is not None:
         log_us.append((math.log(max(c1, 1e-300)) - math.log(math.pi * (k + 1.0)) + log_scale
                        - log_tol) / (k + 1.0))
     u = min(math.exp(min(max(log_u, 0.0), 60.0)) for log_u in log_us)
     for _ in range(120):
-        best = min(imhof_tail_bound(red, u), _ibp_majorant(red, u, x) / (math.pi * u),
-                   imhof_tail_bound_balanced(red, u, x))
-        if best <= tol / 2.0 or u > 1e25:
-            break
+        rec = _tail(red, u, x, form)
+        if min(rec.plain, rec.ibp / (math.pi * u), rec.balanced) <= tol / 2.0 or u > 1e25:
+            return u, rec
         u *= 1.3
-    return u
-
-
-def _imhof_phase_slope(red: ReducedForm, u: float, x: float) -> float:
-    """theta'(u) of the Imhof phase at the shifted point x."""
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    g = 1.0 + (w * u) ** 2
-    return 0.5 * float(np.sum(nu * w / g + d2 * w * (1.0 - (w * u) ** 2) / g**2)) - 0.5 * x
-
-
-def _imhof_slope_floor(red: ReducedForm, u_max: float, x: float) -> float:
-    """Lower bound on |theta'(u)| over [U, inf), or 0 when none holds.
-
-    |chi-square part of theta'| <= m1(u) = (1/2) sum (nu+d2)|w|/(1+w^2 u^2),
-    decreasing in u, so |theta'| >= |x|/2 - m1(U) whenever positive.
-    """
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / (1.0 + (w * u_max) ** 2)))
-    return max(abs(x) / 2.0 - m1, 0.0)
-
-
-def _ibp_majorant(red: ReducedForm, u_max: float, x: float) -> float:
-    """[2 + C2/(U theta_min)] / (rho(U) theta_min), the integration-by-parts
-    bound on the oscillatory tail int_U^inf e^{i theta} / rho: with
-    g = 1/(rho theta'), the tail is a boundary term plus int g' e^{i theta};
-    |theta'| is bounded below by theta_min and int |theta''| du by C2/U
-    (termwise, using 2w^2 u <= |w|(1+w^2 u^2)).  Infinite when no positive
-    slope floor exists (x too small).  The CDF divides it by pi U, the
-    density by 2 pi."""
-    theta_min = _imhof_slope_floor(red, u_max, x)
-    if theta_min <= 0.0:
-        return math.inf
-    c2 = 0.5 * float(np.sum(red.nu + 3.0 * red.delta2))
-    rho_u = _rho(red, u_max)
-    if not math.isfinite(rho_u):
-        return 0.0
-    return (2.0 + c2 / (u_max * theta_min)) / (rho_u * theta_min)
-
-
-def imhof_tail_bound_balanced(red: ReducedForm, u_max: float, x: float) -> float:
-    """Tail bound exploiting a vanishing limiting phase.
-
-    When the positive and negative dof counts differ by a multiple of 4,
-    theta(u) + xu/2 tends to a multiple of pi, so |sin of the chi part|
-    <= c1/u with c1 = (1/2) sum (nu + d2)/|w|.  Splitting off the pure
-    x-oscillation and integrating it by parts with the exact linear
-    phase bounds the remainder without needing a slope floor; this is
-    the regime (x near 0, light dofs) where both other bounds are weak.
-    """
-    c1 = _balanced_c1(red)
-    if c1 is None:
-        return math.inf
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    k = 0.5 * float(nu.sum())
-    # int_U^inf u^{-2} / rho du <= U^{-(k+1)} / ((k+1) e^{floor})
-    i2 = math.exp(min(-_log_rho_floor(red, u_max), 700.0)) * u_max ** -(k + 1.0) / (k + 1.0)
-    total = c1 * i2
-    if x != 0.0:
-        rho_u = _rho(red, u_max)
-        if math.isfinite(rho_u):
-            m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / (1.0 + (w * u_max) ** 2)))
-            t_u = imhof_tail_bound(red, u_max)
-            total += (2.0 / abs(x)) * (2.0 / (u_max * rho_u) + m1 * math.pi * t_u)
-    return total / math.pi
-
-
-def _boundary_term(red: ReducedForm, u_max: float, x: float) -> complex:
-    """e^{i theta(U)} / (theta'(U) rho(U)), the leading integration-by-parts
-    term of the oscillatory tail int_U^inf e^{i theta}/rho: the CDF tail is
-    its real part over U, the density's tail minus its imaginary part.
-
-    Zero unless the slope floor is positive, so the sign of theta' is
-    stable over the tail; pure value refinement, the bounds dominate it.
-    """
-    if _imhof_slope_floor(red, u_max, x) <= 0.0:
-        return 0j
-    theta, rho = imhof_integrand(red, u_max, x)
-    return complex(np.exp(1j * theta) / (_imhof_phase_slope(red, u_max, x) * rho))
+    return u, _tail(red, u, x, form)
 
 
 def _start_panels(red: ReducedForm, u_max: float, x: float) -> int:
@@ -282,29 +265,29 @@ def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     if exact is not None:
         return exact
     x = q - red.const
+    form = _tail_form(red)
     if params is not None:
         # one halved-grid pass first so a Richardson estimate is available
         u_max, tol = params.u_max, params.tol
+        rec = _tail(red, u_max, x, form)
         panels, cap, target = max(params.panels // 2, 2), max(params.panels, 4), -math.inf
     else:
-        u_max = _imhof_pick_u(red, tol, x)
+        u_max, rec = _imhof_pick_u(red, tol, x, form)
         panels, cap = _start_panels(red, u_max, x), IMHOF_PANELS_MAX
         # drive the quadrature below the tail target: the oscillatory tail
         # cancels far below T_U, so a tight grid keeps the value accurate
         # even when the reported (conservative) bound is dominated by T_U
         target = min(tol, 1e-8) / 2.0
 
-    t_plain = imhof_tail_bound(red, u_max)
     # the CDF integrand carries an extra 1/u <= 1/U
-    t_ibp = _ibp_majorant(red, u_max, x) / (math.pi * u_max)
-    t_bal = imhof_tail_bound_balanced(red, u_max, x)
+    t_plain, t_ibp, t_bal = rec.plain, rec.ibp / (math.pi * u_max), rec.balanced
     t_u = min(t_plain, t_ibp, t_bal)
     integral, quad_est, panels, rounding = _trapezoid(
         lambda u: _imhof_f(red, u, x), u_max, panels, cap, target, math.pi)
     value = 0.5 - integral
     # the boundary-term refinement is only trustworthy in the regime where
     # the integration-by-parts budget is the binding bound
-    correction = (-_boundary_term(red, u_max, x).real / (math.pi * u_max)
+    correction = (-rec.boundary.real / (math.pi * u_max)
                   if t_ibp <= min(t_plain, t_bal) else 0.0)
     bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
     raw = value + correction
@@ -330,48 +313,25 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     """
     _require_no_gaussian(red, "imhof PDF")
     x = q - red.const
-    k = 0.5 * float(red.nu.sum())
-
-    def tail_plain(u_max: float) -> float:
-        # |integrand| <= 1/rho; integrable only for sum(nu) > 2
-        if k <= 1.0:
-            return math.inf
-        log_b = (-math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u_max)
-                 - _log_rho_floor(red, u_max))
-        return math.exp(min(log_b, 700.0))
-
-    def residual_est(u_max: float) -> float:
-        # size of the next integration-by-parts order once the boundary
-        # term has been folded into the value; heuristic driver for U
-        theta_min = _imhof_slope_floor(red, u_max, x)
-        if theta_min <= 0.0:
-            return math.inf
-        rho_u = _rho(red, u_max)
-        if not math.isfinite(rho_u):
-            return 0.0
-        c2 = 0.5 * float(np.sum(red.nu + 3.0 * red.delta2))
-        return (c2 + red.nu.sum()) / (2.0 * math.pi * rho_u * theta_min**2 * u_max)
-
-    def tail(u_max: float) -> float:
-        return min(tail_plain(u_max), _ibp_majorant(red, u_max, x) / (2.0 * math.pi))
-
+    form = _tail_form(red)
+    u_max = params.u_max if params is not None else 1.0
+    rec = _tail(red, u_max, x, form)
     if params is not None:
-        u_max, panels = params.u_max, params.panels
-        cap = panels
+        panels = cap = params.panels
     else:
-        u_max = 1.0
-        while min(tail(u_max), residual_est(u_max)) > tol / 2.0 and u_max < 1e7:
+        while (min(rec.pdf_plain, rec.ibp / (2.0 * math.pi), rec.residual) > tol / 2.0
+               and u_max < 1e7):
             u_max *= 2.0
+            rec = _tail(red, u_max, x, form)
         panels, cap = _start_panels(red, u_max, x), IMHOF_PANELS_MAX
-    t_plain_u = tail_plain(u_max)
-    t_ibp_u = _ibp_majorant(red, u_max, x) / (2.0 * math.pi)
+    t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
     correct_tail = t_ibp_u < t_plain_u
-    t_u = min(t_plain_u, t_ibp_u, residual_est(u_max) if correct_tail else math.inf)
+    t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)
     value, quad_est, panels, rounding = _trapezoid(
         lambda u: _imhof_pdf_f(red, u, x), u_max, panels, cap, min(tol, 1e-8) / 2.0,
         2.0 * math.pi)
     if correct_tail:
-        value -= _boundary_term(red, u_max, x).imag / (2.0 * math.pi)
+        value -= rec.boundary.imag / (2.0 * math.pi)
     bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
     return MethodResult(
         max(value, 0.0), float(bound), "imhof", "heuristic",

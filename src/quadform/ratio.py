@@ -140,7 +140,8 @@ def moment_exists(spec: RatioSpec, p: int) -> MomentExistence:
 
 
 def _whitened_existence(spec: RatioSpec, p: int):
-    """moment_exists(spec, p) and the whitened (a, b, mu) it decided on."""
+    """moment_exists(spec, p), the whitened (a, b, mu) it decided on and the
+    eigenpairs (w, u) of that b."""
     if p < 1:
         raise InvalidInputError("moment order p must be a positive integer")
     a, b, mu = _whiten(spec)
@@ -151,7 +152,7 @@ def _whitened_existence(spec: RatioSpec, p: int):
     keep = w > RANK_TOL * scale
     r_b = int(keep.sum())
     if r_b == b.shape[0]:
-        return MomentExistence(True, "denominator positive definite", r_b), (a, b, mu)
+        return MomentExistence(True, "denominator positive definite", r_b), (a, b, mu, w, u)
     p1 = u[:, keep]
     p2 = u[:, ~keep]
     a_scale = max(float(np.linalg.norm(a, 2)), 1e-300)
@@ -161,12 +162,12 @@ def _whitened_existence(spec: RatioSpec, p: int):
         exist = MomentExistence(p < r_b, "numerator linear in null(B)", r_b)
     else:
         exist = MomentExistence(True, "numerator avoids null(B)", r_b)
-    return exist, (a, b, mu)
+    return exist, (a, b, mu, w, u)
 
 
 def _moment_prologue(spec: RatioSpec, p: int):
-    """The whitened (a, b, mu) of both moment routes; NotApplicableError
-    when E[R^p] does not exist."""
+    """The whitened (a, b, mu) of both moment routes and the eigenpairs of b;
+    NotApplicableError when E[R^p] does not exist."""
     exist, whitened = _whitened_existence(spec, p)
     if not exist.exists:
         raise NotApplicableError(
@@ -240,9 +241,8 @@ def ratio_moment_series(spec: RatioSpec, p: int, beta: float | None = None,
     admissible interval.  Truncation stops when a geometric remainder
     estimate from the trailing term ratios falls below tol.
     """
-    a, b, mu = _moment_prologue(spec, p)
+    a, b, mu, b_eigs, _ = _moment_prologue(spec, p)
     n = a.shape[0]
-    b_eigs = np.linalg.eigvalsh(b)
     b_max = float(b_eigs.max())
     b_min = float(np.clip(b_eigs.min(), 0.0, None))
     if b_max <= 0:
@@ -354,8 +354,7 @@ def ratio_moment_integral(spec: RatioSpec, p: int,
     density: each sweep evaluates all new panels with one stacked
     eigendecomposition of C.
     """
-    a, b, mu = _moment_prologue(spec, p)
-    wb, ub = np.linalg.eigh(b)
+    a, _, mu, wb, ub = _moment_prologue(spec, p)
     wb = np.clip(wb, 0.0, None)
     a_rot = ub.T @ a @ ub
     mu_rot = ub.T @ mu

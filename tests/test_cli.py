@@ -175,6 +175,70 @@ class TestCommands:
         assert "value" in out and "{" not in out
 
 
+CHI2_DOC = {"kind": "reduced", "omega": [1.0], "nu": [2], "delta2": [0.0]}
+BETA_DOC = {"kind": "ratio", "a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]], "mu": [0, 0],
+            "sigma_mat": [[1, 0], [0, 1]]}
+# every command that takes --tol, with the arguments it needs
+TOL_COMMANDS = {
+    "cdf": (CHI2_DOC, ("--q", "2")),
+    "pdf": (CHI2_DOC, ("--q", "2")),
+    "quantile": (CHI2_DOC, ("--p", "0.5")),
+    "ratio-cdf": (BETA_DOC, ("--r", "0.3")),
+    "ratio-pdf": (BETA_DOC, ("--r", "0.3")),
+    "ratio-moment": (BETA_DOC, ("--p", "1")),
+    "mc-check": (CHI2_DOC, ("--q", "2", "--n", "1000")),
+}
+
+
+def exit_code(capsys, argv):
+    """main's exit code, whether it returns it or argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+class TestDocumentDefaults:
+    def test_document_defaults_apply_without_flags(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**CHI2_DOC, "tol": 1e-3, "method": "davies"}))
+        code, out, _ = run_cli(capsys, "cdf", "--q", "2", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["tol"], payload["method"]) == (1e-3, "davies")
+
+    @pytest.mark.parametrize("flag,doc_key,doc_value,field,want", [
+        ("--tol", "tol", 1e-3, "tol", 1e-8),
+        ("--method", "method", "davies", "method", "central_even"),
+    ])
+    def test_explicit_flag_at_its_default_wins(self, capsys, tmp_path, flag, doc_key,
+                                               doc_value, field, want):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**CHI2_DOC, doc_key: doc_value}))
+        value = {"--tol": "1e-8", "--method": "auto"}[flag]
+        code, out, _ = run_cli(capsys, "cdf", "--q", "2", flag, value, str(path))
+        assert code == 0
+        assert json.loads(out)[field] == want
+
+    @pytest.mark.parametrize("command,where,tol", [
+        *((c, "flag", "0") for c in TOL_COMMANDS),
+        *((c, "document", "abc") for c in TOL_COMMANDS),
+        ("cdf", "flag", "-1"), ("cdf", "flag", "nan"), ("cdf", "flag", "inf"),
+        ("cdf", "document", -1e-3), ("cdf", "document", math.inf), ("cdf", "document", None),
+    ])
+    def test_bad_tol_is_invalid_input(self, capsys, tmp_path, command, where, tol):
+        doc, argv = TOL_COMMANDS[command]
+        if where == "document":
+            doc = {**doc, "tol": tol}
+        else:
+            argv = (*argv, "--tol", tol)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert exit_code(capsys, [command, *argv, str(path)]) == 2
+
+
 class TestExitCodes:
     def test_invalid_input(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

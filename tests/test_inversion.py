@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import stats
 
 import quadform as qf
-from quadform import inversion, select
+from quadform import inversion, select, transforms
 from quadform.forms import DaviesParams, ImhofParams
 from quadform.inversion import cdf_auto_inversion
 from quadform.reference import sample_reduced
@@ -295,3 +296,257 @@ class TestRouter:
         monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-9))
         with pytest.raises(qf.ConvergenceFailureError, match="davies"):
             cdf_auto_inversion(EX1, 0.7)
+
+
+# The tail-bound helpers that one record per U replaced, kept verbatim as
+# oracles (numpy's overflow warnings silenced: an infinite rho is expected).
+def _old_rho(red, u):
+    with np.errstate(over="ignore"):
+        return float(np.exp(-transforms._log_cf(red, 0.5 * u)[0]))
+
+
+def _old_log_rho_floor(red, u_max):
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    return (0.5 * float(np.sum(nu * np.log(np.abs(w))))
+            + 0.5 * float(np.sum(d2 * w**2 * u_max**2 / (1.0 + w**2 * u_max**2))))
+
+
+def _old_balanced_c1(red):
+    nu = red.nu
+    if int(nu[red.omega > 0].sum() - nu[red.omega < 0].sum()) % 4:
+        return None
+    return 0.5 * float(np.sum((nu + red.delta2) / np.abs(red.omega)))
+
+
+def _old_tail_bound(red, u_max):
+    k = 0.5 * float(red.nu.sum())
+    log_b = -math.log(math.pi * k) - k * math.log(u_max) - _old_log_rho_floor(red, u_max)
+    return math.exp(min(log_b, 700.0))
+
+
+def _old_phase_slope(red, u, x):
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    g = 1.0 + (w * u) ** 2
+    return 0.5 * float(np.sum(nu * w / g + d2 * w * (1.0 - (w * u) ** 2) / g**2)) - 0.5 * x
+
+
+def _old_m1(red, u_max):
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    return 0.5 * float(np.sum((nu + d2) * np.abs(w) / (1.0 + (w * u_max) ** 2)))
+
+
+def _old_slope_floor(red, u_max, x):
+    return max(abs(x) / 2.0 - _old_m1(red, u_max), 0.0)
+
+
+def _old_ibp_majorant(red, u_max, x):
+    theta_min = _old_slope_floor(red, u_max, x)
+    if theta_min <= 0.0:
+        return math.inf
+    c2 = 0.5 * float(np.sum(red.nu + 3.0 * red.delta2))
+    rho_u = _old_rho(red, u_max)
+    if not math.isfinite(rho_u):
+        return 0.0
+    return (2.0 + c2 / (u_max * theta_min)) / (rho_u * theta_min)
+
+
+def _old_tail_bound_balanced(red, u_max, x):
+    c1 = _old_balanced_c1(red)
+    if c1 is None:
+        return math.inf
+    k = 0.5 * float(red.nu.sum())
+    i2 = math.exp(min(-_old_log_rho_floor(red, u_max), 700.0)) * u_max ** -(k + 1.0) / (k + 1.0)
+    total = c1 * i2
+    if x != 0.0:
+        rho_u = _old_rho(red, u_max)
+        if math.isfinite(rho_u):
+            total += (2.0 / abs(x)) * (2.0 / (u_max * rho_u) + _old_m1(red, u_max) * math.pi
+                                       * _old_tail_bound(red, u_max))
+    return total / math.pi
+
+
+def _old_theta_rho(red, u, x):
+    """imhof_integrand at one u."""
+    u = np.asarray(u, dtype=float)
+    log_mod, phase = transforms._log_cf(red, 0.5 * u)
+    with np.errstate(over="ignore"):
+        return phase - 0.5 * u * x, np.exp(-log_mod)
+
+
+def _old_boundary_term(red, u_max, x):
+    if _old_slope_floor(red, u_max, x) <= 0.0:
+        return 0j
+    theta, rho = _old_theta_rho(red, u_max, x)
+    return complex(np.exp(1j * theta) / (_old_phase_slope(red, u_max, x) * rho))
+
+
+def _old_pdf_tail_plain(red, u_max):
+    k = 0.5 * float(red.nu.sum())
+    if k <= 1.0:
+        return math.inf
+    log_b = (-math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u_max)
+             - _old_log_rho_floor(red, u_max))
+    return math.exp(min(log_b, 700.0))
+
+
+def _old_pdf_residual_est(red, u_max, x):
+    theta_min = _old_slope_floor(red, u_max, x)
+    if theta_min <= 0.0:
+        return math.inf
+    rho_u = _old_rho(red, u_max)
+    if not math.isfinite(rho_u):
+        return 0.0
+    c2 = 0.5 * float(np.sum(red.nu + 3.0 * red.delta2))
+    return (c2 + red.nu.sum()) / (2.0 * math.pi * rho_u * theta_min**2 * u_max)
+
+
+def _old_pdf_tail(red, u_max, x):
+    return min(_old_pdf_tail_plain(red, u_max), _old_ibp_majorant(red, u_max, x) / (2.0 * math.pi))
+
+
+def _old_cdf_tails(red, u_max, x):
+    return (_old_tail_bound(red, u_max), _old_ibp_majorant(red, u_max, x) / (math.pi * u_max),
+            _old_tail_bound_balanced(red, u_max, x))
+
+
+def _old_pick_u(red, tol, x):
+    nu = red.nu
+    k = 0.5 * float(nu.sum())
+    log_scale = (-0.5 * float(np.sum(nu * np.log(np.abs(red.omega))))
+                 - 0.5 * float(red.delta2.sum()))
+    log_tol = math.log(tol / 2.0)
+    log_us = [(-math.log(math.pi * k) + log_scale - log_tol) / k]
+    if x != 0.0:
+        log_us.append((math.log(2.0) - math.log(math.pi * abs(x) / 2.0) + log_scale - log_tol)
+                      / (k + 1.0))
+    c1 = _old_balanced_c1(red)
+    if c1 is not None:
+        log_us.append((math.log(max(c1, 1e-300)) - math.log(math.pi * (k + 1.0)) + log_scale
+                       - log_tol) / (k + 1.0))
+    u = min(math.exp(min(max(log_u, 0.0), 60.0)) for log_u in log_us)
+    for _ in range(120):
+        if min(_old_cdf_tails(red, u, x)) <= tol / 2.0 or u > 1e25:
+            break
+        u *= 1.3
+    return u
+
+
+def _old_pdf_pick_u(red, tol, x):
+    u_max = 1.0
+    while min(_old_pdf_tail(red, u_max, x), _old_pdf_residual_est(red, u_max, x)) > tol / 2.0 \
+            and u_max < 1e7:
+        u_max *= 2.0
+    return u_max
+
+
+# rho(U) overflows at every U >= 1 here
+OVERFLOW = qf.ReducedForm([1000.0, -1000.0], [601, 597], [0.0, 0.0])
+
+
+def _tail_battery():
+    """sigma = 0 forms: random definite and indefinite ones (2-8 groups, nu
+    1-4, half noncentral, weight spread up to 1e4), the light form, and dof
+    differences with and without a multiple of 4."""
+    rng = np.random.default_rng(2024)
+    forms = [LIGHT, OVERFLOW,
+             qf.ReducedForm([1.0, -0.5], [3, 3], [0.2, 0.0]),   # difference 0
+             qf.ReducedForm([1.0, -0.5], [5, 1], [0.0, 0.4]),   # 4
+             qf.ReducedForm([1.0, -0.5], [4, 1], [0.0, 0.4]),   # 3
+             qf.ReducedForm([2.0, -0.3], [2, 4], [1.0, 0.0])]   # -2
+    for i in range(16):
+        g = int(rng.integers(2, 9))
+        w = 10.0 ** rng.uniform(0.0, 4.0 * (i % 4) / 3.0, g)
+        if i % 2:
+            w *= np.where(rng.random(g) < 0.5, -1.0, 1.0)
+            w[0], w[-1] = abs(w[0]), -abs(w[-1])
+        d2 = np.where(rng.random(g) < 0.5, rng.uniform(0.0, 3.0, g), 0.0)
+        forms.append(qf.ReducedForm(w, rng.integers(1, 5, g), d2, 0.0, float(rng.normal())))
+    return forms
+
+
+def _shifted_points(red):
+    """x in {0, +-1e-9, mean, mean +- 10 sd}, in the shifted coordinate."""
+    ks = qf.cumulants(red.shifted(0.0), 2)
+    mean, sd = ks.get(1), math.sqrt(ks.get(2))
+    return [0.0, 1e-9, -1e-9, mean, mean + 10.0 * sd, mean - 10.0 * sd]
+
+
+class TestTailRecord:
+    def test_fields_match_old_helpers(self):
+        for red in _tail_battery():
+            form = inversion._tail_form(red)
+            for x in _shifted_points(red):
+                for u in (1.0, 1.7, 13.0, 1e3, 1e7, 1e15, 1e25):
+                    rec = inversion._tail(red, u, x, form)
+                    theta, rho = _old_theta_rho(red, u, x)
+                    slope = _old_slope_floor(red, u, x)
+                    want = {
+                        "u": u, "log_floor": _old_log_rho_floor(red, u),
+                        "rho": _old_rho(red, u), "theta": float(theta),
+                        "dtheta": _old_phase_slope(red, u, x) if slope > 0.0 else 0.0,
+                        "m1": _old_m1(red, u), "slope_floor": slope,
+                        "plain": _old_tail_bound(red, u),
+                        "ibp": _old_ibp_majorant(red, u, x),
+                        "balanced": _old_tail_bound_balanced(red, u, x),
+                        "pdf_plain": _old_pdf_tail_plain(red, u),
+                        "residual": _old_pdf_residual_est(red, u, x),
+                        "boundary": _old_boundary_term(red, u, x),
+                    }
+                    assert float(rho) == rec.rho
+                    assert rec._asdict() == want, (red, x, u)
+                    assert inversion.imhof_tail_bound(red, u) == want["plain"]
+
+    def test_pick_u_matches_old_search(self):
+        for red in _tail_battery():
+            form = inversion._tail_form(red)
+            for x in _shifted_points(red):
+                for tol in (1e-8, 1e-6):
+                    u, rec = inversion._imhof_pick_u(red, tol, x, form)
+                    assert u == _old_pick_u(red, tol, x), (red, x, tol)
+                    assert rec == inversion._tail(red, u, x, form)
+
+    def test_exhausted_search_returns_the_record_at_its_u(self, monkeypatch):
+        tail = inversion._tail
+        monkeypatch.setattr(inversion, "_tail", lambda *a: tail(*a)._replace(
+            plain=math.inf, ibp=math.inf, balanced=math.inf))
+        red = qf.ReducedForm([1.0, -0.5], [4, 1], [0.0, 0.4])
+        u, rec = inversion._imhof_pick_u(red, 1e-8, 0.3, inversion._tail_form(red))
+        assert rec.u == u and u > 1.3**119
+
+    def test_drivers_read_the_record_at_u(self):
+        # value, bound and diagnostics compose the old bounds at the chosen U
+        for red in _tail_battery()[1:]:
+            for x in _shifted_points(red)[3:]:
+                q = x + red.const
+                x = q - red.const  # the drivers' own shift
+                cdf = best_effort(qf.cdf_imhof, red, q, tol=1e-6).diagnostics
+                pdf = best_effort(qf.pdf_imhof, red, q, tol=1e-6).diagnostics
+                if "u_max" in cdf:  # not at or outside the support
+                    u = cdf["u_max"]
+                    assert u == _old_pick_u(red, 1e-6, x)
+                    plain, ibp, bal = _old_cdf_tails(red, u, x)
+                    assert cdf["tail_bound"] == min(plain, ibp, bal)
+                    assert cdf["tail_correction"] == (
+                        -_old_boundary_term(red, u, x).real / (math.pi * u)
+                        if ibp <= min(plain, bal) else 0.0)
+                u = pdf["u_max"]
+                assert u == _old_pdf_pick_u(red, 1e-6, x)
+                plain = _old_pdf_tail_plain(red, u)
+                ibp = _old_ibp_majorant(red, u, x) / (2.0 * math.pi)
+                assert pdf["tail_bound"] == min(
+                    plain, ibp, _old_pdf_residual_est(red, u, x) if ibp < plain else math.inf)
+        for params in (ImhofParams(u_max=4.0, panels=32), ImhofParams(u_max=1e3, panels=32)):
+            red = _tail_battery()[3]
+            cdf = qf.cdf_imhof(red, 0.4, params=params).diagnostics
+            assert cdf["tail_bound"] == min(_old_cdf_tails(red, params.u_max, 0.4))
+            pdf = qf.pdf_imhof(red, 0.4, params=params).diagnostics
+            assert pdf["tail_bound"] == min(_old_pdf_tail(red, params.u_max, 0.4),
+                                            _old_pdf_residual_est(red, params.u_max, 0.4))
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_overflowing_modulus_is_silent(self, quantity):
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fn(OVERFLOW, 5.0)
+        assert res.method == "imhof" and res.diagnostics["tail_bound"] == 0.0

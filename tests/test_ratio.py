@@ -415,6 +415,14 @@ def _moment_oracle_specs():
     return specs
 
 
+def _moment_value(route, spec, p, **kwargs):
+    """The value of a moment route, or its best value when it does not converge."""
+    try:
+        return route(spec, p, **kwargs).value
+    except qf.ConvergenceFailureError as exc:
+        return exc.result.value
+
+
 class TestMoments:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_integral_matches_quad_oracle(self, p):
@@ -430,6 +438,30 @@ class TestMoments:
             with pytest.raises(qf.NotApplicableError):
                 route(SINGULAR_B, p)
 
+
+    def test_one_eigendecomposition_of_b(self, monkeypatch):
+        # both routes read the eigenpairs of the whitened B from the prologue
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(np.ndim(m)) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append("eigvalsh") or eigvalsh(m))
+        for spec in _moment_oracle_specs():
+            for route in (qf.ratio_moment_series, qf.ratio_moment_integral):
+                calls.clear()
+                _moment_value(route, spec, 2)
+                assert calls.count(2) == 1 and "eigvalsh" not in calls, (spec.dim, route)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_series_default_beta_from_eigh(self, p):
+        # beta from eigvalsh(B), as before, moves the value only by rounding
+        for spec in _moment_oracle_specs():
+            b_eigs = np.linalg.eigvalsh(ratio._whiten(spec)[1])
+            b_max, b_min = float(b_eigs.max()), max(float(b_eigs.min()), 0.0)
+            beta = 2.0 / (b_max + b_min) if b_min > 1e-12 * b_max else 1.0 / b_max
+            want = _moment_value(qf.ratio_moment_series, spec, p, beta=beta)
+            got = _moment_value(qf.ratio_moment_series, spec, p)
+            assert abs(got - want) <= 1e-12 * abs(want), (spec.dim, p)
 
     def test_beta_half_series(self):
         assert abs(qf.ratio_moment_series(BETA_HALF, 1, tol=1e-10).value - 0.5) < 1e-9
