@@ -233,8 +233,9 @@ def cmd_pdf(args) -> dict:
 
 def cmd_quantile(args) -> dict:
     red = _to_reduced(_load_form(args))
-    q = inversion.quantile(red, args.p, tol=args.tol, method=args.method)
-    check = select.cdf(red, q, args.method, args.tol)
+    plan = select.Plan(red)
+    q = inversion.quantile(red, args.p, tol=args.tol, method=args.method, plan=plan)
+    check = select.cdf(red, q, args.method, args.tol, plan=plan)
     return {
         "quantity": "quantile",
         "p": args.p,

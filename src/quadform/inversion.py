@@ -12,7 +12,13 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
   term.  Truncation is controlled by computable bounds on the integrand
   tail; the lattice aliasing error is bounded through Chernoff bounds on
-  the distribution's tails, which also drive the choice of Delta.
+  the distribution's tails, which also drive the choice of Delta: the
+  spread 2 pi / Delta is read off the two points where the centred form's
+  Chernoff log-tails equal log(tol/2).
+
+``InversionSetup`` holds what does not depend on the point (Imhof's tail
+constants, the Davies crossings and truncation ladder), so the points of
+a grid and the CDF calls of ``quantile`` build it once.
 
 Both read the modulus and phase of phi from one kernel,
 ``transforms._log_cf`` (Imhof's u is twice its frequency).  Their bounds
@@ -23,6 +29,8 @@ handled by shifting the evaluation point.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -75,12 +83,14 @@ def imhof_integrand(red: ReducedForm, u, q: float):
 
     q is the evaluation point in the shifted coordinate (constant already
     subtracted).  The integrand itself is sin(theta)/(u rho); its u -> 0
-    limit is (sum w (nu + d2) - q) / 2.
+    limit is (sum w (nu + d2) - q) / 2.  rho is inf where it overflows (the
+    integrand is then 0).
     """
     _require_no_gaussian(red, "imhof integrand")
     u = np.asarray(u, dtype=float)
     log_mod, phase = transforms._log_cf(red, 0.5 * u)
-    return phase - 0.5 * u * q, np.exp(-log_mod)
+    with np.errstate(over="ignore"):
+        return phase - 0.5 * u * q, np.exp(-log_mod)
 
 
 def _imhof_f(red: ReducedForm, u: np.ndarray, q: float) -> np.ndarray:
@@ -253,19 +263,20 @@ def _trapezoid(f, u_max: float, panels: int, cap: int, target: float, scale: flo
 
 
 def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
-              tol: float = 1e-8) -> MethodResult:
+              tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
     """CDF by Imhof's trapezoid rule with explicit truncation bound.
 
     With ``params`` the grid is fixed and the achieved bound is reported;
     otherwise U is solved from the tail bound and panels are doubled
-    until the Richardson estimate meets the tolerance.
+    until the Richardson estimate meets the tolerance.  ``setup`` is an
+    InversionSetup of red to reuse; results do not depend on it.
     """
     _require_no_gaussian(red, "imhof CDF")
     exact = _exact_cdf(red, q, "imhof")
     if exact is not None:
         return exact
     x = q - red.const
-    form = _tail_form(red)
+    form = setup.tail_form if setup is not None else _tail_form(red)
     if params is not None:
         # one halved-grid pass first so a Richardson estimate is available
         u_max, tol = params.u_max, params.tol
@@ -304,16 +315,17 @@ def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
 
 
 def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
-              tol: float = 1e-8) -> MethodResult:
+              tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
     """Density by the cosine-integral counterpart of the Imhof rule.
 
     The reported bound combines the integrable part of the modulus tail
     (valid when sum(nu) > 2) with a Richardson estimate; flagged
     heuristic since the oscillatory tail has no tight closed bound.
+    ``setup`` as for cdf_imhof.
     """
     _require_no_gaussian(red, "imhof PDF")
     x = q - red.const
-    form = _tail_form(red)
+    form = setup.tail_form if setup is not None else _tail_form(red)
     u_max = params.u_max if params is not None else 1.0
     rec = _tail(red, u_max, x, form)
     if params is not None:
@@ -379,12 +391,13 @@ def davies_truncation_bound(red: ReducedForm, u_max: float) -> float:
 
 
 def _davies_lattice_bound(red: ReducedForm, x: float, spread: float) -> float:
-    """Chernoff bound on the aliasing error for lattice period 2*pi/Delta = spread."""
+    """Chernoff bound on the aliasing error for lattice period 2*pi/Delta = spread
+    (1 when a side is vacuous: x - spread or x + spread on the wrong side of the
+    mean)."""
     chi = red.shifted(0.0)
     log_left = transforms.chernoff_log_tail(chi, x - spread, "left")
     log_right = transforms.chernoff_log_tail(chi, x + spread, "right")
-    lt = max(log_left, log_right)
-    return 0.0 if lt >= 0.0 else math.exp(max(lt, _LOG_TINY))
+    return math.exp(min(max(log_left, log_right, _LOG_TINY), 0.0))
 
 
 def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int):
@@ -402,12 +415,83 @@ def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int):
     return 0.5 - total / math.pi, _rounding_bound(mass / math.pi, k_max + 1)
 
 
+class InversionSetup:
+    """The point-free part of the auto Imhof and Davies rules for one form and
+    tol, built on first use and shared by the points of a grid or the CDF
+    calls of a quantile search.
+
+    * tail_form: Imhof's U-free tail constants (_tail_form).
+    * The Davies spread: the aliasing bound of ``_davies_lattice_bound`` is at
+      most tol/2 once x - spread and x + spread lie beyond the crossings of
+      the centred form's Chernoff log-tails with log(tol/2).
+    * The Davies truncation ladder U = 4/sd * 1.5^j and, per rung, whether its
+      truncation bound is at most tol/2, extended as far as a point needs it.
+    """
+
+    def __init__(self, red: ReducedForm, tol: float):
+        self.red, self.tol = red, tol
+        self._rungs: list = []
+
+    @functools.cached_property
+    def tail_form(self) -> tuple:
+        return _tail_form(self.red)
+
+    @functools.cached_property
+    def spread_form(self) -> tuple:
+        """The centred form's mean and sd, and its left and right crossings."""
+        chi = self.red.shifted(0.0)
+        ks = transforms.cumulants(chi, 2)
+        half = self.tol / 2.0
+        level = math.log(half) if half > 0.0 else -math.inf
+        return (ks.get(1), math.sqrt(max(ks.get(2), 1e-300)),
+                transforms.chernoff_crossing(chi, level, "left"),
+                transforms.chernoff_crossing(chi, level, "right"))
+
+    def truncation_u(self, delta: float) -> float:
+        """The first rung whose truncation bound is at most tol/2 or that holds
+        DAVIES_POINTS_MAX lattice points of spacing delta."""
+        for j in itertools.count():
+            if j == len(self._rungs):
+                u = (self._rungs[-1][0] * 1.5 if j else
+                     4.0 / (self.spread_form[1] if self.red.n_groups else self.red.sigma_gauss))
+                self._rungs.append((u, davies_truncation_bound(self.red, u) <= self.tol / 2.0))
+            u, small = self._rungs[j]
+            if small or u / delta >= DAVIES_POINTS_MAX:
+                return u
+
+
+def _davies_spread(red: ReducedForm, x: float, setup: InversionSetup) -> tuple:
+    """The lattice spread of the auto rule at shifted point x, and its lattice bound.
+
+    The spread is the first rung of the ladder max(8 sd, |x - mean| + 4 sd) *
+    1.5^k, stopped at 1e12 sd, whose lattice bound is at most tol/2, located
+    from the crossings: it is at least max(x - left, right - x).  A rung within
+    the crossing margin of that distance is settled by the bound itself, so
+    the bound is evaluated once, or twice when that rung fails.
+    """
+    mean, sd, left, right = setup.spread_form
+    need = max(x - left, right - x)
+    # need is inf when tol/2 underflows to 0: no spread reaches it
+    margin = (transforms.crossing_margin(red.shifted(0.0), x, left, right)
+              if math.isfinite(need) else 0.0)
+    spread, cap = max(8.0 * sd, abs(x - mean) + 4.0 * sd), 1e12 * sd
+    while spread < need - margin and spread <= cap:
+        spread *= 1.5
+    lattice = _davies_lattice_bound(red, x, spread)
+    if lattice > setup.tol / 2.0 and spread <= cap:
+        spread *= 1.5
+        lattice = _davies_lattice_bound(red, x, spread)
+    return spread, lattice
+
+
 def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
-               tol: float = 1e-8) -> MethodResult:
+               tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
     """CDF by the midpoint-lattice inversion sum with computable bounds.
 
     Supports Gaussian components and weights of both signs.  The reported
     bound is truncation + lattice aliasing + the rounding of the sum.
+    ``setup`` is an InversionSetup of (red, tol) to reuse; results do not
+    depend on it.
     """
     exact = _exact_cdf(red, q, "davies")
     if exact is not None:
@@ -420,21 +504,10 @@ def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
         trunc = davies_truncation_bound(red, u_max)
         lattice = _davies_lattice_bound(red, x, 2.0 * math.pi / delta)
     else:
-        k1 = transforms.cumulants(red.shifted(0.0), 2)
-        sd = math.sqrt(max(k1.get(2), 1e-300))
-        spread = max(8.0 * sd, abs(x - k1.get(1)) + 4.0 * sd)
-        lattice = _davies_lattice_bound(red, x, spread)
-        for _ in range(200):
-            if lattice <= tol / 2.0 or spread > 1e12 * sd:
-                break
-            spread *= 1.5
-            lattice = _davies_lattice_bound(red, x, spread)
+        setup = setup if setup is not None else InversionSetup(red, tol)
+        spread, lattice = _davies_spread(red, x, setup)
         delta = 2.0 * math.pi / spread
-        u_max = 4.0 / sd if red.n_groups else 4.0 / red.sigma_gauss
-        trunc = davies_truncation_bound(red, u_max)
-        while trunc > tol / 2.0 and (u_max / delta) < DAVIES_POINTS_MAX:
-            u_max *= 1.5
-            trunc = davies_truncation_bound(red, u_max)
+        u_max = setup.truncation_u(delta)
         k_max = max(min(int(math.ceil(u_max / delta - 0.5)), DAVIES_POINTS_MAX), 8)
         u_max = (k_max + 0.5) * delta
         trunc = davies_truncation_bound(red, u_max)
@@ -452,35 +525,43 @@ def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
     return res
 
 
-def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8) -> MethodResult:
+def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8,
+                       setup: InversionSetup | None = None) -> MethodResult:
     """The inversion leaf of method="auto": Imhof when sigma = 0, falling back
     to Davies when Imhof does not reach tol (if both fail, the failure with
     the smaller bound is raised); Davies alone with a Gaussian term, which
-    Imhof does not support."""
+    Imhof does not support.  ``setup`` as for cdf_davies."""
     if red.sigma_gauss != 0.0 or not red.n_groups:
-        return cdf_davies(red, q, tol=tol)
+        return cdf_davies(red, q, tol=tol, setup=setup)
     try:
-        return cdf_imhof(red, q, tol=tol)
+        return cdf_imhof(red, q, tol=tol, setup=setup)
     except ConvergenceFailureError as exc:
         try:
-            return cdf_davies(red, q, tol=tol)
+            return cdf_davies(red, q, tol=tol, setup=setup)
         except ConvergenceFailureError as exc2:
             raise min(exc, exc2, key=lambda e: e.result.error_bound) from None
 
 
-def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto") -> float:
+def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto",
+             plan=None) -> float:
     """Solve F(q) = p by bracketed root finding on the chosen CDF method.
 
     The bracket starts at mean +/- 2 sd and widens geometrically until the
-    sign changes; Brent's method then drives |F(q) - p| below tol.  The
-    inner CDF runs at min(tol/100, 1e-9); when an evaluation exhausts its
-    resource limits, its best value is used (root finding only needs a
-    consistent monotone surrogate).
+    sign changes.  Brent's method then shrinks it until its width is below
+    xtol = 1e-13 (1 + sd) plus 4 eps |q|; tol sets the accuracy of the
+    inner CDF, min(tol/100, 1e-9), not a stop rule on |F(q) - p|.  When an
+    evaluation exhausts its resource limits, its best value is used (root
+    finding only needs a consistent monotone surrogate).  Every inner CDF
+    call shares one ``select.Plan`` of red: the route, the series or
+    partial-fraction set-up and the inversion set-up are built once.  A plan
+    passed in (the CLI checks the root with the same one) is used instead;
+    results do not depend on it.
     """
     if not 0.0 < p < 1.0:
         raise InvalidInputError("quantile level p must be in (0, 1)")
     from . import select  # runtime import; select dispatches back here
 
+    plan = plan if plan is not None else select.Plan(red)
     inner_tol = min(tol * 1e-2, 1e-9)
     ks = transforms.cumulants(red, 2)
     center, sd = ks.get(1), math.sqrt(max(ks.get(2), 1e-300))
@@ -496,7 +577,7 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
         if math.isfinite(hi_s) and x >= hi_s - edge:
             return 1.0 - p
         try:
-            res = select.cdf(red, x, method, inner_tol)
+            res = select.cdf(red, x, method, inner_tol, plan=plan)
         except ConvergenceFailureError as exc:
             res = exc.result
         return res.value - p

@@ -196,7 +196,7 @@ def series_coefficients(eff: EffectiveForm, kind: str, beta: float | None = None
     series by the Cauchy-product recursion.  Coefficient sets are cached
     by value so grid evaluations reuse one expansion per form.
     """
-    key = (kind, beta, k_terms, eff.lam.tobytes(), eff.h2.tobytes())
+    key = (kind, beta, k_terms, eff.sigma_gauss, eff.lam.tobytes(), eff.h2.tobytes())
     cached = _COEFF_CACHE.get(key)
     if cached is not None:
         return cached
@@ -330,13 +330,14 @@ def _ruben_poles(eff: EffectiveForm, beta: float):
     return c0, reps, np.prod(diff, axis=1)
 
 
-def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q):
+def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q, poles=None):
     """Rigorous bound on the chi-square-expansion *density* truncation error
     for central forms with an even variable count (q scalar or array).
 
     Uses |c_k| <= c0 * [theta^k] prod_{i<=N/2} (1 - xi_{2i-1} theta)^{-1}
     (xi = |1 - beta/lam| sorted descending, paired consecutively) and the
-    Poisson-tail identity to sum the remainder in closed form.
+    Poisson-tail identity to sum the remainder in closed form.  poles is
+    _ruben_poles(eff, beta) when already computed.
     """
     _require_positive_definite(eff, "truncation bound")
     if np.any(eff.h2 != 0.0):
@@ -345,7 +346,7 @@ def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q):
         raise NotApplicableError(
             "bound requires an even number of variables", condition="even count"
         )
-    c0, reps, delta = _ruben_poles(eff, beta)
+    c0, reps, delta = poles if poles is not None else _ruben_poles(eff, beta)
     m = k_trunc + eff.n_terms // 2 - 1
     b = 2.0 * beta
     qs = np.asarray(q, dtype=float)
@@ -360,15 +361,17 @@ def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q):
     return float(out) if qs.ndim == 0 else out
 
 
-def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: np.ndarray):
+def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: np.ndarray,
+                          poles):
     """Rigorous CDF remainder bound for the central even-count chi-square
     expansion at the points x: sum_{k>K} |c_k| F(...) <= F_{K+1}-term *
-    geometric tail.  None when the majorant does not converge."""
+    geometric tail, with poles = _ruben_poles(eff, coeffs.beta).  None when
+    the majorant does not converge."""
     if np.any(eff.h2 != 0.0) or eff.n_terms % 2 != 0:
         return None
     n = eff.n_terms
     k_trunc = coeffs.c.shape[0] - 1
-    c0, reps, delta = _ruben_poles(eff, coeffs.beta)
+    c0, reps, delta = poles
     if np.any(reps >= 1.0):
         return None
     geo = sum(a ** (k_trunc + n // 2) / (1.0 - a) / delta_i for a, delta_i in zip(reps, delta))
@@ -376,10 +379,11 @@ def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: np.
 
 
 def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
-                     tol: float, cumulative: bool):
+                     tol: float, cumulative: bool, poles=None):
     """Series CDF/PDF at a scalar q, or at every point of an array.
 
-    The points share the coefficients.  Each keeps the truncation K that
+    The points share the coefficients and the remainder bound's poles
+    (``poles``, when the caller has them).  Each keeps the truncation K that
     its own 64 -> 130 -> ... doubling picks: a point leaves the batch once
     it converges.  A scalar q raises a point's failure; an array returns
     it in that point's slot.
@@ -415,8 +419,10 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
         if kind == "ruben":
             rig = None
             if central_even:
-                rig = (_ruben_cdf_tail_bound(coeffs, eff, x) if cumulative
-                       else ruben_truncation_bound(eff, coeffs.beta, k_used, x))
+                if poles is None:
+                    poles = _ruben_poles(eff, coeffs.beta)
+                rig = (_ruben_cdf_tail_bound(coeffs, eff, x, poles) if cumulative
+                       else ruben_truncation_bound(eff, coeffs.beta, k_used, x, poles))
             if rig is not None:
                 bound, provenance = rig, "rigorous"
             elif cumulative:
@@ -451,17 +457,19 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
 
 
 def cdf_series(eff: EffectiveForm, q, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10):
+               beta: float | None = None, tol: float = 1e-10, poles=None):
     """Truncated-series CDF of a positive definite form at q.
 
     q may be an array: one entry per point, a MethodResult or the error
     (ConvergenceFailureError, NotApplicableError) that point alone raised.
+    poles is _ruben_poles(eff, beta) (beta at its default when None) when
+    already computed; results do not depend on it.
     """
-    return _evaluate_series(eff, q, kind, beta, tol, cumulative=True)
+    return _evaluate_series(eff, q, kind, beta, tol, True, poles)
 
 
 def pdf_series(eff: EffectiveForm, q, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10):
+               beta: float | None = None, tol: float = 1e-10, poles=None):
     """Truncated-series PDF of a positive definite form at q (scalar or
-    array, as cdf_series)."""
-    return _evaluate_series(eff, q, kind, beta, tol, cumulative=False)
+    array, poles as for cdf_series)."""
+    return _evaluate_series(eff, q, kind, beta, tol, False, poles)

@@ -283,6 +283,87 @@ def _newton_one(coef, s2: float, c: float, y: float, lo: float, hi: float,
     return math.nan
 
 
+CROSSING_MARGIN = 1e-9
+
+
+def chernoff_crossing(red: ReducedForm, level: float, side: str) -> float:
+    """The point where the Chernoff log-tail of ``side`` (see chernoff_log_tail)
+    equals level.
+
+    At x = K'(t) the log-tail is h(t) = K(t) - t K'(t), with t > 0 on the
+    right and t < 0 on the left.  h(0) = 0 and h'(t) = -t K''(t), so h falls
+    monotonically away from 0, and a point beyond the mean has a log-tail
+    below level iff it lies beyond the crossing.  h(t) = level is solved by
+    a Newton iteration in log|t| that keeps a bracket and never steps more
+    than halfway to either end of it, and K'(t) is returned.  Returns the
+    mean when level >= 0, and the support edge when h does not fall to level
+    before |t| max|w| = 1e100 (level = -inf, or a bounded side whose
+    crossing lies within about 1e-100 max|w| of its edge).
+    """
+    sign = 1.0 if side == "right" else -1.0
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    s2, c = red.sigma_gauss**2, red.const
+    if level >= 0.0:
+        return float(_sum(w * (nu + d2))) + c
+    edge = support(red)[1 if side == "right" else 0]
+    if level == -math.inf:
+        return edge
+    dom = mgf_domain(red)
+    end = dom.t_right if side == "right" else -dom.t_left   # strip end in tau = |t|
+    sw2, swnu, w2nu, w2d2 = 2.0 * sign * w, sign * w * nu, 2.0 * w * w * nu, 2.0 * w * w * d2
+    tau_max = 1e100 / float(np.max(np.abs(w), initial=1.0))
+    # start from the Gaussian part -var tau^2 / 2 of h
+    tau = min(math.sqrt(-2.0 * level / float(_sum(w2nu + 2.0 * w2d2) + s2)), 0.5 * end)
+    lo, hi = 0.0, end
+    for _ in range(_NEWTON_MAX):
+        inv = 1.0 / (1.0 - tau * sw2)
+        log_g = np.log(inv)
+        d2_inv = w2d2 * inv
+        # h = -(1/2) sum nu log g - t sum w nu / g - 2 t^2 sum d2 w^2 / g^2 - s2 t^2 / 2
+        # with g = 1 - 2 w t, and h'(t) = -t K''(t)
+        a = 0.5 * float(_sum(nu * log_g))
+        b = tau * float(_sum(swnu * inv))
+        e = tau * tau * float(_sum(d2_inv * inv))
+        gauss = 0.5 * s2 * tau * tau
+        f = a - b - e - gauss - level
+        if f > 0.0:
+            lo = tau
+        elif f < 0.0:
+            hi = tau
+        noise = 4.0 * _EPS * (0.5 * float(_sum(nu * np.abs(log_g))) + abs(b) + e + gauss
+                              - level)
+        if abs(f) <= noise:
+            break
+        # a Newton step in log tau, where df/d log tau = -tau^2 K''(t)
+        kpp = float(_sum(inv * inv * (w2nu + 2.0 * d2_inv))) + s2
+        step = tau * math.exp(min(f / (tau * tau * kpp), 50.0))
+        tau_new = min(max(step, 0.5 * (lo + tau)), 0.5 * (tau + hi))
+        if tau_new > tau_max:
+            return edge
+        done = abs(tau_new - tau) <= 2.0 * _EPS * tau_new
+        tau = tau_new
+        if done:
+            break
+    inv = 1.0 / (1.0 - tau * sw2)
+    return float(_sum(w * (nu + d2 * inv) * inv)) + s2 * sign * tau + c
+
+
+def crossing_margin(red: ReducedForm, *points: float) -> float:
+    """Half-width of the band around a Chernoff crossing inside which a
+    comparison with the crossing is settled by chernoff_log_tail itself.
+
+    The log-tail's slope at the crossing is -t, and |t| times the distance
+    from the mean is at least |level|, so outside this band the log-tail
+    differs from the level by far more than the rounding of its computed
+    value: the comparison with the crossing then decides as the log-tail
+    would.  CROSSING_MARGIN relative to the magnitudes in that rounding: the
+    points, the weights, the constant and the Gaussian term.
+    """
+    scale = float(_sum(np.abs(red.omega) * (red.nu + red.delta2)))
+    return CROSSING_MARGIN * (sum(abs(p) for p in points) + scale + abs(red.const)
+                              + red.sigma_gauss)
+
+
 def chernoff_log_tail(red: ReducedForm, y, side: str):
     """log of the Chernoff bound on a tail probability, at a scalar y or
     elementwise over an array of points.

@@ -1,0 +1,308 @@
+"""Per-form Chernoff crossings: the crossing solver, the route and the Davies
+spread that compare with crossings instead of solving a Chernoff bound per
+point, and the quantile search that builds its set-up once.
+
+The per-point route, the rung-stepping Davies spread search and the
+quantile search that rebuilds its set-up in every CDF call are kept here as
+``_old_*`` oracles; the new code must agree with them exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import optimize
+
+import quadform as qf
+from quadform import inversion, select, series, transforms
+from quadform.forms import DaviesParams
+
+from conftest import make_rng, random_reduced
+
+LOG_TAIL = math.log(select.TAIL_THRESHOLD)
+FORMS = [
+    qf.ReducedForm([2.0, 1.0, 0.5], [2, 4, 2], [0.0] * 3, 0.0, 0.3),
+    qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.5, 0.0, 1.2]),
+    qf.ReducedForm([1.2, 0.4], [3, 2], [0.0, 0.0]),
+    qf.ReducedForm([-1.0, -0.3], [2, 3], [0.4, 0.0], 0.0, 0.5),
+    qf.ReducedForm([1.0, -0.6, 0.4], [2, 3, 2], [0.3, 0.0, 0.5], 0.0, -0.2),
+    qf.ReducedForm([1.0, -1.0], [1, 1], [0.0, 0.0]),
+    qf.ReducedForm([1.0], [1], [0.0]),
+    qf.ReducedForm([100.0, 0.01], [1, 1], [0.0, 0.0]),
+    # one-sided supports whose crossing lies within rounding of the edge:
+    # the level is reached only next to the end of the strip
+    qf.ReducedForm([-5.50572302], [1], [1.15697353], 0.0, -3.7332644199144918),
+    qf.ReducedForm([0.13232291], [2], [0.0], 0.0, -9.445066229838364),
+    qf.ReducedForm([1000.0, -1000.0], [601, 597], [0.0, 0.0]),
+]
+GAUSSIAN = [
+    qf.ReducedForm([1.0, -0.6], [3, 3], [0.3, 0.0], 1.0, 0.1),
+    qf.ReducedForm([0.5, -1.7, 0.2], [1, 2, 1], [0.0, 1.0, 0.0], 0.3, -2.0),
+    qf.ReducedForm([2.0], [1], [0.5], 4.0),
+    qf.ReducedForm([], [], [], 1.5, 0.7),
+]
+
+
+def _conftest_forms(seed, count=12, **kwargs):
+    rng = make_rng(seed)
+    return [random_reduced(rng, **kwargs) for _ in range(count)]
+
+
+def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
+    """The per-point route: both Chernoff log-tails at every point."""
+    qs = np.asarray(q, dtype=float)
+    pts = np.atleast_1d(qs)
+    tail = np.zeros(pts.shape, dtype=bool)
+    if tail_hint != "none" and red.n_groups > 0:
+        log_l = transforms.chernoff_log_tail(red, pts, "left")
+        log_r = transforms.chernoff_log_tail(red, pts, "right")
+        tail = np.minimum(log_l, log_r) < LOG_TAIL
+    spa = "spa_lr" if quantity == "cdf" else "spa"
+    generic = select._generic_method(red, quantity) if not tail.all() else spa
+    methods = [spa if t else generic for t in tail]
+    return methods[0] if qs.ndim == 0 else methods
+
+
+def _old_davies_rule(red, x, tol):
+    """The rung-stepping spread search and the truncation ladder of the auto
+    Davies rule: (spread, lattice bound, k_max, u_max)."""
+    k1 = qf.cumulants(red.shifted(0.0), 2)
+    sd = math.sqrt(max(k1.get(2), 1e-300))
+    spread = max(8.0 * sd, abs(x - k1.get(1)) + 4.0 * sd)
+    lattice = inversion._davies_lattice_bound(red, x, spread)
+    for _ in range(200):
+        if lattice <= tol / 2.0 or spread > 1e12 * sd:
+            break
+        spread *= 1.5
+        lattice = inversion._davies_lattice_bound(red, x, spread)
+    delta = 2.0 * math.pi / spread
+    u_max = 4.0 / sd if red.n_groups else 4.0 / red.sigma_gauss
+    trunc = inversion.davies_truncation_bound(red, u_max)
+    while trunc > tol / 2.0 and (u_max / delta) < inversion.DAVIES_POINTS_MAX:
+        u_max *= 1.5
+        trunc = inversion.davies_truncation_bound(red, u_max)
+    k_max = max(min(int(math.ceil(u_max / delta - 0.5)), inversion.DAVIES_POINTS_MAX), 8)
+    return spread, lattice, k_max, (k_max + 0.5) * delta
+
+
+def _old_cdf_davies(red, q, params=None, tol=1e-8, setup=None):
+    """cdf_davies with the old auto rule (the set-up is not used)."""
+    if params is not None:
+        return inversion.cdf_davies(red, q, params, tol)
+    exact = inversion._exact_cdf(red, q, "davies")
+    if exact is not None:
+        return exact
+    x = q - red.const
+    spread, lattice, k_max, u_max = _old_davies_rule(red, x, tol)
+    delta = 2.0 * math.pi / spread
+    trunc = inversion.davies_truncation_bound(red, u_max)
+    value, rounding = inversion._davies_sum(red, x, delta, k_max)
+    bound = trunc + lattice + rounding
+    res = qf.MethodResult(min(max(value, 0.0), 1.0), float(bound), "davies", "rigorous",
+                          {"raw_value": value, "delta": delta, "k_max": k_max,
+                           "u_max": u_max, "truncation_bound": trunc,
+                           "lattice_bound": lattice})
+    if bound > tol:
+        raise qf.ConvergenceFailureError("davies", result=res)
+    return res
+
+
+def _old_quantile(red, p, tol=1e-8, method="auto"):
+    """The quantile search with a fresh route and set-up in every CDF call
+    (the caller patches in the old route and Davies rule)."""
+    inner_tol = min(tol * 1e-2, 1e-9)
+    ks = transforms.cumulants(red, 2)
+    center, sd = ks.get(1), math.sqrt(max(ks.get(2), 1e-300))
+    lo_s, hi_s = transforms.support(red)
+    edge = 1e-9 * max(sd, abs(center), 1.0)
+
+    def f(x):
+        if math.isfinite(lo_s) and x <= lo_s + edge:
+            return -p
+        if math.isfinite(hi_s) and x >= hi_s - edge:
+            return 1.0 - p
+        try:
+            res = select.cdf(red, x, method, inner_tol)
+        except qf.ConvergenceFailureError as exc:
+            res = exc.result
+        return res.value - p
+
+    lo, hi = center - 2.0 * sd, center + 2.0 * sd
+    lo = max(lo, lo_s) if math.isfinite(lo_s) else lo
+    hi = min(hi, hi_s) if math.isfinite(hi_s) else hi
+    step = 2.0 * sd
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(200):
+        if f_lo <= 0.0:
+            break
+        step *= 2.0
+        lo = max(lo - step, lo_s) if math.isfinite(lo_s) else lo - step
+        f_lo = f(lo)
+    for _ in range(200):
+        if f_hi >= 0.0:
+            break
+        step *= 2.0
+        hi = min(hi + step, hi_s) if math.isfinite(hi_s) else hi + step
+        f_hi = f(hi)
+    return float(optimize.brentq(f, lo, hi, xtol=1e-13 * (1.0 + sd), rtol=8.9e-16,
+                                 maxiter=200))
+
+
+def _route_points(red):
+    """A sweep over both tails and the bulk, the support edges, and every
+    crossing with its neighbours: 1 ulp, the margin and twice the margin."""
+    ks = qf.cumulants(red, 2)
+    mean, sd = ks.get(1), math.sqrt(ks.get(2))
+    pts = list(np.linspace(mean - 40.0 * sd, mean + 40.0 * sd, 81))
+    for edge in transforms.support(red):
+        if math.isfinite(edge):
+            pts += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
+                    edge - 1e-9, edge + 1e-9]
+    for x, margin in select.Plan(red).crossings:
+        for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+            pts.append(x + k * margin)
+        pts += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    return np.array([p for p in pts if math.isfinite(p)])
+
+
+class TestCrossingSolver:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("level", [LOG_TAIL, math.log(5e-10), -2.0])
+    def test_log_tail_at_the_level(self, seed, level):
+        forms = (_conftest_forms(seed) + _conftest_forms(seed + 10, 4, gaussian=True)
+                 + FORMS[:6] + GAUSSIAN[:3])
+        for red in forms:
+            for side in ("left", "right"):
+                x = transforms.chernoff_crossing(red, level, side)
+                # chernoff_log_tail computes K(t) - t x: near a one-sided
+                # support's edge, t x is large and its rounding counts
+                t = transforms._cgf_prime_root(red, x)
+                err = abs(transforms.chernoff_log_tail(red, x, side) - level)
+                assert err <= 1e-12 + 4.0 * np.finfo(float).eps * abs(t * x), (red, side)
+
+    def test_level_at_or_above_zero_is_the_mean(self):
+        red = FORMS[1]
+        mean = float(np.sum(red.omega * (red.nu + red.delta2))) + red.const
+        for side in ("left", "right"):
+            assert transforms.chernoff_crossing(red, 0.0, side) == mean
+            assert transforms.chernoff_crossing(red, 0.5, side) == mean
+
+    def test_unreachable_level_gives_the_support_edge(self):
+        for red in (FORMS[6], FORMS[3], FORMS[8]):
+            lo, hi = transforms.support(red)
+            side, edge = ("left", lo) if math.isfinite(lo) else ("right", hi)
+            # the crossing of -600 lies beyond 1e100 times the strip's scale
+            assert transforms.chernoff_crossing(red, -600.0, side) == edge
+            assert transforms.chernoff_crossing(red, -math.inf, side) == edge
+        assert transforms.chernoff_crossing(FORMS[4], -math.inf, "left") == -math.inf
+
+
+class TestRouteMatchesPerPointChernoff:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_conftest_forms(self, seed):
+        forms = (_conftest_forms(seed) + _conftest_forms(seed, 6, definite="positive")
+                 + _conftest_forms(seed, 6, definite="negative")
+                 + _conftest_forms(seed, 6, gaussian=True))
+        for red in forms:
+            pts = _route_points(red)
+            for quantity in ("cdf", "pdf"):
+                assert select.select_method(red, quantity, pts) == _old_select_method(
+                    red, quantity, pts)
+
+    @pytest.mark.parametrize("red", FORMS + GAUSSIAN[:3])
+    def test_named_forms(self, red):
+        pts = _route_points(red)
+        assert select.select_method(red, "cdf", pts) == _old_select_method(red, "cdf", pts)
+        for q in pts[-9:]:
+            assert select.select_method(red, "cdf", float(q)) == _old_select_method(
+                red, "cdf", float(q))
+
+    def test_route_makes_no_per_point_chernoff_call(self, monkeypatch):
+        red = FORMS[1]
+        calls = []
+        real = transforms.chernoff_log_tail
+        monkeypatch.setattr(transforms, "chernoff_log_tail",
+                            lambda *a: calls.append(a) or real(*a))
+        plan = select.Plan(red)
+        (x_left, _), (x_right, _) = plan.crossings
+        pts = np.linspace(x_left - 5.0, x_right + 5.0, 41)
+        routes = select.select_method(red, "cdf", pts, plan=plan)
+        assert calls == [] and "spa_lr" in routes and "ruben" in routes
+        select.select_method(red, "cdf", x_right, plan=plan)
+        assert len(calls) == 1 and calls[0][2] == "right"
+
+
+class TestDaviesSpread:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_matches_rung_stepping(self, tol):
+        for red in GAUSSIAN[:3] + _conftest_forms(6, 6, gaussian=True):
+            ks = qf.cumulants(red.shifted(0.0), 2)
+            mean, sd = ks.get(1), math.sqrt(ks.get(2))
+            setup = inversion.InversionSetup(red, tol)
+            for x in mean + sd * np.array([-60.0, -12.0, -3.0, -0.4, 0.0, 1.0, 5.0, 25.0]):
+                self._check(red, float(x), tol, setup)
+
+    @pytest.mark.parametrize("red", GAUSSIAN[:3])
+    def test_rungs_on_the_crossing(self, red):
+        """Points whose distance to a crossing is exactly a rung, and 1 ulp
+        either side: the rung is settled by the lattice bound itself."""
+        tol = 1e-8
+        setup = inversion.InversionSetup(red, tol)
+        mean, sd, left, right = setup.spread_form
+        for k in range(4):
+            rung = 8.0 * sd
+            for _ in range(k):
+                rung *= 1.5
+            for x0 in (right - rung, left + rung):
+                if abs(x0 - mean) + 4.0 * sd > 8.0 * sd:
+                    continue
+                for x in (x0, np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf)):
+                    self._check(red, float(x), tol, setup)
+
+    def _check(self, red, x, tol, setup):
+        spread, lattice, k_max, u_max = _old_davies_rule(red, x, tol)
+        assert inversion._davies_spread(red, x, setup) == (spread, lattice)
+        try:
+            res = qf.cdf_davies(red, x + red.const, tol=tol, setup=setup)
+        except qf.ConvergenceFailureError as exc:
+            res = exc.result
+        diag = res.diagnostics
+        assert (diag["k_max"], diag["u_max"], diag["lattice_bound"]) == (k_max, u_max, lattice)
+
+    def test_vacuous_side_gives_bound_one(self):
+        """A fixed lattice whose spread leaves x + spread below the mean was
+        reported with an aliasing bound of 0."""
+        red = qf.ReducedForm([1.0], [2], [0.0])
+        res = qf.cdf_davies(red, 10.0, params=DaviesParams(delta=2.0 * math.pi, k_max=20000))
+        assert res.diagnostics["lattice_bound"] == 1.0
+        assert abs(res.value - (1.0 - math.exp(-5.0))) <= res.error_bound
+
+
+QUANTILE_FORMS = (
+    FORMS[:8]
+    + [qf.ReducedForm(np.linspace(0.2, 3.0, 50), [2] * 50, [0.0] * 50)]
+    + GAUSSIAN[:3]
+    + _conftest_forms(7, 8)
+    + _conftest_forms(8, 2, definite="negative")
+)
+
+
+class TestQuantileSearch:
+    @pytest.mark.parametrize("red", QUANTILE_FORMS)
+    def test_matches_search_without_shared_setup(self, red, monkeypatch):
+        new = [qf.quantile(red, p, 1e-6) for p in (0.01, 0.5, 0.99)]
+        with monkeypatch.context() as m:
+            m.setattr(select, "select_method", _old_select_method)
+            m.setattr(inversion, "cdf_davies", _old_cdf_davies)
+            old = [_old_quantile(red, p, 1e-6) for p in (0.01, 0.5, 0.99)]
+        assert new == old
+
+    def test_one_partial_fraction_expansion(self, monkeypatch):
+        red = QUANTILE_FORMS[8]
+        calls = []
+        real = series.partial_fractions
+        monkeypatch.setattr(series, "partial_fractions",
+                            lambda r: calls.append(r) or real(r))
+        q = qf.quantile(red, 0.5)
+        assert len(calls) == 1
+        assert abs(qf.cdf(red, q).value - 0.5) < 1e-8

@@ -47,6 +47,11 @@ class TestIntegrand:
         with pytest.raises(qf.NotApplicableError):
             qf.imhof_integrand(EX1, 1.0, 0.0)
 
+    def test_overflowing_modulus_is_inf(self):
+        # under the suite's error::RuntimeWarning:quadform filter
+        theta, rho = qf.imhof_integrand(OVERFLOW, 1.0, 5.0)
+        assert math.isinf(rho) and math.isfinite(theta)
+
 
 class TestCdfImhof:
     def test_chi21_known_value(self):
@@ -278,7 +283,7 @@ class TestRouter:
 
     def test_auto_leaf_falls_back_to_davies(self, monkeypatch):
         def failing(name, bound):
-            def fn(red, q, tol):
+            def fn(red, q, tol, setup=None):
                 raise qf.ConvergenceFailureError(
                     name, result=qf.MethodResult(0.5, bound, name, "rigorous", {}))
             return fn

@@ -189,6 +189,13 @@ class TestSeriesCoefficients:
         with pytest.raises(qf.NotApplicableError):
             qf.series_coefficients(gauss, "ruben")
 
+    def test_cached_coefficients_keep_the_gaussian_check(self):
+        # the cache key used to leave out sigma: the same weights without a
+        # Gaussian term, expanded first, hid the NotApplicableError
+        qf.series_coefficients(qf.EffectiveForm([1.7], [0.0], 0.0, 0.0), "ruben")
+        with pytest.raises(qf.NotApplicableError):
+            qf.series_coefficients(qf.EffectiveForm([1.7], [0.0], 1.0, 0.0), "ruben")
+
 
 class TestSeriesEvaluation:
     def test_ruben_vs_imhof(self):
