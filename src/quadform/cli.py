@@ -19,6 +19,7 @@ codes: 0 success, 2 invalid input, 3 convergence failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -347,7 +348,10 @@ def cmd_mc_check(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged; each call gets a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="quadform",
         description="Distributions and moments of Gaussian quadratic forms and their ratios",
@@ -425,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload = args.fn(args)
     except DegenerateConstantError as exc:

@@ -6,9 +6,13 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
 * Imhof: modulus-phase integrand sin(theta(u)) / (u rho(u)) on a
   trapezoid grid over [0, U], with the closed-form tail bound used to
   pick U and Richardson panel doubling to control quadrature error.
-  Requires sigma = 0.  The CDF and the density share one start rule, one
-  panel-doubling driver and one tail record per truncation point U: it
-  reads phi(U) once, and every tail bound at U derives from it.
+  Requires sigma = 0.  U lies on the ladder 2^j (j < 0 allowed): the CDF
+  takes the first rung whose tail bound meets tol/2, the density doubles
+  from 1.  A rung holds what its points share: the x-free part of the
+  tail record (phi(U) read once) and the modulus and phase at its nested
+  trapezoid nodes, each node evaluated once.  A point adds its phase
+  shift -u x/2 and one sin (CDF) or cos (density) per node, and runs its
+  own start grid, Richardson halving and stop rule.
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
   term.  Truncation is controlled by computable bounds on the integrand
   tail; the lattice aliasing error is bounded through Chernoff bounds on
@@ -17,8 +21,8 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   Chernoff log-tails equal log(tol/2).
 
 ``InversionSetup`` holds what does not depend on the point (Imhof's tail
-constants, the Davies crossings and truncation ladder), so the points of
-a grid and the CDF calls of ``quantile`` build it once.
+constants and rungs, the Davies crossings and truncation ladder), so the
+points of a grid and the CDF calls of ``quantile`` build it once.
 
 Both read the modulus and phase of phi from one kernel,
 ``transforms._log_cf`` (Imhof's u is twice its frequency).  Their bounds
@@ -93,28 +97,122 @@ def imhof_integrand(red: ReducedForm, u, q: float):
         return phase - 0.5 * u * q, np.exp(-log_mod)
 
 
-def _imhof_f(red: ReducedForm, u: np.ndarray, q: float) -> np.ndarray:
-    """sin(theta)/(u rho) with the analytic limit spliced in at u = 0."""
+def _nodes(red: ReducedForm, u: np.ndarray) -> np.ndarray:
+    """Rows u, 1/rho(u) = |phi(u/2)| and arg phi(u/2) (constant removed) of
+    Imhof's integrand at the nodes u: one ``_log_cf`` call."""
     log_mod, phase = transforms._log_cf(red, 0.5 * u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(phase - 0.5 * u * q) * np.exp(log_mod) / u
-    out[u == 0.0] = 0.5 * float(np.sum(red.omega * (red.nu + red.delta2))) - 0.5 * q
+    return np.stack((u, np.exp(log_mod), phase))
+
+
+def _imhof_f(nodes: np.ndarray, x: float, form: _Form) -> np.ndarray:
+    """sin(theta)/(u rho) at ``_nodes`` rows, with the analytic limit
+    (sum w (nu + d2) - x) / 2 spliced in at u = 0."""
+    u, mod, phase = nodes
+    out = np.sin(phase - u * (0.5 * x))
+    out *= mod
+    if u[0] == 0.0:   # u ascends: only a grid's first node can be 0
+        out[1:] /= u[1:]
+        out[0] = form.half_mean - 0.5 * x
+    else:
+        out /= u
     return out
 
 
-def _imhof_pdf_f(red: ReducedForm, u: np.ndarray, q: float) -> np.ndarray:
-    """cos(theta)/rho, the density's integrand."""
-    log_mod, phase = transforms._log_cf(red, 0.5 * u)
-    return np.cos(phase - 0.5 * u * q) * np.exp(log_mod)
+def _imhof_pdf_f(nodes: np.ndarray, x: float) -> np.ndarray:
+    """cos(theta)/rho, the density's integrand, at ``_nodes`` rows."""
+    u, mod, phase = nodes
+    out = np.cos(phase - u * (0.5 * x))
+    out *= mod
+    return out
 
 
-def _tail_form(red: ReducedForm) -> tuple:
-    """The U-free constants (k, c1, c2, (1/2) sum nu log|w|) of ``_tail``."""
+class _Form(NamedTuple):
+    """The U- and x-free constants of Imhof's tail bounds (see ``_Tail``)."""
+
+    k: float
+    c1: float | None
+    c2: float
+    log_w: float        # (1/2) sum nu log|w|
+    half_mean: float    # (1/2) sum w (nu + d2), the CDF integrand's u -> 0 limit at x = 0
+
+
+def _tail_form(red: ReducedForm) -> _Form:
+    """The ``_Form`` of red."""
     w, nu, d2 = red.omega, red.nu, red.delta2
     c1 = (None if int(nu[w > 0].sum() - nu[w < 0].sum()) % 4
           else 0.5 * float(np.sum((nu + d2) / np.abs(w))))
-    return (0.5 * float(nu.sum()), c1, 0.5 * float(np.sum(nu + 3.0 * d2)),
-            0.5 * float(np.sum(nu * np.log(np.abs(w)))))
+    return _Form(0.5 * float(nu.sum()), c1, 0.5 * float(np.sum(nu + 3.0 * d2)),
+                 0.5 * float(np.sum(nu * np.log(np.abs(w)))),
+                 0.5 * float(np.sum(w * (nu + d2))))
+
+
+# the finest trapezoid grid a rung keeps: its last halving added 2^18 nodes,
+# the block of _davies_sum; finer grids are evaluated per call
+_KEEP_PANELS = 2**19
+
+
+class _Rung:
+    """Imhof's integrand truncated at U, for every point of one form:
+
+    * head: the x-free part of the tail record at U, from one ``_log_cf`` call.
+    * The nested trapezoid grids on [0, U], whose panel counts differ by
+      powers of 2: the ``_nodes`` of the finest grid evaluated so far (the
+      first grid asked for, then grown one halving at a time), so every node
+      is evaluated once.  A coarser grid, and the midpoints a halving adds,
+      are strided views of it.  Grids finer than _KEEP_PANELS panels are
+      evaluated per call and not kept.
+    """
+
+    def __init__(self, red: ReducedForm, u_max: float, form: _Form):
+        self.red, self.u, self.form = red, u_max, form
+        self._panels, self._grid = 0, None
+
+    @functools.cached_property
+    def head(self) -> tuple:
+        """(arg phi, rho, log floor, m1, theta' + x/2, T_U, the density's
+        plain bound, the c1 part of the balanced bound) at U."""
+        k, c1, _, log_w, _ = self.form
+        w, nu, d2, u = self.red.omega, self.red.nu, self.red.delta2, self.u
+        log_mod, phase = transforms._log_cf(self.red, 0.5 * u)
+        log_floor = log_w + 0.5 * float(np.sum(d2 * w**2 * u**2 / (1.0 + w**2 * u**2)))
+        g = 1.0 + (w * u) ** 2
+        m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / g))
+        slope = 0.5 * float(np.sum(nu * w / g + d2 * w * (1.0 - (w * u) ** 2) / g**2))
+        with np.errstate(over="ignore"):
+            rho = float(np.exp(-log_mod))
+        plain = math.exp(min(-math.log(math.pi * k) - k * math.log(u) - log_floor, 700.0))
+        balanced = math.inf
+        if c1 is not None:
+            # int_U^inf u^{-2} / rho du <= U^{-(k+1)} / ((k+1) e^{floor}), which
+            # overflows (no bound) only at a small U with a large k
+            with contextlib.suppress(OverflowError):
+                balanced = c1 * (math.exp(min(-log_floor, 700.0)) * u ** -(k + 1.0) / (k + 1.0))
+        pdf_plain = math.inf if k <= 1.0 else math.exp(min(
+            -math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u) - log_floor, 700.0))
+        return float(phase), rho, log_floor, m1, slope, plain, pdf_plain, balanced
+
+    def _added(self, panels: int) -> np.ndarray:
+        """Evaluate the nodes that halving the grid of ``panels`` panels adds."""
+        return _nodes(self.red, np.linspace(0.0, self.u, 2 * panels + 1)[1::2])
+
+    def grid(self, panels: int) -> np.ndarray:
+        """The ``_nodes`` of the grid of ``panels`` panels."""
+        if panels > _KEEP_PANELS:
+            return _nodes(self.red, np.linspace(0.0, self.u, panels + 1))
+        if self._grid is None:
+            self._grid = _nodes(self.red, np.linspace(0.0, self.u, panels + 1))
+            self._panels = panels
+        while self._panels < panels:
+            fine = np.empty((3, 2 * self._panels + 1))
+            fine[:, ::2], fine[:, 1::2] = self._grid, self._added(self._panels)
+            self._grid, self._panels = fine, 2 * self._panels
+        return self._grid[:, ::self._panels // panels]
+
+    def midpoints(self, panels: int) -> np.ndarray:
+        """The ``_nodes`` that halving the grid of ``panels`` panels adds."""
+        if 2 * panels <= _KEEP_PANELS:
+            return self.grid(2 * panels)[:, 1::2]
+        return self._added(panels)
 
 
 class _Tail(NamedTuple):
@@ -153,25 +251,19 @@ class _Tail(NamedTuple):
     boundary: complex   # e^{i theta(U)} / (theta'(U) rho(U)) where dtheta is set
 
 
-def _tail(red: ReducedForm, u: float, x: float, form: tuple) -> _Tail:
-    """The tail record at U = u from one ``_log_cf`` call; form = _tail_form(red)."""
-    k, c1, c2, log_w = form
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    log_mod, phase = transforms._log_cf(red, 0.5 * u)
-    theta = float(phase - 0.5 * u * x)
-    log_floor = log_w + 0.5 * float(np.sum(d2 * w**2 * u**2 / (1.0 + w**2 * u**2)))
-    g = 1.0 + (w * u) ** 2
-    m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / g))
+def _tail(rung: _Rung, x: float) -> _Tail:
+    """The tail record at the rung's U and shifted point x: its x terms on the head."""
+    k, c1, c2, _, _ = rung.form
+    u = rung.u
+    phase, rho, log_floor, m1, slope, plain, pdf_plain, balanced = rung.head
+    theta = phase - 0.5 * u * x
     s = max(abs(x) / 2.0 - m1, 0.0)
     dtheta, boundary = 0.0, 0j
-    with np.errstate(over="ignore"):
-        rho = float(np.exp(-log_mod))
-        if s > 0.0:
-            dtheta = (0.5 * float(np.sum(nu * w / g + d2 * w * (1.0 - (w * u) ** 2) / g**2))
-                      - 0.5 * x)
+    if s > 0.0:
+        dtheta = slope - 0.5 * x
+        with np.errstate(over="ignore"):
             boundary = complex(np.exp(1j * theta) / (dtheta * rho))
     finite = math.isfinite(rho)
-    plain = math.exp(min(-math.log(math.pi * k) - k * math.log(u) - log_floor, 700.0))
     if s <= 0.0:
         ibp = residual = math.inf
     elif not finite:
@@ -179,35 +271,37 @@ def _tail(red: ReducedForm, u: float, x: float, form: tuple) -> _Tail:
     else:
         ibp = (2.0 + c2 / (u * s)) / (rho * s)
         residual = (c2 + 2.0 * k) / (2.0 * math.pi * rho * s**2 * u)
-    balanced = math.inf
     if c1 is not None:
-        # int_U^inf u^{-2} / rho du <= U^{-(k+1)} / ((k+1) e^{floor}), which
-        # overflows (no bound) only at a fixed U < 1 with a large k
-        with contextlib.suppress(OverflowError):
-            balanced = c1 * (math.exp(min(-log_floor, 700.0)) * u ** -(k + 1.0) / (k + 1.0))
         if x != 0.0 and finite:
             balanced += (2.0 / abs(x)) * (2.0 / (u * rho) + m1 * math.pi * plain)
         balanced /= math.pi
-    pdf_plain = math.inf if k <= 1.0 else math.exp(min(
-        -math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u) - log_floor, 700.0))
     return _Tail(u, log_floor, rho, theta, dtheta, m1, s, plain, ibp, balanced, pdf_plain,
                  residual, boundary)
 
 
 def imhof_tail_bound(red: ReducedForm, u_max: float) -> float:
     """Closed-form bound T_U on the neglected CDF-integral tail beyond U."""
-    return _tail(red, u_max, 0.0, _tail_form(red)).plain
+    return _tail(_Rung(red, u_max, _tail_form(red)), 0.0).plain
 
 
-def _imhof_pick_u(red: ReducedForm, tol: float, x: float, form: tuple):
-    """Smallest U putting the best CDF tail bound below tol/2, and its record.
+def _cdf_tail(rec: _Tail) -> float:
+    """The best CDF tail bound of a record (the CDF integrand carries an
+    extra 1/u <= 1/U)."""
+    return min(rec.plain, rec.ibp / (math.pi * rec.u), rec.balanced)
 
-    Closed-form first guesses from the power-law parts of T_U and of the
-    integration-by-parts bound, then verified against the exact bounds
-    and enlarged geometrically if needed."""
-    k, c1, _, log_w = form
+
+def _imhof_pick_u(setup: InversionSetup, x: float) -> tuple:
+    """The first rung U = 2^j of the ladder whose best CDF tail bound is at
+    most tol/2 (or the first above 1e25), and its record.
+
+    The search starts at the rung of closed-form first guesses from the
+    power-law parts of T_U and of the integration-by-parts bound, and steps
+    by factors of 2, down while the rung below still meets tol/2 and up
+    until one does: every bound decreases with U."""
+    red, half = setup.red, setup.tol / 2.0
+    k, c1, _, log_w, _ = setup.tail_form
     log_scale = -log_w - 0.5 * float(red.delta2.sum())
-    log_tol = math.log(tol / 2.0)
+    log_tol = math.log(half)
     log_us = [(-math.log(math.pi * k) + log_scale - log_tol) / k]
     if x != 0.0:
         log_us.append((math.log(2.0) - math.log(math.pi * abs(x) / 2.0) + log_scale - log_tol)
@@ -215,13 +309,15 @@ def _imhof_pick_u(red: ReducedForm, tol: float, x: float, form: tuple):
     if c1 is not None:
         log_us.append((math.log(max(c1, 1e-300)) - math.log(math.pi * (k + 1.0)) + log_scale
                        - log_tol) / (k + 1.0))
-    u = min(math.exp(min(max(log_u, 0.0), 60.0)) for log_u in log_us)
-    for _ in range(120):
-        rec = _tail(red, u, x, form)
-        if min(rec.plain, rec.ibp / (math.pi * u), rec.balanced) <= tol / 2.0 or u > 1e25:
-            return u, rec
-        u *= 1.3
-    return u, _tail(red, u, x, form)
+    j = math.ceil(min(max(min(log_us), -600.0), 60.0) / math.log(2.0))
+    rec = _tail(setup.rung(j), x)
+    if _cdf_tail(rec) <= half:
+        while j > -1000 and _cdf_tail(lower := _tail(setup.rung(j - 1), x)) <= half:
+            j, rec = j - 1, lower
+    while _cdf_tail(rec) > half and rec.u <= 1e25:
+        j += 1
+        rec = _tail(setup.rung(j), x)
+    return setup.rung(j), rec
 
 
 def _start_panels(red: ReducedForm, u_max: float, x: float) -> int:
@@ -236,21 +332,23 @@ def _start_panels(red: ReducedForm, u_max: float, x: float) -> int:
     return panels
 
 
-def _trapezoid(f, u_max: float, panels: int, cap: int, target: float, scale: float):
-    """(1/scale) int_0^U f by the trapezoid rule on ``panels`` panels, then
-    halving the step (new midpoints only) while fewer than ``cap`` panels
-    and the Richardson estimate is above ``target``.
+def _trapezoid(rung: _Rung, f, panels: int, cap: int, target: float, scale: float):
+    """(1/scale) int_0^U f by the trapezoid rule on the rung's grid of
+    ``panels`` panels, then halving the step (new midpoints only) while fewer
+    than ``cap`` panels and the Richardson estimate is above ``target``; f
+    maps ``_nodes`` rows to integrand values.
 
     Returns the integral, the last Richardson estimate (inf when the step
     was never halved), the final panel count and the rounding bound of
     the node sum.
     """
-    fu = f(np.linspace(0.0, u_max, panels + 1))
+    u_max = rung.u
+    fu = f(rung.grid(panels))
     total = float(np.trapezoid(fu, dx=u_max / panels))
     mass = float(np.sum(np.abs(fu))) * (u_max / panels)
     quad_est = math.inf
     while panels < cap:
-        fu = f(np.linspace(0.0, u_max, 2 * panels + 1)[1::2])
+        fu = f(rung.midpoints(panels))
         step = u_max / (2 * panels)
         total_new = 0.5 * total + float(np.sum(fu)) * step
         mass = 0.5 * mass + float(np.sum(np.abs(fu))) * step
@@ -267,34 +365,36 @@ def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     """CDF by Imhof's trapezoid rule with explicit truncation bound.
 
     With ``params`` the grid is fixed and the achieved bound is reported;
-    otherwise U is solved from the tail bound and panels are doubled
-    until the Richardson estimate meets the tolerance.  ``setup`` is an
-    InversionSetup of red to reuse; results do not depend on it.
+    otherwise U is the first rung of the ladder 2^j whose tail bound meets
+    tol/2, and panels are doubled until the Richardson estimate meets the
+    tolerance.  ``setup`` is an InversionSetup of red to reuse (its rungs'
+    nodes are shared with its other points); results do not depend on it.
     """
     _require_no_gaussian(red, "imhof CDF")
     exact = _exact_cdf(red, q, "imhof")
     if exact is not None:
         return exact
     x = q - red.const
-    form = setup.tail_form if setup is not None else _tail_form(red)
     if params is not None:
         # one halved-grid pass first so a Richardson estimate is available
-        u_max, tol = params.u_max, params.tol
-        rec = _tail(red, u_max, x, form)
-        panels, cap, target = max(params.panels // 2, 2), max(params.panels, 4), -math.inf
+        tol, panels = params.tol, max(params.panels // 2, 2)
+        rung = _Rung(red, params.u_max, _tail_form(red))
+        rec = _tail(rung, x)
+        cap, target = max(params.panels, 4), -math.inf
     else:
-        u_max, rec = _imhof_pick_u(red, tol, x, form)
-        panels, cap = _start_panels(red, u_max, x), IMHOF_PANELS_MAX
+        setup = setup if setup is not None else InversionSetup(red, tol)
+        rung, rec = _imhof_pick_u(setup, x)
+        panels, cap = _start_panels(red, rung.u, x), IMHOF_PANELS_MAX
         # drive the quadrature below the tail target: the oscillatory tail
         # cancels far below T_U, so a tight grid keeps the value accurate
         # even when the reported (conservative) bound is dominated by T_U
         target = min(tol, 1e-8) / 2.0
+    u_max = rung.u
 
-    # the CDF integrand carries an extra 1/u <= 1/U
     t_plain, t_ibp, t_bal = rec.plain, rec.ibp / (math.pi * u_max), rec.balanced
     t_u = min(t_plain, t_ibp, t_bal)
     integral, quad_est, panels, rounding = _trapezoid(
-        lambda u: _imhof_f(red, u, x), u_max, panels, cap, target, math.pi)
+        rung, lambda nodes: _imhof_f(nodes, x, rung.form), panels, cap, target, math.pi)
     value = 0.5 - integral
     # the boundary-term refinement is only trustworthy in the regime where
     # the integration-by-parts budget is the binding bound
@@ -318,36 +418,42 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
               tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
     """Density by the cosine-integral counterpart of the Imhof rule.
 
-    The reported bound combines the integrable part of the modulus tail
-    (valid when sum(nu) > 2) with a Richardson estimate; flagged
-    heuristic since the oscillatory tail has no tight closed bound.
-    ``setup`` as for cdf_imhof.
+    U doubles from 1 until a tail bound or estimate meets tol/2.  The
+    reported bound combines the integrable part of the modulus tail (valid
+    when sum(nu) > 2) with a Richardson estimate; flagged heuristic since
+    the oscillatory tail has no tight closed bound.  At x = 0 with
+    sum(nu) <= 2 no bound applies at any U (the slope floor is 0), so U
+    stays 1 and the bound is inf.  ``setup`` as for cdf_imhof.
     """
     _require_no_gaussian(red, "imhof PDF")
     x = q - red.const
-    form = setup.tail_form if setup is not None else _tail_form(red)
-    u_max = params.u_max if params is not None else 1.0
-    rec = _tail(red, u_max, x, form)
     if params is not None:
         panels = cap = params.panels
+        rung = _Rung(red, params.u_max, _tail_form(red))
+        rec = _tail(rung, x)
     else:
-        while (min(rec.pdf_plain, rec.ibp / (2.0 * math.pi), rec.residual) > tol / 2.0
-               and u_max < 1e7):
-            u_max *= 2.0
-            rec = _tail(red, u_max, x, form)
-        panels, cap = _start_panels(red, u_max, x), IMHOF_PANELS_MAX
+        setup = setup if setup is not None else InversionSetup(red, tol)
+        j = 0
+        rec = _tail(setup.rung(j), x)
+        if setup.tail_form.k > 1.0 or x != 0.0:
+            while (min(rec.pdf_plain, rec.ibp / (2.0 * math.pi), rec.residual) > tol / 2.0
+                   and rec.u < 1e7):
+                j += 1
+                rec = _tail(setup.rung(j), x)
+        rung = setup.rung(j)
+        panels, cap = _start_panels(red, rung.u, x), IMHOF_PANELS_MAX
     t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
     correct_tail = t_ibp_u < t_plain_u
     t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)
     value, quad_est, panels, rounding = _trapezoid(
-        lambda u: _imhof_pdf_f(red, u, x), u_max, panels, cap, min(tol, 1e-8) / 2.0,
+        rung, lambda nodes: _imhof_pdf_f(nodes, x), panels, cap, min(tol, 1e-8) / 2.0,
         2.0 * math.pi)
     if correct_tail:
         value -= rec.boundary.imag / (2.0 * math.pi)
     bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
     return MethodResult(
         max(value, 0.0), float(bound), "imhof", "heuristic",
-        {"raw_value": value, "u_max": u_max, "panels": panels, "tail_bound": t_u,
+        {"raw_value": value, "u_max": rung.u, "panels": panels, "tail_bound": t_u,
          "quad_estimate": quad_est},
     )
 
@@ -421,6 +527,11 @@ class InversionSetup:
     calls of a quantile search.
 
     * tail_form: Imhof's U-free tail constants (_tail_form).
+    * Imhof's ladder: per rung U = 2^j, the x-free part of the tail record
+      at U and the integrand's modulus and phase at the rung's nested
+      trapezoid nodes (``_Rung``).  The CDF and density points that truncate
+      at U read them; each adds only its phase shift -u x/2 and one sin or
+      cos per node.
     * The Davies spread: the aliasing bound of ``_davies_lattice_bound`` is at
       most tol/2 once x - spread and x + spread lie beyond the crossings of
       the centred form's Chernoff log-tails with log(tol/2).
@@ -431,10 +542,17 @@ class InversionSetup:
     def __init__(self, red: ReducedForm, tol: float):
         self.red, self.tol = red, tol
         self._rungs: list = []
+        self._ladder: dict = {}
 
     @functools.cached_property
-    def tail_form(self) -> tuple:
+    def tail_form(self) -> _Form:
         return _tail_form(self.red)
+
+    def rung(self, j: int) -> _Rung:
+        """Imhof's rung U = 2^j."""
+        if j not in self._ladder:
+            self._ladder[j] = _Rung(self.red, math.ldexp(1.0, j), self.tail_form)
+        return self._ladder[j]
 
     @functools.cached_property
     def spread_form(self) -> tuple:

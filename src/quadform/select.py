@@ -22,9 +22,11 @@ poles, and the inversion set-up per tol, each built on first use.
 one plan per call; a caller that evaluates one form many times (the
 quantile search) passes its own.  An array is routed once and evaluated
 per route: the expansion and the series coefficients are shared by all
-points, while Davies, Imhof and the saddlepoint run point by point.
-Each point gets the route, method, provenance and bound that a call with
-that point alone gives.
+points.  Imhof points are evaluated one call each, and share through the
+inversion set-up the rungs of its U ladder (the tail record's x-free part
+and the integrand's modulus and phase at the rung's nodes).  Davies and
+the saddlepoint run point by point.  Each point gets the route, method,
+provenance and bound that a call with that point alone gives.
 """
 
 from __future__ import annotations

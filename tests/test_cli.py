@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import quadform as qf
+from quadform import cli
 from quadform.cli import main, parse_document
 
 
@@ -173,6 +174,34 @@ class TestCommands:
                                docs["chisq2.json"])
         assert code == 0
         assert "value" in out and "{" not in out
+
+
+class TestParserBuiltOnce:
+    def test_one_build_across_calls(self, capsys, docs):
+        cli.build_parser.cache_clear()
+        for argv in (("cdf", "--q", "2"), ("pdf", "--q", "2"), ("quantile", "--p", "0.5")):
+            assert run_cli(capsys, *argv, docs["chisq2.json"])[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_document_settings_do_not_leak(self, capsys, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps({**CHI2_DOC, "tol": 1e-3, "method": "davies"}))
+        second.write_text(json.dumps(CHI2_DOC))
+        for path, want in ((first, (1e-3, "davies")), (second, (1e-8, "central_even")),
+                           (first, (1e-3, "davies"))):
+            payload = json.loads(run_cli(capsys, "cdf", "--q", "2", str(path))[1])
+            assert (payload["tol"], payload["method"]) == want
+
+    def test_back_to_back_output_equals_fresh(self, capsys, docs):
+        runs = [("cdf", "--grid=0:6:7", docs["chisq2.json"]),
+                ("quantile", "--p", "0.9", "--tol", "1e-6", docs["example1.json"]),
+                ("pdf", "--q", "1.5", "--pretty", docs["chisq2.json"]),
+                ("reduce", docs["example1.json"])]
+        back_to_back = [run_cli(capsys, *argv) for argv in runs]
+        for argv, out in zip(runs, back_to_back):
+            cli.build_parser.cache_clear()
+            assert run_cli(capsys, *argv) == out
 
 
 CHI2_DOC = {"kind": "reduced", "omega": [1.0], "nu": [2], "delta2": [0.0]}

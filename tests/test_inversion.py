@@ -34,8 +34,8 @@ class TestIntegrand:
         theta, rho = qf.imhof_integrand(CHI22, 0.0, 2.0)
         assert float(rho) == 1.0 and float(theta) == 0.0
         # the limit of sin(theta)/(u rho) equals (sum w (nu+d2) - q)/2 = 0 here
-        from quadform.inversion import _imhof_f
-        assert abs(float(_imhof_f(CHI22, np.array([0.0]), 2.0)[0])) < 1e-15
+        nodes = inversion._nodes(CHI22, np.array([0.0]))
+        assert abs(float(inversion._imhof_f(nodes, 2.0, inversion._tail_form(CHI22))[0])) < 1e-15
 
     def test_direct_substitution(self):
         red = qf.ReducedForm([1.0], [1], [0.0])
@@ -208,7 +208,7 @@ class TestImhofTailBoundValidity:
                 bound = qf.inversion.imhof_tail_bound(red, u)
                 # empirical tail over [U, 4U] with a fine fixed grid
                 grid = np.linspace(u, 4.0 * u, 20001)
-                f = qf.inversion._imhof_f(red, grid, x)
+                f = inversion._imhof_f(inversion._nodes(red, grid), x, inversion._tail_form(red))
                 tail = abs(np.trapezoid(f, grid)) / math.pi
                 if tail > bound:
                     violations += 1
@@ -370,6 +370,15 @@ def _old_tail_bound_balanced(red, u_max, x):
     return total / math.pi
 
 
+def _old_balanced(red, u_max, x):
+    """The balanced bound, inf (no bound) where its U^-(k+1) overflows: at a
+    U < 1 with a large k, as in the record."""
+    try:
+        return _old_tail_bound_balanced(red, u_max, x)
+    except OverflowError:
+        return math.inf
+
+
 def _old_theta_rho(red, u, x):
     """imhof_integrand at one u."""
     u = np.asarray(u, dtype=float)
@@ -411,7 +420,7 @@ def _old_pdf_tail(red, u_max, x):
 
 def _old_cdf_tails(red, u_max, x):
     return (_old_tail_bound(red, u_max), _old_ibp_majorant(red, u_max, x) / (math.pi * u_max),
-            _old_tail_bound_balanced(red, u_max, x))
+            _old_balanced(red, u_max, x))
 
 
 def _old_pick_u(red, tol, x):
@@ -442,6 +451,66 @@ def _old_pdf_pick_u(red, tol, x):
             and u_max < 1e7:
         u_max *= 2.0
     return u_max
+
+
+# The parent's auto Imhof drivers (the 1.3x U search, per-point nodes), kept
+# as oracles for the ladder: (value, bound, U, panels).
+def _old_imhof_f(red, u, q):
+    log_mod, phase = transforms._log_cf(red, 0.5 * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(phase - 0.5 * u * q) * np.exp(log_mod) / u
+    out[u == 0.0] = 0.5 * float(np.sum(red.omega * (red.nu + red.delta2))) - 0.5 * q
+    return out
+
+
+def _old_imhof_pdf_f(red, u, q):
+    log_mod, phase = transforms._log_cf(red, 0.5 * u)
+    return np.cos(phase - 0.5 * u * q) * np.exp(log_mod)
+
+
+def _old_trapezoid(f, u_max, panels, cap, target, scale):
+    fu = f(np.linspace(0.0, u_max, panels + 1))
+    total = float(np.trapezoid(fu, dx=u_max / panels))
+    mass = float(np.sum(np.abs(fu))) * (u_max / panels)
+    quad_est = math.inf
+    while panels < cap:
+        fu = f(np.linspace(0.0, u_max, 2 * panels + 1)[1::2])
+        step = u_max / (2 * panels)
+        total_new = 0.5 * total + float(np.sum(fu)) * step
+        mass = 0.5 * mass + float(np.sum(np.abs(fu))) * step
+        panels *= 2
+        quad_est = abs(total_new - total) / scale
+        total = total_new
+        if quad_est <= target:
+            break
+    return total / scale, quad_est, panels, inversion._rounding_bound(mass / scale, panels + 1)
+
+
+def _old_cdf_imhof(red, q, tol):
+    x = q - red.const
+    u = _old_pick_u(red, tol, x)
+    plain, ibp, bal = _old_cdf_tails(red, u, x)
+    integral, quad_est, panels, rounding = _old_trapezoid(
+        lambda v: _old_imhof_f(red, v, x), u, inversion._start_panels(red, u, x),
+        inversion.IMHOF_PANELS_MAX, min(tol, 1e-8) / 2.0, math.pi)
+    correction = (-_old_boundary_term(red, u, x).real / (math.pi * u)
+                  if ibp <= min(plain, bal) else 0.0)
+    bound = min(plain, ibp, bal) + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
+    return min(max(0.5 - integral + correction, 0.0), 1.0), bound, u, panels
+
+
+def _old_pdf_imhof(red, q, tol):
+    x = q - red.const
+    u = _old_pdf_pick_u(red, tol, x)
+    plain, ibp = _old_pdf_tail_plain(red, u), _old_ibp_majorant(red, u, x) / (2.0 * math.pi)
+    t_u = min(plain, ibp, _old_pdf_residual_est(red, u, x) if ibp < plain else math.inf)
+    value, quad_est, panels, rounding = _old_trapezoid(
+        lambda v: _old_imhof_pdf_f(red, v, x), u, inversion._start_panels(red, u, x),
+        inversion.IMHOF_PANELS_MAX, min(tol, 1e-8) / 2.0, 2.0 * math.pi)
+    if ibp < plain:
+        value -= _old_boundary_term(red, u, x).imag / (2.0 * math.pi)
+    bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
+    return max(value, 0.0), bound, u, panels
 
 
 # rho(U) overflows at every U >= 1 here
@@ -476,47 +545,64 @@ def _shifted_points(red):
     return [0.0, 1e-9, -1e-9, mean, mean + 10.0 * sd, mean - 10.0 * sd]
 
 
+def _old_record(red, u, x):
+    """The tail record at U and x from the replaced helpers."""
+    theta, rho = _old_theta_rho(red, u, x)
+    slope = _old_slope_floor(red, u, x)
+    return {
+        "u": u, "log_floor": _old_log_rho_floor(red, u),
+        "rho": _old_rho(red, u), "theta": float(theta),
+        "dtheta": _old_phase_slope(red, u, x) if slope > 0.0 else 0.0,
+        "m1": _old_m1(red, u), "slope_floor": slope,
+        "plain": _old_tail_bound(red, u),
+        "ibp": _old_ibp_majorant(red, u, x),
+        "balanced": _old_balanced(red, u, x),
+        "pdf_plain": _old_pdf_tail_plain(red, u),
+        "residual": _old_pdf_residual_est(red, u, x),
+        "boundary": _old_boundary_term(red, u, x),
+    }
+
+
+def _is_rung(u):
+    return math.frexp(u)[0] == 0.5
+
+
+
 class TestTailRecord:
     def test_fields_match_old_helpers(self):
         for red in _tail_battery():
             form = inversion._tail_form(red)
             for x in _shifted_points(red):
                 for u in (1.0, 1.7, 13.0, 1e3, 1e7, 1e15, 1e25):
-                    rec = inversion._tail(red, u, x, form)
-                    theta, rho = _old_theta_rho(red, u, x)
-                    slope = _old_slope_floor(red, u, x)
-                    want = {
-                        "u": u, "log_floor": _old_log_rho_floor(red, u),
-                        "rho": _old_rho(red, u), "theta": float(theta),
-                        "dtheta": _old_phase_slope(red, u, x) if slope > 0.0 else 0.0,
-                        "m1": _old_m1(red, u), "slope_floor": slope,
-                        "plain": _old_tail_bound(red, u),
-                        "ibp": _old_ibp_majorant(red, u, x),
-                        "balanced": _old_tail_bound_balanced(red, u, x),
-                        "pdf_plain": _old_pdf_tail_plain(red, u),
-                        "residual": _old_pdf_residual_est(red, u, x),
-                        "boundary": _old_boundary_term(red, u, x),
-                    }
-                    assert float(rho) == rec.rho
+                    rec = inversion._tail(inversion._Rung(red, u, form), x)
+                    want = _old_record(red, u, x)
+                    assert float(_old_theta_rho(red, u, x)[1]) == rec.rho
                     assert rec._asdict() == want, (red, x, u)
                     assert inversion.imhof_tail_bound(red, u) == want["plain"]
 
-    def test_pick_u_matches_old_search(self):
+    def test_pick_u_is_the_first_ladder_rung(self):
+        # the smallest U = 2^j (j < 0 allowed) whose best CDF tail bound is
+        # at most tol/2, with the record the replaced helpers give there
+        below_one = 0
         for red in _tail_battery():
-            form = inversion._tail_form(red)
             for x in _shifted_points(red):
-                for tol in (1e-8, 1e-6):
-                    u, rec = inversion._imhof_pick_u(red, tol, x, form)
-                    assert u == _old_pick_u(red, tol, x), (red, x, tol)
-                    assert rec == inversion._tail(red, u, x, form)
+                for tol in (1e-10, 1e-8, 1e-6):
+                    rung, rec = inversion._imhof_pick_u(inversion.InversionSetup(red, tol), x)
+                    u = rung.u
+                    assert _is_rung(u) and rec.u == u
+                    assert min(_old_cdf_tails(red, u, x)) <= tol / 2.0 or u > 1e25
+                    assert min(_old_cdf_tails(red, u / 2.0, x)) > tol / 2.0, (red, x, tol)
+                    assert rec._asdict() == _old_record(red, u, x)
+                    below_one += u < 1.0
+        assert below_one > 0
 
     def test_exhausted_search_returns_the_record_at_its_u(self, monkeypatch):
         tail = inversion._tail
         monkeypatch.setattr(inversion, "_tail", lambda *a: tail(*a)._replace(
             plain=math.inf, ibp=math.inf, balanced=math.inf))
         red = qf.ReducedForm([1.0, -0.5], [4, 1], [0.0, 0.4])
-        u, rec = inversion._imhof_pick_u(red, 1e-8, 0.3, inversion._tail_form(red))
-        assert rec.u == u and u > 1.3**119
+        rung, rec = inversion._imhof_pick_u(inversion.InversionSetup(red, 1e-8), 0.3)
+        assert rec.u == rung.u == 2.0**84   # the first rung above 1e25
 
     def test_drivers_read_the_record_at_u(self):
         # value, bound and diagnostics compose the old bounds at the chosen U
@@ -528,8 +614,9 @@ class TestTailRecord:
                 pdf = best_effort(qf.pdf_imhof, red, q, tol=1e-6).diagnostics
                 if "u_max" in cdf:  # not at or outside the support
                     u = cdf["u_max"]
-                    assert u == _old_pick_u(red, 1e-6, x)
                     plain, ibp, bal = _old_cdf_tails(red, u, x)
+                    assert _is_rung(u) and min(plain, ibp, bal) <= 1e-6 / 2.0
+                    assert min(_old_cdf_tails(red, u / 2.0, x)) > 1e-6 / 2.0
                     assert cdf["tail_bound"] == min(plain, ibp, bal)
                     assert cdf["tail_correction"] == (
                         -_old_boundary_term(red, u, x).real / (math.pi * u)
@@ -550,8 +637,85 @@ class TestTailRecord:
 
     @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
     def test_overflowing_modulus_is_silent(self, quantity):
+        # the CDF's ladder stops below the rungs where rho overflows (U < 1
+        # here), so its rung U = 1 is read through fixed parameters
         fn = select.cdf if quantity == "cdf" else select.pdf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = fn(OVERFLOW, 5.0)
-        assert res.method == "imhof" and res.diagnostics["tail_bound"] == 0.0
+            fixed = qf.cdf_imhof(OVERFLOW, 5.0, params=ImhofParams(u_max=1.0, panels=64))
+        assert res.method == "imhof" and res.diagnostics["tail_bound"] <= 5e-9
+        assert fixed.diagnostics["tail_bound"] == 0.0
+        if quantity == "pdf":
+            assert res.diagnostics["tail_bound"] == 0.0
+
+
+class TestLadder:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_values_within_bounds_of_the_old_drivers(self, tol):
+        for red in _tail_battery():
+            setup = inversion.InversionSetup(red, tol)
+            # x = +-1e-9 run both drivers to the 2^23-panel cap on the light
+            # forms; the record tests cover them
+            for x in _shifted_points(red)[::3] + _shifted_points(red)[4:]:
+                q = x + red.const
+                new = best_effort(qf.cdf_imhof, red, q, tol=tol, setup=setup)
+                if "u_max" in new.diagnostics:
+                    value, bound, _, _ = _old_cdf_imhof(red, q, tol)
+                    assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
+                new = qf.pdf_imhof(red, q, tol=tol, setup=setup)
+                if math.isinf(new.error_bound):
+                    continue  # sum(nu) <= 2 at x = 0: no bound, and U stays 1
+                value, bound, u, panels = _old_pdf_imhof(red, q, tol)
+                assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
+                # the density's U is unchanged; only the node sums may round apart
+                assert new.diagnostics["u_max"] == u
+                if new.diagnostics["panels"] == panels:
+                    assert new.value == pytest.approx(value, rel=1e-12, abs=1e-300)
+
+    def test_light_density_at_zero_stops_at_the_first_rung(self):
+        # sum(nu) = 2 at x = 0: no density bound applies at any U
+        res = qf.pdf_imhof(LIGHT, 0.0, tol=1e-8)
+        assert math.isinf(res.error_bound) and res.provenance == "heuristic"
+        assert res.diagnostics["u_max"] == 1.0 and res.diagnostics["panels"] <= 2**12
+        assert qf.pdf_imhof(LIGHT, 1e-9, tol=1e-8).diagnostics["u_max"] > 1.0
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_used_plan_equals_fresh_plan(self, quantity):
+        red = qf.ReducedForm([2.0, -0.3, 0.7, -1.5], [1, 3, 2, 2], [0.5, 0.0, 1.0, 0.2])
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        qs = np.linspace(-8.0, 12.0, 41)
+        plan = select.Plan(red)
+        qf.quantile(red, 0.3, tol=1e-7, plan=plan)   # inner tol 1e-9
+        select.cdf(red, qs[::-3], tol=1e-9, plan=plan)
+        select.pdf(red, qs[1::4], tol=1e-9, plan=plan)
+        assert plan.inversion_setup(1e-9)._ladder
+        for q, res in zip(qs, fn(red, qs, tol=1e-9, plan=plan)):
+            assert res == fn(red, q, tol=1e-9, plan=select.Plan(red))
+
+    def test_grid_evaluates_each_node_once(self, monkeypatch):
+        red = qf.ReducedForm([2.0, -0.3, 0.7, -1.5], [1, 3, 2, 2], [0.5, 0.0, 1.0, 0.2])
+        log_cf, nodes = transforms._log_cf, []
+
+        def counting(red, beta):
+            nodes.append(np.size(beta))
+            return log_cf(red, beta)
+
+        monkeypatch.setattr(transforms, "_log_cf", counting)
+        results = select.cdf(red, np.linspace(-8.0, 12.0, 41))
+        used = sum(r.diagnostics["panels"] + 1 for r in results if r.method == "imhof")
+        assert sum(r.method == "imhof" for r in results) >= 30
+        assert sum(nodes) <= used / 3
+
+    def test_large_form_truncates_below_one(self):
+        # N = 500: the ladder puts U below 1 and the grid stays small
+        rng = np.random.default_rng(500)
+        m = rng.standard_normal((500, 500))
+        red = qf.reduce_raw(qf.RawForm((m + m.T) / 2.0, np.zeros(500), 0.0, np.zeros(500),
+                                       np.eye(500)))
+        mean = qf.cumulants(red, 1).get(1)
+        res = select.cdf(red, mean)
+        assert res.method == "imhof" and res.diagnostics["u_max"] < 1.0
+        assert res.diagnostics["panels"] <= 2048
+        ref = qf.cdf_imhof(red, mean, params=ImhofParams(u_max=0.125, panels=512))
+        assert abs(res.value - ref.value) <= res.error_bound + ref.error_bound
