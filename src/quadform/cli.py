@@ -298,15 +298,15 @@ def cmd_ratio_cdf(args) -> dict:
 
 
 def cmd_ratio_pdf(args) -> dict:
-    spec = _need_ratio(_load_form(args))
+    spec = _need_ratio(parse_document(_load(args.document)))
     if args.grid is not None:
         grid = _parse_grid(args.grid)
         results = ratio.pdf_ratio_spa_grid(spec, grid)
-        return _grid_payload("ratio_pdf", grid, results, args.tol)
+        return _grid_payload("ratio_pdf", grid, results, None)
     if args.r is None:
         raise InvalidInputError("provide --r or --grid")
     res = ratio.pdf_ratio_spa(spec, args.r)
-    out = _result_payload(res, args.tol)
+    out = _result_payload(res, None)
     out["quantity"] = "ratio_pdf"
     out["r"] = args.r
     return out
@@ -315,8 +315,7 @@ def cmd_ratio_pdf(args) -> dict:
 def cmd_ratio_moment(args) -> dict:
     spec = _need_ratio(_load_form(args))
     if args.method == "integral":
-        res = ratio.ratio_moment_integral(spec, args.p,
-                                          quadrature_tol=args.quadrature_tol)
+        res = ratio.ratio_moment_integral(spec, args.p, quadrature_tol=args.tol)
     else:
         res = ratio.ratio_moment_series(spec, args.p, j_max=args.max_terms,
                                         tol=args.tol)
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ratio_cdf)
 
     p = sub.add_parser("ratio-pdf", help="saddlepoint density of a ratio")
-    common(p, with_method=False)
+    common(p, with_method=False, with_tol=False)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--grid", default=None, help="start:stop:count")
     p.set_defaults(fn=cmd_ratio_pdf)
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio-method", dest="method", default="auto",
                    choices=("auto", "series", "integral"))
     p.add_argument("--max-terms", dest="max_terms", type=int, default=500)
-    p.add_argument("--quadrature-tol", dest="quadrature_tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_ratio_moment)
 
     p = sub.add_parser("mc-check", help="compare a method against Monte Carlo")

@@ -340,7 +340,6 @@ class ImhofParams:
 
     u_max: float
     panels: int
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.u_max <= 0 or self.panels < 2:
@@ -353,7 +352,6 @@ class DaviesParams:
 
     delta: float
     k_max: int
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.delta <= 0 or self.k_max < 1:

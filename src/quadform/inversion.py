@@ -7,18 +7,18 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   trapezoid grid over [0, U], with the closed-form tail bound used to
   pick U and Richardson panel doubling to control quadrature error.
   Requires sigma = 0.  U lies on the ladder 2^j (j < 0 allowed): the CDF
-  takes the first rung whose tail bound meets tol/2, the density doubles
-  from 1.  A rung holds what its points share: the x-free part of the
-  tail record (phi(U) read once) and the modulus and phase at its nested
-  trapezoid nodes, each node evaluated once.  A point adds its phase
-  shift -u x/2 and one sin (CDF) or cos (density) per node, and runs its
-  own start grid, Richardson halving and stop rule.
+  and the density take the first rung whose own tail bound meets tol/2,
+  by one search.  A rung holds what its points share: the x-free part of
+  the tail record (phi(U) read once) and the modulus and phase at its
+  nested trapezoid nodes, each node evaluated once.  A point adds its
+  phase shift -u x/2 and one sin (CDF) or cos (density) per node, and
+  runs its own start grid, Richardson halving and stop rule.
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
   term.  Truncation is controlled by computable bounds on the integrand
   tail; the lattice aliasing error is bounded through Chernoff bounds on
-  the distribution's tails, which also drive the choice of Delta: the
-  spread 2 pi / Delta is read off the two points where the centred form's
-  Chernoff log-tails equal log(tol/2).
+  the distribution's tails, which also fix Delta: the spread 2 pi / Delta
+  reaches from x past the two points where the centred form's Chernoff
+  log-tails equal log(tol/4).
 
 ``InversionSetup`` holds what does not depend on the point (Imhof's tail
 constants and rungs, the Davies crossings and truncation ladder), so the
@@ -290,9 +290,15 @@ def _cdf_tail(rec: _Tail) -> float:
     return min(rec.plain, rec.ibp / (math.pi * rec.u), rec.balanced)
 
 
-def _imhof_pick_u(setup: InversionSetup, x: float) -> tuple:
-    """The first rung U = 2^j of the ladder whose best CDF tail bound is at
-    most tol/2 (or the first above 1e25), and its record.
+def _pdf_tail(rec: _Tail) -> float:
+    """The smallest density tail bound or estimate of a record."""
+    return min(rec.pdf_plain, rec.ibp / (2.0 * math.pi), rec.residual)
+
+
+def _imhof_pick_u(setup: InversionSetup, x: float, tail, u_cap: float) -> tuple:
+    """The first rung U = 2^j of the ladder whose ``tail`` bound (``_cdf_tail``
+    or ``_pdf_tail``) is at most tol/2, or the first above u_cap, and its
+    record.
 
     The search starts at the rung of closed-form first guesses from the
     power-law parts of T_U and of the integration-by-parts bound, and steps
@@ -311,10 +317,10 @@ def _imhof_pick_u(setup: InversionSetup, x: float) -> tuple:
                        - log_tol) / (k + 1.0))
     j = math.ceil(min(max(min(log_us), -600.0), 60.0) / math.log(2.0))
     rec = _tail(setup.rung(j), x)
-    if _cdf_tail(rec) <= half:
-        while j > -1000 and _cdf_tail(lower := _tail(setup.rung(j - 1), x)) <= half:
+    if tail(rec) <= half:
+        while j > -1000 and tail(lower := _tail(setup.rung(j - 1), x)) <= half:
             j, rec = j - 1, lower
-    while _cdf_tail(rec) > half and rec.u <= 1e25:
+    while tail(rec) > half and rec.u <= u_cap:
         j += 1
         rec = _tail(setup.rung(j), x)
     return setup.rung(j), rec
@@ -360,6 +366,34 @@ def _trapezoid(rung: _Rung, f, panels: int, cap: int, target: float, scale: floa
     return total / scale, quad_est, panels, _rounding_bound(mass / scale, panels + 1)
 
 
+def _imhof_grid(red: ReducedForm, x: float, params: ImhofParams | None, tol: float,
+                setup: InversionSetup | None, tail, u_cap: float) -> tuple:
+    """The rung, tail record, start panels, panel cap and Richardson target of
+    an Imhof point at shifted x, shared by the CDF and the density.
+
+    With ``params`` the grid is fixed: one halved-grid pass first, so a
+    Richardson estimate is available, then doubling up to the requested
+    panels.  Otherwise U is the first rung whose ``tail`` bound is at most
+    tol/2 (rung 0, U = 1, when ``tail`` is None), and panels double from
+    ``_start_panels`` until the Richardson estimate meets the target.
+    """
+    if params is not None:
+        rung = _Rung(red, params.u_max, _tail_form(red))
+        return (rung, _tail(rung, x), max(params.panels // 2, 2), max(params.panels, 4),
+                -math.inf)
+    setup = setup if setup is not None else InversionSetup(red, tol)
+    if tail is None:
+        rung = setup.rung(0)
+        rec = _tail(rung, x)
+    else:
+        rung, rec = _imhof_pick_u(setup, x, tail, u_cap)
+    # drive the quadrature below the tail target: the oscillatory tail
+    # cancels far below T_U, so a tight grid keeps the value accurate even
+    # when the reported (conservative) bound is dominated by T_U
+    return (rung, rec, _start_panels(red, rung.u, x), IMHOF_PANELS_MAX,
+            min(tol, 1e-8) / 2.0)
+
+
 def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
               tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
     """CDF by Imhof's trapezoid rule with explicit truncation bound.
@@ -375,22 +409,8 @@ def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     if exact is not None:
         return exact
     x = q - red.const
-    if params is not None:
-        # one halved-grid pass first so a Richardson estimate is available
-        tol, panels = params.tol, max(params.panels // 2, 2)
-        rung = _Rung(red, params.u_max, _tail_form(red))
-        rec = _tail(rung, x)
-        cap, target = max(params.panels, 4), -math.inf
-    else:
-        setup = setup if setup is not None else InversionSetup(red, tol)
-        rung, rec = _imhof_pick_u(setup, x)
-        panels, cap = _start_panels(red, rung.u, x), IMHOF_PANELS_MAX
-        # drive the quadrature below the tail target: the oscillatory tail
-        # cancels far below T_U, so a tight grid keeps the value accurate
-        # even when the reported (conservative) bound is dominated by T_U
-        target = min(tol, 1e-8) / 2.0
+    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, setup, _cdf_tail, 1e25)
     u_max = rung.u
-
     t_plain, t_ibp, t_bal = rec.plain, rec.ibp / (math.pi * u_max), rec.balanced
     t_u = min(t_plain, t_ibp, t_bal)
     integral, quad_est, panels, rounding = _trapezoid(
@@ -418,36 +438,24 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
               tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
     """Density by the cosine-integral counterpart of the Imhof rule.
 
-    U doubles from 1 until a tail bound or estimate meets tol/2.  The
-    reported bound combines the integrable part of the modulus tail (valid
-    when sum(nu) > 2) with a Richardson estimate; flagged heuristic since
-    the oscillatory tail has no tight closed bound.  At x = 0 with
-    sum(nu) <= 2 no bound applies at any U (the slope floor is 0), so U
-    stays 1 and the bound is inf.  ``setup`` as for cdf_imhof.
+    The grid is chosen as for cdf_imhof, with the density's tail terms: U
+    is the first rung of the ladder 2^j (at most the first above 1e7) where
+    the smallest of them is at most tol/2.  The reported bound combines the
+    integrable part of the modulus tail (valid when sum(nu) > 2) with a
+    Richardson estimate; flagged heuristic since the oscillatory tail has
+    no tight closed bound.  At x = 0 with sum(nu) <= 2 no bound applies at
+    any U (the slope floor is 0), so U stays 1 and the bound is inf.
+    ``setup`` as for cdf_imhof.
     """
     _require_no_gaussian(red, "imhof PDF")
     x = q - red.const
-    if params is not None:
-        panels = cap = params.panels
-        rung = _Rung(red, params.u_max, _tail_form(red))
-        rec = _tail(rung, x)
-    else:
-        setup = setup if setup is not None else InversionSetup(red, tol)
-        j = 0
-        rec = _tail(setup.rung(j), x)
-        if setup.tail_form.k > 1.0 or x != 0.0:
-            while (min(rec.pdf_plain, rec.ibp / (2.0 * math.pi), rec.residual) > tol / 2.0
-                   and rec.u < 1e7):
-                j += 1
-                rec = _tail(setup.rung(j), x)
-        rung = setup.rung(j)
-        panels, cap = _start_panels(red, rung.u, x), IMHOF_PANELS_MAX
+    tail = None if x == 0.0 and red.nu.sum() <= 2 else _pdf_tail
+    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, setup, tail, 1e7)
     t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
     correct_tail = t_ibp_u < t_plain_u
     t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)
     value, quad_est, panels, rounding = _trapezoid(
-        rung, lambda nodes: _imhof_pdf_f(nodes, x), panels, cap, min(tol, 1e-8) / 2.0,
-        2.0 * math.pi)
+        rung, lambda nodes: _imhof_pdf_f(nodes, x), panels, cap, target, 2.0 * math.pi)
     if correct_tail:
         value -= rec.boundary.imag / (2.0 * math.pi)
     bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
@@ -533,8 +541,8 @@ class InversionSetup:
       at U read them; each adds only its phase shift -u x/2 and one sin or
       cos per node.
     * The Davies spread: the aliasing bound of ``_davies_lattice_bound`` is at
-      most tol/2 once x - spread and x + spread lie beyond the crossings of
-      the centred form's Chernoff log-tails with log(tol/2).
+      most tol/4 once x - spread and x + spread lie beyond the crossings of
+      the centred form's Chernoff log-tails with log(tol/4).
     * The Davies truncation ladder U = 4/sd * 1.5^j and, per rung, whether its
       truncation bound is at most tol/2, extended as far as a point needs it.
     """
@@ -556,11 +564,12 @@ class InversionSetup:
 
     @functools.cached_property
     def spread_form(self) -> tuple:
-        """The centred form's mean and sd, and its left and right crossings."""
+        """The centred form's mean and sd, and its left and right crossings
+        with log(tol/4)."""
         chi = self.red.shifted(0.0)
         ks = transforms.cumulants(chi, 2)
-        half = self.tol / 2.0
-        level = math.log(half) if half > 0.0 else -math.inf
+        quarter = self.tol / 4.0
+        level = math.log(quarter) if quarter > 0.0 else -math.inf
         return (ks.get(1), math.sqrt(max(ks.get(2), 1e-300)),
                 transforms.chernoff_crossing(chi, level, "left"),
                 transforms.chernoff_crossing(chi, level, "right"))
@@ -578,28 +587,21 @@ class InversionSetup:
                 return u
 
 
-def _davies_spread(red: ReducedForm, x: float, setup: InversionSetup) -> tuple:
-    """The lattice spread of the auto rule at shifted point x, and its lattice bound.
+def _davies_spread(red: ReducedForm, x: float, setup: InversionSetup) -> float:
+    """The lattice spread of the auto rule at shifted point x.
 
-    The spread is the first rung of the ladder max(8 sd, |x - mean| + 4 sd) *
-    1.5^k, stopped at 1e12 sd, whose lattice bound is at most tol/2, located
-    from the crossings: it is at least max(x - left, right - x).  A rung within
-    the crossing margin of that distance is settled by the bound itself, so
-    the bound is evaluated once, or twice when that rung fails.
+    It is max(8 sd, |x - mean| + 4 sd, need + margin), the last term capped at
+    1e12 sd, where need = max(x - left, right - x) is the distance from x to
+    the set-up's crossings and margin is their ``crossing_margin``: x - spread
+    and x + spread then lie beyond the crossings, so the lattice bound is at
+    most their level tol/4.
     """
     mean, sd, left, right = setup.spread_form
     need = max(x - left, right - x)
-    # need is inf when tol/2 underflows to 0: no spread reaches it
-    margin = (transforms.crossing_margin(red.shifted(0.0), x, left, right)
-              if math.isfinite(need) else 0.0)
-    spread, cap = max(8.0 * sd, abs(x - mean) + 4.0 * sd), 1e12 * sd
-    while spread < need - margin and spread <= cap:
-        spread *= 1.5
-    lattice = _davies_lattice_bound(red, x, spread)
-    if lattice > setup.tol / 2.0 and spread <= cap:
-        spread *= 1.5
-        lattice = _davies_lattice_bound(red, x, spread)
-    return spread, lattice
+    # need is inf when tol/4 underflows to 0: no spread reaches it
+    if math.isfinite(need):
+        need += transforms.crossing_margin(red.shifted(0.0), x, left, right)
+    return max(8.0 * sd, abs(x - mean) + 4.0 * sd, min(need, 1e12 * sd))
 
 
 def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
@@ -617,18 +619,17 @@ def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
     x = q - red.const
 
     if params is not None:
-        delta, k_max, tol = params.delta, params.k_max, params.tol
-        u_max = (k_max + 0.5) * delta
-        trunc = davies_truncation_bound(red, u_max)
-        lattice = _davies_lattice_bound(red, x, 2.0 * math.pi / delta)
+        delta, k_max = params.delta, params.k_max
+        spread = 2.0 * math.pi / delta
     else:
         setup = setup if setup is not None else InversionSetup(red, tol)
-        spread, lattice = _davies_spread(red, x, setup)
+        spread = _davies_spread(red, x, setup)
         delta = 2.0 * math.pi / spread
         u_max = setup.truncation_u(delta)
         k_max = max(min(int(math.ceil(u_max / delta - 0.5)), DAVIES_POINTS_MAX), 8)
-        u_max = (k_max + 0.5) * delta
-        trunc = davies_truncation_bound(red, u_max)
+    u_max = (k_max + 0.5) * delta
+    trunc = davies_truncation_bound(red, u_max)
+    lattice = _davies_lattice_bound(red, x, spread)
 
     value, rounding = _davies_sum(red, x, delta, k_max)
     bound = trunc + lattice + rounding

@@ -213,7 +213,6 @@ TOL_COMMANDS = {
     "pdf": (CHI2_DOC, ("--q", "2")),
     "quantile": (CHI2_DOC, ("--p", "0.5")),
     "ratio-cdf": (BETA_DOC, ("--r", "0.3")),
-    "ratio-pdf": (BETA_DOC, ("--r", "0.3")),
     "ratio-moment": (BETA_DOC, ("--p", "1")),
     "mc-check": (CHI2_DOC, ("--q", "2", "--n", "1000")),
 }
@@ -302,6 +301,8 @@ class TestExitCodes:
         ("quantile", "--p", "0.5", "--quadrature-tol", "1e-9"),
         ("reduce", "--tol", "1e-6"),
         ("moments", "--tol", "1e-6"),
+        ("ratio-pdf", "--r", "0.3", "--tol", "1e-6"),
+        ("ratio-moment", "--p", "1", "--quadrature-tol", "1e-9"),
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, docs, argv):
         with pytest.raises(SystemExit) as exc:

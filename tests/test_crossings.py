@@ -4,7 +4,9 @@ point, and the quantile search that builds its set-up once.
 
 The per-point route, the rung-stepping Davies spread search and the
 quantile search that rebuilds its set-up in every CDF call are kept here as
-``_old_*`` oracles; the new code must agree with them exactly.
+``_old_*`` oracles.  The route and the quantile search of sigma = 0 forms
+must agree with them exactly; the closed-form Davies spread moves values
+within the summed bounds.
 """
 
 import math
@@ -233,6 +235,9 @@ class TestRouteMatchesPerPointChernoff:
 
 
 class TestDaviesSpread:
+    """The closed-form spread: values within the summed bounds of the
+    rung-stepping rule, and no point that met tol there fails now."""
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     def test_matches_rung_stepping(self, tol):
         for red in GAUSSIAN[:3] + _conftest_forms(6, 6, gaussian=True):
@@ -244,11 +249,14 @@ class TestDaviesSpread:
 
     @pytest.mark.parametrize("red", GAUSSIAN[:3])
     def test_rungs_on_the_crossing(self, red):
-        """Points whose distance to a crossing is exactly a rung, and 1 ulp
-        either side: the rung is settled by the lattice bound itself."""
+        """Points whose distance to a crossing of the rung-stepping rule (at
+        log(tol/2)) is exactly one of its rungs, and 1 ulp either side."""
         tol = 1e-8
         setup = inversion.InversionSetup(red, tol)
-        mean, sd, left, right = setup.spread_form
+        mean, sd, _, _ = setup.spread_form
+        chi = red.shifted(0.0)
+        left, right = (transforms.chernoff_crossing(chi, math.log(tol / 2.0), side)
+                       for side in ("left", "right"))
         for k in range(4):
             rung = 8.0 * sd
             for _ in range(k):
@@ -260,14 +268,29 @@ class TestDaviesSpread:
                     self._check(red, float(x), tol, setup)
 
     def _check(self, red, x, tol, setup):
-        spread, lattice, k_max, u_max = _old_davies_rule(red, x, tol)
-        assert inversion._davies_spread(red, x, setup) == (spread, lattice)
+        mean, sd, left, right = setup.spread_form
+        chi = red.shifted(0.0)
+        for edge, side in ((left, "left"), (right, "right")):
+            assert transforms.chernoff_log_tail(chi, edge, side) == pytest.approx(
+                math.log(tol / 4.0), abs=1e-9)
+        need = max(x - left, right - x) + transforms.crossing_margin(chi, x, left, right)
+        spread = inversion._davies_spread(red, x, setup)
+        assert spread == max(8.0 * sd, abs(x - mean) + 4.0 * sd, min(need, 1e12 * sd))
+        q = x + red.const
         try:
-            res = qf.cdf_davies(red, x + red.const, tol=tol, setup=setup)
+            res = qf.cdf_davies(red, q, tol=tol, setup=setup)
         except qf.ConvergenceFailureError as exc:
             res = exc.result
         diag = res.diagnostics
-        assert (diag["k_max"], diag["u_max"], diag["lattice_bound"]) == (k_max, u_max, lattice)
+        assert diag["delta"] == 2.0 * math.pi / spread
+        assert diag["lattice_bound"] == inversion._davies_lattice_bound(red, x, spread)
+        assert diag["lattice_bound"] <= tol / 4.0
+        try:
+            old = _old_cdf_davies(red, q, tol=tol)
+        except qf.ConvergenceFailureError as exc:
+            old = exc.result
+        assert abs(res.value - old.value) <= res.error_bound + old.error_bound
+        assert res.error_bound <= tol or old.error_bound > tol
 
     def test_vacuous_side_gives_bound_one(self):
         """A fixed lattice whose spread leaves x + spread below the mean was
@@ -290,11 +313,18 @@ QUANTILE_FORMS = (
 class TestQuantileSearch:
     @pytest.mark.parametrize("red", QUANTILE_FORMS)
     def test_matches_search_without_shared_setup(self, red, monkeypatch):
-        new = [qf.quantile(red, p, 1e-6) for p in (0.01, 0.5, 0.99)]
+        ps = (0.01, 0.5, 0.99)
+        new = [qf.quantile(red, p, 1e-6) for p in ps]
         with monkeypatch.context() as m:
             m.setattr(select, "select_method", _old_select_method)
             m.setattr(inversion, "cdf_davies", _old_cdf_davies)
-            old = [_old_quantile(red, p, 1e-6) for p in (0.01, 0.5, 0.99)]
+            old = [_old_quantile(red, p, 1e-6) for p in ps]
+            if red.sigma_gauss != 0.0:
+                # the Davies spread moved: the old rule's CDF at the new
+                # quantile is still within tol of p
+                for q, p in zip(new, ps):
+                    assert abs(select.cdf(red, q, tol=1e-9).value - p) <= 1e-6
+                return
         assert new == old
 
     def test_one_partial_fraction_expansion(self, monkeypatch):

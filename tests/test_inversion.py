@@ -60,7 +60,7 @@ class TestCdfImhof:
 
     def test_failure_case_reports_honestly(self):
         # loose fixed parameters: the deviation must be covered by the bound
-        loose = ImhofParams(u_max=5.0, panels=64, tol=1e-6)
+        loose = ImhofParams(u_max=5.0, panels=64)
         res = qf.cdf_imhof(FAILURE_CASE, 35.0, params=loose)
         ref = best_effort(qf.cdf_imhof, FAILURE_CASE, 35.0, tol=1e-10)
         assert 0.0 <= res.value <= 1.0  # presentation clamp
@@ -124,10 +124,16 @@ class TestRoundingBound:
 class TestPdfImhof:
     @pytest.mark.parametrize("panels", [2, 5, 64])
     def test_fixed_params_do_not_refine(self, panels):
+        # the CDF's fixed grid: one halved-grid pass, then doubling up to the
+        # requested count and no further
         red = qf.ReducedForm([1.2, -0.5], [3, 2], [0.3, 0.0])
         res = qf.pdf_imhof(red, 0.7, params=ImhofParams(u_max=6.0, panels=panels))
-        assert res.diagnostics["panels"] == panels
-        assert res.diagnostics["quad_estimate"] == math.inf
+        expect = max(panels // 2, 2)
+        while expect < max(panels, 4):
+            expect *= 2
+        assert res.diagnostics["panels"] == expect
+        assert math.isfinite(res.diagnostics["quad_estimate"])
+        assert res.error_bound >= res.diagnostics["quad_estimate"]
 
 
     def test_chi22_density(self):
@@ -180,9 +186,9 @@ class TestCdfDavies:
             base = best_effort(qf.cdf_davies, red, q, tol=1e-6)
             delta = base.diagnostics["delta"]
             k_max = base.diagnostics["k_max"]
-            coarse = qf.cdf_davies(red, q, params=DaviesParams(delta, k_max, tol=1e-6))
+            coarse = qf.cdf_davies(red, q, params=DaviesParams(delta, k_max))
             fine = qf.cdf_davies(
-                red, q, params=DaviesParams(delta / 2.0, 2 * k_max + 1, tol=1e-6))
+                red, q, params=DaviesParams(delta / 2.0, 2 * k_max + 1))
             lattice = coarse.diagnostics["lattice_bound"]
             trunc = coarse.diagnostics["truncation_bound"] \
                 + fine.diagnostics["truncation_bound"]
@@ -445,12 +451,26 @@ def _old_pick_u(red, tol, x):
     return u
 
 
+def _old_pdf_bound(red, u_max, x):
+    return min(_old_pdf_tail(red, u_max, x), _old_pdf_residual_est(red, u_max, x))
+
+
 def _old_pdf_pick_u(red, tol, x):
     u_max = 1.0
-    while min(_old_pdf_tail(red, u_max, x), _old_pdf_residual_est(red, u_max, x)) > tol / 2.0 \
-            and u_max < 1e7:
+    while _old_pdf_bound(red, u_max, x) > tol / 2.0 and u_max < 1e7:
         u_max *= 2.0
     return u_max
+
+
+def _check_pdf_rung(red, tol, x, u):
+    """The density's U: the old doubling's U where that is at least 2, else
+    the first ladder rung whose density bound is at most tol/2."""
+    old = _old_pdf_pick_u(red, tol, x)
+    if old >= 2.0:
+        assert u == old, (red, x, tol)
+    else:
+        assert _is_rung(u) and _old_pdf_bound(red, u, x) <= tol / 2.0, (red, x, tol)
+        assert _old_pdf_bound(red, u / 2.0, x) > tol / 2.0, (red, x, tol)
 
 
 # The parent's auto Imhof drivers (the 1.3x U search, per-point nodes), kept
@@ -587,7 +607,8 @@ class TestTailRecord:
         for red in _tail_battery():
             for x in _shifted_points(red):
                 for tol in (1e-10, 1e-8, 1e-6):
-                    rung, rec = inversion._imhof_pick_u(inversion.InversionSetup(red, tol), x)
+                    rung, rec = inversion._imhof_pick_u(
+                        inversion.InversionSetup(red, tol), x, inversion._cdf_tail, 1e25)
                     u = rung.u
                     assert _is_rung(u) and rec.u == u
                     assert min(_old_cdf_tails(red, u, x)) <= tol / 2.0 or u > 1e25
@@ -601,7 +622,8 @@ class TestTailRecord:
         monkeypatch.setattr(inversion, "_tail", lambda *a: tail(*a)._replace(
             plain=math.inf, ibp=math.inf, balanced=math.inf))
         red = qf.ReducedForm([1.0, -0.5], [4, 1], [0.0, 0.4])
-        rung, rec = inversion._imhof_pick_u(inversion.InversionSetup(red, 1e-8), 0.3)
+        rung, rec = inversion._imhof_pick_u(inversion.InversionSetup(red, 1e-8), 0.3,
+                                             inversion._cdf_tail, 1e25)
         assert rec.u == rung.u == 2.0**84   # the first rung above 1e25
 
     def test_drivers_read_the_record_at_u(self):
@@ -622,7 +644,7 @@ class TestTailRecord:
                         -_old_boundary_term(red, u, x).real / (math.pi * u)
                         if ibp <= min(plain, bal) else 0.0)
                 u = pdf["u_max"]
-                assert u == _old_pdf_pick_u(red, 1e-6, x)
+                _check_pdf_rung(red, 1e-6, x, u)
                 plain = _old_pdf_tail_plain(red, u)
                 ibp = _old_ibp_majorant(red, u, x) / (2.0 * math.pi)
                 assert pdf["tail_bound"] == min(
@@ -637,17 +659,16 @@ class TestTailRecord:
 
     @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
     def test_overflowing_modulus_is_silent(self, quantity):
-        # the CDF's ladder stops below the rungs where rho overflows (U < 1
-        # here), so its rung U = 1 is read through fixed parameters
+        # the ladder stops below the rungs where rho overflows (U < 1 here),
+        # so the rung U = 1 is read through fixed parameters
         fn = select.cdf if quantity == "cdf" else select.pdf
+        fixed_fn = qf.cdf_imhof if quantity == "cdf" else qf.pdf_imhof
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = fn(OVERFLOW, 5.0)
-            fixed = qf.cdf_imhof(OVERFLOW, 5.0, params=ImhofParams(u_max=1.0, panels=64))
+            fixed = fixed_fn(OVERFLOW, 5.0, params=ImhofParams(u_max=1.0, panels=64))
         assert res.method == "imhof" and res.diagnostics["tail_bound"] <= 5e-9
         assert fixed.diagnostics["tail_bound"] == 0.0
-        if quantity == "pdf":
-            assert res.diagnostics["tail_bound"] == 0.0
 
 
 class TestLadder:
@@ -668,9 +689,11 @@ class TestLadder:
                     continue  # sum(nu) <= 2 at x = 0: no bound, and U stays 1
                 value, bound, u, panels = _old_pdf_imhof(red, q, tol)
                 assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
-                # the density's U is unchanged; only the node sums may round apart
-                assert new.diagnostics["u_max"] == u
-                if new.diagnostics["panels"] == panels:
+                # the density searches the CDF's ladder: U is unchanged where
+                # the old doubling stopped at 2 or above, and only the node
+                # sums may round apart there
+                _check_pdf_rung(red, tol, x, new.diagnostics["u_max"])
+                if new.diagnostics["u_max"] == u and new.diagnostics["panels"] == panels:
                     assert new.value == pytest.approx(value, rel=1e-12, abs=1e-300)
 
     def test_light_density_at_zero_stops_at_the_first_rung(self):
@@ -713,9 +736,17 @@ class TestLadder:
         m = rng.standard_normal((500, 500))
         red = qf.reduce_raw(qf.RawForm((m + m.T) / 2.0, np.zeros(500), 0.0, np.zeros(500),
                                        np.eye(500)))
-        mean = qf.cumulants(red, 1).get(1)
+        ks = qf.cumulants(red, 2)
+        mean, sd = ks.get(1), math.sqrt(ks.get(2))
         res = select.cdf(red, mean)
         assert res.method == "imhof" and res.diagnostics["u_max"] < 1.0
         assert res.diagnostics["panels"] <= 2048
         ref = qf.cdf_imhof(red, mean, params=ImhofParams(u_max=0.125, panels=512))
         assert abs(res.value - ref.value) <= res.error_bound + ref.error_bound
+        # the densities search the same ladder (doubling U from 1 took 16,384
+        # panels at the mean, and 2^21 on OVERFLOW)
+        for form, q in [(red, mean), (red, mean + sd), (red, mean - 2.0 * sd), (OVERFLOW, 5.0)]:
+            pdf = qf.pdf_imhof(form, q, tol=1e-8)
+            assert pdf.diagnostics["u_max"] < 1.0 and pdf.diagnostics["panels"] <= 4096
+            assert pdf.error_bound <= 1e-8
+            _check_pdf_rung(form, 1e-8, q - form.const, pdf.diagnostics["u_max"])
