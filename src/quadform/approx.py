@@ -291,8 +291,9 @@ def cdf_spa(red: ReducedForm, q: float, variant: str = "lugannani_rice") -> Meth
     value = _spa_point(variant, w, v)
     if variant == "lugannani_rice":
         if w > 0.0:
-            # log CCDF via the Mills ratio: 1 - F = phi(w) [M(w) - 1/w + 1/v]
-            mills = math.exp(special.log_ndtr(-w) - _norm_logpdf(w))
+            # log CCDF via the Mills ratio: 1 - F = phi(w) [M(w) - 1/w + 1/v],
+            # M(w) = (1 - Phi(w)) / phi(w) = sqrt(pi/2) erfcx(w / sqrt(2))
+            mills = math.sqrt(math.pi / 2.0) * float(special.erfcx(w / math.sqrt(2.0)))
             rest = mills - 1.0 / w + 1.0 / v
             if rest > 0:
                 diagnostics["log_ccdf"] = _norm_logpdf(w) + math.log(rest)

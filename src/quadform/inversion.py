@@ -644,23 +644,6 @@ def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
     return res
 
 
-def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8,
-                       setup: InversionSetup | None = None) -> MethodResult:
-    """The inversion leaf of method="auto": Imhof when sigma = 0, falling back
-    to Davies when Imhof does not reach tol (if both fail, the failure with
-    the smaller bound is raised); Davies alone with a Gaussian term, which
-    Imhof does not support.  ``setup`` as for cdf_davies."""
-    if red.sigma_gauss != 0.0 or not red.n_groups:
-        return cdf_davies(red, q, tol=tol, setup=setup)
-    try:
-        return cdf_imhof(red, q, tol=tol, setup=setup)
-    except ConvergenceFailureError as exc:
-        try:
-            return cdf_davies(red, q, tol=tol, setup=setup)
-        except ConvergenceFailureError as exc2:
-            raise min(exc, exc2, key=lambda e: e.result.error_bound) from None
-
-
 def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto",
              plan=None) -> float:
     """Solve F(q) = p by bracketed root finding on the chosen CDF method.

@@ -49,7 +49,7 @@ import math
 import numpy as np
 from scipy import special
 
-from . import inversion, reduction, select, transforms
+from . import reduction, select, transforms
 from .errors import (
     ConvergenceFailureError,
     DegenerateConstantError,
@@ -86,13 +86,13 @@ def _reduce_at(spec: RatioSpec, r: float) -> ReducedForm | float:
 def cdf_ratio(spec: RatioSpec, r: float, method: str = "auto",
               tol: float = 1e-8) -> MethodResult:
     """CDF of the ratio at r through the induced indefinite form at zero, by
-    ``inversion.cdf_auto_inversion`` when method="auto", else ``select.cdf``."""
+    ``select.cdf_auto_inversion`` when method="auto", else ``select.cdf``."""
     red = _reduce_at(spec, r)
     if isinstance(red, float):
         v = 1.0 if red <= 0.0 else 0.0
         return MethodResult(v, 0.0, "degenerate", "exact", {"constant": red})
     if method == "auto":
-        res = inversion.cdf_auto_inversion(red, 0.0, tol=tol)
+        res = select.cdf_auto_inversion(red, 0.0, tol=tol)
     else:
         res = select.cdf(red, 0.0, method, tol)
     diag = dict(res.diagnostics, threshold=r)

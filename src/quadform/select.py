@@ -1,14 +1,20 @@
 """Automatic method selection and name-based dispatch for CDF/PDF queries.
 
-One policy routes every point: far tails (Chernoff estimate below 1e-8)
-go to the saddlepoint, which keeps the exact exponential decay rate;
-forms with a Gaussian term use Davies (CDF) or the saddlepoint (PDF);
-otherwise central even-dof forms use the partial-fraction formula (past
-tol, the route below it is also tried and the smaller bound kept),
-definite forms the chi-square-density expansion and all others Imhof.
-An auto Imhof CDF point runs ``inversion.cdf_auto_inversion`` (Imhof,
-then Davies); a saddlepoint point without a root takes the route it
-would have outside the tails.
+Auto first answers the points on or outside the support exactly (the
+CDF's 0 or 1, point mass included, and a zero density), tagged
+"support".  One policy routes every other point: far tails (Chernoff
+estimate below 1e-8) go to the saddlepoint, which keeps the exact
+exponential decay rate; forms with a Gaussian term use Davies (CDF) or
+the saddlepoint (PDF); otherwise central even-dof forms use the
+partial-fraction formula, definite forms the chi-square-density
+expansion and all others Imhof.
+
+Every auto reroute is one ladder (``_walk``): a point whose outcome is a
+library error or a bound above tol moves down a rung, from the partial
+fractions to the route it would take without them and from the Imhof CDF
+to Davies.  It keeps a result over a failure, then the smaller bound, then
+the earlier outcome; a kept fallback records the bound it replaced as
+``<rung>_bound``.  ``cdf_auto_inversion`` enters it at the Imhof rung.
 
 The tails come from two points per form, where the left and the right
 Chernoff log-tails cross log(1e-8) (``transforms.chernoff_crossing``): a
@@ -16,7 +22,7 @@ point is in a tail iff it lies beyond a crossing.  Only a point within
 the crossing margin has its own Chernoff bound computed.
 
 A ``Plan`` holds what the points of a form share: the classification,
-the crossings, the partial-fraction expansion, the series form and
+the support, the crossings, the partial fractions, the series form and
 poles, and the inversion set-up per tol, each built on first use.
 ``cdf`` and ``pdf`` take a scalar point or an array of points and build
 one plan per call; a caller that evaluates one form many times (the
@@ -37,7 +43,7 @@ import math
 import numpy as np
 
 from . import approx, inversion, series, transforms
-from .errors import DomainError, InvalidInputError, QuadFormError
+from .errors import InvalidInputError, QuadFormError
 from .forms import EffectiveForm, FormClass, MethodResult, ReducedForm
 from .reduction import classify
 
@@ -64,6 +70,10 @@ class Plan:
     @functools.cached_property
     def cls(self) -> FormClass:
         return classify(self.red)
+
+    @functools.cached_property
+    def support(self) -> tuple:
+        return transforms.support(self.red)
 
     @functools.cached_property
     def crossings(self) -> tuple:
@@ -115,21 +125,18 @@ def _generic_method(red: ReducedForm, quantity: str, central_even: bool = True,
 
 
 def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
-                  tail_hint: str | None = None, plan: Plan | None = None):
+                  plan: Plan | None = None):
     """Pick a method identifier for the given form and evaluation point.
 
     q may be an array; the result is then a list with one identifier per
     point.  A point is in the far tails iff it lies beyond one of the form's
-    two Chernoff crossings (see the module docstring).  tail_hint="none"
-    suppresses the tail check (the saddlepoint fallback's route); None
-    (default) lets it decide.  plan is a Plan of red to reuse.
+    two Chernoff crossings (see the module docstring).  plan is a Plan of
+    red to reuse.
     """
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
     plan = plan if plan is not None else Plan(red)
-    tail = np.zeros(pts.shape, dtype=bool)
-    if tail_hint != "none" and red.n_groups > 0:
-        tail = _in_tail(plan, pts)
+    tail = _in_tail(plan, pts) if red.n_groups > 0 else np.zeros(pts.shape, dtype=bool)
     spa = "spa_lr" if quantity == "cdf" else "spa"
     generic = _generic_method(red, quantity, cls=plan.cls) if not tail.all() else spa
     methods = [spa if t else generic for t in tail]
@@ -172,26 +179,60 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
     plan = plan if plan is not None else Plan(red)
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
-    out: list = [None] * pts.size
-    todo = np.arange(pts.size)
-    if quantity == "pdf" and method == "auto":
-        lo_s, hi_s = transforms.support(red)
-        inside = (lo_s < pts) & (pts < hi_s)
-        for i in np.flatnonzero(~inside):
-            out[i] = MethodResult(0.0, 0.0, "support", "exact",
-                                  {"note": "outside the support"})
-        todo = np.flatnonzero(inside)
     auto = method == "auto"
+    out: list = [None] * pts.size
+    if auto:
+        lo_s, hi_s = plan.support
+        for i, x in enumerate(pts.tolist()):
+            if not lo_s < x < hi_s:
+                out[i] = inversion._exact_cdf(red, x, "support") if quantity == "cdf" else \
+                    MethodResult(0.0, 0.0, "support", "exact", {"note": "outside the support"})
+    todo = np.array([i for i, res in enumerate(out) if res is None], dtype=int)
     methods = select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size else \
         [method] * todo.size
+    evaluate = _walk if auto else _evaluate
     for name in dict.fromkeys(methods):
         idx = todo[[m == name for m in methods]]
-        for i, res in zip(idx, _evaluate(plan, pts[idx], name, tol, quantity, auto)):
+        for i, res in zip(idx, evaluate(plan, pts[idx], name, tol, quantity)):
             out[i] = res
     for res in out:
         if isinstance(res, Exception):
             raise res
     return out[0] if qs.ndim == 0 else out
+
+
+def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8) -> MethodResult:
+    """The inversion leaf of method="auto": the ladder entered at the Imhof
+    rung, or at Davies with a Gaussian term (Imhof does not support one)."""
+    rung = "davies" if red.sigma_gauss != 0.0 or not red.n_groups else "imhof"
+    res = _walk(Plan(red), np.array([float(q)]), rung, tol, "cdf")[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _walk(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
+    """The auto ladder from the rung ``method``: one outcome per point."""
+    out = _evaluate(plan, xs, method, tol, quantity)
+    down = (_generic_method(plan.red, quantity, central_even=False, cls=plan.cls)
+            if method == "central_even" else
+            "davies" if method == "imhof" and quantity == "cdf" else None)
+    # a failure, or a result whose bound is above tol
+    redo = [i for i, res in enumerate(out) if down and _rank(res) > (False, tol)]
+    if redo:
+        for i, res in zip(redo, _walk(plan, xs[redo], down, tol, quantity)):
+            if _rank(res) < _rank(out[i]):
+                out[i] = res if isinstance(res, QuadFormError) else MethodResult(
+                    res.value, res.error_bound, res.method, res.provenance,
+                    dict(res.diagnostics, **{f"{method}_bound": _rank(out[i])[1]}))
+    return out
+
+
+def _rank(outcome) -> tuple:
+    """Failures after results, then the bound (of a failure's partial
+    result; inf if there is none)."""
+    bound = getattr(getattr(outcome, "result", outcome), "error_bound", None)
+    return isinstance(outcome, QuadFormError), math.inf if bound is None else bound
 
 
 def _each(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
@@ -205,62 +246,29 @@ def _each(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
     return out
 
 
-def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float,
-              quantity: str, auto: bool) -> list:
+def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
     """One outcome (MethodResult or library error) per point of one route."""
     red = plan.red
     cumulative = quantity == "cdf"
     if method == "central_even":
         fn = series.cdf_central_even if cumulative else series.pdf_central_even
-        out = fn(red, xs, plan.pfe)
-        # the terms cancel when there are many distinct weights: past tol,
-        # auto also tries the route the point would take without the formula
-        # and keeps whichever result reports the smaller bound
-        redo = [i for i, res in enumerate(out) if auto and res.error_bound > tol]
-        if redo:
-            alt = _generic_method(red, quantity, central_even=False, cls=plan.cls)
-            for i, res in zip(redo, _evaluate(plan, xs[redo], alt, tol, quantity, auto)):
-                if (isinstance(res, MethodResult) and res.error_bound is not None
-                        and res.error_bound < out[i].error_bound):
-                    out[i] = MethodResult(
-                        res.value, res.error_bound, res.method, res.provenance,
-                        dict(res.diagnostics, central_even_bound=out[i].error_bound))
-        return out
+        return fn(red, xs, plan.pfe)
     if method in ("ruben", "kotz", "laguerre"):
         return _definite_series(plan, xs, method, tol, cumulative)
-    if method == "imhof":
-        fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
-        if cumulative and auto:
-            fn = inversion.cdf_auto_inversion
+    if method == "imhof" or (cumulative and method == "davies"):
+        fn = (inversion.cdf_davies if method == "davies" else
+              inversion.cdf_imhof if cumulative else inversion.pdf_imhof)
         return _each(fn, red, xs, tol=tol, setup=plan.inversion_setup(tol))
     if cumulative:
-        if method == "davies":
-            return _each(inversion.cdf_davies, red, xs, tol=tol, setup=plan.inversion_setup(tol))
         if method in ("spa_lr", "spa_bn"):
             variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
-            return _each(_cdf_spa, red, xs, variant, tol, auto, plan)
+            return _each(approx.cdf_spa, red, xs, variant)
         if method in approx.FAMILIES:
             return _each(approx.cdf_matched, red, xs, method)
         raise InvalidInputError(f"unknown CDF method {method!r}")
     if method in ("spa", "spa_lr"):
         return _each(approx.pdf_spa, red, xs)
     raise InvalidInputError(f"unknown PDF method {method!r}")
-
-
-def _cdf_spa(red: ReducedForm, q: float, variant: str, tol: float,
-             auto: bool, plan: Plan) -> MethodResult:
-    try:
-        return approx.cdf_spa(red, q, variant)
-    except DomainError:
-        if not auto:
-            raise
-        # extreme points can sit at the support edge where the
-        # saddlepoint has no root; evaluate by the route outside the tails
-        fallback = select_method(red, "cdf", q, tail_hint="none", plan=plan)
-        res = _evaluate(plan, np.array([q]), fallback, tol, "cdf", auto)[0]
-        if isinstance(res, Exception):
-            raise res
-        return res
 
 
 def _definite_series(plan: Plan, xs: np.ndarray, kind: str, tol: float,

@@ -14,7 +14,7 @@ from scipy import stats
 import quadform as qf
 from quadform import select
 from quadform.forms import DaviesParams, ImhofParams
-from quadform.inversion import cdf_auto_inversion
+from quadform.select import cdf_auto_inversion
 from quadform.reference import mc_ratio_moment, sample_reduced
 
 from conftest import make_rng, quantile_points, random_reduced

@@ -9,7 +9,7 @@ from scipy import stats
 import quadform as qf
 from quadform import inversion, select, transforms
 from quadform.forms import DaviesParams, ImhofParams
-from quadform.inversion import cdf_auto_inversion
+from quadform.select import cdf_auto_inversion
 from quadform.reference import sample_reduced
 
 from conftest import quantile_points, random_reduced
