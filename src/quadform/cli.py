@@ -234,15 +234,15 @@ def cmd_pdf(args) -> dict:
 
 def cmd_quantile(args) -> dict:
     red = _to_reduced(_load_form(args))
-    plan = select.Plan(red)
-    q = inversion.quantile(red, args.p, tol=args.tol, method=args.method, plan=plan)
-    check = select.cdf(red, q, args.method, args.tol, plan=plan)
+    q = inversion.quantile(red, args.p, tol=args.tol, method=args.method)
     return {
         "quantity": "quantile",
         "p": args.p,
-        "value": q,
-        "cdf_at_value": check.value,
-        "method": check.method,
+        "value": float(q),
+        "cdf_at_value": q.cdf.value,
+        "cdf_error_bound": _result_payload(q.cdf, args.tol)["error_bound"],
+        "cdf_calls": q.cdf_calls,
+        "method": q.cdf.method,
         "tol": args.tol,
     }
 

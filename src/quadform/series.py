@@ -111,9 +111,12 @@ def _chi2_sf(dof, y):
 
 
 def _chi2_pdf(dof, y):
+    # exponentiated only where y >= 0: exp(-y/2) overflows far below it
+    inside = y >= 0.0
+    y = np.where(inside, y, 0.0)
     log_f = (special.xlogy(dof / 2. - 1, y) - y / 2. - special.gammaln(dof / 2.)
              - (np.log(2) * dof) / 2.)
-    return np.where(y >= 0.0, np.exp(log_f), 0.0)
+    return np.where(inside, np.exp(log_f), 0.0)
 
 
 def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quadform as qf
-from quadform import cli
+from quadform import cli, select
 from quadform.cli import main, parse_document
 
 
@@ -92,6 +92,27 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "quantile", "--p", "0.3", str(path))
         assert code == 0
         assert json.loads(out)["value"] == qf.quantile(parse_document(doc), 0.3)
+
+    def test_quantile_reports_its_search(self, capsys, tmp_path, monkeypatch):
+        """cdf_at_value, its bound and method are the search's own evaluation
+        at the printed value; cdf_calls counts the search's CDF calls."""
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"kind": "reduced", "omega": [1.0, -0.6, 0.4],
+                                    "nu": [2, 3, 2], "delta2": [0.3, 0.0, 0.5]}))
+        real, seen = select.cdf, {}
+
+        def recorded(red, q, *args, **kwargs):
+            seen[q] = real(red, q, *args, **kwargs)
+            return seen[q]
+
+        monkeypatch.setattr(select, "cdf", recorded)
+        code, out, _ = run_cli(capsys, "quantile", "--p", "0.9", "--tol", "1e-6", str(path))
+        payload = json.loads(out)
+        assert code == 0 and payload["cdf_calls"] == len(seen)
+        res = seen[payload["value"]]
+        assert (payload["cdf_at_value"], payload["cdf_error_bound"], payload["method"]) == (
+            res.value, res.error_bound, res.method)
+        assert abs(res.value - 0.9) <= 1e-9
 
     @pytest.mark.parametrize("method", ["imhof", "davies", "auto"])
     def test_ratio_cdf_equals_library(self, capsys, tmp_path, method):

@@ -4,9 +4,10 @@ point, and the quantile search that builds its set-up once.
 
 The per-point route, the rung-stepping Davies spread search and the
 quantile search that rebuilds its set-up in every CDF call are kept here as
-``_old_*`` oracles.  The route and the quantile search of sigma = 0 forms
-must agree with them exactly; the closed-form Davies spread moves values
-within the summed bounds.
+``_old_*`` oracles.  The route must agree with them exactly; the
+closed-form Davies spread moves values within the summed bounds; the
+quantile search, which stops once |F(q) - p| is within its inner tol,
+lands within tol of p by the old rule or at the old search's point.
 """
 
 import math
@@ -313,19 +314,58 @@ QUANTILE_FORMS = (
 class TestQuantileSearch:
     @pytest.mark.parametrize("red", QUANTILE_FORMS)
     def test_matches_search_without_shared_setup(self, red, monkeypatch):
-        ps = (0.01, 0.5, 0.99)
-        new = [qf.quantile(red, p, 1e-6) for p in ps]
+        """Against the old search, which ran Brent to xtol with a fresh route
+        and set-up per CDF call: a search that stopped on |F(q) - p| <= inner
+        tol stops where the old rule's CDF is within tol of p; one that ran to
+        xtol found the old search's point.  A shared plan changes nothing."""
+        ps, tol, inner_tol = (0.01, 0.5, 0.99), 1e-6, 1e-9
+        new = [qf.quantile(red, p, tol) for p in ps]
+        plan = select.Plan(red)
+        shared = [qf.quantile(red, p, tol, plan=plan) for p in ps]
+        assert [(q, q.cdf, q.cdf_calls) for q in shared] == [
+            (q, q.cdf, q.cdf_calls) for q in new]
+        for q in new:   # q.cdf is the search's own evaluation at q
+            try:
+                res = select.cdf(red, q, tol=inner_tol)
+            except qf.ConvergenceFailureError as exc:
+                res = exc.result
+            assert res == q.cdf
+        sd = math.sqrt(qf.cumulants(red, 2).get(2))
         with monkeypatch.context() as m:
             m.setattr(select, "select_method", _old_select_method)
             m.setattr(inversion, "cdf_davies", _old_cdf_davies)
-            old = [_old_quantile(red, p, 1e-6) for p in ps]
-            if red.sigma_gauss != 0.0:
-                # the Davies spread moved: the old rule's CDF at the new
-                # quantile is still within tol of p
-                for q, p in zip(new, ps):
-                    assert abs(select.cdf(red, q, tol=1e-9).value - p) <= 1e-6
-                return
-        assert new == old
+            for q, p in zip(new, ps):
+                if abs(q.cdf.value - p) <= inner_tol:
+                    assert abs(select.cdf(red, q, tol=1e-9).value - p) <= tol
+                else:
+                    old = _old_quantile(red, p, tol)
+                    assert abs(q - old) <= 2e-13 * (1.0 + sd) + 1e-14 * abs(old)
+
+    def test_cdf_calls(self, monkeypatch):
+        """A median of at most 8 CDF calls per search and at most 20 in every
+        search whose CDF calls all succeed.  Where one fails, F-hat can jump
+        past p (the auto route of [100, 0.01] changes from the failing
+        chi-square expansion to the saddlepoint at q = 4156.9), and Brent
+        bisects down to xtol at the jump."""
+        real, calls, failed = select.cdf, [], []
+
+        def counted(*args, **kwargs):
+            calls[-1] += 1
+            try:
+                return real(*args, **kwargs)
+            except qf.ConvergenceFailureError:
+                failed[-1] = True
+                raise
+
+        monkeypatch.setattr(select, "cdf", counted)
+        cases = [(i, p) for i in range(len(QUANTILE_FORMS)) for p in (0.01, 0.5, 0.99)]
+        for i, p in cases:
+            calls.append(0)
+            failed.append(False)
+            qf.quantile(QUANTILE_FORMS[i], p, 1e-6)
+        assert np.median(calls) <= 8
+        assert max(n for n, bad in zip(calls, failed) if not bad) <= 20
+        assert {case for case, bad in zip(cases, failed) if bad} <= {(7, 0.99)}
 
     def test_one_partial_fraction_expansion(self, monkeypatch):
         red = QUANTILE_FORMS[8]

@@ -227,8 +227,27 @@ class TestQuantile:
         assert abs(q - 2.0 * math.log(2.0)) < 1e-8
 
     def test_symmetric_median_zero(self):
-        red = qf.ReducedForm([1.0, -1.0], [1, 1], [0.0, 0.0])
-        assert abs(qf.quantile(red, 0.5)) < 1e-8
+        # the Cornish-Fisher start of a symmetric form's median is its mean
+        q = qf.quantile(LIGHT, 0.5)
+        assert q == 0.0 and q.cdf_calls <= 2 and abs(q.cdf.value - 0.5) <= 1e-10
+
+    @pytest.mark.parametrize("red,dist,start_below_support", [
+        # noncentral chi-square: the Cornish-Fisher start at p = 0.01 lies
+        # below the support's end 0
+        (qf.ReducedForm([1.0], [1], [4.0]), stats.ncx2(1, 4.0), True),
+        # chi-square_1: Cornish-Fisher is poor in both tails
+        (qf.ReducedForm([1.0], [1], [0.0]), stats.chi2(1), False),
+    ])
+    def test_round_trip_skewed(self, red, dist, start_below_support):
+        ks = qf.cumulants(red, 4).kappa
+        z, sd = stats.norm.ppf(0.01), math.sqrt(ks[1])
+        g1, g2 = ks[2] / sd**3, ks[3] / sd**4
+        start = ks[0] + sd * (z + (z * z - 1) * g1 / 6 + (z**3 - 3 * z) * g2 / 24
+                              - (2 * z**3 - 5 * z) * g1 * g1 / 36)
+        assert (start < 0.0) == start_below_support
+        for p in (1e-3, 0.01, 0.5, 0.99, 0.999):
+            q = qf.quantile(red, p, tol=1e-8)
+            assert q > 0.0 and abs(dist.cdf(q) - p) <= 1e-8, p
 
     def test_round_trip(self, rng):
         for _ in range(20):

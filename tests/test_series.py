@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ class TestCentralEven:
         red = qf.ReducedForm([1.0], [4], [0.0])
         for q in (0.5, 2.0, 6.0):
             assert abs(qf.pdf_central_even(red, q).value - stats.chi2.pdf(q, 4)) < 1e-13
+
+    def test_pdf_far_below_zero_does_not_overflow(self):
+        """Where q / w < -1418 for a positive weight w, the chi-square density
+        term is 0; exp(-y/2) overflowed there before the mask discarded it."""
+        groups = np.arange(50)
+        w = np.where(groups % 3 == 0, -1.0, 1.0) / (groups + 1.0)
+        red = qf.ReducedForm(w, [2] * 50, [0.0] * 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = qf.pdf_central_even(red, -213.9)
+        # the weight -1 term alone: the next negative weight, -1/4, adds e^-428
+        (a,) = [a for wl, k, a in qf.partial_fractions(red).terms if wl == -1.0 and k == 1]
+        assert res.value == pytest.approx(a * 0.5 * math.exp(-213.9 / 2.0), rel=1e-12)
 
     def test_cdf_monotone_on_grid(self):
         red = qf.ReducedForm([2.0, 1.0, -0.5], [4, 2, 2], [0.0] * 3)
