@@ -8,7 +8,10 @@ a corrected F variable (Wood), or a standardized noncentral chi-square
 
 The saddlepoint family solves K'(t0) = q and uses the local expansion of
 the inversion integral: the density approximation, the Lugannani-Rice
-CDF with its mean-point limit, and the Barndorff-Nielsen variant.
+CDF with its mean-point limit, and the Barndorff-Nielsen variant.  Each
+takes a scalar point or an array: an array's saddlepoints come from one
+K'(t) = q solve and one K(t0), K''(t0) evaluation, then the formula runs
+per point.  A scalar call is the one-point case.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from . import transforms
-from .errors import DomainError, InvalidInputError, NotApplicableError
+from .errors import DomainError, InvalidInputError, NotApplicableError, one_or_all
 from .forms import (
     CumulantSet,
     MatchedSurrogate,
@@ -217,38 +220,62 @@ def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
                         {"surrogate": sur.family, "params": dict(sur.params)})
 
 
-def saddlepoint_solve(red: ReducedForm, q: float) -> SaddlepointSolution:
+def saddlepoint_solve(red: ReducedForm, q):
     """Solve the saddlepoint equation K'(t0) = q on the MGF strip.
 
     K' is strictly increasing (K'' > 0), so the safeguarded Newton
     iteration of transforms._cgf_prime_root converges from t = 0; q
     outside the interior of the support has no root and raises DomainError.
+    q may be an array: one K'(t) = q solve serves all its points, and the
+    result is a list with each point's SaddlepointSolution or DomainError.
     """
+    qs = np.asarray(q, dtype=float)
+    pts = np.atleast_1d(qs)
     lo_s, hi_s = transforms.support(red)
-    if not lo_s < q < hi_s:
-        raise DomainError(f"q={q} outside the open support ({lo_s}, {hi_s})",
-                          interval=(lo_s, hi_s))
-    if red.n_groups == 0 and red.sigma_gauss == 0.0:
-        raise DomainError("degenerate constant form has no saddlepoint")
-    t0 = transforms._cgf_prime_root(red, q)
-    if t0 is None:
-        raise DomainError(f"saddlepoint equation has no root for q={q}")
-    kval = transforms.log_mgf(red, t0)
-    cgf2 = transforms.cgf_derivative(red, t0, 2)
-    arg = 2.0 * (t0 * q - kval)
-    w = math.copysign(math.sqrt(max(arg, 0.0)), t0)
-    v = t0 * math.sqrt(cgf2)
-    return SaddlepointSolution(t0=t0, w=w, v=v, cgf_value=kval, cgf_second=cgf2)
+    inside = (lo_s < pts) & (pts < hi_s)
+    # nan where there is no root; a point outside the support has none
+    t0 = transforms._cgf_prime_root(red, np.where(inside, pts, math.nan))
+    kval, cgf2 = transforms._cgf(red, t0), transforms._cgf_derivative(red, t0, 2)
+    out: list = []
+    for x, t, k, k2, ok in zip(pts.tolist(), t0.tolist(), kval.tolist(), cgf2.tolist(),
+                               inside.tolist()):
+        if not ok:
+            out.append(DomainError(f"q={x} outside the open support ({lo_s}, {hi_s})",
+                                   interval=(lo_s, hi_s)))
+        elif math.isnan(t):
+            out.append(DomainError(f"saddlepoint equation has no root for q={x}"))
+        else:
+            w = math.copysign(math.sqrt(max(2.0 * (t * x - k), 0.0)), t)
+            out.append(SaddlepointSolution(t0=t, w=w, v=t * math.sqrt(k2), cgf_value=k,
+                                           cgf_second=k2))
+    return one_or_all(out, qs.ndim == 0)
 
 
-def pdf_spa(red: ReducedForm, q: float) -> MethodResult:
-    """Saddlepoint density [2 pi K''(t0)]^(-1/2) exp(K(t0) - t0 q)."""
-    sol = saddlepoint_solve(red, q)
-    log_f = sol.cgf_value - sol.t0 * q - 0.5 * math.log(2.0 * math.pi * sol.cgf_second)
-    return MethodResult(
-        math.exp(log_f), None, "spa", "approximate",
-        {"t0": sol.t0, "log_pdf": log_f, "cgf_second": sol.cgf_second},
-    )
+def _solutions(red: ReducedForm, q) -> tuple:
+    """(the points, whether q is a scalar, the saddlepoint_solve outcome of
+    each point); a scalar q raises its DomainError."""
+    qs = np.asarray(q, dtype=float)
+    sols = saddlepoint_solve(red, qs)
+    return np.atleast_1d(qs).tolist(), qs.ndim == 0, [sols] if qs.ndim == 0 else sols
+
+
+def pdf_spa(red: ReducedForm, q):
+    """Saddlepoint density [2 pi K''(t0)]^(-1/2) exp(K(t0) - t0 q).
+
+    q may be an array: one MethodResult or DomainError per point, from one
+    saddlepoint_solve call.
+    """
+    pts, scalar, sols = _solutions(red, q)
+    out: list = []
+    for x, sol in zip(pts, sols):
+        if isinstance(sol, DomainError):
+            out.append(sol)
+            continue
+        log_f = sol.cgf_value - sol.t0 * x - 0.5 * math.log(2.0 * math.pi * sol.cgf_second)
+        out.append(MethodResult(
+            math.exp(log_f), None, "spa", "approximate",
+            {"t0": sol.t0, "log_pdf": log_f, "cgf_second": sol.cgf_second}))
+    return one_or_all(out, scalar)
 
 
 def _spa_mean_limit(red: ReducedForm) -> float:
@@ -257,7 +284,7 @@ def _spa_mean_limit(red: ReducedForm) -> float:
     return 0.5 + k3 / (6.0 * math.sqrt(2.0 * math.pi) * k2**1.5)
 
 
-def cdf_spa(red: ReducedForm, q: float, variant: str = "lugannani_rice") -> MethodResult:
+def cdf_spa(red: ReducedForm, q, variant: str = "lugannani_rice"):
     """Saddlepoint CDF approximation.
 
     variant="lugannani_rice": Phi(w) + phi(w) (1/w - 1/v), with the
@@ -267,18 +294,35 @@ def cdf_spa(red: ReducedForm, q: float, variant: str = "lugannani_rice") -> Meth
     Phi(w + log(v/w)/w).
 
     Diagnostics carry log_ccdf, computed through the Mills ratio so far
-    upper tails keep full relative accuracy.
+    upper tails keep full relative accuracy.  q may be an array: one
+    MethodResult or DomainError per point, from one saddlepoint_solve call;
+    the switch scale and the mean-point limit are computed once.
     """
     if variant not in ("lugannani_rice", "barndorff_nielsen"):
         raise InvalidInputError(f"unknown saddlepoint variant {variant!r}")
-    sol = saddlepoint_solve(red, q)
-    t0, w, v = sol.t0, sol.w, sol.v
+    _, scalar, sols = _solutions(red, q)
     eps = _switch_scale(red)
+    limit = None
+    out: list = []
+    for sol in sols:
+        if isinstance(sol, DomainError):
+            out.append(sol)
+            continue
+        if limit is None and abs(sol.t0) < 2.0 * eps:
+            limit = _spa_mean_limit(red)
+        out.append(_cdf_spa_point(sol, variant, eps, limit))
+    return one_or_all(out, scalar)
+
+
+def _cdf_spa_point(sol: SaddlepointSolution, variant: str, eps: float,
+                   limit: float | None) -> MethodResult:
+    """cdf_spa at one saddlepoint; limit is the mean-point limit wherever
+    |t0| < 2 eps."""
+    t0, w, v = sol.t0, sol.w, sol.v
     diagnostics = {"t0": t0, "w": w, "v": v}
     method = "spa_lr" if variant == "lugannani_rice" else "spa_bn"
 
     if abs(t0) < 2.0 * eps:
-        limit = _spa_mean_limit(red)
         if abs(t0) <= eps:
             value = limit
         else:

@@ -63,3 +63,15 @@ class DegenerateConstantError(QuadFormError):
     def __init__(self, value):
         super().__init__(f"form is degenerate: almost surely equal to {value}")
         self.value = value
+
+
+def one_or_all(out: list, scalar: bool):
+    """What a call returns once each of its points has an outcome in ``out``
+    (a result, or the library error that point alone raised): the list
+    itself for an array of points, and for a scalar point its result or its
+    error raised."""
+    if not scalar:
+        return out
+    if isinstance(out[0], QuadFormError):
+        raise out[0]
+    return out[0]

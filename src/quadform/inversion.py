@@ -42,7 +42,8 @@ import numpy as np
 from scipy import optimize, special
 
 from . import transforms
-from .errors import ConvergenceFailureError, InvalidInputError, NotApplicableError
+from .errors import (ConvergenceFailureError, InvalidInputError, NotApplicableError,
+                     one_or_all)
 from .forms import DaviesParams, ImhofParams, MethodResult, ReducedForm
 
 IMHOF_PANELS_MAX = 2**23
@@ -466,52 +467,64 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     )
 
 
-def davies_truncation_bound(red: ReducedForm, u_max: float) -> float:
+def davies_truncation_bound(red: ReducedForm, u_max):
     """Smallest applicable bound on the integral tail beyond U.
 
     Combines the two closed-form bounds keyed to large weights and to the
     Gaussian term with a log-log decay-slope bound A(U)/(pi rho_U),
     rho_U = sum (nu/2) 4U^2w^2/(1+4U^2w^2) + U^2 sigma^2, valid whenever
     rho_U > 0 since that part of -log A is convex in log u and the
-    noncentrality factor only decreases.
+    noncentrality factor only decreases.  u_max may be an array: the sums
+    over the groups are taken for all U at once, and the result is an array
+    with each U's bound.
     """
+    us = np.asarray(u_max, dtype=float)
+    u_list = np.atleast_1d(us).tolist()
     w, nu, d2 = red.omega, red.nu, red.delta2
     sig = red.sigma_gauss
-    wu2 = 4.0 * w**2 * u_max**2
-    log_n = -2.0 * u_max**2 * float(np.sum(w**2 * d2 / (1.0 + wu2)))
-    log_common = log_n - 0.5 * (sig * u_max) ** 2
-    bounds = []
+    # U^2 as Python float powers: numpy's square can differ from them in the
+    # last bit, and the bound with it
+    u_sq = [u**2 for u in u_list]
+    w2 = w**2
+    wu2 = 4.0 * w2 * np.array(u_sq)[:, None]
+    g = 1.0 + wu2
+    nu_log = nu * np.log1p(wu2)
     big = np.abs(w) > 1.0
     s = float(nu[big].sum())
+    sums = [np.sum(w2 * d2 / g, axis=-1), np.sum(nu_log, axis=-1), np.sum(nu * wu2 / g, axis=-1)]
     if s > 0:
-        log_b1 = (
-            math.log(2.0 / (math.pi * s))
-            + log_common
-            - 0.25 * float(np.sum(nu[~big] * np.log1p(wu2[~big])))
-            - 0.25 * float(np.sum(nu[big] * np.log(wu2[big])))
-        )
-        bounds.append(log_b1)
-    log_prod_full = -0.25 * float(np.sum(nu * np.log1p(wu2)))
-    if sig > 0:
-        log_b2 = -math.log(math.pi * u_max**2 * sig**2) + log_common + log_prod_full
-        bounds.append(log_b2)
-    rho = 0.5 * float(np.sum(nu * wu2 / (1.0 + wu2))) + (sig * u_max) ** 2
-    if rho > 0:
-        log_b3 = -math.log(math.pi * rho) + log_common + log_prod_full
-        bounds.append(log_b3)
-    if not bounds:
-        return math.inf
-    return math.exp(min(min(bounds), 700.0))
+        sums += [np.sum(nu_log[:, ~big], axis=-1), np.sum(nu[big] * np.log(wu2[:, big]), axis=-1)]
+    out = []
+    for u, u2, (noncentral, log_full, slope, *large) in zip(
+            u_list, u_sq, zip(*(x.tolist() for x in sums))):
+        log_common = -2.0 * u2 * noncentral - 0.5 * (sig * u) ** 2
+        log_prod_full = -0.25 * log_full
+        bounds = []
+        if large:
+            log_small, log_big = large
+            bounds.append(math.log(2.0 / (math.pi * s)) + log_common - 0.25 * log_small
+                          - 0.25 * log_big)
+        if sig > 0:
+            bounds.append(-math.log(math.pi * u2 * sig**2) + log_common + log_prod_full)
+        rho = 0.5 * slope + (sig * u) ** 2
+        if rho > 0:
+            bounds.append(-math.log(math.pi * rho) + log_common + log_prod_full)
+        out.append(math.exp(min(min(bounds), 700.0)) if bounds else math.inf)
+    return out[0] if us.ndim == 0 else np.array(out)
 
 
-def _davies_lattice_bound(red: ReducedForm, x: float, spread: float) -> float:
+def _davies_lattice_bound(chi: ReducedForm, x, spread):
     """Chernoff bound on the aliasing error for lattice period 2*pi/Delta = spread
-    (1 when a side is vacuous: x - spread or x + spread on the wrong side of the
-    mean)."""
-    chi = red.shifted(0.0)
-    log_left = transforms.chernoff_log_tail(chi, x - spread, "left")
-    log_right = transforms.chernoff_log_tail(chi, x + spread, "right")
-    return math.exp(min(max(log_left, log_right, _LOG_TINY), 0.0))
+    at shifted point x, from the centred form chi (1 when a side is vacuous:
+    x - spread or x + spread on the wrong side of the mean).  x and spread
+    may be arrays: two chernoff_log_tail calls serve all points, and the
+    result is an array with each point's bound."""
+    xs = np.asarray(x, dtype=float)
+    log_left = transforms.chernoff_log_tail(chi, xs - spread, "left")
+    log_right = transforms.chernoff_log_tail(chi, xs + spread, "right")
+    out = [math.exp(min(max(left, right, _LOG_TINY), 0.0)) for left, right in
+           zip(np.atleast_1d(log_left).tolist(), np.atleast_1d(log_right).tolist())]
+    return out[0] if xs.ndim == 0 else np.array(out)
 
 
 def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int):
@@ -563,10 +576,16 @@ class InversionSetup:
         return self._ladder[j]
 
     @functools.cached_property
+    def centred(self) -> ReducedForm:
+        """The form without its constant, on which the Davies spread and
+        lattice bounds work."""
+        return self.red.shifted(0.0)
+
+    @functools.cached_property
     def spread_form(self) -> tuple:
         """The centred form's mean and sd, and its left and right crossings
         with log(tol/4)."""
-        chi = self.red.shifted(0.0)
+        chi = self.centred
         ks = transforms.cumulants(chi, 2)
         quarter = self.tol / 4.0
         level = math.log(quarter) if quarter > 0.0 else -math.inf
@@ -574,74 +593,92 @@ class InversionSetup:
                 transforms.chernoff_crossing(chi, level, "left"),
                 transforms.chernoff_crossing(chi, level, "right"))
 
-    def truncation_u(self, delta: float) -> float:
-        """The first rung whose truncation bound is at most tol/2 or that holds
-        DAVIES_POINTS_MAX lattice points of spacing delta."""
+    def truncation_u(self, delta: np.ndarray) -> np.ndarray:
+        """For each lattice spacing of a nonempty array delta, the first rung
+        whose truncation bound is at most tol/2 or that holds
+        DAVIES_POINTS_MAX lattice points of that spacing.
+
+        The ladder is walked once, to the first rung that is small or that
+        every spacing fills (u / delta falls as delta grows); a spacing that
+        fills an earlier rung stops there."""
+        widest = float(delta.max())
         for j in itertools.count():
             if j == len(self._rungs):
                 u = (self._rungs[-1][0] * 1.5 if j else
                      4.0 / (self.spread_form[1] if self.red.n_groups else self.red.sigma_gauss))
                 self._rungs.append((u, davies_truncation_bound(self.red, u) <= self.tol / 2.0))
             u, small = self._rungs[j]
-            if small or u / delta >= DAVIES_POINTS_MAX:
-                return u
+            if small or u / widest >= DAVIES_POINTS_MAX:
+                break
+        us = np.array([u for u, _ in self._rungs[:j + 1]])
+        full = us / delta[:, None] >= DAVIES_POINTS_MAX
+        return us[np.where(full.any(axis=1), full.argmax(axis=1), j)]
 
 
-def _davies_spread(red: ReducedForm, x: float, setup: InversionSetup) -> float:
-    """The lattice spread of the auto rule at shifted point x.
+def _davies_spread(setup: InversionSetup, x):
+    """The lattice spread of the auto rule at shifted point x (scalar or array).
 
     It is max(8 sd, |x - mean| + 4 sd, need + margin), the last term capped at
     1e12 sd, where need = max(x - left, right - x) is the distance from x to
     the set-up's crossings and margin is their ``crossing_margin``: x - spread
     and x + spread then lie beyond the crossings, so the lattice bound is at
-    most their level tol/4.
+    most their level tol/4.  need is inf when tol/4 underflows to 0 (no
+    spread reaches it), and stays inf.
     """
     mean, sd, left, right = setup.spread_form
-    need = max(x - left, right - x)
-    # need is inf when tol/4 underflows to 0: no spread reaches it
-    if math.isfinite(need):
-        need += transforms.crossing_margin(red.shifted(0.0), x, left, right)
-    return max(8.0 * sd, abs(x - mean) + 4.0 * sd, min(need, 1e12 * sd))
+    need = (np.maximum(x - left, right - x)
+            + transforms.crossing_margin(setup.centred, x, left, right))
+    return np.maximum(np.maximum(8.0 * sd, np.abs(x - mean) + 4.0 * sd),
+                      np.minimum(need, 1e12 * sd))
 
 
-def cdf_davies(red: ReducedForm, q: float, params: DaviesParams | None = None,
-               tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
+def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None,
+               tol: float = 1e-8, setup: InversionSetup | None = None):
     """CDF by the midpoint-lattice inversion sum with computable bounds.
 
     Supports Gaussian components and weights of both signs.  The reported
     bound is truncation + lattice aliasing + the rounding of the sum.
     ``setup`` is an InversionSetup of (red, tol) to reuse; results do not
-    depend on it.
+    depend on it.  q may be an array: the spreads, the truncation rungs and
+    both bounds are computed for all points at once (two chernoff_log_tail
+    calls for the lattice bounds), and only the lattice sum runs per point;
+    the result is a list with each point's MethodResult or
+    ConvergenceFailureError.
     """
-    exact = _exact_cdf(red, q, "davies")
-    if exact is not None:
-        return exact
-    x = q - red.const
-
+    qs = np.asarray(q, dtype=float)
+    pts = np.atleast_1d(qs)
+    lo_s, hi_s = transforms.support(red)
+    inside = (lo_s < pts) & (pts < hi_s)
+    out = [None if ok else _exact_cdf(red, x, "davies")
+           for x, ok in zip(pts.tolist(), inside.tolist())]
+    idx = np.flatnonzero(inside)
+    if not idx.size:
+        return one_or_all(out, qs.ndim == 0)
+    setup = setup if setup is not None else InversionSetup(red, tol)
+    x = pts[idx] - red.const
     if params is not None:
-        delta, k_max = params.delta, params.k_max
-        spread = 2.0 * math.pi / delta
+        spread = 2.0 * math.pi / params.delta
+        delta = np.full(x.shape, params.delta)
+        k_max = np.full(x.shape, params.k_max)
     else:
-        setup = setup if setup is not None else InversionSetup(red, tol)
-        spread = _davies_spread(red, x, setup)
+        spread = _davies_spread(setup, x)
         delta = 2.0 * math.pi / spread
-        u_max = setup.truncation_u(delta)
-        k_max = max(min(int(math.ceil(u_max / delta - 0.5)), DAVIES_POINTS_MAX), 8)
+        k_max = np.maximum(np.minimum(np.ceil(setup.truncation_u(delta) / delta - 0.5),
+                                      DAVIES_POINTS_MAX), 8).astype(int)
     u_max = (k_max + 0.5) * delta
     trunc = davies_truncation_bound(red, u_max)
-    lattice = _davies_lattice_bound(red, x, spread)
-
-    value, rounding = _davies_sum(red, x, delta, k_max)
-    bound = trunc + lattice + rounding
-    res = MethodResult(min(max(value, 0.0), 1.0), float(bound), "davies", "rigorous",
-                       {"raw_value": value, "delta": delta, "k_max": k_max,
-                        "u_max": u_max, "truncation_bound": trunc,
-                        "lattice_bound": lattice})
-    if params is None and bound > tol:
-        raise ConvergenceFailureError(
-            f"davies did not reach tol={tol} (achieved {bound:.3e})", result=res
-        )
-    return res
+    lattice = _davies_lattice_bound(setup.centred, x, spread)
+    for i, xi, d, k, u, t, la in zip(idx.tolist(), x.tolist(), delta.tolist(),
+                                     k_max.tolist(), u_max.tolist(), trunc.tolist(),
+                                     lattice.tolist()):
+        value, rounding = _davies_sum(red, xi, d, k)
+        bound = t + la + rounding
+        res = MethodResult(min(max(value, 0.0), 1.0), float(bound), "davies", "rigorous",
+                           {"raw_value": value, "delta": d, "k_max": k, "u_max": u,
+                            "truncation_bound": t, "lattice_bound": la})
+        out[i] = res if params is not None or bound <= tol else ConvergenceFailureError(
+            f"davies did not reach tol={tol} (achieved {bound:.3e})", result=res)
+    return one_or_all(out, qs.ndim == 0)
 
 
 class _Stop(Exception):

@@ -86,7 +86,13 @@ def _reduce_at(spec: RatioSpec, r: float) -> ReducedForm | float:
 def cdf_ratio(spec: RatioSpec, r: float, method: str = "auto",
               tol: float = 1e-8) -> MethodResult:
     """CDF of the ratio at r through the induced indefinite form at zero, by
-    ``select.cdf_auto_inversion`` when method="auto", else ``select.cdf``."""
+    ``select.cdf_auto_inversion`` when method="auto", else ``select.cdf``.
+    At r = +-inf it is exactly 1 or 0."""
+    if math.isnan(r):
+        raise InvalidInputError("the ratio point r must not be NaN")
+    if math.isinf(r):
+        v = 1.0 if r > 0.0 else 0.0
+        return MethodResult(v, 0.0, "ratio_support", "exact", {"raw_value": v, "threshold": r})
     red = _reduce_at(spec, r)
     if isinstance(red, float):
         v = 1.0 if red <= 0.0 else 0.0
@@ -589,23 +595,30 @@ def pdf_ratio_spa_grid(spec: RatioSpec, grid, normalize: bool = True) -> list[Me
     diagnostics["normalized"] says whether the division happened (it is
     skipped when the mass is not usable).  A point outside the support
     raises DomainError, a point where A - rB vanishes NotApplicableError.
+    At r = +-inf the density is exactly 0.
     """
-    a, b, mu = _whiten(spec)
     r = np.atleast_1d(np.asarray(grid, dtype=float))
-    raw, t0, j_r, status = _butler_kernel(a, b, mu, r)
-    _raise_for_status(status, r)
+    if np.isnan(r).any():
+        raise InvalidInputError("the ratio point r must not be NaN")
+    a, b, mu = _whiten(spec)
+    out = [MethodResult(0.0, 0.0, "ratio_support", "exact", {"threshold": x})
+           for x in r.tolist()]
+    finite = np.flatnonzero(np.isfinite(r))
+    if not finite.size:
+        return out
+    raw, t0, j_r, status = _butler_kernel(a, b, mu, r[finite])
+    _raise_for_status(status, r[finite])
     # _spa_mass gives a positive mass or nan
     mass = _spa_mass(a, b, mu) if normalize else math.nan
     normalized = math.isfinite(mass)
-    out = []
-    for i in range(r.size):
-        diagnostics = {"t0": float(t0[i]), "correction": float(j_r[i]),
-                       "threshold": float(r[i]), "raw_value": float(raw[i]),
+    for j, i in enumerate(finite.tolist()):
+        diagnostics = {"t0": float(t0[j]), "correction": float(j_r[j]),
+                       "threshold": float(r[i]), "raw_value": float(raw[j]),
                        "normalized": normalized}
         if normalize:
             diagnostics["normalization_mass"] = mass
-        value = float(raw[i]) / mass if normalized else float(raw[i])
-        out.append(MethodResult(value, None, "ratio_spa", "approximate", diagnostics))
+        value = float(raw[j]) / mass if normalized else float(raw[j])
+        out[i] = MethodResult(value, None, "ratio_spa", "approximate", diagnostics)
     return out
 
 

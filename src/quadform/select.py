@@ -28,11 +28,16 @@ poles, and the inversion set-up per tol, each built on first use.
 one plan per call; a caller that evaluates one form many times (the
 quantile search) passes its own.  An array is routed once and evaluated
 per route: the expansion and the series coefficients are shared by all
-points.  Imhof points are evaluated one call each, and share through the
-inversion set-up the rungs of its U ladder (the tail record's x-free part
-and the integrand's modulus and phase at the rung's nodes).  Davies and
-the saddlepoint run point by point.  Each point gets the route, method,
-provenance and bound that a call with that point alone gives.
+points.  The saddlepoint routes solve K'(t) = q once for all their
+points, and Davies computes the spreads, truncation rungs and both
+bounds of all its points at once (its lattice bounds from two array
+Chernoff calls on the set-up's centred form); only Davies' lattice sum
+runs per point.  Imhof points are evaluated one call each, and share
+through the inversion set-up the rungs of its U ladder (the tail
+record's x-free part and the integrand's modulus and phase at the rung's
+nodes).  Each point gets the route, method, provenance, bound and
+diagnostics that a call with that point alone gives.  A NaN point is
+invalid input.
 """
 
 from __future__ import annotations
@@ -176,9 +181,11 @@ def pdf(red: ReducedForm, q, method: str = "auto", tol: float = 1e-8,
 
 def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
               plan: Plan | None):
-    plan = plan if plan is not None else Plan(red)
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
+    if np.isnan(pts).any():
+        raise InvalidInputError("the evaluation point q must not be NaN")
+    plan = plan if plan is not None else Plan(red)
     auto = method == "auto"
     out: list = [None] * pts.size
     if auto:
@@ -246,6 +253,14 @@ def _each(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
     return out
 
 
+def _batch(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
+    """fn of an array engine at all the points xs in one call, one outcome per
+    point; one point takes fn's scalar entry, as in _each."""
+    if xs.size == 1:
+        return _each(fn, red, xs, *args, **kwargs)
+    return fn(red, xs, *args, **kwargs)
+
+
 def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
     """One outcome (MethodResult or library error) per point of one route."""
     red = plan.red
@@ -255,19 +270,21 @@ def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str
         return fn(red, xs, plan.pfe)
     if method in ("ruben", "kotz", "laguerre"):
         return _definite_series(plan, xs, method, tol, cumulative)
-    if method == "imhof" or (cumulative and method == "davies"):
-        fn = (inversion.cdf_davies if method == "davies" else
-              inversion.cdf_imhof if cumulative else inversion.pdf_imhof)
+    if method == "imhof":
+        fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
         return _each(fn, red, xs, tol=tol, setup=plan.inversion_setup(tol))
     if cumulative:
+        if method == "davies":
+            return _batch(inversion.cdf_davies, red, xs, tol=tol,
+                          setup=plan.inversion_setup(tol))
         if method in ("spa_lr", "spa_bn"):
             variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
-            return _each(approx.cdf_spa, red, xs, variant)
+            return _batch(approx.cdf_spa, red, xs, variant)
         if method in approx.FAMILIES:
             return _each(approx.cdf_matched, red, xs, method)
         raise InvalidInputError(f"unknown CDF method {method!r}")
     if method in ("spa", "spa_lr"):
-        return _each(approx.pdf_spa, red, xs)
+        return _batch(approx.pdf_spa, red, xs)
     raise InvalidInputError(f"unknown PDF method {method!r}")
 
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceFailureError, NotApplicableError
+from .errors import ConvergenceFailureError, NotApplicableError, one_or_all
 from .forms import (
     EffectiveForm,
     MethodResult,
@@ -452,11 +452,7 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
             break
         active = active[~done]
         coeffs = _extend(coeffs, eff, min(2 * (k_used + 1), K_MAX))
-    if qs.ndim == 0:
-        if isinstance(out[0], Exception):
-            raise out[0]
-        return out[0]
-    return out
+    return one_or_all(out, qs.ndim == 0)
 
 
 def cdf_series(eff: EffectiveForm, q, kind: str = "ruben",

@@ -45,8 +45,8 @@ def _cgf(red: ReducedForm, t):
     w, nu, d2 = red.omega, red.nu, red.delta2
     g = 1.0 - 2.0 * np.multiply.outer(t, w)
     return (
-        -0.5 * np.sum(nu * np.log(g), axis=-1)
-        + t * np.sum(d2 * w / g, axis=-1)
+        -0.5 * _sum(nu * np.log(g), axis=-1)
+        + t * _sum(d2 * w / g, axis=-1)
         + 0.5 * red.sigma_gauss**2 * t**2
         + red.const * t
     )
@@ -113,16 +113,22 @@ def cgf_derivative(red: ReducedForm, t: float, m: int) -> float:
     if m == 0:
         return log_mgf(red, t)
     _require_in_domain(red, t)
+    return float(_cgf_derivative(red, t, m))
+
+
+def _cgf_derivative(red: ReducedForm, t, m: int):
+    """K^(m)(t), m >= 1, without the domain check; t scalar or array (one
+    value per t)."""
     w, nu, d2 = red.omega, red.nu, red.delta2
-    g = 1.0 - 2.0 * w * t
-    core = 2.0 ** (m - 1) * math.factorial(m - 1) * np.sum(
-        w**m * (nu / g**m + m * d2 / g ** (m + 1))
+    g = 1.0 - 2.0 * np.multiply.outer(t, w)
+    core = 2.0 ** (m - 1) * math.factorial(m - 1) * _sum(
+        w**m * (nu / g**m + m * d2 / g ** (m + 1)), axis=-1
     )
     if m == 1:
-        core += red.sigma_gauss**2 * t + red.const
+        core = core + (red.sigma_gauss**2 * t + red.const)
     elif m == 2:
-        core += red.sigma_gauss**2
-    return float(core)
+        core = core + red.sigma_gauss**2
+    return core
 
 
 def cumulants(red: ReducedForm, order: int = DEFAULT_CUMULANT_ORDER) -> CumulantSet:
@@ -348,7 +354,7 @@ def chernoff_crossing(red: ReducedForm, level: float, side: str) -> float:
     return float(_sum(w * (nu + d2 * inv) * inv)) + s2 * sign * tau + c
 
 
-def crossing_margin(red: ReducedForm, *points: float) -> float:
+def crossing_margin(red: ReducedForm, *points):
     """Half-width of the band around a Chernoff crossing inside which a
     comparison with the crossing is settled by chernoff_log_tail itself.
 
@@ -357,7 +363,8 @@ def crossing_margin(red: ReducedForm, *points: float) -> float:
     differs from the level by far more than the rounding of its computed
     value: the comparison with the crossing then decides as the log-tail
     would.  CROSSING_MARGIN relative to the magnitudes in that rounding: the
-    points, the weights, the constant and the Gaussian term.
+    points, the weights, the constant and the Gaussian term.  A point may be
+    an array: then one margin per element.
     """
     scale = float(_sum(np.abs(red.omega) * (red.nu + red.delta2)))
     return CROSSING_MARGIN * (sum(abs(p) for p in points) + scale + abs(red.const)

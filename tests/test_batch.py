@@ -40,14 +40,18 @@ def _points(red):
     return np.array(pts)
 
 
+def _crossing_grid(red, n):
+    """n points from half an sd beyond the left crossing to half an sd
+    beyond the right one."""
+    (left, _), (right, _) = select.Plan(red).crossings
+    sd = math.sqrt(qf.cumulants(red, 2).get(2))
+    return np.linspace(left - 0.5 * sd, right + 0.5 * sd, n)
+
+
 def _same(batch, single):
-    assert batch.method == single.method
-    assert batch.provenance == single.provenance
-    if single.error_bound is None:
-        assert batch.error_bound is None
-    else:
-        assert batch.error_bound == pytest.approx(single.error_bound, rel=1e-13, abs=0.0)
-    assert abs(batch.value - single.value) <= 1e-13
+    """A grid point's result is the call with that point alone, diagnostics
+    included."""
+    assert batch == single
 
 
 class TestGridMatchesPointwise:
@@ -81,6 +85,39 @@ class TestGridMatchesPointwise:
         qs = np.array([0.5, 2.0, 6.0, 11.0])
         for q, res in zip(qs, select.cdf(red, qs, method)):
             _same(res, select.cdf(red, float(q), method))
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_gaussian_grid_across_both_crossings(self, quantity):
+        """41 points from beyond the left crossing to beyond the right one:
+        the saddlepoint tails and the Davies bulk (CDF) or the saddlepoint
+        throughout (density) as single points give them."""
+        red = FORMS["gaussian"]
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        qs = _crossing_grid(red, 41)
+        batch = fn(red, qs)
+        for q, res in zip(qs, batch):
+            _same(res, fn(red, float(q)))
+        methods = [res.method for res in batch]
+        assert methods[0] == methods[-1] == ("spa_lr" if quantity == "cdf" else "spa")
+        if quantity == "cdf":
+            assert "davies" in methods
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_one_root_solve_per_route(self, quantity, monkeypatch):
+        """The K'(t) = y solves of a grid do not grow with its points: one
+        per saddlepoint route and one per Davies lattice-bound side."""
+        red = FORMS["gaussian"]
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        solve = transforms._solve_cgf_prime
+        calls = []
+        monkeypatch.setattr(transforms, "_solve_cgf_prime",
+                            lambda *args: calls.append(args) or solve(*args))
+        counts = []
+        for n in (41, 401):
+            calls.clear()
+            fn(red, _crossing_grid(red, n))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= (3 if quantity == "cdf" else 1)
 
     def test_select_method_array(self):
         red = FORMS["indefinite"]

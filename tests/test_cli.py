@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quadform as qf
-from quadform import cli, select
+from quadform import cli, ratio, select
 from quadform.cli import main, parse_document
 
 
@@ -351,3 +351,68 @@ class TestExitCodes:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"kind": "constant", "value": 1.0}
+
+
+class TestNonFinitePoints:
+    """A NaN point is invalid input (exit 2, one error line); an infinite
+    ratio point has the exact CDF 1 or 0 and density 0."""
+
+    FORMS = {
+        "definite": {"kind": "reduced", "omega": [1.5, 0.7, 0.3], "nu": [1, 2, 3],
+                     "delta2": [0.5, 0.0, 1.2]},
+        "indefinite": {"kind": "reduced", "omega": [1.0, -0.6, 0.4], "nu": [2, 3, 2],
+                       "delta2": [0.3, 0.0, 0.5]},
+        "gaussian": {"kind": "reduced", "omega": [1.0, -0.5], "nu": [2, 1],
+                     "delta2": [0.0, 0.5], "sigma": 1.0},
+    }
+
+    @staticmethod
+    def _path(tmp_path, doc):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def _rejected(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "NaN" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    @pytest.mark.parametrize("argv", [("cdf", "--q", "nan"), ("pdf", "--q", "nan"),
+                                      ("cdf", "--grid=nan:1:3"), ("pdf", "--grid=0:nan:5")])
+    def test_nan_point(self, capsys, tmp_path, form, argv):
+        self._rejected(capsys, *argv, self._path(tmp_path, self.FORMS[form]))
+
+    @pytest.mark.parametrize("method", ["imhof", "davies", "spa_lr", "ruben"])
+    def test_nan_point_every_method(self, capsys, tmp_path, method):
+        path = self._path(tmp_path, self.FORMS["indefinite"])
+        self._rejected(capsys, "cdf", "--q", "nan", "--method", method, path)
+        with pytest.raises(qf.InvalidInputError, match="NaN"):
+            select.cdf(parse_document(self.FORMS["indefinite"]), np.array([0.0, math.nan]),
+                       method)
+
+    @pytest.mark.parametrize("argv", [("ratio-cdf", "--r", "nan"), ("ratio-pdf", "--r", "nan"),
+                                      ("ratio-cdf", "--grid=0:nan:3"),
+                                      ("ratio-pdf", "--grid=nan:1:3")])
+    def test_nan_ratio_point(self, capsys, docs, argv):
+        self._rejected(capsys, *argv, docs["beta.json"])
+
+    @pytest.mark.parametrize("argv,value", [(("ratio-cdf", "--r", "inf"), 1.0),
+                                            (("ratio-cdf", "--r=-inf"), 0.0),
+                                            (("ratio-pdf", "--r", "inf"), 0.0),
+                                            (("ratio-pdf", "--r=-inf"), 0.0)])
+    def test_infinite_ratio_point(self, capsys, docs, argv, value):
+        code, out, _ = run_cli(capsys, *argv, docs["beta.json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == value and payload["provenance"] == "exact"
+        assert payload["error_bound"] == 0.0
+
+    def test_infinite_ratio_points_in_a_density_grid(self, capsys, docs):
+        spec = parse_document(json.loads(open(docs["beta.json"]).read()))
+        grid = [-math.inf, 0.2, 0.5, math.inf]
+        out = ratio.pdf_ratio_spa_grid(spec, grid)
+        assert [r.value for r in (out[0], out[3])] == [0.0, 0.0]
+        for r, res in zip(grid[1:3], out[1:3]):
+            assert res == ratio.pdf_ratio_spa(spec, r)

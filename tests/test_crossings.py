@@ -69,15 +69,16 @@ def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
 def _old_davies_rule(red, x, tol):
     """The rung-stepping spread search and the truncation ladder of the auto
     Davies rule: (spread, lattice bound, k_max, u_max)."""
-    k1 = qf.cumulants(red.shifted(0.0), 2)
+    chi = red.shifted(0.0)
+    k1 = qf.cumulants(chi, 2)
     sd = math.sqrt(max(k1.get(2), 1e-300))
     spread = max(8.0 * sd, abs(x - k1.get(1)) + 4.0 * sd)
-    lattice = inversion._davies_lattice_bound(red, x, spread)
+    lattice = inversion._davies_lattice_bound(chi, x, spread)
     for _ in range(200):
         if lattice <= tol / 2.0 or spread > 1e12 * sd:
             break
         spread *= 1.5
-        lattice = inversion._davies_lattice_bound(red, x, spread)
+        lattice = inversion._davies_lattice_bound(chi, x, spread)
     delta = 2.0 * math.pi / spread
     u_max = 4.0 / sd if red.n_groups else 4.0 / red.sigma_gauss
     trunc = inversion.davies_truncation_bound(red, u_max)
@@ -275,7 +276,7 @@ class TestDaviesSpread:
             assert transforms.chernoff_log_tail(chi, edge, side) == pytest.approx(
                 math.log(tol / 4.0), abs=1e-9)
         need = max(x - left, right - x) + transforms.crossing_margin(chi, x, left, right)
-        spread = inversion._davies_spread(red, x, setup)
+        spread = inversion._davies_spread(setup, x)
         assert spread == max(8.0 * sd, abs(x - mean) + 4.0 * sd, min(need, 1e12 * sd))
         q = x + red.const
         try:
@@ -284,7 +285,7 @@ class TestDaviesSpread:
             res = exc.result
         diag = res.diagnostics
         assert diag["delta"] == 2.0 * math.pi / spread
-        assert diag["lattice_bound"] == inversion._davies_lattice_bound(red, x, spread)
+        assert diag["lattice_bound"] == inversion._davies_lattice_bound(chi, x, spread)
         assert diag["lattice_bound"] <= tol / 4.0
         try:
             old = _old_cdf_davies(red, q, tol=tol)
