@@ -20,9 +20,10 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   reaches from x past the two points where the centred form's Chernoff
   log-tails equal log(tol/4).
 
-``InversionSetup`` holds what does not depend on the point (Imhof's tail
-constants and rungs, the Davies crossings and truncation ladder), so the
-points of a grid and the CDF calls of ``quantile`` build it once.
+What does not depend on the point (Imhof's tail constants and rungs, the
+Davies crossings and truncation ladder) is built on first use and kept by
+the form's ``select.Plan``, so the points of a grid and the CDF calls of
+``quantile`` build it once.  A call without a plan builds one of its own.
 
 Both read the modulus and phase of phi from one kernel,
 ``transforms._log_cf`` (Imhof's u is twice its frequency).  Their bounds
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -74,6 +74,13 @@ def _exact_cdf(red: ReducedForm, q: float, method: str) -> MethodResult | None:
         return MethodResult(0.0, 0.0, method, "exact",
                             {"raw_value": 0.0, "note": "at or below the support"})
     return None
+
+
+def _own_plan(red: ReducedForm, plan):
+    """plan, or a ``select.Plan`` of red for this call only."""
+    from . import select  # runtime import; select dispatches here
+
+    return plan if plan is not None else select.Plan(red)
 
 
 def _rounding_bound(mass: float, n: int) -> float:
@@ -296,17 +303,17 @@ def _pdf_tail(rec: _Tail) -> float:
     return min(rec.pdf_plain, rec.ibp / (2.0 * math.pi), rec.residual)
 
 
-def _imhof_pick_u(setup: InversionSetup, x: float, tail, u_cap: float) -> tuple:
-    """The first rung U = 2^j of the ladder whose ``tail`` bound (``_cdf_tail``
-    or ``_pdf_tail``) is at most tol/2, or the first above u_cap, and its
-    record.
+def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
+    """The first rung U = 2^j of the plan's ladder whose ``tail`` bound
+    (``_cdf_tail`` or ``_pdf_tail``) is at most tol/2, or the first above
+    u_cap, and its record.
 
     The search starts at the rung of closed-form first guesses from the
     power-law parts of T_U and of the integration-by-parts bound, and steps
     by factors of 2, down while the rung below still meets tol/2 and up
     until one does: every bound decreases with U."""
-    red, half = setup.red, setup.tol / 2.0
-    k, c1, _, log_w, _ = setup.tail_form
+    red, half = plan.red, tol / 2.0
+    k, c1, _, log_w, _ = plan.tail_form
     log_scale = -log_w - 0.5 * float(red.delta2.sum())
     log_tol = math.log(half)
     log_us = [(-math.log(math.pi * k) + log_scale - log_tol) / k]
@@ -317,14 +324,14 @@ def _imhof_pick_u(setup: InversionSetup, x: float, tail, u_cap: float) -> tuple:
         log_us.append((math.log(max(c1, 1e-300)) - math.log(math.pi * (k + 1.0)) + log_scale
                        - log_tol) / (k + 1.0))
     j = math.ceil(min(max(min(log_us), -600.0), 60.0) / math.log(2.0))
-    rec = _tail(setup.rung(j), x)
+    rec = _tail(plan.rung(j), x)
     if tail(rec) <= half:
-        while j > -1000 and tail(lower := _tail(setup.rung(j - 1), x)) <= half:
+        while j > -1000 and tail(lower := _tail(plan.rung(j - 1), x)) <= half:
             j, rec = j - 1, lower
     while tail(rec) > half and rec.u <= u_cap:
         j += 1
-        rec = _tail(setup.rung(j), x)
-    return setup.rung(j), rec
+        rec = _tail(plan.rung(j), x)
+    return plan.rung(j), rec
 
 
 def _start_panels(red: ReducedForm, u_max: float, x: float) -> int:
@@ -368,7 +375,7 @@ def _trapezoid(rung: _Rung, f, panels: int, cap: int, target: float, scale: floa
 
 
 def _imhof_grid(red: ReducedForm, x: float, params: ImhofParams | None, tol: float,
-                setup: InversionSetup | None, tail, u_cap: float) -> tuple:
+                plan, tail, u_cap: float) -> tuple:
     """The rung, tail record, start panels, panel cap and Richardson target of
     an Imhof point at shifted x, shared by the CDF and the density.
 
@@ -382,12 +389,12 @@ def _imhof_grid(red: ReducedForm, x: float, params: ImhofParams | None, tol: flo
         rung = _Rung(red, params.u_max, _tail_form(red))
         return (rung, _tail(rung, x), max(params.panels // 2, 2), max(params.panels, 4),
                 -math.inf)
-    setup = setup if setup is not None else InversionSetup(red, tol)
+    plan = _own_plan(red, plan)
     if tail is None:
-        rung = setup.rung(0)
+        rung = plan.rung(0)
         rec = _tail(rung, x)
     else:
-        rung, rec = _imhof_pick_u(setup, x, tail, u_cap)
+        rung, rec = _imhof_pick_u(plan, tol, x, tail, u_cap)
     # drive the quadrature below the tail target: the oscillatory tail
     # cancels far below T_U, so a tight grid keeps the value accurate even
     # when the reported (conservative) bound is dominated by T_U
@@ -396,21 +403,22 @@ def _imhof_grid(red: ReducedForm, x: float, params: ImhofParams | None, tol: flo
 
 
 def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
-              tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
+              tol: float = 1e-8, plan=None) -> MethodResult:
     """CDF by Imhof's trapezoid rule with explicit truncation bound.
 
     With ``params`` the grid is fixed and the achieved bound is reported;
     otherwise U is the first rung of the ladder 2^j whose tail bound meets
     tol/2, and panels are doubled until the Richardson estimate meets the
-    tolerance.  ``setup`` is an InversionSetup of red to reuse (its rungs'
-    nodes are shared with its other points); results do not depend on it.
+    tolerance.  ``plan`` is a ``select.Plan`` of red to reuse (its rungs'
+    nodes are shared with its other points, at every tol); results do not
+    depend on it.
     """
     _require_no_gaussian(red, "imhof CDF")
     exact = _exact_cdf(red, q, "imhof")
     if exact is not None:
         return exact
     x = q - red.const
-    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, setup, _cdf_tail, 1e25)
+    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, plan, _cdf_tail, 1e25)
     u_max = rung.u
     t_plain, t_ibp, t_bal = rec.plain, rec.ibp / (math.pi * u_max), rec.balanced
     t_u = min(t_plain, t_ibp, t_bal)
@@ -436,7 +444,7 @@ def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
 
 
 def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
-              tol: float = 1e-8, setup: InversionSetup | None = None) -> MethodResult:
+              tol: float = 1e-8, plan=None) -> MethodResult:
     """Density by the cosine-integral counterpart of the Imhof rule.
 
     The grid is chosen as for cdf_imhof, with the density's tail terms: U
@@ -446,12 +454,12 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     Richardson estimate; flagged heuristic since the oscillatory tail has
     no tight closed bound.  At x = 0 with sum(nu) <= 2 no bound applies at
     any U (the slope floor is 0), so U stays 1 and the bound is inf.
-    ``setup`` as for cdf_imhof.
+    ``plan`` as for cdf_imhof.
     """
     _require_no_gaussian(red, "imhof PDF")
     x = q - red.const
     tail = None if x == 0.0 and red.nu.sum() <= 2 else _pdf_tail
-    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, setup, tail, 1e7)
+    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, plan, tail, 1e7)
     t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
     correct_tail = t_ibp_u < t_plain_u
     t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)
@@ -542,104 +550,31 @@ def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int):
     return 0.5 - total / math.pi, _rounding_bound(mass / math.pi, k_max + 1)
 
 
-class InversionSetup:
-    """The point-free part of the auto Imhof and Davies rules for one form and
-    tol, built on first use and shared by the points of a grid or the CDF
-    calls of a quantile search.
-
-    * tail_form: Imhof's U-free tail constants (_tail_form).
-    * Imhof's ladder: per rung U = 2^j, the x-free part of the tail record
-      at U and the integrand's modulus and phase at the rung's nested
-      trapezoid nodes (``_Rung``).  The CDF and density points that truncate
-      at U read them; each adds only its phase shift -u x/2 and one sin or
-      cos per node.
-    * The Davies spread: the aliasing bound of ``_davies_lattice_bound`` is at
-      most tol/4 once x - spread and x + spread lie beyond the crossings of
-      the centred form's Chernoff log-tails with log(tol/4).
-    * The Davies truncation ladder U = 4/sd * 1.5^j and, per rung, whether its
-      truncation bound is at most tol/2, extended as far as a point needs it.
-    """
-
-    def __init__(self, red: ReducedForm, tol: float):
-        self.red, self.tol = red, tol
-        self._rungs: list = []
-        self._ladder: dict = {}
-
-    @functools.cached_property
-    def tail_form(self) -> _Form:
-        return _tail_form(self.red)
-
-    def rung(self, j: int) -> _Rung:
-        """Imhof's rung U = 2^j."""
-        if j not in self._ladder:
-            self._ladder[j] = _Rung(self.red, math.ldexp(1.0, j), self.tail_form)
-        return self._ladder[j]
-
-    @functools.cached_property
-    def centred(self) -> ReducedForm:
-        """The form without its constant, on which the Davies spread and
-        lattice bounds work."""
-        return self.red.shifted(0.0)
-
-    @functools.cached_property
-    def spread_form(self) -> tuple:
-        """The centred form's mean and sd, and its left and right crossings
-        with log(tol/4)."""
-        chi = self.centred
-        ks = transforms.cumulants(chi, 2)
-        quarter = self.tol / 4.0
-        level = math.log(quarter) if quarter > 0.0 else -math.inf
-        return (ks.get(1), math.sqrt(max(ks.get(2), 1e-300)),
-                transforms.chernoff_crossing(chi, level, "left"),
-                transforms.chernoff_crossing(chi, level, "right"))
-
-    def truncation_u(self, delta: np.ndarray) -> np.ndarray:
-        """For each lattice spacing of a nonempty array delta, the first rung
-        whose truncation bound is at most tol/2 or that holds
-        DAVIES_POINTS_MAX lattice points of that spacing.
-
-        The ladder is walked once, to the first rung that is small or that
-        every spacing fills (u / delta falls as delta grows); a spacing that
-        fills an earlier rung stops there."""
-        widest = float(delta.max())
-        for j in itertools.count():
-            if j == len(self._rungs):
-                u = (self._rungs[-1][0] * 1.5 if j else
-                     4.0 / (self.spread_form[1] if self.red.n_groups else self.red.sigma_gauss))
-                self._rungs.append((u, davies_truncation_bound(self.red, u) <= self.tol / 2.0))
-            u, small = self._rungs[j]
-            if small or u / widest >= DAVIES_POINTS_MAX:
-                break
-        us = np.array([u for u, _ in self._rungs[:j + 1]])
-        full = us / delta[:, None] >= DAVIES_POINTS_MAX
-        return us[np.where(full.any(axis=1), full.argmax(axis=1), j)]
-
-
-def _davies_spread(setup: InversionSetup, x):
+def _davies_spread(plan, tol: float, x):
     """The lattice spread of the auto rule at shifted point x (scalar or array).
 
     It is max(8 sd, |x - mean| + 4 sd, need + margin), the last term capped at
     1e12 sd, where need = max(x - left, right - x) is the distance from x to
-    the set-up's crossings and margin is their ``crossing_margin``: x - spread
+    the plan's crossings at tol and margin is their ``crossing_margin``: x - spread
     and x + spread then lie beyond the crossings, so the lattice bound is at
     most their level tol/4.  need is inf when tol/4 underflows to 0 (no
     spread reaches it), and stays inf.
     """
-    mean, sd, left, right = setup.spread_form
+    mean, sd, left, right = plan.spread_form(tol)
     need = (np.maximum(x - left, right - x)
-            + transforms.crossing_margin(setup.centred, x, left, right))
+            + transforms.crossing_margin(plan.centred, x, left, right))
     return np.maximum(np.maximum(8.0 * sd, np.abs(x - mean) + 4.0 * sd),
                       np.minimum(need, 1e12 * sd))
 
 
 def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None,
-               tol: float = 1e-8, setup: InversionSetup | None = None):
+               tol: float = 1e-8, plan=None):
     """CDF by the midpoint-lattice inversion sum with computable bounds.
 
     Supports Gaussian components and weights of both signs.  The reported
     bound is truncation + lattice aliasing + the rounding of the sum.
-    ``setup`` is an InversionSetup of (red, tol) to reuse; results do not
-    depend on it.  q may be an array: the spreads, the truncation rungs and
+    ``plan`` is a ``select.Plan`` of red to reuse; results do not depend
+    on it.  q may be an array: the spreads, the truncation rungs and
     both bounds are computed for all points at once (two chernoff_log_tail
     calls for the lattice bounds), and only the lattice sum runs per point;
     the result is a list with each point's MethodResult or
@@ -654,20 +589,20 @@ def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None,
     idx = np.flatnonzero(inside)
     if not idx.size:
         return one_or_all(out, qs.ndim == 0)
-    setup = setup if setup is not None else InversionSetup(red, tol)
+    plan = _own_plan(red, plan)
     x = pts[idx] - red.const
     if params is not None:
         spread = 2.0 * math.pi / params.delta
         delta = np.full(x.shape, params.delta)
         k_max = np.full(x.shape, params.k_max)
     else:
-        spread = _davies_spread(setup, x)
+        spread = _davies_spread(plan, tol, x)
         delta = 2.0 * math.pi / spread
-        k_max = np.maximum(np.minimum(np.ceil(setup.truncation_u(delta) / delta - 0.5),
+        k_max = np.maximum(np.minimum(np.ceil(plan.truncation_u(tol, delta) / delta - 0.5),
                                       DAVIES_POINTS_MAX), 8).astype(int)
     u_max = (k_max + 0.5) * delta
     trunc = davies_truncation_bound(red, u_max)
-    lattice = _davies_lattice_bound(setup.centred, x, spread)
+    lattice = _davies_lattice_bound(plan.centred, x, spread)
     for i, xi, d, k, u, t, la in zip(idx.tolist(), x.tolist(), delta.tolist(),
                                      k_max.tolist(), u_max.tolist(), trunc.tolist(),
                                      lattice.tolist()):
@@ -713,7 +648,7 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
         raise InvalidInputError("quantile level p must be in (0, 1)")
     from . import select  # runtime import; select dispatches back here
 
-    plan = plan if plan is not None else select.Plan(red)
+    plan = _own_plan(red, plan)
     lo_s, hi_s = plan.support
     inner_tol = min(tol * 1e-2, 1e-9)
     ks = transforms.cumulants(red, 2)

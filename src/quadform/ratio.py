@@ -491,13 +491,6 @@ def _raise_for_status(status, r) -> None:
                       "x'(A - rB)x does not take both signs")
 
 
-def _pdf_ratio_spa_raw(a, b, mu, r: float) -> tuple[float, float, float]:
-    """Unnormalized Butler density at r in whitened coordinates."""
-    value, t0, j_r, status = _butler_kernel(a, b, mu, [r])
-    _raise_for_status(status, [r])
-    return float(value[0]), float(t0[0]), float(j_r[0])
-
-
 def _qk21(f, lo, hi):
     """21-point Gauss-Kronrod estimates on the panels [lo, hi], with
     QUADPACK's error estimate; f is evaluated on all panels in one call."""

@@ -21,28 +21,27 @@ Chernoff log-tails cross log(1e-8) (``transforms.chernoff_crossing``): a
 point is in a tail iff it lies beyond a crossing.  Only a point within
 the crossing margin has its own Chernoff bound computed.
 
-A ``Plan`` holds what the points of a form share: the classification,
-the support, the crossings, the partial fractions, the series form and
-poles, and the inversion set-up per tol, each built on first use.
-``cdf`` and ``pdf`` take a scalar point or an array of points and build
-one plan per call; a caller that evaluates one form many times (the
-quantile search) passes its own.  An array is routed once and evaluated
-per route: the expansion and the series coefficients are shared by all
-points.  The saddlepoint routes solve K'(t) = q once for all their
-points, and Davies computes the spreads, truncation rungs and both
-bounds of all its points at once (its lattice bounds from two array
-Chernoff calls on the set-up's centred form); only Davies' lattice sum
-runs per point.  Imhof points are evaluated one call each, and share
-through the inversion set-up the rungs of its U ladder (the tail
-record's x-free part and the integrand's modulus and phase at the rung's
-nodes).  Each point gets the route, method, provenance, bound and
-diagnostics that a call with that point alone gives.  A NaN point is
-invalid input.
+A ``Plan`` is the one per-form set-up: it holds what the points of a form
+share, each part built on first use (see its docstring).  ``cdf`` and
+``pdf`` take a scalar point or an array of points and build one plan per
+call; a caller that evaluates one form many times (the quantile search)
+passes its own.  An array is routed once and evaluated per route: the
+expansion and the series coefficients are shared by all points.  The
+saddlepoint routes solve K'(t) = q once for all their points, and Davies
+computes the spreads, truncation rungs and both bounds of all its points
+at once (its lattice bounds from two array Chernoff calls on the plan's
+centred form); only Davies' lattice sum runs per point.  Imhof points are
+evaluated one call each, and share through the plan the rungs of its U
+ladder (the tail record's x-free part and the integrand's modulus and
+phase at the rung's nodes).  Each point gets the route, method,
+provenance, bound and diagnostics that a call with that point alone
+gives.  A NaN point is invalid input.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -65,12 +64,25 @@ def _negate(red: ReducedForm) -> ReducedForm:
 
 
 class Plan:
-    """What the CDF/PDF evaluations of one form share, each part built on
-    first use.  Results do not depend on whether a plan is reused."""
+    """The set-up of one form that its CDF/PDF evaluations share, each part
+    built on first use:
+
+    * routing: the classification, the support and the two crossings;
+    * the partial fractions, the series form, the remainder poles of its
+      chi-square expansion and its coefficient sets, by (kind, beta, K);
+    * Imhof's tail constants and its rungs U = 2^j (``inversion._Rung``),
+      by j alone: a rung holds no tol, so every tol shares it;
+    * the centred form and, per tol, the Davies spread form and the
+      truncation ladder.
+
+    Results do not depend on whether a plan is reused."""
 
     def __init__(self, red: ReducedForm):
         self.red = red
-        self._inversion: dict = {}
+        self._coefficients: dict = {}
+        self._rungs: dict = {}
+        self._spread: dict = {}
+        self._ladder: dict = {}
 
     @functools.cached_property
     def cls(self) -> FormClass:
@@ -110,9 +122,69 @@ class Plan:
             return None
         return series._ruben_poles(eff, series.default_beta(eff, "ruben"))
 
-    def inversion_setup(self, tol: float) -> inversion.InversionSetup:
-        """The Imhof and Davies set-up at tol."""
-        return self._inversion.setdefault(tol, inversion.InversionSetup(self.red, tol))
+    def coefficients(self, kind: str, beta: float | None, k_terms: int):
+        """series.series_coefficients of the series form."""
+        key = (kind, beta, k_terms)
+        if key not in self._coefficients:
+            self._coefficients[key] = series.series_coefficients(
+                self.series_form, kind, beta, k_terms)
+        return self._coefficients[key]
+
+    @functools.cached_property
+    def tail_form(self):
+        """Imhof's U- and x-free tail constants (``inversion._tail_form``)."""
+        return inversion._tail_form(self.red)
+
+    def rung(self, j: int):
+        """Imhof's rung U = 2^j."""
+        if j not in self._rungs:
+            self._rungs[j] = inversion._Rung(self.red, math.ldexp(1.0, j), self.tail_form)
+        return self._rungs[j]
+
+    @functools.cached_property
+    def centred(self) -> ReducedForm:
+        """The form without its constant, on which the Davies spread and
+        lattice bounds work."""
+        return self.red.shifted(0.0)
+
+    def spread_form(self, tol: float) -> tuple:
+        """The centred form's mean and sd, and its left and right crossings
+        with log(tol/4): the aliasing bound of Davies' lattice is at most
+        tol/4 once x - spread and x + spread lie beyond them."""
+        if tol not in self._spread:
+            chi = self.centred
+            ks = transforms.cumulants(chi, 2)
+            quarter = tol / 4.0
+            level = math.log(quarter) if quarter > 0.0 else -math.inf
+            self._spread[tol] = (ks.get(1), math.sqrt(max(ks.get(2), 1e-300)),
+                                 transforms.chernoff_crossing(chi, level, "left"),
+                                 transforms.chernoff_crossing(chi, level, "right"))
+        return self._spread[tol]
+
+    def truncation_u(self, tol: float, delta: np.ndarray) -> np.ndarray:
+        """For each lattice spacing of a nonempty array delta, the first rung
+        of Davies' truncation ladder U = 4/sd * 1.5^j whose truncation bound
+        is at most tol/2 or that holds DAVIES_POINTS_MAX lattice points of
+        that spacing.
+
+        The ladder is walked once, to the first rung that is small or that
+        every spacing fills (u / delta falls as delta grows), and kept per
+        tol with each rung's test; a spacing that fills an earlier rung
+        stops there."""
+        rungs = self._ladder.setdefault(tol, [])
+        widest = float(delta.max())
+        for j in itertools.count():
+            if j == len(rungs):
+                u = (rungs[-1][0] * 1.5 if j else
+                     4.0 / (self.spread_form(tol)[1] if self.red.n_groups
+                            else self.red.sigma_gauss))
+                rungs.append((u, inversion.davies_truncation_bound(self.red, u) <= tol / 2.0))
+            u, small = rungs[j]
+            if small or u / widest >= inversion.DAVIES_POINTS_MAX:
+                break
+        us = np.array([u for u, _ in rungs[:j + 1]])
+        full = us / delta[:, None] >= inversion.DAVIES_POINTS_MAX
+        return us[np.where(full.any(axis=1), full.argmax(axis=1), j)]
 
 
 def _generic_method(red: ReducedForm, quantity: str, central_even: bool = True,
@@ -253,14 +325,6 @@ def _each(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
     return out
 
 
-def _batch(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
-    """fn of an array engine at all the points xs in one call, one outcome per
-    point; one point takes fn's scalar entry, as in _each."""
-    if xs.size == 1:
-        return _each(fn, red, xs, *args, **kwargs)
-    return fn(red, xs, *args, **kwargs)
-
-
 def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
     """One outcome (MethodResult or library error) per point of one route."""
     red = plan.red
@@ -272,19 +336,18 @@ def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str
         return _definite_series(plan, xs, method, tol, cumulative)
     if method == "imhof":
         fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
-        return _each(fn, red, xs, tol=tol, setup=plan.inversion_setup(tol))
+        return _each(fn, red, xs, tol=tol, plan=plan)
     if cumulative:
         if method == "davies":
-            return _batch(inversion.cdf_davies, red, xs, tol=tol,
-                          setup=plan.inversion_setup(tol))
+            return inversion.cdf_davies(red, xs, tol=tol, plan=plan)
         if method in ("spa_lr", "spa_bn"):
             variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
-            return _batch(approx.cdf_spa, red, xs, variant)
+            return approx.cdf_spa(red, xs, variant)
         if method in approx.FAMILIES:
             return _each(approx.cdf_matched, red, xs, method)
         raise InvalidInputError(f"unknown CDF method {method!r}")
     if method in ("spa", "spa_lr"):
-        return _batch(approx.pdf_spa, red, xs)
+        return approx.pdf_spa(red, xs)
     raise InvalidInputError(f"unknown PDF method {method!r}")
 
 
@@ -294,8 +357,7 @@ def _definite_series(plan: Plan, xs: np.ndarray, kind: str, tol: float,
     negated ones."""
     negative = plan.cls.definiteness == "negative"
     fn = series.cdf_series if cumulative else series.pdf_series
-    res = fn(plan.series_form, -xs if negative else xs, kind=kind, tol=tol,
-             poles=plan.ruben_poles if kind == "ruben" else None)
+    res = fn(plan.series_form, -xs if negative else xs, kind=kind, tol=tol, plan=plan)
     if not negative:
         return res
     return [r if isinstance(r, Exception) else _negated(r, cumulative) for r in res]

@@ -187,31 +187,15 @@ def default_beta(eff: EffectiveForm, kind: str) -> float | None:
     return None
 
 
-_COEFF_CACHE: dict = {}
-
-
 def series_coefficients(eff: EffectiveForm, kind: str, beta: float | None = None,
                         k_terms: int = 64) -> SeriesCoefficients:
     """First k_terms+1 expansion coefficients for one of the three series.
 
     All share the pipeline: expand log B(theta) = d0 + sum g_k theta^k for
     the appropriate change of variables theta(s), then exponentiate the
-    series by the Cauchy-product recursion.  Coefficient sets are cached
-    by value so grid evaluations reuse one expansion per form.
+    series by the Cauchy-product recursion.  A form's ``select.Plan`` keeps
+    the sets its evaluations compute.
     """
-    key = (kind, beta, k_terms, eff.sigma_gauss, eff.lam.tobytes(), eff.h2.tobytes())
-    cached = _COEFF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _series_coefficients_impl(eff, kind, beta, k_terms)
-    if len(_COEFF_CACHE) > 128:
-        _COEFF_CACHE.clear()
-    _COEFF_CACHE[key] = out
-    return out
-
-
-def _series_coefficients_impl(eff: EffectiveForm, kind: str, beta: float | None,
-                              k_terms: int) -> SeriesCoefficients:
     _require_positive_definite(eff, f"{kind} series")
     lam, h2 = eff.lam, eff.h2
     n = eff.n_terms
@@ -253,12 +237,6 @@ def _series_coefficients_impl(eff: EffectiveForm, kind: str, beta: float | None,
     else:
         raise NotApplicableError(f"unknown series kind {kind!r}", condition="kind")
     return SeriesCoefficients(kind=kind, beta=beta, c=c, d=d, n_vars=n)
-
-
-def _extend(coeffs: SeriesCoefficients, eff: EffectiveForm, k_terms: int) -> SeriesCoefficients:
-    if coeffs.c.shape[0] >= k_terms + 1:
-        return coeffs
-    return series_coefficients(eff, coeffs.kind, coeffs.beta, k_terms)
 
 
 def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool) -> np.ndarray:
@@ -382,14 +360,14 @@ def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: np.
 
 
 def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
-                     tol: float, cumulative: bool, poles=None):
+                     tol: float, cumulative: bool, plan=None):
     """Series CDF/PDF at a scalar q, or at every point of an array.
 
-    The points share the coefficients and the remainder bound's poles
-    (``poles``, when the caller has them).  Each keeps the truncation K that
-    its own 64 -> 130 -> ... doubling picks: a point leaves the batch once
-    it converges.  A scalar q raises a point's failure; an array returns
-    it in that point's slot.
+    The points share the coefficients and the remainder bound's poles, read
+    from ``plan`` when one is given (its poles at the default beta only).
+    Each keeps the truncation K that its own 64 -> 130 -> ... doubling
+    picks: a point leaves the batch once it converges.  A scalar q raises a
+    point's failure; an array returns it in that point's slot.
     """
     qs = np.asarray(q, dtype=float)
     xs = np.atleast_1d(qs) - eff.const
@@ -409,7 +387,11 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
                 condition="q range",
             )
         active = active[~far]
-    coeffs = series_coefficients(eff, kind, beta, k_terms=64) if active.size else None
+    # the plan's coefficient sets and poles, or this call's own
+    expansion = (plan.coefficients if plan is not None
+                 else lambda *key: series_coefficients(eff, *key))
+    poles = plan.ruben_poles if plan is not None and kind == "ruben" and beta is None else None
+    coeffs = expansion(kind, beta, 64) if active.size else None
     central_even = bool(np.all(eff.h2 == 0.0)) and eff.n_terms % 2 == 0
     while active.size:
         x = xs[active]
@@ -451,24 +433,24 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
                 )
             break
         active = active[~done]
-        coeffs = _extend(coeffs, eff, min(2 * (k_used + 1), K_MAX))
+        coeffs = expansion(kind, coeffs.beta, min(2 * (k_used + 1), K_MAX))
     return one_or_all(out, qs.ndim == 0)
 
 
 def cdf_series(eff: EffectiveForm, q, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10, poles=None):
+               beta: float | None = None, tol: float = 1e-10, plan=None):
     """Truncated-series CDF of a positive definite form at q.
 
     q may be an array: one entry per point, a MethodResult or the error
     (ConvergenceFailureError, NotApplicableError) that point alone raised.
-    poles is _ruben_poles(eff, beta) (beta at its default when None) when
-    already computed; results do not depend on it.
+    plan is a ``select.Plan`` whose series form is eff, to reuse its
+    remainder poles and coefficient sets; results do not depend on it.
     """
-    return _evaluate_series(eff, q, kind, beta, tol, True, poles)
+    return _evaluate_series(eff, q, kind, beta, tol, True, plan)
 
 
 def pdf_series(eff: EffectiveForm, q, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10, poles=None):
+               beta: float | None = None, tol: float = 1e-10, plan=None):
     """Truncated-series PDF of a positive definite form at q (scalar or
-    array, poles as for cdf_series)."""
-    return _evaluate_series(eff, q, kind, beta, tol, False, poles)
+    array, plan as for cdf_series)."""
+    return _evaluate_series(eff, q, kind, beta, tol, False, plan)

@@ -47,7 +47,7 @@ def _cgf(red: ReducedForm, t):
     return (
         -0.5 * _sum(nu * np.log(g), axis=-1)
         + t * _sum(d2 * w / g, axis=-1)
-        + 0.5 * red.sigma_gauss**2 * t**2
+        + 0.5 * red.sigma_gauss**2 * (t * t)
         + red.const * t
     )
 
@@ -183,20 +183,12 @@ def support(red: ReducedForm) -> tuple[float, float]:
     return lo, hi
 
 
-def _cgf_prime_root(red: ReducedForm, y):
-    """Solve K'(t) = y for a scalar or an array of targets.
-
-    A scalar y returns the root as a float, or None when y is outside the
-    range of K'; an array returns one root per target, nan where none
-    exists.
-    """
-    ys = np.asarray(y, dtype=float)
+def _cgf_prime_root(red: ReducedForm, y: np.ndarray) -> np.ndarray:
+    """Solve K'(t) = y for an array of targets: one root per target, nan
+    where y is outside the range of K'."""
     dom = mgf_domain(red)
-    roots = _solve_cgf_prime(red.omega, red.nu, red.delta2, np.atleast_1d(ys),
-                             dom.t_left, dom.t_right, red.sigma_gauss**2, red.const)
-    if ys.ndim == 0:
-        return None if math.isnan(roots[0]) else float(roots[0])
-    return roots
+    return _solve_cgf_prime(red.omega, red.nu, red.delta2, y, dom.t_left, dom.t_right,
+                            red.sigma_gauss**2, red.const)
 
 
 _NEWTON_MAX = 200

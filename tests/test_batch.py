@@ -200,7 +200,7 @@ class TestRootSolver:
                 # divided by K'' is as close as a double root can get there
                 floor = 16 * EPS * (abs(y) + scale) / _kprime_mp(red, ref, 2)
                 assert abs(t - ref) <= 1e-12 * abs(ref) + floor, (y, t, ref)
-                assert transforms._cgf_prime_root(red, y) == t
+                assert transforms._cgf_prime_root(red, np.array([y]))[0] == t
         # a stacked call: one row of weights, target and MGF strip per row,
         # from this form and from its weights doubled
         twice = qf.ReducedForm(2.0 * red.omega, red.nu, red.delta2, red.sigma_gauss,
@@ -214,18 +214,18 @@ class TestRootSolver:
             np.array([d.t_left for d in doms]), np.array([d.t_right for d in doms]),
             red.sigma_gauss**2, red.const)
         for (form, y), t in zip(rows, stacked):
-            assert transforms._cgf_prime_root(form, y) == t
+            assert transforms._cgf_prime_root(form, np.array([y]))[0] == t
 
     def test_outside_the_range_of_kprime(self):
         for red, outside in ((self.SPREAD, [0.2, -1.0]), (self.NEGATIVE, [1.0, 5.0])):
             for y in outside:
-                assert transforms._cgf_prime_root(red, y) is None
+                assert np.isnan(transforms._cgf_prime_root(red, np.array([y]))[0])
             assert np.isnan(transforms._cgf_prime_root(red, np.array(outside))).all()
 
     def test_gaussian_term_has_every_root(self):
         red = qf.ReducedForm([-1.0], [2], [0.0], 0.5, 0.0)
-        t = transforms._cgf_prime_root(red, 50.0)
-        assert t is not None and float(_kprime_mp(red, t)) == pytest.approx(50.0, rel=1e-13)
+        t = transforms._cgf_prime_root(red, np.array([50.0]))[0]
+        assert not np.isnan(t) and float(_kprime_mp(red, t)) == pytest.approx(50.0, rel=1e-13)
 
     def test_chernoff_array_matches_scalar(self):
         red = FORMS["indefinite"]

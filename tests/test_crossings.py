@@ -89,8 +89,11 @@ def _old_davies_rule(red, x, tol):
     return spread, lattice, k_max, (k_max + 0.5) * delta
 
 
-def _old_cdf_davies(red, q, params=None, tol=1e-8, setup=None):
-    """cdf_davies with the old auto rule (the set-up is not used)."""
+def _old_cdf_davies(red, q, params=None, tol=1e-8, plan=None):
+    """cdf_davies with the old auto rule (the plan is not used); the Davies
+    route's array of points gets one outcome per point."""
+    if np.ndim(q):
+        return select._each(_old_cdf_davies, red, q, params, tol)
     if params is not None:
         return inversion.cdf_davies(red, q, params, tol)
     exact = inversion._exact_cdf(red, q, "davies")
@@ -180,7 +183,7 @@ class TestCrossingSolver:
                 x = transforms.chernoff_crossing(red, level, side)
                 # chernoff_log_tail computes K(t) - t x: near a one-sided
                 # support's edge, t x is large and its rounding counts
-                t = transforms._cgf_prime_root(red, x)
+                t = transforms._cgf_prime_root(red, np.array([x]))[0]
                 err = abs(transforms.chernoff_log_tail(red, x, side) - level)
                 assert err <= 1e-12 + 4.0 * np.finfo(float).eps * abs(t * x), (red, side)
 
@@ -245,17 +248,17 @@ class TestDaviesSpread:
         for red in GAUSSIAN[:3] + _conftest_forms(6, 6, gaussian=True):
             ks = qf.cumulants(red.shifted(0.0), 2)
             mean, sd = ks.get(1), math.sqrt(ks.get(2))
-            setup = inversion.InversionSetup(red, tol)
+            plan = select.Plan(red)
             for x in mean + sd * np.array([-60.0, -12.0, -3.0, -0.4, 0.0, 1.0, 5.0, 25.0]):
-                self._check(red, float(x), tol, setup)
+                self._check(red, float(x), tol, plan)
 
     @pytest.mark.parametrize("red", GAUSSIAN[:3])
     def test_rungs_on_the_crossing(self, red):
         """Points whose distance to a crossing of the rung-stepping rule (at
         log(tol/2)) is exactly one of its rungs, and 1 ulp either side."""
         tol = 1e-8
-        setup = inversion.InversionSetup(red, tol)
-        mean, sd, _, _ = setup.spread_form
+        plan = select.Plan(red)
+        mean, sd, _, _ = plan.spread_form(tol)
         chi = red.shifted(0.0)
         left, right = (transforms.chernoff_crossing(chi, math.log(tol / 2.0), side)
                        for side in ("left", "right"))
@@ -267,20 +270,20 @@ class TestDaviesSpread:
                 if abs(x0 - mean) + 4.0 * sd > 8.0 * sd:
                     continue
                 for x in (x0, np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf)):
-                    self._check(red, float(x), tol, setup)
+                    self._check(red, float(x), tol, plan)
 
-    def _check(self, red, x, tol, setup):
-        mean, sd, left, right = setup.spread_form
+    def _check(self, red, x, tol, plan):
+        mean, sd, left, right = plan.spread_form(tol)
         chi = red.shifted(0.0)
         for edge, side in ((left, "left"), (right, "right")):
             assert transforms.chernoff_log_tail(chi, edge, side) == pytest.approx(
                 math.log(tol / 4.0), abs=1e-9)
         need = max(x - left, right - x) + transforms.crossing_margin(chi, x, left, right)
-        spread = inversion._davies_spread(setup, x)
+        spread = inversion._davies_spread(plan, tol, x)
         assert spread == max(8.0 * sd, abs(x - mean) + 4.0 * sd, min(need, 1e12 * sd))
         q = x + red.const
         try:
-            res = qf.cdf_davies(red, q, tol=tol, setup=setup)
+            res = qf.cdf_davies(red, q, tol=tol, plan=plan)
         except qf.ConvergenceFailureError as exc:
             res = exc.result
         diag = res.diagnostics

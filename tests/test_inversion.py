@@ -308,9 +308,12 @@ class TestRouter:
 
     def test_auto_leaf_falls_back_to_davies(self, monkeypatch):
         def failing(name, bound):
-            def fn(red, q, tol, setup=None):
-                raise qf.ConvergenceFailureError(
+            def fn(red, q, tol, plan=None):
+                exc = qf.ConvergenceFailureError(
                     name, result=qf.MethodResult(0.5, bound, name, "rigorous", {}))
+                if np.ndim(q):   # the Davies route's array: one outcome per point
+                    return [exc] * np.size(q)
+                raise exc
             return fn
 
         red = qf.ReducedForm([1.0, -0.4], [3, 2], [0.2, 0.0])
@@ -627,7 +630,7 @@ class TestTailRecord:
             for x in _shifted_points(red):
                 for tol in (1e-10, 1e-8, 1e-6):
                     rung, rec = inversion._imhof_pick_u(
-                        inversion.InversionSetup(red, tol), x, inversion._cdf_tail, 1e25)
+                        select.Plan(red), tol, x, inversion._cdf_tail, 1e25)
                     u = rung.u
                     assert _is_rung(u) and rec.u == u
                     assert min(_old_cdf_tails(red, u, x)) <= tol / 2.0 or u > 1e25
@@ -641,7 +644,7 @@ class TestTailRecord:
         monkeypatch.setattr(inversion, "_tail", lambda *a: tail(*a)._replace(
             plain=math.inf, ibp=math.inf, balanced=math.inf))
         red = qf.ReducedForm([1.0, -0.5], [4, 1], [0.0, 0.4])
-        rung, rec = inversion._imhof_pick_u(inversion.InversionSetup(red, 1e-8), 0.3,
+        rung, rec = inversion._imhof_pick_u(select.Plan(red), 1e-8, 0.3,
                                              inversion._cdf_tail, 1e25)
         assert rec.u == rung.u == 2.0**84   # the first rung above 1e25
 
@@ -694,16 +697,16 @@ class TestLadder:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     def test_values_within_bounds_of_the_old_drivers(self, tol):
         for red in _tail_battery():
-            setup = inversion.InversionSetup(red, tol)
+            plan = select.Plan(red)
             # x = +-1e-9 run both drivers to the 2^23-panel cap on the light
             # forms; the record tests cover them
             for x in _shifted_points(red)[::3] + _shifted_points(red)[4:]:
                 q = x + red.const
-                new = best_effort(qf.cdf_imhof, red, q, tol=tol, setup=setup)
+                new = best_effort(qf.cdf_imhof, red, q, tol=tol, plan=plan)
                 if "u_max" in new.diagnostics:
                     value, bound, _, _ = _old_cdf_imhof(red, q, tol)
                     assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
-                new = qf.pdf_imhof(red, q, tol=tol, setup=setup)
+                new = qf.pdf_imhof(red, q, tol=tol, plan=plan)
                 if math.isinf(new.error_bound):
                     continue  # sum(nu) <= 2 at x = 0: no bound, and U stays 1
                 value, bound, u, panels = _old_pdf_imhof(red, q, tol)
@@ -731,9 +734,30 @@ class TestLadder:
         qf.quantile(red, 0.3, tol=1e-7, plan=plan)   # inner tol 1e-9
         select.cdf(red, qs[::-3], tol=1e-9, plan=plan)
         select.pdf(red, qs[1::4], tol=1e-9, plan=plan)
-        assert plan.inversion_setup(1e-9)._ladder
+        assert plan._rungs
         for q, res in zip(qs, fn(red, qs, tol=1e-9, plan=plan)):
             assert res == fn(red, q, tol=1e-9, plan=select.Plan(red))
+
+    def test_one_plan_shares_rungs_across_tols(self, monkeypatch):
+        # a rung holds no tol: the second tol's pass reads the nodes the
+        # first one evaluated, and gives what a fresh plan gives
+        red = qf.ReducedForm([1.0, -0.6, 0.4], [2, 3, 2], [0.3, 0.0, 0.5])
+        qs = np.linspace(-8.0, 12.0, 41)
+        log_cf, nodes = transforms._log_cf, []
+
+        def counting(red, beta):
+            nodes.append(np.size(beta))
+            return log_cf(red, beta)
+
+        monkeypatch.setattr(transforms, "_log_cf", counting)
+        plan = select.Plan(red)
+        select.cdf(red, qs, "imhof", tol=1e-6, plan=plan)
+        nodes.clear()
+        shared = select.cdf(red, qs, "imhof", tol=1e-8, plan=plan)
+        shared_nodes = sum(nodes)
+        nodes.clear()
+        assert shared == select.cdf(red, qs, "imhof", tol=1e-8, plan=select.Plan(red))
+        assert shared_nodes < sum(nodes)
 
     def test_grid_evaluates_each_node_once(self, monkeypatch):
         red = qf.ReducedForm([2.0, -0.3, 0.7, -1.5], [1, 3, 2, 2], [0.5, 0.0, 1.0, 0.2])

@@ -88,11 +88,10 @@ def _old_evaluate(plan, xs, method, tol, quantity, auto):
         fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
         if cumulative and auto:
             fn = _old_cdf_auto_inversion
-        return select._each(fn, red, xs, tol=tol, setup=plan.inversion_setup(tol))
+        return select._each(fn, red, xs, tol=tol, plan=plan)
     if cumulative:
         if method == "davies":
-            return select._each(inversion.cdf_davies, red, xs, tol=tol,
-                                setup=plan.inversion_setup(tol))
+            return select._each(inversion.cdf_davies, red, xs, tol=tol, plan=plan)
         if method in ("spa_lr", "spa_bn"):
             variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
             return select._each(_old_cdf_spa, red, xs, variant, tol, auto, plan)
@@ -115,14 +114,14 @@ def _old_cdf_spa(red, q, variant, tol, auto, plan):
         return res
 
 
-def _old_cdf_auto_inversion(red, q, tol=1e-8, setup=None):
+def _old_cdf_auto_inversion(red, q, tol=1e-8, plan=None):
     if red.sigma_gauss != 0.0 or not red.n_groups:
-        return inversion.cdf_davies(red, q, tol=tol, setup=setup)
+        return inversion.cdf_davies(red, q, tol=tol, plan=plan)
     try:
-        return inversion.cdf_imhof(red, q, tol=tol, setup=setup)
+        return inversion.cdf_imhof(red, q, tol=tol, plan=plan)
     except ConvergenceFailureError as exc:
         try:
-            return inversion.cdf_davies(red, q, tol=tol, setup=setup)
+            return inversion.cdf_davies(red, q, tol=tol, plan=plan)
         except ConvergenceFailureError as exc2:
             raise min(exc, exc2, key=lambda e: e.result.error_bound) from None
 
@@ -234,8 +233,8 @@ class TestLadderOracle:
     def test_imhof_forced_to_fail(self, monkeypatch, imhof_bound):
         real = inversion.cdf_imhof
 
-        def failing(red, q, tol, setup=None):
-            res = real(red, q, tol=tol, setup=setup)
+        def failing(red, q, tol, plan=None):
+            res = real(red, q, tol=tol, plan=plan)
             raise ConvergenceFailureError(
                 "imhof", result=MethodResult(res.value, imhof_bound, "imhof", "rigorous", {}))
 
@@ -255,9 +254,12 @@ class TestLadderOracle:
     @pytest.mark.parametrize("davies_bound", [1e-6, 1e-4, 1e-2])
     def test_both_inversions_fail(self, monkeypatch, davies_bound):
         def failing(name, bound):
-            def fn(red, q, tol, setup=None):
-                raise ConvergenceFailureError(
+            def fn(red, q, tol, plan=None):
+                exc = ConvergenceFailureError(
                     name, result=MethodResult(0.5, bound, name, "rigorous", {}))
+                if np.ndim(q):   # the Davies route's array: one outcome per point
+                    return [exc] * np.size(q)
+                raise exc
             return fn
 
         monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-4))

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 import quadform as qf
+from quadform import select, series
 from quadform.forms import EffectiveForm
 from quadform.series import (_exp_series, _require_central_even, _ruben_poles,
                              default_beta)
@@ -361,3 +364,49 @@ class TestTruncationBound:
             assert abs(pdf.value - q * math.exp(-q / 2) / 4.0) < 1e-14
             assert cdf.provenance == pdf.provenance == "rigorous"
             assert cdf.error_bound == pdf.error_bound == 0.0
+
+
+class TestOneSetUp:
+    def test_quantile_expands_each_coefficient_set_once(self, monkeypatch):
+        # a definite form on the chi-square expansion: the search's CDF calls
+        # share the plan's coefficient sets, with the results of a search
+        # whose every CDF call builds its own plan
+        red = qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.0, 0.0, 0.0])
+        real, keys = series.series_coefficients, []
+
+        def counted(eff, kind, beta=None, k_terms=64):
+            keys.append((kind, beta, k_terms))
+            return real(eff, kind, beta, k_terms)
+
+        monkeypatch.setattr(series, "series_coefficients", counted)
+        real_cdf = select.cdf
+        for p in (0.01, 0.5, 0.99):
+            keys.clear()
+            q = qf.quantile(red, p, 1e-6)
+            shared = len(keys)
+            assert q.cdf.method == "ruben_cdf" and q.cdf_calls > 1
+            assert shared == len(set(keys))
+            keys.clear()
+            with monkeypatch.context() as m:
+                m.setattr(select, "cdf", lambda red, x, method, tol, plan=None:
+                          real_cdf(red, x, method, tol))
+                fresh = qf.quantile(red, p, 1e-6)
+            assert (q, q.cdf, q.cdf_calls) == (fresh, fresh.cdf, fresh.cdf_calls)
+            assert len(keys) > shared
+
+    def test_no_module_level_value_cache(self):
+        # the per-form set-up lives on select.Plan; a module keeps no values
+        # across calls
+        caches = []
+        for info in pkgutil.iter_modules(qf.__path__):
+            module = importlib.import_module(f"quadform.{info.name}")
+            for name, value in vars(module).items():
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                assert not isinstance(value, (dict, list, set)), (info.name, name)
+                if getattr(value, "__module__", None) != module.__name__:
+                    continue
+                members = vars(value).items() if isinstance(value, type) else [(name, value)]
+                caches += [f"{info.name}.{attr}" for attr, member in members
+                           if hasattr(member, "cache_info")]
+        assert caches == ["cli.build_parser"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quadform as qf
+from quadform import transforms
 from quadform.reference import sample_reduced
 
 from conftest import random_reduced
@@ -58,6 +59,15 @@ class TestMgf:
         finite = np.isfinite(vals)
         assert np.all(np.diff(vals[finite]) > 0)
         assert vals[-1] > 1e6  # may saturate to inf, which also passes
+
+    def test_scalar_and_array_cgf_agree(self):
+        # the Gaussian term squares t as t * t in both; a float power for a
+        # Python float disagreed in the last bit with numpy's square
+        red = qf.ReducedForm([1.0, -0.6], [3, 3], [0.3, 0.0], 1.3, 0.1)
+        dom = qf.mgf_domain(red)
+        ts = np.random.default_rng(0).uniform(dom.t_left, dom.t_right, 50000)
+        ts = ts[(ts > dom.t_left) & (ts < dom.t_right)]
+        assert [qf.log_mgf(red, t) for t in ts.tolist()] == transforms._cgf(red, ts).tolist()
 
 
 class TestCf:
