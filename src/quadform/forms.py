@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 _SYM_TOL = 1e-10
+ZERO_EIG_TOL = 1e-12       # |w| <= tol * max|w| counts as zero
 
 
 def _as_matrix(m, name, dtype=float):
@@ -49,35 +50,62 @@ def _check_hermitian(a, name, tol=_SYM_TOL):
     return (a + a.conj().T) / 2.0
 
 
-def _check_psd(a, name, tol=_SYM_TOL):
-    w = np.linalg.eigvalsh(a)
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if w.min() < -tol * scale:
+def _psd_factor(s, name):
+    """B of full column rank with s = B B^H, from one eigendecomposition of
+    the Hermitian s.
+
+    One tolerance decides both questions: an eigenvalue below
+    -ZERO_EIG_TOL * max|w| means s is not positive semidefinite, and one
+    within ZERO_EIG_TOL * max|w| of zero is a null direction of s.
+    """
+    w, u = np.linalg.eigh(s)
+    scale = float(np.max(np.abs(w), initial=0.0))
+    if w.min(initial=0.0) < -ZERO_EIG_TOL * scale:
         raise InvalidInputError(
             f"{name} must be positive semidefinite (min eigenvalue {w.min():.3e})"
         )
+    keep = w > ZERO_EIG_TOL * scale
+    return u[:, keep] * np.sqrt(w[keep])
+
+
+def _init_raw(form, dtype):
+    """Validate and normalize the fields of a RawForm or RawComplexForm and
+    factor its covariance."""
+    a = _check_hermitian(_as_matrix(form.a, "a", dtype), "a")
+    n = a.shape[0]
+    object.__setattr__(form, "a", a)
+    object.__setattr__(form, "b", _as_vector(form.b, n, "b", dtype))
+    object.__setattr__(form, "c", float(form.c))
+    object.__setattr__(form, "mu", _as_vector(form.mu, n, "mu", dtype))
+    _set_covariance(form, n, dtype)
+
+
+def _set_covariance(form, n, dtype=float):
+    """Validate form.sigma_mat as an n x n PSD matrix and store its factor."""
+    s = _check_hermitian(_as_matrix(form.sigma_mat, "sigma_mat", dtype), "sigma_mat")
+    if s.shape[0] != n:
+        raise InvalidInputError(f"sigma_mat must be {n} x {n}, got shape {s.shape}")
+    object.__setattr__(form, "sigma_factor", _psd_factor(s, "sigma_mat"))
+    object.__setattr__(form, "sigma_mat", s)
 
 
 @dataclass(frozen=True)
 class RawForm:
-    """Real quadratic form x'Ax + b'x + c, x ~ N(mu, sigma_mat)."""
+    """Real quadratic form x'Ax + b'x + c, x ~ N(mu, sigma_mat).
+
+    ``sigma_factor`` is the full-column-rank B with sigma_mat = B B',
+    computed once here; the reduction and the samplers read it.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: float
     mu: np.ndarray
     sigma_mat: np.ndarray
+    sigma_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _check_hermitian(_as_matrix(self.a, "a"), "a")
-        n = a.shape[0]
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", _as_vector(self.b, n, "b"))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "mu", _as_vector(self.mu, n, "mu"))
-        s = _check_hermitian(_as_matrix(self.sigma_mat, "sigma_mat"), "sigma_mat")
-        _check_psd(s, "sigma_mat")
-        object.__setattr__(self, "sigma_mat", s)
+        _init_raw(self, float)
 
     @property
     def dim(self) -> int:
@@ -86,24 +114,20 @@ class RawForm:
 
 @dataclass(frozen=True)
 class RawComplexForm:
-    """Hermitian form x^H A x + Re(b^H x) + c, x ~ CN(mu, sigma_mat)."""
+    """Hermitian form x^H A x + Re(b^H x) + c, x ~ CN(mu, sigma_mat).
+
+    ``sigma_factor`` is the complex B with sigma_mat = B B^H.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: float
     mu: np.ndarray
     sigma_mat: np.ndarray
+    sigma_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _check_hermitian(_as_matrix(self.a, "a", dtype=complex), "a")
-        n = a.shape[0]
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", _as_vector(self.b, n, "b", dtype=complex))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "mu", _as_vector(self.mu, n, "mu", dtype=complex))
-        s = _check_hermitian(_as_matrix(self.sigma_mat, "sigma_mat", dtype=complex), "sigma_mat")
-        _check_psd(s, "sigma_mat")
-        object.__setattr__(self, "sigma_mat", s)
+        _init_raw(self, complex)
 
     @property
     def dim(self) -> int:
@@ -256,12 +280,14 @@ class MethodResult:
 
 @dataclass(frozen=True)
 class RatioSpec:
-    """Ratio R = (x'Ax)/(x'Bx) with x ~ N(mu, sigma_mat)."""
+    """Ratio R = (x'Ax)/(x'Bx) with x ~ N(mu, sigma_mat); ``sigma_factor``
+    as on RawForm."""
 
     a: np.ndarray
     b: np.ndarray
     mu: np.ndarray
     sigma_mat: np.ndarray
+    sigma_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _check_hermitian(_as_matrix(self.a, "a"), "a")
@@ -269,15 +295,13 @@ class RatioSpec:
         b = _check_hermitian(_as_matrix(self.b, "b"), "b")
         if b.shape[0] != n:
             raise InvalidInputError("a and b must have the same dimension")
-        _check_psd(b, "b")
+        _psd_factor(b, "b")
         if not np.any(np.abs(b) > 0.0):
             raise InvalidInputError("denominator matrix b must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mu", _as_vector(self.mu, n, "mu"))
-        s = _check_hermitian(_as_matrix(self.sigma_mat, "sigma_mat"), "sigma_mat")
-        _check_psd(s, "sigma_mat")
-        object.__setattr__(self, "sigma_mat", s)
+        _set_covariance(self, n)
 
     @property
     def dim(self) -> int:

@@ -1,8 +1,9 @@
 """Distribution and moments of R = (x'Ax)/(x'Bx), x ~ N(mu, Sigma), B PSD.
 
 CDF: P(R <= r) equals the CDF at zero of the indefinite form
-x'(A - rB)x, so every evaluation point reduces a fresh form (no caching
-across r; the weights genuinely change with r).
+x'(A - rB)x.  Sigma = FF' is factored once, when the spec is built;
+each evaluation point reduces x'(A - rB)x with that factor (one
+eigendecomposition of F'(A - rB)F; the weights genuinely change with r).
 
 Density: Butler's saddlepoint approximation
 f(r) ~= J_r(t0) M_{Q_r}(t0) / sqrt(2 pi K''_{Q_r}(t0)) with t0 the root
@@ -78,9 +79,11 @@ def ratio_to_indefinite(spec: RatioSpec, r: float) -> RawForm:
 def _reduce_at(spec: RatioSpec, r: float) -> ReducedForm | float:
     """Reduced indefinite form at threshold r, or the degenerate constant."""
     try:
-        return reduction.reduce_raw(ratio_to_indefinite(spec, r))
+        eff = reduction._reduce(spec.a - r * spec.b, np.zeros(spec.dim), 0.0, spec.mu,
+                                spec.sigma_factor)
     except DegenerateConstantError as exc:
         return float(exc.value)
+    return reduction.group_eigenvalues(eff)
 
 
 def cdf_ratio(spec: RatioSpec, r: float, method: str = "auto",
@@ -109,30 +112,18 @@ def cdf_ratio(spec: RatioSpec, r: float, method: str = "auto",
 def _whiten(spec: RatioSpec):
     """Rewrite the ratio over a standard-normal vector.
 
-    Nonsingular Sigma: x = S y with S the symmetric square root, so
-    A -> SAS, B -> SBS, m = S^{-1} mu.  Singular Sigma: x = mu + Fu with
-    F the covariance factor; requires mu in range(Sigma) so the forms
-    stay complete in the reduced coordinates.
+    x = F y with F = spec.sigma_factor (Sigma = FF'), so A -> F'AF,
+    B -> F'BF and y ~ N(m, I) with F m = mu.  The columns of F are
+    orthogonal, so m = F'mu / |F_j|^2 columnwise; a singular Sigma needs mu
+    in its range, so the forms stay complete in the reduced coordinates.
     """
-    sig = spec.sigma_mat
-    n = spec.dim
-    if np.allclose(sig, np.eye(n), atol=1e-14):
-        return spec.a, spec.b, spec.mu
-    w, u = np.linalg.eigh(sig)
-    scale = float(np.max(np.abs(w), initial=0.0))
-    keep = w > RANK_TOL * scale
-    if np.all(keep):
-        root = (u * np.sqrt(w)) @ u.T
-        inv_root = (u * (1.0 / np.sqrt(w))) @ u.T
-        return root @ spec.a @ root, root @ spec.b @ root, inv_root @ spec.mu
-    f = u[:, keep] * np.sqrt(w[keep])
-    # mu must lie in the range of Sigma for completeness after reduction
-    coeffs, resid, *_ = np.linalg.lstsq(f, spec.mu, rcond=None)
-    if float(np.linalg.norm(f @ coeffs - spec.mu)) > 1e-8 * (1.0 + float(np.linalg.norm(spec.mu))):
+    f = spec.sigma_factor
+    m = (f.T @ spec.mu) / np.sum(f * f, axis=0)
+    if float(np.linalg.norm(f @ m - spec.mu)) > 1e-8 * (1.0 + float(np.linalg.norm(spec.mu))):
         raise InvalidInputError(
             "moment methods need mu in the range of a singular covariance"
         )
-    return f.T @ spec.a @ f, f.T @ spec.b @ f, coeffs
+    return f.T @ spec.a @ f, f.T @ spec.b @ f, m
 
 
 def moment_exists(spec: RatioSpec, p: int) -> MomentExistence:

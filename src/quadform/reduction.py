@@ -5,62 +5,46 @@ full column rank r = rank(Sigma)), diagonalize B'AB = P diag(lambda) P',
 complete the square per eigendirection.  Nonzero eigenvalues yield
 scaled noncentral chi-square components; linear terms along zero
 eigendirections collapse into one independent Gaussian.
+
+Sigma is factored once, when the form is built (``sigma_factor``), so
+a reduction makes one eigendecomposition, that of B'AB.  A Hermitian
+form in n complex variables is reduced as the real form in 2n variables
+of its real and imaginary parts.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DegenerateConstantError, InvalidInputError
+from .errors import DegenerateConstantError
 from .forms import (
+    ZERO_EIG_TOL,
     EffectiveForm,
     FormClass,
     RawComplexForm,
     RawForm,
     ReducedForm,
     _check_hermitian,
+    _psd_factor,
 )
 
-ZERO_EIG_TOL = 1e-12       # |lambda| <= tol * max|lambda| counts as zero
 GROUP_TOL = 1e-9           # relative gap for eigenvalue grouping
 GAUSS_CLIP = 1e-12         # sigma (and |d_n|) below this * (1 + ||d||) clip to 0
 
 
-def factor_covariance(sigma_mat, tol: float = ZERO_EIG_TOL):
+def factor_covariance(sigma_mat):
     """Factor a PSD matrix as sigma_mat = B @ B.conj().T with B of full column rank.
 
     Returns (B, r) where r is the numerical rank: the count of
-    eigenvalues above tol * max eigenvalue.  Built from the symmetric
-    eigendecomposition with eigenvalue clipping at zero, so
-    rank-deficient inputs are handled exactly.
+    eigenvalues above ZERO_EIG_TOL * max|eigenvalue|.  Built from the
+    symmetric eigendecomposition, so rank-deficient inputs are handled
+    exactly; raises InvalidInputError when sigma_mat is not PSD.  The
+    forms hold this factor as ``sigma_factor``.
     """
-    sym = _check_hermitian(np.asarray(sigma_mat), "sigma_mat")
-    w, u = np.linalg.eigh(sym)
-    scale = max(float(w.max(initial=0.0)), 0.0)
-    if scale <= 0.0:
-        n = sym.shape[0]
-        return np.zeros((n, 0), dtype=sym.dtype), 0
-    if w.min() < -1e-8 * scale:
-        raise InvalidInputError(f"sigma_mat is not PSD (min eigenvalue {w.min():.3e})")
-    keep = w > tol * scale
-    b = u[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None))
-    return b, int(keep.sum())
-
-
-def _complete_square(lam_all, d, zero_tol):
-    """Shared tail of the real/complex reductions.
-
-    Splits eigendirections into nonzero/zero by relative threshold,
-    clips negligible linear terms, and pools the zero-direction linear
-    terms into a Gaussian variance.  Returns (lam, d_kept, sigma2).
-    """
-    lam_all = np.asarray(lam_all, dtype=float)
-    scale = float(np.max(np.abs(lam_all), initial=0.0))
-    nonzero = np.abs(lam_all) > zero_tol * scale if scale > 0 else np.zeros_like(lam_all, bool)
-    d_norm = float(np.linalg.norm(d))
-    d = np.where(np.abs(d) <= GAUSS_CLIP * (1.0 + d_norm), 0.0, d)
-    sigma2 = float(np.sum(np.abs(d[~nonzero]) ** 2))
-    return lam_all[nonzero], d[nonzero], sigma2
+    b = _psd_factor(_check_hermitian(np.asarray(sigma_mat), "sigma_mat"), "sigma_mat")
+    return b, b.shape[1]
 
 
 def _sort_descending(lam, h2):
@@ -68,28 +52,31 @@ def _sort_descending(lam, h2):
     return lam[order], h2[order]
 
 
-def reduce_real(form: RawForm, tol: float = ZERO_EIG_TOL) -> EffectiveForm:
-    """Reduce x'Ax + b'x + c to sum lam_n chi2_1(h_n^2) + sigma N(0,1) + const.
+def _reduce(a, lin, c, mu, fac) -> EffectiveForm:
+    """x'ax + lin'x + c with x ~ N(mu, fac fac') as
+    sum lam_n chi2_1(h_n^2) + sigma N(0,1) + const.
 
-    Weights are the nonzero eigenvalues of B'AB (equal to those of
-    Sigma A), sorted descending so positive weights come first.  Raises
-    DegenerateConstantError when no random part survives.
+    Eigendirections of fac'a fac with |lambda| above ZERO_EIG_TOL times
+    the largest are chi-square terms; the linear terms along the others
+    pool into the Gaussian.
     """
-    b_fac, _ = factor_covariance(form.sigma_mat, tol)
-    m = b_fac.T @ form.a @ b_fac
+    m = fac.T @ a @ fac
     lam_all, p = np.linalg.eigh((m + m.T) / 2.0)
-    d = p.T @ (b_fac.T @ (2.0 * form.a @ form.mu + form.b))
-    c_prime = float(form.b @ form.mu + form.mu @ form.a @ form.mu + form.c)
+    d = p.T @ (fac.T @ (2.0 * a @ mu + lin))
+    c_prime = float(lin @ mu + mu @ a @ mu + c)
 
-    lam, d_kept, sigma2 = _complete_square(lam_all, d, tol)
+    nonzero = np.abs(lam_all) > ZERO_EIG_TOL * float(np.max(np.abs(lam_all), initial=0.0))
+    clip = GAUSS_CLIP * (1.0 + float(np.linalg.norm(d)))
+    d_clipped = np.where(np.abs(d) <= clip, 0.0, d)
+    sigma2 = float(np.sum(d_clipped[~nonzero] ** 2))
+    lam = lam_all[nonzero]
     if lam.size == 0 and sigma2 == 0.0:
         raise DegenerateConstantError(c_prime)
 
-    h = d_kept / (2.0 * lam) if lam.size else d_kept
-    h2 = h**2
+    h2 = (d_clipped[nonzero] / (2.0 * lam)) ** 2
     const = c_prime - float(np.sum(lam * h2))
     sigma = np.sqrt(sigma2)
-    if sigma < GAUSS_CLIP * (1.0 + float(np.linalg.norm(d))):
+    if sigma < clip:
         sigma = 0.0
         if lam.size == 0:
             raise DegenerateConstantError(c_prime)
@@ -97,75 +84,60 @@ def reduce_real(form: RawForm, tol: float = ZERO_EIG_TOL) -> EffectiveForm:
     return EffectiveForm(lam, h2, sigma, const)
 
 
-def reduce_complex(form: RawComplexForm, tol: float = ZERO_EIG_TOL) -> ReducedForm:
+def reduce_real(form: RawForm) -> EffectiveForm:
+    """Reduce x'Ax + b'x + c to sum lam_n chi2_1(h_n^2) + sigma N(0,1) + const.
+
+    Weights are the nonzero eigenvalues of B'AB (equal to those of
+    Sigma A), sorted descending so positive weights come first.  Raises
+    DegenerateConstantError when no random part survives.
+    """
+    return _reduce(form.a, form.b, form.c, form.mu, form.sigma_factor)
+
+
+def _real_matrix(m):
+    """[[Re m, -Im m], [Im m, Re m]], the real matrix of the complex map m."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+def reduce_complex(form: RawComplexForm) -> ReducedForm:
     """Reduce a Hermitian complex form to a real reduced form.
 
-    Each nonzero eigenvalue lambda_j of B^H A B contributes
-    (lambda_j / 2) chi2_2(h_j^2) with h_j^2 = |d_j|^2 / (2 lambda_j^2),
-    so all degrees of freedom are even.  Zero-direction linear terms give
-    sigma = sqrt(sum |d_j|^2 / 2).
+    With x = u + iv, x^H A x + Re(b^H x) + c is the real form in (u, v)
+    with matrix [[Re A, -Im A], [Im A, Re A]], linear term (Re b, Im b)
+    and mean (Re mu, Im mu), and (u, v) has the covariance factor
+    [[Re B, -Im B], [Im B, Re B]] / sqrt(2) when Sigma = B B^H.  Each
+    eigenvalue lambda_j of B^H A B appears twice in the real form, so
+    every group has even degrees of freedom and weight lambda_j / 2.
     """
-    b_fac, _ = factor_covariance(form.sigma_mat, tol)
-    m = b_fac.conj().T @ form.a @ b_fac
-    lam_all, p = np.linalg.eigh((m + m.conj().T) / 2.0)
-    d = p.conj().T @ (b_fac.conj().T @ (2.0 * form.a @ form.mu + form.b))
-    c_prime = float(
-        np.real(form.b.conj() @ form.mu)
-        + np.real(form.mu.conj() @ form.a @ form.mu)
-        + form.c
-    )
-
-    lam, d_kept, sigma2_raw = _complete_square(lam_all, d, tol)
-    sigma2 = sigma2_raw / 2.0
-    if lam.size == 0 and sigma2 == 0.0:
-        raise DegenerateConstantError(c_prime)
-
-    h2 = np.abs(d_kept) ** 2 / (2.0 * lam**2) if lam.size else np.zeros(0)
-    const = c_prime - float(np.sum(np.abs(d_kept) ** 2 / (4.0 * lam))) if lam.size else c_prime
-    sigma = np.sqrt(sigma2)
-    if sigma < GAUSS_CLIP * (1.0 + float(np.linalg.norm(d))):
-        sigma = 0.0
-        if lam.size == 0:
-            raise DegenerateConstantError(c_prime)
-    lam, h2 = _sort_descending(lam, h2)
-    eff = EffectiveForm(lam / 2.0, h2, sigma, const)
-    red = group_eigenvalues(eff)
-    # one complex variable per weight = two real degrees of freedom
-    return ReducedForm(red.omega, 2 * red.nu, red.delta2, red.sigma_gauss, red.const)
+    fac = _real_matrix(form.sigma_factor) / math.sqrt(2.0)
+    lin = np.concatenate([form.b.real, form.b.imag])
+    mu = np.concatenate([form.mu.real, form.mu.imag])
+    return group_eigenvalues(_reduce(_real_matrix(form.a), lin, form.c, mu, fac))
 
 
-def group_eigenvalues(eff: EffectiveForm, group_tol: float = GROUP_TOL) -> ReducedForm:
+def group_eigenvalues(eff: EffectiveForm) -> ReducedForm:
     """Cluster equal weights of an effective form into a reduced form.
 
     Single-linkage on the descending-sorted weights: consecutive values
-    closer than group_tol * max|lam| join a cluster.  Cluster weight is
+    closer than GROUP_TOL * max|lam| join a cluster.  Cluster weight is
     the mean, multiplicity the count, noncentrality the sum of h^2.
     Grouping affects series efficiency only, never the distribution.
     """
     lam, h2 = _sort_descending(eff.lam, eff.h2)
-    if lam.size == 0:
-        return ReducedForm(
-            np.zeros(0), np.zeros(0, dtype=int), np.zeros(0), eff.sigma_gauss, eff.const
-        )
-    scale = float(np.max(np.abs(lam)))
-    omegas, nus, delta2s = [], [], []
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or abs(lam[i] - lam[i - 1]) > group_tol * scale:
-            omegas.append(float(np.mean(lam[start:i])))
-            nus.append(i - start)
-            delta2s.append(float(np.sum(h2[start:i])))
-            start = i
-    return ReducedForm(
-        np.array(omegas), np.array(nus, dtype=int), np.array(delta2s),
-        eff.sigma_gauss, eff.const,
-    )
+    split = np.abs(np.diff(lam)) > GROUP_TOL * float(np.max(np.abs(lam), initial=0.0))
+    starts = np.flatnonzero(np.concatenate([[lam.size > 0], split]))
+    nu = np.diff(np.append(starts, lam.size))
+    # reduceat adds a segment's first value to the sum of the rest; a zero in
+    # front of each cluster makes every sum equal np.sum's, bit for bit
+    at = starts + np.arange(starts.size)
+    omega = np.add.reduceat(np.insert(lam, starts, 0.0), at) / nu
+    delta2 = np.add.reduceat(np.insert(h2, starts, 0.0), at)
+    return ReducedForm(omega, nu, delta2, eff.sigma_gauss, eff.const)
 
 
-def reduce_raw(form: RawForm, tol: float = ZERO_EIG_TOL,
-               group_tol: float = GROUP_TOL) -> ReducedForm:
+def reduce_raw(form: RawForm) -> ReducedForm:
     """Convenience: reduce_real followed by group_eigenvalues."""
-    return group_eigenvalues(reduce_real(form, tol), group_tol)
+    return group_eigenvalues(reduce_real(form))
 
 
 def classify(red: ReducedForm) -> FormClass:

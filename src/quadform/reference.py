@@ -16,7 +16,6 @@ import numpy as np
 from .errors import InvalidInputError, NotApplicableError
 from .forms import McResult, RatioSpec, RawComplexForm, RawForm, ReducedForm
 from .ratio import moment_exists
-from .reduction import factor_covariance
 
 CHUNK = 1 << 20
 
@@ -28,30 +27,33 @@ def _chunk_rngs(seed: int, n: int):
     return [(np.random.Generator(np.random.PCG64(s)), m) for s, m in zip(seqs, sizes)]
 
 
-def sample_raw(form: RawForm, n: int, seed: int) -> np.ndarray:
-    """n draws of x'Ax + b'x + c, x ~ N(mu, Sigma)."""
-    b_fac, r = factor_covariance(form.sigma_mat)
-    out = np.empty(n)
+def _draws(form, n: int, seed: int):
+    """n draws of x ~ N(mu, Sigma), or CN(mu, Sigma) when the form's
+    covariance factor is complex, in chunks: yields (rows, x)."""
+    fac = form.sigma_factor
     pos = 0
     for rng, m in _chunk_rngs(seed, n):
-        z = rng.standard_normal((m, r))
-        x = form.mu[None, :] + z @ b_fac.T
-        out[pos:pos + m] = np.einsum("ij,jk,ik->i", x, form.a, x) + x @ form.b + form.c
+        z = rng.standard_normal((m, fac.shape[1]))
+        if np.iscomplexobj(fac):
+            z = (z + 1j * rng.standard_normal((m, fac.shape[1]))) / math.sqrt(2.0)
+        yield slice(pos, pos + m), form.mu[None, :] + z @ fac.T
         pos += m
+
+
+def sample_raw(form: RawForm, n: int, seed: int) -> np.ndarray:
+    """n draws of x'Ax + b'x + c, x ~ N(mu, Sigma)."""
+    out = np.empty(n)
+    for rows, x in _draws(form, n, seed):
+        out[rows] = np.einsum("ij,jk,ik->i", x, form.a, x) + x @ form.b + form.c
     return out
 
 
 def sample_raw_complex(form: RawComplexForm, n: int, seed: int) -> np.ndarray:
     """n draws of x^H A x + Re(b^H x) + c, x ~ CN(mu, Sigma)."""
-    b_fac, r = factor_covariance(form.sigma_mat)
     out = np.empty(n)
-    pos = 0
-    for rng, m in _chunk_rngs(seed, n):
-        z = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) / math.sqrt(2.0)
-        x = form.mu[None, :] + z @ b_fac.T
+    for rows, x in _draws(form, n, seed):
         quad = np.einsum("ij,jk,ik->i", x.conj(), form.a, x).real
-        out[pos:pos + m] = quad + (x @ form.b.conj()).real + form.c
-        pos += m
+        out[rows] = quad + (x @ form.b.conj()).real + form.c
     return out
 
 
@@ -94,16 +96,10 @@ def mc_cdf(form, q: float, n: int = 10**6, seed: int = 0) -> McResult:
 
 
 def sample_ratio(spec: RatioSpec, n: int, seed: int) -> np.ndarray:
-    b_fac, r = factor_covariance(spec.sigma_mat)
     out = np.empty(n)
-    pos = 0
-    for rng, m in _chunk_rngs(seed, n):
-        z = rng.standard_normal((m, r))
-        x = spec.mu[None, :] + z @ b_fac.T
-        num = np.einsum("ij,jk,ik->i", x, spec.a, x)
-        den = np.einsum("ij,jk,ik->i", x, spec.b, x)
-        out[pos:pos + m] = num / den
-        pos += m
+    for rows, x in _draws(spec, n, seed):
+        out[rows] = (np.einsum("ij,jk,ik->i", x, spec.a, x)
+                     / np.einsum("ij,jk,ik->i", x, spec.b, x))
     return out
 
 

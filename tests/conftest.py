@@ -92,3 +92,15 @@ def quantile_points(red, probs=(0.05, 0.25, 0.5, 0.75, 0.95)):
 @pytest.fixture
 def rng():
     return make_rng(20240817)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Every matrix passed to np.linalg.eigh or np.linalg.eigvalsh while the
+    test runs, in call order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, *args, _fn=fn: calls.append(np.asarray(m)) or _fn(m, *args))
+    return calls

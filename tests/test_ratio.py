@@ -91,6 +91,20 @@ class TestCdfRatio:
                     for r in grid]
             assert np.all(np.diff(vals) >= -1e-7)
 
+    def test_grid_factors_sigma_once(self, rng, eig_calls):
+        # Sigma and B decomposed once each when the spec is built, then one
+        # eigendecomposition of F'(A - rB)F per point (Sigma = FF') and no other
+        n = 4
+        m = rng.standard_normal((n, n))
+        v = rng.standard_normal((n, n))
+        spec = qf.RatioSpec((m + m.T) / 2.0, v @ v.T + 0.4 * np.eye(n),
+                            rng.standard_normal(n), v.T @ v + 0.3 * np.eye(n))
+        grid = np.linspace(-0.4, 0.4, 7)
+        for r in grid:
+            qf.cdf_ratio(spec, float(r), tol=1e-8)
+        assert sum(np.array_equal(c, spec.sigma_mat) for c in eig_calls) == 1
+        assert len(eig_calls) == 2 + grid.size
+
 
 class TestPdfRatioSpa:
     def test_f_density(self):

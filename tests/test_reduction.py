@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quadform as qf
+from quadform import cli
 from quadform.reference import sample_raw, sample_raw_complex, sample_reduced
 
 from conftest import make_rng, random_raw
@@ -42,6 +43,73 @@ class TestFactorCovariance:
     def test_rejects_asymmetric(self):
         with pytest.raises(qf.InvalidInputError):
             qf.factor_covariance(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_rejects_negative_definite(self):
+        with pytest.raises(qf.InvalidInputError, match="positive semidefinite"):
+            qf.factor_covariance(-np.eye(2))
+
+
+def _form_of_kind(kind, sigma, n=None):
+    """A form of the given kind in n variables (default: sigma's size) whose
+    covariance is sigma."""
+    n = sigma.shape[0] if n is None else n
+    if kind == "raw":
+        return qf.RawForm(np.eye(n), np.zeros(n), 0.0, np.zeros(n), sigma)
+    if kind == "raw_complex":
+        return qf.RawComplexForm(np.eye(n), np.zeros(n), 0.0, np.zeros(n), sigma)
+    return qf.RatioSpec(np.eye(n), np.eye(n), np.zeros(n), sigma)
+
+
+KINDS = ("raw", "raw_complex", "ratio")
+
+
+class TestPsdVerdict:
+    """Construction factors sigma_mat once and decides PSD and rank with the
+    one tolerance the reduction uses."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sigma", [np.diag([1.0, -5e-11]), np.diag([1e-20, -1e-12]),
+                                       -np.eye(2)], ids=["small", "tiny_scale", "negative"])
+    def test_rejects_negative_eigenvalue(self, kind, sigma):
+        with pytest.raises(qf.InvalidInputError, match="positive semidefinite"):
+            _form_of_kind(kind, sigma)
+        with pytest.raises(qf.InvalidInputError, match="positive semidefinite"):
+            qf.factor_covariance(sigma)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accepts_rank_deficient(self, kind):
+        rng = make_rng(3)
+        v = rng.standard_normal((4, 2))
+        if kind == "raw_complex":
+            v = v + 1j * rng.standard_normal((4, 2))
+        sigma = v @ v.conj().T
+        fac = _form_of_kind(kind, sigma).sigma_factor
+        assert fac.shape == (4, 2)
+        assert np.linalg.norm(fac @ fac.conj().T - sigma) < 1e-12 * np.linalg.norm(sigma)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rounding_below_zero_is_a_null_direction(self, kind):
+        fac = _form_of_kind(kind, np.diag([1.0, -1e-14])).sigma_factor
+        assert fac.shape == (2, 1)
+
+    def test_ratio_denominator(self):
+        with pytest.raises(qf.InvalidInputError, match="b must be positive semidefinite"):
+            qf.RatioSpec(np.eye(2), np.diag([1.0, -1e-9]), np.zeros(2), np.eye(2))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_covariance_of_another_size(self, kind):
+        with pytest.raises(qf.InvalidInputError, match="sigma_mat must be 2 x 2"):
+            _form_of_kind(kind, np.eye(3), n=2)
+
+    def test_raw_document_decomposes_twice(self, eig_calls):
+        # sigma_mat once at construction, then B'AB in the reduction
+        doc = {"kind": "raw", "a": A_EX1.tolist(), "b": [0.0] * 4, "c": 0.0,
+               "mu": MU_EX1.tolist(), "sigma_mat": SIGMA_EX1.tolist()}
+        red = qf.reduce_raw(cli.parse_document(doc))
+        assert len(eig_calls) == 2
+        assert np.array_equal(eig_calls[0], SIGMA_EX1)
+        assert eig_calls[1].shape == (3, 3)
+        assert np.allclose(red.omega, [2.0, -2.0], atol=1e-10)
 
 
 class TestReduceReal:
@@ -91,7 +159,7 @@ class TestGrouping:
 
     def test_tolerance_merges(self):
         eff = qf.EffectiveForm([1.0, 1.0 + 1e-13], [0.0, 0.0], 0.0, 0.0)
-        red = qf.group_eigenvalues(eff, group_tol=1e-9)
+        red = qf.group_eigenvalues(eff)
         assert red.n_groups == 1
         assert list(red.nu) == [2]
 
@@ -198,6 +266,31 @@ class TestInvariants:
             rhs = float(form.mu @ form.a @ form.mu + form.b @ form.mu + form.c
                         + np.trace(form.a @ form.sigma_mat))
             assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
+
+    def test_complex_mean_identity(self):
+        # E[x^H A x + Re(b^H x) + c] = mu^H A mu + Re(b^H mu) + c + tr(A Sigma)
+        rng = make_rng(10)
+        checked = 0
+        for i in range(40):
+            n = int(rng.integers(2, 7))
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            r = n if i % 2 else n - int(rng.integers(1, n))
+            v = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            mu = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            form = qf.RawComplexForm((m + m.conj().T) / 2.0, b, float(rng.standard_normal()),
+                                     mu, v @ v.conj().T)
+            try:
+                red = qf.reduce_complex(form)
+            except qf.DegenerateConstantError:
+                continue
+            checked += 1
+            assert np.all(red.nu % 2 == 0)
+            lhs = float(np.sum(red.omega * (red.nu + red.delta2)) + red.const)
+            rhs = float(np.real(mu.conj() @ form.a @ mu + b.conj() @ mu
+                                + np.trace(form.a @ form.sigma_mat)) + form.c)
+            assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
+        assert checked >= 30
 
     def test_negation(self):
         rng = make_rng(9)
