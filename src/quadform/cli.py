@@ -213,23 +213,35 @@ def cmd_reduce(args) -> dict:
     }
 
 
-def cmd_cdf(args, quantity="cdf") -> dict:
-    red = _to_reduced(_load_form(args))
-    fn = select.cdf if quantity == "cdf" else select.pdf
+def _grid_payload(quantity: str, grid, results, tol) -> dict:
+    payloads = [_result_payload(res, tol) for res in results]
+    return {"quantity": quantity, "grid": [float(x) for x in grid],
+            "values": [p["value"] for p in payloads],
+            "error_bounds": [p["error_bound"] for p in payloads],
+            "methods": [res.method for res in results], "tol": tol}
+
+
+def _point_or_grid(args, quantity: str, point: str, fn) -> dict:
+    """fn, one library call, at the point --<point> or over --grid, as a
+    point or a grid payload."""
+    tol = getattr(args, "tol", None)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        return _grid_payload(quantity, grid, fn(red, grid, args.method, args.tol), args.tol)
-    if args.q is None:
-        raise InvalidInputError("provide --q or --grid")
-    res = fn(red, args.q, args.method, args.tol)
-    out = _result_payload(res, args.tol)
+        return _grid_payload(quantity, grid, fn(grid), tol)
+    x = getattr(args, point)
+    if x is None:
+        raise InvalidInputError(f"provide --{point} or --grid")
+    out = _result_payload(fn(x), tol)
     out["quantity"] = quantity
-    out["q"] = args.q
+    out[point] = x
     return out
 
 
-def cmd_pdf(args) -> dict:
-    return cmd_cdf(args, quantity="pdf")
+def cmd_cdf(args) -> dict:
+    """The cdf and the pdf command."""
+    red = _to_reduced(_load_form(args))
+    fn = select.cdf if args.command == "cdf" else select.pdf
+    return _point_or_grid(args, args.command, "q", lambda q: fn(red, q, args.method, args.tol))
 
 
 def cmd_quantile(args) -> dict:
@@ -272,44 +284,15 @@ def _need_ratio(form) -> RatioSpec:
     return form
 
 
-def _grid_payload(quantity: str, grid, results, tol) -> dict:
-    payloads = [_result_payload(res, tol) for res in results]
-    return {"quantity": quantity, "grid": [float(x) for x in grid],
-            "values": [p["value"] for p in payloads],
-            "error_bounds": [p["error_bound"] for p in payloads],
-            "methods": [res.method for res in results], "tol": tol}
-
-
 def cmd_ratio_cdf(args) -> dict:
     spec = _need_ratio(_load_form(args))
-    method = args.method
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        results = [ratio.cdf_ratio(spec, float(r), method=method, tol=args.tol)
-                   for r in grid]
-        return _grid_payload("ratio_cdf", grid, results, args.tol)
-    if args.r is None:
-        raise InvalidInputError("provide --r or --grid")
-    res = ratio.cdf_ratio(spec, args.r, method=method, tol=args.tol)
-    out = _result_payload(res, args.tol)
-    out["quantity"] = "ratio_cdf"
-    out["r"] = args.r
-    return out
+    return _point_or_grid(args, "ratio_cdf", "r",
+                          lambda r: ratio.cdf_ratio(spec, r, args.method, args.tol))
 
 
 def cmd_ratio_pdf(args) -> dict:
     spec = _need_ratio(parse_document(_load(args.document)))
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        results = ratio.pdf_ratio_spa_grid(spec, grid)
-        return _grid_payload("ratio_pdf", grid, results, None)
-    if args.r is None:
-        raise InvalidInputError("provide --r or --grid")
-    res = ratio.pdf_ratio_spa(spec, args.r)
-    out = _result_payload(res, None)
-    out["quantity"] = "ratio_pdf"
-    out["r"] = args.r
-    return out
+    return _point_or_grid(args, "ratio_pdf", "r", lambda r: ratio.pdf_ratio_spa(spec, r))
 
 
 def cmd_ratio_moment(args) -> dict:
@@ -379,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--grid", default=None, help="start:stop:count")
-    p.set_defaults(fn=cmd_pdf)
+    p.set_defaults(fn=cmd_cdf)
 
     p = sub.add_parser("quantile", help="inverse CDF")
     common(p)

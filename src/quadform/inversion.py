@@ -287,11 +287,6 @@ def _tail(rung: _Rung, x: float) -> _Tail:
                  residual, boundary)
 
 
-def imhof_tail_bound(red: ReducedForm, u_max: float) -> float:
-    """Closed-form bound T_U on the neglected CDF-integral tail beyond U."""
-    return _tail(_Rung(red, u_max, _tail_form(red)), 0.0).plain
-
-
 def _cdf_tail(rec: _Tail) -> float:
     """The best CDF tail bound of a record (the CDF integrand carries an
     extra 1/u <= 1/U)."""
@@ -453,11 +448,15 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     integrable part of the modulus tail (valid when sum(nu) > 2) with a
     Richardson estimate; flagged heuristic since the oscillatory tail has
     no tight closed bound.  At x = 0 with sum(nu) <= 2 no bound applies at
-    any U (the slope floor is 0), so U stays 1 and the bound is inf.
+    any U (the slope floor is 0), so U stays 1 and the bound is inf.  Two
+    one-dof groups of opposite signs have a pole there (two x^(-1/2)
+    singularities convolve to a log), and the density is exactly inf.
     ``plan`` as for cdf_imhof.
     """
     _require_no_gaussian(red, "imhof PDF")
     x = q - red.const
+    if x == 0.0 and red.nu.tolist() == [1, 1] and red.omega[0] * red.omega[1] < 0.0:
+        return MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
     tail = None if x == 0.0 and red.nu.sum() <= 2 else _pdf_tail
     rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, plan, tail, 1e7)
     t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)

@@ -1,20 +1,22 @@
 """Distribution and moments of R = (x'Ax)/(x'Bx), x ~ N(mu, Sigma), B PSD.
 
+The CDF and the density take a threshold r or an array of thresholds.
+Both read the eigenpairs of the whitened pencil F'AF - r F'BF (Sigma =
+FF', factored once per spec) from ``_pencil``: one stacked
+eigendecomposition per chunk of thresholds.
+
 CDF: P(R <= r) equals the CDF at zero of the indefinite form
-x'(A - rB)x.  Sigma = FF' is factored once, when the spec is built;
-each evaluation point reduces x'(A - rB)x with that factor (one
-eigendecomposition of F'(A - rB)F; the weights genuinely change with r).
+x'(A - rB)x, completed at each threshold by ``reduction._complete``.
 
 Density: Butler's saddlepoint approximation
 f(r) ~= J_r(t0) M_{Q_r}(t0) / sqrt(2 pi K''_{Q_r}(t0)) with t0 the root
 of K'_{Q_r} = 0 and J_r the tilted mean of the denominator form.  One
-batched kernel evaluates it over an array of thresholds: a stacked
-eigendecomposition of A - rB, then the library's one K'(t) = y solver
-(transforms._solve_cgf_prime, a safeguarded Newton iteration) with one
-row of weights per threshold.  The normalising mass comes from a
-vectorised adaptive 21-point Gauss-Kronrod rule (QUADPACK's qk21) whose
-sweeps each evaluate all open panels in one kernel call; every density
-call or grid computes its own mass.
+batched kernel evaluates it from the pencil's eigenpairs with the
+library's one K'(t) = y solver (transforms._solve_cgf_prime, a
+safeguarded Newton iteration), one row of weights per threshold.  The
+normalising mass comes from a vectorised adaptive 21-point Gauss-Kronrod
+rule (QUADPACK's qk21) whose sweeps each evaluate all open panels in one
+kernel call; every density call computes its own mass.
 
 Moments: two routes, an infinite series in powers of (I - beta B) and a
 one-dimensional integral (Laplace representation of the denominator
@@ -59,16 +61,16 @@ from .errors import (
     NotApplicableError,
 )
 from .forms import (
+    ZERO_EIG_TOL,
     MethodResult,
     MomentExistence,
     RatioSpec,
     RawForm,
-    ReducedForm,
 )
 
-RANK_TOL = 1e-10
 DEFAULT_J_MAX = 500
 _JACOBI_NODES = 48
+_CHUNK = 256          # matrices per stacked eigendecomposition; bounds peak memory
 
 
 def ratio_to_indefinite(spec: RatioSpec, r: float) -> RawForm:
@@ -76,37 +78,77 @@ def ratio_to_indefinite(spec: RatioSpec, r: float) -> RawForm:
     return RawForm(spec.a - r * spec.b, np.zeros(spec.dim), 0.0, spec.mu, spec.sigma_mat)
 
 
-def _reduce_at(spec: RatioSpec, r: float) -> ReducedForm | float:
-    """Reduced indefinite form at threshold r, or the degenerate constant."""
-    try:
-        eff = reduction._reduce(spec.a - r * spec.b, np.zeros(spec.dim), 0.0, spec.mu,
-                                spec.sigma_factor)
-    except DegenerateConstantError as exc:
-        return float(exc.value)
-    return reduction.group_eigenvalues(eff)
+def _thresholds(r):
+    """The thresholds of r as a 1-d array, the indices of its finite ones
+    and whether r is a scalar."""
+    rs = np.asarray(r, dtype=float)
+    if np.isnan(rs).any():
+        raise InvalidInputError("the ratio point r must not be NaN")
+    pts = np.atleast_1d(rs)
+    return pts, np.flatnonzero(np.isfinite(pts)), rs.ndim == 0
 
 
-def cdf_ratio(spec: RatioSpec, r: float, method: str = "auto",
-              tol: float = 1e-8) -> MethodResult:
+def _pencil(a, b, r):
+    """(r_chunk, eigenvalues, eigenvectors) of the symmetrised a - r b, one
+    stacked eigendecomposition per chunk of _CHUNK thresholds.  A row whose
+    eigenvalues all lie within ZERO_EIG_TOL (|a| + |r| |b|) of 0 (Frobenius
+    norms) vanishes up to rounding: its eigenvalues are set to 0."""
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    for i in range(0, r.size, _CHUNK):
+        r_chunk = r[i:i + _CHUNK]
+        m_r = a - r_chunk[:, None, None] * b
+        lam, p = np.linalg.eigh((m_r + np.swapaxes(m_r, 1, 2)) / 2.0)
+        noise = ZERO_EIG_TOL * (norm_a + np.abs(r_chunk) * norm_b)
+        lam[np.max(np.abs(lam), axis=1, initial=0.0) <= noise] = 0.0
+        yield r_chunk, lam, p
+
+
+def _reduce_pencil(spec: RatioSpec, r):
+    """x'(A - rB)x reduced at each threshold of the 1-d array r, in order
+    (the constant value where no random part survives; 0 within
+    ZERO_EIG_TOL of |mu'A mu| + |r mu'B mu|).  In the eigenbasis P of the
+    pencil the linear term is d = 2P'(F'A mu - r F'B mu) and the constant
+    mu'A mu - r mu'B mu, so mu need not lie in the range of Sigma.
+    """
+    f, mu = spec.sigma_factor, spec.mu
+    fa, fb = f.T @ spec.a, f.T @ spec.b
+    fa_mu, fb_mu = fa @ mu, fb @ mu
+    ca, cb = float(mu @ spec.a @ mu), float(mu @ spec.b @ mu)
+    for r_chunk, lam, p in _pencil(fa @ f, fb @ f, r):
+        lin = fa_mu - r_chunk[:, None] * fb_mu
+        d = 2.0 * (np.swapaxes(p, 1, 2) @ lin[:, :, None])[:, :, 0]
+        for k, x in enumerate(r_chunk.tolist()):
+            try:
+                eff = reduction._complete(lam[k], d[k], ca - x * cb)
+            except DegenerateConstantError as exc:
+                noise = ZERO_EIG_TOL * (abs(ca) + abs(x * cb))
+                yield float(exc.value) if abs(exc.value) > noise else 0.0
+            else:
+                yield reduction.group_eigenvalues(eff)
+
+
+def cdf_ratio(spec: RatioSpec, r, method: str = "auto",
+              tol: float = 1e-8) -> MethodResult | list[MethodResult]:
     """CDF of the ratio at r through the induced indefinite form at zero, by
     ``select.cdf_auto_inversion`` when method="auto", else ``select.cdf``.
-    At r = +-inf it is exactly 1 or 0."""
-    if math.isnan(r):
-        raise InvalidInputError("the ratio point r must not be NaN")
-    if math.isinf(r):
-        v = 1.0 if r > 0.0 else 0.0
-        return MethodResult(v, 0.0, "ratio_support", "exact", {"raw_value": v, "threshold": r})
-    red = _reduce_at(spec, r)
-    if isinstance(red, float):
-        v = 1.0 if red <= 0.0 else 0.0
-        return MethodResult(v, 0.0, "degenerate", "exact", {"constant": red})
-    if method == "auto":
-        res = select.cdf_auto_inversion(red, 0.0, tol=tol)
-    else:
-        res = select.cdf(red, 0.0, method, tol)
-    diag = dict(res.diagnostics, threshold=r)
-    return MethodResult(res.value, res.error_bound, f"ratio_{res.method}",
-                        res.provenance, diag)
+
+    r is a threshold or an array of thresholds, as q of ``select.cdf``: an
+    array gives a list, and the first failing point's error is raised.  NaN
+    is invalid input; at r = +-inf the CDF is exactly 1 or 0.
+    """
+    pts, finite, scalar = _thresholds(r)
+    out = [MethodResult(float(x > 0.0), 0.0, "ratio_support", "exact",
+                        {"raw_value": float(x > 0.0), "threshold": x}) for x in pts.tolist()]
+    for i, red in zip(finite.tolist(), _reduce_pencil(spec, pts[finite])):
+        if isinstance(red, float):
+            v = 1.0 if red <= 0.0 else 0.0
+            out[i] = MethodResult(v, 0.0, "degenerate", "exact", {"constant": red})
+            continue
+        res = (select.cdf_auto_inversion(red, 0.0, tol=tol) if method == "auto"
+               else select.cdf(red, 0.0, method, tol))
+        out[i] = MethodResult(res.value, res.error_bound, f"ratio_{res.method}", res.provenance,
+                              dict(res.diagnostics, threshold=float(pts[i])))
+    return out[0] if scalar else out
 
 
 def _whiten(spec: RatioSpec):
@@ -146,16 +188,16 @@ def _whitened_existence(spec: RatioSpec, p: int):
     scale = float(np.max(np.abs(w), initial=0.0))
     if scale <= 0.0:
         raise InvalidInputError("denominator matrix is zero after whitening")
-    keep = w > RANK_TOL * scale
+    keep = w > ZERO_EIG_TOL * scale
     r_b = int(keep.sum())
     if r_b == b.shape[0]:
         return MomentExistence(True, "denominator positive definite", r_b), (a, b, mu, w, u)
     p1 = u[:, keep]
     p2 = u[:, ~keep]
     a_scale = max(float(np.linalg.norm(a, 2)), 1e-300)
-    if float(np.linalg.norm(p2.T @ a @ p2, 2)) > RANK_TOL * a_scale:
+    if float(np.linalg.norm(p2.T @ a @ p2, 2)) > ZERO_EIG_TOL * a_scale:
         exist = MomentExistence(2 * p < r_b, "numerator quadratic in null(B)", r_b)
-    elif float(np.linalg.norm(p1.T @ a @ p2, 2)) > RANK_TOL * a_scale:
+    elif float(np.linalg.norm(p1.T @ a @ p2, 2)) > ZERO_EIG_TOL * a_scale:
         exist = MomentExistence(p < r_b, "numerator linear in null(B)", r_b)
     else:
         exist = MomentExistence(True, "numerator avoids null(B)", r_b)
@@ -413,20 +455,17 @@ _GK_X = np.concatenate([-_XGK[:10], _XGK[::-1]])
 _GK_W = np.concatenate([_WGK[:10], _WGK[::-1]])
 _G_W = np.concatenate([_WG, _WG[::-1]])
 
-_CHUNK = 256          # matrices per stacked eigendecomposition; bounds peak memory
 _MASS_LIMIT = 300     # panels of the normalising quadrature
 _OK, _VANISHES, _OUTSIDE = 0, 1, 2
 
 
-def _butler_chunk(a, b, mu, r):
-    """_butler_kernel on one stack of thresholds."""
-    m_r = a - r[:, None, None] * b
-    lam, p_eig = np.linalg.eigh((m_r + np.swapaxes(m_r, 1, 2)) / 2.0)
+def _butler_chunk(b, mu, r, lam, p_eig):
+    """_butler_kernel on one chunk of ``_pencil``."""
     delta = mu @ p_eig                                   # rows P'mu
     h_mat = np.swapaxes(p_eig, 1, 2) @ (b @ p_eig)       # P'BP
     scale = np.max(np.abs(lam), axis=1)
     # complete form: zero-eigenvalue directions drop out of K entirely
-    nonzero = np.abs(lam) > RANK_TOL * scale[:, None]
+    nonzero = np.abs(lam) > ZERO_EIG_TOL * scale[:, None]
     w = np.where(nonzero, lam, 0.0)
     d2 = np.where(nonzero, delta, 0.0) ** 2
     straddles = np.any(w > 0.0, axis=1) & np.any(w < 0.0, axis=1)
@@ -456,16 +495,15 @@ def _butler_kernel(a, b, mu, r):
     """Unnormalized Butler density at every threshold of r, in whitened
     coordinates.
 
-    One stacked eigendecomposition of A - rB per chunk of _CHUNK
-    thresholds and one vectorised saddlepoint solve.  Returns arrays
+    The eigenpairs of A - rB come from ``_pencil``, one vectorised
+    saddlepoint solve per chunk.  Returns arrays
     (value, t0, j_r, status): status is _VANISHES where A - rB is zero and
     _OUTSIDE where 0 is not strictly inside the support of Q_r; the value
     there is 0 and t0, j_r are nan.
     """
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        parts = [_butler_chunk(a, b, mu, r[i:i + _CHUNK])
-                 for i in range(0, r.size, _CHUNK)]
+        parts = [_butler_chunk(b, mu, *chunk) for chunk in _pencil(a, b, r)]
     return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
 
@@ -559,54 +597,36 @@ def _spa_mass(a, b, mu) -> float:
     return float(val)
 
 
-def pdf_ratio_spa_grid(spec: RatioSpec, grid, normalize: bool = True) -> list[MethodResult]:
-    """Butler's saddlepoint density of the ratio at every point of grid.
+def pdf_ratio_spa(spec: RatioSpec, r) -> MethodResult | list[MethodResult]:
+    """Butler's saddlepoint density of the ratio at r, a threshold or an
+    array of thresholds (results and errors as in ``cdf_ratio``).
 
-    Works in the eigenbasis of the whitened A - rB: with Q_r the induced
-    form, t0 solving K'_{Q_r}(t0) = 0,
-    f(r) ~= J_r(t0) M_{Q_r}(t0) / sqrt(2 pi K''_{Q_r}(t0)),
-    J_r(t) = tr[(I-2t Lam)^{-1} H] + d'(I-2t Lam)^{-1} H (I-2t Lam)^{-1} d,
-    H the denominator matrix and d the mean, both rotated.  All points
-    go through one batched kernel: a stacked eigendecomposition of
-    A - rB and a vectorised safeguarded Newton solve of the saddlepoint
-    equations.
+    f(r) is the module docstring's, with Lam the eigenvalues of the whitened
+    A - rB and, in its eigenbasis, H the denominator matrix and d the mean:
+    J_r(t) = tr[(I-2t Lam)^{-1} H] + d'(I-2t Lam)^{-1} H (I-2t Lam)^{-1} d.
 
     The raw formula is exact only up to a Stirling-type factor that is
-    constant in r for central ratios; by default the density is divided
-    by its own total mass, computed once per grid by a vectorised
-    adaptive 21-point Gauss-Kronrod rule that evaluates every open panel
-    in one kernel call.  The raw value and the mass stay in diagnostics;
-    diagnostics["normalized"] says whether the division happened (it is
-    skipped when the mass is not usable).  A point outside the support
-    raises DomainError, a point where A - rB vanishes NotApplicableError.
-    At r = +-inf the density is exactly 0.
+    constant in r for central ratios, so the density is divided by its
+    total mass (``_spa_mass``, once per call).  The raw value and the mass
+    stay in diagnostics; diagnostics["normalized"] says whether the
+    division happened (not when the mass is unusable).  A point outside the
+    support raises DomainError, a point where A - rB vanishes
+    NotApplicableError.  At r = +-inf the density is exactly 0.
     """
-    r = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.isnan(r).any():
-        raise InvalidInputError("the ratio point r must not be NaN")
+    pts, finite, scalar = _thresholds(r)
     a, b, mu = _whiten(spec)
     out = [MethodResult(0.0, 0.0, "ratio_support", "exact", {"threshold": x})
-           for x in r.tolist()]
-    finite = np.flatnonzero(np.isfinite(r))
-    if not finite.size:
-        return out
-    raw, t0, j_r, status = _butler_kernel(a, b, mu, r[finite])
-    _raise_for_status(status, r[finite])
-    # _spa_mass gives a positive mass or nan
-    mass = _spa_mass(a, b, mu) if normalize else math.nan
-    normalized = math.isfinite(mass)
-    for j, i in enumerate(finite.tolist()):
-        diagnostics = {"t0": float(t0[j]), "correction": float(j_r[j]),
-                       "threshold": float(r[i]), "raw_value": float(raw[j]),
-                       "normalized": normalized}
-        if normalize:
-            diagnostics["normalization_mass"] = mass
-        value = float(raw[j]) / mass if normalized else float(raw[j])
-        out[i] = MethodResult(value, None, "ratio_spa", "approximate", diagnostics)
-    return out
-
-
-def pdf_ratio_spa(spec: RatioSpec, r: float, normalize: bool = True) -> MethodResult:
-    """Butler's saddlepoint density of the ratio at r: the one-point case
-    of pdf_ratio_spa_grid, which documents the method."""
-    return pdf_ratio_spa_grid(spec, [r], normalize)[0]
+           for x in pts.tolist()]
+    if finite.size:
+        raw, t0, j_r, status = _butler_kernel(a, b, mu, pts[finite])
+        _raise_for_status(status, pts[finite])
+        # _spa_mass gives a positive mass or nan
+        mass = _spa_mass(a, b, mu)
+        normalized = math.isfinite(mass)
+        for j, i in enumerate(finite.tolist()):
+            diagnostics = {"t0": float(t0[j]), "correction": float(j_r[j]),
+                           "threshold": float(pts[i]), "raw_value": float(raw[j]),
+                           "normalized": normalized, "normalization_mass": mass}
+            value = float(raw[j]) / mass if normalized else float(raw[j])
+            out[i] = MethodResult(value, None, "ratio_spa", "approximate", diagnostics)
+    return out[0] if scalar else out

@@ -9,7 +9,8 @@ eigendirections collapse into one independent Gaussian.
 Sigma is factored once, when the form is built (``sigma_factor``), so
 a reduction makes one eigendecomposition, that of B'AB.  A Hermitian
 form in n complex variables is reduced as the real form in 2n variables
-of its real and imaginary parts.
+of its real and imaginary parts.  The completion step (``_complete``)
+also completes the ratio CDF's forms from their stacked eigenpairs.
 """
 
 from __future__ import annotations
@@ -53,18 +54,20 @@ def _sort_descending(lam, h2):
 
 
 def _reduce(a, lin, c, mu, fac) -> EffectiveForm:
-    """x'ax + lin'x + c with x ~ N(mu, fac fac') as
-    sum lam_n chi2_1(h_n^2) + sigma N(0,1) + const.
-
-    Eigendirections of fac'a fac with |lambda| above ZERO_EIG_TOL times
-    the largest are chi-square terms; the linear terms along the others
-    pool into the Gaussian.
-    """
+    """x'ax + lin'x + c with x ~ N(mu, fac fac'), completed by ``_complete``
+    in the eigenbasis of fac'a fac."""
     m = fac.T @ a @ fac
     lam_all, p = np.linalg.eigh((m + m.T) / 2.0)
-    d = p.T @ (fac.T @ (2.0 * a @ mu + lin))
-    c_prime = float(lin @ mu + mu @ a @ mu + c)
+    return _complete(lam_all, p.T @ (fac.T @ (2.0 * a @ mu + lin)),
+                     float(lin @ mu + mu @ a @ mu + c))
 
+
+def _complete(lam_all, d, c_prime) -> EffectiveForm:
+    """sum lam_all_n z_n^2 + d'z + c_prime, z ~ N(0, I), as sum lam_n
+    chi2_1(h_n^2) + sigma N(0,1) + const: directions with |lam_all| above
+    ZERO_EIG_TOL times the largest complete squares, and the linear terms
+    along the others pool into the Gaussian.  DegenerateConstantError when
+    no random part survives."""
     nonzero = np.abs(lam_all) > ZERO_EIG_TOL * float(np.max(np.abs(lam_all), initial=0.0))
     clip = GAUSS_CLIP * (1.0 + float(np.linalg.norm(d)))
     d_clipped = np.where(np.abs(d) <= clip, 0.0, d)

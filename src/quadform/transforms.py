@@ -132,7 +132,7 @@ def _cgf_derivative(red: ReducedForm, t, m: int):
 
 
 def cumulants(red: ReducedForm, order: int = DEFAULT_CUMULANT_ORDER) -> CumulantSet:
-    """First ``order`` cumulants.
+    """First ``order`` cumulants, kappa_j = K^(j)(0) (``cgf_derivative``):
 
     kappa_1 = sum w (nu + d2) + const,
     kappa_2 = 2 sum w^2 (nu + 2 d2) + sigma^2,
@@ -141,14 +141,7 @@ def cumulants(red: ReducedForm, order: int = DEFAULT_CUMULANT_ORDER) -> Cumulant
     """
     if order < 1:
         raise InvalidInputError("cumulant order must be >= 1")
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    ks = np.empty(order)
-    ks[0] = np.sum(w * (nu + d2)) + red.const
-    if order >= 2:
-        ks[1] = 2.0 * np.sum(w**2 * (nu + 2.0 * d2)) + red.sigma_gauss**2
-    for j in range(3, order + 1):
-        ks[j - 1] = 2.0 ** (j - 1) * math.factorial(j - 1) * np.sum(w**j * (nu + j * d2))
-    return CumulantSet(ks)
+    return CumulantSet(np.array([_cgf_derivative(red, 0.0, j) for j in range(1, order + 1)]))
 
 
 def raw_moments(kappas: CumulantSet) -> np.ndarray:
@@ -160,14 +153,6 @@ def raw_moments(kappas: CumulantSet) -> np.ndarray:
     for k in range(1, j + 1):
         m[k] = sum(math.comb(k - 1, l) * m[l] * kappas.get(k - l) for l in range(k))
     return m[1:]
-
-
-def mean(red: ReducedForm) -> float:
-    return cumulants(red, 1).get(1)
-
-
-def variance(red: ReducedForm) -> float:
-    return cumulants(red, 2).get(2)
 
 
 def support(red: ReducedForm) -> tuple[float, float]:

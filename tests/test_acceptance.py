@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import quadform as qf
-from quadform import select
+from quadform import inversion, select
 from quadform.forms import DaviesParams, ImhofParams
 from quadform.select import cdf_auto_inversion
 from quadform.reference import mc_ratio_moment, sample_reduced
@@ -129,7 +129,7 @@ def test_criterion_04_bound_validity():
             r1 = qf.cdf_imhof(red, q, params=ImhofParams(u, panels))
             r2 = qf.cdf_imhof(red, q, params=ImhofParams(4 * u, 4 * panels))
             resid = abs(r1.diagnostics["raw_value"] - r2.diagnostics["raw_value"])
-            bound = qf.inversion.imhof_tail_bound(red, u)
+            bound = inversion._tail(inversion._Rung(red, u, inversion._tail_form(red)), 0.0).plain
             checked += 1
             if resid > bound:
                 violations += 1

@@ -412,7 +412,7 @@ class TestNonFinitePoints:
     def test_infinite_ratio_points_in_a_density_grid(self, capsys, docs):
         spec = parse_document(json.loads(open(docs["beta.json"]).read()))
         grid = [-math.inf, 0.2, 0.5, math.inf]
-        out = ratio.pdf_ratio_spa_grid(spec, grid)
+        out = ratio.pdf_ratio_spa(spec, grid)
         assert [r.value for r in (out[0], out[3])] == [0.0, 0.0]
         for r, res in zip(grid[1:3], out[1:3]):
             assert res == ratio.pdf_ratio_spa(spec, r)

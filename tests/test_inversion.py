@@ -210,11 +210,12 @@ class TestImhofTailBoundValidity:
             red = random_reduced(rng, min_dof=3)
             q = quantile_points(red, (0.75,))[0]
             x = q - red.const
+            form = inversion._tail_form(red)
             for u in (3.0, 6.0, 12.0):
-                bound = qf.inversion.imhof_tail_bound(red, u)
+                bound = inversion._tail(inversion._Rung(red, u, form), 0.0).plain
                 # empirical tail over [U, 4U] with a fine fixed grid
                 grid = np.linspace(u, 4.0 * u, 20001)
-                f = inversion._imhof_f(inversion._nodes(red, grid), x, inversion._tail_form(red))
+                f = inversion._imhof_f(inversion._nodes(red, grid), x, form)
                 tail = abs(np.trapezoid(f, grid)) / math.pi
                 if tail > bound:
                     violations += 1
@@ -298,8 +299,9 @@ class TestRouter:
                     # a work ceiling (Davies spends 2^25 lattice points here)
                     assert res.diagnostics["panels"] <= 2**19
                 elif q == 0.0:
-                    # the density is infinite at 0; the route claims no accuracy there
-                    assert math.isinf(res.error_bound)
+                    # the density has a pole at 0
+                    assert math.isinf(res.value) and res.provenance == "exact"
+                    assert res.error_bound == 0.0
                     continue
                 else:
                     exact = mp.besselk(0, a) / (2 * mp.pi)
@@ -620,7 +622,8 @@ class TestTailRecord:
                     want = _old_record(red, u, x)
                     assert float(_old_theta_rho(red, u, x)[1]) == rec.rho
                     assert rec._asdict() == want, (red, x, u)
-                    assert inversion.imhof_tail_bound(red, u) == want["plain"]
+                    at_zero = inversion._tail(inversion._Rung(red, u, form), 0.0)
+                    assert at_zero.plain == want["plain"]
 
     def test_pick_u_is_the_first_ladder_rung(self):
         # the smallest U = 2^j (j < 0 allowed) whose best CDF tail bound is
@@ -707,8 +710,8 @@ class TestLadder:
                     value, bound, _, _ = _old_cdf_imhof(red, q, tol)
                     assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
                 new = qf.pdf_imhof(red, q, tol=tol, plan=plan)
-                if math.isinf(new.error_bound):
-                    continue  # sum(nu) <= 2 at x = 0: no bound, and U stays 1
+                if math.isinf(new.error_bound) or new.provenance == "exact":
+                    continue  # sum(nu) <= 2 at x = 0: no bound and U stays 1, or a pole
                 value, bound, u, panels = _old_pdf_imhof(red, q, tol)
                 assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
                 # the density searches the CDF's ladder: U is unchanged where
@@ -719,11 +722,23 @@ class TestLadder:
                     assert new.value == pytest.approx(value, rel=1e-12, abs=1e-300)
 
     def test_light_density_at_zero_stops_at_the_first_rung(self):
-        # sum(nu) = 2 at x = 0: no density bound applies at any U
-        res = qf.pdf_imhof(LIGHT, 0.0, tol=1e-8)
-        assert math.isinf(res.error_bound) and res.provenance == "heuristic"
-        assert res.diagnostics["u_max"] == 1.0 and res.diagnostics["panels"] <= 2**12
+        # sum(nu) <= 2 at x = 0: no density bound applies at any U
+        for red in (qf.ReducedForm([1.0, 0.5], [1, 1], [0.0, 0.3]),
+                    qf.ReducedForm([1.0], [2], [0.4])):
+            res = qf.pdf_imhof(red, 0.0, tol=1e-8)
+            assert math.isinf(res.error_bound) and res.provenance == "heuristic"
+            assert res.diagnostics["u_max"] == 1.0 and res.diagnostics["panels"] <= 2**12
         assert qf.pdf_imhof(LIGHT, 1e-9, tol=1e-8).diagnostics["u_max"] > 1.0
+
+    @pytest.mark.parametrize("delta2", [[0.0, 0.0], [0.5, 0.3]])
+    def test_light_density_pole_at_zero(self, delta2):
+        # two one-dof groups of opposite signs: the chi2_1 densities grow like
+        # x^(-1/2) at 0 and their convolution diverges like a log
+        red = qf.ReducedForm([1.0, -1.0], [1, 1], delta2, 0.0, 0.7)
+        for res in (qf.pdf_imhof(red, 0.7, tol=1e-8), select.pdf(red, 0.7)):
+            assert math.isinf(res.value) and res.error_bound == 0.0
+            assert res.provenance == "exact"
+        assert math.isfinite(select.pdf(red, 0.7 + 1e-9).value)
 
     @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
     def test_used_plan_equals_fresh_plan(self, quantity):

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 import quadform as qf
 from quadform import approx, ratio, reduction, transforms
-from quadform.forms import EffectiveForm
+from quadform.forms import ZERO_EIG_TOL, EffectiveForm
 
 
 CAUCHY = qf.RatioSpec([[0.0, 0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
@@ -47,6 +47,21 @@ class TestToIndefinite:
             e1 = np.sort(np.linalg.eigvalsh(spec.a - r * spec.b))
             e2 = np.sort(np.linalg.eigvalsh(spec.a - (r + 1e-6) * spec.b))
             assert np.max(np.abs(e1 - e2)) < 1e-4
+
+
+def _correlated_spec(rng, n=4):
+    m = rng.standard_normal((n, n))
+    v = rng.standard_normal((n, n))
+    return qf.RatioSpec((m + m.T) / 2.0, v @ v.T + 0.4 * np.eye(n),
+                        rng.standard_normal(n), v.T @ v + 0.3 * np.eye(n))
+
+
+SIGMA_1_B = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.5]])
+# A - 3B = 0 in exact arithmetic only: the whitened F'AF - 3 F'BF is rounding
+VANISHING = qf.RatioSpec(3.0 * SIGMA_1_B, SIGMA_1_B, [0.3, -0.2, 0.1], np.diag([1.0, 2.0, 0.5]))
+# Sigma of rank 2 with mu outside its range: x_3 = 0.5 is fixed
+SINGULAR_SIGMA = qf.RatioSpec([[0.4, 0.3, -0.2], [0.3, -0.6, 0.5], [-0.2, 0.5, 0.1]],
+                              SIGMA_1_B, [0.2, -0.1, 0.5], np.diag([1.0, 2.0, 0.0]))
 
 
 class TestCdfRatio:
@@ -93,20 +108,75 @@ class TestCdfRatio:
 
     def test_grid_factors_sigma_once(self, rng, eig_calls):
         # Sigma and B decomposed once each when the spec is built, then one
-        # eigendecomposition of F'(A - rB)F per point (Sigma = FF') and no other
-        n = 4
-        m = rng.standard_normal((n, n))
-        v = rng.standard_normal((n, n))
-        spec = qf.RatioSpec((m + m.T) / 2.0, v @ v.T + 0.4 * np.eye(n),
-                            rng.standard_normal(n), v.T @ v + 0.3 * np.eye(n))
+        # eigendecomposition of F'AF - r F'BF per point (Sigma = FF') and no other
+        spec = _correlated_spec(rng)
         grid = np.linspace(-0.4, 0.4, 7)
         for r in grid:
             qf.cdf_ratio(spec, float(r), tol=1e-8)
         assert sum(np.array_equal(c, spec.sigma_mat) for c in eig_calls) == 1
         assert len(eig_calls) == 2 + grid.size
 
+    def test_array_decomposes_once(self, rng, eig_calls):
+        # the thresholds of one call share one stacked eigendecomposition
+        spec = _correlated_spec(rng)
+        qf.cdf_ratio(spec, np.linspace(-0.4, 0.4, 7), tol=1e-8)
+        assert sum(np.array_equal(c, spec.sigma_mat) for c in eig_calls) == 1
+        assert len(eig_calls) == 2 + 1 and eig_calls[2].shape == (7, 4, 4)
+
+    @pytest.mark.parametrize("spec,grid", [
+        (CAUCHY, [-math.inf, -2.0, 0.0, 0.7, 3.0, math.inf]),
+        (VANISHING, [1.0, 3.0, 5.0, math.inf]),
+        (SINGULAR_SIGMA, [-math.inf, -0.8, 0.1, 0.6, 1.5, math.inf]),
+    ], ids=["cauchy", "vanishing", "singular_sigma"])
+    def test_array_matches_points(self, spec, grid):
+        got = qf.cdf_ratio(spec, np.array(grid), tol=1e-9)
+        assert isinstance(got, list) and len(got) == len(grid)
+        for r, res in zip(grid, got):
+            want = qf.cdf_ratio(spec, r, tol=1e-9)
+            assert (res.method, res.provenance) == (want.method, want.provenance)
+            assert abs(res.value - want.value) <= max(res.error_bound, want.error_bound)
+
+    def test_vanishing_pencil(self):
+        # R = 3 almost surely; at r = 3 the form is the constant 0
+        res = qf.cdf_ratio(VANISHING, 3.0)
+        assert (res.value, res.method, res.diagnostics["constant"]) == (1.0, "degenerate", 0.0)
+        # x'(A - B)x = x_2^2 = 0.25 with x_2 outside the range of Sigma
+        spec = qf.RatioSpec(np.eye(2), np.diag([1.0, 0.0]), [0.3, 0.5], np.diag([1.0, 0.0]))
+        res = qf.cdf_ratio(spec, 1.0)
+        assert (res.value, res.method) == (0.0, "degenerate")
+        assert res.diagnostics["constant"] == pytest.approx(0.25, rel=1e-15)
+        # Sigma = 0: x = mu, R = 0.34 / 0.215, and every threshold is a constant
+        spec = qf.RatioSpec(np.eye(2), np.diag([1.0, 0.5]), [0.3, 0.5], np.zeros((2, 2)))
+        got = qf.cdf_ratio(spec, [0.5, 1.5, 1.6, 3.0])
+        assert [res.value for res in got] == [0.0, 0.0, 1.0, 1.0]
+        assert {res.method for res in got} == {"degenerate"}
+
+    def test_array_raises_the_first_error(self):
+        with pytest.raises(qf.InvalidInputError):
+            qf.cdf_ratio(CAUCHY, [0.1, math.nan])
+        with pytest.raises(qf.NotApplicableError):
+            qf.cdf_ratio(CAUCHY, [0.1, 0.3, -0.2], method="central_even")
+
 
 class TestPdfRatioSpa:
+    @pytest.mark.parametrize("spec,grid", [
+        (CAUCHY, [-math.inf, -2.0, 0.0, 0.7, 3.0, math.inf]),
+        (f_ratio_spec(), [math.inf, 0.3, 1.0, 2.5, -math.inf]),
+    ], ids=["cauchy", "f"])
+    def test_array_matches_points(self, spec, grid):
+        got = qf.pdf_ratio_spa(spec, np.array(grid))
+        assert got == [qf.pdf_ratio_spa(spec, r) for r in grid]
+
+    def test_array_raises_the_first_error(self):
+        # A - 3B vanishes at r = 3, and -0.5 is outside the support of the
+        # F-ratio
+        with pytest.raises(qf.NotApplicableError):
+            qf.pdf_ratio_spa(VANISHING, [math.inf, 3.0])
+        with pytest.raises(qf.DomainError):
+            qf.pdf_ratio_spa(f_ratio_spec(), [1.0, -0.5, 0.0])
+        with pytest.raises(qf.InvalidInputError):
+            qf.pdf_ratio_spa(f_ratio_spec(), [1.0, math.nan])
+
     def test_f_density(self):
         spec = f_ratio_spec()
         for r in (0.4, 1.0, 2.5):
@@ -122,10 +192,7 @@ class TestPdfRatioSpa:
         res = qf.pdf_ratio_spa(f_ratio_spec(), 1.0)
         # normalized by construction; the raw mass is the diagnostics entry
         assert abs(res.diagnostics["normalization_mass"] - 1.0) < 0.1
-        grid = np.linspace(1e-3, 80.0, 2001)
-        vals = [qf.pdf_ratio_spa(f_ratio_spec(), float(r), normalize=False).value
-                for r in grid[:1]]  # raw path stays available
-        assert vals[0] > 0.0
+        assert res.diagnostics["raw_value"] > 0.0
 
     def test_spa_integral_close_to_one(self):
         spec = f_ratio_spec()
@@ -139,14 +206,13 @@ class TestPdfRatioSpa:
 
     def test_normalized_flag(self, monkeypatch):
         spec = f_ratio_spec()
-        assert qf.pdf_ratio_spa(spec, 1.0).diagnostics["normalized"] is True
-        raw = qf.pdf_ratio_spa(spec, 1.0, normalize=False)
-        assert raw.diagnostics["normalized"] is False
+        normalized = qf.pdf_ratio_spa(spec, 1.0)
+        assert normalized.diagnostics["normalized"] is True
         # an unusable mass leaves the raw value, and says so
         monkeypatch.setattr(ratio, "_spa_mass", lambda a, b, mu: math.nan)
         res = qf.pdf_ratio_spa(spec, 1.0)
         assert res.diagnostics["normalized"] is False
-        assert res.value == raw.value
+        assert res.value == normalized.diagnostics["raw_value"]
 
 
 def _scalar_butler(a, b, mu, r):
@@ -157,7 +223,7 @@ def _scalar_butler(a, b, mu, r):
     delta = p_eig.T @ mu
     h_mat = p_eig.T @ b @ p_eig
     scale = float(np.max(np.abs(lam_full), initial=0.0))
-    nonzero = np.abs(lam_full) > ratio.RANK_TOL * scale if scale > 0 \
+    nonzero = np.abs(lam_full) > ZERO_EIG_TOL * scale if scale > 0 \
         else np.zeros_like(lam_full, bool)
     if not np.any(nonzero):
         raise qf.NotApplicableError("A - rB vanishes")
@@ -237,8 +303,7 @@ class TestButlerKernel:
                 except qf.DomainError:
                     assert status[i] == ratio._OUTSIDE and value[i] == 0.0
                     with pytest.raises(qf.DomainError):
-                        qf.pdf_ratio_spa(qf.RatioSpec(a, b, mu, np.eye(n)), float(r),
-                                         normalize=False)
+                        qf.pdf_ratio_spa(qf.RatioSpec(a, b, mu, np.eye(n)), float(r))
                     continue
                 got = tuple(float(v[0]) for v in ratio._butler_kernel(a, b, mu, [float(r)])[:3])
                 assert got == (value[i], t0[i], j_r[i])
@@ -339,6 +404,16 @@ class TestMomentExistence:
         me = qf.moment_exists(spec, 1)
         assert not me.exists and me.r_b == 1
         assert "quadratic" in me.condition
+
+    def test_whitened_eigenvalue_in_the_tolerance_band(self):
+        # a whitened eigenvalue of B at 1e-11 of the largest is a direction
+        # of B (the null threshold is ZERO_EIG_TOL = 1e-12 of the largest)
+        spec = qf.RatioSpec([[0.5, 0.2], [0.2, 1.0]], np.diag([1.0, 1e-11]), [0.0, 0.0],
+                            np.eye(2))
+        wb = np.linalg.eigvalsh(ratio._whiten(spec)[1])
+        assert ZERO_EIG_TOL < wb.min() / wb.max() <= 1e-10
+        me = qf.moment_exists(spec, 1)
+        assert me.exists and me.r_b == 2 and me.condition == "denominator positive definite"
 
     def test_monotone_in_order(self, rng):
         # exists(p) false implies exists(p') false for p' > p

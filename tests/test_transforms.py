@@ -195,6 +195,29 @@ class TestCumulants:
         assert k1[0] == k0[0]
         assert np.allclose(k1[2:], k0[2:])
 
+    def test_equal_to_the_closed_form(self):
+        # kappa_j = K^(j)(0), j = 1..8, bit for bit against the closed form
+        # it replaced
+        def closed_form(red, order):
+            w, nu, d2 = red.omega, red.nu, red.delta2
+            ks = np.empty(order)
+            ks[0] = np.sum(w * (nu + d2)) + red.const
+            ks[1] = 2.0 * np.sum(w**2 * (nu + 2.0 * d2)) + red.sigma_gauss**2
+            for j in range(3, order + 1):
+                ks[j - 1] = (2.0 ** (j - 1) * math.factorial(j - 1)
+                             * np.sum(w**j * (nu + j * d2)))
+            return ks
+
+        rng = np.random.default_rng(17)
+        for i in range(3000):
+            g = int(rng.integers(1, 7))
+            w = 10.0 ** rng.uniform(-2.0, 2.0, g) * rng.choice([-1.0, 1.0], g)
+            d2 = np.where(rng.random(g) < 0.5, rng.uniform(0.0, 3.0, g), 0.0)
+            red = qf.ReducedForm(w, rng.integers(1, 6, g), d2,
+                                 float(rng.uniform(0.0, 2.0)) if i % 2 else 0.0,
+                                 float(rng.normal()))
+            assert np.array_equal(qf.cumulants(red, 8).kappa, closed_form(red, 8))
+
 
 class TestRawMoments:
     def test_low_order_identities(self, rng):
