@@ -20,7 +20,6 @@ from .errors import (
 from .forms import (
     CumulantSet,
     DaviesParams,
-    EffectiveForm,
     FormClass,
     ImhofParams,
     MatchedSurrogate,
@@ -88,7 +87,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadFormError", "InvalidInputError", "DomainError", "NotApplicableError",
     "ConvergenceFailureError", "DegenerateConstantError",
-    "RawForm", "RawComplexForm", "EffectiveForm", "ReducedForm", "FormClass",
+    "RawForm", "RawComplexForm", "ReducedForm", "FormClass",
     "CumulantSet", "MgfDomain", "MethodResult", "RatioSpec", "MomentExistence",
     "McResult", "PartialFractionExpansion", "SeriesCoefficients", "ImhofParams",
     "DaviesParams", "MatchedSurrogate", "SaddlepointSolution",

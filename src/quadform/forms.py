@@ -2,14 +2,14 @@
 
 A quadratic form is Q = x'Ax + b'x + c with x ~ N(mu, Sigma).  Reduction
 rewrites it as a weighted sum of independent noncentral chi-squares plus
-an independent Gaussian plus a constant; the two canonical
-representations are
+an independent Gaussian plus a constant, one ``ReducedForm``
 
-* effective:          Q ~ sum_n lambda_n chi2_1(h_n^2) + sigma N(0,1) + const
-* reduced effective:  Q ~ sum_l omega_l chi2_{nu_l}(delta_l^2) + sigma N(0,1) + const
+    Q ~ sum_l omega_l chi2_{nu_l}(delta_l^2) + sigma N(0,1) + const.
 
-where the reduced form groups repeated weights (nu_l multiplicities,
-delta_l^2 the summed noncentralities of a group).
+Both canonical representations are of this type: the effective one has
+one chi2_1(h_n^2) per nonzero eigenvalue (every nu_l = 1), and the
+reduced one groups repeated weights (nu_l multiplicities, delta_l^2 the
+summed noncentralities of a group).
 """
 
 from __future__ import annotations
@@ -135,38 +135,9 @@ class RawComplexForm:
 
 
 @dataclass(frozen=True)
-class EffectiveForm:
-    """Ungrouped canonical representation (one chi2_1 per nonzero weight)."""
-
-    lam: np.ndarray
-    h2: np.ndarray
-    sigma_gauss: float
-    const: float
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        h2 = np.atleast_1d(np.asarray(self.h2, dtype=float))
-        if lam.shape != h2.shape:
-            raise InvalidInputError("lam and h2 must have matching shapes")
-        if np.any(lam == 0.0):
-            raise InvalidInputError("effective weights must be nonzero")
-        if np.any(h2 < 0.0):
-            raise InvalidInputError("noncentralities h2 must be nonnegative")
-        if self.sigma_gauss < 0.0:
-            raise InvalidInputError("sigma_gauss must be nonnegative")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "sigma_gauss", float(self.sigma_gauss))
-        object.__setattr__(self, "const", float(self.const))
-
-    @property
-    def n_terms(self) -> int:
-        return self.lam.shape[0]
-
-
-@dataclass(frozen=True)
 class ReducedForm:
-    """Grouped canonical representation sum_l omega_l chi2_{nu_l}(delta2_l)."""
+    """Canonical representation sum_l omega_l chi2_{nu_l}(delta2_l) + sigma
+    N(0,1) + const, grouped or (every nu_l = 1) effective."""
 
     omega: np.ndarray
     nu: np.ndarray
@@ -202,19 +173,6 @@ class ReducedForm:
     @property
     def total_dof(self) -> int:
         return int(self.nu.sum())
-
-    def effective(self) -> EffectiveForm:
-        """Expand back to one chi2_1 per degree of freedom.
-
-        The group noncentrality is carried by the first variable of each
-        group; any split with the same per-group sum yields the same
-        distribution.
-        """
-        lam, h2 = [], []
-        for w, n, d2 in zip(self.omega, self.nu, self.delta2):
-            lam.extend([w] * int(n))
-            h2.extend([d2] + [0.0] * (int(n) - 1))
-        return EffectiveForm(np.array(lam), np.array(h2), self.sigma_gauss, self.const)
 
     def shifted(self, const: float) -> "ReducedForm":
         return ReducedForm(self.omega, self.nu, self.delta2, self.sigma_gauss, const)

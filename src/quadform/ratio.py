@@ -119,12 +119,12 @@ def _reduce_pencil(spec: RatioSpec, r):
         d = 2.0 * (np.swapaxes(p, 1, 2) @ lin[:, :, None])[:, :, 0]
         for k, x in enumerate(r_chunk.tolist()):
             try:
-                eff = reduction._complete(lam[k], d[k], ca - x * cb)
+                red = reduction._complete(lam[k], d[k], ca - x * cb)
             except DegenerateConstantError as exc:
                 noise = ZERO_EIG_TOL * (abs(ca) + abs(x * cb))
                 yield float(exc.value) if abs(exc.value) > noise else 0.0
             else:
-                yield reduction.group_eigenvalues(eff)
+                yield reduction.group_eigenvalues(red)
 
 
 def cdf_ratio(spec: RatioSpec, r, method: str = "auto",
@@ -151,20 +151,19 @@ def cdf_ratio(spec: RatioSpec, r, method: str = "auto",
     return out[0] if scalar else out
 
 
-def _whiten(spec: RatioSpec):
+def _whiten(spec: RatioSpec, user: str = "moment methods need"):
     """Rewrite the ratio over a standard-normal vector.
 
     x = F y with F = spec.sigma_factor (Sigma = FF'), so A -> F'AF,
     B -> F'BF and y ~ N(m, I) with F m = mu.  The columns of F are
     orthogonal, so m = F'mu / |F_j|^2 columnwise; a singular Sigma needs mu
     in its range, so the forms stay complete in the reduced coordinates.
+    The refusal names ``user``, the method that needs it.
     """
     f = spec.sigma_factor
     m = (f.T @ spec.mu) / np.sum(f * f, axis=0)
     if float(np.linalg.norm(f @ m - spec.mu)) > 1e-8 * (1.0 + float(np.linalg.norm(spec.mu))):
-        raise InvalidInputError(
-            "moment methods need mu in the range of a singular covariance"
-        )
+        raise InvalidInputError(f"{user} mu in the range of a singular covariance")
     return f.T @ spec.a @ f, f.T @ spec.b @ f, m
 
 
@@ -614,7 +613,7 @@ def pdf_ratio_spa(spec: RatioSpec, r) -> MethodResult | list[MethodResult]:
     NotApplicableError.  At r = +-inf the density is exactly 0.
     """
     pts, finite, scalar = _thresholds(r)
-    a, b, mu = _whiten(spec)
+    a, b, mu = _whiten(spec, "the saddlepoint density needs")
     out = [MethodResult(0.0, 0.0, "ratio_support", "exact", {"threshold": x})
            for x in pts.tolist()]
     if finite.size:

@@ -4,7 +4,10 @@ The pipeline is: factor the covariance as Sigma = B B' (B rectangular,
 full column rank r = rank(Sigma)), diagonalize B'AB = P diag(lambda) P',
 complete the square per eigendirection.  Nonzero eigenvalues yield
 scaled noncentral chi-square components; linear terms along zero
-eigendirections collapse into one independent Gaussian.
+eigendirections collapse into one independent Gaussian.  Both steps'
+outputs are ReducedForms: ``reduce_real`` gives the effective form (one
+chi2_1 per nonzero eigenvalue, every nu = 1) and ``group_eigenvalues``
+merges its equal weights into groups.
 
 Sigma is factored once, when the form is built (``sigma_factor``), so
 a reduction makes one eigendecomposition, that of B'AB.  A Hermitian
@@ -22,7 +25,6 @@ import numpy as np
 from .errors import DegenerateConstantError
 from .forms import (
     ZERO_EIG_TOL,
-    EffectiveForm,
     FormClass,
     RawComplexForm,
     RawForm,
@@ -48,12 +50,7 @@ def factor_covariance(sigma_mat):
     return b, b.shape[1]
 
 
-def _sort_descending(lam, h2):
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], h2[order]
-
-
-def _reduce(a, lin, c, mu, fac) -> EffectiveForm:
+def _reduce(a, lin, c, mu, fac) -> ReducedForm:
     """x'ax + lin'x + c with x ~ N(mu, fac fac'), completed by ``_complete``
     in the eigenbasis of fac'a fac."""
     m = fac.T @ a @ fac
@@ -62,9 +59,10 @@ def _reduce(a, lin, c, mu, fac) -> EffectiveForm:
                      float(lin @ mu + mu @ a @ mu + c))
 
 
-def _complete(lam_all, d, c_prime) -> EffectiveForm:
-    """sum lam_all_n z_n^2 + d'z + c_prime, z ~ N(0, I), as sum lam_n
-    chi2_1(h_n^2) + sigma N(0,1) + const: directions with |lam_all| above
+def _complete(lam_all, d, c_prime) -> ReducedForm:
+    """sum lam_all_n z_n^2 + d'z + c_prime, z ~ N(0, I), as the effective
+    form sum lam_n chi2_1(h_n^2) + sigma N(0,1) + const (every nu = 1,
+    weights sorted descending): directions with |lam_all| above
     ZERO_EIG_TOL times the largest complete squares, and the linear terms
     along the others pool into the Gaussian.  DegenerateConstantError when
     no random part survives."""
@@ -83,12 +81,13 @@ def _complete(lam_all, d, c_prime) -> EffectiveForm:
         sigma = 0.0
         if lam.size == 0:
             raise DegenerateConstantError(c_prime)
-    lam, h2 = _sort_descending(lam, h2)
-    return EffectiveForm(lam, h2, sigma, const)
+    order = np.argsort(-lam, kind="stable")
+    return ReducedForm(lam[order], np.ones(lam.size, dtype=int), h2[order], sigma, const)
 
 
-def reduce_real(form: RawForm) -> EffectiveForm:
-    """Reduce x'Ax + b'x + c to sum lam_n chi2_1(h_n^2) + sigma N(0,1) + const.
+def reduce_real(form: RawForm) -> ReducedForm:
+    """Reduce x'Ax + b'x + c to the effective form sum lam_n chi2_1(h_n^2)
+    + sigma N(0,1) + const, a ReducedForm with every nu = 1.
 
     Weights are the nonzero eigenvalues of B'AB (equal to those of
     Sigma A), sorted descending so positive weights come first.  Raises
@@ -118,24 +117,28 @@ def reduce_complex(form: RawComplexForm) -> ReducedForm:
     return group_eigenvalues(_reduce(_real_matrix(form.a), lin, form.c, mu, fac))
 
 
-def group_eigenvalues(eff: EffectiveForm) -> ReducedForm:
-    """Cluster equal weights of an effective form into a reduced form.
+def group_eigenvalues(red: ReducedForm) -> ReducedForm:
+    """Cluster equal weights of a form.
 
     Single-linkage on the descending-sorted weights: consecutive values
-    closer than GROUP_TOL * max|lam| join a cluster.  Cluster weight is
-    the mean, multiplicity the count, noncentrality the sum of h^2.
-    Grouping affects series efficiency only, never the distribution.
+    closer than GROUP_TOL * max|omega| join a cluster.  Cluster weight is
+    the nu-weighted mean, multiplicity the sum of nu, noncentrality the
+    sum of delta2.  Grouping affects series efficiency only, never the
+    distribution.
     """
-    lam, h2 = _sort_descending(eff.lam, eff.h2)
+    order = np.argsort(-red.omega, kind="stable")
+    lam, nu, h2 = red.omega[order], red.nu[order], red.delta2[order]
     split = np.abs(np.diff(lam)) > GROUP_TOL * float(np.max(np.abs(lam), initial=0.0))
     starts = np.flatnonzero(np.concatenate([[lam.size > 0], split]))
-    nu = np.diff(np.append(starts, lam.size))
+    dof = np.add.reduceat(nu, starts)
     # reduceat adds a segment's first value to the sum of the rest; a zero in
     # front of each cluster makes every sum equal np.sum's, bit for bit
     at = starts + np.arange(starts.size)
-    omega = np.add.reduceat(np.insert(lam, starts, 0.0), at) / nu
-    delta2 = np.add.reduceat(np.insert(h2, starts, 0.0), at)
-    return ReducedForm(omega, nu, delta2, eff.sigma_gauss, eff.const)
+
+    def total(v):
+        return np.add.reduceat(np.insert(v, starts, 0.0), at)
+
+    return ReducedForm(total(lam * nu) / dof, dof, total(h2), red.sigma_gauss, red.const)
 
 
 def reduce_raw(form: RawForm) -> ReducedForm:

@@ -1,13 +1,14 @@
 """Automatic method selection and name-based dispatch for CDF/PDF queries.
 
-Auto first answers the points on or outside the support exactly (the
-CDF's 0 or 1, point mass included, and a zero density), tagged
-"support".  One policy routes every other point: far tails (Chernoff
-estimate below 1e-8) go to the saddlepoint, which keeps the exact
-exponential decay rate; forms with a Gaussian term use Davies (CDF) or
-the saddlepoint (PDF); otherwise central even-dof forms use the
-partial-fraction formula, definite forms the chi-square-density
-expansion and all others Imhof.
+Auto first answers the points on or outside the support exactly, tagged
+"support": the CDF's 0 or 1, point mass included, and the density 0,
+except at a finite end of the support, where it is the limit from inside
+(inf, finite or 0 for a total dof of 1, 2 or more).  One policy routes
+every other point: far tails (Chernoff estimate below 1e-8) go to the
+saddlepoint, which keeps the exact exponential decay rate; forms with a
+Gaussian term use Davies (CDF) or the saddlepoint (PDF); otherwise
+central even-dof forms use the partial-fraction formula, definite forms
+the chi-square-density expansion and all others Imhof.
 
 Every auto reroute is one ladder (``_walk``): a point whose outcome is a
 library error or a bound above tol moves down a rung, from the partial
@@ -26,7 +27,9 @@ share, each part built on first use (see its docstring).  ``cdf`` and
 ``pdf`` take a scalar point or an array of points and build one plan per
 call; a caller that evaluates one form many times (the quantile search)
 passes its own.  An array is routed once and evaluated per route: the
-expansion and the series coefficients are shared by all points.  The
+expansion and the series coefficients are shared by all points; every
+engine reads the plan's form, and the series negate a negative definite
+one themselves (``Plan.series_form``).  The
 saddlepoint routes solve K'(t) = q once for all their points, and Davies
 computes the spreads, truncation rungs and both bounds of all its points
 at once (its lattice bounds from two array Chernoff calls on the plan's
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import approx, inversion, series, transforms
 from .errors import InvalidInputError, QuadFormError
-from .forms import EffectiveForm, FormClass, MethodResult, ReducedForm
+from .forms import FormClass, MethodResult, ReducedForm
 from .reduction import classify
 
 TAIL_THRESHOLD = 1e-8
@@ -59,17 +62,14 @@ CDF_METHODS = ("auto", "central_even", "ruben", "kotz", "laguerre", "imhof",
                "wood", "liu")
 
 
-def _negate(red: ReducedForm) -> ReducedForm:
-    return ReducedForm(-red.omega, red.nu, red.delta2, red.sigma_gauss, -red.const)
-
-
 class Plan:
     """The set-up of one form that its CDF/PDF evaluations share, each part
     built on first use:
 
     * routing: the classification, the support and the two crossings;
-    * the partial fractions, the series form, the remainder poles of its
-      chi-square expansion and its coefficient sets, by (kind, beta, K);
+    * the partial fractions, the series form (the form, negated when it is
+      negative definite), the remainder poles of its chi-square expansion
+      and its coefficient sets, by (kind, beta, K);
     * Imhof's tail constants and its rungs U = 2^j (``inversion._Rung``),
       by j alone: a rung holds no tol, so every tol shares it;
     * the centred form and, per tol, the Davies spread form and the
@@ -106,21 +106,23 @@ class Plan:
         return series.partial_fractions(self.red)
 
     @functools.cached_property
-    def series_form(self) -> EffectiveForm:
-        """The effective form of the series routes; of the negated form when
-        the form is negative definite."""
-        red = _negate(self.red) if self.cls.definiteness == "negative" else self.red
-        return red.effective()
+    def series_form(self) -> ReducedForm:
+        """The form the series expand: the negated form when the form is
+        negative definite, else the form."""
+        red = self.red
+        if self.cls.definiteness != "negative":
+            return red
+        return ReducedForm(-red.omega, red.nu, red.delta2, red.sigma_gauss, -red.const)
 
     @functools.cached_property
     def ruben_poles(self):
         """The poles of the chi-square expansion's remainder bound at its
         default beta; None where that bound does not apply."""
-        eff = self.series_form
-        if (self.cls.definiteness == "indefinite" or not eff.n_terms or eff.h2.any()
-                or eff.n_terms % 2):
+        pos = self.series_form
+        if (self.cls.definiteness == "indefinite" or not pos.n_groups or pos.delta2.any()
+                or pos.total_dof % 2):
             return None
-        return series._ruben_poles(eff, series.default_beta(eff, "ruben"))
+        return series._ruben_poles(pos, series.default_beta(pos, "ruben"))
 
     def coefficients(self, kind: str, beta: float | None, k_terms: int):
         """series.series_coefficients of the series form."""
@@ -264,8 +266,9 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
         lo_s, hi_s = plan.support
         for i, x in enumerate(pts.tolist()):
             if not lo_s < x < hi_s:
-                out[i] = inversion._exact_cdf(red, x, "support") if quantity == "cdf" else \
-                    MethodResult(0.0, 0.0, "support", "exact", {"note": "outside the support"})
+                edge = math.isfinite(x) and x in (lo_s, hi_s)
+                out[i] = (inversion._exact_cdf(red, x, "support") if quantity == "cdf"
+                          else _support_density(red, edge))
     todo = np.array([i for i, res in enumerate(out) if res is None], dtype=int)
     methods = select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size else \
         [method] * todo.size
@@ -278,6 +281,23 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
         if isinstance(res, Exception):
             raise res
     return out[0] if qs.ndim == 0 else out
+
+
+def _support_density(red: ReducedForm, edge: bool) -> MethodResult:
+    """The density at a point outside the support (0), or at a finite end
+    of it, where it is the limit from inside.  Only the central term of each
+    noncentral chi-square matters there, so by the total dof the limit is
+    inf for 1, e^(-sum delta2/2) / (2 sqrt|lam_1 lam_2|) over the two chi2_1
+    weights for 2 (the chi2_2 density at 0 scaled), and 0 otherwise."""
+    if not edge:
+        return MethodResult(0.0, 0.0, "support", "exact", {"note": "outside the support"})
+    value = 0.0
+    if red.total_dof == 1:
+        value = math.inf
+    elif red.total_dof == 2:
+        value = (math.exp(-0.5 * float(red.delta2.sum()))
+                 / (2.0 * math.sqrt(abs(float(np.prod(red.omega ** red.nu))))))
+    return MethodResult(value, 0.0, "support", "exact", {"note": "support edge"})
 
 
 def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8) -> MethodResult:
@@ -333,7 +353,8 @@ def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str
         fn = series.cdf_central_even if cumulative else series.pdf_central_even
         return fn(red, xs, plan.pfe)
     if method in ("ruben", "kotz", "laguerre"):
-        return _definite_series(plan, xs, method, tol, cumulative)
+        fn = series.cdf_series if cumulative else series.pdf_series
+        return fn(red, xs, method, tol, plan)
     if method == "imhof":
         fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
         return _each(fn, red, xs, tol=tol, plan=plan)
@@ -349,26 +370,3 @@ def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str
     if method in ("spa", "spa_lr"):
         return approx.pdf_spa(red, xs)
     raise InvalidInputError(f"unknown PDF method {method!r}")
-
-
-def _definite_series(plan: Plan, xs: np.ndarray, kind: str, tol: float,
-                     cumulative: bool) -> list:
-    """Series outcomes at the points xs, mapping negative definite forms to
-    negated ones."""
-    negative = plan.cls.definiteness == "negative"
-    fn = series.cdf_series if cumulative else series.pdf_series
-    res = fn(plan.series_form, -xs if negative else xs, kind=kind, tol=tol, plan=plan)
-    if not negative:
-        return res
-    return [r if isinstance(r, Exception) else _negated(r, cumulative) for r in res]
-
-
-def _negated(res: MethodResult, cumulative: bool) -> MethodResult:
-    if cumulative:
-        # P(Q <= q) = P(-Q >= -q); the negated form is continuous
-        value = 1.0 - res.value
-        raw = 1.0 - res.diagnostics.get("raw_value", res.value)
-        return MethodResult(value, res.error_bound, res.method, res.provenance,
-                            dict(res.diagnostics, raw_value=raw, negated=True))
-    return MethodResult(res.value, res.error_bound, res.method, res.provenance,
-                        dict(res.diagnostics, negated=True))

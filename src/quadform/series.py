@@ -5,9 +5,16 @@ Two families:
 * central forms with even degrees of freedom: the MGF is rational, a
   finite partial-fraction expansion gives closed-form CDF/PDF as mixtures
   of scaled chi-square distributions with even dofs;
-* positive definite forms: infinite expansions in chi-square densities
-  (Ruben), powers (Kotz) or Laguerre polynomials, driven by a shared
-  exp-of-log-series coefficient recursion, with adaptive truncation.
+* definite forms: infinite expansions in chi-square densities (Ruben),
+  powers (Kotz) or Laguerre polynomials, driven by a shared
+  exp-of-log-series coefficient recursion, with adaptive truncation.  A
+  negative definite form is evaluated as its negation at -q.
+
+Like the inversion engines, the series take a ReducedForm and a
+``select.Plan`` of it (one of their own when none is given).  The
+expansions' power sums run over the groups with their counts
+nu; only Ruben's pole pairing and the sums over the form's chi2_1
+variables (``_variables``) read one weight per degree of freedom.
 """
 
 from __future__ import annotations
@@ -20,12 +27,12 @@ from scipy import special
 
 from .errors import ConvergenceFailureError, NotApplicableError, one_or_all
 from .forms import (
-    EffectiveForm,
     MethodResult,
     PartialFractionExpansion,
     ReducedForm,
     SeriesCoefficients,
 )
+from .inversion import _own_plan
 
 K_MAX = 5000
 HEURISTIC_RUN = 20          # consecutive tiny terms before the heuristic stop fires
@@ -167,19 +174,29 @@ def pdf_central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None =
     return _central_even(red, q, pfe, density=True)
 
 
-def _require_positive_definite(eff: EffectiveForm, op: str) -> None:
-    if eff.sigma_gauss != 0.0:
+def _require_positive_definite(red: ReducedForm, op: str) -> None:
+    if red.sigma_gauss != 0.0:
         raise NotApplicableError(f"{op} requires sigma = 0", condition="sigma=0")
-    if eff.n_terms == 0 or np.any(eff.lam <= 0.0):
+    if red.n_groups == 0 or np.any(red.omega <= 0.0):
         raise NotApplicableError(
             f"{op} requires a positive definite form", condition="all weights positive"
         )
 
 
-def default_beta(eff: EffectiveForm, kind: str) -> float | None:
+def _variables(red: ReducedForm):
+    """One weight and one noncentrality per degree of freedom, a group's
+    delta2 on its first: the sums over the form's chi2_1 variables below add
+    them in this order."""
+    lam = np.repeat(red.omega, red.nu)
+    h2 = np.zeros(lam.size)
+    h2[np.cumsum(red.nu) - red.nu] = red.delta2
+    return lam, h2
+
+
+def default_beta(red: ReducedForm, kind: str) -> float | None:
     """Free scale parameter: harmonic mean of extreme weights for the
     chi-square expansion, arithmetic mean for Laguerre, none for Kotz."""
-    lmax, lmin = float(eff.lam.max()), float(eff.lam.min())
+    lmax, lmin = float(red.omega.max()), float(red.omega.min())
     if kind == "ruben":
         return 2.0 * lmax * lmin / (lmax + lmin)
     if kind == "laguerre":
@@ -187,7 +204,7 @@ def default_beta(eff: EffectiveForm, kind: str) -> float | None:
     return None
 
 
-def series_coefficients(eff: EffectiveForm, kind: str, beta: float | None = None,
+def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
                         k_terms: int = 64) -> SeriesCoefficients:
     """First k_terms+1 expansion coefficients for one of the three series.
 
@@ -196,14 +213,15 @@ def series_coefficients(eff: EffectiveForm, kind: str, beta: float | None = None
     series by the Cauchy-product recursion.  A form's ``select.Plan`` keeps
     the sets its evaluations compute.
     """
-    _require_positive_definite(eff, f"{kind} series")
-    lam, h2 = eff.lam, eff.h2
-    n = eff.n_terms
+    _require_positive_definite(red, f"{kind} series")
+    lam, h2 = _variables(red)
     # the log-coefficients are power sums over the weights: sum them over the
-    # distinct weights with their counts, and the noncentral terms over the
-    # variables that carry a noncentrality
-    lam_u, counts = np.unique(lam, return_counts=True)
-    lam_h, h2_h = lam[h2 != 0.0], h2[h2 != 0.0]
+    # groups, ascending, with their counts, and the noncentral terms over the
+    # groups that carry a noncentrality
+    up = np.argsort(red.omega, kind="stable")
+    lam_u, counts = red.omega[up], red.nu[up]
+    noncentral = red.delta2 != 0.0
+    lam_h, h2_h = red.omega[noncentral], red.delta2[noncentral]
     ks = np.arange(1, k_terms + 1)
 
     def psum(base, weight, shift=0):
@@ -211,7 +229,7 @@ def series_coefficients(eff: EffectiveForm, kind: str, beta: float | None = None
         return (base[None, :] ** (ks[:, None] - shift)) @ weight.astype(float)
 
     if kind == "ruben":
-        beta = default_beta(eff, kind) if beta is None else float(beta)
+        beta = default_beta(red, kind) if beta is None else float(beta)
         if not 0.0 < beta < 2.0 * lam.min():
             raise NotApplicableError(
                 "chi-square expansion needs 0 < beta < 2 min(lam)", condition="beta range"
@@ -226,7 +244,7 @@ def series_coefficients(eff: EffectiveForm, kind: str, beta: float | None = None
         c0 = math.exp(-0.5 * float(h2.sum()) - 0.5 * float(np.log(2.0 * lam).sum()))
         c = _exp_series(d / ks, c0)
     elif kind == "laguerre":
-        beta = default_beta(eff, kind) if beta is None else float(beta)
+        beta = default_beta(red, kind) if beta is None else float(beta)
         if beta <= lam.max() / 2.0:
             raise NotApplicableError(
                 "Laguerre series needs beta > max(lam)/2", condition="beta range"
@@ -236,7 +254,7 @@ def series_coefficients(eff: EffectiveForm, kind: str, beta: float | None = None
         c = _exp_series(d / ks, 1.0)
     else:
         raise NotApplicableError(f"unknown series kind {kind!r}", condition="kind")
-    return SeriesCoefficients(kind=kind, beta=beta, c=c, d=d, n_vars=n)
+    return SeriesCoefficients(kind=kind, beta=beta, c=c, d=d, n_vars=lam.size)
 
 
 def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool) -> np.ndarray:
@@ -278,18 +296,19 @@ def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool) -
     return c * np.exp(lg + lpow) * lag / (2.0 * beta)
 
 
-def _ruben_poles(eff: EffectiveForm, beta: float):
+def _ruben_poles(red: ReducedForm, beta: float):
     """c0, the poles a_i and delta_i = prod_{j!=i} (a_i - a_j) of the majorant
     |c_k| <= c0 [theta^k] prod_i (1 - a_i theta)^(-1) of the central
     even-count chi-square expansion.
 
-    a_i = xi_{2i-1}, where xi = |1 - beta/lam| sorted descending is paired
-    consecutively.  A pole at 0 is the factor 1 and is left out, so when
-    every weight equals beta there are none and the remainder is exactly 0;
-    so is a pole below 1e-9 of the largest, whose share of the remainder is
-    below 1e-9^K and which the tie-break below could not separate.
+    a_i = xi_{2i-1}, where xi = |1 - beta/lam| over the form's variables,
+    sorted descending, is paired consecutively.  A pole at 0 is the factor 1
+    and is left out, so when every weight equals beta there are none and
+    the remainder is exactly 0; so is a pole below 1e-9 of the largest,
+    whose share of the remainder is below 1e-9^K and which the tie-break
+    below could not separate.
     """
-    lam = eff.lam
+    lam = _variables(red)[0]
     c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
     xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
     reps = xi[0::2].astype(float)
@@ -311,24 +330,25 @@ def _ruben_poles(eff: EffectiveForm, beta: float):
     return c0, reps, np.prod(diff, axis=1)
 
 
-def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q, poles=None):
+def ruben_truncation_bound(red: ReducedForm, beta: float, k_trunc: int, q, poles=None):
     """Rigorous bound on the chi-square-expansion *density* truncation error
-    for central forms with an even variable count (q scalar or array).
+    for central forms with an even number of variables, Sum nu (q scalar or
+    array).
 
     Uses |c_k| <= c0 * [theta^k] prod_{i<=N/2} (1 - xi_{2i-1} theta)^{-1}
     (xi = |1 - beta/lam| sorted descending, paired consecutively) and the
     Poisson-tail identity to sum the remainder in closed form.  poles is
-    _ruben_poles(eff, beta) when already computed.
+    _ruben_poles(red, beta) when already computed.
     """
-    _require_positive_definite(eff, "truncation bound")
-    if np.any(eff.h2 != 0.0):
+    _require_positive_definite(red, "truncation bound")
+    if np.any(red.delta2 != 0.0):
         raise NotApplicableError("bound requires a central form", condition="central")
-    if eff.n_terms % 2 != 0:
+    if red.total_dof % 2 != 0:
         raise NotApplicableError(
             "bound requires an even number of variables", condition="even count"
         )
-    c0, reps, delta = poles if poles is not None else _ruben_poles(eff, beta)
-    m = k_trunc + eff.n_terms // 2 - 1
+    c0, reps, delta = poles if poles is not None else _ruben_poles(red, beta)
+    m = k_trunc + red.total_dof // 2 - 1
     b = 2.0 * beta
     qs = np.asarray(q, dtype=float)
     total = np.zeros(qs.shape)
@@ -342,15 +362,12 @@ def ruben_truncation_bound(eff: EffectiveForm, beta: float, k_trunc: int, q, pol
     return float(out) if qs.ndim == 0 else out
 
 
-def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: np.ndarray,
-                          poles):
+def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, x: np.ndarray, poles):
     """Rigorous CDF remainder bound for the central even-count chi-square
     expansion at the points x: sum_{k>K} |c_k| F(...) <= F_{K+1}-term *
-    geometric tail, with poles = _ruben_poles(eff, coeffs.beta).  None when
+    geometric tail, with poles = _ruben_poles(red, coeffs.beta).  None when
     the majorant does not converge."""
-    if np.any(eff.h2 != 0.0) or eff.n_terms % 2 != 0:
-        return None
-    n = eff.n_terms
+    n = coeffs.n_vars
     k_trunc = coeffs.c.shape[0] - 1
     c0, reps, delta = poles
     if np.any(reps >= 1.0):
@@ -359,18 +376,22 @@ def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, eff: EffectiveForm, x: np.
     return abs(c0 * geo) * _chi2_cdf(n + 2 * (k_trunc + 1), x / coeffs.beta)
 
 
-def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
-                     tol: float, cumulative: bool, plan=None):
+def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: bool, plan):
     """Series CDF/PDF at a scalar q, or at every point of an array.
 
-    The points share the coefficients and the remainder bound's poles, read
-    from ``plan`` when one is given (its poles at the default beta only).
-    Each keeps the truncation K that its own 64 -> 130 -> ... doubling
-    picks: a point leaves the batch once it converges.  A scalar q raises a
-    point's failure; an array returns it in that point's slot.
+    The points share the plan's coefficient sets and remainder poles (a
+    plan of this call only when none is given).  A negative definite form
+    is evaluated as its negation, ``plan.series_form``, at -q: its CDF is
+    1 - F(-q) and its density f(-q).  Each point keeps the truncation K
+    that its own 64 -> 130 -> ... doubling picks: a point leaves the batch
+    once it converges.  A scalar q raises a point's failure; an array
+    returns it in that point's slot.
     """
+    plan = _own_plan(red, plan)
+    negative = plan.cls.definiteness == "negative"
+    pos = plan.series_form
     qs = np.asarray(q, dtype=float)
-    xs = np.atleast_1d(qs) - eff.const
+    xs = (-np.atleast_1d(qs) if negative else np.atleast_1d(qs)) - pos.const
     name = f"{kind}_{'cdf' if cumulative else 'pdf'}"
     out: list = [None] * xs.size
     for i in np.flatnonzero(xs <= 0.0):
@@ -378,7 +399,8 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
                               {"raw_value": 0.0, "note": "below support"})
     active = np.flatnonzero(xs > 0.0)
     if kind == "kotz" and active.size:
-        k1 = float(np.sum(eff.lam * (1.0 + eff.h2)))
+        lam, h2 = _variables(pos)
+        k1 = float(np.sum(lam * (1.0 + h2)))
         far = xs[active] > KOTZ_MAX_Q_FACTOR * max(k1, 0.0)
         for i in active[far]:
             out[i] = NotApplicableError(
@@ -387,12 +409,8 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
                 condition="q range",
             )
         active = active[~far]
-    # the plan's coefficient sets and poles, or this call's own
-    expansion = (plan.coefficients if plan is not None
-                 else lambda *key: series_coefficients(eff, *key))
-    poles = plan.ruben_poles if plan is not None and kind == "ruben" and beta is None else None
-    coeffs = expansion(kind, beta, 64) if active.size else None
-    central_even = bool(np.all(eff.h2 == 0.0)) and eff.n_terms % 2 == 0
+    poles = plan.ruben_poles if kind == "ruben" else None
+    coeffs = plan.coefficients(kind, None, 64) if active.size else None
     while active.size:
         x = xs[active]
         terms = _series_terms(coeffs, x, cumulative)
@@ -403,11 +421,9 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
         bound, provenance = heuristic_bound, "heuristic"
         if kind == "ruben":
             rig = None
-            if central_even:
-                if poles is None:
-                    poles = _ruben_poles(eff, coeffs.beta)
-                rig = (_ruben_cdf_tail_bound(coeffs, eff, x, poles) if cumulative
-                       else ruben_truncation_bound(eff, coeffs.beta, k_used, x, poles))
+            if poles is not None:
+                rig = (_ruben_cdf_tail_bound(coeffs, x, poles) if cumulative
+                       else ruben_truncation_bound(pos, coeffs.beta, k_used, x, poles))
             if rig is not None:
                 bound, provenance = rig, "rigorous"
             elif cumulative:
@@ -433,24 +449,38 @@ def _evaluate_series(eff: EffectiveForm, q, kind: str, beta: float | None,
                 )
             break
         active = active[~done]
-        coeffs = expansion(kind, coeffs.beta, min(2 * (k_used + 1), K_MAX))
+        coeffs = plan.coefficients(kind, coeffs.beta, min(2 * (k_used + 1), K_MAX))
+    if negative:
+        out = [res if isinstance(res, Exception) else _mirrored(res, cumulative)
+               for res in out]
     return one_or_all(out, qs.ndim == 0)
 
 
-def cdf_series(eff: EffectiveForm, q, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10, plan=None):
-    """Truncated-series CDF of a positive definite form at q.
+def _mirrored(res: MethodResult, cumulative: bool) -> MethodResult:
+    """A result of the negated form at -q as one of the form at q."""
+    diagnostics = dict(res.diagnostics, negated=True)
+    if not cumulative:
+        return MethodResult(res.value, res.error_bound, res.method, res.provenance,
+                            diagnostics)
+    # P(Q <= q) = P(-Q >= -q); the negated form is continuous
+    diagnostics["raw_value"] = 1.0 - res.diagnostics["raw_value"]
+    return MethodResult(1.0 - res.value, res.error_bound, res.method, res.provenance,
+                        diagnostics)
+
+
+def cdf_series(red: ReducedForm, q, kind: str = "ruben", tol: float = 1e-10, plan=None):
+    """Truncated-series CDF of a definite form at q.
 
     q may be an array: one entry per point, a MethodResult or the error
     (ConvergenceFailureError, NotApplicableError) that point alone raised.
-    plan is a ``select.Plan`` whose series form is eff, to reuse its
-    remainder poles and coefficient sets; results do not depend on it.
+    plan is a ``select.Plan`` of red, to reuse its remainder poles and
+    coefficient sets; results do not depend on it.  A negative definite
+    form's results carry diagnostics["negated"].
     """
-    return _evaluate_series(eff, q, kind, beta, tol, True, plan)
+    return _evaluate_series(red, q, kind, tol, True, plan)
 
 
-def pdf_series(eff: EffectiveForm, q, kind: str = "ruben",
-               beta: float | None = None, tol: float = 1e-10, plan=None):
-    """Truncated-series PDF of a positive definite form at q (scalar or
-    array, plan as for cdf_series)."""
-    return _evaluate_series(eff, q, kind, beta, tol, False, plan)
+def pdf_series(red: ReducedForm, q, kind: str = "ruben", tol: float = 1e-10, plan=None):
+    """Truncated-series PDF of a definite form at q (scalar or array, plan
+    as for cdf_series)."""
+    return _evaluate_series(red, q, kind, tol, False, plan)

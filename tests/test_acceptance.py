@@ -38,8 +38,8 @@ def test_criterion_01_paper_example_reproduction():
     eff = qf.reduce_real(qf.RawForm(a1, np.zeros(4), 0.0,
                                     np.array([0.0, 1, 0, 1]), sigma))
     errs = [
-        abs(eff.lam[0] - 2.0), abs(eff.lam[1] + 2.0),
-        abs(eff.h2[0] - 0.125), abs(eff.h2[1] - 0.125),
+        abs(eff.omega[0] - 2.0), abs(eff.omega[1] + 2.0),
+        abs(eff.delta2[0] - 0.125), abs(eff.delta2[1] - 0.125),
         abs(eff.sigma_gauss - 2.0), abs(eff.const - 1.0),
     ]
 
@@ -101,7 +101,7 @@ def test_criterion_03_cross_method_agreement():
             assert gap <= allowed, (i, q, gap, allowed)
             worst_pair = max(worst_pair, gap)
             if pd_central:
-                rb = qf.cdf_series(red.effective(), q, "ruben", tol=1e-10)
+                rb = qf.cdf_series(red, q, "ruben", tol=1e-10)
                 d1 = abs(rb.value - a.value)
                 d2 = abs(rb.value - b.value)
                 assert d1 < 1e-8 and d2 < 1e-8, (i, q, d1, d2)
@@ -190,7 +190,7 @@ def test_criterion_05_monte_carlo_consistency():
             if red.sigma_gauss == 0.0:
                 values["imhof"] = best_effort(qf.cdf_imhof, red, q, tol=1e-7).value
                 if cls.definiteness == "positive":
-                    values["ruben"] = qf.cdf_series(red.effective(), q, "ruben",
+                    values["ruben"] = qf.cdf_series(red, q, "ruben",
                                                     tol=1e-9).value
                 if cls.centrality == "central" and cls.even_degrees:
                     values["central_even"] = qf.cdf_central_even(red, q).value
@@ -246,7 +246,7 @@ def test_criterion_06_moment_matching_exactness():
         except qf.NotApplicableError:
             continue
         q95 = qf.quantile(red, 0.95, tol=1e-9)
-        ref = qf.cdf_series(red.effective(), q95, "ruben", tol=1e-11).value
+        ref = qf.cdf_series(red, q95, "ruben", tol=1e-11).value
         errs = {f: abs(qf.cdf_matched(red, q95, f).value - ref)
                 for f in ("satterthwaite", "wood", "hbe")}
         wood_wins += errs["wood"] < errs["satterthwaite"]

@@ -338,6 +338,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_ratio_density_names_itself_when_it_refuses(self, capsys, tmp_path):
+        # mu outside the range of a singular Sigma
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({
+            "kind": "ratio", "a": [[0.4, 0.3, -0.2], [0.3, -0.6, 0.5], [-0.2, 0.5, 0.1]],
+            "b": [[1, 0.2, 0], [0.2, 0.8, 0.1], [0, 0.1, 0.5]], "mu": [0.2, -0.1, 0.5],
+            "sigma_mat": [[1, 0, 0], [0, 2, 0], [0, 0, 0]]}))
+        code, _, err = run_cli(capsys, "ratio-pdf", "--r", "0.1", str(path))
+        assert code == 2 and "saddlepoint density" in err
+        code, _, err = run_cli(capsys, "ratio-moment", "--p", "1", str(path))
+        assert code == 2 and "moment methods" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "cdf", "--q", "1", "/nonexistent.json")
         assert code == 2

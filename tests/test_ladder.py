@@ -83,7 +83,8 @@ def _old_evaluate(plan, xs, method, tol, quantity, auto):
                         dict(res.diagnostics, central_even_bound=out[i].error_bound))
         return out
     if method in ("ruben", "kotz", "laguerre"):
-        return select._definite_series(plan, xs, method, tol, cumulative)
+        fn = series.cdf_series if cumulative else series.pdf_series
+        return fn(red, xs, method, tol, plan)
     if method == "imhof":
         fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
         if cumulative and auto:
@@ -293,6 +294,31 @@ class TestSupportRule:
                 assert res.provenance == "exact"
                 expect = (1.0 if upper else 0.0) if quantity == "cdf" else 0.0
                 assert res.value == expect
+
+    @pytest.mark.parametrize("red,limit", [
+        (qf.ReducedForm([1.0], [2], [0.0]), 0.5),
+        (qf.ReducedForm([1.0], [1], [0.0]), math.inf),
+        (qf.ReducedForm([1.0, 0.5], [1, 1], [0.5, 0.0]), math.exp(-0.25) / (2 * math.sqrt(0.5))),
+        (qf.ReducedForm([2.0], [2], [0.6], 0.0, 1.5), math.exp(-0.3) / 4.0),
+        (qf.ReducedForm([-1.0, -0.5], [1, 1], [0.5, 0.0], 0.0, 0.3),
+         math.exp(-0.25) / (2 * math.sqrt(0.5))),
+        (qf.ReducedForm([-1.0], [1], [0.2], 0.0, -2.0), math.inf),
+        (qf.ReducedForm([2.0], [3], [0.0]), 0.0),
+    ])
+    def test_density_at_a_finite_edge_is_the_limit_from_inside(self, red, limit):
+        lo, hi = transforms.support(red)
+        edge = lo if math.isfinite(lo) else hi
+        for res in (select.pdf(red, edge), select.pdf(red, np.array([edge]))[0]):
+            assert res.value == pytest.approx(limit, rel=1e-15)
+            assert (res.method, res.provenance, res.error_bound) == ("support", "exact", 0.0)
+        for q in (-math.inf, math.inf):
+            assert select.pdf(red, q).value == 0.0
+        inside = edge + (1e-9 if math.isfinite(lo) else -1e-9)
+        near = select.pdf(red, inside, "ruben").value
+        if math.isinf(limit):
+            assert near > 1e3
+        else:
+            assert near == pytest.approx(limit, rel=1e-6, abs=1e-5)
 
     def test_point_mass(self):
         red = qf.ReducedForm([], [], [], 0.0, 0.7)

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 import quadform as qf
 from quadform import approx, ratio, reduction, transforms
-from quadform.forms import ZERO_EIG_TOL, EffectiveForm
+from quadform.forms import ZERO_EIG_TOL
 
 
 CAUCHY = qf.RatioSpec([[0.0, 0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
@@ -228,7 +228,7 @@ def _scalar_butler(a, b, mu, r):
     if not np.any(nonzero):
         raise qf.NotApplicableError("A - rB vanishes")
     red = reduction.group_eigenvalues(
-        EffectiveForm(lam_full[nonzero], delta[nonzero] ** 2, 0.0, 0.0)
+        qf.ReducedForm(lam_full[nonzero], [1] * int(nonzero.sum()), delta[nonzero] ** 2)
     )
     sol = approx.saddlepoint_solve(red, 0.0)
     g = 1.0 / (1.0 - 2.0 * sol.t0 * lam_full)

@@ -115,23 +115,23 @@ class TestPsdVerdict:
 class TestReduceReal:
     def test_paper_example_one(self):
         eff = qf.reduce_real(FORM_EX1)
-        assert np.allclose(eff.lam, [2.0, -2.0], atol=1e-10)
-        assert np.allclose(eff.h2, [0.125, 0.125], atol=1e-10)
+        assert np.allclose(eff.omega, [2.0, -2.0], atol=1e-10)
+        assert np.allclose(eff.delta2, [0.125, 0.125], atol=1e-10)
         assert abs(eff.sigma_gauss - 2.0) < 1e-10
         assert abs(eff.const - 1.0) < 1e-10
 
     def test_standard_chi2(self):
         eff = qf.reduce_real(qf.RawForm(np.eye(2), np.zeros(2), 0.0,
                                         np.zeros(2), np.eye(2)))
-        assert np.allclose(eff.lam, [1.0, 1.0])
-        assert np.allclose(eff.h2, 0.0)
+        assert np.allclose(eff.omega, [1.0, 1.0])
+        assert np.allclose(eff.delta2, 0.0)
         assert eff.sigma_gauss == 0.0 and eff.const == 0.0
 
     def test_paper_example_two(self):
         eff = qf.reduce_real(FORM_EX2)
-        assert np.allclose(eff.lam, [25.0, 25.0, -25.0], atol=1e-9)
-        assert np.allclose(sorted(eff.h2[:2]), sorted([961 / 625, 9 / 25]), atol=1e-10)
-        assert abs(eff.h2[2] - 64 / 625) < 1e-10
+        assert np.allclose(eff.omega, [25.0, 25.0, -25.0], atol=1e-9)
+        assert np.allclose(sorted(eff.delta2[:2]), sorted([961 / 625, 9 / 25]), atol=1e-10)
+        assert abs(eff.delta2[2] - 64 / 625) < 1e-10
         assert eff.sigma_gauss == 0.0
         assert abs(eff.const + 1122 / 25) < 1e-10
 
@@ -152,16 +152,73 @@ class TestGrouping:
         assert abs(red.const + 1122 / 25) < 1e-10
 
     def test_distinct_unchanged(self):
-        eff = qf.EffectiveForm([3.0, 1.0], [0.1, 0.2], 0.0, 0.0)
+        eff = qf.ReducedForm([3.0, 1.0], [1, 1], [0.1, 0.2])
         red = qf.group_eigenvalues(eff)
         assert np.allclose(red.omega, [3.0, 1.0])
         assert list(red.nu) == [1, 1]
 
     def test_tolerance_merges(self):
-        eff = qf.EffectiveForm([1.0, 1.0 + 1e-13], [0.0, 0.0], 0.0, 0.0)
+        eff = qf.ReducedForm([1.0, 1.0 + 1e-13], [1, 1], [0.0, 0.0])
         red = qf.group_eigenvalues(eff)
         assert red.n_groups == 1
         assert list(red.nu) == [2]
+
+
+def _grouped_by_count(lam, h2):
+    """The grouping of ungrouped weights by cluster size: the mean weight,
+    the count and the summed noncentrality of each run of weights closer
+    than GROUP_TOL * max|lam| (the oracle for grouping a nu = 1 form)."""
+    order = np.argsort(-lam, kind="stable")
+    lam, h2 = lam[order], h2[order]
+    split = np.abs(np.diff(lam)) > qf.reduction.GROUP_TOL * float(np.max(np.abs(lam)))
+    starts = np.flatnonzero(np.concatenate([[True], split]))
+    nu = np.diff(np.append(starts, lam.size))
+    at = starts + np.arange(starts.size)
+    omega = np.add.reduceat(np.insert(lam, starts, 0.0), at) / nu
+    return omega, nu, np.add.reduceat(np.insert(h2, starts, 0.0), at)
+
+
+class TestEffectiveForm:
+    def _forms(self):
+        rng = make_rng(31)
+        forms = [FORM_EX1, FORM_EX2]
+        forms += [random_raw(rng, rank_deficient=bool(k % 2)) for k in range(20)]
+        for k in range(10):
+            # repeated eigenvalues, so that grouping merges weights
+            n = int(rng.integers(3, 9))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            w = rng.choice([-1.5, 0.5, 2.0], size=n)
+            forms.append(qf.RawForm(q @ np.diag(w) @ q.T, rng.standard_normal(n), 0.0,
+                                    rng.standard_normal(n), np.eye(n)))
+        return forms
+
+    def test_reduce_real_has_unit_dofs(self):
+        for form in self._forms():
+            eff = qf.reduce_real(form)
+            assert eff.nu.dtype.kind == "i" and np.all(eff.nu == 1)
+            assert np.all(np.diff(eff.omega) <= 0.0)
+
+    def test_grouping_it_is_reduce_raw_bit_for_bit(self):
+        merged = 0
+        for form in self._forms():
+            eff = qf.reduce_real(form)
+            red = qf.group_eigenvalues(eff)
+            ref = qf.reduce_raw(form)
+            omega, nu, delta2 = _grouped_by_count(eff.omega, eff.delta2)
+            for got in (red, ref):
+                assert np.array_equal(got.omega, omega) and np.array_equal(got.nu, nu)
+                assert np.array_equal(got.delta2, delta2)
+                assert (got.sigma_gauss, got.const) == (eff.sigma_gauss, eff.const)
+            merged += red.n_groups < eff.n_groups
+        assert merged >= 10
+
+    def test_grouped_input_weighs_by_nu(self):
+        red = qf.group_eigenvalues(
+            qf.ReducedForm([1.0 + 1e-13, 3.0, 1.0], [1, 1, 2], [0.2, 0.3, 0.1], 0.5, 1.0))
+        assert np.allclose(red.omega, [3.0, (1.0 + 1e-13 + 2.0) / 3.0], rtol=1e-15)
+        assert list(red.nu) == [1, 3]
+        assert np.allclose(red.delta2, [0.3, 0.3], rtol=1e-15)
+        assert (red.sigma_gauss, red.const) == (0.5, 1.0)
 
 
 class TestReduceComplex:
@@ -261,7 +318,7 @@ class TestInvariants:
             except qf.DegenerateConstantError:
                 continue
             red = qf.group_eigenvalues(eff)
-            assert red.total_dof == eff.n_terms
+            assert red.total_dof == eff.total_dof == eff.n_groups
             lhs = float(np.sum(red.omega * (red.nu + red.delta2)) + red.const)
             rhs = float(form.mu @ form.a @ form.mu + form.b @ form.mu + form.c
                         + np.trace(form.a @ form.sigma_mat))

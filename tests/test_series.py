@@ -9,11 +9,15 @@ from scipy import integrate, stats
 
 import quadform as qf
 from quadform import select, series
-from quadform.forms import EffectiveForm
 from quadform.series import (_exp_series, _require_central_even, _ruben_poles,
                              default_beta)
 
 from conftest import make_rng
+
+
+def effective(lam, h2, sigma=0.0, const=0.0):
+    """The effective form of the weights lam: one chi2_1(h2) per weight."""
+    return qf.ReducedForm(lam, [1] * len(lam), h2, sigma, const)
 
 
 def _alt_partial_fractions(red):
@@ -178,45 +182,45 @@ class TestCentralEven:
 
 class TestSeriesCoefficients:
     def test_ruben_collapse_single_weight(self):
-        eff = qf.EffectiveForm([2.0] * 3, [0.0] * 3, 0.0, 0.0)
+        eff = effective([2.0] * 3, [0.0] * 3, 0.0, 0.0)
         co = qf.series_coefficients(eff, "ruben", beta=2.0, k_terms=10)
         assert abs(co.c[0] - 1.0) < 1e-14
         assert np.allclose(co.c[1:], 0.0, atol=1e-15)
         assert np.allclose(co.d, 0.0, atol=1e-15)
         # noncentral with beta = lam: only the noncentrality recursion survives
-        effn = qf.EffectiveForm([2.0] * 3, [0.5, 0.2, 0.0], 0.0, 0.0)
+        effn = effective([2.0] * 3, [0.5, 0.2, 0.0], 0.0, 0.0)
         con = qf.series_coefficients(effn, "ruben", beta=2.0, k_terms=10)
         assert abs(con.c[0] - math.exp(-0.5 * 0.7)) < 1e-14
 
     def test_ruben_mixture_mass(self):
-        eff = qf.EffectiveForm([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         co = qf.series_coefficients(eff, "ruben", beta=2.0 / 3.0, k_terms=200)
         assert co.c.sum() >= 0.999999
 
     def test_kotz_leading_coefficient(self):
-        eff = qf.EffectiveForm([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         co = qf.series_coefficients(eff, "kotz", k_terms=4)
         assert abs(co.c[0] - 1.0 / math.sqrt(2.0)) < 1e-14
 
     def test_not_applicable(self):
-        indef = qf.EffectiveForm([1.0, -1.0], [0.0, 0.0], 0.0, 0.0)
+        indef = effective([1.0, -1.0], [0.0, 0.0], 0.0, 0.0)
         with pytest.raises(qf.NotApplicableError):
             qf.series_coefficients(indef, "ruben")
-        gauss = qf.EffectiveForm([1.0], [0.0], 1.0, 0.0)
+        gauss = effective([1.0], [0.0], 1.0, 0.0)
         with pytest.raises(qf.NotApplicableError):
             qf.series_coefficients(gauss, "ruben")
 
     def test_cached_coefficients_keep_the_gaussian_check(self):
         # the cache key used to leave out sigma: the same weights without a
         # Gaussian term, expanded first, hid the NotApplicableError
-        qf.series_coefficients(qf.EffectiveForm([1.7], [0.0], 0.0, 0.0), "ruben")
+        qf.series_coefficients(effective([1.7], [0.0], 0.0, 0.0), "ruben")
         with pytest.raises(qf.NotApplicableError):
-            qf.series_coefficients(qf.EffectiveForm([1.7], [0.0], 1.0, 0.0), "ruben")
+            qf.series_coefficients(effective([1.7], [0.0], 1.0, 0.0), "ruben")
 
 
 class TestSeriesEvaluation:
     def test_ruben_vs_imhof(self):
-        eff = qf.EffectiveForm([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         red = qf.group_eigenvalues(eff)
         for q in (0.5, 1.0, 2.0, 4.0):
             rb = qf.cdf_series(eff, q, "ruben", tol=1e-10)
@@ -224,13 +228,13 @@ class TestSeriesEvaluation:
             assert abs(rb.value - im.value) < 1e-8
 
     def test_support_boundary(self):
-        eff = qf.EffectiveForm([1.0, 0.6, 0.2], [0.0] * 3, 0.0, 0.0)
+        eff = effective([1.0, 0.6, 0.2], [0.0] * 3, 0.0, 0.0)
         for kind in ("ruben", "kotz", "laguerre"):
             assert qf.cdf_series(eff, 0.0, kind).value == 0.0
             assert qf.pdf_series(eff, 0.0, kind).value == 0.0
 
     def test_noncentral_vs_monte_carlo(self):
-        eff = qf.EffectiveForm([1.0, 1.0], [1.0, 1.0], 0.0, 0.0)
+        eff = effective([1.0, 1.0], [1.0, 1.0], 0.0, 0.0)
         red = qf.group_eigenvalues(eff)
         draws = qf.reference.sample_reduced(red, 10**7, seed=77) \
             if hasattr(qf, "reference") else None
@@ -244,7 +248,7 @@ class TestSeriesEvaluation:
             assert abs(val - mc) < 3.0 * se + 1e-9
 
     def test_all_kinds_agree(self):
-        eff = qf.EffectiveForm([1.3, 0.9, 0.4], [0.5, 0.0, 1.0], 0.0, 0.2)
+        eff = effective([1.3, 0.9, 0.4], [0.5, 0.0, 1.0], 0.0, 0.2)
         for q in (1.0, 3.0, 7.0):
             ref = qf.cdf_series(eff, q, "ruben", tol=1e-11).value
             for kind in ("kotz", "laguerre"):
@@ -254,12 +258,12 @@ class TestSeriesEvaluation:
                 assert abs(qf.pdf_series(eff, q, kind, tol=1e-11).value - pref) < 1e-9
 
     def test_kotz_far_tail_rejected(self):
-        eff = qf.EffectiveForm([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         with pytest.raises(qf.NotApplicableError):
             qf.cdf_series(eff, 100.0, "kotz")
 
     def test_pdf_nonnegative_and_normalized(self):
-        eff = qf.EffectiveForm([1.0, 0.4], [0.3, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.4], [0.3, 0.0], 0.0, 0.0)
         grid = np.linspace(0.0, 30.0, 100)
         vals = np.array([qf.pdf_series(eff, float(x), "ruben", tol=1e-10).value
                          for x in grid])
@@ -271,24 +275,70 @@ class TestSeriesEvaluation:
         assert abs(mass - 1.0) < 1e-4
 
     def test_cdf_monotone(self):
-        eff = qf.EffectiveForm([1.0, 0.4], [0.3, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.4], [0.3, 0.0], 0.0, 0.0)
         grid = np.linspace(0.0, 20.0, 100)
         vals = [qf.cdf_series(eff, float(x), "ruben", tol=1e-10).value for x in grid]
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_central_even_matches_ruben(self):
         red = qf.ReducedForm([1.5, 0.5], [2, 4], [0.0, 0.0])
-        eff = red.effective()
         for q in (0.5, 2.0, 6.0):
             a = qf.cdf_central_even(red, q).value
-            b = qf.cdf_series(eff, q, "ruben", tol=1e-11).value
+            b = qf.cdf_series(red, q, "ruben", tol=1e-11).value
             assert abs(a - b) < 1e-8
 
 
-def _loop_ruben_poles(eff, beta):
+class TestDefiniteForms:
+    NEGATIVE = qf.ReducedForm([-1.5, -0.7], [1, 2], [0.5, 0.0], 0.0, 0.4)
+    POSITIVE = qf.ReducedForm([1.5, 0.7], [1, 2], [0.5, 0.0], 0.0, -0.4)
+    POINTS = np.array([-8.0, -2.0, -0.3, 0.3999, 0.4, 1.0])
+
+    @pytest.mark.parametrize("kind", ["ruben", "kotz", "laguerre"])
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_negative_definite_equals_select(self, kind, quantity):
+        fn = series.cdf_series if quantity == "cdf" else series.pdf_series
+        route = select.cdf if quantity == "cdf" else select.pdf
+        got = fn(self.NEGATIVE, self.POINTS, kind, 1e-8)
+        assert got == route(self.NEGATIVE, self.POINTS, kind, 1e-8)
+        # the negation at -q: F(q) = 1 - F_-(-q), f(q) = f_-(-q)
+        mirror = fn(self.POSITIVE, -self.POINTS, kind, 1e-8)
+        for res, pos in zip(got, mirror):
+            assert res.diagnostics["negated"] is True
+            assert res.method == pos.method and res.error_bound == pos.error_bound
+            if quantity == "cdf":
+                assert res.value == 1.0 - pos.value
+                assert res.diagnostics["raw_value"] == 1.0 - pos.diagnostics["raw_value"]
+            else:
+                assert res.value == pos.value
+        assert got[-1].value == (1.0 if quantity == "cdf" else 0.0)
+
+    @pytest.mark.parametrize("red", [
+        qf.ReducedForm([1.5, 0.5], [2, 4], [0.0, 0.0]),     # rigorous remainder
+        qf.ReducedForm([1.3, 0.9, 0.4], [1, 2, 1], [0.5, 0.0, 1.0], 0.0, 0.2),
+        NEGATIVE,
+    ])
+    @pytest.mark.parametrize("kind", ["ruben", "laguerre"])
+    def test_planless_call_equals_planned(self, red, kind):
+        qs = np.linspace(-6.0, 6.0, 13)
+        for fn in (series.cdf_series, series.pdf_series):
+            assert fn(red, qs, kind) == fn(red, qs, kind, plan=select.Plan(red))
+            assert fn(red, 1.7, kind) == fn(red, 1.7, kind, plan=select.Plan(red))
+
+    def test_grouped_equals_effective(self):
+        # the grouped form and its nu = 1 expansion are one distribution
+        red = qf.ReducedForm([1.5, 0.5], [2, 3], [0.4, 0.0])
+        eff = effective([1.5, 1.5, 0.5, 0.5, 0.5], [0.4, 0.0, 0.0, 0.0, 0.0])
+        for fn in (series.cdf_series, series.pdf_series):
+            for a, b in zip(fn(red, np.array([0.5, 2.0, 7.0])),
+                            fn(eff, np.array([0.5, 2.0, 7.0]))):
+                assert a.value == pytest.approx(b.value, rel=1e-12)
+                assert a.diagnostics["k_truncation"] == b.diagnostics["k_truncation"]
+
+
+def _loop_ruben_poles(red, beta):
     """_ruben_poles with a scan of every earlier pole per tie-break step and
     one product per pole: the oracle for it."""
-    lam = eff.lam
+    lam = np.repeat(red.omega, red.nu)
     c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
     xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
     reps = xi[0::2].astype(float)
@@ -305,16 +355,15 @@ class TestTruncationBound:
         if case == "random":
             # nu = 4 groups give tied poles
             red = qf.ReducedForm(make_rng(5).uniform(0.2, 3.0, 40), [2, 4] * 20, [0.0] * 40)
-            eff = red.effective()
-            beta = default_beta(eff, "ruben")
+            beta = default_beta(red, "ruben")
         else:
             # poles xi = 1 - beta/lam: a run of ties next to a pole half a
             # shrink step away, which the shrunk ties pass
             beta = 0.5
             xi = [0.9] * 8 + [0.9 * (1 - 0.5e-7)] * 2 + [0.6] * 4 + [0.3, 0.2]
-            eff = EffectiveForm(beta / (1.0 - np.array(xi)), np.zeros(len(xi)), 0.0, 0.0)
-        c0, reps, delta = _ruben_poles(eff, beta)
-        c0_loop, reps_loop, delta_loop = _loop_ruben_poles(eff, beta)
+            red = effective(beta / (1.0 - np.array(xi)), np.zeros(len(xi)))
+        c0, reps, delta = _ruben_poles(red, beta)
+        c0_loop, reps_loop, delta_loop = _loop_ruben_poles(red, beta)
         assert c0 == c0_loop and np.array_equal(reps, reps_loop)
         assert len(set(reps)) == reps.size
         # the same factors with an exact 1 in place of the own pole; the
@@ -323,7 +372,7 @@ class TestTruncationBound:
         assert np.all(np.abs(delta - delta_loop) <= reps.size * eps * np.abs(delta_loop))
 
     def test_bound_vanishes_with_k(self):
-        eff = qf.EffectiveForm([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         beta = 2.0 / 3.0
         bounds = [qf.ruben_truncation_bound(eff, beta, k, 2.0)
                   for k in (5, 10, 20, 40, 80, 160)]
@@ -331,13 +380,13 @@ class TestTruncationBound:
         assert bounds[-1] < 1e-12
 
     def test_bound_dominates_actual_error(self):
-        eff = qf.EffectiveForm([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
+        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         beta = 2.0 / 3.0
         k_trunc = 50
         co = qf.series_coefficients(eff, "ruben", beta, k_terms=2000)
         q = 2.0
         kk = np.arange(2001)
-        terms = co.c * stats.chi2.pdf(q / beta, eff.n_terms + 2 * kk) / beta
+        terms = co.c * stats.chi2.pdf(q / beta, eff.total_dof + 2 * kk) / beta
         actual = abs(terms[k_trunc + 1:].sum())
         bound = qf.ruben_truncation_bound(eff, beta, k_trunc, q)
         assert actual <= bound
@@ -346,8 +395,8 @@ class TestTruncationBound:
         # same extreme eigenvalues (same beta, same convergence radius);
         # better-separated interior eigenvalues give the smaller bound
         beta = 2 * 1.0 * 0.1 / 1.1
-        spread = qf.EffectiveForm([1.0, 0.7, 0.4, 0.1], [0.0] * 4, 0.0, 0.0)
-        clustered = qf.EffectiveForm([1.0, 0.98, 0.12, 0.1], [0.0] * 4, 0.0, 0.0)
+        spread = effective([1.0, 0.7, 0.4, 0.1], [0.0] * 4, 0.0, 0.0)
+        clustered = effective([1.0, 0.98, 0.12, 0.1], [0.0] * 4, 0.0, 0.0)
         for k in (20, 40, 80):
             b_spread = qf.ruben_truncation_bound(spread, beta, k, 2.0)
             b_clustered = qf.ruben_truncation_bound(clustered, beta, k, 2.0)

@@ -13,13 +13,17 @@ CHI22 = qf.ReducedForm([1.0], [2], [0.0])
 EX2 = qf.ReducedForm([25.0, -25.0], [2, 1], [1186 / 625, 64 / 625], 0.0, -1122 / 25)
 
 
-def effective_mgf(eff, t):
-    """Direct evaluation over the ungrouped representation (independent route)."""
-    g = 1.0 - 2.0 * eff.lam * t
+def effective_mgf(red, t):
+    """Direct evaluation over one chi2_1 per degree of freedom, each group's
+    noncentrality on its first (independent route)."""
+    lam = np.repeat(red.omega, red.nu)
+    h2 = np.zeros(lam.size)
+    h2[np.cumsum(red.nu) - red.nu] = red.delta2
+    g = 1.0 - 2.0 * lam * t
     return math.exp(
-        t * float(np.sum(eff.h2 * eff.lam / g))
-        + 0.5 * (eff.sigma_gauss * t) ** 2
-        + eff.const * t
+        t * float(np.sum(h2 * lam / g))
+        + 0.5 * (red.sigma_gauss * t) ** 2
+        + red.const * t
         - 0.5 * float(np.sum(np.log(g)))
     )
 
@@ -34,9 +38,8 @@ class TestMgf:
             assert qf.mgf(red, 0.0) == 1.0
 
     def test_reduced_equals_effective_route(self):
-        eff = EX2.effective()
         t = 0.005
-        assert abs(qf.mgf(EX2, t) - effective_mgf(eff, t)) < 1e-12 * qf.mgf(EX2, t)
+        assert abs(qf.mgf(EX2, t) - effective_mgf(EX2, t)) < 1e-12 * qf.mgf(EX2, t)
 
     def test_domain(self):
         assert qf.mgf_domain(qf.ReducedForm([2.0, -2.0], [1, 1], [0, 0])) == \
