@@ -377,19 +377,14 @@ def _imhof_grid(red: ReducedForm, x: float, params: ImhofParams | None, tol: flo
     With ``params`` the grid is fixed: one halved-grid pass first, so a
     Richardson estimate is available, then doubling up to the requested
     panels.  Otherwise U is the first rung whose ``tail`` bound is at most
-    tol/2 (rung 0, U = 1, when ``tail`` is None), and panels double from
-    ``_start_panels`` until the Richardson estimate meets the target.
+    tol/2, and panels double from ``_start_panels`` until the Richardson
+    estimate meets the target.
     """
     if params is not None:
         rung = _Rung(red, params.u_max, _tail_form(red))
         return (rung, _tail(rung, x), max(params.panels // 2, 2), max(params.panels, 4),
                 -math.inf)
-    plan = _own_plan(red, plan)
-    if tail is None:
-        rung = plan.rung(0)
-        rec = _tail(rung, x)
-    else:
-        rung, rec = _imhof_pick_u(plan, tol, x, tail, u_cap)
+    rung, rec = _imhof_pick_u(_own_plan(red, plan), tol, x, tail, u_cap)
     # drive the quadrature below the tail target: the oscillatory tail
     # cancels far below T_U, so a tight grid keeps the value accurate even
     # when the reported (conservative) bound is dominated by T_U
@@ -447,18 +442,19 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     the smallest of them is at most tol/2.  The reported bound combines the
     integrable part of the modulus tail (valid when sum(nu) > 2) with a
     Richardson estimate; flagged heuristic since the oscillatory tail has
-    no tight closed bound.  At x = 0 with sum(nu) <= 2 no bound applies at
-    any U (the slope floor is 0), so U stays 1 and the bound is inf.  Two
-    one-dof groups of opposite signs have a pole there (two x^(-1/2)
+    no tight closed bound.  At a finite end of the support the density is
+    the exact limit from inside (``transforms.support_density``).  Two
+    one-dof groups of opposite signs have a pole at x = 0 (two x^(-1/2)
     singularities convolve to a log), and the density is exactly inf.
     ``plan`` as for cdf_imhof.
     """
     _require_no_gaussian(red, "imhof PDF")
+    if math.isfinite(q) and q in transforms.support(red):
+        return transforms.support_density(red, True, "imhof")
     x = q - red.const
     if x == 0.0 and red.nu.tolist() == [1, 1] and red.omega[0] * red.omega[1] < 0.0:
         return MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
-    tail = None if x == 0.0 and red.nu.sum() <= 2 else _pdf_tail
-    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, plan, tail, 1e7)
+    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, plan, _pdf_tail, 1e7)
     t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
     correct_tail = t_ibp_u < t_plain_u
     t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)

@@ -14,9 +14,15 @@ of K'_{Q_r} = 0 and J_r the tilted mean of the denominator form.  One
 batched kernel evaluates it from the pencil's eigenpairs with the
 library's one K'(t) = y solver (transforms._solve_cgf_prime, a
 safeguarded Newton iteration), one row of weights per threshold.  The
-normalising mass comes from a vectorised adaptive 21-point Gauss-Kronrod
-rule (QUADPACK's qk21) whose sweeps each evaluate all open panels in one
-kernel call; every density call computes its own mass.
+normalising mass is integrated over the ratio's support only: the
+interval of thresholds where A - rB takes both signs, its ends read from
+one eigendecomposition of B (``_support_ends``).  One map takes every
+support, bounded or not, to theta in [0, pi/2]: r = cot(phi) and
+phi = phi_lo + (phi_hi - phi_lo) sin^2(theta).  A vectorised adaptive
+21-point Gauss-Kronrod rule (QUADPACK's qk21), whose sweeps each evaluate
+all open panels in one kernel call, takes it to relative accuracy 1e-6,
+inside the approximation's own error; every density call computes its
+own mass.
 
 Moments: two routes, an infinite series in powers of (I - beta B) and a
 one-dimensional integral (Laplace representation of the denominator
@@ -177,17 +183,23 @@ def moment_exists(spec: RatioSpec, p: int) -> MomentExistence:
     return _whitened_existence(spec, p)[0]
 
 
+def _denominator_split(b):
+    """Eigenpairs (w, u) of a whitened B and the mask of its nonzero
+    eigenvalues, those above ZERO_EIG_TOL of the largest: u[:, keep] spans
+    the range of B and u[:, ~keep] its null space."""
+    w, u = np.linalg.eigh(b)
+    return w, u, w > ZERO_EIG_TOL * float(np.max(np.abs(w), initial=0.0))
+
+
 def _whitened_existence(spec: RatioSpec, p: int):
     """moment_exists(spec, p), the whitened (a, b, mu) it decided on and the
     eigenpairs (w, u) of that b."""
     if p < 1:
         raise InvalidInputError("moment order p must be a positive integer")
     a, b, mu = _whiten(spec)
-    w, u = np.linalg.eigh(b)
-    scale = float(np.max(np.abs(w), initial=0.0))
-    if scale <= 0.0:
+    w, u, keep = _denominator_split(b)
+    if not keep.any():
         raise InvalidInputError("denominator matrix is zero after whitening")
-    keep = w > ZERO_EIG_TOL * scale
     r_b = int(keep.sum())
     if r_b == b.shape[0]:
         return MomentExistence(True, "denominator positive definite", r_b), (a, b, mu, w, u)
@@ -572,28 +584,77 @@ def _gauss_kronrod(f, points, epsabs, epsrel, limit):
         err = np.concatenate([err[keep], new_err])
 
 
-def _spa_mass(a, b, mu) -> float:
-    """Total mass of the unnormalized Butler density (support folded onto
-    (-1, 1) by r = s/(1 - s^2); points outside the support contribute
-    zero), by the vectorised adaptive Gauss-Kronrod rule.
+def _support_ends(a, b):
+    """(l, u), the ends of the set of thresholds r where the whitened
+    A - rB takes both signs: an interval, either end possibly infinite.
 
-    Returns nan when the quadrature cannot produce a usable mass; the
+    In the eigenbasis (P1, P2) of B, with D its nonzero eigenvalues and
+    A11, A12, A22 the blocks of A: for a positive definite B the ends are
+    the extreme eigenvalues of D^(-1/2) A11 D^(-1/2).  Otherwise A - rB has
+    a positive direction at every r unless A22 = P2'AP2 is negative
+    definite, and a negative one unless A22 is positive definite.  A
+    definite A22 bounds that side at the extreme eigenvalue of
+    D^(-1/2) S D^(-1/2), S = A11 - A12 A22^(-1) A21 (a semidefinite A22
+    leaves it infinite).  A threshold the kernel evaluates lies inside.
+    """
+    w, u, keep = _denominator_split(b)
+    p1, p2 = u[:, keep], u[:, ~keep]
+    s = p1.T @ a @ p1
+    bounded_below = bounded_above = True
+    if p2.shape[1]:
+        a12, a22 = p1.T @ a @ p2, p2.T @ a @ p2
+        e22 = np.linalg.eigvalsh(a22)
+        tol = ZERO_EIG_TOL * float(np.linalg.norm(a, 2))
+        bounded_below, bounded_above = bool(e22[0] > tol), bool(e22[-1] < -tol)
+        if not (bounded_below or bounded_above):
+            return -math.inf, math.inf
+        s = s - a12 @ np.linalg.solve(a22, a12.T)
+    half = 1.0 / np.sqrt(w[keep])
+    ends = np.linalg.eigvalsh(half[:, None] * s * half[None, :])
+    return (float(ends[0]) if bounded_below else -math.inf,
+            float(ends[-1]) if bounded_above else math.inf)
+
+
+def _spa_mass(a, b, mu) -> tuple[float, int]:
+    """Total mass of the unnormalized Butler density and the number of
+    kernel evaluations it took.
+
+    The integral runs over the support (l, u) only (``_support_ends``), in
+    angle coordinates: r = cot(phi) with phi in [arccot u, arccot l], a
+    subinterval of [0, pi], and phi = phi_lo + (phi_hi - phi_lo) sin^2(theta)
+    for theta in [0, pi/2].  Bounded, half-bounded and unbounded supports
+    take the one map; the sin^2 factor smooths both the powers of (r - l)
+    at a finite end and the algebraic decay at an infinite one.  It is
+    evaluated by the vectorised adaptive Gauss-Kronrod rule to relative
+    accuracy 1e-6, well inside the saddlepoint's own error.
+
+    The mass is nan when the quadrature cannot produce a usable one; the
     caller then skips normalization.
     """
-    def integrand(s):
-        r = s / (1.0 - s * s)
-        jac = (1.0 + s * s) / (1.0 - s * s) ** 2
-        return _butler_kernel(a, b, mu, r)[0] * jac
+    lo, hi = _support_ends(a, b)
+    # arccot x = pi/2 - arctan x, so arccot(+inf) = 0 and arccot(-inf) = pi
+    phi_lo = 0.5 * math.pi - math.atan(hi)
+    width = math.atan(hi) - math.atan(lo)
+    nodes = 0
+
+    def integrand(theta):
+        nonlocal nodes
+        nodes += theta.size
+        sin_theta = np.sin(theta)
+        phi = phi_lo + width * sin_theta * sin_theta
+        sin_phi = np.sin(phi)
+        jac = width * np.sin(2.0 * theta) / sin_phi**2
+        return _butler_kernel(a, b, mu, np.cos(phi) / sin_phi)[0] * jac
 
     try:
-        val, err = _gauss_kronrod(integrand, [-1.0, 0.0, 1.0], epsabs=1e-10,
-                                  epsrel=1e-9, limit=_MASS_LIMIT)
+        val, err = _gauss_kronrod(integrand, [0.0, 0.5 * math.pi], epsabs=1e-7,
+                                  epsrel=1e-6, limit=_MASS_LIMIT)
     except np.linalg.LinAlgError:
         # eigh did not converge on some node
-        return math.nan
+        return math.nan, nodes
     if not math.isfinite(val) or val <= 0.0 or err > 0.05 * val:
-        return math.nan
-    return float(val)
+        return math.nan, nodes
+    return float(val), nodes
 
 
 def pdf_ratio_spa(spec: RatioSpec, r) -> MethodResult | list[MethodResult]:
@@ -606,9 +667,10 @@ def pdf_ratio_spa(spec: RatioSpec, r) -> MethodResult | list[MethodResult]:
 
     The raw formula is exact only up to a Stirling-type factor that is
     constant in r for central ratios, so the density is divided by its
-    total mass (``_spa_mass``, once per call).  The raw value and the mass
-    stay in diagnostics; diagnostics["normalized"] says whether the
-    division happened (not when the mass is unusable).  A point outside the
+    total mass (``_spa_mass``, once per call).  The raw value, the mass and
+    the kernel evaluations it took ("normalization_nodes") stay in
+    diagnostics; diagnostics["normalized"] says whether the division
+    happened (not when the mass is unusable).  A point outside the
     support raises DomainError, a point where A - rB vanishes
     NotApplicableError.  At r = +-inf the density is exactly 0.
     """
@@ -620,12 +682,13 @@ def pdf_ratio_spa(spec: RatioSpec, r) -> MethodResult | list[MethodResult]:
         raw, t0, j_r, status = _butler_kernel(a, b, mu, pts[finite])
         _raise_for_status(status, pts[finite])
         # _spa_mass gives a positive mass or nan
-        mass = _spa_mass(a, b, mu)
+        mass, nodes = _spa_mass(a, b, mu)
         normalized = math.isfinite(mass)
         for j, i in enumerate(finite.tolist()):
             diagnostics = {"t0": float(t0[j]), "correction": float(j_r[j]),
                            "threshold": float(pts[i]), "raw_value": float(raw[j]),
-                           "normalized": normalized, "normalization_mass": mass}
+                           "normalized": normalized, "normalization_mass": mass,
+                           "normalization_nodes": nodes}
             value = float(raw[j]) / mass if normalized else float(raw[j])
             out[i] = MethodResult(value, None, "ratio_spa", "approximate", diagnostics)
     return out[0] if scalar else out

@@ -268,7 +268,7 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
             if not lo_s < x < hi_s:
                 edge = math.isfinite(x) and x in (lo_s, hi_s)
                 out[i] = (inversion._exact_cdf(red, x, "support") if quantity == "cdf"
-                          else _support_density(red, edge))
+                          else transforms.support_density(red, edge))
     todo = np.array([i for i, res in enumerate(out) if res is None], dtype=int)
     methods = select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size else \
         [method] * todo.size
@@ -281,23 +281,6 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
         if isinstance(res, Exception):
             raise res
     return out[0] if qs.ndim == 0 else out
-
-
-def _support_density(red: ReducedForm, edge: bool) -> MethodResult:
-    """The density at a point outside the support (0), or at a finite end
-    of it, where it is the limit from inside.  Only the central term of each
-    noncentral chi-square matters there, so by the total dof the limit is
-    inf for 1, e^(-sum delta2/2) / (2 sqrt|lam_1 lam_2|) over the two chi2_1
-    weights for 2 (the chi2_2 density at 0 scaled), and 0 otherwise."""
-    if not edge:
-        return MethodResult(0.0, 0.0, "support", "exact", {"note": "outside the support"})
-    value = 0.0
-    if red.total_dof == 1:
-        value = math.inf
-    elif red.total_dof == 2:
-        value = (math.exp(-0.5 * float(red.delta2.sum()))
-                 / (2.0 * math.sqrt(abs(float(np.prod(red.omega ** red.nu))))))
-    return MethodResult(value, 0.0, "support", "exact", {"note": "support edge"})
 
 
 def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8) -> MethodResult:

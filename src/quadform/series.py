@@ -25,6 +25,7 @@ import math
 import numpy as np
 from scipy import special
 
+from . import transforms
 from .errors import ConvergenceFailureError, NotApplicableError, one_or_all
 from .forms import (
     MethodResult,
@@ -395,8 +396,9 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
     name = f"{kind}_{'cdf' if cumulative else 'pdf'}"
     out: list = [None] * xs.size
     for i in np.flatnonzero(xs <= 0.0):
-        out[i] = MethodResult(0.0, 0.0, name, "exact",
-                              {"raw_value": 0.0, "note": "below support"})
+        out[i] = (transforms.support_density(pos, True, name) if xs[i] == 0.0 and not cumulative
+                  else MethodResult(0.0, 0.0, name, "exact",
+                                    {"raw_value": 0.0, "note": "below support"}))
     active = np.flatnonzero(xs > 0.0)
     if kind == "kotz" and active.size:
         lam, h2 = _variables(pos)

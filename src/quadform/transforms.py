@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .forms import CumulantSet, MgfDomain, ReducedForm
+from .forms import CumulantSet, MethodResult, MgfDomain, ReducedForm
 
 DEFAULT_CUMULANT_ORDER = 8
 _sum = np.add.reduce   # np.sum without its Python wrapper; same pairwise sum
@@ -166,6 +166,24 @@ def support(red: ReducedForm) -> tuple[float, float]:
         if not np.any(red.omega > 0):
             hi = red.const
     return lo, hi
+
+
+def support_density(red: ReducedForm, edge: bool, method: str = "support") -> MethodResult:
+    """The density at a point outside the support (0), or at a finite end
+    of it, where it is the limit from inside, tagged exact under ``method``.
+    Only the central term of each noncentral chi-square matters there, so
+    by the total dof the limit is inf for 1, e^(-sum delta2/2) /
+    (2 sqrt|lam_1 lam_2|) over the two chi2_1 weights for 2 (the chi2_2
+    density at 0 scaled), and 0 otherwise."""
+    if not edge:
+        return MethodResult(0.0, 0.0, method, "exact", {"note": "outside the support"})
+    value = 0.0
+    if red.total_dof == 1:
+        value = math.inf
+    elif red.total_dof == 2:
+        value = (math.exp(-0.5 * float(red.delta2.sum()))
+                 / (2.0 * math.sqrt(abs(float(np.prod(red.omega ** red.nu))))))
+    return MethodResult(value, 0.0, method, "exact", {"note": "support edge"})
 
 
 def _cgf_prime_root(red: ReducedForm, y: np.ndarray) -> np.ndarray:

@@ -711,7 +711,7 @@ class TestLadder:
                     assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
                 new = qf.pdf_imhof(red, q, tol=tol, plan=plan)
                 if math.isinf(new.error_bound) or new.provenance == "exact":
-                    continue  # sum(nu) <= 2 at x = 0: no bound and U stays 1, or a pole
+                    continue  # a support edge or a pole
                 value, bound, u, panels = _old_pdf_imhof(red, q, tol)
                 assert abs(new.value - value) <= new.error_bound + bound, (red, x, tol)
                 # the density searches the CDF's ladder: U is unchanged where
@@ -721,13 +721,14 @@ class TestLadder:
                 if new.diagnostics["u_max"] == u and new.diagnostics["panels"] == panels:
                     assert new.value == pytest.approx(value, rel=1e-12, abs=1e-300)
 
-    def test_light_density_at_zero_stops_at_the_first_rung(self):
-        # sum(nu) <= 2 at x = 0: no density bound applies at any U
+    def test_light_density_at_the_support_edge_is_the_limit(self):
+        # sum(nu) <= 2 at x = 0, where no density bound applies at any U: the
+        # edge is answered exactly, as by auto
         for red in (qf.ReducedForm([1.0, 0.5], [1, 1], [0.0, 0.3]),
                     qf.ReducedForm([1.0], [2], [0.4])):
             res = qf.pdf_imhof(red, 0.0, tol=1e-8)
-            assert math.isinf(res.error_bound) and res.provenance == "heuristic"
-            assert res.diagnostics["u_max"] == 1.0 and res.diagnostics["panels"] <= 2**12
+            assert (res.method, res.provenance, res.error_bound) == ("imhof", "exact", 0.0)
+            assert res.value == select.pdf(red, 0.0).value
         assert qf.pdf_imhof(LIGHT, 1e-9, tol=1e-8).diagnostics["u_max"] > 1.0
 
     @pytest.mark.parametrize("delta2", [[0.0, 0.0], [0.5, 0.3]])

@@ -304,6 +304,7 @@ class TestSupportRule:
          math.exp(-0.25) / (2 * math.sqrt(0.5))),
         (qf.ReducedForm([-1.0], [1], [0.2], 0.0, -2.0), math.inf),
         (qf.ReducedForm([2.0], [3], [0.0]), 0.0),
+        (qf.ReducedForm([-1.5, -0.7], [1, 1], [0.0, 0.0]), 1.0 / (2 * math.sqrt(1.05))),
     ])
     def test_density_at_a_finite_edge_is_the_limit_from_inside(self, red, limit):
         lo, hi = transforms.support(red)
@@ -311,6 +312,11 @@ class TestSupportRule:
         for res in (select.pdf(red, edge), select.pdf(red, np.array([edge]))[0]):
             assert res.value == pytest.approx(limit, rel=1e-15)
             assert (res.method, res.provenance, res.error_bound) == ("support", "exact", 0.0)
+        # the engines named explicitly answer the edge alike
+        for method in ("ruben", "kotz", "laguerre", "imhof"):
+            res = select.pdf(red, edge, method)
+            assert res.value == pytest.approx(limit, rel=1e-15), method
+            assert (res.provenance, res.error_bound) == ("exact", 0.0)
         for q in (-math.inf, math.inf):
             assert select.pdf(red, q).value == 0.0
         inside = edge + (1e-9 if math.isfinite(lo) else -1e-9)

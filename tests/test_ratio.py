@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 
 import quadform as qf
 from quadform import approx, ratio, reduction, transforms
@@ -193,6 +193,18 @@ class TestPdfRatioSpa:
         # normalized by construction; the raw mass is the diagnostics entry
         assert abs(res.diagnostics["normalization_mass"] - 1.0) < 0.1
         assert res.diagnostics["raw_value"] > 0.0
+        mass, nodes = ratio._spa_mass(*ratio._whiten(f_ratio_spec()))
+        assert (res.diagnostics["normalization_mass"], res.diagnostics["normalization_nodes"]) \
+            == (mass, nodes)
+
+    def test_arcsine_density(self):
+        # R = x1^2 / (x1^2 + x2^2) is Beta(1/2, 1/2), whose density
+        # 1/(pi sqrt(r(1 - r))) Butler's formula gives up to its mass sqrt(pi/2)
+        r = np.array([1e-4, 0.01, 0.2, 0.5, 0.9, 0.9999])
+        got = qf.pdf_ratio_spa(BETA_HALF, r)
+        for res, want in zip(got, 1.0 / (math.pi * np.sqrt(r * (1.0 - r)))):
+            assert abs(res.value - want) <= 1e-9 * want
+        assert abs(got[0].diagnostics["normalization_mass"] - math.sqrt(math.pi / 2.0)) <= 1e-10
 
     def test_spa_integral_close_to_one(self):
         spec = f_ratio_spec()
@@ -209,7 +221,7 @@ class TestPdfRatioSpa:
         normalized = qf.pdf_ratio_spa(spec, 1.0)
         assert normalized.diagnostics["normalized"] is True
         # an unusable mass leaves the raw value, and says so
-        monkeypatch.setattr(ratio, "_spa_mass", lambda a, b, mu: math.nan)
+        monkeypatch.setattr(ratio, "_spa_mass", lambda a, b, mu: (math.nan, 0))
         res = qf.pdf_ratio_spa(spec, 1.0)
         assert res.diagnostics["normalized"] is False
         assert res.value == normalized.diagnostics["raw_value"]
@@ -316,12 +328,12 @@ class TestButlerKernel:
     def test_matches_old_roots(self, monkeypatch, rank_deficit, noncentral):
         for a, b, mu, grid in _butler_battery(rank_deficit, noncentral):
             got = ratio._butler_kernel(a, b, mu, grid)
-            got_mass = ratio._spa_mass(a, b, mu)
+            got_mass = ratio._spa_mass(a, b, mu)[0]
             with monkeypatch.context() as m:
                 m.setattr(transforms, "_solve_cgf_prime",
                           lambda w, nu, d2, y, lo, hi: _old_saddlepoint_roots(w, d2))
                 want = ratio._butler_kernel(a, b, mu, grid)
-                want_mass = ratio._spa_mass(a, b, mu)
+                want_mass = ratio._spa_mass(a, b, mu)[0]
             assert np.array_equal(got[3], want[3])
             ok = got[3] == ratio._OK
             for g, w in zip(got[:3], want[:3]):
@@ -372,9 +384,17 @@ class TestSpaMass:
             if d < 20:
                 assert abs(ratio._G_W @ ratio._GK_X[1::2] ** d - exact) < 1e-14
 
-    @pytest.mark.parametrize("spec", [f_ratio_spec(), CAUCHY, SINGULAR_B],
-                             ids=["f", "cauchy", "singular_b"])
-    def test_matches_quad(self, spec):
+    @pytest.mark.parametrize("spec,battery", [
+        pytest.param(f_ratio_spec(), False, id="f"),
+        pytest.param(CAUCHY, False, id="cauchy"),
+        pytest.param(SINGULAR_B, False, id="singular_b"),
+    ] + [
+        pytest.param(qf.RatioSpec(a, b, mu, np.eye(a.shape[0])), True,
+                     id=f"battery-{deficit}-{'non' if noncentral else ''}central-{a.shape[0]}")
+        for deficit in (0, 1, 2) for noncentral in (False, True)
+        for a, b, mu, _ in _butler_battery(deficit, noncentral)
+    ])
+    def test_matches_quad(self, spec, battery):
         a, b, mu = ratio._whiten(spec)
 
         def integrand(s):
@@ -382,10 +402,66 @@ class TestSpaMass:
             jac = (1.0 + s * s) / (1.0 - s * s) ** 2
             return ratio._butler_kernel(a, b, mu, [r])[0][0] * jac
 
+        points = [0.0]
+        if battery:
+            # break at the fold's images of the finite generalized eigenvalues,
+            # where the ends of a bounded support lie: at (r - l)^(-1/2) the
+            # fold alone leaves about 1e-6 of the mass
+            with np.errstate(all="ignore"):
+                ev = linalg.eigvals(a, b)
+            ev = ev.real[np.isfinite(ev) & (np.abs(ev.imag) < 1e-9)]
+            for r in (ev.min(), ev.max()) if ev.size else ():
+                s = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r * r))
+                if abs(s) < 1.0 - 1e-9:
+                    points.append(s)
         want, _ = integrate.quad(integrand, -1.0, 1.0, limit=500, epsabs=1e-13,
-                                 epsrel=1e-12, points=[0.0])
-        got = ratio._spa_mass(a, b, mu)
-        assert abs(got - want) <= 1e-8 * want
+                                 epsrel=1e-12, points=sorted(set(points)))
+        got, nodes = ratio._spa_mass(a, b, mu)
+        if not battery:
+            assert abs(got - want) <= 1e-8 * want
+            return
+        # the mass's own tolerance, in at most 15 panels
+        assert abs(got - want) <= 1e-6 * want
+        assert nodes <= 15 * ratio._GK_X.size
+
+
+class TestSupportEnds:
+    @staticmethod
+    def _pencil(a22):
+        """(a, b) with B of rank 3 and A22 = P2'AP2 = a22 in B's null space,
+        rotated by a fixed orthogonal matrix."""
+        rng = np.random.default_rng(71)
+        n = 3 + len(a22)
+        m = rng.standard_normal((n, n))
+        a = (m + m.T) / 2.0
+        a[3:, 3:] = np.diag(a22)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        b = np.diag([1.0, 0.6, 0.3] + [0.0] * len(a22))
+        return q @ a @ q.T, q @ b @ q.T
+
+    @pytest.mark.parametrize("case,finite", [
+        ("pd_b", (True, True)),
+        ("a22_positive", (True, False)),
+        ("a22_negative", (False, True)),
+        ("a22_indefinite", (False, False)),
+    ])
+    def test_kernel_changes_sign_at_the_ends(self, case, finite):
+        if case == "pd_b":
+            a, b, _ = _random_ratio(np.random.default_rng(70), 5, 0, False)
+        else:
+            a, b = self._pencil({"a22_positive": [0.7, 0.4], "a22_negative": [-0.7, -0.4],
+                                 "a22_indefinite": [0.7, -0.4]}[case])
+        mu = np.zeros(a.shape[0])
+        ends = ratio._support_ends(a, b)
+        assert tuple(math.isfinite(e) for e in ends) == finite
+        for end, inward in zip(ends, (1.0, -1.0)):
+            if math.isfinite(end):
+                step = 1e-6 * max(1.0, abs(end))
+                pair = [end + inward * step, end - inward * step]
+                status = ratio._butler_kernel(a, b, mu, pair)[3]
+                assert list(status) == [ratio._OK, ratio._OUTSIDE], (case, end)
+            else:
+                assert ratio._butler_kernel(a, b, mu, [-inward * 1e6])[3][0] == ratio._OK
 
 
 class TestMomentExistence:
