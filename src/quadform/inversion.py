@@ -8,11 +8,17 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   pick U and Richardson panel doubling to control quadrature error.
   Requires sigma = 0.  U lies on the ladder 2^j (j < 0 allowed): the CDF
   and the density take the first rung whose own tail bound meets tol/2,
-  by one search.  A rung holds what its points share: the x-free part of
-  the tail record (phi(U) read once) and the modulus and phase at its
-  nested trapezoid nodes, each node evaluated once.  A point adds its
-  phase shift -u x/2 and one sin (CDF) or cos (density) per node, and
-  runs its own start grid, Richardson halving and stop rule.
+  by one scalar search per point.  A rung holds what its points share:
+  the x-free part of the tail record (phi(U) read once) and the modulus
+  and phase at its nested trapezoid nodes, each node evaluated once.
+  The points of a call are the rows of one pass: each sweep steps every
+  row once (its start grid, then the midpoints of one halving) as
+  (rows x nodes) blocks, where a row adds its phase shift -u x/2 and one
+  sin (CDF) or cos (density) per node and sums along its own nodes only;
+  a row leaves the pass at its own Richardson stop.  A point's grid
+  starts at 2 panels per period of the phase-rate bound (the Nyquist
+  rate).  Rows of several forms (the thresholds of a ratio CDF) carry
+  their own weights into one node evaluation per sweep.
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
   term.  Truncation is controlled by computable bounds on the integrand
   tail; the lattice aliasing error is bounded through Chernoff bounds on
@@ -61,12 +67,14 @@ def _require_no_gaussian(red: ReducedForm, op: str) -> None:
         )
 
 
-def _exact_cdf(red: ReducedForm, q: float, method: str) -> MethodResult | None:
-    """The CDF of a point mass, or at a point on or outside the support."""
+def _exact_cdf(red: ReducedForm, q: float, method: str,
+               support: tuple | None = None) -> MethodResult | None:
+    """The CDF of a point mass, or at a point on or outside the support
+    (``transforms.support(red)``, when not given)."""
     if red.n_groups == 0 and red.sigma_gauss == 0.0:
         v = 1.0 if q >= red.const else 0.0
         return MethodResult(v, 0.0, method, "exact", {"raw_value": v})
-    lo_s, hi_s = transforms.support(red)
+    lo_s, hi_s = support if support is not None else transforms.support(red)
     if q >= hi_s:
         return MethodResult(1.0, 0.0, method, "exact",
                             {"raw_value": 1.0, "note": "at or above the support"})
@@ -105,43 +113,125 @@ def imhof_integrand(red: ReducedForm, u, q: float):
         return phase - 0.5 * u * q, np.exp(-log_mod)
 
 
-def _nodes(red: ReducedForm, u: np.ndarray) -> np.ndarray:
-    """Rows u, 1/rho(u) = |phi(u/2)| and arg phi(u/2) (constant removed) of
-    Imhof's integrand at the nodes u: one ``_log_cf`` call."""
-    log_mod, phase = transforms._log_cf(red, 0.5 * u)
-    return np.stack((u, np.exp(log_mod), phase))
+class _Groups(NamedTuple):
+    """The groups of several forms side by side, for one ``transforms._log_cf``
+    call: (groups, rows, 1) arrays, one column of groups per row."""
+
+    omega: np.ndarray
+    nu: np.ndarray
+    delta2: np.ndarray
+    sigma_gauss: float = 0.0
 
 
-def _imhof_f(nodes: np.ndarray, x: float, form: _Form) -> np.ndarray:
-    """sin(theta)/(u rho) at ``_nodes`` rows, with the analytic limit
-    (sum w (nu + d2) - x) / 2 spliced in at u = 0."""
-    u, mod, phase = nodes
-    out = np.sin(phase - u * (0.5 * x))
-    out *= mod
-    if u[0] == 0.0:   # u ascends: only a grid's first node can be 0
-        out[1:] /= u[1:]
-        out[0] = form.half_mean - 0.5 * x
-    else:
-        out /= u
+# a pass's temporary arrays are bounded by the most integrand terms (rows x
+# nodes) of one block and the most group terms (groups x rows x nodes) of one
+# _log_cf call, which holds about eight temporaries of that size
+_BLOCK = 2**17
+_NODE_BLOCK = 2**16
+
+
+def _evaluate_nodes(pieces: list) -> list:
+    """The rows u, |phi(u/2)| and arg phi(u/2) (constant removed) of Imhof's
+    integrand at the nodes u of each (form, u) piece.
+
+    Pieces of one form run side by side, as one row of nodes.  Pieces of
+    several forms run as the rows of one (rows x nodes) array per piece
+    length, each row with its form's weights, padded with inert groups
+    (nu = 0, delta2 = 0, omega = 1) after its own up to the most groups:
+    the group sums run in group order, so the trailing zero terms leave
+    every node's values as its form alone gives them.
+    """
+    forms = {id(red): red for red, _ in pieces}
+    if len(forms) == 1:
+        red = pieces[0][0]
+        u = pieces[0][1] if len(pieces) == 1 else np.concatenate([u for _, u in pieces])
+        nodes = _node_rows(red, u, red.n_groups)
+        if len(pieces) == 1:
+            return [nodes]
+        ends = np.cumsum([0] + [u.size for _, u in pieces]).tolist()
+        return [nodes[:, a:b] for a, b in zip(ends, ends[1:])]
+    groups = max(red.n_groups for red in forms.values())
+    by_size: dict = {}
+    for i, (_, u) in enumerate(pieces):
+        by_size.setdefault(u.size, []).append(i)
+    out = [None] * len(pieces)
+    for idx in by_size.values():
+        weights = np.zeros((3, groups, len(idx), 1))
+        weights[0] = 1.0
+        for row, i in enumerate(idx):
+            red = pieces[i][0]
+            weights[:, :red.n_groups, row, 0] = red.omega, red.nu, red.delta2
+        nodes = _node_rows(_Groups(*weights), np.stack([pieces[i][1] for i in idx]), groups)
+        for row, i in enumerate(idx):
+            out[i] = nodes[:, row]
     return out
 
 
-def _imhof_pdf_f(nodes: np.ndarray, x: float) -> np.ndarray:
-    """cos(theta)/rho, the density's integrand, at ``_nodes`` rows."""
-    u, mod, phase = nodes
-    out = np.cos(phase - u * (0.5 * x))
+def _node_rows(form, u: np.ndarray, groups: int) -> np.ndarray:
+    """(3,) + u.shape: u, |phi(u/2)| and arg phi(u/2) at the frequencies u
+    of a form (one row of nodes) or of ``_Groups`` rows (a rows x nodes
+    array), from ``_log_cf`` calls of at most _NODE_BLOCK group terms:
+    blocks of whole rows, or near-equal sections (of two nodes or more) of
+    a longer row."""
+    n = u.shape[-1]
+    out = np.empty((3,) + u.shape)
+    out[0] = u
+    cap = max(_NODE_BLOCK // groups, 4)
+    per = max(cap // n, 1)
+    sections = -(-n // cap)
+    bounds = [n * k // sections for k in range(sections + 1)] if sections > 1 else (0, n)
+    for r in range(0, u.size // n, per):
+        part = form if u.ndim == 1 else _Groups(*(v[:, r:r + per] for v in form[:3]))
+        for a, b in zip(bounds, bounds[1:]):
+            block = out[..., a:b] if u.ndim == 1 else out[:, r:r + per, a:b]
+            log_mod, phase = transforms._log_cf(part, 0.5 * block[0])
+            np.exp(log_mod, out=block[1])
+            block[2] = phase
+    return out
+
+
+def _positions(u_max: float, panels: int, idx: np.ndarray) -> np.ndarray:
+    """The nodes idx (ascending) of the trapezoid grid of ``panels`` panels
+    on [0, U], as ``np.linspace(0, U, panels + 1)[idx]`` gives them: nested
+    grids share their common nodes bit for bit."""
+    u = idx * (u_max / panels)
+    if idx.size and idx[-1] == panels:
+        u[-1] = u_max
+    return u
+
+
+def _integrand(nodes: np.ndarray, half_x: np.ndarray, density: bool,
+               half_mean=None) -> np.ndarray:
+    """Imhof's integrand on a (rows x nodes) block: the density's
+    cos(theta)/rho or the CDF's sin(theta)/(u rho), from the
+    ``_evaluate_nodes`` rows of each row's nodes on axis 1 of ``nodes`` (one
+    shared set broadcasts) and the column of the rows' x/2.  With the rows'
+    half_mean, the CDF's first node is u = 0, where its limit
+    (sum w (nu + d2) - x) / 2 is spliced in."""
+    u, mod, phase = nodes[:, 0], nodes[:, 1], nodes[:, 2]
+    out = phase - u * half_x
+    (np.cos if density else np.sin)(out, out=out)
     out *= mod
+    if density:
+        return out
+    if half_mean is None:
+        out /= u
+    else:
+        out[:, 1:] /= u[:, 1:]
+        out[:, 0] = half_mean - half_x[:, 0]
     return out
 
 
 class _Form(NamedTuple):
-    """The U- and x-free constants of Imhof's tail bounds (see ``_Tail``)."""
+    """The U- and x-free constants of Imhof's tail bounds (see ``_Tail``) and
+    of its integrand."""
 
     k: float
     c1: float | None
     c2: float
     log_w: float        # (1/2) sum nu log|w|
     half_mean: float    # (1/2) sum w (nu + d2), the CDF integrand's u -> 0 limit at x = 0
+    half_rate: float    # (1/2) sum (nu + d2)|w|, the phase rate bound at x = 0
 
 
 def _tail_form(red: ReducedForm) -> _Form:
@@ -151,11 +241,12 @@ def _tail_form(red: ReducedForm) -> _Form:
           else 0.5 * float(np.sum((nu + d2) / np.abs(w))))
     return _Form(0.5 * float(nu.sum()), c1, 0.5 * float(np.sum(nu + 3.0 * d2)),
                  0.5 * float(np.sum(nu * np.log(np.abs(w)))),
-                 0.5 * float(np.sum(w * (nu + d2))))
+                 0.5 * float(np.sum(w * (nu + d2))),
+                 0.5 * float(np.sum(nu * np.abs(w) + d2 * np.abs(w))))
 
 
-# the finest trapezoid grid a rung keeps: its last halving added 2^18 nodes,
-# the block of _davies_sum; finer grids are evaluated per call
+# the finest trapezoid grid a rung keeps: its last halving added 2^18 nodes;
+# finer grids are evaluated per block
 _KEEP_PANELS = 2**19
 
 
@@ -164,11 +255,10 @@ class _Rung:
 
     * head: the x-free part of the tail record at U, from one ``_log_cf`` call.
     * The nested trapezoid grids on [0, U], whose panel counts differ by
-      powers of 2: the ``_nodes`` of the finest grid evaluated so far (the
-      first grid asked for, then grown one halving at a time), so every node
-      is evaluated once.  A coarser grid, and the midpoints a halving adds,
-      are strided views of it.  Grids finer than _KEEP_PANELS panels are
-      evaluated per call and not kept.
+      powers of 2: the ``_evaluate_nodes`` rows of the finest grid a pass has
+      asked for, up to _KEEP_PANELS panels.  A pass grows it (``_grow``)
+      before it reads it, so every node is evaluated once; a coarser grid,
+      and the midpoints a halving adds, are strided views of it.
     """
 
     def __init__(self, red: ReducedForm, u_max: float, form: _Form):
@@ -179,7 +269,7 @@ class _Rung:
     def head(self) -> tuple:
         """(arg phi, rho, log floor, m1, theta' + x/2, T_U, the density's
         plain bound, the c1 part of the balanced bound) at U."""
-        k, c1, _, log_w, _ = self.form
+        k, c1, _, log_w, *_ = self.form
         w, nu, d2, u = self.red.omega, self.red.nu, self.red.delta2, self.u
         log_mod, phase = transforms._log_cf(self.red, 0.5 * u)
         log_floor = log_w + 0.5 * float(np.sum(d2 * w**2 * u**2 / (1.0 + w**2 * u**2)))
@@ -199,28 +289,36 @@ class _Rung:
             -math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u) - log_floor, 700.0))
         return float(phase), rho, log_floor, m1, slope, plain, pdf_plain, balanced
 
-    def _added(self, panels: int) -> np.ndarray:
-        """Evaluate the nodes that halving the grid of ``panels`` panels adds."""
-        return _nodes(self.red, np.linspace(0.0, self.u, 2 * panels + 1)[1::2])
+    def view(self, fine: int, first: bool, a: int, b: int) -> np.ndarray:
+        """Nodes a..b-1 of the kept grid of ``fine`` panels (first), or of
+        its odd nodes: the midpoints that halving the grid of fine/2 adds;
+        a (1, 3, b - a) view."""
+        st = self._panels // fine
+        if first:
+            return self._grid[None, :, st * a:st * (b - 1) + 1:st]
+        return self._grid[None, :, st * (2 * a + 1):st * (2 * b - 1) + 1:2 * st]
 
-    def grid(self, panels: int) -> np.ndarray:
-        """The ``_nodes`` of the grid of ``panels`` panels."""
-        if panels > _KEEP_PANELS:
-            return _nodes(self.red, np.linspace(0.0, self.u, panels + 1))
-        if self._grid is None:
-            self._grid = _nodes(self.red, np.linspace(0.0, self.u, panels + 1))
-            self._panels = panels
-        while self._panels < panels:
-            fine = np.empty((3, 2 * self._panels + 1))
-            fine[:, ::2], fine[:, 1::2] = self._grid, self._added(self._panels)
-            self._grid, self._panels = fine, 2 * self._panels
-        return self._grid[:, ::self._panels // panels]
 
-    def midpoints(self, panels: int) -> np.ndarray:
-        """The ``_nodes`` that halving the grid of ``panels`` panels adds."""
-        if 2 * panels <= _KEEP_PANELS:
-            return self.grid(2 * panels)[:, 1::2]
-        return self._added(panels)
+def _grow(wanted: dict) -> None:
+    """Grow the kept grid of each (rung, panels) value of ``wanted`` to that
+    many panels (at most _KEEP_PANELS), evaluating the missing nodes of all
+    of them in one ``_evaluate_nodes`` pass.  With r = panels over the kept
+    panel count, the new grid's nodes k r are the kept ones and the r - 1
+    after each of them are new."""
+    grow = []
+    for rung, panels in wanted.values():
+        r = panels // rung._panels if rung._grid is not None else 1
+        idx = np.arange(panels + 1) if r == 1 else np.arange(panels).reshape(-1, r)[:, 1:].ravel()
+        grow.append((rung, panels, r, idx))
+    pieces = [(rung.red, _positions(rung.u, panels, idx)) for rung, panels, _, idx in grow]
+    for (rung, panels, r, _), nodes in zip(grow, _evaluate_nodes(pieces)):
+        if r > 1:
+            grid = np.empty((3, panels + 1))
+            grid[:, ::r] = rung._grid
+            for j in range(1, r):
+                grid[:, j::r] = nodes[:, j - 1::r - 1]
+            nodes = grid
+        rung._grid, rung._panels = nodes, panels
 
 
 class _Tail(NamedTuple):
@@ -261,7 +359,7 @@ class _Tail(NamedTuple):
 
 def _tail(rung: _Rung, x: float) -> _Tail:
     """The tail record at the rung's U and shifted point x: its x terms on the head."""
-    k, c1, c2, _, _ = rung.form
+    k, c1, c2, *_ = rung.form
     u = rung.u
     phase, rho, log_floor, m1, slope, plain, pdf_plain, balanced = rung.head
     theta = phase - 0.5 * u * x
@@ -308,7 +406,7 @@ def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
     by factors of 2, down while the rung below still meets tol/2 and up
     until one does: every bound decreases with U."""
     red, half = plan.red, tol / 2.0
-    k, c1, _, log_w, _ = plan.tail_form
+    k, c1, _, log_w, *_ = plan.tail_form
     log_scale = -log_w - 0.5 * float(red.delta2.sum())
     log_tol = math.log(half)
     log_us = [(-math.log(math.pi * k) + log_scale - log_tol) / k]
@@ -329,112 +427,251 @@ def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
     return plan.rung(j), rec
 
 
-def _start_panels(red: ReducedForm, u_max: float, x: float) -> int:
-    """IMHOF_PANELS_START, doubled to at least ~8 panels per period of the
-    integrand: Richardson is never trusted on an undersampled oscillation."""
-    w = np.abs(red.omega)
-    phase_rate = 0.5 * float(np.sum(red.nu * w + red.delta2 * w)) + 0.5 * abs(x)
-    min_panels = 8.0 * u_max * phase_rate / (2.0 * math.pi)
+def _start_panels(form: _Form, u_max: float, x: float) -> int:
+    """IMHOF_PANELS_START, doubled to at least 2 panels per period of the
+    integrand's phase-rate bound (1/2) sum (nu + d2)|w| + |x|/2 (the Nyquist
+    rate); Richardson halving takes the grid on from there."""
+    phase_rate = form.half_rate + 0.5 * abs(x)
+    min_panels = 2.0 * u_max * phase_rate / (2.0 * math.pi)
     panels = IMHOF_PANELS_START
     while panels < min(min_panels, IMHOF_PANELS_MAX / 2):
         panels *= 2
     return panels
 
 
-def _trapezoid(rung: _Rung, f, panels: int, cap: int, target: float, scale: float):
-    """(1/scale) int_0^U f by the trapezoid rule on the rung's grid of
-    ``panels`` panels, then halving the step (new midpoints only) while fewer
-    than ``cap`` panels and the Richardson estimate is above ``target``; f
-    maps ``_nodes`` rows to integrand values.
+class _Row:
+    """One point of an Imhof pass: its rung, tail record and shifted x, its
+    panel count, cap and Richardson target, and its trapezoid state (the
+    unscaled integral and absolute mass so far, and the last Richardson
+    estimate, inf until the step is first halved)."""
 
-    Returns the integral, the last Richardson estimate (inf when the step
-    was never halved), the final panel count and the rounding bound of
-    the node sum.
+    __slots__ = ("rung", "rec", "x", "panels", "cap", "target", "total", "mass", "quad_est",
+                 "done")
+
+    def __init__(self, rung: _Rung, rec: _Tail, x: float, panels: int, cap: int,
+                 target: float):
+        self.rung, self.rec, self.x = rung, rec, x
+        self.panels, self.cap, self.target = panels, cap, target
+        self.total, self.mass, self.quad_est, self.done = None, 0.0, math.inf, False
+
+
+def _integrate(rows: list, density: bool) -> None:
+    """Imhof's trapezoid rule on [0, U] for every row, in one pass.
+
+    Each sweep steps every active row once: its grid of ``panels`` panels
+    first, then the midpoints that halve its step, while it has fewer than
+    ``cap`` panels and its Richardson estimate (the change of the integral
+    over pi, or 2 pi for the density) is above ``target``.  A sweep groups
+    its rows by the nodes their step needs, from a snapshot taken before
+    any row moves on, grows their rungs' kept grids in one node evaluation
+    and evaluates each group in (rows x nodes) blocks (``_step_sums``).  A
+    converged row leaves the pass.  Only a pass of one form keeps grids:
+    the rows of several forms (a ratio CDF's thresholds, each with a plan
+    of its own) share no rung, so their nodes are evaluated per block.
     """
-    u_max = rung.u
-    fu = f(rung.grid(panels))
-    total = float(np.trapezoid(fu, dx=u_max / panels))
-    mass = float(np.sum(np.abs(fu))) * (u_max / panels)
-    quad_est = math.inf
-    while panels < cap:
-        fu = f(rung.midpoints(panels))
-        step = u_max / (2 * panels)
-        total_new = 0.5 * total + float(np.sum(fu)) * step
-        mass = 0.5 * mass + float(np.sum(np.abs(fu))) * step
-        panels *= 2
-        quad_est = abs(total_new - total) / scale
-        total = total_new
-        if quad_est <= target:
-            break
-    return total / scale, quad_est, panels, _rounding_bound(mass / scale, panels + 1)
+    scale = 2.0 * math.pi if density else math.pi
+    keep = _KEEP_PANELS if len({id(row.rung.red) for row in rows}) == 1 else 0
+    active = rows
+    while active:
+        groups: dict = {}
+        wanted: dict = {}
+        for row in active:
+            first = row.total is None
+            groups.setdefault((row.panels, first), []).append(row)
+            fine, rung = row.panels if first else 2 * row.panels, row.rung
+            if rung._panels < fine <= keep and wanted.get(id(rung), (0, 0))[1] < fine:
+                wanted[id(rung)] = (rung, fine)
+        if wanted:
+            _grow(wanted)
+        for (panels, first), group in groups.items():
+            sums, masses = _step_sums(group, panels, first, density)
+            for row, s, m in zip(group, sums, masses):
+                if first:
+                    row.total, row.mass = s, m * (row.rung.u / panels)
+                else:
+                    step = row.rung.u / (2 * panels)
+                    total = 0.5 * row.total + s * step
+                    row.mass = 0.5 * row.mass + m * step
+                    row.panels *= 2
+                    row.quad_est = abs(total - row.total) / scale
+                    row.total = total
+                row.done = row.panels >= row.cap or row.quad_est <= row.target
+        active = [row for row in active if not row.done]
 
 
-def _imhof_grid(red: ReducedForm, x: float, params: ImhofParams | None, tol: float,
-                plan, tail, u_cap: float) -> tuple:
-    """The rung, tail record, start panels, panel cap and Richardson target of
-    an Imhof point at shifted x, shared by the CDF and the density.
+def _step_sums(rows: list, panels: int, first: bool, density: bool) -> tuple:
+    """Each row's integral and absolute sum of its integrand over the nodes
+    of its step: on the grid of ``panels`` panels, its trapezoid value and
+    the node sum; on the midpoints that halve it, the two node sums.
 
-    With ``params`` the grid is fixed: one halved-grid pass first, so a
-    Richardson estimate is available, then doubling up to the requested
-    panels.  Otherwise U is the first rung whose ``tail`` bound is at most
-    tol/2, and panels double from ``_start_panels`` until the Richardson
-    estimate meets the target.
+    The rows run in (rows x nodes) blocks of at most _BLOCK terms; a row of
+    more nodes runs alone, in near-equal sections (a grid's section reaches
+    one node into the next for its last trapezoid panel).  Every sum runs
+    along a row's own nodes, so it does not depend on the other rows.
     """
-    if params is not None:
-        rung = _Rung(red, params.u_max, _tail_form(red))
-        return (rung, _tail(rung, x), max(params.panels // 2, 2), max(params.panels, 4),
-                -math.inf)
-    rung, rec = _imhof_pick_u(_own_plan(red, plan), tol, x, tail, u_cap)
-    # drive the quadrature below the tail target: the oscillatory tail
-    # cancels far below T_U, so a tight grid keeps the value accurate even
-    # when the reported (conservative) bound is dominated by T_U
-    return (rung, rec, _start_panels(red, rung.u, x), IMHOF_PANELS_MAX,
-            min(tol, 1e-8) / 2.0)
+    n = panels + 1 if first else panels
+    fine = panels if first else 2 * panels
+    sections = -(-n // (_BLOCK - 1 if first else _BLOCK))
+    bounds = [n * k // sections for k in range(sections + 1)] if sections > 1 else (0, n)
+    per = max(_BLOCK // n, 1)
+    sums, masses = [], []
+    for r in range(0, len(rows), per):
+        block = rows[r:r + per]
+        half_x = np.array([[0.5 * row.x] for row in block])
+        if first:
+            half_mean = np.array([row.rung.form.half_mean for row in block])
+            dx = np.array([[row.rung.u / panels] for row in block])
+        s = m = None
+        for a, b in zip(bounds, bounds[1:]):
+            c = b + 1 if first and b < n else b
+            f = _integrand(_step_nodes(block, fine, first, a, c), half_x, density,
+                           half_mean if first and a == 0 else None)
+            # a grid's trapezoid value in np.trapezoid's arithmetic
+            s_k = (transforms._sum(dx * (f[:, 1:] + f[:, :-1]) / 2.0, axis=1) if first
+                   else transforms._sum(f, axis=1))
+            m_k = transforms._sum(np.abs(f if c == b else f[:, :b - a]), axis=1)
+            s, m = (s_k, m_k) if s is None else (s + s_k, m + m_k)
+        sums += s.tolist()
+        masses += m.tolist()
+    return sums, masses
 
 
-def cdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
-              tol: float = 1e-8, plan=None) -> MethodResult:
-    """CDF by Imhof's trapezoid rule with explicit truncation bound.
+def _step_nodes(rows: list, fine: int, first: bool, a: int, b: int) -> np.ndarray:
+    """The ``_evaluate_nodes`` rows of nodes a..b-1 of each row's step, on
+    axis 1 of a (rows, 3, nodes) array, or of a (1, 3, nodes) one when the
+    rows share a rung: views of the kept grids, and the nodes of the rungs
+    that keep no grid this fine evaluated here in one pass."""
+    rungs = list({id(row.rung): row.rung for row in rows}.values())
+    fresh = [rung for rung in rungs if rung._panels < fine]
+    if fresh:
+        idx = np.arange(a, b) if first else 2 * np.arange(a, b) + 1
+        evaluated = iter(_evaluate_nodes([(rung.red, _positions(rung.u, fine, idx))
+                                          for rung in fresh]))
+    nodes = [rung.view(fine, first, a, b) if rung._panels >= fine else next(evaluated)[None]
+             for rung in rungs]
+    if len(nodes) == 1:
+        return nodes[0]
+    where = {id(rung): k for k, rung in enumerate(rungs)}
+    return np.concatenate([nodes[where[id(row.rung)]] for row in rows])
 
-    With ``params`` the grid is fixed and the achieved bound is reported;
-    otherwise U is the first rung of the ladder 2^j whose tail bound meets
-    tol/2, and panels are doubled until the Richardson estimate meets the
-    tolerance.  ``plan`` is a ``select.Plan`` of red to reuse (its rungs'
-    nodes are shared with its other points, at every tol); results do not
-    depend on it.
-    """
-    _require_no_gaussian(red, "imhof CDF")
-    exact = _exact_cdf(red, q, "imhof")
-    if exact is not None:
-        return exact
-    x = q - red.const
-    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, plan, _cdf_tail, 1e25)
-    u_max = rung.u
+
+def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
+    """cdf_imhof (density False) and pdf_imhof: each point's exact answer
+    or its row of one pass (``_integrate``), then its result."""
+    single = isinstance(red, ReducedForm)
+    qs = np.asarray(q, dtype=float)
+    pts, out = transforms.point_outcomes(qs, density, "imhof")
+    out = out or [None] * pts.size
+    if single:
+        plans = [_own_plan(red, plan)] * pts.size
+    else:
+        plans = list(plan) if plan is not None else [_own_plan(form, None) for form in red]
+        if len(plans) != pts.size:
+            raise InvalidInputError("a list of forms takes one point per form")
+    for p in {id(p): p for p in plans}.values():
+        _require_no_gaussian(p.red, "imhof PDF" if density else "imhof CDF")
+    tail, u_cap = (_pdf_tail, 1e7) if density else (_cdf_tail, 1e25)
+    rows: dict = {}
+    fixed: dict = {}
+    for i, (p, q_i) in enumerate(zip(plans, pts.tolist())):
+        if out[i] is not None:
+            continue
+        form = p.red
+        x = q_i - form.const
+        if density and q_i in p.support:
+            out[i] = transforms.support_density(form, True, "imhof")
+        elif (density and x == 0.0 and form.nu.tolist() == [1, 1]
+              and form.omega[0] * form.omega[1] < 0.0):
+            out[i] = MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
+        elif not density:
+            out[i] = _exact_cdf(form, q_i, "imhof", p.support)
+        if out[i] is not None:
+            continue
+        if params is None:
+            rung, rec = _imhof_pick_u(p, tol, x, tail, u_cap)
+            # drive the quadrature below the tail target: the oscillatory
+            # tail cancels far below T_U, so a tight grid keeps the value
+            # accurate even when the reported (conservative) bound is
+            # dominated by T_U
+            rows[i] = _Row(rung, rec, x, _start_panels(rung.form, rung.u, x), IMHOF_PANELS_MAX,
+                           min(tol, 1e-8) / 2.0)
+        else:
+            # a fixed grid: one halved-grid pass first, so a Richardson
+            # estimate is available, then the requested panels
+            if id(p) not in fixed:
+                fixed[id(p)] = _Rung(form, params.u_max, p.tail_form)
+            rung = fixed[id(p)]
+            rows[i] = _Row(rung, _tail(rung, x), x, max(params.panels // 2, 2),
+                           max(params.panels, 4), -math.inf)
+    _integrate(list(rows.values()), density)
+    for i, row in rows.items():
+        out[i] = (_pdf_result if density else _cdf_result)(row, params is None, tol)
+    return one_or_all(out, single and qs.ndim == 0)
+
+
+def _cdf_result(row: _Row, auto: bool, tol: float):
+    """The CDF outcome of a finished row: a ConvergenceFailureError when auto
+    and the bound is above tol."""
+    rec, u_max, quad_est = row.rec, row.rung.u, row.quad_est
     t_plain, t_ibp, t_bal = rec.plain, rec.ibp / (math.pi * u_max), rec.balanced
     t_u = min(t_plain, t_ibp, t_bal)
-    integral, quad_est, panels, rounding = _trapezoid(
-        rung, lambda nodes: _imhof_f(nodes, x, rung.form), panels, cap, target, math.pi)
-    value = 0.5 - integral
     # the boundary-term refinement is only trustworthy in the regime where
     # the integration-by-parts budget is the binding bound
     correction = (-rec.boundary.real / (math.pi * u_max)
                   if t_ibp <= min(t_plain, t_bal) else 0.0)
-    bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
-    raw = value + correction
+    bound = (t_u + (quad_est if math.isfinite(quad_est) else 0.0)
+             + _rounding_bound(row.mass / math.pi, row.panels + 1))
+    raw = 0.5 - row.total / math.pi + correction
     res = MethodResult(
         min(max(raw, 0.0), 1.0), float(bound), "imhof", "rigorous",
-        {"raw_value": raw, "u_max": u_max, "panels": panels, "tail_bound": t_u,
+        {"raw_value": raw, "u_max": u_max, "panels": row.panels, "tail_bound": t_u,
          "quad_estimate": quad_est, "tail_correction": correction},
     )
-    if params is None and bound > tol:
-        raise ConvergenceFailureError(
-            f"imhof did not reach tol={tol} (achieved {bound:.3e})", result=res
-        )
+    if auto and bound > tol:
+        return ConvergenceFailureError(
+            f"imhof did not reach tol={tol} (achieved {bound:.3e})", result=res)
     return res
 
 
-def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
-              tol: float = 1e-8, plan=None) -> MethodResult:
+def _pdf_result(row: _Row, auto: bool, tol: float) -> MethodResult:
+    """The density result of a finished row."""
+    rec, quad_est = row.rec, row.quad_est
+    t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
+    correct_tail = t_ibp_u < t_plain_u
+    t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)
+    value = row.total / (2.0 * math.pi)
+    if correct_tail:
+        value -= rec.boundary.imag / (2.0 * math.pi)
+    bound = (t_u + (quad_est if math.isfinite(quad_est) else 0.0)
+             + _rounding_bound(row.mass / (2.0 * math.pi), row.panels + 1))
+    return MethodResult(
+        max(value, 0.0), float(bound), "imhof", "heuristic",
+        {"raw_value": value, "u_max": row.rung.u, "panels": row.panels, "tail_bound": t_u,
+         "quad_estimate": quad_est},
+    )
+
+
+def cdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan=None):
+    """CDF by Imhof's trapezoid rule with explicit truncation bound.
+
+    With ``params`` the grid is fixed and the achieved bound is reported;
+    otherwise U is the first rung of the ladder 2^j whose tail bound meets
+    tol/2, and panels start at 2 per period of the phase-rate bound and are
+    doubled until the Richardson estimate meets the tolerance.  ``plan`` is
+    a ``select.Plan`` of red to reuse (its rungs' nodes are shared with its
+    other points, at every tol); results do not depend on it.
+
+    q may be an array, and red a list of forms, one per point of q (then
+    plan is None or a list of their plans): the result is then a list with
+    each point's MethodResult or ConvergenceFailureError.  Every point is
+    one row of one trapezoid pass (``_integrate``); its value, bound and
+    diagnostics are those it gets alone.  A NaN point is invalid input; at
+    +-inf the CDF is exactly 0 or 1.
+    """
+    return _imhof(red, q, params, tol, plan, False)
+
+
+def pdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan=None):
     """Density by the cosine-integral counterpart of the Imhof rule.
 
     The grid is chosen as for cdf_imhof, with the density's tail terms: U
@@ -445,29 +682,10 @@ def pdf_imhof(red: ReducedForm, q: float, params: ImhofParams | None = None,
     no tight closed bound.  At a finite end of the support the density is
     the exact limit from inside (``transforms.support_density``).  Two
     one-dof groups of opposite signs have a pole at x = 0 (two x^(-1/2)
-    singularities convolve to a log), and the density is exactly inf.
-    ``plan`` as for cdf_imhof.
+    singularities convolve to a log), and the density is exactly inf; at
+    +-inf it is exactly 0.  q, red and ``plan`` as for cdf_imhof.
     """
-    _require_no_gaussian(red, "imhof PDF")
-    if math.isfinite(q) and q in transforms.support(red):
-        return transforms.support_density(red, True, "imhof")
-    x = q - red.const
-    if x == 0.0 and red.nu.tolist() == [1, 1] and red.omega[0] * red.omega[1] < 0.0:
-        return MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
-    rung, rec, panels, cap, target = _imhof_grid(red, x, params, tol, plan, _pdf_tail, 1e7)
-    t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
-    correct_tail = t_ibp_u < t_plain_u
-    t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)
-    value, quad_est, panels, rounding = _trapezoid(
-        rung, lambda nodes: _imhof_pdf_f(nodes, x), panels, cap, target, 2.0 * math.pi)
-    if correct_tail:
-        value -= rec.boundary.imag / (2.0 * math.pi)
-    bound = t_u + (quad_est if math.isfinite(quad_est) else 0.0) + rounding
-    return MethodResult(
-        max(value, 0.0), float(bound), "imhof", "heuristic",
-        {"raw_value": value, "u_max": rung.u, "panels": panels, "tail_bound": t_u,
-         "quad_estimate": quad_est},
-    )
+    return _imhof(red, q, params, tol, plan, True)
 
 
 def davies_truncation_bound(red: ReducedForm, u_max):
@@ -573,14 +791,17 @@ def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None,
     both bounds are computed for all points at once (two chernoff_log_tail
     calls for the lattice bounds), and only the lattice sum runs per point;
     the result is a list with each point's MethodResult or
-    ConvergenceFailureError.
+    ConvergenceFailureError.  A NaN point is invalid input; at +-inf the
+    CDF is exactly 0 or 1.
     """
     qs = np.asarray(q, dtype=float)
-    pts = np.atleast_1d(qs)
+    pts, exact = transforms.point_outcomes(qs, False, "davies")
     lo_s, hi_s = transforms.support(red)
     inside = (lo_s < pts) & (pts < hi_s)
-    out = [None if ok else _exact_cdf(red, x, "davies")
+    out = [None if ok else _exact_cdf(red, x, "davies", (lo_s, hi_s))
            for x, ok in zip(pts.tolist(), inside.tolist())]
+    if exact is not None:
+        out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
     idx = np.flatnonzero(inside)
     if not idx.size:
         return one_or_all(out, qs.ndim == 0)
@@ -696,5 +917,5 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
     except _Stop as stop:
         root = stop.args[0]
     q = Quantile(at(root))
-    q.cdf, q.cdf_calls = seen.get(q) or _exact_cdf(red, q, "support"), len(seen)
+    q.cdf, q.cdf_calls = seen.get(q) or _exact_cdf(red, q, "support", plan.support), len(seen)
     return q

@@ -65,6 +65,7 @@ from .errors import (
     DomainError,
     InvalidInputError,
     NotApplicableError,
+    QuadFormError,
 )
 from .forms import (
     ZERO_EIG_TOL,
@@ -145,13 +146,20 @@ def cdf_ratio(spec: RatioSpec, r, method: str = "auto",
     pts, finite, scalar = _thresholds(r)
     out = [MethodResult(float(x > 0.0), 0.0, "ratio_support", "exact",
                         {"raw_value": float(x > 0.0), "threshold": x}) for x in pts.tolist()]
+    forms = {}
     for i, red in zip(finite.tolist(), _reduce_pencil(spec, pts[finite])):
         if isinstance(red, float):
             v = 1.0 if red <= 0.0 else 0.0
             out[i] = MethodResult(v, 0.0, "degenerate", "exact", {"constant": red})
-            continue
-        res = (select.cdf_auto_inversion(red, 0.0, tol=tol) if method == "auto"
-               else select.cdf(red, 0.0, method, tol))
+        else:
+            forms[i] = red
+    # auto: the thresholds' Imhof points are rows of one pass
+    outcomes = (select.cdf_auto_inversion(list(forms.values()), 0.0, tol=tol)
+                if method == "auto" and forms else
+                (select.cdf(red, 0.0, method, tol) for red in forms.values()))
+    for i, res in zip(forms, outcomes):
+        if isinstance(res, QuadFormError):
+            raise res
         out[i] = MethodResult(res.value, res.error_bound, f"ratio_{res.method}", res.provenance,
                               dict(res.diagnostics, threshold=float(pts[i])))
     return out[0] if scalar else out

@@ -15,7 +15,8 @@ library error or a bound above tol moves down a rung, from the partial
 fractions to the route it would take without them and from the Imhof CDF
 to Davies.  It keeps a result over a failure, then the smaller bound, then
 the earlier outcome; a kept fallback records the bound it replaced as
-``<rung>_bound``.  ``cdf_auto_inversion`` enters it at the Imhof rung.
+``<rung>_bound``.  ``cdf_auto_inversion`` enters it at the Imhof rung, for
+one form or for the forms of a ratio CDF's thresholds together.
 
 The tails come from two points per form, where the left and the right
 Chernoff log-tails cross log(1e-8) (``transforms.chernoff_crossing``): a
@@ -34,11 +35,11 @@ saddlepoint routes solve K'(t) = q once for all their points, and Davies
 computes the spreads, truncation rungs and both bounds of all its points
 at once (its lattice bounds from two array Chernoff calls on the plan's
 centred form); only Davies' lattice sum runs per point.  Imhof points are
-evaluated one call each, and share through the plan the rungs of its U
-ladder (the tail record's x-free part and the integrand's modulus and
-phase at the rung's nodes).  Each point gets the route, method,
-provenance, bound and diagnostics that a call with that point alone
-gives.  A NaN point is invalid input.
+the rows of one trapezoid pass (``inversion.cdf_imhof``), and share
+through the plan the rungs of its U ladder (the tail record's x-free part
+and the integrand's modulus and phase at the rung's nodes).  Each point
+gets the route, method, provenance, bound and diagnostics that a call
+with that point alone gives.  A NaN point is invalid input.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import math
 import numpy as np
 
 from . import approx, inversion, series, transforms
-from .errors import InvalidInputError, QuadFormError
+from .errors import InvalidInputError, QuadFormError, one_or_all
 from .forms import FormClass, MethodResult, ReducedForm
 from .reduction import classify
 
@@ -256,9 +257,7 @@ def pdf(red: ReducedForm, q, method: str = "auto", tol: float = 1e-8,
 def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
               plan: Plan | None):
     qs = np.asarray(q, dtype=float)
-    pts = np.atleast_1d(qs)
-    if np.isnan(pts).any():
-        raise InvalidInputError("the evaluation point q must not be NaN")
+    pts = transforms.points(qs)
     plan = plan if plan is not None else Plan(red)
     auto = method == "auto"
     out: list = [None] * pts.size
@@ -267,7 +266,7 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
         for i, x in enumerate(pts.tolist()):
             if not lo_s < x < hi_s:
                 edge = math.isfinite(x) and x in (lo_s, hi_s)
-                out[i] = (inversion._exact_cdf(red, x, "support") if quantity == "cdf"
+                out[i] = (inversion._exact_cdf(red, x, "support", plan.support) if quantity == "cdf"
                           else transforms.support_density(red, edge))
     todo = np.array([i for i, res in enumerate(out) if res is None], dtype=int)
     methods = select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size else \
@@ -283,31 +282,61 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
     return out[0] if qs.ndim == 0 else out
 
 
-def cdf_auto_inversion(red: ReducedForm, q: float, tol: float = 1e-8) -> MethodResult:
-    """The inversion leaf of method="auto": the ladder entered at the Imhof
-    rung, or at Davies with a Gaussian term (Imhof does not support one)."""
-    rung = "davies" if red.sigma_gauss != 0.0 or not red.n_groups else "imhof"
-    res = _walk(Plan(red), np.array([float(q)]), rung, tol, "cdf")[0]
-    if isinstance(res, Exception):
-        raise res
-    return res
+def cdf_auto_inversion(red, q: float, tol: float = 1e-8):
+    """The inversion leaf of method="auto" at q (``_inversion``): Imhof, then
+    Davies, or Davies alone with a Gaussian term (Imhof does not support
+    one).  red may be a list of forms, each evaluated at q (the thresholds
+    of ``ratio.cdf_ratio``): the result is then a list with one outcome per
+    form, the MethodResult or the library error that form alone raises."""
+    forms = [red] if isinstance(red, ReducedForm) else red
+    out = _inversion([Plan(form) for form in forms], np.full(len(forms), float(q)), tol)
+    return one_or_all(out, isinstance(red, ReducedForm))
+
+
+def _inversion(plans: list, xs: np.ndarray, tol: float) -> list:
+    """The Imhof CDF rung of the ladder and the Davies rung below it, at the
+    point xs[i] of the form of plans[i]: the Imhof points of every form are
+    rows of one pass (``inversion.cdf_imhof``), and a point with a Gaussian
+    term, or whose Imhof outcome fails or has a bound above tol, runs on
+    Davies, one call per form."""
+    out: list = [None] * len(plans)
+    rows = [i for i, plan in enumerate(plans) if plan.red.sigma_gauss == 0.0 and plan.red.n_groups]
+    if rows:
+        for i, res in zip(rows, inversion.cdf_imhof([plans[i].red for i in rows], xs[rows],
+                                                    tol=tol, plan=[plans[i] for i in rows])):
+            out[i] = res
+    redo = [i for i, res in enumerate(out) if res is None or _rank(res) > (False, tol)]
+    for plan in {id(plans[i]): plans[i] for i in redo}.values():
+        idx = [i for i in redo if plans[i] is plan]
+        _keep_better(out, idx, _evaluate(plan, xs[idx], "davies", tol, "cdf"), "imhof")
+    return out
 
 
 def _walk(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
     """The auto ladder from the rung ``method``: one outcome per point."""
+    if method == "imhof" and quantity == "cdf":
+        return _inversion([plan] * xs.size, xs, tol)
     out = _evaluate(plan, xs, method, tol, quantity)
-    down = (_generic_method(plan.red, quantity, central_even=False, cls=plan.cls)
-            if method == "central_even" else
-            "davies" if method == "imhof" and quantity == "cdf" else None)
-    # a failure, or a result whose bound is above tol
-    redo = [i for i, res in enumerate(out) if down and _rank(res) > (False, tol)]
-    if redo:
-        for i, res in zip(redo, _walk(plan, xs[redo], down, tol, quantity)):
-            if _rank(res) < _rank(out[i]):
-                out[i] = res if isinstance(res, QuadFormError) else MethodResult(
-                    res.value, res.error_bound, res.method, res.provenance,
-                    dict(res.diagnostics, **{f"{method}_bound": _rank(out[i])[1]}))
+    if method == "central_even":
+        # a failure, or a result whose bound is above tol
+        redo = [i for i, res in enumerate(out) if _rank(res) > (False, tol)]
+        if redo:
+            down = _generic_method(plan.red, quantity, central_even=False, cls=plan.cls)
+            _keep_better(out, redo, _walk(plan, xs[redo], down, tol, quantity), method)
     return out
+
+
+def _keep_better(out: list, idx: list, fallback: list, method: str) -> None:
+    """Put each fallback outcome in its slot idx[i] of out where it is the
+    better one (an empty slot takes it); a kept result records the bound of
+    the ``method`` outcome it replaced as ``<method>_bound``."""
+    for i, res in zip(idx, fallback):
+        if out[i] is None:
+            out[i] = res
+        elif _rank(res) < _rank(out[i]):
+            out[i] = res if isinstance(res, QuadFormError) else MethodResult(
+                res.value, res.error_bound, res.method, res.provenance,
+                dict(res.diagnostics, **{f"{method}_bound": _rank(out[i])[1]}))
 
 
 def _rank(outcome) -> tuple:
@@ -340,7 +369,7 @@ def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str
         return fn(red, xs, method, tol, plan)
     if method == "imhof":
         fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
-        return _each(fn, red, xs, tol=tol, plan=plan)
+        return fn(red, xs, tol=tol, plan=plan)
     if cumulative:
         if method == "davies":
             return inversion.cdf_davies(red, xs, tol=tol, plan=plan)

@@ -140,7 +140,10 @@ def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,
     pfe = pfe if pfe is not None else partial_fractions(red)
     w, k, a = (np.array(v) for v in zip(*pfe.terms))
     qs = np.asarray(q, dtype=float)
-    y = (np.atleast_1d(qs) - red.const)[:, None] / w
+    pts, exact = transforms.point_outcomes(qs, density, "central_even")
+    if exact is not None:   # answered below
+        pts = np.where(np.isinf(pts), red.const, pts)
+    y = (pts - red.const)[:, None] / w
     if density:
         terms = a / np.abs(w) * _chi2_pdf(2 * k, y)
     else:
@@ -159,6 +162,8 @@ def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,
         )
         for v, b in zip(raw, bound)
     ]
+    if exact is not None:
+        out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
     return out[0] if qs.ndim == 0 else out
 
 
@@ -166,6 +171,7 @@ def cdf_central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None =
     """Closed-form CDF of a central even-dof form, exact up to floating point.
 
     q may be an array: one MethodResult per point, sharing the expansion.
+    A NaN point is invalid input; at +-inf the CDF is exactly 0 or 1.
     """
     return _central_even(red, q, pfe, density=False)
 
@@ -391,9 +397,12 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
     plan = _own_plan(red, plan)
     negative = plan.cls.definiteness == "negative"
     pos = plan.series_form
-    qs = np.asarray(q, dtype=float)
-    xs = (-np.atleast_1d(qs) if negative else np.atleast_1d(qs)) - pos.const
     name = f"{kind}_{'cdf' if cumulative else 'pdf'}"
+    qs = np.asarray(q, dtype=float)
+    pts, exact = transforms.point_outcomes(qs, not cumulative, name)
+    xs = (-pts if negative else pts) - pos.const
+    if exact is not None:   # NaN falls in neither branch below; answered at q itself
+        xs[np.isinf(xs)] = math.nan
     out: list = [None] * xs.size
     for i in np.flatnonzero(xs <= 0.0):
         out[i] = (transforms.support_density(pos, True, name) if xs[i] == 0.0 and not cumulative
@@ -453,8 +462,10 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
         active = active[~done]
         coeffs = plan.coefficients(kind, coeffs.beta, min(2 * (k_used + 1), K_MAX))
     if negative:
-        out = [res if isinstance(res, Exception) else _mirrored(res, cumulative)
+        out = [res if res is None or isinstance(res, Exception) else _mirrored(res, cumulative)
                for res in out]
+    if exact is not None:
+        out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
     return one_or_all(out, qs.ndim == 0)
 
 
@@ -477,7 +488,8 @@ def cdf_series(red: ReducedForm, q, kind: str = "ruben", tol: float = 1e-10, pla
     (ConvergenceFailureError, NotApplicableError) that point alone raised.
     plan is a ``select.Plan`` of red, to reuse its remainder poles and
     coefficient sets; results do not depend on it.  A negative definite
-    form's results carry diagnostics["negated"].
+    form's results carry diagnostics["negated"].  A NaN point is invalid
+    input; at +-inf the CDF is exactly 0 or 1 and the density 0.
     """
     return _evaluate_series(red, q, kind, tol, True, plan)
 

@@ -76,15 +76,20 @@ def _log_cf(red: ReducedForm, beta):
     the Gaussian term adds -(sigma beta)^2/2 to the log-modulus.  Summing
     the arctans keeps the phase continuous in beta.  beta is a scalar or an
     array; one value per beta.  The group axis comes first, so each
-    elementwise pass runs along beta and the sums add whole rows.
+    elementwise pass runs along beta and the sums add whole rows, in group
+    order.  The weights are one per group, or arrays with the group axis
+    first that broadcast against beta: the rows of several forms in one
+    call, (groups, rows, 1) weights against a (rows, nodes) beta.
     """
-    col = (slice(None),) + (None,) * np.ndim(beta)
-    w, nu, d2 = red.omega, red.nu[col], red.delta2[col]
-    z = np.multiply.outer(w, 2.0 * beta)
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    if w.ndim == 1:
+        col = (slice(None),) + (None,) * np.ndim(beta)
+        w, nu, d2 = w[col], nu[col], d2[col]
+    z = w * (2.0 * beta)
     z2 = z * z
     log_mod = 0.25 * _sum(nu * np.log1p(z2), axis=0)
     phase = nu * np.arctan(z)
-    if red.delta2.any():
+    if d2.any():
         g = 1.0 + z2
         log_mod = log_mod + 0.5 * _sum(d2 * z2 / g, axis=0)
         phase += d2 * z / g
@@ -153,6 +158,32 @@ def raw_moments(kappas: CumulantSet) -> np.ndarray:
     for k in range(1, j + 1):
         m[k] = sum(math.comb(k - 1, l) * m[l] * kappas.get(k - l) for l in range(k))
     return m[1:]
+
+
+def points(q) -> np.ndarray:
+    """q, a point or an array of points, as a 1-d float array.  A NaN point
+    is invalid input: no method has a value there."""
+    pts = np.atleast_1d(np.asarray(q, dtype=float))
+    if np.isnan(pts).any():
+        raise InvalidInputError("the evaluation point q must not be NaN")
+    return pts
+
+
+def point_outcomes(q, density: bool, method: str) -> tuple:
+    """The shared point check of the engines: q as a 1-d float array (a NaN
+    point is invalid input), and None when every point is finite, else one
+    slot per point holding its exact result under ``method`` at +-inf (the
+    CDF is 0 or 1 there and the density 0, so nothing is integrated or
+    summed) and None at a finite point."""
+    pts = np.atleast_1d(np.asarray(q, dtype=float))
+    if np.logical_and.reduce(np.isfinite(pts)):
+        return pts, None
+    pts = points(pts)
+    out: list = [None] * pts.size
+    for i in np.flatnonzero(np.isinf(pts)).tolist():
+        v = 0.0 if density else float(pts[i] > 0.0)
+        out[i] = MethodResult(v, 0.0, method, "exact", {"raw_value": v, "note": "infinite point"})
+    return pts, out
 
 
 def support(red: ReducedForm) -> tuple[float, float]:

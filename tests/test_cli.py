@@ -421,6 +421,23 @@ class TestNonFinitePoints:
         assert payload["value"] == value and payload["provenance"] == "exact"
         assert payload["error_bound"] == 0.0
 
+    @pytest.mark.parametrize("argv,form,value", [
+        (("pdf", "--q", "inf", "--method", "imhof"), "indefinite", 0.0),
+        (("cdf", "--q=-inf", "--method", "imhof"), "indefinite", 0.0),
+        (("cdf", "--q", "inf", "--method", "davies"), "gaussian", 1.0),
+        (("cdf", "--q", "inf", "--method", "central_even"), "central_even", 1.0),
+        (("pdf", "--q", "inf", "--method", "central_even"), "central_even", 0.0),
+        (("cdf", "--q", "inf", "--method", "ruben"), "definite", 1.0),
+        (("pdf", "--q", "inf", "--method", "ruben"), "definite", 0.0)])
+    def test_infinite_point_named_method(self, capsys, tmp_path, argv, form, value):
+        doc = dict(self.FORMS.get(form, {"kind": "reduced", "omega": [1.5, -0.7],
+                                         "nu": [2, 4], "delta2": [0.0, 0.0]}))
+        code, out, _ = run_cli(capsys, *argv, self._path(tmp_path, doc))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["provenance"], payload["error_bound"]) == (
+            value, "exact", 0.0)
+
     def test_infinite_ratio_points_in_a_density_grid(self, capsys, docs):
         spec = parse_document(json.loads(open(docs["beta.json"]).read()))
         grid = [-math.inf, 0.2, 0.5, math.inf]

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import quadform as qf
-from quadform import inversion, select, transforms
+from quadform import inversion, select, series, transforms
 from quadform.forms import DaviesParams, ImhofParams
 from quadform.select import cdf_auto_inversion
 from quadform.reference import sample_reduced
@@ -34,8 +34,10 @@ class TestIntegrand:
         theta, rho = qf.imhof_integrand(CHI22, 0.0, 2.0)
         assert float(rho) == 1.0 and float(theta) == 0.0
         # the limit of sin(theta)/(u rho) equals (sum w (nu+d2) - q)/2 = 0 here
-        nodes = inversion._nodes(CHI22, np.array([0.0]))
-        assert abs(float(inversion._imhof_f(nodes, 2.0, inversion._tail_form(CHI22))[0])) < 1e-15
+        nodes = inversion._evaluate_nodes([(CHI22, np.array([0.0]))])[0]
+        half_mean = np.array([inversion._tail_form(CHI22).half_mean])
+        f = inversion._integrand(nodes[None], np.array([[0.5 * 2.0]]), False, half_mean)
+        assert abs(float(f[0, 0])) < 1e-15
 
     def test_direct_substitution(self):
         red = qf.ReducedForm([1.0], [1], [0.0])
@@ -215,7 +217,8 @@ class TestImhofTailBoundValidity:
                 bound = inversion._tail(inversion._Rung(red, u, form), 0.0).plain
                 # empirical tail over [U, 4U] with a fine fixed grid
                 grid = np.linspace(u, 4.0 * u, 20001)
-                f = inversion._imhof_f(inversion._nodes(red, grid), x, form)
+                nodes = inversion._evaluate_nodes([(red, grid)])[0]
+                f = inversion._integrand(nodes[None], np.array([[0.5 * x]]), False)[0]
                 tail = abs(np.trapezoid(f, grid)) / math.pi
                 if tail > bound:
                     violations += 1
@@ -535,7 +538,7 @@ def _old_cdf_imhof(red, q, tol):
     u = _old_pick_u(red, tol, x)
     plain, ibp, bal = _old_cdf_tails(red, u, x)
     integral, quad_est, panels, rounding = _old_trapezoid(
-        lambda v: _old_imhof_f(red, v, x), u, inversion._start_panels(red, u, x),
+        lambda v: _old_imhof_f(red, v, x), u, inversion._start_panels(inversion._tail_form(red), u, x),
         inversion.IMHOF_PANELS_MAX, min(tol, 1e-8) / 2.0, math.pi)
     correction = (-_old_boundary_term(red, u, x).real / (math.pi * u)
                   if ibp <= min(plain, bal) else 0.0)
@@ -549,7 +552,7 @@ def _old_pdf_imhof(red, q, tol):
     plain, ibp = _old_pdf_tail_plain(red, u), _old_ibp_majorant(red, u, x) / (2.0 * math.pi)
     t_u = min(plain, ibp, _old_pdf_residual_est(red, u, x) if ibp < plain else math.inf)
     value, quad_est, panels, rounding = _old_trapezoid(
-        lambda v: _old_imhof_pdf_f(red, v, x), u, inversion._start_panels(red, u, x),
+        lambda v: _old_imhof_pdf_f(red, v, x), u, inversion._start_panels(inversion._tail_form(red), u, x),
         inversion.IMHOF_PANELS_MAX, min(tol, 1e-8) / 2.0, 2.0 * math.pi)
     if ibp < plain:
         value -= _old_boundary_term(red, u, x).imag / (2.0 * math.pi)
@@ -809,3 +812,140 @@ class TestLadder:
             assert pdf.diagnostics["u_max"] < 1.0 and pdf.diagnostics["panels"] <= 4096
             assert pdf.error_bound <= 1e-8
             _check_pdf_rung(form, 1e-8, q - form.const, pdf.diagnostics["u_max"])
+
+
+# the console-script check's indefinite form, and the 4-group noncentral
+# form of test_used_plan_equals_fresh_plan
+INDEFINITE = qf.ReducedForm([1.0, -0.6, 0.4], [2, 3, 2], [0.3, 0.0, 0.5])
+NONCENTRAL4 = qf.ReducedForm([2.0, -0.3, 0.7, -1.5], [1, 3, 2, 2], [0.5, 0.0, 1.0, 0.2])
+
+
+def _n500_form():
+    """The N = 500 form of test_large_form_truncates_below_one."""
+    rng = np.random.default_rng(500)
+    m = rng.standard_normal((500, 500))
+    return qf.reduce_raw(qf.RawForm((m + m.T) / 2.0, np.zeros(500), 0.0, np.zeros(500),
+                                    np.eye(500)))
+
+
+class TestRowPass:
+    """The points of a call are the rows of one trapezoid pass: a row's value,
+    bound and diagnostics do not depend on the other rows."""
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_grid_equals_points_alone(self, quantity):
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        near_zero = [0.0, 2e-10, -5e-10, 1e-9, -1e-9]
+        for red in (INDEFINITE, LIGHT, NONCENTRAL4, _n500_form()):
+            ks = qf.cumulants(red, 2)
+            mean, sd = ks.get(1), math.sqrt(ks.get(2))
+            qs = np.concatenate([mean + sd * np.linspace(-5.0, 7.0, 25), near_zero])
+            if red is LIGHT and quantity == "cdf":
+                # within 1e-9 of 0 the light form's CDF runs Imhof to its
+                # panel cap and Davies to its lattice cap
+                qs = qs[:-4]
+            for q, res in zip(qs, fn(red, qs, tol=1e-9)):
+                assert res == fn(red, q, tol=1e-9, plan=select.Plan(red)), (red, q)
+
+    def test_counts_below_the_old_start(self, monkeypatch):
+        # the 41-point grids over [-8, 12] on the indefinite form took 77,865
+        # (CDF) and 94,249 (density) integrand terms, and 6,151 and 22,539
+        # _log_cf nodes, from 8 panels per period
+        log_cf, nodes = transforms._log_cf, []
+
+        def counting(red, beta):
+            nodes.append(np.size(beta))
+            return log_cf(red, beta)
+
+        monkeypatch.setattr(transforms, "_log_cf", counting)
+        qs = np.linspace(-8.0, 12.0, 41)
+        for fn, terms_before, nodes_before in ((select.cdf, 77_865, 6_151),
+                                               (select.pdf, 94_249, 22_539)):
+            nodes.clear()
+            results = fn(INDEFINITE, qs)
+            assert {res.method for res in results} == {"imhof"}
+            assert sum(res.diagnostics["panels"] + 1 for res in results) < terms_before
+            assert sum(nodes) < nodes_before
+
+    def test_fine_grid_runs_in_bounded_blocks(self, monkeypatch):
+        # a fixed grid of 2^21 panels starts from 2^20 panels (2^20 + 1
+        # nodes), finer than a rung keeps: every integrand block and every
+        # _log_cf call holds at most 2^20 terms
+        integrand, log_cf, blocks, calls = inversion._integrand, transforms._log_cf, [], []
+
+        def counting_integrand(*args):
+            out = integrand(*args)
+            blocks.append(out.size)
+            return out
+
+        def counting_log_cf(red, beta):
+            calls.append(np.size(beta) * np.shape(red.omega)[0])
+            return log_cf(red, beta)
+
+        monkeypatch.setattr(inversion, "_integrand", counting_integrand)
+        monkeypatch.setattr(transforms, "_log_cf", counting_log_cf)
+        params = ImhofParams(u_max=256.0, panels=2**21)
+        qs = np.array([0.3, 2.0])
+        results = qf.cdf_imhof(INDEFINITE, qs, params=params)
+        assert max(blocks) <= 2**20 and max(calls) <= 2**20
+        # both rows' grid of 2^20 panels and its midpoints, the grid in
+        # sections that share one node
+        assert sum(blocks) >= 2 * (2**20 + 1 + 2**20) and len(blocks) > 4
+        assert [res.diagnostics["panels"] for res in results] == [2**21, 2**21]
+        for q, res in zip(qs, results):
+            assert res == qf.cdf_imhof(INDEFINITE, q, params=params)
+            auto = qf.cdf_imhof(INDEFINITE, q, tol=1e-10)
+            assert abs(res.value - auto.value) <= res.error_bound + auto.error_bound < 1e-8
+
+
+class TestInfinitePoints:
+    """The engines share one point check: NaN is invalid input, and at +-inf
+    the CDF is exactly 0 or 1 and the density 0, with nothing integrated or
+    summed."""
+
+    CENTRAL_EVEN = qf.ReducedForm([1.5, -0.7], [2, 4], [0.0, 0.0])
+    DEFINITE = qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.5, 0.0, 1.2])
+    NEGATIVE = qf.ReducedForm([-1.5, -0.7], [1, 2], [0.5, 0.0])
+
+    ENGINES = {
+        "cdf_imhof": (qf.cdf_imhof, INDEFINITE, False),
+        "pdf_imhof": (qf.pdf_imhof, INDEFINITE, True),
+        "cdf_davies": (qf.cdf_davies, EX1, False),
+        "cdf_central_even": (qf.cdf_central_even, CENTRAL_EVEN, False),
+        "pdf_central_even": (qf.pdf_central_even, CENTRAL_EVEN, True),
+        "cdf_series": (qf.cdf_series, DEFINITE, False),
+        "pdf_series": (qf.pdf_series, DEFINITE, True),
+        "cdf_series_negative": (qf.cdf_series, NEGATIVE, False),
+        "pdf_series_negative": (qf.pdf_series, NEGATIVE, True),
+    }
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_nan_is_invalid(self, engine):
+        fn, red, _ = self.ENGINES[engine]
+        for q in (math.nan, [0.3, math.nan]):
+            with pytest.raises(qf.InvalidInputError, match="NaN"):
+                fn(red, q)
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_infinite_points_are_exact(self, engine, monkeypatch):
+        fn, red, density = self.ENGINES[engine]
+
+        def never(*args):
+            raise AssertionError("an infinite point was integrated")
+
+        monkeypatch.setattr(transforms, "_log_cf", never)
+        monkeypatch.setattr(series, "_series_terms", never)
+        results = fn(red, [-math.inf, math.inf])
+        assert [res.value for res in results] == ([0.0, 0.0] if density else [0.0, 1.0])
+        assert {(res.provenance, res.error_bound) for res in results} == {("exact", 0.0)}
+        assert fn(red, math.inf) == results[1]
+
+    @pytest.mark.parametrize("method", ["imhof", "central_even", "ruben", "davies"])
+    def test_named_route(self, method):
+        red = self.CENTRAL_EVEN if method == "central_even" else (
+            self.DEFINITE if method == "ruben" else INDEFINITE)
+        cdf = select.cdf(red, [-math.inf, math.inf], method)
+        assert [res.value for res in cdf] == [0.0, 1.0]
+        if method != "davies":
+            pdf = select.pdf(red, [-math.inf, math.inf], method)
+            assert [res.value for res in pdf] == [0.0, 0.0]

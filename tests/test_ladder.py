@@ -235,9 +235,13 @@ class TestLadderOracle:
         real = inversion.cdf_imhof
 
         def failing(red, q, tol, plan=None):
-            res = real(red, q, tol=tol, plan=plan)
-            raise ConvergenceFailureError(
-                "imhof", result=MethodResult(res.value, imhof_bound, "imhof", "rigorous", {}))
+            def fail(res):
+                value = getattr(res, "result", res).value
+                return ConvergenceFailureError(
+                    "imhof", result=MethodResult(value, imhof_bound, "imhof", "rigorous", {}))
+            if np.ndim(q):   # the route's array: one outcome per point
+                return [fail(res) for res in real(red, q, tol=tol, plan=plan)]
+            raise fail(real(red, q, tol=tol, plan=plan))
 
         monkeypatch.setattr(inversion, "cdf_imhof", failing)
         # indefinite: Imhof is the route; central even indefinite: the rung

@@ -692,3 +692,47 @@ class TestMoments:
         t = qf.ratio_moment_integral(spec, 1)
         assert abs(s.value - mc.estimate) < 4.0 * mc.std_error
         assert abs(s.value - t.value) < 1e-6 * max(1.0, abs(s.value))
+
+
+# the console-script check's singular.json
+SINGULAR_JSON = qf.RatioSpec([[0.4, 0.3, -0.2], [0.3, -0.6, 0.5], [-0.2, 0.5, 0.1]],
+                             [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.5]],
+                             [0.2, -0.1, 0.5], np.diag([1.0, 2.0, 0.0]))
+
+
+def _seeded_spec(n, seed):
+    """A noncentral spec of dimension n with a well-conditioned B, and 41
+    thresholds between its 5 % and 95 % generalised eigenvalues."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    f = rng.standard_normal((n, n))
+    b = f @ f.T / n + 0.5 * np.eye(n)
+    spec = qf.RatioSpec((a + a.T) / 2.0, b, 0.5 * rng.standard_normal(n),
+                        np.diag(rng.uniform(0.7, 1.4, n) ** 2))
+    lo, hi = np.percentile(linalg.eigvalsh(spec.a, spec.b), [5.0, 95.0])
+    return spec, np.linspace(lo, hi, 41)
+
+
+class TestThresholdRows:
+    """cdf_ratio's thresholds are the rows of one Imhof pass: each equals the
+    threshold taken alone, and one node evaluation serves several of them."""
+
+    @pytest.mark.parametrize("case", ["singular_json", "n17", "n34"])
+    def test_grid_equals_thresholds_alone(self, case, monkeypatch):
+        if case == "singular_json":
+            spec, grid = SINGULAR_JSON, np.linspace(-1.0, 1.0, 21)
+        else:
+            spec, grid = _seeded_spec(int(case[1:]), int(case[1:]))
+        log_cf, calls = transforms._log_cf, []
+
+        def counting(red, beta):
+            calls.append(np.size(beta))
+            return log_cf(red, beta)
+
+        monkeypatch.setattr(transforms, "_log_cf", counting)
+        got = qf.cdf_ratio(spec, grid)
+        batched = sum(size > 1 for size in calls)
+        calls.clear()
+        assert got == [qf.cdf_ratio(spec, r) for r in grid]
+        assert any(res.method == "ratio_imhof" for res in got)
+        assert batched < sum(size > 1 for size in calls)
