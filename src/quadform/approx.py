@@ -202,7 +202,8 @@ def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
     """Moment-matching CDF approximation (no error control; flagged).
 
     Per the applicability table the target must be positive definite with
-    no Gaussian term.
+    no Gaussian term.  A NaN point is invalid input; at +-inf the CDF is
+    exactly 0 or 1 (``transforms.point_outcomes``).
     """
     from .reduction import classify
 
@@ -215,7 +216,10 @@ def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
         )
     kappas = transforms.cumulants(red, 4)
     sur = match(kappas, family)
-    value = surrogate_cdf(sur, q)
+    pts, exact = transforms.point_outcomes(q, False, family)
+    if exact is not None:
+        return exact[0]
+    value = surrogate_cdf(sur, float(pts[0]))
     return MethodResult(value, None, family, "approximate",
                         {"surrogate": sur.family, "params": dict(sur.params)})
 
@@ -251,21 +255,29 @@ def saddlepoint_solve(red: ReducedForm, q):
     return one_or_all(out, qs.ndim == 0)
 
 
-def _solutions(red: ReducedForm, q) -> tuple:
-    """(the points, whether q is a scalar, the saddlepoint_solve outcome of
-    each point); a scalar q raises its DomainError."""
+def _solutions(red: ReducedForm, q, density: bool, method: str) -> tuple:
+    """(the points, the saddlepoint_solve outcome of each point, and a
+    function that returns the call's outcomes with each infinite point's
+    exact result under ``method`` in its slot).  The points pass the shared
+    check (``transforms.point_outcomes``): a NaN point is invalid input."""
     qs = np.asarray(q, dtype=float)
-    sols = saddlepoint_solve(red, qs)
-    return np.atleast_1d(qs).tolist(), qs.ndim == 0, [sols] if qs.ndim == 0 else sols
+    pts, exact = transforms.point_outcomes(qs, density, method)
+
+    def finish(out: list):
+        if exact is not None:
+            out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
+        return one_or_all(out, qs.ndim == 0)
+
+    return pts.tolist(), saddlepoint_solve(red, pts), finish
 
 
 def pdf_spa(red: ReducedForm, q):
     """Saddlepoint density [2 pi K''(t0)]^(-1/2) exp(K(t0) - t0 q).
 
     q may be an array: one MethodResult or DomainError per point, from one
-    saddlepoint_solve call.
+    saddlepoint_solve call.  At +-inf the density is exactly 0.
     """
-    pts, scalar, sols = _solutions(red, q)
+    pts, sols, finish = _solutions(red, q, True, "spa")
     out: list = []
     for x, sol in zip(pts, sols):
         if isinstance(sol, DomainError):
@@ -275,7 +287,7 @@ def pdf_spa(red: ReducedForm, q):
         out.append(MethodResult(
             math.exp(log_f), None, "spa", "approximate",
             {"t0": sol.t0, "log_pdf": log_f, "cgf_second": sol.cgf_second}))
-    return one_or_all(out, scalar)
+    return finish(out)
 
 
 def _spa_mean_limit(red: ReducedForm) -> float:
@@ -296,11 +308,13 @@ def cdf_spa(red: ReducedForm, q, variant: str = "lugannani_rice"):
     Diagnostics carry log_ccdf, computed through the Mills ratio so far
     upper tails keep full relative accuracy.  q may be an array: one
     MethodResult or DomainError per point, from one saddlepoint_solve call;
-    the switch scale and the mean-point limit are computed once.
+    the switch scale and the mean-point limit are computed once.  At +-inf
+    the CDF is exactly 0 or 1.
     """
     if variant not in ("lugannani_rice", "barndorff_nielsen"):
         raise InvalidInputError(f"unknown saddlepoint variant {variant!r}")
-    _, scalar, sols = _solutions(red, q)
+    method = "spa_lr" if variant == "lugannani_rice" else "spa_bn"
+    _, sols, finish = _solutions(red, q, False, method)
     eps = _switch_scale(red)
     limit = None
     out: list = []
@@ -311,7 +325,7 @@ def cdf_spa(red: ReducedForm, q, variant: str = "lugannani_rice"):
         if limit is None and abs(sol.t0) < 2.0 * eps:
             limit = _spa_mean_limit(red)
         out.append(_cdf_spa_point(sol, variant, eps, limit))
-    return one_or_all(out, scalar)
+    return finish(out)
 
 
 def _cdf_spa_point(sol: SaddlepointSolution, variant: str, eps: float,

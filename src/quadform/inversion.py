@@ -35,6 +35,10 @@ Both read the modulus and phase of phi from one kernel,
 ``transforms._log_cf`` (Imhof's u is twice its frequency).  Their bounds
 add the rounding error of the node sum.  The additive constant is
 handled by shifting the evaluation point.
+
+``quantile`` inverts the CDF with ``_brentq``, an in-module step-for-step
+port of scipy's ``brentq``: the same root from the same CDF calls, without
+the start-up cost of importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import transforms
 from .errors import (ConvergenceFailureError, InvalidInputError, NotApplicableError,
@@ -836,6 +840,57 @@ class _Stop(Exception):
     """Raised in the root finder at the first point with |F - p| <= inner tol."""
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float | None:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), ported
+    step for step from scipy's ``brentq`` (``Zeros/brentq.c``): it evaluates
+    f at the same points and returns the same root, without importing
+    ``scipy.optimize``.  None when f(xa) and f(xb) have the same sign bit or
+    after maxiter iterations; an exception raised by f passes through."""
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        return None
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then +-inf or NaN, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:  # the minimum step
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    return None
+
+
 class Quantile(float):
     """A quantile q, with ``cdf``, the search's CDF result at q, and
     ``cdf_calls``, the number of CDF calls the search made."""
@@ -851,14 +906,18 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
     cumulants (halfway to the mean from a support end it falls beyond); take
     one Newton step with the normal approximation's density there (at most
     16 sd), then secant steps 2 to 16 times as long as the last until F - p
-    changes sign; run Brent's method on that bracket.  Stop at the first
-    point where |F(q) - p| <= inner tol, as close as F's own accuracy
-    allows, or once the bracket is narrower than 1e-13 (1 + sd) + 4 eps |q|.
-    q is a point the search evaluated, returned with that evaluation;
-    within 1e-9 of the scale of a finite support end, F is the exact 0 or 1
-    at the end (tagged "support").  A failed evaluation keeps its best value
-    (root finding needs only a consistent monotone surrogate).  The calls
-    share one ``select.Plan``; a plan passed in is used, with equal results.
+    changes sign; run Brent's method on that bracket (``_brentq``, the
+    in-module port of scipy's ``brentq``).  Stop at the first point where
+    |F(q) - p| <= inner tol, as close as F's own accuracy allows, or once
+    the bracket is narrower than 1e-13 (1 + sd) + 4 eps |q|.  q is a point
+    the search evaluated, returned with that evaluation; within 1e-9 of the
+    scale of a finite support end, F is the exact 0 or 1 at the end (tagged
+    "support").  A failed evaluation keeps its best value (root finding
+    needs only a consistent monotone surrogate).  A search that finds no
+    sign change of F - p in its 200 steps, reaches Brent's 200 iterations or
+    gets NaN from F raises ConvergenceFailureError carrying the evaluation
+    closest to p, its point as the diagnostic "q".  The calls share one
+    ``select.Plan``; a plan passed in is used, with equal results.
     """
     if not 0.0 < p < 1.0:
         raise InvalidInputError("quantile level p must be in (0, 1)")
@@ -875,6 +934,14 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
     def at(x: float) -> float:
         return lo_s if x <= lo_s + edge else hi_s if x >= hi_s - edge else x
 
+    def failure(why: str) -> ConvergenceFailureError:
+        x, res = min(seen.items(), key=lambda item: abs(item[1].value - p)
+                     if not math.isnan(item[1].value) else math.inf)
+        return ConvergenceFailureError(
+            f"quantile search for p={p} {why}; closest F({x!r}) = {res.value!r}",
+            result=MethodResult(res.value, res.error_bound, res.method, res.provenance,
+                                dict(res.diagnostics, q=x, cdf_calls=len(seen))))
+
     def f(x: float) -> float:
         x = at(x)
         if x == lo_s or x == hi_s:
@@ -884,6 +951,8 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
                 seen[x] = select.cdf(red, x, method, inner_tol, plan=plan)
             except ConvergenceFailureError as exc:
                 seen[x] = exc.result
+            if math.isnan(seen[x].value):
+                raise failure("got NaN from the CDF")
             if abs(seen[x].value - p) <= inner_tol:
                 raise _Stop(x)
         return seen[x].value - p
@@ -912,8 +981,11 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
             grow = abs(f_b / (f_a - f_b)) if f_a != f_b else math.inf
             step = math.copysign(abs(b - a) * min(max(grow, 2.0), 16.0), -f_b)
             a, f_a = b, f_b
-        root = optimize.brentq(f, min(a, b), max(a, b), xtol=1e-13 * (1.0 + sd),
-                               rtol=8.9e-16, maxiter=200)
+        else:
+            raise failure("found no sign change of F - p")
+        root = _brentq(f, min(a, b), max(a, b), 1e-13 * (1.0 + sd), 8.9e-16, 200)
+        if root is None:
+            raise failure("did not converge in 200 Brent iterations")
     except _Stop as stop:
         root = stop.args[0]
     q = Quantile(at(root))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -396,7 +399,7 @@ class TestNonFinitePoints:
     def test_nan_point(self, capsys, tmp_path, form, argv):
         self._rejected(capsys, *argv, self._path(tmp_path, self.FORMS[form]))
 
-    @pytest.mark.parametrize("method", ["imhof", "davies", "spa_lr", "ruben"])
+    @pytest.mark.parametrize("method", ["imhof", "davies", "spa_lr", "ruben", "satterthwaite"])
     def test_nan_point_every_method(self, capsys, tmp_path, method):
         path = self._path(tmp_path, self.FORMS["indefinite"])
         self._rejected(capsys, "cdf", "--q", "nan", "--method", method, path)
@@ -428,7 +431,15 @@ class TestNonFinitePoints:
         (("cdf", "--q", "inf", "--method", "central_even"), "central_even", 1.0),
         (("pdf", "--q", "inf", "--method", "central_even"), "central_even", 0.0),
         (("cdf", "--q", "inf", "--method", "ruben"), "definite", 1.0),
-        (("pdf", "--q", "inf", "--method", "ruben"), "definite", 0.0)])
+        (("pdf", "--q", "inf", "--method", "ruben"), "definite", 0.0),
+        # the saddlepoint CDF, the saddlepoint density (pdf's spa_lr) and
+        # moment matching
+        (("cdf", "--q", "inf", "--method", "spa_lr"), "indefinite", 1.0),
+        (("cdf", "--q=-inf", "--method", "spa_lr"), "indefinite", 0.0),
+        (("pdf", "--q", "inf", "--method", "spa_lr"), "indefinite", 0.0),
+        (("pdf", "--q=-inf", "--method", "spa_lr"), "gaussian", 0.0),
+        (("cdf", "--q", "inf", "--method", "satterthwaite"), "definite", 1.0),
+        (("cdf", "--q=-inf", "--method", "satterthwaite"), "definite", 0.0)])
     def test_infinite_point_named_method(self, capsys, tmp_path, argv, form, value):
         doc = dict(self.FORMS.get(form, {"kind": "reduced", "omega": [1.5, -0.7],
                                          "nu": [2, 4], "delta2": [0.0, 0.0]}))
@@ -445,3 +456,45 @@ class TestNonFinitePoints:
         assert [r.value for r in (out[0], out[3])] == [0.0, 0.0]
         for r, res in zip(grid[1:3], out[1:3]):
             assert res == ratio.pdf_ratio_spa(spec, r)
+
+
+def test_quantile_search_failure_exits_3(capsys, tmp_path, monkeypatch):
+    """A CDF with no crossing of p gives exit 3 with the search's closest
+    evaluation, not a traceback."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(TestNonFinitePoints.FORMS["indefinite"]))
+    monkeypatch.setattr(select, "cdf", lambda red, x, *args, **kwargs: qf.MethodResult(
+        0.3, 1e-12, "imhof", "rigorous"))
+    code, out, err = run_cli(capsys, "quantile", "--p", "0.9", str(path))
+    assert code == 3 and err.startswith("error: quantile search") and "Traceback" not in err
+    payload = json.loads(out)
+    assert (payload["value"], payload["method"]) == (0.3, "imhof")
+    assert math.isfinite(payload["diagnostics"]["q"])
+
+
+def test_commands_do_not_import_scipy_optimize(tmp_path):
+    """No command loads scipy.optimize: the quantile search runs its own
+    Brent.  The baseline is taken after scipy.special, which loads it
+    itself on some scipy versions."""
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(TestNonFinitePoints.FORMS["indefinite"]))
+    spec = tmp_path / "ratio.json"
+    spec.write_text(json.dumps({"kind": "ratio", "a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]],
+                                "mu": [0, 0], "sigma_mat": [[1, 0], [0, 1]]}))
+    commands = [["cdf", str(form), "--grid=-8:12:41"], ["quantile", str(form), "--p", "0.9"],
+                ["ratio-cdf", str(spec), "--grid=0.05:0.95:19"], ["ratio-pdf", str(spec), "--r=0.5"],
+                ["ratio-moment", str(spec), "--p", "1"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "import scipy.special\n"
+        "before = set(sys.modules)\n"
+        "from quadform import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, sorted(m for m in set(sys.modules) - before\n"
+        "                    if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"

@@ -1,14 +1,17 @@
+import functools
+import inspect
 import math
+import sys
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 import quadform as qf
-from quadform import inversion, select, series, transforms
-from quadform.forms import DaviesParams, ImhofParams
+from quadform import approx, inversion, select, series, transforms
+from quadform.forms import DaviesParams, ImhofParams, MethodResult
 from quadform.select import cdf_auto_inversion
 from quadform.reference import sample_reduced
 
@@ -898,6 +901,13 @@ class TestRowPass:
             assert abs(res.value - auto.value) <= res.error_bound + auto.error_bound < 1e-8
 
 
+def _each_point(fn, *args):
+    """fn, which takes one point, over a point or a list of points."""
+    def each(red, q):
+        return [fn(red, x, *args) for x in q] if np.ndim(q) else fn(red, q, *args)
+    return each
+
+
 class TestInfinitePoints:
     """The engines share one point check: NaN is invalid input, and at +-inf
     the CDF is exactly 0 or 1 and the density 0, with nothing integrated or
@@ -917,6 +927,11 @@ class TestInfinitePoints:
         "pdf_series": (qf.pdf_series, DEFINITE, True),
         "cdf_series_negative": (qf.cdf_series, NEGATIVE, False),
         "pdf_series_negative": (qf.pdf_series, NEGATIVE, True),
+        "cdf_spa_lr": (approx.cdf_spa, INDEFINITE, False),
+        "cdf_spa_bn": (functools.partial(approx.cdf_spa, variant="barndorff_nielsen"),
+                       INDEFINITE, False),
+        "pdf_spa": (approx.pdf_spa, INDEFINITE, True),
+        "cdf_matched": (_each_point(approx.cdf_matched, "satterthwaite"), DEFINITE, False),
     }
 
     @pytest.mark.parametrize("engine", list(ENGINES))
@@ -940,12 +955,177 @@ class TestInfinitePoints:
         assert {(res.provenance, res.error_bound) for res in results} == {("exact", 0.0)}
         assert fn(red, math.inf) == results[1]
 
-    @pytest.mark.parametrize("method", ["imhof", "central_even", "ruben", "davies"])
+    @pytest.mark.parametrize("method", ["imhof", "central_even", "ruben", "davies", "spa_lr",
+                                        "spa_bn", "satterthwaite"])
     def test_named_route(self, method):
         red = self.CENTRAL_EVEN if method == "central_even" else (
-            self.DEFINITE if method == "ruben" else INDEFINITE)
+            self.DEFINITE if method in ("ruben", "satterthwaite") else INDEFINITE)
         cdf = select.cdf(red, [-math.inf, math.inf], method)
         assert [res.value for res in cdf] == [0.0, 1.0]
-        if method != "davies":
+        if method not in ("davies", "spa_bn", "satterthwaite"):
             pdf = select.pdf(red, [-math.inf, math.inf], method)
             assert [res.value for res in pdf] == [0.0, 0.0]
+
+
+def _cubic(x):
+    return x**3 - 2.0 * x - 5.0
+
+
+def _scipy_brentq(f, xa, xb, xtol, rtol, maxiter):
+    """scipy's brentq with ``inversion._brentq``'s signature and returns."""
+    try:
+        root, info = optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                                     full_output=True, disp=False)
+    except ValueError:   # f(xa) and f(xb) of the same sign
+        return None
+    return root if info.converged else None
+
+
+class TestBrentq:
+    """``inversion._brentq`` evaluates f at the points scipy's brentq does and
+    returns its root, bit for bit, on a battery that runs every branch."""
+
+    BATTERY = {
+        "interpolate_extrapolate": (_cubic, 2.0, 3.0, 2e-12, 100),
+        "rejected_steps": (lambda x: math.exp(x) - 2.0, -4.0, 3.0, 2e-12, 100),
+        "steep": (lambda x: math.atan(1e4 * (x - 0.3)), 0.0, 5.0, 2e-12, 100),
+        "high_power": (lambda x: x**9 - 1e-3, -1.0, 4.0, 2e-12, 100),
+        "flat_then_steep": (lambda x: math.tanh(50.0 * (x - 0.9)) + 0.999, 0.0, 1.0, 2e-12, 100),
+        "step": (lambda x: -0.5 if x < 0.3 else 0.5, 0.0, 1.0, 2e-12, 100),
+        "zero_at_lower_end": (lambda x: x, 0.0, 1.0, 2e-12, 100),
+        "zero_at_upper_end": (lambda x: x, -1.0, 0.0, 2e-12, 100),
+        "zero_in_the_middle": (lambda x: x - 0.5, 0.0, 1.0, 2e-12, 100),
+        "minimum_step": (lambda x: math.cos(x) - x, 0.0, 1.0, 0.1, 100),
+        # coarse tolerances, where delta decides a step: the limit
+        # 3 |sbis| - delta, and a previous step no longer than delta
+        "step_limit": (lambda x: (x - 0.75)**3 * (1.0 + 0.1 * (x + 0.27)**2) + 0.005,
+                       -3.0, 1.5, 0.01, 100),
+        "short_previous_step": (lambda x: (x - 0.7)**3 * (1.0 + 0.1 * x * x), -3.0, 1.5, 0.3, 100),
+        # slopes whose products underflow: C divides by zero and bisects
+        "zero_divisor": (lambda x: 1e-150 * _cubic(x * 1e-70), 2e70, 3e70, 2e-12, 100),
+        "sign_error": (lambda x: x * x + 1.0, -1.0, 1.0, 2e-12, 100),
+        "cap": (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12, 3),
+    }
+    # a statement of each branch, found in the port's source by its start
+    BRANCHES = ("return xpre", "return xcur", "return None", "xpre, xcur, xblk =",
+                "stry = -fcur * (xcur", "stry = -fcur * (fblk", "stry = math.inf",
+                "spre, scur = scur, stry", "spre = scur = sbis", "xcur += scur",
+                "xcur += delta")
+
+    @staticmethod
+    def _run(brentq, fn, a, b, xtol, maxiter):
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return fn(x)
+
+        return brentq(f, a, b, xtol, 8.9e-16, maxiter), xs
+
+    @pytest.mark.parametrize("case", list(BATTERY))
+    def test_matches_scipy(self, case):
+        fn, a, b, xtol, maxiter = self.BATTERY[case]
+        root, xs = self._run(inversion._brentq, fn, a, b, xtol, maxiter)
+        assert (root, xs) == self._run(_scipy_brentq, fn, a, b, xtol, maxiter)
+        assert (root is None) == (case in ("sign_error", "cap"))
+
+    def test_battery_runs_every_branch(self):
+        lines, first = inspect.getsourcelines(inversion._brentq)
+        code, hit = inversion._brentq.__code__, set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+
+            def line(frame, event, arg):
+                if event == "line":
+                    hit.add(frame.f_lineno - first)
+                return line
+            return line
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            for fn, a, b, xtol, maxiter in self.BATTERY.values():
+                self._run(inversion._brentq, fn, a, b, xtol, maxiter)
+        finally:
+            sys.settrace(previous)
+        branches = {i for i, text in enumerate(lines) if text.strip().startswith(self.BRANCHES)}
+        assert len(branches) == 14 and branches <= hit, [lines[i] for i in branches - hit]
+
+    def test_exception_passes_through(self):
+        class Halt(Exception):
+            pass
+
+        for brentq in (inversion._brentq, _scipy_brentq):
+            xs = []
+
+            def f(x):
+                xs.append(x)
+                if len(xs) == 4:
+                    raise Halt(x)
+                return math.cos(x) - x
+
+            with pytest.raises(Halt):
+                brentq(f, 0.0, 1.0, 2e-12, 8.9e-16, 100)
+            assert len(xs) == 4
+
+
+class TestQuantileSearch:
+    """The search on the in-module Brent: the same q, CDF calls and CDF result
+    as on scipy's, and a library error, with its closest evaluation, where
+    the search cannot finish."""
+
+    @pytest.mark.parametrize("kind", ["positive", "indefinite"])
+    def test_same_as_scipy_brentq(self, kind, monkeypatch):
+        rng = np.random.default_rng(21 if kind == "positive" else 22)
+        forms = [random_reduced(rng, definite=kind) for _ in range(6)]
+        ours = [qf.quantile(red, p, tol=1e-6) for red in forms for p in (0.01, 0.5, 0.99)]
+        runs = []
+
+        def reference(*args):
+            runs.append(args)
+            return _scipy_brentq(*args)
+
+        monkeypatch.setattr(inversion, "_brentq", reference)
+        theirs = [qf.quantile(red, p, tol=1e-6) for red in forms for p in (0.01, 0.5, 0.99)]
+        assert runs   # the searches reached Brent's method
+        for q, ref in zip(ours, theirs):
+            assert (float(q), q.cdf_calls, q.cdf) == (float(ref), ref.cdf_calls, ref.cdf)
+
+    @staticmethod
+    def _search(monkeypatch, values):
+        """quantile of INDEFINITE at p = 0.9 on a CDF whose i-th call returns
+        values(i, x); the ConvergenceFailureError it raises."""
+        calls = []
+
+        def cdf(red, x, *args, **kwargs):
+            calls.append(x)
+            return MethodResult(values(len(calls), x), 1e-12, "imhof", "rigorous")
+
+        monkeypatch.setattr(select, "cdf", cdf)
+        with pytest.raises(qf.ConvergenceFailureError) as info:
+            qf.quantile(INDEFINITE, 0.9)
+        return info.value, calls
+
+    def test_flat_cdf_has_no_bracket(self, monkeypatch):
+        err, calls = self._search(monkeypatch, lambda i, x: 0.3)
+        assert "no sign change" in str(err)
+        res = err.result
+        assert (res.value, res.method, res.diagnostics["q"]) == (0.3, "imhof", calls[0])
+        assert res.diagnostics["cdf_calls"] == len(calls) == 201
+
+    def test_brent_at_its_cap(self, monkeypatch):
+        brentq = inversion._brentq
+        monkeypatch.setattr(inversion, "_brentq",
+                            lambda f, a, b, xtol, rtol, maxiter: brentq(f, a, b, xtol, rtol, 2))
+        # a CDF that jumps from 0.5 to 1 at x = 3: no point meets p = 0.9
+        err, calls = self._search(monkeypatch, lambda i, x: 0.5 if x < 3.0 else 1.0)
+        assert "200 Brent iterations" in str(err)
+        best = err.result.diagnostics["q"]
+        assert best >= 3.0 and err.result.value == 1.0 and best in calls
+
+    def test_nan_from_the_cdf(self, monkeypatch):
+        err, calls = self._search(monkeypatch, lambda i, x: 0.7 if i == 1 else math.nan)
+        assert "NaN" in str(err) and len(calls) == 2
+        assert (err.result.value, err.result.diagnostics["q"]) == (0.7, calls[0])
