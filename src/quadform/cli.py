@@ -176,7 +176,8 @@ def _load_form(args):
     form = parse_document(doc)
     if getattr(args, "method", "") is None:
         args.method = doc.get("method", "auto")
-        if args.method not in select.CDF_METHODS:
+        if args.method not in (select.PDF_METHODS if args.command == "pdf"
+                               else select.CDF_METHODS):
             raise InvalidInputError(f"unknown document method {args.method!r}")
     tol = doc.get("tol", 1e-8) if args.tol is None else args.tol
     try:
@@ -340,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=True, with_tol=True):
+    def common(p, with_method=True, with_tol=True, methods=select.CDF_METHODS):
         p.add_argument("document", help="JSON form specification")
         if with_tol:
             p.add_argument("--tol", type=float, default=None)
         p.add_argument("--pretty", action="store_true")
         if with_method:
-            p.add_argument("--method", default=None, choices=select.CDF_METHODS)
+            p.add_argument("--method", default=None, choices=methods)
 
     p = sub.add_parser("reduce", help="canonical reduced parameters")
     common(p, with_method=False, with_tol=False)
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cdf)
 
     p = sub.add_parser("pdf", help="probability density function")
-    common(p)
+    common(p, methods=select.PDF_METHODS)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--grid", default=None, help="start:stop:count")
     p.set_defaults(fn=cmd_cdf)

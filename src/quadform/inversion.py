@@ -6,9 +6,10 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
 * Imhof: modulus-phase integrand sin(theta(u)) / (u rho(u)) on a
   trapezoid grid over [0, U], with the closed-form tail bound used to
   pick U and Richardson panel doubling to control quadrature error.
-  Requires sigma = 0.  U lies on the ladder 2^j (j < 0 allowed): the CDF
-  and the density take the first rung whose own tail bound meets tol/2,
-  by one scalar search per point.  A rung holds what its points share:
+  A Gaussian term only adds its envelope e^(-sigma^2 u^2/8) to the
+  modulus (see ``_Tail``).  U lies on the ladder 2^j (j < 0 allowed):
+  the CDF and the density take the first rung whose own tail bound meets
+  tol/2, by one scalar search per point.  A rung holds what its points share:
   the x-free part of the tail record (phi(U) read once) and the modulus
   and phase at its nested trapezoid nodes, each node evaluated once.
   The points of a call are the rows of one pass: each sweep steps every
@@ -26,10 +27,12 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   reaches from x past the two points where the centred form's Chernoff
   log-tails equal log(tol/4).
 
-What does not depend on the point (Imhof's tail constants and rungs, the
-Davies crossings and truncation ladder) is built on first use and kept by
-the form's ``select.Plan``, so the points of a grid and the CDF calls of
-``quantile`` build it once.  A call without a plan builds one of its own.
+What does not depend on the point (Imhof's tail constants and rungs) is
+built on first use and kept by the form's ``select.Plan``, so the points of
+a grid and the CDF calls of ``quantile`` build it once.  A call without a
+plan builds one of its own.  Davies' set-up (the spread crossings and the
+truncation ladder) is built once per ``cdf_davies`` call, for all its
+points.
 
 Both read the modulus and phase of phi from one kernel,
 ``transforms._log_cf`` (Imhof's u is twice its frequency).  Their bounds
@@ -52,8 +55,7 @@ import numpy as np
 from scipy import special
 
 from . import transforms
-from .errors import (ConvergenceFailureError, InvalidInputError, NotApplicableError,
-                     one_or_all)
+from .errors import ConvergenceFailureError, InvalidInputError, one_or_all
 from .forms import DaviesParams, ImhofParams, MethodResult, ReducedForm
 
 IMHOF_PANELS_MAX = 2**23
@@ -61,14 +63,6 @@ IMHOF_PANELS_START = 64
 DAVIES_POINTS_MAX = 2**25
 _LOG_TINY = -745.0
 _EPS = np.finfo(float).eps
-
-
-def _require_no_gaussian(red: ReducedForm, op: str) -> None:
-    if red.sigma_gauss != 0.0:
-        raise NotApplicableError(
-            f"{op} does not support a Gaussian component; use the Davies lattice",
-            condition="sigma=0",
-        )
 
 
 def _exact_cdf(red: ReducedForm, q: float, method: str,
@@ -107,10 +101,10 @@ def imhof_integrand(red: ReducedForm, u, q: float):
 
     q is the evaluation point in the shifted coordinate (constant already
     subtracted).  The integrand itself is sin(theta)/(u rho); its u -> 0
-    limit is (sum w (nu + d2) - q) / 2.  rho is inf where it overflows (the
-    integrand is then 0).
+    limit is (sum w (nu + d2) - q) / 2.  A Gaussian term enters rho only,
+    as e^(sigma^2 u^2/8).  rho is inf where it overflows (the integrand is
+    then 0).
     """
-    _require_no_gaussian(red, "imhof integrand")
     u = np.asarray(u, dtype=float)
     log_mod, phase = transforms._log_cf(red, 0.5 * u)
     with np.errstate(over="ignore"):
@@ -124,7 +118,7 @@ class _Groups(NamedTuple):
     omega: np.ndarray
     nu: np.ndarray
     delta2: np.ndarray
-    sigma_gauss: float = 0.0
+    sigma_gauss: float | np.ndarray = 0.0   # 0.0, or a (rows, 1) column when a row has one
 
 
 # a pass's temporary arrays are bounded by the most integrand terms (rows x
@@ -140,10 +134,10 @@ def _evaluate_nodes(pieces: list) -> list:
 
     Pieces of one form run side by side, as one row of nodes.  Pieces of
     several forms run as the rows of one (rows x nodes) array per piece
-    length, each row with its form's weights, padded with inert groups
-    (nu = 0, delta2 = 0, omega = 1) after its own up to the most groups:
-    the group sums run in group order, so the trailing zero terms leave
-    every node's values as its form alone gives them.
+    length, each row with its form's weights and sigma, padded with inert
+    groups (nu = 0, delta2 = 0, omega = 1) after its own up to the most
+    groups: the group sums run in group order, so the trailing zero terms
+    leave every node's values as its form alone gives them.
     """
     forms = {id(red): red for red, _ in pieces}
     if len(forms) == 1:
@@ -165,7 +159,9 @@ def _evaluate_nodes(pieces: list) -> list:
         for row, i in enumerate(idx):
             red = pieces[i][0]
             weights[:, :red.n_groups, row, 0] = red.omega, red.nu, red.delta2
-        nodes = _node_rows(_Groups(*weights), np.stack([pieces[i][1] for i in idx]), groups)
+        sigma = np.array([[pieces[i][0].sigma_gauss] for i in idx])
+        nodes = _node_rows(_Groups(*weights, sigma if sigma.any() else 0.0),
+                           np.stack([pieces[i][1] for i in idx]), groups)
         for row, i in enumerate(idx):
             out[i] = nodes[:, row]
     return out
@@ -185,7 +181,9 @@ def _node_rows(form, u: np.ndarray, groups: int) -> np.ndarray:
     sections = -(-n // cap)
     bounds = [n * k // sections for k in range(sections + 1)] if sections > 1 else (0, n)
     for r in range(0, u.size // n, per):
-        part = form if u.ndim == 1 else _Groups(*(v[:, r:r + per] for v in form[:3]))
+        part = form if u.ndim == 1 else _Groups(
+            *(v[:, r:r + per] for v in form[:3]),
+            form.sigma_gauss[r:r + per] if np.ndim(form.sigma_gauss) else 0.0)
         for a, b in zip(bounds, bounds[1:]):
             block = out[..., a:b] if u.ndim == 1 else out[:, r:r + per, a:b]
             log_mod, phase = transforms._log_cf(part, 0.5 * block[0])
@@ -275,8 +273,10 @@ class _Rung:
         plain bound, the c1 part of the balanced bound) at U."""
         k, c1, _, log_w, *_ = self.form
         w, nu, d2, u = self.red.omega, self.red.nu, self.red.delta2, self.u
+        sig = self.red.sigma_gauss
         log_mod, phase = transforms._log_cf(self.red, 0.5 * u)
-        log_floor = log_w + 0.5 * float(np.sum(d2 * w**2 * u**2 / (1.0 + w**2 * u**2)))
+        log_floor = (log_w + 0.5 * float(np.sum(d2 * w**2 * u**2 / (1.0 + w**2 * u**2)))
+                     + (sig * u) ** 2 / 8.0)
         g = 1.0 + (w * u) ** 2
         m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / g))
         slope = 0.5 * float(np.sum(nu * w / g + d2 * w * (1.0 - (w * u) ** 2) / g**2))
@@ -291,6 +291,9 @@ class _Rung:
                 balanced = c1 * (math.exp(min(-log_floor, 700.0)) * u ** -(k + 1.0) / (k + 1.0))
         pdf_plain = math.inf if k <= 1.0 else math.exp(min(
             -math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u) - log_floor, 700.0))
+        if sig > 0.0:
+            pdf_plain = min(pdf_plain, math.exp(min(
+                math.log(2.0 / (math.pi * sig**2)) - (k + 1.0) * math.log(u) - log_floor, 700.0)))
         return float(phase), rho, log_floor, m1, slope, plain, pdf_plain, balanced
 
     def view(self, fine: int, first: bool, a: int, b: int) -> np.ndarray:
@@ -331,13 +334,21 @@ class _Tail(NamedTuple):
     With k = sum(nu)/2, c2 = (1/2) sum (nu + 3 d2), s the slope floor, and
     c1 = (1/2) sum (nu + d2)/|w| when the positive and negative dof counts
     differ by a multiple of 4 (the limiting phase is then a multiple of pi):
+    * A Gaussian term multiplies |phi(u/2)| by e^(-sigma^2 u^2/8) and leaves
+      theta alone, so floor gains (sigma U)^2/8: still a lower bound on
+      log rho - k log u over u >= U, as that part increases with u.  Every
+      bound below then carries the Gaussian envelope; rho stays increasing.
     * T_U = U^-k e^-floor / (pi k); the density's |integrand| <= 1/rho is
-      integrable for k > 1, giving U^(1-k) e^-floor / (2 pi (k - 1)).
+      integrable for k > 1, giving U^(1-k) e^-floor / (2 pi (k - 1)), and
+      with sigma > 0 for every k: int_U^inf e^(-sigma^2 u^2/8) du <=
+      4 e^(-sigma^2 U^2/8) / (sigma^2 U) gives U^-(k+1) e^-floor
+      2 / (pi sigma^2).
     * With g = 1/(rho theta'), the tail int_U^inf e^{i theta}/rho is a
       boundary term plus int g' e^{i theta}, and int |theta''| du <= c2/U
       (termwise, as 2w^2 u <= |w|(1 + w^2 u^2)): hence the majorant
       [2 + c2/(U s)] / (rho(U) s).  The density's residual estimate
-      (c2 + 2k) / (2 pi rho s^2 U) sizes the next order.
+      (c2 + 2k + (sigma U)^2/4) / (2 pi rho s^2 U) sizes the next order;
+      the Gaussian adds sigma^2 U/4 to rho'/rho at U, hence its term.
     * Balanced phase: |sin of the chi part| <= c1/u, and the pure
       x-oscillation is integrated by parts with its exact linear phase, so
       no slope floor is needed (x near 0, light dofs).
@@ -380,7 +391,8 @@ def _tail(rung: _Rung, x: float) -> _Tail:
         ibp = residual = 0.0
     else:
         ibp = (2.0 + c2 / (u * s)) / (rho * s)
-        residual = (c2 + 2.0 * k) / (2.0 * math.pi * rho * s**2 * u)
+        residual = ((c2 + 2.0 * k + (rung.red.sigma_gauss * u) ** 2 / 4.0)
+                    / (2.0 * math.pi * rho * s**2 * u))
     if c1 is not None:
         if x != 0.0 and finite:
             balanced += (2.0 / abs(x)) * (2.0 / (u * rho) + m1 * math.pi * plain)
@@ -572,8 +584,6 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
         plans = list(plan) if plan is not None else [_own_plan(form, None) for form in red]
         if len(plans) != pts.size:
             raise InvalidInputError("a list of forms takes one point per form")
-    for p in {id(p): p for p in plans}.values():
-        _require_no_gaussian(p.red, "imhof PDF" if density else "imhof CDF")
     tail, u_cap = (_pdf_tail, 1e7) if density else (_cdf_tail, 1e25)
     rows: dict = {}
     fixed: dict = {}
@@ -585,7 +595,7 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
         if density and q_i in p.support:
             out[i] = transforms.support_density(form, True, "imhof")
         elif (density and x == 0.0 and form.nu.tolist() == [1, 1]
-              and form.omega[0] * form.omega[1] < 0.0):
+              and form.omega[0] * form.omega[1] < 0.0 and not form.sigma_gauss):
             out[i] = MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
         elif not density:
             out[i] = _exact_cdf(form, q_i, "imhof", p.support)
@@ -681,11 +691,12 @@ def pdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan
     The grid is chosen as for cdf_imhof, with the density's tail terms: U
     is the first rung of the ladder 2^j (at most the first above 1e7) where
     the smallest of them is at most tol/2.  The reported bound combines the
-    integrable part of the modulus tail (valid when sum(nu) > 2) with a
-    Richardson estimate; flagged heuristic since the oscillatory tail has
-    no tight closed bound.  At a finite end of the support the density is
-    the exact limit from inside (``transforms.support_density``).  Two
-    one-dof groups of opposite signs have a pole at x = 0 (two x^(-1/2)
+    integrable part of the modulus tail (valid when sum(nu) > 2 or
+    sigma > 0) with a Richardson estimate; flagged heuristic since the
+    oscillatory tail has no tight closed bound.  At a finite end of the
+    support the density is the exact limit from inside
+    (``transforms.support_density``).  Without a Gaussian term, two one-dof
+    groups of opposite signs have a pole at x = 0 (two x^(-1/2)
     singularities convolve to a log), and the density is exactly inf; at
     +-inf it is exactly 0.  q, red and ``plan`` as for cdf_imhof.
     """
@@ -767,36 +778,63 @@ def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int):
     return 0.5 - total / math.pi, _rounding_bound(mass / math.pi, k_max + 1)
 
 
-def _davies_spread(plan, tol: float, x):
+def _spread_form(chi: ReducedForm, tol: float) -> tuple:
+    """The centred form chi's mean and sd, and its left and right crossings
+    with log(tol/4): the aliasing bound of Davies' lattice is at most tol/4
+    once x - spread and x + spread lie beyond them."""
+    ks = transforms.cumulants(chi, 2)
+    quarter = tol / 4.0
+    level = math.log(quarter) if quarter > 0.0 else -math.inf
+    return (ks.get(1), math.sqrt(max(ks.get(2), 1e-300)),
+            transforms.chernoff_crossing(chi, level, "left"),
+            transforms.chernoff_crossing(chi, level, "right"))
+
+
+def _davies_spread(chi: ReducedForm, spread_form: tuple, x):
     """The lattice spread of the auto rule at shifted point x (scalar or array).
 
     It is max(8 sd, |x - mean| + 4 sd, need + margin), the last term capped at
     1e12 sd, where need = max(x - left, right - x) is the distance from x to
-    the plan's crossings at tol and margin is their ``crossing_margin``: x - spread
-    and x + spread then lie beyond the crossings, so the lattice bound is at
-    most their level tol/4.  need is inf when tol/4 underflows to 0 (no
-    spread reaches it), and stays inf.
+    the crossings of the centred form chi (``_spread_form``) and margin is
+    their ``crossing_margin``: x - spread and x + spread then lie beyond the
+    crossings, so the lattice bound is at most their level tol/4.  need is
+    inf when tol/4 underflows to 0 (no spread reaches it), and stays inf.
     """
-    mean, sd, left, right = plan.spread_form(tol)
-    need = (np.maximum(x - left, right - x)
-            + transforms.crossing_margin(plan.centred, x, left, right))
+    mean, sd, left, right = spread_form
+    need = np.maximum(x - left, right - x) + transforms.crossing_margin(chi, x, left, right)
     return np.maximum(np.maximum(8.0 * sd, np.abs(x - mean) + 4.0 * sd),
                       np.minimum(need, 1e12 * sd))
 
 
-def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None,
-               tol: float = 1e-8, plan=None):
+def _truncation_u(red: ReducedForm, sd: float, tol: float, delta: np.ndarray) -> np.ndarray:
+    """For each lattice spacing of a nonempty array delta, the first rung of
+    Davies' truncation ladder U = 4/sd * 1.5^j (4/sigma for a pure normal)
+    whose truncation bound is at most tol/2 or that holds DAVIES_POINTS_MAX
+    lattice points of that spacing.
+
+    The ladder is walked once, to the first rung that is small or that
+    every spacing fills (u / delta falls as delta grows); a spacing that
+    fills an earlier rung stops there."""
+    widest = float(delta.max())
+    us = [4.0 / (sd if red.n_groups else red.sigma_gauss)]
+    while (davies_truncation_bound(red, us[-1]) > tol / 2.0
+           and us[-1] / widest < DAVIES_POINTS_MAX):
+        us.append(us[-1] * 1.5)
+    full = np.array(us) / delta[:, None] >= DAVIES_POINTS_MAX
+    return np.array(us)[np.where(full.any(axis=1), full.argmax(axis=1), len(us) - 1)]
+
+
+def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None, tol: float = 1e-8):
     """CDF by the midpoint-lattice inversion sum with computable bounds.
 
     Supports Gaussian components and weights of both signs.  The reported
-    bound is truncation + lattice aliasing + the rounding of the sum.
-    ``plan`` is a ``select.Plan`` of red to reuse; results do not depend
-    on it.  q may be an array: the spreads, the truncation rungs and
-    both bounds are computed for all points at once (two chernoff_log_tail
-    calls for the lattice bounds), and only the lattice sum runs per point;
-    the result is a list with each point's MethodResult or
-    ConvergenceFailureError.  A NaN point is invalid input; at +-inf the
-    CDF is exactly 0 or 1.
+    bound is truncation + lattice aliasing + the rounding of the sum.  q
+    may be an array: the set-up (the spread crossings and the truncation
+    ladder at tol), the spreads, the truncation rungs and both bounds are
+    computed once for all points (two chernoff_log_tail calls for the
+    lattice bounds), and only the lattice sum runs per point; the result is
+    a list with each point's MethodResult or ConvergenceFailureError.  A
+    NaN point is invalid input; at +-inf the CDF is exactly 0 or 1.
     """
     qs = np.asarray(q, dtype=float)
     pts, exact = transforms.point_outcomes(qs, False, "davies")
@@ -809,20 +847,22 @@ def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None,
     idx = np.flatnonzero(inside)
     if not idx.size:
         return one_or_all(out, qs.ndim == 0)
-    plan = _own_plan(red, plan)
+    chi = red.shifted(0.0)
     x = pts[idx] - red.const
     if params is not None:
         spread = 2.0 * math.pi / params.delta
         delta = np.full(x.shape, params.delta)
         k_max = np.full(x.shape, params.k_max)
     else:
-        spread = _davies_spread(plan, tol, x)
+        spread_form = _spread_form(chi, tol)
+        spread = _davies_spread(chi, spread_form, x)
         delta = 2.0 * math.pi / spread
-        k_max = np.maximum(np.minimum(np.ceil(plan.truncation_u(tol, delta) / delta - 0.5),
-                                      DAVIES_POINTS_MAX), 8).astype(int)
+        u_trunc = _truncation_u(red, spread_form[1], tol, delta)
+        k_max = np.maximum(np.minimum(np.ceil(u_trunc / delta - 0.5), DAVIES_POINTS_MAX),
+                           8).astype(int)
     u_max = (k_max + 0.5) * delta
     trunc = davies_truncation_bound(red, u_max)
-    lattice = _davies_lattice_bound(plan.centred, x, spread)
+    lattice = _davies_lattice_bound(chi, x, spread)
     for i, xi, d, k, u, t, la in zip(idx.tolist(), x.tolist(), delta.tolist(),
                                      k_max.tolist(), u_max.tolist(), trunc.tolist(),
                                      lattice.tolist()):

@@ -5,10 +5,11 @@ Auto first answers the points on or outside the support exactly, tagged
 except at a finite end of the support, where it is the limit from inside
 (inf, finite or 0 for a total dof of 1, 2 or more).  One policy routes
 every other point: far tails (Chernoff estimate below 1e-8) go to the
-saddlepoint, which keeps the exact exponential decay rate; forms with a
-Gaussian term use Davies (CDF) or the saddlepoint (PDF); otherwise
-central even-dof forms use the partial-fraction formula, definite forms
-the chi-square-density expansion and all others Imhof.
+saddlepoint, which keeps the exact exponential decay rate; central
+even-dof forms use the partial-fraction formula, definite forms the
+chi-square-density expansion and all others Imhof, which is also the
+route of every form with a Gaussian term (the series have none).  Only
+a pure normal (no groups) takes Davies (CDF) or the saddlepoint (PDF).
 
 Every auto reroute is one ladder (``_walk``): a point whose outcome is a
 library error or a bound above tol moves down a rung, from the partial
@@ -30,22 +31,20 @@ call; a caller that evaluates one form many times (the quantile search)
 passes its own.  An array is routed once and evaluated per route: the
 expansion and the series coefficients are shared by all points; every
 engine reads the plan's form, and the series negate a negative definite
-one themselves (``Plan.series_form``).  The
-saddlepoint routes solve K'(t) = q once for all their points, and Davies
-computes the spreads, truncation rungs and both bounds of all its points
-at once (its lattice bounds from two array Chernoff calls on the plan's
-centred form); only Davies' lattice sum runs per point.  Imhof points are
-the rows of one trapezoid pass (``inversion.cdf_imhof``), and share
-through the plan the rungs of its U ladder (the tail record's x-free part
-and the integrand's modulus and phase at the rung's nodes).  Each point
-gets the route, method, provenance, bound and diagnostics that a call
-with that point alone gives.  A NaN point is invalid input.
+one themselves (``Plan.series_form``).  The saddlepoint routes solve
+K'(t) = q once for all their points, and Davies builds its set-up once
+per call and computes the spreads, truncation rungs and both bounds of
+all its points at once; only its lattice sum runs per point.  Imhof
+points are the rows of one trapezoid pass (``inversion.cdf_imhof``), and
+share through the plan the rungs of its U ladder (the tail record's
+x-free part and the integrand's modulus and phase at the rung's nodes).
+Each point gets the route, method, provenance, bound and diagnostics that
+a call with that point alone gives.  A NaN point is invalid input.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -61,6 +60,7 @@ _LOG_TAIL = math.log(TAIL_THRESHOLD)
 CDF_METHODS = ("auto", "central_even", "ruben", "kotz", "laguerre", "imhof",
                "davies", "spa_lr", "spa_bn", "satterthwaite", "pearson", "hbe",
                "wood", "liu")
+PDF_METHODS = ("auto", "central_even", "ruben", "kotz", "laguerre", "imhof", "spa", "spa_lr")
 
 
 class Plan:
@@ -72,18 +72,15 @@ class Plan:
       negative definite), the remainder poles of its chi-square expansion
       and its coefficient sets, by (kind, beta, K);
     * Imhof's tail constants and its rungs U = 2^j (``inversion._Rung``),
-      by j alone: a rung holds no tol, so every tol shares it;
-    * the centred form and, per tol, the Davies spread form and the
-      truncation ladder.
+      by j alone: a rung holds no tol, so every tol shares it.
 
-    Results do not depend on whether a plan is reused."""
+    Davies, the fallback rung, builds its set-up per call.  Results do not
+    depend on whether a plan is reused."""
 
     def __init__(self, red: ReducedForm):
         self.red = red
         self._coefficients: dict = {}
         self._rungs: dict = {}
-        self._spread: dict = {}
-        self._ladder: dict = {}
 
     @functools.cached_property
     def cls(self) -> FormClass:
@@ -144,59 +141,17 @@ class Plan:
             self._rungs[j] = inversion._Rung(self.red, math.ldexp(1.0, j), self.tail_form)
         return self._rungs[j]
 
-    @functools.cached_property
-    def centred(self) -> ReducedForm:
-        """The form without its constant, on which the Davies spread and
-        lattice bounds work."""
-        return self.red.shifted(0.0)
-
-    def spread_form(self, tol: float) -> tuple:
-        """The centred form's mean and sd, and its left and right crossings
-        with log(tol/4): the aliasing bound of Davies' lattice is at most
-        tol/4 once x - spread and x + spread lie beyond them."""
-        if tol not in self._spread:
-            chi = self.centred
-            ks = transforms.cumulants(chi, 2)
-            quarter = tol / 4.0
-            level = math.log(quarter) if quarter > 0.0 else -math.inf
-            self._spread[tol] = (ks.get(1), math.sqrt(max(ks.get(2), 1e-300)),
-                                 transforms.chernoff_crossing(chi, level, "left"),
-                                 transforms.chernoff_crossing(chi, level, "right"))
-        return self._spread[tol]
-
-    def truncation_u(self, tol: float, delta: np.ndarray) -> np.ndarray:
-        """For each lattice spacing of a nonempty array delta, the first rung
-        of Davies' truncation ladder U = 4/sd * 1.5^j whose truncation bound
-        is at most tol/2 or that holds DAVIES_POINTS_MAX lattice points of
-        that spacing.
-
-        The ladder is walked once, to the first rung that is small or that
-        every spacing fills (u / delta falls as delta grows), and kept per
-        tol with each rung's test; a spacing that fills an earlier rung
-        stops there."""
-        rungs = self._ladder.setdefault(tol, [])
-        widest = float(delta.max())
-        for j in itertools.count():
-            if j == len(rungs):
-                u = (rungs[-1][0] * 1.5 if j else
-                     4.0 / (self.spread_form(tol)[1] if self.red.n_groups
-                            else self.red.sigma_gauss))
-                rungs.append((u, inversion.davies_truncation_bound(self.red, u) <= tol / 2.0))
-            u, small = rungs[j]
-            if small or u / widest >= inversion.DAVIES_POINTS_MAX:
-                break
-        us = np.array([u for u, _ in rungs[:j + 1]])
-        full = us / delta[:, None] >= inversion.DAVIES_POINTS_MAX
-        return us[np.where(full.any(axis=1), full.argmax(axis=1), j)]
-
 
 def _generic_method(red: ReducedForm, quantity: str, central_even: bool = True,
                     cls: FormClass | None = None) -> str:
     """The route of a point outside the far tails (central_even=False skips
-    the partial-fraction formula); cls is classify(red) when known."""
+    the partial-fraction formula); cls is classify(red) when known.  Only a
+    pure normal (no groups) takes Davies (CDF) or the saddlepoint (PDF)."""
     cls = classify(red) if cls is None else cls
-    if cls.has_gaussian or red.n_groups == 0:
+    if red.n_groups == 0:
         return "davies" if quantity == "cdf" else "spa"
+    if cls.has_gaussian:   # the series have no Gaussian term
+        return "imhof"
     if central_even and cls.centrality == "central" and cls.even_degrees:
         return "central_even"
     if cls.definiteness in ("positive", "negative"):
@@ -284,9 +239,9 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
 
 def cdf_auto_inversion(red, q: float, tol: float = 1e-8):
     """The inversion leaf of method="auto" at q (``_inversion``): Imhof, then
-    Davies, or Davies alone with a Gaussian term (Imhof does not support
-    one).  red may be a list of forms, each evaluated at q (the thresholds
-    of ``ratio.cdf_ratio``): the result is then a list with one outcome per
+    Davies, or Davies alone for a pure normal (no groups).  red may be a
+    list of forms, each evaluated at q (the thresholds of
+    ``ratio.cdf_ratio``): the result is then a list with one outcome per
     form, the MethodResult or the library error that form alone raises."""
     forms = [red] if isinstance(red, ReducedForm) else red
     out = _inversion([Plan(form) for form in forms], np.full(len(forms), float(q)), tol)
@@ -295,12 +250,13 @@ def cdf_auto_inversion(red, q: float, tol: float = 1e-8):
 
 def _inversion(plans: list, xs: np.ndarray, tol: float) -> list:
     """The Imhof CDF rung of the ladder and the Davies rung below it, at the
-    point xs[i] of the form of plans[i]: the Imhof points of every form are
-    rows of one pass (``inversion.cdf_imhof``), and a point with a Gaussian
-    term, or whose Imhof outcome fails or has a bound above tol, runs on
-    Davies, one call per form."""
+    point xs[i] of the form of plans[i]: the Imhof points of every form with
+    groups, a Gaussian term or not, are rows of one pass
+    (``inversion.cdf_imhof``), and a point of a pure normal, or whose Imhof
+    outcome fails or has a bound above tol, runs on Davies, one call per
+    form."""
     out: list = [None] * len(plans)
-    rows = [i for i, plan in enumerate(plans) if plan.red.sigma_gauss == 0.0 and plan.red.n_groups]
+    rows = [i for i, plan in enumerate(plans) if plan.red.n_groups]
     if rows:
         for i, res in zip(rows, inversion.cdf_imhof([plans[i].red for i in rows], xs[rows],
                                                     tol=tol, plan=[plans[i] for i in rows])):
@@ -372,7 +328,7 @@ def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str
         return fn(red, xs, tol=tol, plan=plan)
     if cumulative:
         if method == "davies":
-            return inversion.cdf_davies(red, xs, tol=tol, plan=plan)
+            return inversion.cdf_davies(red, xs, tol=tol)
         if method in ("spa_lr", "spa_bn"):
             variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
             return approx.cdf_spa(red, xs, variant)

@@ -79,7 +79,8 @@ def _log_cf(red: ReducedForm, beta):
     elementwise pass runs along beta and the sums add whole rows, in group
     order.  The weights are one per group, or arrays with the group axis
     first that broadcast against beta: the rows of several forms in one
-    call, (groups, rows, 1) weights against a (rows, nodes) beta.
+    call, (groups, rows, 1) weights and a (rows, 1) sigma (or 0.0) against
+    a (rows, nodes) beta.
     """
     w, nu, d2 = red.omega, red.nu, red.delta2
     if w.ndim == 1:
@@ -94,7 +95,7 @@ def _log_cf(red: ReducedForm, beta):
         log_mod = log_mod + 0.5 * _sum(d2 * z2 / g, axis=0)
         phase += d2 * z / g
     log_mod = -log_mod
-    if red.sigma_gauss:
+    if np.ndim(red.sigma_gauss) or red.sigma_gauss:
         log_mod = log_mod - 0.5 * (red.sigma_gauss * beta) ** 2
     return log_mod, 0.5 * _sum(phase, axis=0)
 

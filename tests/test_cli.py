@@ -291,6 +291,59 @@ class TestDocumentDefaults:
         assert exit_code(capsys, [command, *argv, str(path)]) == 2
 
 
+class TestDensityMethods:
+    """pdf's --method takes the density's names (select.PDF_METHODS), so the
+    method a density result prints can be passed back."""
+
+    GAUSS = {"kind": "reduced", "omega": [1.0, -0.5], "nu": [2, 1], "delta2": [0.0, 0.5],
+             "sigma": 1.0}
+
+    def test_pdf_methods(self):
+        assert select.PDF_METHODS == ("auto", "central_even", "ruben", "kotz", "laguerre",
+                                      "imhof", "spa", "spa_lr")
+
+    @pytest.mark.parametrize("q", ["1", "-3", "12"])
+    def test_printed_method_passes_back(self, capsys, tmp_path, q):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(self.GAUSS))
+        code, out, _ = run_cli(capsys, "pdf", "--q", q, str(path))
+        assert code == 0
+        auto = json.loads(out)
+        code, out, _ = run_cli(capsys, "pdf", "--q", q, "--method", auto["method"], str(path))
+        assert code == 0
+        assert json.loads(out)["value"] == auto["value"]
+
+    def test_spa(self, capsys, tmp_path):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(self.GAUSS))
+        code, out, _ = run_cli(capsys, "pdf", "--q", "1", "--method", "spa", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "spa" and payload["provenance"] == "approximate"
+        path.write_text(json.dumps({**self.GAUSS, "method": "spa"}))
+        code, out, _ = run_cli(capsys, "pdf", "--q", "1", str(path))
+        assert code == 0 and json.loads(out)["method"] == "spa"
+
+    @pytest.mark.parametrize("argv", [("pdf", "--method", "davies"),
+                                      ("pdf", "--method", "spa_bn"),
+                                      ("cdf", "--method", "spa")])
+    def test_other_quantity_method_is_an_argparse_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(self.GAUSS))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--q", "1", str(path)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_document_method_is_checked_per_quantity(self, capsys, tmp_path):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps({**self.GAUSS, "method": "davies"}))
+        code, _, err = run_cli(capsys, "pdf", "--q", "1", str(path))
+        assert code == 2 and "unknown document method" in err
+        code, out, _ = run_cli(capsys, "cdf", "--q", "1", str(path))
+        assert code == 0 and json.loads(out)["method"] == "davies"
+
+
 class TestExitCodes:
     def test_invalid_input(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -432,8 +485,8 @@ class TestNonFinitePoints:
         (("pdf", "--q", "inf", "--method", "central_even"), "central_even", 0.0),
         (("cdf", "--q", "inf", "--method", "ruben"), "definite", 1.0),
         (("pdf", "--q", "inf", "--method", "ruben"), "definite", 0.0),
-        # the saddlepoint CDF, the saddlepoint density (pdf's spa_lr) and
-        # moment matching
+        # the saddlepoint CDF, the saddlepoint density (pdf's spa_lr, also
+        # named spa) and moment matching
         (("cdf", "--q", "inf", "--method", "spa_lr"), "indefinite", 1.0),
         (("cdf", "--q=-inf", "--method", "spa_lr"), "indefinite", 0.0),
         (("pdf", "--q", "inf", "--method", "spa_lr"), "indefinite", 0.0),

@@ -248,18 +248,16 @@ class TestDaviesSpread:
         for red in GAUSSIAN[:3] + _conftest_forms(6, 6, gaussian=True):
             ks = qf.cumulants(red.shifted(0.0), 2)
             mean, sd = ks.get(1), math.sqrt(ks.get(2))
-            plan = select.Plan(red)
             for x in mean + sd * np.array([-60.0, -12.0, -3.0, -0.4, 0.0, 1.0, 5.0, 25.0]):
-                self._check(red, float(x), tol, plan)
+                self._check(red, float(x), tol)
 
     @pytest.mark.parametrize("red", GAUSSIAN[:3])
     def test_rungs_on_the_crossing(self, red):
         """Points whose distance to a crossing of the rung-stepping rule (at
         log(tol/2)) is exactly one of its rungs, and 1 ulp either side."""
         tol = 1e-8
-        plan = select.Plan(red)
-        mean, sd, _, _ = plan.spread_form(tol)
         chi = red.shifted(0.0)
+        mean, sd, _, _ = inversion._spread_form(chi, tol)
         left, right = (transforms.chernoff_crossing(chi, math.log(tol / 2.0), side)
                        for side in ("left", "right"))
         for k in range(4):
@@ -270,20 +268,20 @@ class TestDaviesSpread:
                 if abs(x0 - mean) + 4.0 * sd > 8.0 * sd:
                     continue
                 for x in (x0, np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf)):
-                    self._check(red, float(x), tol, plan)
+                    self._check(red, float(x), tol)
 
-    def _check(self, red, x, tol, plan):
-        mean, sd, left, right = plan.spread_form(tol)
+    def _check(self, red, x, tol):
         chi = red.shifted(0.0)
+        mean, sd, left, right = inversion._spread_form(chi, tol)
         for edge, side in ((left, "left"), (right, "right")):
             assert transforms.chernoff_log_tail(chi, edge, side) == pytest.approx(
                 math.log(tol / 4.0), abs=1e-9)
         need = max(x - left, right - x) + transforms.crossing_margin(chi, x, left, right)
-        spread = inversion._davies_spread(plan, tol, x)
+        spread = inversion._davies_spread(chi, inversion._spread_form(chi, tol), x)
         assert spread == max(8.0 * sd, abs(x - mean) + 4.0 * sd, min(need, 1e12 * sd))
         q = x + red.const
         try:
-            res = qf.cdf_davies(red, q, tol=tol, plan=plan)
+            res = qf.cdf_davies(red, q, tol=tol)
         except qf.ConvergenceFailureError as exc:
             res = exc.result
         diag = res.diagnostics

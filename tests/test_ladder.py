@@ -92,7 +92,7 @@ def _old_evaluate(plan, xs, method, tol, quantity, auto):
         return select._each(fn, red, xs, tol=tol, plan=plan)
     if cumulative:
         if method == "davies":
-            return select._each(inversion.cdf_davies, red, xs, tol=tol, plan=plan)
+            return select._each(inversion.cdf_davies, red, xs, tol=tol)
         if method in ("spa_lr", "spa_bn"):
             variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
             return select._each(_old_cdf_spa, red, xs, variant, tol, auto, plan)
@@ -116,13 +116,13 @@ def _old_cdf_spa(red, q, variant, tol, auto, plan):
 
 
 def _old_cdf_auto_inversion(red, q, tol=1e-8, plan=None):
-    if red.sigma_gauss != 0.0 or not red.n_groups:
-        return inversion.cdf_davies(red, q, tol=tol, plan=plan)
+    if not red.n_groups:
+        return inversion.cdf_davies(red, q, tol=tol)
     try:
         return inversion.cdf_imhof(red, q, tol=tol, plan=plan)
     except ConvergenceFailureError as exc:
         try:
-            return inversion.cdf_davies(red, q, tol=tol, plan=plan)
+            return inversion.cdf_davies(red, q, tol=tol)
         except ConvergenceFailureError as exc2:
             raise min(exc, exc2, key=lambda e: e.result.error_bound) from None
 
