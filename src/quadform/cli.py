@@ -103,14 +103,18 @@ def _to_reduced(form) -> ReducedForm:
     raise InvalidInputError("this command needs a raw, raw_complex or reduced form")
 
 
+def _bound(res):
+    """The error bound a payload reports: none for a heuristic estimate."""
+    return None if res.provenance in ("heuristic", "approximate") else res.error_bound
+
+
 def _result_payload(res, tol):
-    heuristic = res.provenance in ("heuristic", "approximate")
     diag = {k: _jsonable(v) for k, v in res.diagnostics.items()}
-    if heuristic and res.error_bound is not None:
+    if _bound(res) is None and res.error_bound is not None:
         diag["error_estimate"] = res.error_bound
     return {
         "value": res.value,
-        "error_bound": None if heuristic else res.error_bound,
+        "error_bound": _bound(res),
         "method": res.method,
         "provenance": res.provenance,
         "tol": tol,
@@ -205,21 +209,8 @@ def cmd_reduce(args) -> dict:
         "delta2": red.delta2.tolist(),
         "sigma": red.sigma_gauss,
         "const": red.const,
-        "classification": {
-            "centrality": cls.centrality,
-            "definiteness": cls.definiteness,
-            "has_gaussian": cls.has_gaussian,
-            "even_degrees": cls.even_degrees,
-        },
+        "classification": dict(vars(cls)),
     }
-
-
-def _grid_payload(quantity: str, grid, results, tol) -> dict:
-    payloads = [_result_payload(res, tol) for res in results]
-    return {"quantity": quantity, "grid": [float(x) for x in grid],
-            "values": [p["value"] for p in payloads],
-            "error_bounds": [p["error_bound"] for p in payloads],
-            "methods": [res.method for res in results], "tol": tol}
 
 
 def _point_or_grid(args, quantity: str, point: str, fn) -> dict:
@@ -228,7 +219,11 @@ def _point_or_grid(args, quantity: str, point: str, fn) -> dict:
     tol = getattr(args, "tol", None)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        return _grid_payload(quantity, grid, fn(grid), tol)
+        results = fn(grid)
+        return {"quantity": quantity, "grid": [float(x) for x in grid],
+                "values": [res.value for res in results],
+                "error_bounds": [_bound(res) for res in results],
+                "methods": [res.method for res in results], "tol": tol}
     x = getattr(args, point)
     if x is None:
         raise InvalidInputError(f"provide --{point} or --grid")
@@ -253,7 +248,7 @@ def cmd_quantile(args) -> dict:
         "p": args.p,
         "value": float(q),
         "cdf_at_value": q.cdf.value,
-        "cdf_error_bound": _result_payload(q.cdf, args.tol)["error_bound"],
+        "cdf_error_bound": _bound(q.cdf),
         "cdf_calls": q.cdf_calls,
         "method": q.cdf.method,
         "tol": args.tol,

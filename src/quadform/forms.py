@@ -56,16 +56,22 @@ def _psd_factor(s, name):
 
     One tolerance decides both questions: an eigenvalue below
     -ZERO_EIG_TOL * max|w| means s is not positive semidefinite, and one
-    within ZERO_EIG_TOL * max|w| of zero is a null direction of s.
+    within ZERO_EIG_TOL * max|w| of zero is a null direction of s.  A
+    diagonal s needs no eigh: its eigenvalues are its diagonal, ascending
+    (stable for ties), and B the kept columns of diag(sqrt(s_ii)).
     """
-    w, u = np.linalg.eigh(s)
+    diag = np.diagonal(s).real
+    diagonal = np.count_nonzero(s) == np.count_nonzero(diag) and np.isfinite(diag).all()
+    order = np.argsort(diag, kind="stable") if diagonal else None
+    w, u = (diag[order], None) if diagonal else np.linalg.eigh(s)
     scale = float(np.max(np.abs(w), initial=0.0))
     if w.min(initial=0.0) < -ZERO_EIG_TOL * scale:
         raise InvalidInputError(
             f"{name} must be positive semidefinite (min eigenvalue {w.min():.3e})"
         )
     keep = w > ZERO_EIG_TOL * scale
-    return u[:, keep] * np.sqrt(w[keep])
+    u = u[:, keep] if order is None else np.eye(s.shape[0], dtype=s.dtype)[:, order[keep]]
+    return u * np.sqrt(w[keep])
 
 
 def _init_raw(form, dtype):

@@ -418,21 +418,26 @@ def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
     u_cap, and its record.
 
     The search starts at the rung of closed-form first guesses from the
-    power-law parts of T_U and of the integration-by-parts bound, and steps
-    by factors of 2, down while the rung below still meets tol/2 and up
-    until one does: every bound decreases with U."""
+    power-law parts of T_U and of the integration-by-parts bound times the
+    Gaussian envelope, and steps by factors of 2, down while the rung below
+    still meets tol/2 and up until one does: every bound decreases with U."""
     red, half = plan.red, tol / 2.0
     k, c1, _, log_w, *_ = plan.tail_form
-    log_scale = -log_w - 0.5 * float(red.delta2.sum())
-    log_tol = math.log(half)
-    log_us = [(-math.log(math.pi * k) + log_scale - log_tol) / k]
+    log_rhs = -log_w - 0.5 * float(red.delta2.sum()) - math.log(half)
+    guesses = [(k, log_rhs - math.log(math.pi * k))]
     if x != 0.0:
-        log_us.append((math.log(2.0) - math.log(math.pi * abs(x) / 2.0) + log_scale - log_tol)
-                      / (k + 1.0))
+        guesses.append((k + 1.0, log_rhs + math.log(2.0) - math.log(math.pi * abs(x) / 2.0)))
     if c1 is not None:
-        log_us.append((math.log(max(c1, 1e-300)) - math.log(math.pi * (k + 1.0)) + log_scale
-                       - log_tol) / (k + 1.0))
-    j = math.ceil(min(max(min(log_us), -600.0), 60.0) / math.log(2.0))
+        guesses.append((k + 1.0, log_rhs + math.log(max(c1, 1e-300) / (math.pi * (k + 1.0)))))
+    g, log_us = red.sigma_gauss**2 / 8.0, []
+    for power, rhs in guesses:
+        # power log U + g U^2 = rhs, convex in log U: Newton from the right of
+        # the root steps down to it (or stays at the cap, 60, beyond it)
+        log_u = min(rhs / power, 60.0, 0.5 * math.log(abs(rhs) / g + 1.0) if g else 60.0)
+        while (excess := power * log_u + g * math.exp(2.0 * log_u) - rhs) > 1e-3 * power:
+            log_u -= excess / (power + 2.0 * g * math.exp(2.0 * log_u))
+        log_us.append(log_u)
+    j = math.ceil(max(min(log_us), -600.0) / math.log(2.0))
     rec = _tail(plan.rung(j), x)
     if tail(rec) <= half:
         while j > -1000 and tail(lower := _tail(plan.rung(j - 1), x)) <= half:

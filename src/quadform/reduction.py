@@ -10,7 +10,8 @@ chi2_1 per nonzero eigenvalue, every nu = 1) and ``group_eigenvalues``
 merges its equal weights into groups.
 
 Sigma is factored once, when the form is built (``sigma_factor``), so
-a reduction makes one eigendecomposition, that of B'AB.  A Hermitian
+a reduction makes one eigendecomposition, that of B'AB (of a central
+form its eigenvalues alone).  A Hermitian
 form in n complex variables is reduced as the real form in 2n variables
 of its real and imaginary parts.  The completion step (``_complete``)
 also completes the ratio CDF's forms from their stacked eigenpairs.
@@ -43,8 +44,9 @@ def factor_covariance(sigma_mat):
     Returns (B, r) where r is the numerical rank: the count of
     eigenvalues above ZERO_EIG_TOL * max|eigenvalue|.  Built from the
     symmetric eigendecomposition, so rank-deficient inputs are handled
-    exactly; raises InvalidInputError when sigma_mat is not PSD.  The
-    forms hold this factor as ``sigma_factor``.
+    exactly (a diagonal sigma_mat needs none: B is the kept columns of
+    diag(sqrt(sigma_ii))); raises InvalidInputError when sigma_mat is not
+    PSD.  The forms hold this factor as ``sigma_factor``.
     """
     b = _psd_factor(_check_hermitian(np.asarray(sigma_mat), "sigma_mat"), "sigma_mat")
     return b, b.shape[1]
@@ -52,10 +54,19 @@ def factor_covariance(sigma_mat):
 
 def _reduce(a, lin, c, mu, fac) -> ReducedForm:
     """x'ax + lin'x + c with x ~ N(mu, fac fac'), completed by ``_complete``
-    in the eigenbasis of fac'a fac."""
-    m = fac.T @ a @ fac
-    lam_all, p = np.linalg.eigh((m + m.T) / 2.0)
-    return _complete(lam_all, p.T @ (fac.T @ (2.0 * a @ mu + lin)),
+    in the eigenbasis of fac'a fac.  A factor with one nonzero s_j per
+    column, in row p_j (a diagonal Sigma's), whitens by gathering, bit for
+    bit: s_i a[p_i, p_j] s_j.  A zero fac'(2 a mu + lin) needs no vectors."""
+    v = 2.0 * a @ mu + lin
+    if (np.count_nonzero(fac, axis=0) == 1).all():
+        p = np.argmax(fac != 0.0, axis=0)
+        s = fac[p, np.arange(p.size)]
+        m, d = (s[:, None] * a[p][:, p]) * s[None, :], s * v[p]
+    else:
+        m, d = fac.T @ a @ fac, fac.T @ v
+    m = (m + m.T) / 2.0
+    lam_all, vec = np.linalg.eigh(m) if d.any() else (np.linalg.eigvalsh(m), None)
+    return _complete(lam_all, d if vec is None else vec.T @ d,
                      float(lin @ mu + mu @ a @ mu + c))
 
 

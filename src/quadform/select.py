@@ -44,6 +44,7 @@ a call with that point alone gives.  A NaN point is invalid input.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -70,7 +71,8 @@ class Plan:
     * routing: the classification, the support and the two crossings;
     * the partial fractions, the series form (the form, negated when it is
       negative definite), the remainder poles of its chi-square expansion
-      and its coefficient sets, by (kind, beta, K);
+      and its coefficient sets, one per (kind, beta), grown in place as
+      the truncation K doubles;
     * Imhof's tail constants and its rungs U = 2^j (``inversion._Rung``),
       by j alone: a rung holds no tol, so every tol shares it.
 
@@ -123,12 +125,15 @@ class Plan:
         return series._ruben_poles(pos, series.default_beta(pos, "ruben"))
 
     def coefficients(self, kind: str, beta: float | None, k_terms: int):
-        """series.series_coefficients of the series form."""
-        key = (kind, beta, k_terms)
-        if key not in self._coefficients:
-            self._coefficients[key] = series.series_coefficients(
-                self.series_form, kind, beta, k_terms)
-        return self._coefficients[key]
+        """The first k_terms + 1 coefficients of the series form's set
+        (kind, beta), which ``series.series_coefficients`` grows in place:
+        each is computed once, and a shorter request is a slice."""
+        held = self._coefficients.get((kind, beta))
+        if held is None or held.d.size < k_terms:
+            held = self._coefficients[kind, beta] = series.series_coefficients(
+                self.series_form, kind, beta, k_terms, held)
+        return held if held.d.size == k_terms else dataclasses.replace(
+            held, c=held.c[:k_terms + 1], d=held.d[:k_terms])
 
     @functools.cached_property
     def tail_form(self):

@@ -14,7 +14,9 @@ Like the inversion engines, the series take a ReducedForm and a
 ``select.Plan`` of it (one of their own when none is given).  The
 expansions' power sums run over the groups with their counts
 nu; only Ruben's pole pairing and the sums over the form's chi2_1
-variables (``_variables``) read one weight per degree of freedom.
+variables (``_variables``) read one weight per degree of freedom.  The
+plan's coefficient sets grow in place as the truncation doubles, and a
+doubling evaluates only the new terms of the expansion.
 """
 
 from __future__ import annotations
@@ -53,17 +55,19 @@ def _require_central_even(red: ReducedForm, op: str) -> None:
         raise NotApplicableError(f"{op} requires a chi-square part", condition="nonempty form")
 
 
-def _exp_series(log_coeffs: np.ndarray, c0: float) -> np.ndarray:
+def _exp_series(log_coeffs: np.ndarray, c0: float, head=None) -> np.ndarray:
     """Taylor coefficients of c0 * exp(sum_{n>=1} g_n s^n) up to len(g).
 
     Standard recursion n c_n = sum_{r=1}^{n} r g_r c_{n-r}, one dot
-    product per coefficient.
+    product per coefficient.  The recursion continues after head, the
+    leading c_n of the same g_n, as it would from scratch, bit for bit.
     """
     n = log_coeffs.shape[0]
     rg = np.arange(1, n + 1) * log_coeffs
     c = np.zeros(n + 1)
-    c[0] = c0
-    for k in range(1, n + 1):
+    start = 1 if head is None else head.size
+    c[:start] = c0 if head is None else head
+    for k in range(start, n + 1):
         c[k] = rg[:k] @ c[k - 1::-1] / k
     return c
 
@@ -211,14 +215,28 @@ def default_beta(red: ReducedForm, kind: str) -> float | None:
     return None
 
 
+def _powers(base: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo) x base.size table of base_i^k, k = lo..hi-1: a row is one
+    pow anchor base^k0 at the block start k0 (a multiple of 64) times the
+    cumulative product base^(k - k0), so it depends on k alone and has a
+    relative error of about 64 eps (outside the subnormal range)."""
+    steps = np.cumprod(np.vstack([np.ones(base.size), np.broadcast_to(base, (63, base.size))]),
+                       axis=0)
+    first = lo - lo % 64
+    table = base ** np.arange(first, hi, 64)[:, None, None] * steps
+    return table.reshape(table.shape[0] * 64, base.size)[lo - first:hi - first]
+
+
 def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
-                        k_terms: int = 64) -> SeriesCoefficients:
+                        k_terms: int = 64, prefix: SeriesCoefficients | None = None
+                        ) -> SeriesCoefficients:
     """First k_terms+1 expansion coefficients for one of the three series.
 
     All share the pipeline: expand log B(theta) = d0 + sum g_k theta^k for
     the appropriate change of variables theta(s), then exponentiate the
-    series by the Cauchy-product recursion.  A form's ``select.Plan`` keeps
-    the sets its evaluations compute.
+    series by the Cauchy-product recursion.  prefix, a shorter set of the
+    same form, kind and beta, is grown: only the new power sums (``_powers``)
+    and coefficients are computed, and its terms are kept bit for bit.
     """
     _require_positive_definite(red, f"{kind} series")
     lam, h2 = _variables(red)
@@ -229,11 +247,12 @@ def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
     lam_u, counts = red.omega[up], red.nu[up]
     noncentral = red.delta2 != 0.0
     lam_h, h2_h = red.omega[noncentral], red.delta2[noncentral]
-    ks = np.arange(1, k_terms + 1)
+    k_from = 0 if prefix is None else prefix.d.size
+    ks = np.arange(k_from + 1, k_terms + 1)
 
     def psum(base, weight, shift=0):
-        """sum_i weight_i base_i^(k - shift) for k = 1..k_terms."""
-        return (base[None, :] ** (ks[:, None] - shift)) @ weight.astype(float)
+        """sum_i weight_i base_i^(k - shift) for the new k."""
+        return _powers(base, k_from + 1 - shift, k_terms + 1 - shift) @ weight.astype(float)
 
     if kind == "ruben":
         beta = default_beta(red, kind) if beta is None else float(beta)
@@ -244,12 +263,10 @@ def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
         d = psum(1.0 - beta / lam_u, counts) + ks * beta * psum(
             1.0 - beta / lam_h, h2_h / lam_h, shift=1)
         c0 = math.exp(-0.5 * float(h2.sum()) + 0.5 * float(np.log(beta / lam).sum()))
-        c = _exp_series(d / (2.0 * ks), c0)
     elif kind == "kotz":
         beta = None
         d = 0.5 * (psum(1.0 / (2.0 * lam_u), counts) - ks * psum(1.0 / (2.0 * lam_h), h2_h))
         c0 = math.exp(-0.5 * float(h2.sum()) - 0.5 * float(np.log(2.0 * lam).sum()))
-        c = _exp_series(d / ks, c0)
     elif kind == "laguerre":
         beta = default_beta(red, kind) if beta is None else float(beta)
         if beta <= lam.max() / 2.0:
@@ -258,26 +275,28 @@ def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
             )
         d = 0.5 * (psum(1.0 - lam_u / beta, counts)
                    - ks / beta * psum(1.0 - lam_h / beta, lam_h * h2_h, shift=1))
-        c = _exp_series(d / ks, 1.0)
+        c0 = 1.0
     else:
         raise NotApplicableError(f"unknown series kind {kind!r}", condition="kind")
+    if prefix is not None:
+        d = np.concatenate([prefix.d, d])
+    per_k = np.arange(1, k_terms + 1) * (2.0 if kind == "ruben" else 1.0)
+    c = _exp_series(d / per_k, c0, None if prefix is None else prefix.c)
     return SeriesCoefficients(kind=kind, beta=beta, c=c, d=d, n_vars=lam.size)
 
 
-def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool) -> np.ndarray:
-    """(points x terms) contributions of the truncated expansion at shifted
-    points x > 0 (log-gamma arithmetic throughout)."""
-    kind, beta, c = coeffs.kind, coeffs.beta, coeffs.c
+def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool,
+                  start: int = 0) -> np.ndarray:
+    """(points x terms) contributions k = start..K of the truncated expansion
+    at shifted points x > 0 (log-gamma arithmetic throughout); a column
+    depends on its k alone."""
+    kind, beta, c = coeffs.kind, coeffs.beta, coeffs.c[start:]
     n = coeffs.n_vars
-    kk = np.arange(c.shape[0])
+    kk = np.arange(start, coeffs.c.shape[0])
     x = x[:, None]
     if kind == "ruben":
         y = x / beta
-        if cumulative:
-            base = _chi2_cdf(n + 2 * kk, y)
-        else:
-            base = _chi2_pdf(n + 2 * kk, y) / beta
-        return c * base
+        return c * (_chi2_cdf(n + 2 * kk, y) if cumulative else _chi2_pdf(n + 2 * kk, y) / beta)
     if kind == "kotz":
         expo = (n / 2.0 + kk) if cumulative else (n / 2.0 + kk - 1.0)
         lg = special.gammaln(n / 2.0 + kk + (1.0 if cumulative else 0.0))
@@ -287,15 +306,14 @@ def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool) -
     if cumulative:
         # integrating the density term by parts gives
         # d/dy [y^{a} e^{-y} L_{k-1}^{(a)}(y)] = k y^{a-1} e^{-y} L_k^{(a-1)}(y)
-        # with a = N/2, so the k-th CDF term carries L_{k-1}^{(N/2)}
-        out = np.empty((x.shape[0], c.shape[0]))
-        out[:, :1] = c[0] * _chi2_cdf(n, x / beta)
-        if c.shape[0] > 1:
-            k = kk[1:]
-            lg = special.gammaln(k) - special.gammaln(n / 2.0 + k)
-            lpow = (n / 2.0) * np.log(y) - y
-            lag = special.eval_genlaguerre(k - 1, n / 2.0, y)
-            out[:, 1:] = c[1:] * np.exp(lg + lpow) * lag
+        # with a = N/2, so the k-th CDF term carries L_{k-1}^{(N/2)}; the
+        # 0-th is the chi-square CDF
+        k = np.maximum(kk, 1)
+        lg = special.gammaln(k) - special.gammaln(n / 2.0 + k)
+        lpow = (n / 2.0) * np.log(y) - y
+        out = c * np.exp(lg + lpow) * special.eval_genlaguerre(k - 1, n / 2.0, y)
+        if start == 0:
+            out[:, 0] = c[0] * _chi2_cdf(n, x[:, 0] / beta)
         return out
     lg = special.gammaln(kk + 1.0) - special.gammaln(n / 2.0 + kk)
     lpow = (n / 2.0 - 1.0) * np.log(y) - y
@@ -421,12 +439,15 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
             )
         active = active[~far]
     poles = plan.ruben_poles if kind == "ruben" else None
-    coeffs = plan.coefficients(kind, None, 64) if active.size else None
-    while active.size:
+    k_used, k_terms, partial = -1, 64, np.zeros((active.size, 0))
+    while active.size and k_used < K_MAX:
+        coeffs = plan.coefficients(kind, None, k_terms)
         x = xs[active]
-        terms = _series_terms(coeffs, x, cumulative)
-        partial = np.cumsum(terms, axis=1)[:, -1]
-        k_used = terms.shape[1] - 1
+        # only the new terms; the running sum continues, so each partial sum
+        # equals the sum of all K + 1 terms in order, bit for bit
+        terms = _series_terms(coeffs, x, cumulative, k_used + 1)
+        partial = np.cumsum(np.hstack([partial, terms]), axis=1)[:, -1:]
+        k_used = coeffs.c.shape[0] - 1
         last = np.abs(terms[:, -HEURISTIC_RUN:])
         heuristic_bound = np.max(last, axis=1)
         bound, provenance = heuristic_bound, "heuristic"
@@ -444,23 +465,19 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
         tiny_run = np.all(last < tol / 100.0, axis=1)
         done = tiny_run | ((bound < tol) if provenance == "rigorous" else False)
         final = bound if provenance == "rigorous" else heuristic_bound
-        for j in np.flatnonzero(done):
-            raw = float(partial[j])
-            value = min(max(raw, 0.0), 1.0) if cumulative else max(raw, 0.0)
-            out[active[j]] = MethodResult(value, float(final[j]), name, provenance,
-                                          {"raw_value": raw, "k_truncation": k_used,
-                                           "beta": coeffs.beta})
-        if k_used >= K_MAX:
-            for j in np.flatnonzero(~done):
-                res = MethodResult(float(partial[j]), float(bound[j]), name, provenance,
-                                   {"raw_value": float(partial[j]), "k_truncation": k_used,
-                                    "beta": coeffs.beta})
+        for j in np.flatnonzero(done | (k_used >= K_MAX)):
+            raw = float(partial[j, 0])
+            diagnostics = {"raw_value": raw, "k_truncation": k_used, "beta": coeffs.beta}
+            if done[j]:
+                value = min(max(raw, 0.0), 1.0) if cumulative else max(raw, 0.0)
+                out[active[j]] = MethodResult(value, float(final[j]), name, provenance,
+                                              diagnostics)
+            else:
                 out[active[j]] = ConvergenceFailureError(
-                    f"{name} did not reach tol={tol} within {K_MAX} terms", result=res
-                )
-            break
-        active = active[~done]
-        coeffs = plan.coefficients(kind, coeffs.beta, min(2 * (k_used + 1), K_MAX))
+                    f"{name} did not reach tol={tol} within {K_MAX} terms",
+                    result=MethodResult(raw, float(bound[j]), name, provenance, diagnostics))
+        active, partial = active[~done], partial[~done]
+        k_terms = min(2 * (k_used + 1), K_MAX)
     if negative:
         out = [res if res is None or isinstance(res, Exception) else _mirrored(res, cumulative)
                for res in out]

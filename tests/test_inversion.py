@@ -824,6 +824,21 @@ class TestLadder:
                 if new.diagnostics["u_max"] == u and new.diagnostics["panels"] == panels:
                     assert new.value == pytest.approx(value, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("red, grid", [
+        (qf.ReducedForm([1.0, -0.8, 1.2], [2, 1, 3], [0.5, 0.0, 0.0], 100.0, 3.0),
+         np.linspace(-300.0, 300.0, 41)),
+        (qf.ReducedForm([1.0, -0.6], [3, 3], [0.0, 0.0], 1.0), np.linspace(-8.0, 8.0, 41))],
+        ids=["sigma100", "sigma1"])
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_first_guess_carries_the_gaussian_envelope(self, red, grid, quantity):
+        # the search starts next to the rungs it picks: a plan builds the
+        # rungs its points use and at most one more on either side of them
+        plan = select.Plan(red)
+        fn = qf.cdf_imhof if quantity == "cdf" else qf.pdf_imhof
+        used = {round(math.log2(res.diagnostics["u_max"]))
+                for res in fn(red, grid, tol=1e-8, plan=plan)}
+        assert used <= set(plan._rungs) <= used | {min(used) - 1, max(used) + 1}
+
     def test_light_density_at_the_support_edge_is_the_limit(self):
         # sum(nu) <= 2 at x = 0, where no density bound applies at any U: the
         # edge is answered exactly, as by auto

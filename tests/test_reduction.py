@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quadform as qf
-from quadform import cli
+from quadform import cli, reduction
 from quadform.reference import sample_raw, sample_raw_complex, sample_reduced
 
 from conftest import make_rng, random_raw
@@ -110,6 +110,122 @@ class TestPsdVerdict:
         assert np.array_equal(eig_calls[0], SIGMA_EX1)
         assert eig_calls[1].shape == (3, 3)
         assert np.allclose(red.omega, [2.0, -2.0], atol=1e-10)
+
+
+def _eigh_factor(s):
+    """The factor of s from its eigendecomposition, the path of a
+    non-diagonal Sigma."""
+    w, u = np.linalg.eigh(s)
+    keep = w > qf.forms.ZERO_EIG_TOL * np.max(np.abs(w))
+    return u[:, keep] * np.sqrt(w[keep])
+
+
+def _eigh_reduce(form, fac):
+    """reduce_raw through fac'A fac formed by products and its full
+    eigendecomposition, whose vectors rotate the linear part."""
+    a, lin, mu = form.a, form.b, form.mu
+    m = fac.T @ a @ fac
+    lam, p = np.linalg.eigh((m + m.T) / 2.0)
+    return qf.group_eigenvalues(reduction._complete(
+        lam, p.T @ (fac.T @ (2.0 * a @ mu + lin)), float(lin @ mu + mu @ a @ mu + form.c)))
+
+
+def _diagonal_document(rng, n, noncentral):
+    """A definite raw form whose covariance is diagonal, built like the
+    benchmark's: A = Q diag(w) Q' / d d', Sigma = diag(d^2)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    d = rng.uniform(0.5, 2.0, n)
+    a = (q * np.repeat(np.geomspace(3.0, 0.3, (n + 1) // 2), 2)[:n]) @ q.T / np.outer(d, d)
+    mu = rng.standard_normal(n) * 0.4 if noncentral else np.zeros(n)
+    return qf.RawForm((a + a.T) / 2.0, np.zeros(n), 0.0, mu, np.diag(d**2))
+
+
+class TestDiagonalSigma:
+    """A diagonal Sigma is factored without an eigendecomposition and
+    whitens by gather-and-scale; a central form's reduction reads the
+    eigenvalues alone."""
+
+    @pytest.mark.parametrize("n", [3, 40, 397])
+    @pytest.mark.parametrize("noncentral", [False, True], ids=["central", "noncentral"])
+    def test_factor_and_whitened_matrix_bit_for_bit(self, n, noncentral, eig_calls):
+        form = _diagonal_document(make_rng(n), n, noncentral)
+        red = qf.reduce_raw(form)
+        assert len(eig_calls) == 1
+        fac = form.sigma_factor
+        assert np.array_equal(fac, _eigh_factor(form.sigma_mat))
+        m = fac.T @ form.a @ fac
+        assert np.array_equal(eig_calls[0], (m + m.T) / 2.0)
+        if noncentral:
+            ref = _eigh_reduce(form, fac)
+            for got, want in zip(vars(red).values(), vars(ref).values()):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 40, 397])
+    def test_central_eigenvalues_alone(self, n, monkeypatch):
+        form = _diagonal_document(make_rng(n + 1), n, False)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m, _fn=np.linalg.eigh: calls.append("eigh") or _fn(m))
+        red = qf.reduce_raw(form)
+        assert calls == []
+        ref = _eigh_reduce(form, form.sigma_factor)
+        assert np.array_equal(red.nu, ref.nu) and red.n_groups == (n + 1) // 2
+        assert np.all(np.abs(red.omega - ref.omega) <= 1e-13 * np.abs(ref.omega))
+        assert np.array_equal(red.delta2, ref.delta2) and red.sigma_gauss == ref.sigma_gauss
+
+    def test_identity(self):
+        form = _diagonal_document(make_rng(7), 30, True)
+        form = qf.RawForm(form.a, form.b, 0.0, form.mu, np.eye(30))
+        assert np.array_equal(form.sigma_factor, _eigh_factor(np.eye(30)))
+        ref = _eigh_reduce(form, form.sigma_factor)
+        red = qf.reduce_raw(form)
+        for got, want in zip(vars(red).values(), vars(ref).values()):
+            assert np.array_equal(got, want)
+
+    def test_zero_and_tiny_negative_variances(self):
+        # the zero and the -1e-14 variance are null directions: x_1 and x_3
+        # are their means, and the linear term along x_0, where A is zero,
+        # pools into the Gaussian
+        a = np.diag([0.0, 1.0, 2.0, 3.0])
+        sigma = np.diag([4.0, 0.0, 1.0, -1e-14])
+        form = qf.RawForm(a, [3.0, 5.0, 0.0, 1.0], 0.5, [0.0, 2.0, 0.0, 1.0], sigma)
+        fac = form.sigma_factor
+        assert fac.shape == (4, 2) and np.array_equal(fac, _eigh_factor(sigma))
+        red = qf.reduce_raw(form)
+        assert red.omega.tolist() == [2.0] and red.nu.tolist() == [1]
+        assert red.sigma_gauss == 6.0
+        assert red.const == 0.5 + 2.0 * 2.0 + 5.0 * 2.0 + 1.0 + 3.0
+        for g, w in zip(vars(red).values(), vars(_eigh_reduce(form, fac)).values()):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_negative_variance_message(self, kind):
+        with pytest.raises(qf.InvalidInputError) as info:
+            _form_of_kind(kind, np.diag([1.0, -5e-11, 2.0]))
+        assert str(info.value) == ("sigma_mat must be positive semidefinite "
+                                   f"(min eigenvalue {-5e-11:.3e})")
+
+    def test_complex_diagonal(self):
+        rng = make_rng(11)
+        n = 6
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = np.diag(rng.uniform(0.5, 2.0, n)).astype(complex)
+        form = qf.RawComplexForm(h + h.conj().T, np.zeros(n), 0.0, np.zeros(n), sigma)
+        assert np.array_equal(form.sigma_factor, _eigh_factor(sigma))
+        s = form.sigma_factor
+        want = np.sort(np.linalg.eigvalsh(s.conj().T @ form.a @ s))[::-1]
+        red = qf.reduce_complex(form)
+        assert np.array_equal(red.nu, [2] * n)
+        assert np.allclose(red.omega, want / 2.0, rtol=1e-12)
+
+    def test_ratio_diagonal(self):
+        rng = make_rng(12)
+        n = 5
+        a = rng.standard_normal((n, n))
+        sigma = np.diag(rng.uniform(0.5, 2.0, n))
+        spec = qf.RatioSpec(a + a.T, np.eye(n), np.zeros(n), sigma)
+        assert np.array_equal(spec.sigma_factor, _eigh_factor(sigma))
 
 
 class TestReduceReal:

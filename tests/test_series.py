@@ -218,6 +218,35 @@ class TestSeriesCoefficients:
             qf.series_coefficients(effective([1.7], [0.0], 1.0, 0.0), "ruben")
 
 
+    @pytest.mark.parametrize("kind", ["ruben", "kotz", "laguerre"])
+    @pytest.mark.parametrize("delta2", [[0.0] * 4, [0.5, 0.0, 1.2, 0.3]],
+                             ids=["central", "noncentral"])
+    def test_grown_set_equals_a_fresh_build(self, kind, delta2):
+        # a set grown along the doubling chain keeps each prefix bit for bit
+        # and ends where a build of all 1054 terms at once does
+        red = qf.ReducedForm([2.0, 1.1, 0.4, 0.3], [1, 3, 2, 5], delta2)
+        grown = None
+        for k_terms in (64, 130, 262, 526, 1054):
+            longer = qf.series_coefficients(red, kind, None, k_terms, grown)
+            if grown is not None:
+                assert np.array_equal(longer.c[:grown.c.size], grown.c)
+                assert np.array_equal(longer.d[:grown.d.size], grown.d)
+            grown = longer
+        fresh = qf.series_coefficients(red, kind, None, 1054)
+        assert grown.c.shape == fresh.c.shape and grown.beta == fresh.beta
+        assert np.all(np.abs(grown.c - fresh.c) <= 1e-13 * np.abs(fresh.c))
+        assert np.all(np.abs(grown.d - fresh.d) <= 1e-13 * np.abs(fresh.d))
+
+    def test_power_table(self):
+        # products from pow anchors: within 64 eps of pow, and a row does
+        # not depend on the range it is built in
+        base = np.array([0.999, -0.7, 0.5, 0.0, 1.3, 1e-3])
+        table = series._powers(base, 0, 300)
+        exact = base[None, :] ** np.arange(300)[:, None]
+        assert np.all(np.abs(table - exact) <= 64 * np.finfo(float).eps * np.abs(exact))
+        assert np.array_equal(series._powers(base, 130, 262), table[130:262])
+
+
 class TestSeriesEvaluation:
     def test_ruben_vs_imhof(self):
         eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
@@ -416,32 +445,65 @@ class TestTruncationBound:
 
 
 class TestOneSetUp:
-    def test_quantile_expands_each_coefficient_set_once(self, monkeypatch):
+    def test_quantile_computes_each_coefficient_once(self, monkeypatch):
         # a definite form on the chi-square expansion: the search's CDF calls
-        # share the plan's coefficient sets, with the results of a search
-        # whose every CDF call builds its own plan
+        # share the plan's coefficient sets, each grown in place, so per
+        # (kind, beta) the computed ranges k_from+1..k_terms tile 1..K once;
+        # a search whose every CDF call builds its own plan gives the same
+        # results and computes the low coefficients again
         red = qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.0, 0.0, 0.0])
-        real, keys = series.series_coefficients, []
+        real, spans = series.series_coefficients, []
 
-        def counted(eff, kind, beta=None, k_terms=64):
-            keys.append((kind, beta, k_terms))
-            return real(eff, kind, beta, k_terms)
+        def counted(eff, kind, beta=None, k_terms=64, prefix=None):
+            spans.append((kind, beta, 0 if prefix is None else prefix.d.size, k_terms))
+            return real(eff, kind, beta, k_terms, prefix)
 
         monkeypatch.setattr(series, "series_coefficients", counted)
         real_cdf = select.cdf
         for p in (0.01, 0.5, 0.99):
-            keys.clear()
+            spans.clear()
             q = qf.quantile(red, p, 1e-6)
-            shared = len(keys)
+            shared = list(spans)
             assert q.cdf.method == "ruben_cdf" and q.cdf_calls > 1
-            assert shared == len(set(keys))
-            keys.clear()
+            for key in {s[:2] for s in shared}:
+                ranges = [s[2:] for s in shared if s[:2] == key]
+                assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            spans.clear()
             with monkeypatch.context() as m:
                 m.setattr(select, "cdf", lambda red, x, method, tol, plan=None:
                           real_cdf(red, x, method, tol))
                 fresh = qf.quantile(red, p, 1e-6)
             assert (q, q.cdf, q.cdf_calls) == (fresh, fresh.cdf, fresh.cdf_calls)
-            assert len(keys) > shared
+            assert (sum(hi - lo for *_, lo, hi in spans)
+                    > sum(hi - lo for *_, lo, hi in shared))
+
+    def test_plan_slices_its_grown_set(self):
+        # a shorter request after growth is the prefix of the one set, equal
+        # bit for bit to the set a fresh plan builds
+        red = qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.4, 0.0, 0.0])
+        plan = select.Plan(red)
+        long = plan.coefficients("ruben", None, 262)
+        short = plan.coefficients("ruben", None, 64)
+        fresh = select.Plan(red).coefficients("ruben", None, 64)
+        assert list(plan._coefficients) == [("ruben", None)]
+        assert short.c.size == 65 and short.d.size == 64
+        assert np.array_equal(short.c, fresh.c) and np.array_equal(short.d, fresh.d)
+        assert np.array_equal(long.c[:65], fresh.c) and short.beta == long.beta
+
+    @pytest.mark.parametrize("cumulative", [True, False], ids=["cdf", "pdf"])
+    def test_doublings_sum_every_term_once(self, cumulative):
+        # each doubling adds only its new terms to the running sum, so a value
+        # is the in-order sum of the K + 1 terms of a set built at once
+        red = qf.ReducedForm(np.geomspace(0.1, 2.0, 12), [1] * 12, [0.3] + [0.0] * 11)
+        xs = np.array([2.0, 6.0, 12.0, 30.0])
+        fn = qf.cdf_series if cumulative else qf.pdf_series
+        results = fn(red, xs, "ruben", 1e-12)
+        ks = [res.diagnostics["k_truncation"] for res in results]
+        assert len(set(ks)) > 1 and max(ks) >= 262
+        for x, res, k in zip(xs, results, ks):
+            fresh = qf.series_coefficients(red, "ruben", None, k)
+            terms = series._series_terms(fresh, np.array([x]), cumulative)
+            assert res.diagnostics["raw_value"] == np.cumsum(terms, axis=1)[0, -1]
 
     def test_no_module_level_value_cache(self):
         # the per-form set-up lives on select.Plan; a module keeps no values
