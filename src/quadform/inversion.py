@@ -18,14 +18,16 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   sin (CDF) or cos (density) per node and sums along its own nodes only;
   a row leaves the pass at its own Richardson stop.  A point's grid
   starts at 2 panels per period of the phase-rate bound (the Nyquist
-  rate).  Rows of several forms (the thresholds of a ratio CDF) carry
-  their own weights into one node evaluation per sweep.
+  rate), and a row stops at IMHOF_PANELS_MAX panels, or for the CDF at
+  DAVIES_POINTS_MAX, the lattice budget of Davies.  Rows of several forms
+  (the thresholds of a ratio CDF) carry their own weights into one node
+  evaluation per sweep.  A form without groups has its closed form.
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
-  term.  Truncation is controlled by computable bounds on the integrand
-  tail; the lattice aliasing error is bounded through Chernoff bounds on
-  the distribution's tails, which also fix Delta: the spread 2 pi / Delta
-  reaches from x past the two points where the centred form's Chernoff
-  log-tails equal log(tol/4).
+  term, run when named (method="davies").  Truncation is controlled by
+  computable bounds on the integrand tail; the lattice aliasing error is
+  bounded through Chernoff bounds on the distribution's tails, which also
+  fix Delta: the spread 2 pi / Delta reaches from x past the two points
+  where the centred form's Chernoff log-tails equal log(tol/4).
 
 What does not depend on the point (Imhof's tail constants and rungs) is
 built on first use and kept by the form's ``select.Plan``, so the points of
@@ -67,10 +69,12 @@ _EPS = np.finfo(float).eps
 
 def _exact_cdf(red: ReducedForm, q: float, method: str,
                support: tuple | None = None) -> MethodResult | None:
-    """The CDF of a point mass, or at a point on or outside the support
+    """The CDF of a form without groups (a point mass, or the normal
+    Phi((q - const)/sigma)), or at a point on or outside the support
     (``transforms.support(red)``, when not given)."""
-    if red.n_groups == 0 and red.sigma_gauss == 0.0:
-        v = 1.0 if q >= red.const else 0.0
+    if red.n_groups == 0:
+        v = (float(special.ndtr((q - red.const) / red.sigma_gauss)) if red.sigma_gauss
+             else 1.0 if q >= red.const else 0.0)
         return MethodResult(v, 0.0, method, "exact", {"raw_value": v})
     lo_s, hi_s = support if support is not None else transforms.support(red)
     if q >= hi_s:
@@ -79,6 +83,21 @@ def _exact_cdf(red: ReducedForm, q: float, method: str,
     if q <= lo_s:
         return MethodResult(0.0, 0.0, method, "exact",
                             {"raw_value": 0.0, "note": "at or below the support"})
+    return None
+
+
+def _exact_pdf(red: ReducedForm, q: float, support: tuple) -> MethodResult | None:
+    """``_exact_cdf``'s density twin under Imhof: the normal density of a
+    form without groups, ``transforms.support_density`` for a point mass or
+    at a finite end of the support, and the pole of ``pdf_imhof``; else None."""
+    x, sig = q - red.const, red.sigma_gauss
+    if not red.n_groups and sig:
+        v = math.exp(-0.5 * (x / sig) ** 2) / (math.sqrt(2.0 * math.pi) * sig)
+        return MethodResult(v, 0.0, "imhof", "exact", {"raw_value": v})
+    if q in support or not red.n_groups:
+        return transforms.support_density(red, q in support, "imhof")
+    if x == 0.0 and red.nu.tolist() == [1, 1] and red.omega[0] * red.omega[1] < 0.0 and not sig:
+        return MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
     return None
 
 
@@ -293,7 +312,8 @@ class _Rung:
             -math.log(2.0 * math.pi * (k - 1.0)) + (1.0 - k) * math.log(u) - log_floor, 700.0))
         if sig > 0.0:
             pdf_plain = min(pdf_plain, math.exp(min(
-                math.log(2.0 / (math.pi * sig**2)) - (k + 1.0) * math.log(u) - log_floor, 700.0)))
+                math.log(2.0 / math.pi) - 2.0 * math.log(sig) - (k + 1.0) * math.log(u)
+                - log_floor, 700.0)))
         return float(phase), rho, log_floor, m1, slope, plain, pdf_plain, balanced
 
     def view(self, fine: int, first: bool, a: int, b: int) -> np.ndarray:
@@ -589,7 +609,8 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
         plans = list(plan) if plan is not None else [_own_plan(form, None) for form in red]
         if len(plans) != pts.size:
             raise InvalidInputError("a list of forms takes one point per form")
-    tail, u_cap = (_pdf_tail, 1e7) if density else (_cdf_tail, 1e25)
+    tail, u_cap, cap = ((_pdf_tail, 1e7, IMHOF_PANELS_MAX) if density
+                        else (_cdf_tail, 1e25, DAVIES_POINTS_MAX))
     rows: dict = {}
     fixed: dict = {}
     for i, (p, q_i) in enumerate(zip(plans, pts.tolist())):
@@ -597,13 +618,8 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
             continue
         form = p.red
         x = q_i - form.const
-        if density and q_i in p.support:
-            out[i] = transforms.support_density(form, True, "imhof")
-        elif (density and x == 0.0 and form.nu.tolist() == [1, 1]
-              and form.omega[0] * form.omega[1] < 0.0 and not form.sigma_gauss):
-            out[i] = MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
-        elif not density:
-            out[i] = _exact_cdf(form, q_i, "imhof", p.support)
+        out[i] = (_exact_pdf(form, q_i, p.support) if density
+                  else _exact_cdf(form, q_i, "imhof", p.support))
         if out[i] is not None:
             continue
         if params is None:
@@ -612,7 +628,7 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
             # tail cancels far below T_U, so a tight grid keeps the value
             # accurate even when the reported (conservative) bound is
             # dominated by T_U
-            rows[i] = _Row(rung, rec, x, _start_panels(rung.form, rung.u, x), IMHOF_PANELS_MAX,
+            rows[i] = _Row(rung, rec, x, _start_panels(rung.form, rung.u, x), cap,
                            min(tol, 1e-8) / 2.0)
         else:
             # a fixed grid: one halved-grid pass first, so a Richardson
@@ -746,7 +762,8 @@ def davies_truncation_bound(red: ReducedForm, u_max):
             bounds.append(math.log(2.0 / (math.pi * s)) + log_common - 0.25 * log_small
                           - 0.25 * log_big)
         if sig > 0:
-            bounds.append(-math.log(math.pi * u2 * sig**2) + log_common + log_prod_full)
+            bounds.append(-math.log(math.pi * u2) - 2.0 * math.log(sig) + log_common
+                          + log_prod_full)
         rho = 0.5 * slope + (sig * u) ** 2
         if rho > 0:
             bounds.append(-math.log(math.pi * rho) + log_common + log_prod_full)

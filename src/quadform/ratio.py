@@ -58,7 +58,7 @@ import math
 import numpy as np
 from scipy import special
 
-from . import reduction, select, transforms
+from . import inversion, reduction, select, transforms
 from .errors import (
     ConvergenceFailureError,
     DegenerateConstantError,
@@ -137,7 +137,8 @@ def _reduce_pencil(spec: RatioSpec, r):
 def cdf_ratio(spec: RatioSpec, r, method: str = "auto",
               tol: float = 1e-8) -> MethodResult | list[MethodResult]:
     """CDF of the ratio at r through the induced indefinite form at zero, by
-    ``select.cdf_auto_inversion`` when method="auto", else ``select.cdf``.
+    Imhof when method="auto" (the thresholds' forms are the rows of one
+    ``inversion.cdf_imhof`` pass), else by ``select.cdf``.
 
     r is a threshold or an array of thresholds, as q of ``select.cdf``: an
     array gives a list, and the first failing point's error is raised.  NaN
@@ -153,9 +154,8 @@ def cdf_ratio(spec: RatioSpec, r, method: str = "auto",
             out[i] = MethodResult(v, 0.0, "degenerate", "exact", {"constant": red})
         else:
             forms[i] = red
-    # auto: the thresholds' Imhof points are rows of one pass
-    outcomes = (select.cdf_auto_inversion(list(forms.values()), 0.0, tol=tol)
-                if method == "auto" and forms else
+    outcomes = (inversion.cdf_imhof(list(forms.values()), np.zeros(len(forms)), tol=tol)
+                if method == "auto" else
                 (select.cdf(red, 0.0, method, tol) for red in forms.values()))
     for i, res in zip(forms, outcomes):
         if isinstance(res, QuadFormError):

@@ -8,16 +8,14 @@ every other point: far tails (Chernoff estimate below 1e-8) go to the
 saddlepoint, which keeps the exact exponential decay rate; central
 even-dof forms use the partial-fraction formula, definite forms the
 chi-square-density expansion and all others Imhof, which is also the
-route of every form with a Gaussian term (the series have none).  Only
-a pure normal (no groups) takes Davies (CDF) or the saddlepoint (PDF).
+route of every form with a Gaussian term (the series have none).  Imhof
+answers a pure normal (no groups) in closed form.
 
-Every auto reroute is one ladder (``_walk``): a point whose outcome is a
-library error or a bound above tol moves down a rung, from the partial
-fractions to the route it would take without them and from the Imhof CDF
-to Davies.  It keeps a result over a failure, then the smaller bound, then
-the earlier outcome; a kept fallback records the bound it replaced as
-``<rung>_bound``.  ``cdf_auto_inversion`` enters it at the Imhof rung, for
-one form or for the forms of a ratio CDF's thresholds together.
+The auto ladder (``_walk``) has one rung: a partial-fraction point whose
+outcome is a library error or a bound above tol also runs on the route it
+would take without the formula.  It keeps a result over a failure, then
+the smaller bound, then the earlier outcome; a kept fallback records the
+bound it replaced as ``central_even_bound``.
 
 The tails come from two points per form, where the left and the right
 Chernoff log-tails cross log(1e-8) (``transforms.chernoff_crossing``): a
@@ -32,12 +30,10 @@ passes its own.  An array is routed once and evaluated per route: the
 expansion and the series coefficients are shared by all points; every
 engine reads the plan's form, and the series negate a negative definite
 one themselves (``Plan.series_form``).  The saddlepoint routes solve
-K'(t) = q once for all their points, and Davies builds its set-up once
-per call and computes the spreads, truncation rungs and both bounds of
-all its points at once; only its lattice sum runs per point.  Imhof
-points are the rows of one trapezoid pass (``inversion.cdf_imhof``), and
-share through the plan the rungs of its U ladder (the tail record's
-x-free part and the integrand's modulus and phase at the rung's nodes).
+K'(t) = q once for all their points.  Imhof points are the rows of one
+trapezoid pass (``inversion.cdf_imhof``), and share through the plan the
+rungs of its U ladder (the tail record's x-free part and the integrand's
+modulus and phase at the rung's nodes).
 Each point gets the route, method, provenance, bound and diagnostics that
 a call with that point alone gives.  A NaN point is invalid input.
 """
@@ -51,7 +47,7 @@ import math
 import numpy as np
 
 from . import approx, inversion, series, transforms
-from .errors import InvalidInputError, QuadFormError, one_or_all
+from .errors import InvalidInputError, QuadFormError
 from .forms import FormClass, MethodResult, ReducedForm
 from .reduction import classify
 
@@ -76,8 +72,7 @@ class Plan:
     * Imhof's tail constants and its rungs U = 2^j (``inversion._Rung``),
       by j alone: a rung holds no tol, so every tol shares it.
 
-    Davies, the fallback rung, builds its set-up per call.  Results do not
-    depend on whether a plan is reused."""
+    Results do not depend on whether a plan is reused."""
 
     def __init__(self, red: ReducedForm):
         self.red = red
@@ -117,10 +112,10 @@ class Plan:
     @functools.cached_property
     def ruben_poles(self):
         """The poles of the chi-square expansion's remainder bound at its
-        default beta; None where that bound does not apply."""
+        default beta, for the series, which refuse a form that is not
+        definite; None where that bound does not apply."""
         pos = self.series_form
-        if (self.cls.definiteness == "indefinite" or not pos.n_groups or pos.delta2.any()
-                or pos.total_dof % 2):
+        if pos.delta2.any() or pos.total_dof % 2:
             return None
         return series._ruben_poles(pos, series.default_beta(pos, "ruben"))
 
@@ -147,14 +142,11 @@ class Plan:
         return self._rungs[j]
 
 
-def _generic_method(red: ReducedForm, quantity: str, central_even: bool = True,
+def _generic_method(red: ReducedForm, central_even: bool = True,
                     cls: FormClass | None = None) -> str:
     """The route of a point outside the far tails (central_even=False skips
-    the partial-fraction formula); cls is classify(red) when known.  Only a
-    pure normal (no groups) takes Davies (CDF) or the saddlepoint (PDF)."""
+    the partial-fraction formula); cls is classify(red) when known."""
     cls = classify(red) if cls is None else cls
-    if red.n_groups == 0:
-        return "davies" if quantity == "cdf" else "spa"
     if cls.has_gaussian:   # the series have no Gaussian term
         return "imhof"
     if central_even and cls.centrality == "central" and cls.even_degrees:
@@ -178,7 +170,7 @@ def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
     plan = plan if plan is not None else Plan(red)
     tail = _in_tail(plan, pts) if red.n_groups > 0 else np.zeros(pts.shape, dtype=bool)
     spa = "spa_lr" if quantity == "cdf" else "spa"
-    generic = _generic_method(red, quantity, cls=plan.cls) if not tail.all() else spa
+    generic = _generic_method(red, cls=plan.cls) if not tail.all() else spa
     methods = [spa if t else generic for t in tail]
     return methods[0] if qs.ndim == 0 else methods
 
@@ -242,62 +234,21 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
     return out[0] if qs.ndim == 0 else out
 
 
-def cdf_auto_inversion(red, q: float, tol: float = 1e-8):
-    """The inversion leaf of method="auto" at q (``_inversion``): Imhof, then
-    Davies, or Davies alone for a pure normal (no groups).  red may be a
-    list of forms, each evaluated at q (the thresholds of
-    ``ratio.cdf_ratio``): the result is then a list with one outcome per
-    form, the MethodResult or the library error that form alone raises."""
-    forms = [red] if isinstance(red, ReducedForm) else red
-    out = _inversion([Plan(form) for form in forms], np.full(len(forms), float(q)), tol)
-    return one_or_all(out, isinstance(red, ReducedForm))
-
-
-def _inversion(plans: list, xs: np.ndarray, tol: float) -> list:
-    """The Imhof CDF rung of the ladder and the Davies rung below it, at the
-    point xs[i] of the form of plans[i]: the Imhof points of every form with
-    groups, a Gaussian term or not, are rows of one pass
-    (``inversion.cdf_imhof``), and a point of a pure normal, or whose Imhof
-    outcome fails or has a bound above tol, runs on Davies, one call per
-    form."""
-    out: list = [None] * len(plans)
-    rows = [i for i, plan in enumerate(plans) if plan.red.n_groups]
-    if rows:
-        for i, res in zip(rows, inversion.cdf_imhof([plans[i].red for i in rows], xs[rows],
-                                                    tol=tol, plan=[plans[i] for i in rows])):
-            out[i] = res
-    redo = [i for i, res in enumerate(out) if res is None or _rank(res) > (False, tol)]
-    for plan in {id(plans[i]): plans[i] for i in redo}.values():
-        idx = [i for i in redo if plans[i] is plan]
-        _keep_better(out, idx, _evaluate(plan, xs[idx], "davies", tol, "cdf"), "imhof")
-    return out
-
-
 def _walk(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
-    """The auto ladder from the rung ``method``: one outcome per point."""
-    if method == "imhof" and quantity == "cdf":
-        return _inversion([plan] * xs.size, xs, tol)
+    """The auto ladder (see the module docstring) from the route ``method``:
+    one outcome per point."""
     out = _evaluate(plan, xs, method, tol, quantity)
-    if method == "central_even":
-        # a failure, or a result whose bound is above tol
-        redo = [i for i, res in enumerate(out) if _rank(res) > (False, tol)]
-        if redo:
-            down = _generic_method(plan.red, quantity, central_even=False, cls=plan.cls)
-            _keep_better(out, redo, _walk(plan, xs[redo], down, tol, quantity), method)
+    if method != "central_even":
+        return out
+    redo = [i for i, res in enumerate(out) if _rank(res) > (False, tol)]
+    if redo:
+        down = _generic_method(plan.red, central_even=False, cls=plan.cls)
+        for i, res in zip(redo, _evaluate(plan, xs[redo], down, tol, quantity)):
+            if _rank(res) < _rank(out[i]):
+                out[i] = res if isinstance(res, QuadFormError) else MethodResult(
+                    res.value, res.error_bound, res.method, res.provenance,
+                    dict(res.diagnostics, central_even_bound=_rank(out[i])[1]))
     return out
-
-
-def _keep_better(out: list, idx: list, fallback: list, method: str) -> None:
-    """Put each fallback outcome in its slot idx[i] of out where it is the
-    better one (an empty slot takes it); a kept result records the bound of
-    the ``method`` outcome it replaced as ``<method>_bound``."""
-    for i, res in zip(idx, fallback):
-        if out[i] is None:
-            out[i] = res
-        elif _rank(res) < _rank(out[i]):
-            out[i] = res if isinstance(res, QuadFormError) else MethodResult(
-                res.value, res.error_bound, res.method, res.provenance,
-                dict(res.diagnostics, **{f"{method}_bound": _rank(out[i])[1]}))
 
 
 def _rank(outcome) -> tuple:

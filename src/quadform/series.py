@@ -410,7 +410,8 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
     1 - F(-q) and its density f(-q).  Each point keeps the truncation K
     that its own 64 -> 130 -> ... doubling picks: a point leaves the batch
     once it converges.  A scalar q raises a point's failure; an array
-    returns it in that point's slot.
+    returns it in that point's slot.  A form that is not definite or has a
+    Gaussian term or no groups raises NotApplicableError (NaN aside).
     """
     plan = _own_plan(red, plan)
     negative = plan.cls.definiteness == "negative"
@@ -418,6 +419,7 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
     name = f"{kind}_{'cdf' if cumulative else 'pdf'}"
     qs = np.asarray(q, dtype=float)
     pts, exact = transforms.point_outcomes(qs, not cumulative, name)
+    _require_positive_definite(pos, f"{kind} series")
     xs = (-pts if negative else pts) - pos.const
     if exact is not None:   # NaN falls in neither branch below; answered at q itself
         xs[np.isinf(xs)] = math.nan

@@ -14,7 +14,6 @@ from scipy import stats
 import quadform as qf
 from quadform import inversion, select
 from quadform.forms import DaviesParams, ImhofParams
-from quadform.select import cdf_auto_inversion
 from quadform.reference import mc_ratio_moment, sample_reduced
 
 from conftest import make_rng, quantile_points, random_reduced
@@ -362,7 +361,7 @@ def test_criterion_09_quantile_round_trip():
         red = random_reduced(rng, min_dof=5, gaussian=bool(rng.random() < 0.25))
         for p in (0.001, 0.01, 0.5, 0.99, 0.999):
             x = qf.quantile(red, p, tol=1e-8)
-            val = best_effort(cdf_auto_inversion, red, x, tol=1e-9).value
+            val = best_effort(qf.cdf_imhof, red, x, tol=1e-9).value
             err = abs(val - p)
             worst = max(worst, err)
             assert err <= 1e-8, (p, err)

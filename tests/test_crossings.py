@@ -61,7 +61,7 @@ def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
         log_r = transforms.chernoff_log_tail(red, pts, "right")
         tail = np.minimum(log_l, log_r) < LOG_TAIL
     spa = "spa_lr" if quantity == "cdf" else "spa"
-    generic = select._generic_method(red, quantity) if not tail.all() else spa
+    generic = select._generic_method(red) if not tail.all() else spa
     methods = [spa if t else generic for t in tail]
     return methods[0] if qs.ndim == 0 else methods
 

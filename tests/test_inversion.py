@@ -7,15 +7,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 import quadform as qf
-from quadform import approx, inversion, select, series, transforms
+from quadform import approx, inversion, ratio, select, series, transforms
 from quadform.forms import DaviesParams, ImhofParams, MethodResult
-from quadform.select import cdf_auto_inversion
 from quadform.reference import sample_reduced
 
-from conftest import quantile_points, random_reduced
+from conftest import make_rng, quantile_points, random_reduced
 
 CHI21 = qf.ReducedForm([1.0], [1], [0.0])
 CHI22 = qf.ReducedForm([1.0], [2], [0.0])
@@ -23,6 +22,7 @@ EX1 = qf.ReducedForm([2.0, -2.0], [1, 1], [0.125, 0.125], 2.0, 1.0)
 FAILURE_CASE = qf.ReducedForm([1.0, 0.6**4], [1, 1], [1.0, 7.0])
 # X1^2 - X2^2 = 2 U V with U, V independent N(0, 1): density K0(|q|/2) / (2 pi)
 LIGHT = qf.ReducedForm([1.0, -1.0], [1, 1], [0.0, 0.0])
+NORMAL = qf.ReducedForm([], [], [], 1.5, 0.7)
 
 
 def best_effort(fn, *args, **kwargs):
@@ -268,7 +268,7 @@ class TestQuantile:
             red = random_reduced(rng, min_dof=4, gaussian=bool(rng.random() < 0.25))
             for p in (0.01, 0.5, 0.99):
                 x = qf.quantile(red, p, tol=1e-8)
-                val = best_effort(cdf_auto_inversion, red, x, tol=1e-9).value
+                val = best_effort(qf.cdf_imhof, red, x, tol=1e-9).value
                 assert abs(val - p) < 1e-8
 
     def test_invalid_level(self):
@@ -295,8 +295,7 @@ class TestRouter:
 
     def test_central_even_indefinite_reroutes_to_imhof(self):
         red = qf.ReducedForm([2.0, 1.0, -0.5], [2, 4, 2], [0.0] * 3)
-        for quantity in ("cdf", "pdf"):
-            assert select._generic_method(red, quantity, central_even=False) == "imhof"
+        assert select._generic_method(red, central_even=False) == "imhof"
 
     @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
     def test_light_dof_closed_form(self, quantity):
@@ -321,32 +320,96 @@ class TestRouter:
                 assert res.method == "imhof"
                 assert abs(res.value - float(exact)) <= res.error_bound, q
 
-    def test_auto_leaf_falls_back_to_davies(self, monkeypatch):
-        def failing(name, bound):
-            def fn(red, q, tol, plan=None):
-                exc = qf.ConvergenceFailureError(
-                    name, result=qf.MethodResult(0.5, bound, name, "rigorous", {}))
-                if np.ndim(q):   # the Davies route's array: one outcome per point
-                    return [exc] * np.size(q)
-                raise exc
-            return fn
 
-        red = qf.ReducedForm([1.0, -0.4], [3, 2], [0.2, 0.0])
-        monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-3))
-        assert cdf_auto_inversion(red, 0.7).method == "davies"
-        monkeypatch.setattr(inversion, "cdf_davies", failing("davies", 1e-2))
-        with pytest.raises(qf.ConvergenceFailureError, match="imhof"):
-            cdf_auto_inversion(red, 0.7)
-        monkeypatch.setattr(inversion, "cdf_davies", failing("davies", 1e-4))
-        with pytest.raises(qf.ConvergenceFailureError, match="davies"):
-            cdf_auto_inversion(red, 0.7)
-        # with a Gaussian term Imhof runs first, then Davies
-        monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-9))
-        with pytest.raises(qf.ConvergenceFailureError, match="imhof"):
-            cdf_auto_inversion(EX1, 0.7)
-        monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-3))
-        with pytest.raises(qf.ConvergenceFailureError, match="davies"):
-            cdf_auto_inversion(EX1, 0.7)
+class TestAutoInversion:
+    """Auto inverts on Imhof alone: no auto path runs Davies, a form without
+    groups has its closed form, and an Imhof CDF row may spend Davies'
+    lattice budget of 2^25 panels."""
+
+    def test_no_auto_path_runs_davies(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("auto ran cdf_davies")
+
+        monkeypatch.setattr(inversion, "cdf_davies", refuse)
+        rng = make_rng(24)
+        forms = [random_reduced(rng, definite=definite, gaussian=gaussian)
+                 for definite in ("positive", "negative", "indefinite")
+                 for gaussian in (False, True)]
+        forms += [NORMAL, LIGHT, EX1, qf.ReducedForm([2.0, 1.0, -0.5], [2, 4, 2], [0.0] * 3)]
+        for red in forms:
+            ks = qf.cumulants(red, 2)
+            qs = ks.get(1) + math.sqrt(ks.get(2)) * np.array([-30.0, -3.0, -0.4, 0.0, 1.0, 30.0])
+            for fn in (select.cdf, select.pdf):
+                assert all(isinstance(res, MethodResult) for res in fn(red, qs))
+            assert 0.0 < qf.quantile(red, 0.3).cdf.value < 1.0
+        # a Gaussian term in the thresholds' forms (mu outside the range of Sigma)
+        spec = qf.RatioSpec([[0.4, 0.3, -0.2], [0.3, -0.6, 0.5], [-0.2, 0.5, 0.1]],
+                            [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.5]],
+                            [0.2, -0.1, 0.5], np.diag([1.0, 2.0, 0.0]))
+        methods = {res.method for res in qf.cdf_ratio(spec, np.linspace(-1.0, 1.0, 5))}
+        assert methods == {"ratio_imhof"}
+
+    @pytest.mark.parametrize("case", ["vanishing_threshold", "light"])
+    def test_light_forms_on_the_cdf_budget(self, case):
+        """Two light forms that a 2^23-panel cap failed (the Davies rung
+        answered them): Imhof answers them within its lattice budget, and
+        agrees with Davies within both bounds."""
+        if case == "light":
+            red, tol = qf.ReducedForm([1.0, -0.3], [1, 2], [0.0, 1.0]), 1e-10
+            res = select.cdf(red, 0.0, tol=tol)
+        else:
+            # A - 3B = 0 up to rounding; at r = 5 the threshold form has three
+            # one-dof groups and x = -2.2e-16
+            s = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.5]])
+            spec = qf.RatioSpec(3.0 * s, s, [0.3, -0.2, 0.1], np.diag([1.0, 2.0, 0.5]))
+            [red], tol = ratio._reduce_pencil(spec, np.array([5.0])), 1e-9
+            res = qf.cdf_ratio(spec, 5.0, tol=tol)
+            assert res.method == "ratio_imhof"
+            assert qf.cdf_ratio(spec, np.array([5.0]), tol=tol) == [res]
+        assert res.method.endswith("imhof") and res.provenance == "rigorous"
+        assert res.error_bound <= tol
+        assert 2**23 < res.diagnostics["panels"] <= inversion.DAVIES_POINTS_MAX
+        davies = qf.cdf_davies(red, 0.0, tol=tol)
+        assert abs(res.value - davies.value) <= res.error_bound + davies.error_bound
+
+    def test_pure_normal_closed_form(self):
+        qs = np.array([-4.0, -0.3, 0.7, 2.5, 9.0])
+        z = (qs - NORMAL.const) / NORMAL.sigma_gauss
+        cdf = special.ndtr(z)
+        pdf = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * NORMAL.sigma_gauss)
+        for fn, want in ((select.cdf, cdf), (inversion.cdf_imhof, cdf),
+                         (select.pdf, pdf), (inversion.pdf_imhof, pdf)):
+            for got in (fn(NORMAL, qs), [fn(NORMAL, float(q)) for q in qs]):
+                assert [res.value for res in got] == pytest.approx(want, rel=1e-14, abs=0.0)
+                assert {(res.method, res.provenance, res.error_bound) for res in got} == {
+                    ("imhof", "exact", 0.0)}
+        for method in ("auto", "imhof"):
+            for p in (0.01, 0.3, 0.5, 0.99):
+                q = qf.quantile(NORMAL, p, method=method)
+                assert q == pytest.approx(NORMAL.const + NORMAL.sigma_gauss * special.ndtri(p),
+                                          rel=1e-12, abs=1e-12)
+                assert q.cdf.method == "imhof"
+
+    def test_point_mass_under_imhof(self):
+        mass = qf.ReducedForm([], [], [], 0.0, 0.7)
+        assert [res.value for res in qf.cdf_imhof(mass, [0.0, 0.7, 2.0])] == [0.0, 1.0, 1.0]
+        assert [res.value for res in qf.pdf_imhof(mass, [0.0, 0.7, 2.0])] == [0.0, 0.0, 0.0]
+
+    def test_underflowing_sigma(self):
+        """sigma = 1e-170: sigma^2 underflows to 0, and the bounds that
+        divide by it are taken in logs.  Every answer agrees with the form
+        without the Gaussian term within both bounds."""
+        tiny = qf.ReducedForm([1.0, -0.5], [2, 1], [0.0, 0.0], 1e-170)
+        bare = qf.ReducedForm([1.0, -0.5], [2, 1], [0.0, 0.0])
+        qs = np.array([-2.0, 0.3, 4.0])
+        for fn in (select.cdf, select.pdf, qf.cdf_davies):
+            for a, b in zip(fn(tiny, qs), fn(bare, qs)):
+                assert a.method == b.method
+                assert abs(a.value - b.value) <= a.error_bound + b.error_bound, (fn, a, b)
+        for p in (0.1, 0.7):
+            q_tiny, q_bare = qf.quantile(tiny, p), qf.quantile(bare, p)
+            assert abs(q_tiny.cdf.value - p) <= 1e-10
+            assert q_tiny == pytest.approx(q_bare, rel=1e-8)
 
 
 def _gil_pelaez(red, x, quantity, nodes):

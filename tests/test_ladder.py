@@ -1,14 +1,14 @@
 """The fallback ladder of method="auto", the support rule, and the
 saddlepoint's Mills ratio.
 
-The three reroutes that the ladder replaced (the central-even "smaller
-bound" block, the saddlepoint DomainError reroute and the Imhof -> Davies
-leaf) are kept here as ``_old_*`` oracles, copied from the router they
-lived in with only their names and module prefixes changed.  Auto must
-give the same outcome as they do at every point inside the support; on
-or outside it, auto answers exactly and tags the point "support".  A
-fallback result that is kept may carry the bound it replaced as
-``<rung>_bound``.
+The two reroutes that the ladder replaced (the central-even "smaller
+bound" block and the saddlepoint DomainError reroute) are kept here as
+``_old_*`` oracles, copied from the router they lived in with only their
+names and module prefixes changed; the oracle's inversion leaf is Imhof
+alone, with no Davies rung below it.  Auto must give the same outcome as
+they do at every point inside the support; on or outside it, auto answers
+exactly and tags the point "support".  A fallback result that is kept may
+carry the bound it replaced as ``central_even_bound``.
 """
 
 import math
@@ -24,7 +24,7 @@ from quadform.forms import MethodResult
 
 from conftest import make_rng, random_reduced
 
-LADDER_KEYS = {"central_even_bound", "imhof_bound"}
+LADDER_KEYS = {"central_even_bound"}
 
 
 def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
@@ -35,7 +35,7 @@ def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
     if tail_hint != "none" and red.n_groups > 0:
         tail = select._in_tail(plan, pts)
     spa = "spa_lr" if quantity == "cdf" else "spa"
-    generic = select._generic_method(red, quantity, cls=plan.cls) if not tail.all() else spa
+    generic = select._generic_method(red, cls=plan.cls) if not tail.all() else spa
     methods = [spa if t else generic for t in tail]
     return methods[0] if qs.ndim == 0 else methods
 
@@ -74,7 +74,7 @@ def _old_evaluate(plan, xs, method, tol, quantity, auto):
         # and keeps whichever result reports the smaller bound
         redo = [i for i, res in enumerate(out) if auto and res.error_bound > tol]
         if redo:
-            alt = select._generic_method(red, quantity, central_even=False, cls=plan.cls)
+            alt = select._generic_method(red, central_even=False, cls=plan.cls)
             for i, res in zip(redo, _old_evaluate(plan, xs[redo], alt, tol, quantity, auto)):
                 if (isinstance(res, MethodResult) and res.error_bound is not None
                         and res.error_bound < out[i].error_bound):
@@ -87,8 +87,6 @@ def _old_evaluate(plan, xs, method, tol, quantity, auto):
         return fn(red, xs, method, tol, plan)
     if method == "imhof":
         fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
-        if cumulative and auto:
-            fn = _old_cdf_auto_inversion
         return select._each(fn, red, xs, tol=tol, plan=plan)
     if cumulative:
         if method == "davies":
@@ -113,18 +111,6 @@ def _old_cdf_spa(red, q, variant, tol, auto, plan):
         if isinstance(res, Exception):
             raise res
         return res
-
-
-def _old_cdf_auto_inversion(red, q, tol=1e-8, plan=None):
-    if not red.n_groups:
-        return inversion.cdf_davies(red, q, tol=tol)
-    try:
-        return inversion.cdf_imhof(red, q, tol=tol, plan=plan)
-    except ConvergenceFailureError as exc:
-        try:
-            return inversion.cdf_davies(red, q, tol=tol)
-        except ConvergenceFailureError as exc2:
-            raise min(exc, exc2, key=lambda e: e.result.error_bound) from None
 
 
 def _outcomes(fn, red, qs, *args):
@@ -230,51 +216,26 @@ class TestLadderOracle:
                 red = random_reduced(rng, definite=definite)
                 _compare_on(red, "cdf")
 
-    @pytest.mark.parametrize("imhof_bound", [1e-3, 1e-12])
-    def test_imhof_forced_to_fail(self, monkeypatch, imhof_bound):
+    def test_central_even_kept_over_a_failing_imhof(self, monkeypatch):
+        """Imhof, the route below the partial fractions of a central even
+        indefinite form, fails at every point, with a bound below tol: the
+        ladder keeps each partial-fraction result (a result ranks before a
+        failure), and there is no rung below Imhof."""
         real = inversion.cdf_imhof
 
         def failing(red, q, tol, plan=None):
             def fail(res):
                 value = getattr(res, "result", res).value
                 return ConvergenceFailureError(
-                    "imhof", result=MethodResult(value, imhof_bound, "imhof", "rigorous", {}))
+                    "imhof", result=MethodResult(value, 1e-12, "imhof", "rigorous", {}))
             if np.ndim(q):   # the route's array: one outcome per point
                 return [fail(res) for res in real(red, q, tol=tol, plan=plan)]
             raise fail(real(red, q, tol=tol, plan=plan))
 
         monkeypatch.setattr(inversion, "cdf_imhof", failing)
-        # indefinite: Imhof is the route; central even indefinite: the rung
-        # below the partial fractions
-        forms = [qf.ReducedForm([1.0, -0.6, 0.4], [2, 3, 2], [0.3, 0.0, 0.5], 0.0, -0.2),
-                 _central_even_form(50, True)]
-        for red in forms:
-            new = _compare_on(red, "cdf")
-            assert any(isinstance(r, MethodResult) and r.method == "davies"
-                       and r.diagnostics["imhof_bound"] == imhof_bound for r in new)
-        red = forms[0]
-        for q in (-0.5, 0.7, 3.0):
-            _assert_same(select.cdf_auto_inversion(red, q), _old_cdf_auto_inversion(red, q))
-
-    @pytest.mark.parametrize("davies_bound", [1e-6, 1e-4, 1e-2])
-    def test_both_inversions_fail(self, monkeypatch, davies_bound):
-        def failing(name, bound):
-            def fn(red, q, tol, plan=None):
-                exc = ConvergenceFailureError(
-                    name, result=MethodResult(0.5, bound, name, "rigorous", {}))
-                if np.ndim(q):   # the Davies route's array: one outcome per point
-                    return [exc] * np.size(q)
-                raise exc
-            return fn
-
-        monkeypatch.setattr(inversion, "cdf_imhof", failing("imhof", 1e-4))
-        monkeypatch.setattr(inversion, "cdf_davies", failing("davies", davies_bound))
-        red = qf.ReducedForm([1.0, -0.6, 0.4], [2, 3, 2], [0.3, 0.0, 0.5], 0.0, -0.2)
-        for q in (-0.5, 0.7, 3.0):
-            new = _outcomes(select.cdf_auto_inversion, red, [q])[0]
-            _assert_same(new, _outcomes(_old_cdf_auto_inversion, red, [q])[0])
-            assert new.result.method == ("davies" if davies_bound < 1e-4 else "imhof")
-        _compare_on(_central_even_form(50, True), "cdf")
+        new = _compare_on(_central_even_form(50, True), "cdf")
+        assert {r.method for r in new} <= {"central_even", "spa_lr", "support"}
+        assert any(r.method == "central_even" and r.error_bound > 1e-8 for r in new)
 
 
 class TestSupportRule:
@@ -337,7 +298,7 @@ class TestSupportRule:
 
     def test_negative_central_even_upper_edge(self):
         red = self.FORMS[3]
-        assert select._generic_method(red, "cdf") == "central_even"
+        assert select._generic_method(red) == "central_even"
         res = select.cdf(red, transforms.support(red)[1])
         assert res.value == 1.0 and res.method == "support"
 

@@ -286,6 +286,25 @@ class TestSeriesEvaluation:
             for kind in ("kotz", "laguerre"):
                 assert abs(qf.pdf_series(eff, q, kind, tol=1e-11).value - pref) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["ruben", "kotz", "laguerre"])
+    @pytest.mark.parametrize("cumulative", [True, False])
+    def test_refused_below_the_constant_too(self, kind, cumulative):
+        """A form the series do not apply to is refused at every point, also
+        below its constant, where a definite form's CDF would be 0."""
+        fn = qf.cdf_series if cumulative else qf.pdf_series
+        method = select.cdf if cumulative else select.pdf
+        forms = [qf.ReducedForm([1.0, -1.0], [1, 1], [0.0, 0.0]),     # indefinite
+                 qf.ReducedForm([1.0, 0.5], [2, 1], [0.3, 0.0], 0.5),  # sigma > 0
+                 qf.ReducedForm([], [], [], 1.5, 0.7)]                 # no groups
+        for red in forms:
+            for q in (red.const - 0.5, red.const, red.const + 0.5, math.inf):
+                with pytest.raises(qf.NotApplicableError):
+                    fn(red, q, kind)
+                with pytest.raises(qf.NotApplicableError):
+                    method(red, np.array([q, q + 1.0]), kind)
+            with pytest.raises(qf.InvalidInputError):
+                fn(red, math.nan, kind)
+
     def test_kotz_far_tail_rejected(self):
         eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
         with pytest.raises(qf.NotApplicableError):
