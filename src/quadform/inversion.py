@@ -18,10 +18,13 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   sin (CDF) or cos (density) per node and sums along its own nodes only;
   a row leaves the pass at its own Richardson stop.  A point's grid
   starts at 2 panels per period of the phase-rate bound (the Nyquist
-  rate), and a row stops at IMHOF_PANELS_MAX panels, or for the CDF at
-  DAVIES_POINTS_MAX, the lattice budget of Davies.  Rows of several forms
-  (the thresholds of a ratio CDF) carry their own weights into one node
-  evaluation per sweep.  A form without groups has its closed form.
+  rate).  Rows of several forms (the thresholds of a ratio CDF) carry
+  their own weights into one node evaluation per sweep.  A point whose
+  integrand does not oscillate over [0, U] and whose start is at least
+  the finest grid a rung keeps (a light form at x near 0, where U is
+  large) runs on the trapezoid in log u instead (``_integrate_log``).  A
+  row stops at IMHOF_PANELS_MAX panels or steps.  A form without groups
+  has its closed form.
 * Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
   term, run when named (method="davies").  Truncation is controlled by
   computable bounds on the integrand tail; the lattice aliasing error is
@@ -483,17 +486,19 @@ def _start_panels(form: _Form, u_max: float, x: float) -> int:
 class _Row:
     """One point of an Imhof pass: its rung, tail record and shifted x, its
     panel count, cap and Richardson target, and its trapezoid state (the
-    unscaled integral and absolute mass so far, and the last Richardson
-    estimate, inf until the step is first halved)."""
+    unscaled integral and absolute mass so far, the last Richardson
+    estimate, inf until the step is first halved, and the step in log u of
+    a row on that grid, else None)."""
 
     __slots__ = ("rung", "rec", "x", "panels", "cap", "target", "total", "mass", "quad_est",
-                 "done")
+                 "done", "log_step")
 
     def __init__(self, rung: _Rung, rec: _Tail, x: float, panels: int, cap: int,
                  target: float):
         self.rung, self.rec, self.x = rung, rec, x
         self.panels, self.cap, self.target = panels, cap, target
         self.total, self.mass, self.quad_est, self.done = None, 0.0, math.inf, False
+        self.log_step = None
 
 
 def _integrate(rows: list, density: bool) -> None:
@@ -538,6 +543,46 @@ def _integrate(rows: list, density: bool) -> None:
                     row.total = total
                 row.done = row.panels >= row.cap or row.quad_est <= row.target
         active = [row for row in active if not row.done]
+
+
+def _integrate_log(row: _Row, density: bool) -> None:
+    """Imhof's integral over [0, U] by the trapezoid rule in s = log u, for a
+    row whose phase -u x/2 turns by at most a radian there (|x| U <= 2).
+
+    g(s) = u f(u) is analytic in the strip |Im s| < pi/2, so the rule
+    converges geometrically in its step h (Trefethen & Weideman 2014), where
+    a grid uniform in u needs panels in proportion to U.  The nodes run from
+    s = log U down to the first at or below s_min.  |g| <= R e^s, with R the
+    phase-rate bound for the CDF (|sin theta| <= |theta| <= R u, rho >= 1)
+    and 1 for the density, so the integral below s_min and the nodes a
+    finer grid adds there are each at most R e^(s_min); s_min puts three
+    times that at a quarter of the target, which the estimate carries.  h
+    starts at most 1/2 and halves while the row has fewer than ``cap``
+    steps and its Richardson estimate is above ``target``."""
+    scale = 2.0 * math.pi if density else math.pi
+    reach = 1.0 if density else row.rung.form.half_rate + 0.5 * abs(row.x)
+    s_max = math.log(row.rung.u)
+    s_min = math.log(row.target * scale / (12.0 * reach))
+    n = max(math.ceil(2.0 * (s_max - s_min)), 2)
+    h = (s_max - s_min) / n
+    half_x = np.array([[0.5 * row.x]])
+
+    def terms(s: np.ndarray) -> np.ndarray:
+        u = np.exp(s)
+        [nodes] = _evaluate_nodes([(row.rung.red, u)])
+        return _integrand(nodes[None], half_x, density)[0] * u
+
+    g = terms(s_max - h * np.arange(n + 1))
+    g[0] /= 2.0     # the end at U
+    row.total, row.mass, row.panels = h * transforms._sum(g), h * transforms._sum(np.abs(g)), n
+    while row.panels < row.cap and row.quad_est > row.target:
+        g = terms(s_max - h * (np.arange(row.panels) + 0.5))
+        h /= 2.0
+        total = 0.5 * row.total + h * transforms._sum(g)
+        row.mass = 0.5 * row.mass + h * transforms._sum(np.abs(g))
+        row.quad_est = abs(total - row.total) / scale + row.target / 4.0
+        row.total, row.panels = total, 2 * row.panels
+    row.log_step = h
 
 
 def _step_sums(rows: list, panels: int, first: bool, density: bool) -> tuple:
@@ -609,8 +654,7 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
         plans = list(plan) if plan is not None else [_own_plan(form, None) for form in red]
         if len(plans) != pts.size:
             raise InvalidInputError("a list of forms takes one point per form")
-    tail, u_cap, cap = ((_pdf_tail, 1e7, IMHOF_PANELS_MAX) if density
-                        else (_cdf_tail, 1e25, DAVIES_POINTS_MAX))
+    tail, u_cap = (_pdf_tail, 1e7) if density else (_cdf_tail, 1e25)
     rows: dict = {}
     fixed: dict = {}
     for i, (p, q_i) in enumerate(zip(plans, pts.tolist())):
@@ -628,7 +672,7 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
             # tail cancels far below T_U, so a tight grid keeps the value
             # accurate even when the reported (conservative) bound is
             # dominated by T_U
-            rows[i] = _Row(rung, rec, x, _start_panels(rung.form, rung.u, x), cap,
+            rows[i] = _Row(rung, rec, x, _start_panels(rung.form, rung.u, x), IMHOF_PANELS_MAX,
                            min(tol, 1e-8) / 2.0)
         else:
             # a fixed grid: one halved-grid pass first, so a Richardson
@@ -638,7 +682,15 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
             rung = fixed[id(p)]
             rows[i] = _Row(rung, _tail(rung, x), x, max(params.panels // 2, 2),
                            max(params.panels, 4), -math.inf)
-    _integrate(list(rows.values()), density)
+    uniform = []
+    for row in rows.values():
+        # a light form near x = 0: a start past the grids a rung keeps, on an
+        # integrand whose phase -u x/2 turns by at most a radian over [0, U]
+        if params is None and row.panels >= _KEEP_PANELS and abs(row.x) * row.rung.u <= 2.0:
+            _integrate_log(row, density)
+        else:
+            uniform.append(row)
+    _integrate(uniform, density)
     for i, row in rows.items():
         out[i] = (_pdf_result if density else _cdf_result)(row, params is None, tol)
     return one_or_all(out, single and qs.ndim == 0)
@@ -659,8 +711,7 @@ def _cdf_result(row: _Row, auto: bool, tol: float):
     raw = 0.5 - row.total / math.pi + correction
     res = MethodResult(
         min(max(raw, 0.0), 1.0), float(bound), "imhof", "rigorous",
-        {"raw_value": raw, "u_max": u_max, "panels": row.panels, "tail_bound": t_u,
-         "quad_estimate": quad_est, "tail_correction": correction},
+        _diagnostics(row, raw, t_u, tail_correction=correction),
     )
     if auto and bound > tol:
         return ConvergenceFailureError(
@@ -679,11 +730,18 @@ def _pdf_result(row: _Row, auto: bool, tol: float) -> MethodResult:
         value -= rec.boundary.imag / (2.0 * math.pi)
     bound = (t_u + (quad_est if math.isfinite(quad_est) else 0.0)
              + _rounding_bound(row.mass / (2.0 * math.pi), row.panels + 1))
-    return MethodResult(
-        max(value, 0.0), float(bound), "imhof", "heuristic",
-        {"raw_value": value, "u_max": row.rung.u, "panels": row.panels, "tail_bound": t_u,
-         "quad_estimate": quad_est},
-    )
+    return MethodResult(max(value, 0.0), float(bound), "imhof", "heuristic",
+                        _diagnostics(row, value, t_u))
+
+
+def _diagnostics(row: _Row, raw: float, t_u: float, **extra) -> dict:
+    """A finished row's diagnostics; a row on the grid in log u counts its
+    steps as panels and adds that step."""
+    out = {"raw_value": raw, "u_max": row.rung.u, "panels": row.panels, "tail_bound": t_u,
+           "quad_estimate": row.quad_est, **extra}
+    if row.log_step is not None:
+        out["log_step"] = row.log_step
+    return out
 
 
 def cdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan=None):
@@ -692,9 +750,12 @@ def cdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan
     With ``params`` the grid is fixed and the achieved bound is reported;
     otherwise U is the first rung of the ladder 2^j whose tail bound meets
     tol/2, and panels start at 2 per period of the phase-rate bound and are
-    doubled until the Richardson estimate meets the tolerance.  ``plan`` is
-    a ``select.Plan`` of red to reuse (its rungs' nodes are shared with its
-    other points, at every tol); results do not depend on it.
+    doubled until the Richardson estimate meets the tolerance, up to
+    IMHOF_PANELS_MAX; a point that would start at 2^19 panels or more on an
+    integrand that does not oscillate over [0, U] runs on the trapezoid in
+    log u (``_integrate_log``).  ``plan`` is a ``select.Plan`` of red to
+    reuse (its rungs' nodes are shared with its other points, at every
+    tol); results do not depend on it.
 
     q may be an array, and red a list of forms, one per point of q (then
     plan is None or a list of their plans): the result is then a list with

@@ -23,6 +23,7 @@ FAILURE_CASE = qf.ReducedForm([1.0, 0.6**4], [1, 1], [1.0, 7.0])
 # X1^2 - X2^2 = 2 U V with U, V independent N(0, 1): density K0(|q|/2) / (2 pi)
 LIGHT = qf.ReducedForm([1.0, -1.0], [1, 1], [0.0, 0.0])
 NORMAL = qf.ReducedForm([], [], [], 1.5, 0.7)
+TWO_VARIABLES = qf.RatioSpec([[1.0, 0.3], [0.3, -0.5]], np.eye(2), [0.2, -0.1], np.eye(2))
 
 
 def best_effort(fn, *args, **kwargs):
@@ -323,8 +324,8 @@ class TestRouter:
 
 class TestAutoInversion:
     """Auto inverts on Imhof alone: no auto path runs Davies, a form without
-    groups has its closed form, and an Imhof CDF row may spend Davies'
-    lattice budget of 2^25 panels."""
+    groups has its closed form, and a light form at x near 0, which a grid
+    uniform in u cannot close within its cap, runs on the grid in log u."""
 
     def test_no_auto_path_runs_davies(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -348,12 +349,14 @@ class TestAutoInversion:
                             [0.2, -0.1, 0.5], np.diag([1.0, 2.0, 0.0]))
         methods = {res.method for res in qf.cdf_ratio(spec, np.linspace(-1.0, 1.0, 5))}
         assert methods == {"ratio_imhof"}
+        # the two-variable ratio, whose thresholds run on the grid in log u
+        assert {res.method for res in qf.cdf_ratio(TWO_VARIABLES, [-0.3, 0.5])} == {"ratio_imhof"}
 
     @pytest.mark.parametrize("case", ["vanishing_threshold", "light"])
-    def test_light_forms_on_the_cdf_budget(self, case):
-        """Two light forms that a 2^23-panel cap failed (the Davies rung
-        answered them): Imhof answers them within its lattice budget, and
-        agrees with Davies within both bounds."""
+    def test_light_forms_on_the_log_grid(self, case):
+        """Two light forms at x near 0 that a 2^23-panel cap fails (the
+        Davies rung answered them in about 1 s): Imhof answers them on a few
+        hundred nodes in log u, and agrees with Davies within both bounds."""
         if case == "light":
             red, tol = qf.ReducedForm([1.0, -0.3], [1, 2], [0.0, 1.0]), 1e-10
             res = select.cdf(red, 0.0, tol=tol)
@@ -368,9 +371,39 @@ class TestAutoInversion:
             assert qf.cdf_ratio(spec, np.array([5.0]), tol=tol) == [res]
         assert res.method.endswith("imhof") and res.provenance == "rigorous"
         assert res.error_bound <= tol
-        assert 2**23 < res.diagnostics["panels"] <= inversion.DAVIES_POINTS_MAX
+        assert res.diagnostics["log_step"] <= 0.25 and res.diagnostics["panels"] <= 2**10
         davies = qf.cdf_davies(red, 0.0, tol=tol)
         assert abs(res.value - davies.value) <= res.error_bound + davies.error_bound
+
+    def test_two_variable_ratio(self):
+        """x'(A - rB)x in two variables with Sigma = I: each threshold form's
+        constant is 0 up to rounding, so x is tiny and sum(nu) = 2 (the light
+        case).  Every threshold is answered on the grid in log u with a
+        bound at most tol, three of them within their bound of a 30-digit
+        Gil-Pelaez integral; below the support the CDF is 0."""
+        rs = np.linspace(-0.6, 1.05, 12)
+        results = qf.cdf_ratio(TWO_VARIABLES, rs)
+        forms = list(ratio._reduce_pencil(TWO_VARIABLES, rs))
+        nodes = [0] + [mp.ldexp(1, j) for j in range(-12, 60, 4)] + [mp.inf]
+        for r, res, red in zip(rs, results, forms):
+            assert abs(red.const) < 1e-15
+            assert res.method == "ratio_imhof" and res.provenance == "rigorous"
+            assert res.error_bound <= 1e-8 and res.diagnostics["panels"] <= 2**10, r
+        with mp.workdps(30):
+            for k in (0, 3, 11):
+                exact = float(_gil_pelaez(forms[k], 0.0, "cdf", nodes))
+                assert abs(results[k].value - exact) <= results[k].error_bound, rs[k]
+        assert results[0].value <= results[0].error_bound   # r = -0.6 < the least eigenvalue
+
+    def test_failing_row_stops_at_the_panel_cap(self):
+        """A CDF row that the uniform grid cannot close fails at
+        IMHOF_PANELS_MAX panels: x = 1e-6 on the light form turns the phase
+        too far over [0, U] for the grid in log u."""
+        with pytest.raises(qf.ConvergenceFailureError) as info:
+            select.cdf(LIGHT, 1e-6, tol=1e-9)
+        diag = info.value.result.diagnostics
+        assert diag["panels"] == inversion.IMHOF_PANELS_MAX and "log_step" not in diag
+        assert 1e-6 * diag["u_max"] > 2.0
 
     def test_pure_normal_closed_form(self):
         qs = np.array([-4.0, -0.3, 0.7, 2.5, 9.0])
@@ -867,8 +900,9 @@ class TestLadder:
     def test_values_within_bounds_of_the_old_drivers(self, tol):
         for red in _tail_battery():
             plan = select.Plan(red)
-            # x = +-1e-9 run both drivers to the 2^23-panel cap on the light
-            # forms; the record tests cover them
+            # x = +-1e-9 run the old driver to the 2^23-panel cap on the light
+            # forms (the new one integrates in log u there); the record tests
+            # cover them
             for x in _shifted_points(red)[::3] + _shifted_points(red)[4:]:
                 q = x + red.const
                 new = best_effort(qf.cdf_imhof, red, q, tol=tol, plan=plan)
@@ -1018,10 +1052,6 @@ class TestRowPass:
             ks = qf.cumulants(red, 2)
             mean, sd = ks.get(1), math.sqrt(ks.get(2))
             qs = np.concatenate([mean + sd * np.linspace(-5.0, 7.0, 25), near_zero])
-            if red is LIGHT and quantity == "cdf":
-                # within 1e-9 of 0 the light form's CDF runs Imhof to its
-                # panel cap and Davies to its lattice cap
-                qs = qs[:-4]
             for q, res in zip(qs, fn(red, qs, tol=1e-9)):
                 assert res == fn(red, q, tol=1e-9, plan=select.Plan(red)), (red, q)
 
