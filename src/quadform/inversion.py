@@ -25,24 +25,23 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   large) runs on the trapezoid in log u instead (``_integrate_log``).  A
   row stops at IMHOF_PANELS_MAX panels or steps.  A form without groups
   has its closed form.
-* Davies: midpoint lattice u_k = (k + 1/2) Delta, supporting a Gaussian
-  term, run when named (method="davies").  Truncation is controlled by
-  computable bounds on the integrand tail; the lattice aliasing error is
-  bounded through Chernoff bounds on the distribution's tails, which also
-  fix Delta: the spread 2 pi / Delta reaches from x past the two points
+* Davies: the midpoint lattice u_k = (k + 1/2) Delta, run when named
+  (method="davies"), is one midpoint step of Imhof's node pass, and its
+  truncation bound is Imhof's T_U.  Its own are the lattice aliasing
+  bound, through Chernoff bounds on the distribution's tails, and the
+  spacing: the spread 2 pi / Delta reaches from x past the two points
   where the centred form's Chernoff log-tails equal log(tol/4).
 
 What does not depend on the point (Imhof's tail constants and rungs) is
 built on first use and kept by the form's ``select.Plan``, so the points of
 a grid and the CDF calls of ``quantile`` build it once.  A call without a
-plan builds one of its own.  Davies' set-up (the spread crossings and the
-truncation ladder) is built once per ``cdf_davies`` call, for all its
-points.
+plan builds one of its own.  Davies builds its spread crossings and its
+truncation ladder once per ``cdf_davies`` call.
 
-Both read the modulus and phase of phi from one kernel,
-``transforms._log_cf`` (Imhof's u is twice its frequency).  Their bounds
-add the rounding error of the node sum.  The additive constant is
-handled by shifting the evaluation point.
+The node pass reads the modulus and phase of phi from one kernel,
+``transforms._log_cf`` (Imhof's u is twice its frequency), and the bounds
+add the rounding error of the node sum.  The additive constant is handled
+by shifting the evaluation point.
 
 ``quantile`` inverts the CDF with ``_brentq``, an in-module step-for-step
 port of scipy's ``brentq``: the same root from the same CDF calls, without
@@ -297,12 +296,13 @@ class _Rung:
         w, nu, d2, u = self.red.omega, self.red.nu, self.red.delta2, self.u
         sig = self.red.sigma_gauss
         log_mod, phase = transforms._log_cf(self.red, 0.5 * u)
-        log_floor = (log_w + 0.5 * float(np.sum(d2 * w**2 * u**2 / (1.0 + w**2 * u**2)))
-                     + (sig * u) ** 2 / 8.0)
-        g = 1.0 + (w * u) ** 2
-        m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / g))
-        slope = 0.5 * float(np.sum(nu * w / g + d2 * w * (1.0 - (w * u) ** 2) / g**2))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):   # d2 = 0 terms are 0, not 0 inf
+            log_floor = (log_w + 0.5 * float(np.sum(np.where(
+                d2 > 0.0, d2 * w**2 * u**2 / (1.0 + w**2 * u**2), 0.0))) + (sig * u) ** 2 / 8.0)
+            g = 1.0 + (w * u) ** 2
+            m1 = 0.5 * float(np.sum((nu + d2) * np.abs(w) / g))
+            slope = 0.5 * float(np.sum(nu * w / g + np.where(
+                d2 > 0.0, d2 * w * (1.0 - (w * u) ** 2) / g**2, 0.0)))
             rho = float(np.exp(-log_mod))
         plain = math.exp(min(-math.log(math.pi * k) - k * math.log(u) - log_floor, 700.0))
         balanced = math.inf
@@ -414,8 +414,12 @@ def _tail(rung: _Rung, x: float) -> _Tail:
         ibp = residual = 0.0
     else:
         ibp = (2.0 + c2 / (u * s)) / (rho * s)
+        try:
+            s_sq = s**2
+        except OverflowError:   # a float's ** raises where the square overflows
+            s_sq = math.inf
         residual = ((c2 + 2.0 * k + (rung.red.sigma_gauss * u) ** 2 / 4.0)
-                    / (2.0 * math.pi * rho * s**2 * u))
+                    / (2.0 * math.pi * rho * s_sq * u))
     if c1 is not None:
         if x != 0.0 and finite:
             balanced += (2.0 / abs(x)) * (2.0 / (u * rho) + m1 * math.pi * plain)
@@ -713,7 +717,7 @@ def _cdf_result(row: _Row, auto: bool, tol: float):
         min(max(raw, 0.0), 1.0), float(bound), "imhof", "rigorous",
         _diagnostics(row, raw, t_u, tail_correction=correction),
     )
-    if auto and bound > tol:
+    if auto and not bound <= tol:   # a NaN bound fails too
         return ConvergenceFailureError(
             f"imhof did not reach tol={tol} (achieved {bound:.3e})", result=res)
     return res
@@ -785,53 +789,6 @@ def pdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan
     return _imhof(red, q, params, tol, plan, True)
 
 
-def davies_truncation_bound(red: ReducedForm, u_max):
-    """Smallest applicable bound on the integral tail beyond U.
-
-    Combines the two closed-form bounds keyed to large weights and to the
-    Gaussian term with a log-log decay-slope bound A(U)/(pi rho_U),
-    rho_U = sum (nu/2) 4U^2w^2/(1+4U^2w^2) + U^2 sigma^2, valid whenever
-    rho_U > 0 since that part of -log A is convex in log u and the
-    noncentrality factor only decreases.  u_max may be an array: the sums
-    over the groups are taken for all U at once, and the result is an array
-    with each U's bound.
-    """
-    us = np.asarray(u_max, dtype=float)
-    u_list = np.atleast_1d(us).tolist()
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    sig = red.sigma_gauss
-    # U^2 as Python float powers: numpy's square can differ from them in the
-    # last bit, and the bound with it
-    u_sq = [u**2 for u in u_list]
-    w2 = w**2
-    wu2 = 4.0 * w2 * np.array(u_sq)[:, None]
-    g = 1.0 + wu2
-    nu_log = nu * np.log1p(wu2)
-    big = np.abs(w) > 1.0
-    s = float(nu[big].sum())
-    sums = [np.sum(w2 * d2 / g, axis=-1), np.sum(nu_log, axis=-1), np.sum(nu * wu2 / g, axis=-1)]
-    if s > 0:
-        sums += [np.sum(nu_log[:, ~big], axis=-1), np.sum(nu[big] * np.log(wu2[:, big]), axis=-1)]
-    out = []
-    for u, u2, (noncentral, log_full, slope, *large) in zip(
-            u_list, u_sq, zip(*(x.tolist() for x in sums))):
-        log_common = -2.0 * u2 * noncentral - 0.5 * (sig * u) ** 2
-        log_prod_full = -0.25 * log_full
-        bounds = []
-        if large:
-            log_small, log_big = large
-            bounds.append(math.log(2.0 / (math.pi * s)) + log_common - 0.25 * log_small
-                          - 0.25 * log_big)
-        if sig > 0:
-            bounds.append(-math.log(math.pi * u2) - 2.0 * math.log(sig) + log_common
-                          + log_prod_full)
-        rho = 0.5 * slope + (sig * u) ** 2
-        if rho > 0:
-            bounds.append(-math.log(math.pi * rho) + log_common + log_prod_full)
-        out.append(math.exp(min(min(bounds), 700.0)) if bounds else math.inf)
-    return out[0] if us.ndim == 0 else np.array(out)
-
-
 def _davies_lattice_bound(chi: ReducedForm, x, spread):
     """Chernoff bound on the aliasing error for lattice period 2*pi/Delta = spread
     at shifted point x, from the centred form chi (1 when a side is vacuous:
@@ -844,21 +801,6 @@ def _davies_lattice_bound(chi: ReducedForm, x, spread):
     out = [math.exp(min(max(left, right, _LOG_TINY), 0.0)) for left, right in
            zip(np.atleast_1d(log_left).tolist(), np.atleast_1d(log_right).tolist())]
     return out[0] if xs.ndim == 0 else np.array(out)
-
-
-def _davies_sum(red: ReducedForm, x: float, delta: float, k_max: int):
-    """The lattice value 1/2 - (1/pi) sum_k Im{phi(u_k) e^{-i u_k x}}/(k + 1/2)
-    over k = 0..k_max, and the rounding bound of that sum."""
-    total = mass = 0.0
-    block = 1 << 18
-    for start in range(0, k_max + 1, block):
-        idx = np.arange(start, min(start + block, k_max + 1), dtype=float)
-        u = (idx + 0.5) * delta
-        log_mod, phase = transforms._log_cf(red, u)
-        terms = np.exp(log_mod) * np.sin(phase - u * x) / (idx + 0.5)
-        total += float(np.sum(terms))
-        mass += float(np.sum(np.abs(terms)))
-    return 0.5 - total / math.pi, _rounding_bound(mass / math.pi, k_max + 1)
 
 
 def _spread_form(chi: ReducedForm, tol: float) -> tuple:
@@ -889,18 +831,17 @@ def _davies_spread(chi: ReducedForm, spread_form: tuple, x):
                       np.minimum(need, 1e12 * sd))
 
 
-def _truncation_u(red: ReducedForm, sd: float, tol: float, delta: np.ndarray) -> np.ndarray:
+def _truncation_u(red: ReducedForm, form: _Form, sd: float, tol: float,
+                  delta: np.ndarray) -> np.ndarray:
     """For each lattice spacing of a nonempty array delta, the first rung of
-    Davies' truncation ladder U = 4/sd * 1.5^j (4/sigma for a pure normal)
-    whose truncation bound is at most tol/2 or that holds DAVIES_POINTS_MAX
-    lattice points of that spacing.
-
-    The ladder is walked once, to the first rung that is small or that
-    every spacing fills (u / delta falls as delta grows); a spacing that
-    fills an earlier rung stops there."""
+    Davies' truncation ladder U = 4/sd * 1.5^j whose truncation bound (T_U at
+    Imhof's 2U) is at most tol/2 or that holds DAVIES_POINTS_MAX lattice
+    points of that spacing.  The ladder is walked once, to the first rung
+    that is small or that every spacing fills (u / delta falls as delta
+    grows); a spacing that fills an earlier rung stops there."""
     widest = float(delta.max())
-    us = [4.0 / (sd if red.n_groups else red.sigma_gauss)]
-    while (davies_truncation_bound(red, us[-1]) > tol / 2.0
+    us = [4.0 / sd]
+    while (_Rung(red, 2.0 * us[-1], form).head[5] > tol / 2.0   # T_U
            and us[-1] / widest < DAVIES_POINTS_MAX):
         us.append(us[-1] * 1.5)
     full = np.array(us) / delta[:, None] >= DAVIES_POINTS_MAX
@@ -910,50 +851,54 @@ def _truncation_u(red: ReducedForm, sd: float, tol: float, delta: np.ndarray) ->
 def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None, tol: float = 1e-8):
     """CDF by the midpoint-lattice inversion sum with computable bounds.
 
-    Supports Gaussian components and weights of both signs.  The reported
-    bound is truncation + lattice aliasing + the rounding of the sum.  q
-    may be an array: the set-up (the spread crossings and the truncation
-    ladder at tol), the spreads, the truncation rungs and both bounds are
-    computed once for all points (two chernoff_log_tail calls for the
-    lattice bounds), and only the lattice sum runs per point; the result is
-    a list with each point's MethodResult or ConvergenceFailureError.  A
-    NaN point is invalid input; at +-inf the CDF is exactly 0 or 1.
+    u_k = (k + 1/2) Delta, k <= k_max, are the midpoints of k_max + 1 panels
+    on [0, 2 (k_max + 1) Delta] in Imhof's u (twice Davies' frequency): the
+    value is 1/2 - (2 Delta/pi) S, S Imhof's CDF integrand summed there by
+    one midpoint step of its node pass (``_step_sums``).  Imhof's T_U at
+    U = 2 (k_max + 1/2) Delta bounds the terms past k_max: it integrates
+    1/(u rho), a decreasing majorant of |integrand|, which bounds each term
+    by its integral over the panel that ends at its node.  The bound is
+    that truncation bound + lattice aliasing + the rounding of the sum.
+
+    A form without groups, and a point on or outside the support, have
+    their exact answer (``_exact_cdf``).  q may be an array: the spreads,
+    the truncation ladder and the lattice bounds are computed once for all
+    points, the lattice sum and its truncation bound per point; the result
+    is a list with each point's MethodResult or ConvergenceFailureError.
+    A NaN point is invalid input; at +-inf the CDF is exactly 0 or 1.
     """
     qs = np.asarray(q, dtype=float)
-    pts, exact = transforms.point_outcomes(qs, False, "davies")
-    lo_s, hi_s = transforms.support(red)
-    inside = (lo_s < pts) & (pts < hi_s)
-    out = [None if ok else _exact_cdf(red, x, "davies", (lo_s, hi_s))
-           for x, ok in zip(pts.tolist(), inside.tolist())]
-    if exact is not None:
-        out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
-    idx = np.flatnonzero(inside)
-    if not idx.size:
+    pts, out = transforms.point_outcomes(qs, False, "davies")
+    support = transforms.support(red)
+    out = [_exact_cdf(red, p, "davies", support) if res is None else res
+           for res, p in zip(out or [None] * pts.size, pts.tolist())]
+    idx = [i for i, res in enumerate(out) if res is None]
+    if not idx:
         return one_or_all(out, qs.ndim == 0)
-    chi = red.shifted(0.0)
+    chi, form = red.shifted(0.0), _tail_form(red)
     x = pts[idx] - red.const
     if params is not None:
         spread = 2.0 * math.pi / params.delta
-        delta = np.full(x.shape, params.delta)
-        k_max = np.full(x.shape, params.k_max)
+        delta, k_max = np.full(x.shape, params.delta), np.full(x.shape, params.k_max)
     else:
         spread_form = _spread_form(chi, tol)
         spread = _davies_spread(chi, spread_form, x)
         delta = 2.0 * math.pi / spread
-        u_trunc = _truncation_u(red, spread_form[1], tol, delta)
+        u_trunc = _truncation_u(red, form, spread_form[1], tol, delta)
         k_max = np.maximum(np.minimum(np.ceil(u_trunc / delta - 0.5), DAVIES_POINTS_MAX),
                            8).astype(int)
     u_max = (k_max + 0.5) * delta
-    trunc = davies_truncation_bound(red, u_max)
     lattice = _davies_lattice_bound(chi, x, spread)
-    for i, xi, d, k, u, t, la in zip(idx.tolist(), x.tolist(), delta.tolist(),
-                                     k_max.tolist(), u_max.tolist(), trunc.tolist(),
-                                     lattice.tolist()):
-        value, rounding = _davies_sum(red, xi, d, k)
-        bound = t + la + rounding
+    for i, xi, d, k, u, la in zip(idx, x.tolist(), delta.tolist(), k_max.tolist(),
+                                  u_max.tolist(), lattice.tolist()):
+        trunc = _tail(_Rung(red, 2.0 * u, form), xi).plain
+        row = _Row(_Rung(red, 2.0 * (k + 1) * d, form), None, xi, k + 1, k + 1, 0.0)
+        [s], [m] = _step_sums([row], k + 1, False, False)
+        value = 0.5 - 2.0 * d * s / math.pi
+        bound = trunc + la + _rounding_bound(2.0 * d * m / math.pi, k + 1)
         res = MethodResult(min(max(value, 0.0), 1.0), float(bound), "davies", "rigorous",
                            {"raw_value": value, "delta": d, "k_max": k, "u_max": u,
-                            "truncation_bound": t, "lattice_bound": la})
+                            "truncation_bound": trunc, "lattice_bound": la})
         out[i] = res if params is not None or bound <= tol else ConvergenceFailureError(
             f"davies did not reach tol={tol} (achieved {bound:.3e})", result=res)
     return one_or_all(out, qs.ndim == 0)

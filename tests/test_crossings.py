@@ -66,9 +66,9 @@ def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
     return methods[0] if qs.ndim == 0 else methods
 
 
-def _old_davies_rule(red, x, tol):
-    """The rung-stepping spread search and the truncation ladder of the auto
-    Davies rule: (spread, lattice bound, k_max, u_max)."""
+def _old_davies_spread(red, x, tol):
+    """The rung-stepping spread search of the old auto Davies rule: (spread,
+    lattice bound)."""
     chi = red.shifted(0.0)
     k1 = qf.cumulants(chi, 2)
     sd = math.sqrt(max(k1.get(2), 1e-300))
@@ -79,44 +79,21 @@ def _old_davies_rule(red, x, tol):
             break
         spread *= 1.5
         lattice = inversion._davies_lattice_bound(chi, x, spread)
+    return spread, lattice
+
+
+def _old_cdf_davies(red, q, u_max, tol=1e-8):
+    """cdf_davies with the old rule's spread: the lattice of that spacing
+    that reaches the truncation point u_max, as the old rule took it."""
+    spread, _ = _old_davies_spread(red, q - red.const, tol)
     delta = 2.0 * math.pi / spread
-    u_max = 4.0 / sd if red.n_groups else 4.0 / red.sigma_gauss
-    trunc = inversion.davies_truncation_bound(red, u_max)
-    while trunc > tol / 2.0 and (u_max / delta) < inversion.DAVIES_POINTS_MAX:
-        u_max *= 1.5
-        trunc = inversion.davies_truncation_bound(red, u_max)
     k_max = max(min(int(math.ceil(u_max / delta - 0.5)), inversion.DAVIES_POINTS_MAX), 8)
-    return spread, lattice, k_max, (k_max + 0.5) * delta
-
-
-def _old_cdf_davies(red, q, params=None, tol=1e-8, plan=None):
-    """cdf_davies with the old auto rule (the plan is not used); the Davies
-    route's array of points gets one outcome per point."""
-    if np.ndim(q):
-        return select._each(_old_cdf_davies, red, q, params, tol)
-    if params is not None:
-        return inversion.cdf_davies(red, q, params, tol)
-    exact = inversion._exact_cdf(red, q, "davies")
-    if exact is not None:
-        return exact
-    x = q - red.const
-    spread, lattice, k_max, u_max = _old_davies_rule(red, x, tol)
-    delta = 2.0 * math.pi / spread
-    trunc = inversion.davies_truncation_bound(red, u_max)
-    value, rounding = inversion._davies_sum(red, x, delta, k_max)
-    bound = trunc + lattice + rounding
-    res = qf.MethodResult(min(max(value, 0.0), 1.0), float(bound), "davies", "rigorous",
-                          {"raw_value": value, "delta": delta, "k_max": k_max,
-                           "u_max": u_max, "truncation_bound": trunc,
-                           "lattice_bound": lattice})
-    if bound > tol:
-        raise qf.ConvergenceFailureError("davies", result=res)
-    return res
+    return inversion.cdf_davies(red, q, DaviesParams(delta, k_max), tol)
 
 
 def _old_quantile(red, p, tol=1e-8, method="auto"):
     """The quantile search with a fresh route and set-up in every CDF call
-    (the caller patches in the old route and Davies rule)."""
+    (the caller patches in the old route)."""
     inner_tol = min(tol * 1e-2, 1e-9)
     ks = transforms.cumulants(red, 2)
     center, sd = ks.get(1), math.sqrt(max(ks.get(2), 1e-300))
@@ -288,10 +265,9 @@ class TestDaviesSpread:
         assert diag["delta"] == 2.0 * math.pi / spread
         assert diag["lattice_bound"] == inversion._davies_lattice_bound(chi, x, spread)
         assert diag["lattice_bound"] <= tol / 4.0
-        try:
-            old = _old_cdf_davies(red, q, tol=tol)
-        except qf.ConvergenceFailureError as exc:
-            old = exc.result
+        old = _old_cdf_davies(red, q, diag["u_max"], tol)
+        assert abs(old.diagnostics["lattice_bound"] - _old_davies_spread(red, x, tol)[1]) <= (
+            1e-9 * old.diagnostics["lattice_bound"])
         assert abs(res.value - old.value) <= res.error_bound + old.error_bound
         assert res.error_bound <= tol or old.error_bound > tol
 
@@ -335,7 +311,6 @@ class TestQuantileSearch:
         sd = math.sqrt(qf.cumulants(red, 2).get(2))
         with monkeypatch.context() as m:
             m.setattr(select, "select_method", _old_select_method)
-            m.setattr(inversion, "cdf_davies", _old_cdf_davies)
             for q, p in zip(new, ps):
                 if abs(q.cdf.value - p) <= inner_tol:
                     assert abs(select.cdf(red, q, tol=1e-9).value - p) <= tol

@@ -174,7 +174,28 @@ class TestCdfDavies:
         red = qf.ReducedForm(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0),
                              1.0, 0.0)
         res = qf.cdf_davies(red, 1.6448536269514722, tol=1e-7)
-        assert abs(res.value - 0.95) < 1e-6
+        assert res.provenance == "exact" and res.error_bound == 0.0
+        assert res.value == float(special.ndtr(1.6448536269514722))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("omega, nu, delta2", [
+        ([1.0], [1], [0.0]), ([1.0], [1], [0.8]),
+        ([1.0, -0.6], [1, 1], [0.0, 0.0]), ([1.0, -0.6], [1, 1], [0.5, 0.3]),
+        ([1.2, -0.5], [2, 1], [0.0, 0.0]), ([1.2, -0.5], [2, 1], [0.0, 0.9]),
+    ])
+    def test_fixed_lattice_truncation(self, omega, nu, delta2, sigma):
+        """The lattice terms past k_max = K, summed up to 8K, lie within K's
+        truncation bound (Imhof's T_U at U = 2 (K + 1/2) Delta) and the
+        rounding of both sums, down to one dof."""
+        red = qf.ReducedForm(omega, nu, delta2, sigma, 0.2)
+        for delta, k in ((0.3, 4), (0.3, 40), (0.05, 100)):
+            short, long = (qf.cdf_davies(red, 0.9, params=DaviesParams(delta, n))
+                           for n in (k, 8 * k))
+            rounding = sum(r.error_bound - r.diagnostics["truncation_bound"]
+                           - r.diagnostics["lattice_bound"] for r in (short, long))
+            assert short.diagnostics["u_max"] == (k + 0.5) * delta
+            assert (abs(short.diagnostics["raw_value"] - long.diagnostics["raw_value"])
+                    <= short.diagnostics["truncation_bound"] + rounding)
 
     def test_agrees_with_imhof_on_random_forms(self, rng):
         for _ in range(100):
@@ -893,6 +914,37 @@ class TestTailRecord:
             fixed = fixed_fn(OVERFLOW, 5.0, params=ImhofParams(u_max=1.0, panels=64))
         assert res.method == "imhof" and res.diagnostics["tail_bound"] <= 5e-9
         assert fixed.diagnostics["tail_bound"] == 0.0
+
+    def test_overflowing_weights_give_a_finite_bound(self):
+        """w^2 overflows and U^2 underflows: a central group's noncentral
+        terms of the floor and the slope were inf 0 = NaN, and the CDF took
+        the NaN bound as rigorous.  The form is 1e200 (X - Y/2), X ~ chi2_2,
+        Y ~ chi2_1, so near 0 F = 1 - 1.5^(-1/2) and f = 1.5^(-1/2)/2e200."""
+        huge = qf.ReducedForm([1e200, -5e199], [2, 1], [0.0, 0.0])
+        cdf = qf.cdf_imhof(huge, 0.3)
+        assert cdf.provenance == "rigorous" and cdf.error_bound <= 1e-8
+        assert abs(cdf.value - (1.0 - 1.5**-0.5)) <= cdf.error_bound
+        pdf = qf.pdf_imhof(huge, 0.3)
+        assert math.isfinite(pdf.diagnostics["tail_bound"])
+        assert abs(pdf.value - 0.5 * 1.5**-0.5 * 1e-200) <= pdf.error_bound
+
+    def test_nan_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(inversion, "_rounding_bound", lambda *args: math.nan)
+        for fn in (qf.cdf_imhof, qf.cdf_davies):
+            with pytest.raises(qf.ConvergenceFailureError):
+                fn(CHI21, 0.5)
+
+    def test_far_point_squares_to_inf(self):
+        """At x = 1e300 the density's residual estimate squares the slope
+        floor |x|/2 - m1 > 1e299, where a float's ** raises OverflowError;
+        the CDF's record carries the same estimate, and Davies reads that record."""
+        red = qf.ReducedForm([1.0, -0.5], [2, 1], [0.0, 0.5], 1.0)
+        for fn in (qf.cdf_imhof, qf.cdf_davies):
+            with pytest.raises(qf.ConvergenceFailureError) as info:
+                fn(red, 1e300)
+            assert math.isfinite(info.value.result.error_bound)
+        pdf = qf.pdf_imhof(red, 1e300)
+        assert pdf.value == 0.0 and pdf.diagnostics["tail_bound"] == 0.0
 
 
 class TestLadder:
