@@ -275,15 +275,18 @@ def pdf_spa(red: ReducedForm, q):
     """Saddlepoint density [2 pi K''(t0)]^(-1/2) exp(K(t0) - t0 q).
 
     q may be an array: one MethodResult or DomainError per point, from one
-    saddlepoint_solve call.  At +-inf the density is exactly 0.
+    saddlepoint_solve call.  At +-inf the density is exactly 0.  It is
+    taken on the scaled form (``transforms._scaled``): f(q) = f_s(q/s) / s.
     """
-    pts, sols, finish = _solutions(red, q, True, "spa")
+    red, scale = transforms._scaled(red)
+    pts, sols, finish = _solutions(red, np.asarray(q, dtype=float) / scale, True, "spa")
     out: list = []
     for x, sol in zip(pts, sols):
         if isinstance(sol, DomainError):
             out.append(sol)
             continue
-        log_f = sol.cgf_value - sol.t0 * x - 0.5 * math.log(2.0 * math.pi * sol.cgf_second)
+        log_f = (sol.cgf_value - sol.t0 * x - 0.5 * math.log(2.0 * math.pi * sol.cgf_second)
+                 - math.log(scale))
         out.append(MethodResult(
             math.exp(log_f), None, "spa", "approximate",
             {"t0": sol.t0, "log_pdf": log_f, "cgf_second": sol.cgf_second}))
@@ -309,12 +312,14 @@ def cdf_spa(red: ReducedForm, q, variant: str = "lugannani_rice"):
     upper tails keep full relative accuracy.  q may be an array: one
     MethodResult or DomainError per point, from one saddlepoint_solve call;
     the switch scale and the mean-point limit are computed once.  At +-inf
-    the CDF is exactly 0 or 1.
+    the CDF is exactly 0 or 1.  It is taken on the scaled form
+    (``transforms._scaled``) at q/s.
     """
     if variant not in ("lugannani_rice", "barndorff_nielsen"):
         raise InvalidInputError(f"unknown saddlepoint variant {variant!r}")
     method = "spa_lr" if variant == "lugannani_rice" else "spa_bn"
-    _, sols, finish = _solutions(red, q, False, method)
+    red, scale = transforms._scaled(red)
+    _, sols, finish = _solutions(red, np.asarray(q, dtype=float) / scale, False, method)
     eps = _switch_scale(red)
     limit = None
     out: list = []

@@ -241,6 +241,9 @@ def cmd_cdf(args) -> dict:
 
 
 def cmd_quantile(args) -> dict:
+    """The quantile at p and the search's CDF result there.  A search that
+    fails, or ends with |cdf_at_value - p| or its bound above tol, exits 3
+    and prints its evaluation (``inversion.quantile``)."""
     red = _to_reduced(_load_form(args))
     q = inversion.quantile(red, args.p, tol=args.tol, method=args.method)
     return {

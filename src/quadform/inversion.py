@@ -268,9 +268,10 @@ def _tail_form(red: ReducedForm) -> _Form:
                  0.5 * float(np.sum(nu * np.abs(w) + d2 * np.abs(w))))
 
 
-# the finest trapezoid grid a rung keeps: its last halving added 2^18 nodes;
-# finer grids are evaluated per block
-_KEEP_PANELS = 2**19
+# the finest trapezoid grid a rung keeps (3 MB): its last halving added 2^16
+# nodes; finer grids are evaluated per block, so a call's peak memory does
+# not grow with its panel count
+_KEEP_PANELS = 2**17
 
 
 class _Rung:
@@ -688,9 +689,12 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
                            max(params.panels, 4), -math.inf)
     uniform = []
     for row in rows.values():
-        # a light form near x = 0: a start past the grids a rung keeps, on an
-        # integrand whose phase -u x/2 turns by at most a radian over [0, U]
-        if params is None and row.panels >= _KEEP_PANELS and abs(row.x) * row.rung.u <= 2.0:
+        # a light form near x = 0: a start of 2^19 panels or more (four times
+        # the finest grid a rung keeps: starts of 2^17 and 2^18 panels stay on
+        # the uniform grid, evaluated per block), on an integrand whose phase
+        # -u x/2 turns by at most a radian over [0, U]
+        if (params is None and row.panels >= 4 * _KEEP_PANELS
+                and abs(row.x) * row.rung.u <= 2.0):
             _integrate_log(row, density)
         else:
             uniform.append(row)
@@ -807,11 +811,10 @@ def _spread_form(chi: ReducedForm, tol: float) -> tuple:
     """The centred form chi's mean and sd, and its left and right crossings
     with log(tol/4): the aliasing bound of Davies' lattice is at most tol/4
     once x - spread and x + spread lie beyond them."""
-    ks = transforms.cumulants(chi, 2)
+    mean, sd, _ = transforms.standardised(chi)
     quarter = tol / 4.0
     level = math.log(quarter) if quarter > 0.0 else -math.inf
-    return (ks.get(1), math.sqrt(max(ks.get(2), 1e-300)),
-            transforms.chernoff_crossing(chi, level, "left"),
+    return (mean, sd, transforms.chernoff_crossing(chi, level, "left"),
             transforms.chernoff_crossing(chi, level, "right"))
 
 
@@ -984,8 +987,12 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
     needs only a consistent monotone surrogate).  A search that finds no
     sign change of F - p in its 200 steps, reaches Brent's 200 iterations or
     gets NaN from F raises ConvergenceFailureError carrying the evaluation
-    closest to p, its point as the diagnostic "q".  The calls share one
-    ``select.Plan``; a plan passed in is used, with equal results.
+    closest to p, its point as the diagnostic "q"; one that ends at a q
+    whose F is more than tol from p or has a bound above tol (a CDF that
+    does not meet tol, or one that jumps across p) raises it carrying q
+    and F(q).  A point mass has its point as every quantile.  The calls
+    share one ``select.Plan``; a plan passed in is used, with equal
+    results.
     """
     if not 0.0 < p < 1.0:
         raise InvalidInputError("quantile level p must be in (0, 1)")
@@ -994,19 +1001,20 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
     plan = _own_plan(red, plan)
     lo_s, hi_s = plan.support
     inner_tol = min(tol * 1e-2, 1e-9)
-    ks = transforms.cumulants(red, 2)
-    center, sd = ks.get(1), math.sqrt(max(ks.get(2), 1e-300))
+    center, sd, unit = transforms.standardised(red)
     edge = 1e-9 * max(sd, abs(center), 1.0)
     seen: dict = {}
 
     def at(x: float) -> float:
         return lo_s if x <= lo_s + edge else hi_s if x >= hi_s - edge else x
 
-    def failure(why: str) -> ConvergenceFailureError:
-        x, res = min(seen.items(), key=lambda item: abs(item[1].value - p)
-                     if not math.isnan(item[1].value) else math.inf)
+    def failure(why: str, x=None, res=None) -> ConvergenceFailureError:
+        label = "F" if res is not None else "closest F"
+        if res is None:
+            x, res = min(seen.items(), key=lambda item: abs(item[1].value - p)
+                         if not math.isnan(item[1].value) else math.inf)
         return ConvergenceFailureError(
-            f"quantile search for p={p} {why}; closest F({x!r}) = {res.value!r}",
+            f"quantile search for p={p} {why}; {label}({x!r}) = {res.value!r}",
             result=MethodResult(res.value, res.error_bound, res.method, res.provenance,
                                 dict(res.diagnostics, q=x, cdf_calls=len(seen))))
 
@@ -1026,9 +1034,8 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
         return seen[x].value - p
 
     # skewness and excess kurtosis from the standardised form (no overflow)
-    unit = transforms.cumulants(
-        ReducedForm(red.omega / sd, red.nu, red.delta2, red.sigma_gauss / sd), 4)
-    g1, g2, z = unit.get(3), unit.get(4), float(special.ndtri(p))
+    ks = transforms.cumulants(unit, 4)
+    g1, g2, z = ks.get(3), ks.get(4), float(special.ndtri(p))
     w = (z + (z * z - 1.0) * g1 / 6.0 + (z**3 - 3.0 * z) * g2 / 24.0
          - (2.0 * z**3 - 5.0 * z) * g1 * g1 / 36.0)
     a = at(center + sd * w)
@@ -1058,4 +1065,8 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
         root = stop.args[0]
     q = Quantile(at(root))
     q.cdf, q.cdf_calls = seen.get(q) or _exact_cdf(red, q, "support", plan.support), len(seen)
+    bound = q.cdf.error_bound
+    if lo_s < hi_s and not (abs(q.cdf.value - p) <= tol and (bound is None or bound <= tol)):
+        raise failure(f"ended more than tol={tol} from p or with a bound above it",
+                      float(q), q.cdf)
     return q

@@ -11,11 +11,14 @@ chi-square-density expansion and all others Imhof, which is also the
 route of every form with a Gaussian term (the series have none).  Imhof
 answers a pure normal (no groups) in closed form.
 
-The auto ladder (``_walk``) has one rung: a partial-fraction point whose
-outcome is a library error or a bound above tol also runs on the route it
-would take without the formula.  It keeps a result over a failure, then
-the smaller bound, then the earlier outcome; a kept fallback records the
-bound it replaced as ``central_even_bound``.
+The auto ladder (``_walk``) is one rule: a point whose route is not Imhof
+and whose outcome misses (a library error, also one the route raises for
+the whole call, or an error bound not at most tol; NaN misses) runs again
+on Imhof, which applies to every form and has a computable bound, and
+Imhof's outcome replaces the miss.  Its result records the bound it
+replaced as ``<route>_bound`` (inf for an error without one); a double
+miss is Imhof's failure.  A result without a bound (the saddlepoint's)
+is kept.
 
 The tails come from two points per form, where the left and the right
 Chernoff log-tails cross log(1e-8) (``transforms.chernoff_crossing``): a
@@ -67,8 +70,8 @@ class Plan:
     * routing: the classification, the support and the two crossings;
     * the partial fractions, the series form (the form, negated when it is
       negative definite), the remainder poles of its chi-square expansion
-      and its coefficient sets, one per (kind, beta), grown in place as
-      the truncation K doubles;
+      and its coefficient sets, one per series kind at its default beta,
+      grown in place as the truncation K doubles;
     * Imhof's tail constants and its rungs U = 2^j (``inversion._Rung``),
       by j alone: a rung holds no tol, so every tol shares it.
 
@@ -113,20 +116,22 @@ class Plan:
     def ruben_poles(self):
         """The poles of the chi-square expansion's remainder bound at its
         default beta, for the series, which refuse a form that is not
-        definite; None where that bound does not apply."""
+        definite; None where that bound does not apply (or rounding puts
+        beta outside the expansion's range, 0 < beta < 2 min(lam))."""
         pos = self.series_form
-        if pos.delta2.any() or pos.total_dof % 2:
+        beta = series.default_beta(pos, "ruben")
+        if pos.delta2.any() or pos.total_dof % 2 or not 0.0 < beta < 2.0 * pos.omega.min():
             return None
-        return series._ruben_poles(pos, series.default_beta(pos, "ruben"))
+        return series._ruben_poles(pos, beta)
 
-    def coefficients(self, kind: str, beta: float | None, k_terms: int):
-        """The first k_terms + 1 coefficients of the series form's set
-        (kind, beta), which ``series.series_coefficients`` grows in place:
-        each is computed once, and a shorter request is a slice."""
-        held = self._coefficients.get((kind, beta))
+    def coefficients(self, kind: str, k_terms: int):
+        """The first k_terms + 1 coefficients of the series form's set of
+        ``kind``, which ``series.series_coefficients`` grows in place: each
+        is computed once, and a shorter request is a slice."""
+        held = self._coefficients.get(kind)
         if held is None or held.d.size < k_terms:
-            held = self._coefficients[kind, beta] = series.series_coefficients(
-                self.series_form, kind, beta, k_terms, held)
+            held = self._coefficients[kind] = series.series_coefficients(
+                self.series_form, kind, None, k_terms, held)
         return held if held.d.size == k_terms else dataclasses.replace(
             held, c=held.c[:k_terms + 1], d=held.d[:k_terms])
 
@@ -142,14 +147,13 @@ class Plan:
         return self._rungs[j]
 
 
-def _generic_method(red: ReducedForm, central_even: bool = True,
-                    cls: FormClass | None = None) -> str:
-    """The route of a point outside the far tails (central_even=False skips
-    the partial-fraction formula); cls is classify(red) when known."""
+def _generic_method(red: ReducedForm, cls: FormClass | None = None) -> str:
+    """The route of a point outside the far tails; cls is classify(red) when
+    known."""
     cls = classify(red) if cls is None else cls
     if cls.has_gaussian:   # the series have no Gaussian term
         return "imhof"
-    if central_even and cls.centrality == "central" and cls.even_degrees:
+    if cls.centrality == "central" and cls.even_degrees:
         return "central_even"
     if cls.definiteness in ("positive", "negative"):
         return "ruben"
@@ -237,25 +241,20 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
 def _walk(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
     """The auto ladder (see the module docstring) from the route ``method``:
     one outcome per point."""
-    out = _evaluate(plan, xs, method, tol, quantity)
-    if method != "central_even":
-        return out
-    redo = [i for i, res in enumerate(out) if _rank(res) > (False, tol)]
+    try:
+        out = _evaluate(plan, xs, method, tol, quantity)
+    except QuadFormError as exc:   # the route's error is every point's outcome
+        out = [exc] * xs.size
+    redo = [i for i, res in enumerate(out) if method != "imhof" and (isinstance(
+        res, QuadFormError) or res.error_bound is not None and not res.error_bound <= tol)]
     if redo:
-        down = _generic_method(plan.red, central_even=False, cls=plan.cls)
-        for i, res in zip(redo, _evaluate(plan, xs[redo], down, tol, quantity)):
-            if _rank(res) < _rank(out[i]):
-                out[i] = res if isinstance(res, QuadFormError) else MethodResult(
-                    res.value, res.error_bound, res.method, res.provenance,
-                    dict(res.diagnostics, central_even_bound=_rank(out[i])[1]))
+        for i, res in zip(redo, _evaluate(plan, xs[redo], "imhof", tol, quantity)):
+            if isinstance(res, MethodResult):
+                bound = getattr(getattr(out[i], "result", out[i]), "error_bound", None)
+                res = MethodResult(res.value, res.error_bound, res.method, res.provenance, dict(
+                    res.diagnostics, **{f"{method}_bound": math.inf if bound is None else bound}))
+            out[i] = res
     return out
-
-
-def _rank(outcome) -> tuple:
-    """Failures after results, then the bound (of a failure's partial
-    result; inf if there is none)."""
-    bound = getattr(getattr(outcome, "result", outcome), "error_bound", None)
-    return isinstance(outcome, QuadFormError), math.inf if bound is None else bound
 
 
 def _each(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:

@@ -443,7 +443,7 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
     poles = plan.ruben_poles if kind == "ruben" else None
     k_used, k_terms, partial = -1, 64, np.zeros((active.size, 0))
     while active.size and k_used < K_MAX:
-        coeffs = plan.coefficients(kind, None, k_terms)
+        coeffs = plan.coefficients(kind, k_terms)
         x = xs[active]
         # only the new terms; the running sum continues, so each partial sum
         # equals the sum of all K + 1 terms in order, bit for bit

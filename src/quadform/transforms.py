@@ -218,6 +218,40 @@ def support_density(red: ReducedForm, edge: bool, method: str = "support") -> Me
     return MethodResult(value, 0.0, method, "exact", {"note": "support edge"})
 
 
+def _divided(red: ReducedForm, d: float) -> ReducedForm:
+    """The form of Q/d, without the groups whose weight w/d rounds to 0:
+    nothing of them is representable beside the largest weight or the
+    Gaussian term of Q/d."""
+    w = red.omega / d
+    keep = w != 0.0
+    return ReducedForm(w[keep], red.nu[keep], red.delta2[keep], red.sigma_gauss / d,
+                       red.const / d)
+
+
+def _scaled(red: ReducedForm) -> tuple:
+    """(Q/s, s), s = 2^e with e the binary exponent of max(max|w|, sigma),
+    when the square of that lies beyond 2^(+-1000) (K'' would overflow or
+    underflow); else (red, 1.0), as scaling would flush a subnormal point
+    to 0.  A power of two scales normal numbers exactly: Q <= y iff
+    Q/s <= y/s."""
+    e = math.frexp(max(float(np.max(np.abs(red.omega), initial=0.0)), red.sigma_gauss))[1]
+    if abs(e) <= 500:
+        return red, 1.0
+    s = math.ldexp(1.0, e)
+    return _divided(red, s), s
+
+
+def standardised(red: ReducedForm) -> tuple:
+    """(mean, sd, unit): the mean and sd of Q, and the form of Q/sd, whose
+    third and later cumulants are Q's standardised ones.  The variance is
+    taken on the scaled form (``_scaled``), so it neither overflows nor
+    underflows."""
+    scaled, s = _scaled(red)
+    ks = cumulants(scaled, 2)
+    sd = s * math.sqrt(max(ks.get(2), 1e-300))
+    return s * ks.get(1), sd, _divided(red, sd)
+
+
 def _cgf_prime_root(red: ReducedForm, y: np.ndarray) -> np.ndarray:
     """Solve K'(t) = y for an array of targets: one root per target, nan
     where y is outside the range of K'."""
@@ -331,16 +365,18 @@ def chernoff_crossing(red: ReducedForm, level: float, side: str) -> float:
     than halfway to either end of it, and K'(t) is returned.  Returns the
     mean when level >= 0, and the support edge when h does not fall to level
     before |t| max|w| = 1e100 (level = -inf, or a bounded side whose
-    crossing lies within about 1e-100 max|w| of its edge).
+    crossing lies within about 1e-100 max|w| of its edge).  The solve runs
+    on the scaled form (``_scaled``).
     """
     sign = 1.0 if side == "right" else -1.0
-    w, nu, d2 = red.omega, red.nu, red.delta2
-    s2, c = red.sigma_gauss**2, red.const
     if level >= 0.0:
-        return float(_sum(w * (nu + d2))) + c
+        return float(_sum(red.omega * (red.nu + red.delta2))) + red.const
     edge = support(red)[1 if side == "right" else 0]
     if level == -math.inf:
         return edge
+    red, scale = _scaled(red)
+    w, nu, d2 = red.omega, red.nu, red.delta2
+    s2, c = red.sigma_gauss**2, red.const
     dom = mgf_domain(red)
     end = dom.t_right if side == "right" else -dom.t_left   # strip end in tau = |t|
     sw2, swnu, w2nu, w2d2 = 2.0 * sign * w, sign * w * nu, 2.0 * w * w * nu, 2.0 * w * w * d2
@@ -378,7 +414,7 @@ def chernoff_crossing(red: ReducedForm, level: float, side: str) -> float:
         if done:
             break
     inv = 1.0 / (1.0 - tau * sw2)
-    return float(_sum(w * (nu + d2 * inv) * inv)) + s2 * sign * tau + c
+    return scale * (float(_sum(w * (nu + d2 * inv) * inv)) + s2 * sign * tau + c)
 
 
 def crossing_margin(red: ReducedForm, *points):
@@ -407,11 +443,13 @@ def chernoff_log_tail(red: ReducedForm, y, side: str):
     Returns 0.0 when the bound is vacuous (y on the wrong side of the
     mean) and -inf when y is outside the support.  Any t inside the MGF
     strip gives a valid bound, so a point whose root is out of reach uses
-    a t next to the strip end.
+    a t next to the strip end.  The bound is taken on the scaled form
+    (``_scaled``), at y scaled alike.
     """
     ys = np.asarray(y, dtype=float)
-    yy = np.atleast_1d(ys)
-    lo_s, hi_s = support(red)
+    lo_s, hi_s = support(red)   # Q's own: _scaled may drop a group
+    red, scale = _scaled(red)
+    yy, lo_s, hi_s = np.atleast_1d(ys) / scale, lo_s / scale, hi_s / scale
     mean = float(np.sum(red.omega * (red.nu + red.delta2))) + red.const   # K'(0)
     if side == "right":
         outside, vacuous = yy >= hi_s, yy <= mean

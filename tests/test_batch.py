@@ -300,10 +300,9 @@ class TestCentralEvenBound:
         ce = series.cdf_central_even(red, qs)
         assert min(res.error_bound for res in ce) > 1e-8
         for q, res in zip(qs, select.cdf(red, qs)):
-            assert res.method == "ruben_cdf"
+            assert res.method == "imhof" and res.error_bound <= 1e-8
             assert res.diagnostics["central_even_bound"] > 1e-8
-            assert abs(res.value - float(_central_even_exact(red, q))) <= max(
-                res.error_bound, 1e-12)
+            assert abs(res.value - float(_central_even_exact(red, q))) <= res.error_bound
 
     def test_few_groups_stay_exact(self):
         red = _central_even_form(6)

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
 import quadform as qf
 from quadform import cli, ratio, select
@@ -523,6 +524,48 @@ def test_quantile_search_failure_exits_3(capsys, tmp_path, monkeypatch):
     payload = json.loads(out)
     assert (payload["value"], payload["method"]) == (0.3, "imhof")
     assert math.isfinite(payload["diagnostics"]["q"])
+
+
+def test_quantile_that_misses_p_exits_3(capsys, tmp_path, monkeypatch):
+    """A search that ends more than tol from p (here at a jump of F across
+    p) exits 3 with its end point and F there."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(TestNonFinitePoints.FORMS["indefinite"]))
+    monkeypatch.setattr(select, "cdf", lambda red, x, *args, **kwargs: qf.MethodResult(
+        0.3 if x < 1.0 else 0.9, 1e-12, "imhof", "rigorous"))
+    code, out, err = run_cli(capsys, "quantile", "--p", "0.5", str(path))
+    assert code == 3 and err.startswith("error: quantile search") and "tol" in err
+    payload = json.loads(out)
+    assert payload["value"] in (0.3, 0.9) and payload["method"] == "imhof"
+    assert abs(payload["diagnostics"]["q"] - 1.0) <= 1e-9
+
+
+def test_quantile_on_a_cdf_above_tol_exits_3(capsys, tmp_path, monkeypatch):
+    """A search that meets p on a CDF whose bound is above tol exits 3 with
+    its end point and F there."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(TestNonFinitePoints.FORMS["indefinite"]))
+    monkeypatch.setattr(select, "cdf", lambda red, x, *args, **kwargs: qf.MethodResult(
+        float(special.ndtr(x)), 0.1, "imhof", "rigorous"))
+    code, out, err = run_cli(capsys, "quantile", "--p", "0.3", str(path))
+    assert code == 3 and err.startswith("error: quantile search") and "bound" in err
+    payload = json.loads(out)
+    assert abs(payload["value"] - 0.3) <= 1e-9 and payload["error_bound"] == 0.1
+    assert abs(payload["diagnostics"]["q"] - special.ndtri(0.3)) <= 1e-6
+
+
+def test_overflowing_variance(capsys, tmp_path):
+    """A form whose variance overflows: no warning, and every command
+    answers (exit 0)."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"kind": "reduced", "omega": [1e200, -5e199], "nu": [2, 1],
+                                "delta2": [0, 0]}))
+    for argv in (["cdf", "--q", "0.3"], ["pdf", "--q", "0.3"],
+                 ["cdf", "--q", "0.3", "--method", "davies"], ["quantile", "--p", "0.5"],
+                 ["quantile", "--p", "0.01"]):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert math.isfinite(json.loads(out)["value"])
 
 
 def test_commands_do_not_import_scipy_optimize(tmp_path):

@@ -315,9 +315,16 @@ class TestRouter:
         assert select.select_method(red, "cdf", mean) == cdf_route
         assert select.select_method(red, "pdf", mean) == pdf_route
 
-    def test_central_even_indefinite_reroutes_to_imhof(self):
+    def test_central_even_indefinite_reroutes_to_imhof(self, monkeypatch):
+        # a partial-fraction result above tol runs again on Imhof
         red = qf.ReducedForm([2.0, 1.0, -0.5], [2, 4, 2], [0.0] * 3)
-        assert select._generic_method(red, central_even=False) == "imhof"
+        real = series.cdf_central_even
+        monkeypatch.setattr(series, "cdf_central_even", lambda *args: [
+            MethodResult(r.value, 1.0, r.method, r.provenance, r.diagnostics)
+            for r in real(*args)])
+        res = select.cdf(red, 1.0)
+        assert (res.method, res.diagnostics["central_even_bound"]) == ("imhof", 1.0)
+        assert res.value == qf.cdf_imhof(red, 1.0).value
 
     @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
     def test_light_dof_closed_form(self, quantity):

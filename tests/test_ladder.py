@@ -1,14 +1,14 @@
 """The fallback ladder of method="auto", the support rule, and the
 saddlepoint's Mills ratio.
 
-The two reroutes that the ladder replaced (the central-even "smaller
-bound" block and the saddlepoint DomainError reroute) are kept here as
-``_old_*`` oracles, copied from the router they lived in with only their
-names and module prefixes changed; the oracle's inversion leaf is Imhof
-alone, with no Davies rung below it.  Auto must give the same outcome as
-they do at every point inside the support; on or outside it, auto answers
-exactly and tags the point "support".  A fallback result that is kept may
-carry the bound it replaced as ``central_even_bound``.
+The ladder is one rule: a point whose route is not Imhof and whose
+outcome misses (a library error, or a bound that is not at most tol) runs
+again on Imhof, and Imhof's outcome replaces it.  The ``_oracle_*``
+functions below apply that rule point by point on the engines themselves,
+with no batching and no plan sharing across routes.  Auto must give the
+same outcome as they do at every point inside the support; on or outside
+it, auto answers exactly and tags the point "support".  An Imhof result
+that replaced a miss carries the bound it replaced as ``<route>_bound``.
 """
 
 import math
@@ -24,15 +24,15 @@ from quadform.forms import MethodResult
 
 from conftest import make_rng, random_reduced
 
-LADDER_KEYS = {"central_even_bound"}
+LADDER_KEYS = {"central_even_bound", "ruben_bound", "spa_lr_bound", "spa_bound"}
 
 
-def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
+def _oracle_select_method(red, quantity="cdf", q=0.0, plan=None):
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
     plan = plan if plan is not None else select.Plan(red)
     tail = np.zeros(pts.shape, dtype=bool)
-    if tail_hint != "none" and red.n_groups > 0:
+    if red.n_groups > 0:
         tail = select._in_tail(plan, pts)
     spa = "spa_lr" if quantity == "cdf" else "spa"
     generic = select._generic_method(red, cls=plan.cls) if not tail.all() else spa
@@ -40,7 +40,7 @@ def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
     return methods[0] if qs.ndim == 0 else methods
 
 
-def _old_dispatch(red, q, method, tol, quantity, plan):
+def _oracle_dispatch(red, q, method, tol, quantity, plan):
     plan = plan if plan is not None else select.Plan(red)
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
@@ -54,63 +54,63 @@ def _old_dispatch(red, q, method, tol, quantity, plan):
                                   {"note": "outside the support"})
         todo = np.flatnonzero(inside)
     auto = method == "auto"
-    methods = _old_select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size \
+    methods = _oracle_select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size \
         else [method] * todo.size
     for name in dict.fromkeys(methods):
         idx = todo[[m == name for m in methods]]
-        for i, res in zip(idx, _old_evaluate(plan, pts[idx], name, tol, quantity, auto)):
+        for i, res in zip(idx, _oracle_evaluate(plan, pts[idx], name, tol, quantity, auto)):
             out[i] = res
     return out
 
 
-def _old_evaluate(plan, xs, method, tol, quantity, auto):
-    red = plan.red
-    cumulative = quantity == "cdf"
-    if method == "central_even":
-        fn = series.cdf_central_even if cumulative else series.pdf_central_even
-        out = fn(red, xs, plan.pfe)
-        # the terms cancel when there are many distinct weights: past tol,
-        # auto also tries the route the point would take without the formula
-        # and keeps whichever result reports the smaller bound
-        redo = [i for i, res in enumerate(out) if auto and res.error_bound > tol]
-        if redo:
-            alt = select._generic_method(red, central_even=False, cls=plan.cls)
-            for i, res in zip(redo, _old_evaluate(plan, xs[redo], alt, tol, quantity, auto)):
-                if (isinstance(res, MethodResult) and res.error_bound is not None
-                        and res.error_bound < out[i].error_bound):
-                    out[i] = MethodResult(
-                        res.value, res.error_bound, res.method, res.provenance,
-                        dict(res.diagnostics, central_even_bound=out[i].error_bound))
+def _misses(res, tol):
+    """A library error, or a bound that is not at most tol (NaN misses);
+    a result without a bound does not miss."""
+    if isinstance(res, QuadFormError):
+        return True
+    return res.error_bound is not None and not res.error_bound <= tol
+
+
+def _oracle_evaluate(plan, xs, method, tol, quantity, auto):
+    out = [_oracle_engine(plan, x, method, tol, quantity) for x in xs]
+    if not auto or method == "imhof":
         return out
-    if method in ("ruben", "kotz", "laguerre"):
-        fn = series.cdf_series if cumulative else series.pdf_series
-        return fn(red, xs, method, tol, plan)
-    if method == "imhof":
-        fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
-        return select._each(fn, red, xs, tol=tol, plan=plan)
-    if cumulative:
-        if method == "davies":
-            return select._each(inversion.cdf_davies, red, xs, tol=tol)
-        if method in ("spa_lr", "spa_bn"):
-            variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
-            return select._each(_old_cdf_spa, red, xs, variant, tol, auto, plan)
-        return select._each(approx.cdf_matched, red, xs, method)
-    return select._each(approx.pdf_spa, red, xs)
+    for i, res in enumerate(out):
+        if _misses(res, tol):
+            new = _oracle_engine(plan, xs[i], "imhof", tol, quantity)
+            if isinstance(new, MethodResult):
+                bound = getattr(getattr(res, "result", res), "error_bound", None)
+                new = MethodResult(new.value, new.error_bound, new.method, new.provenance, dict(
+                    new.diagnostics,
+                    **{f"{method}_bound": math.inf if bound is None else bound}))
+            out[i] = new
+    return out
 
 
-def _old_cdf_spa(red, q, variant, tol, auto, plan):
+def _oracle_engine(plan, x, method, tol, quantity):
+    """One engine at one point: its result, or the library error it raised."""
+    red, x = plan.red, float(x)
+    cumulative = quantity == "cdf"
     try:
-        return approx.cdf_spa(red, q, variant)
-    except DomainError:
-        if not auto:
-            raise
-        # extreme points can sit at the support edge where the
-        # saddlepoint has no root; evaluate by the route outside the tails
-        fallback = _old_select_method(red, "cdf", q, tail_hint="none", plan=plan)
-        res = _old_evaluate(plan, np.array([q]), fallback, tol, "cdf", auto)[0]
-        if isinstance(res, Exception):
-            raise res
-        return res
+        if method == "central_even":
+            fn = series.cdf_central_even if cumulative else series.pdf_central_even
+            return fn(red, x, plan.pfe)
+        if method in ("ruben", "kotz", "laguerre"):
+            fn = series.cdf_series if cumulative else series.pdf_series
+            return fn(red, x, method, tol, plan)
+        if method == "imhof":
+            fn = inversion.cdf_imhof if cumulative else inversion.pdf_imhof
+            return fn(red, x, tol=tol, plan=plan)
+        if cumulative:
+            if method == "davies":
+                return inversion.cdf_davies(red, x, tol=tol)
+            if method in ("spa_lr", "spa_bn"):
+                variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
+                return approx.cdf_spa(red, x, variant)
+            return approx.cdf_matched(red, x, method)
+        return approx.pdf_spa(red, x)
+    except QuadFormError as exc:
+        return exc
 
 
 def _outcomes(fn, red, qs, *args):
@@ -153,14 +153,14 @@ def _points(red):
 
 
 def _compare_on(red, quantity, tol=1e-8):
-    """Auto against the old router at _points(red) and on or outside the
+    """Auto against the oracle at _points(red) and on or outside the
     support edges (where auto must answer exactly)."""
     qs = _points(red)
     lo, hi = transforms.support(red)
     inside = (lo < qs) & (qs < hi)
     fn = select.cdf if quantity == "cdf" else select.pdf
     new = [_outcomes(fn, red, [q], "auto", tol)[0] for q in qs]
-    batch = _old_dispatch(red, qs, "auto", tol, quantity, None)
+    batch = _oracle_dispatch(red, qs, "auto", tol, quantity, None)
     for q, n, o, keep in zip(qs, new, batch, inside):
         if keep:
             _assert_same(n, o)
@@ -195,9 +195,12 @@ class TestLadderOracle:
         red = _central_even_form(groups, indefinite)
         new = _compare_on(red, quantity)
         if groups == 50 and quantity == "cdf":
-            # the partial fractions cancel: the ladder moves these points down
-            assert any("central_even_bound" in r.diagnostics for r in new
-                       if isinstance(r, MethodResult))
+            # the partial fractions cancel: the ladder moves these points to Imhof
+            moved = [r for r in new if "central_even_bound" in r.diagnostics]
+            assert moved and all(r.method == "imhof" and r.error_bound <= 1e-8
+                                 and r.diagnostics["central_even_bound"] > 1e-8 for r in moved)
+        # no point keeps a bound above tol
+        assert all(r.error_bound is None or r.error_bound <= 1e-8 for r in new)
 
     @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
     def test_gaussian_forms(self, quantity):
@@ -216,11 +219,10 @@ class TestLadderOracle:
                 red = random_reduced(rng, definite=definite)
                 _compare_on(red, "cdf")
 
-    def test_central_even_kept_over_a_failing_imhof(self, monkeypatch):
-        """Imhof, the route below the partial fractions of a central even
-        indefinite form, fails at every point, with a bound below tol: the
-        ladder keeps each partial-fraction result (a result ranks before a
-        failure), and there is no rung below Imhof."""
+    def test_a_double_miss_raises_imhofs_failure(self, monkeypatch):
+        """Imhof, the one fallback, fails at every point: a partial-fraction
+        point that misses tol takes Imhof's failure, and one that meets tol
+        keeps its result."""
         real = inversion.cdf_imhof
 
         def failing(red, q, tol, plan=None):
@@ -233,9 +235,130 @@ class TestLadderOracle:
             raise fail(real(red, q, tol=tol, plan=plan))
 
         monkeypatch.setattr(inversion, "cdf_imhof", failing)
-        new = _compare_on(_central_even_form(50, True), "cdf")
-        assert {r.method for r in new} <= {"central_even", "spa_lr", "support"}
-        assert any(r.method == "central_even" and r.error_bound > 1e-8 for r in new)
+        red = _central_even_form(50, True)
+        new = _compare_on(red, "cdf")
+        failed = [q for q, r in zip(_points(red), new) if isinstance(r, ConvergenceFailureError)]
+        assert failed and all(r.result.method == "imhof" for r in new
+                              if isinstance(r, ConvergenceFailureError))
+        kept = [r for r in new if isinstance(r, MethodResult)]
+        assert {r.method for r in kept} <= {"central_even", "spa_lr", "support"}
+        assert all(r.error_bound is None or r.error_bound <= 1e-8 for r in kept)
+        with pytest.raises(ConvergenceFailureError, match="imhof"):
+            qf.cdf(red, float(failed[0]))
+
+
+def _with_bound(engine, bound):
+    """engine, with every result's bound replaced by bound (a miss)."""
+    def fn(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        miss = [MethodResult(r.value, bound, r.method, r.provenance, r.diagnostics)
+                for r in (out if isinstance(out, list) else [out])]
+        return miss if isinstance(out, list) else miss[0]
+    return fn
+
+
+def _domain_errors(red, q, *args, **kwargs):
+    """A saddlepoint engine with no root at any point."""
+    errors = [DomainError(f"no root at {x}") for x in np.atleast_1d(q)]
+    if np.ndim(q):
+        return errors
+    raise errors[0]
+
+
+class TestImhofFallback:
+    """Each non-Imhof route's misses run again on Imhof, scalar and array,
+    and the Imhof result carries the bound it replaced as <route>_bound."""
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    @pytest.mark.parametrize("route,red,engines", [
+        ("ruben", qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.5, 0.0, 1.2]),
+         ("cdf_series", "pdf_series")),
+        ("central_even", qf.ReducedForm([2.0, 1.0, 0.5], [2, 4, 2], [0.0] * 3),
+         ("cdf_central_even", "pdf_central_even")),
+    ])
+    def test_series_miss_reruns_on_imhof(self, monkeypatch, quantity, route, red, engines):
+        engine = engines[quantity == "pdf"]
+        monkeypatch.setattr(series, engine, _with_bound(getattr(series, engine), 0.5))
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        imhof = inversion.cdf_imhof if quantity == "cdf" else inversion.pdf_imhof
+        qs = qf.cumulants(red, 1).get(1) * np.array([0.5, 1.0, 1.7])
+        assert select.select_method(red, quantity, qs) == [route] * 3
+        for q, res in zip(qs, fn(red, qs)):
+            assert res == fn(red, float(q))
+            want = imhof(red, float(q))
+            assert (res.value, res.error_bound, res.method) == \
+                (want.value, want.error_bound, "imhof")
+            assert res.diagnostics[f"{route}_bound"] == 0.5
+
+    @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
+    def test_saddlepoint_domain_error_reruns_on_imhof(self, monkeypatch, quantity):
+        red = qf.ReducedForm([1.0, -0.6, 0.4], [2, 3, 2], [0.3, 0.0, 0.5], 0.0, -0.2)
+        ks = qf.cumulants(red, 2)
+        qs = ks.get(1) + math.sqrt(ks.get(2)) * np.array([-20.0, 25.0])
+        route = "spa_lr" if quantity == "cdf" else "spa"
+        assert select.select_method(red, quantity, qs) == [route] * 2
+        monkeypatch.setattr(approx, "cdf_spa" if quantity == "cdf" else "pdf_spa",
+                            _domain_errors)
+        fn = select.cdf if quantity == "cdf" else select.pdf
+        for q, res in zip(qs, fn(red, qs)):
+            assert res == fn(red, float(q))
+            assert res.method == "imhof" and res.error_bound <= 1e-8
+            assert res.diagnostics[f"{route}_bound"] == math.inf
+
+
+def _bench_form(scale, spread, nu):
+    """A central definite form of the benchmark's generator: weights evenly
+    spaced in log from scale down to scale / spread, with multiplicities nu
+    (a string of digits)."""
+    nu = [int(c) for c in nu]
+    g = len(nu)
+    return qf.ReducedForm(scale * np.exp(-math.log(spread) * np.arange(g) / (g - 1)), nu,
+                          [0.0] * g)
+
+
+class TestBenchOps:
+    """Benchmark forms on which auto exited 0 with a value outside tol while
+    the only ladder rung was the central-even one: a Ruben or
+    partial-fraction CDF of 0 with a bound of 1 or more below the route
+    crossing sent the quantile search to the crossing."""
+
+    @pytest.mark.parametrize("scale,spread,nu,p,want", [
+        (2.2831632270903084, 14.677992676220699,
+         "22231324422432244442211443344314233133132113433442442114312113414433134314414313"
+         "444313222334343331143424431421111231123412123224134414311243123311444341",
+         0.99, 392.0706059742251),
+        (9.536960233234625, 14.677992676220699,
+         "224444244444242444422244242224244442222424422244224242442242422424424424244244242",
+         0.5, 849.3978843245271),
+        (3.3730183871325057, 31.622776601683793,
+         "44444422224224444222442442244444224424422424222244224242224222222442244444244244"
+         "4422244422424244442244242444242224422244244442422",
+         0.01, 302.9480621875194),
+        (1.0888851761723053, 14.677992676220699,
+         "11142314223434222113434221322442114243434231421122344123443244344113211222243312"
+         "332444131321131331312334431122111322121241431232144234423224211233322213424142334",
+         0.99, 184.0093445379904),
+        (0.22702490386683713, 14.677992676220699,
+         "43244211123441142233334424112122341134223322323143214412144224421331421132231233"
+         "411214443423423141121214223412143243411123322324414312433312112112143331143432442",
+         0.99, 38.7735774580257)],
+        ids=["seed4242-op28", "seed4242-op56", "seed0-op66", "seed77-op28", "seed0-op28"])
+    def test_quantile(self, scale, spread, nu, p, want):
+        tol = 1e-6
+        q = qf.quantile(_bench_form(scale, spread, nu), p, tol=tol)
+        assert abs(q.cdf.value - p) <= tol and q.cdf.method == "imhof"
+        assert q == pytest.approx(want, rel=1e-9)
+
+    def test_cdf_grid(self):
+        """The 41-point CDF grid of a 132-group central even form (grid
+        seed 0 op 66)."""
+        red = _bench_form(
+            0.5653015662137392, 31.622776601683793,
+            "22424242224422244442242442222244242424224244422442424242224244424424442222442222"
+            "4424442222444422244224444224244422424222444444224422")
+        res = select.cdf(red, np.linspace(0.0, 118.75819559822833, 41))
+        assert "central_even" not in {r.method for r in res}
+        assert all(r.error_bound is None or r.error_bound <= 1e-8 for r in res)
 
 
 class TestSupportRule:

@@ -501,10 +501,10 @@ class TestOneSetUp:
         # bit for bit to the set a fresh plan builds
         red = qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.4, 0.0, 0.0])
         plan = select.Plan(red)
-        long = plan.coefficients("ruben", None, 262)
-        short = plan.coefficients("ruben", None, 64)
-        fresh = select.Plan(red).coefficients("ruben", None, 64)
-        assert list(plan._coefficients) == [("ruben", None)]
+        long = plan.coefficients("ruben", 262)
+        short = plan.coefficients("ruben", 64)
+        fresh = select.Plan(red).coefficients("ruben", 64)
+        assert list(plan._coefficients) == ["ruben"]
         assert short.c.size == 65 and short.d.size == 64
         assert np.array_equal(short.c, fresh.c) and np.array_equal(short.d, fresh.d)
         assert np.array_equal(long.c[:65], fresh.c) and short.beta == long.beta

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import quadform as qf
-from quadform import transforms
+from quadform import approx, select, transforms
 from quadform.reference import sample_reduced
 
 from conftest import random_reduced
@@ -243,3 +244,79 @@ class TestRawMoments:
             est = sample.mean()
             se = sample.std(ddof=1) / math.sqrt(sample.size)
             assert abs(m[k - 1] - est) < 4.0 * se
+
+
+class TestOverflowingVariance:
+    """Forms whose largest w^2 or sigma^2 overflows or underflows: the
+    crossings, the Chernoff log-tails, the saddlepoint, and the mean and sd
+    of the quantile search and of Davies run on the form scaled by a power
+    of two (``_scaled``), so they equal the answers of the form in range
+    scaled back."""
+
+    UNIT = qf.ReducedForm([1.0, -0.5], [2, 1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_crossings_and_log_tail(self, scale):
+        red = qf.ReducedForm(self.UNIT.omega * scale, [2, 1], [0.0, 0.0])
+        for (x, margin), (u, _) in zip(select.Plan(red).crossings,
+                                       select.Plan(self.UNIT).crossings):
+            assert x == pytest.approx(scale * u, rel=1e-12) and math.isfinite(margin)
+        for side, y in (("right", 30.0), ("left", -12.0)):
+            log_tail = transforms.chernoff_log_tail(red, y * scale, side)
+            assert log_tail == pytest.approx(
+                transforms.chernoff_log_tail(self.UNIT, y, side), rel=1e-12)
+            assert log_tail < 0.0
+
+    def test_saddlepoint_far_points(self):
+        red = qf.ReducedForm([1e200, -5e199], [2, 1], [0.0, 0.0])
+        qs = np.array([-30.0, 50.0])
+        assert select.select_method(red, "cdf", 1e200 * qs) == ["spa_lr"] * 2
+        for res, unit in zip(approx.cdf_spa(red, 1e200 * qs), approx.cdf_spa(self.UNIT, qs)):
+            assert res.value == pytest.approx(unit.value, rel=1e-12)
+        for res, unit in zip(approx.pdf_spa(red, 1e200 * qs), approx.pdf_spa(self.UNIT, qs)):
+            assert 1e200 * res.value == pytest.approx(unit.value, rel=1e-12) and res.value > 0.0
+
+    def test_forms_in_range_are_not_scaled(self):
+        assert transforms._scaled(self.UNIT)[0] is self.UNIT
+        # the Gaussian term sets the scale as well as the weights
+        tiny = qf.ReducedForm([1e-200], [1], [0.0], 1.0)
+        assert transforms._scaled(tiny)[0] is tiny
+        assert transforms._scaled(qf.ReducedForm([1.0], [1], [0.0], 1e200))[1] == 2.0**665
+        red = qf.ReducedForm([1e200, -5e199], [2, 1], [0.0, 0.0], 3e199, 1e198)
+        unit, s = transforms._scaled(red)
+        assert s == 2.0**665 and np.array_equal(unit.omega * s, red.omega)
+        assert (unit.sigma_gauss * s, unit.const * s) == (red.sigma_gauss, red.const)
+
+    def test_davies_and_quantiles(self):
+        red = qf.ReducedForm([1e200, -5e199], [2, 1], [0.0, 0.0])
+        exact = 1.0 - 1.5**-0.5   # P(chi2_2 <= chi2_1 / 2); F(0.3) is within 1e-200 of it
+        res = qf.cdf_davies(red, 0.3)
+        assert abs(res.value - exact) <= res.error_bound <= 1e-8
+        for p in (0.5, 0.01):
+            q = qf.quantile(red, p)
+            assert abs(q.cdf.value - p) <= 1e-8
+            assert float(q) == pytest.approx(1e200 * qf.quantile(self.UNIT, p), rel=1e-6)
+
+    def test_tiny_weights_beside_a_normal_term(self):
+        """A weight of 1e-200 beside N(0, 1): every answer is the normal's."""
+        red = qf.ReducedForm([1e-200], [1], [0.0], 1.0)
+        cross = math.sqrt(-2.0 * math.log(1e-8))
+        for (x, margin), want in zip(select.Plan(red).crossings, (-cross, cross)):
+            assert x == pytest.approx(want, rel=1e-12) and margin < 1e-7
+        q = qf.quantile(red, 0.3)
+        assert abs(special.ndtr(float(q)) - 0.3) <= 1e-8
+        res = qf.cdf_davies(red, 0.3)
+        assert abs(res.value - special.ndtr(0.3)) <= res.error_bound <= 1e-8
+
+    def test_weights_spanning_past_the_float_range(self):
+        """1e200 chi2_1 + 1e-200 chi2_1: the small weight is 0 on the scaled
+        form, which then is that of 1e200 chi2_1, and auto answers."""
+        red = qf.ReducedForm([1e200, 1e-200], [1, 1], [0.0, 0.0])
+        alone = qf.ReducedForm([1e200], [1], [0.0])
+        scaled, s = transforms._scaled(red)
+        assert scaled.n_groups == 1 and s == transforms._scaled(alone)[1]
+        assert [x for x, _ in select.Plan(red).crossings] == \
+            [x for x, _ in select.Plan(alone).crossings]
+        res = qf.cdf(red, 3e200)
+        assert abs(res.value - special.gammainc(0.5, 1.5)) <= res.error_bound <= 1e-8
+        assert qf.pdf(red, 3e200).value >= 0.0
