@@ -12,6 +12,9 @@ CDF with its mean-point limit, and the Barndorff-Nielsen variant.  Each
 takes a scalar point or an array: an array's saddlepoints come from one
 K'(t) = q solve and one K(t0), K''(t0) evaluation, then the formula runs
 per point.  A scalar call is the one-point case.
+
+Both answer +-inf and the points on or outside the support exactly under
+their own method name (``transforms.exact_point``).
 """
 
 from __future__ import annotations
@@ -202,8 +205,8 @@ def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
     """Moment-matching CDF approximation (no error control; flagged).
 
     Per the applicability table the target must be positive definite with
-    no Gaussian term.  A NaN point is invalid input; at +-inf the CDF is
-    exactly 0 or 1 (``transforms.point_outcomes``).
+    no Gaussian term.  A NaN point is invalid input; on or outside the
+    support the CDF is exactly 0 or 1 (``transforms.exact_point``).
     """
     from .reduction import classify
 
@@ -216,9 +219,9 @@ def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
         )
     kappas = transforms.cumulants(red, 4)
     sur = match(kappas, family)
-    pts, exact = transforms.point_outcomes(q, False, family)
+    pts, [exact] = transforms.exact_points(red, q, False, family)
     if exact is not None:
-        return exact[0]
+        return exact
     value = surrogate_cdf(sur, float(pts[0]))
     return MethodResult(value, None, family, "approximate",
                         {"surrogate": sur.family, "params": dict(sur.params)})
@@ -256,41 +259,35 @@ def saddlepoint_solve(red: ReducedForm, q):
 
 
 def _solutions(red: ReducedForm, q, density: bool, method: str) -> tuple:
-    """(the points, the saddlepoint_solve outcome of each point, and a
-    function that returns the call's outcomes with each infinite point's
-    exact result under ``method`` in its slot).  The points pass the shared
-    check (``transforms.point_outcomes``): a NaN point is invalid input."""
-    qs = np.asarray(q, dtype=float)
-    pts, exact = transforms.point_outcomes(qs, density, method)
-
-    def finish(out: list):
-        if exact is not None:
-            out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
-        return one_or_all(out, qs.ndim == 0)
-
-    return pts.tolist(), saddlepoint_solve(red, pts), finish
+    """(``transforms.exact_points``' slots, the scaled form Q/s and s
+    (``transforms._scaled``), and (slot, q/s, saddlepoint_solve outcome on
+    Q/s) for each point inside the open support, whose slot is None)."""
+    pts, out = transforms.exact_points(red, q, density, method)
+    inside = [i for i, res in enumerate(out) if res is None]
+    scaled, scale = transforms._scaled(red)
+    xs = pts[inside] / scale
+    sols = saddlepoint_solve(scaled, xs) if inside else []
+    return out, scaled, scale, zip(inside, xs.tolist(), sols)
 
 
 def pdf_spa(red: ReducedForm, q):
     """Saddlepoint density [2 pi K''(t0)]^(-1/2) exp(K(t0) - t0 q).
 
     q may be an array: one MethodResult or DomainError per point, from one
-    saddlepoint_solve call.  At +-inf the density is exactly 0.  It is
-    taken on the scaled form (``transforms._scaled``): f(q) = f_s(q/s) / s.
+    saddlepoint_solve call.  On or outside the support the density is
+    ``transforms.exact_point``'s.  It is taken on the scaled form
+    (``transforms._scaled``): f(q) = f_s(q/s) / s.
     """
-    red, scale = transforms._scaled(red)
-    pts, sols, finish = _solutions(red, np.asarray(q, dtype=float) / scale, True, "spa")
-    out: list = []
-    for x, sol in zip(pts, sols):
+    out, _, scale, inside = _solutions(red, q, True, "spa")
+    for i, x, sol in inside:
         if isinstance(sol, DomainError):
-            out.append(sol)
+            out[i] = sol
             continue
         log_f = (sol.cgf_value - sol.t0 * x - 0.5 * math.log(2.0 * math.pi * sol.cgf_second)
                  - math.log(scale))
-        out.append(MethodResult(
-            math.exp(log_f), None, "spa", "approximate",
-            {"t0": sol.t0, "log_pdf": log_f, "cgf_second": sol.cgf_second}))
-    return finish(out)
+        out[i] = MethodResult(math.exp(log_f), None, "spa", "approximate",
+                              {"t0": sol.t0, "log_pdf": log_f, "cgf_second": sol.cgf_second})
+    return one_or_all(out, np.ndim(q) == 0)
 
 
 def _spa_mean_limit(red: ReducedForm) -> float:
@@ -311,26 +308,24 @@ def cdf_spa(red: ReducedForm, q, variant: str = "lugannani_rice"):
     Diagnostics carry log_ccdf, computed through the Mills ratio so far
     upper tails keep full relative accuracy.  q may be an array: one
     MethodResult or DomainError per point, from one saddlepoint_solve call;
-    the switch scale and the mean-point limit are computed once.  At +-inf
-    the CDF is exactly 0 or 1.  It is taken on the scaled form
-    (``transforms._scaled``) at q/s.
+    the switch scale and the mean-point limit are computed once.  On or
+    outside the support the CDF is exactly 0 or 1.  It is taken on the
+    scaled form (``transforms._scaled``) at q/s.
     """
     if variant not in ("lugannani_rice", "barndorff_nielsen"):
         raise InvalidInputError(f"unknown saddlepoint variant {variant!r}")
     method = "spa_lr" if variant == "lugannani_rice" else "spa_bn"
-    red, scale = transforms._scaled(red)
-    _, sols, finish = _solutions(red, np.asarray(q, dtype=float) / scale, False, method)
-    eps = _switch_scale(red)
+    out, scaled, _, inside = _solutions(red, q, False, method)
+    eps = _switch_scale(scaled)
     limit = None
-    out: list = []
-    for sol in sols:
+    for i, _, sol in inside:
         if isinstance(sol, DomainError):
-            out.append(sol)
+            out[i] = sol
             continue
         if limit is None and abs(sol.t0) < 2.0 * eps:
-            limit = _spa_mean_limit(red)
-        out.append(_cdf_spa_point(sol, variant, eps, limit))
-    return finish(out)
+            limit = _spa_mean_limit(scaled)
+        out[i] = _cdf_spa_point(sol, variant, eps, limit)
+    return one_or_all(out, np.ndim(q) == 0)
 
 
 def _cdf_spa_point(sol: SaddlepointSolution, variant: str, eps: float,
@@ -382,11 +377,9 @@ def _spa_point(variant: str, w: float, v: float) -> float:
 
 
 def _switch_scale(red: ReducedForm) -> float:
+    """1e-4 min(|t_L|, t_R, 1/sd): |t0| below it is near the mean, by the
+    MGF strip and by the spread alike (a Gaussian term beside tiny weights
+    has a wide strip but a t0 of order (q - mean)/sd^2)."""
     dom = transforms.mgf_domain(red)
-    finite = [abs(x) for x in (dom.t_left, dom.t_right) if math.isfinite(x)]
-    if finite:
-        scale = min(finite)
-    else:
-        k2 = transforms.cgf_derivative(red, 0.0, 2)
-        scale = 1.0 / math.sqrt(max(k2, 1e-300))
-    return 1e-4 * scale
+    sd = math.sqrt(max(transforms.cgf_derivative(red, 0.0, 2), 1e-300))
+    return 1e-4 * min(-dom.t_left, dom.t_right, 1.0 / sd)

@@ -23,14 +23,17 @@ F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
   integrand does not oscillate over [0, U] and whose start is at least
   the finest grid a rung keeps (a light form at x near 0, where U is
   large) runs on the trapezoid in log u instead (``_integrate_log``).  A
-  row stops at IMHOF_PANELS_MAX panels or steps.  A form without groups
-  has its closed form.
+  row stops at IMHOF_PANELS_MAX panels or steps.
 * Davies: the midpoint lattice u_k = (k + 1/2) Delta, run when named
   (method="davies"), is one midpoint step of Imhof's node pass, and its
   truncation bound is Imhof's T_U.  Its own are the lattice aliasing
   bound, through Chernoff bounds on the distribution's tails, and the
   spacing: the spread 2 pi / Delta reaches from x past the two points
   where the centred form's Chernoff log-tails equal log(tol/4).
+
+Both answer +-inf and the points on or outside the support exactly
+(``transforms.exact_point``), and a form without groups (a normal) in
+closed form (``_closed_form``); only the other points are integrated.
 
 What does not depend on the point (Imhof's tail constants and rungs) is
 built on first use and kept by the form's ``select.Plan``, so the points of
@@ -69,37 +72,20 @@ _LOG_TINY = -745.0
 _EPS = np.finfo(float).eps
 
 
-def _exact_cdf(red: ReducedForm, q: float, method: str,
-               support: tuple | None = None) -> MethodResult | None:
-    """The CDF of a form without groups (a point mass, or the normal
-    Phi((q - const)/sigma)), or at a point on or outside the support
-    (``transforms.support(red)``, when not given)."""
-    if red.n_groups == 0:
-        v = (float(special.ndtr((q - red.const) / red.sigma_gauss)) if red.sigma_gauss
-             else 1.0 if q >= red.const else 0.0)
-        return MethodResult(v, 0.0, method, "exact", {"raw_value": v})
-    lo_s, hi_s = support if support is not None else transforms.support(red)
-    if q >= hi_s:
-        return MethodResult(1.0, 0.0, method, "exact",
-                            {"raw_value": 1.0, "note": "at or above the support"})
-    if q <= lo_s:
-        return MethodResult(0.0, 0.0, method, "exact",
-                            {"raw_value": 0.0, "note": "at or below the support"})
-    return None
-
-
-def _exact_pdf(red: ReducedForm, q: float, support: tuple) -> MethodResult | None:
-    """``_exact_cdf``'s density twin under Imhof: the normal density of a
-    form without groups, ``transforms.support_density`` for a point mass or
-    at a finite end of the support, and the pole of ``pdf_imhof``; else None."""
+def _closed_form(red: ReducedForm, q: float, method: str, density: bool = False
+                 ) -> MethodResult | None:
+    """The exact answer at a point q inside the support that needs no
+    integral, else None: the normal Phi((q - const)/sigma), or its density,
+    of a form without groups, and the density's pole at x = 0 of two one-dof
+    groups of opposite signs without a Gaussian term (``pdf_imhof``)."""
     x, sig = q - red.const, red.sigma_gauss
-    if not red.n_groups and sig:
-        v = math.exp(-0.5 * (x / sig) ** 2) / (math.sqrt(2.0 * math.pi) * sig)
-        return MethodResult(v, 0.0, "imhof", "exact", {"raw_value": v})
-    if q in support or not red.n_groups:
-        return transforms.support_density(red, q in support, "imhof")
-    if x == 0.0 and red.nu.tolist() == [1, 1] and red.omega[0] * red.omega[1] < 0.0 and not sig:
-        return MethodResult(math.inf, 0.0, "imhof", "exact", {"note": "pole of the density"})
+    if not red.n_groups:
+        v = (math.exp(-0.5 * (x / sig) ** 2) / (math.sqrt(2.0 * math.pi) * sig) if density
+             else float(special.ndtr(x / sig)))
+        return MethodResult(v, 0.0, method, "exact", {"raw_value": v})
+    if (density and x == 0.0 and red.nu.tolist() == [1, 1] and not sig
+            and red.omega[0] * red.omega[1] < 0.0):
+        return MethodResult(math.inf, 0.0, method, "exact", {"note": "pole of the density"})
     return None
 
 
@@ -457,14 +443,20 @@ def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
         guesses.append((k + 1.0, log_rhs + math.log(2.0) - math.log(math.pi * abs(x) / 2.0)))
     if c1 is not None:
         guesses.append((k + 1.0, log_rhs + math.log(max(c1, 1e-300) / (math.pi * (k + 1.0)))))
-    g, log_us = red.sigma_gauss**2 / 8.0, []
+    sig, log_us = red.sigma_gauss, []
+    # log(sigma/sqrt 8), so that sigma^2 U^2/8 = e^(2v) in v = log U + shift
+    shift = math.log(sig / math.sqrt(8.0)) if sig else 0.0
     for power, rhs in guesses:
-        # power log U + g U^2 = rhs, convex in log U: Newton from the right of
-        # the root steps down to it (or stays at the cap, 60, beyond it)
-        log_u = min(rhs / power, 60.0, 0.5 * math.log(abs(rhs) / g + 1.0) if g else 60.0)
-        while (excess := power * log_u + g * math.exp(2.0 * log_u) - rhs) > 1e-3 * power:
-            log_u -= excess / (power + 2.0 * g * math.exp(2.0 * log_u))
-        log_us.append(log_u)
+        if not sig:
+            log_us.append(min(rhs / power, 60.0))
+            continue
+        # power v + e^(2v) = rhs + power shift, convex in v: Newton from the
+        # right of the root steps down to it (or stays at the cap, log U = 60)
+        rhs += power * shift
+        v = min(rhs / power, 60.0 + shift, 0.5 * math.log(abs(rhs) + 1.0))
+        while (excess := power * v + math.exp(2.0 * v) - rhs) > 1e-3 * power:
+            v -= excess / (power + 2.0 * math.exp(2.0 * v))
+        log_us.append(v - shift)
     j = math.ceil(max(min(log_us), -600.0) / math.log(2.0))
     rec = _tail(plan.rung(j), x)
     if tail(rec) <= half:
@@ -651,8 +643,8 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
     or its row of one pass (``_integrate``), then its result."""
     single = isinstance(red, ReducedForm)
     qs = np.asarray(q, dtype=float)
-    pts, out = transforms.point_outcomes(qs, density, "imhof")
-    out = out or [None] * pts.size
+    pts = transforms.points(qs)
+    out: list = [None] * pts.size
     if single:
         plans = [_own_plan(red, plan)] * pts.size
     else:
@@ -663,12 +655,10 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
     rows: dict = {}
     fixed: dict = {}
     for i, (p, q_i) in enumerate(zip(plans, pts.tolist())):
-        if out[i] is not None:
-            continue
         form = p.red
         x = q_i - form.const
-        out[i] = (_exact_pdf(form, q_i, p.support) if density
-                  else _exact_cdf(form, q_i, "imhof", p.support))
+        out[i] = (transforms.exact_point(form, q_i, density, "imhof", p.support)
+                  or _closed_form(form, q_i, "imhof", density))
         if out[i] is not None:
             continue
         if params is None:
@@ -769,8 +759,7 @@ def cdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan
     plan is None or a list of their plans): the result is then a list with
     each point's MethodResult or ConvergenceFailureError.  Every point is
     one row of one trapezoid pass (``_integrate``); its value, bound and
-    diagnostics are those it gets alone.  A NaN point is invalid input; at
-    +-inf the CDF is exactly 0 or 1.
+    diagnostics are those it gets alone.  A NaN point is invalid input.
     """
     return _imhof(red, q, params, tol, plan, False)
 
@@ -783,12 +772,12 @@ def pdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan
     the smallest of them is at most tol/2.  The reported bound combines the
     integrable part of the modulus tail (valid when sum(nu) > 2 or
     sigma > 0) with a Richardson estimate; flagged heuristic since the
-    oscillatory tail has no tight closed bound.  At a finite end of the
-    support the density is the exact limit from inside
-    (``transforms.support_density``).  Without a Gaussian term, two one-dof
-    groups of opposite signs have a pole at x = 0 (two x^(-1/2)
-    singularities convolve to a log), and the density is exactly inf; at
-    +-inf it is exactly 0.  q, red and ``plan`` as for cdf_imhof.
+    oscillatory tail has no tight closed bound.  Outside the support the
+    density is exactly 0, and at a finite end of it the exact limit from
+    inside (``transforms.exact_point``).  Without a Gaussian term, two
+    one-dof groups of opposite signs have a pole at x = 0 (two x^(-1/2)
+    singularities convolve to a log), and the density is exactly inf.  q,
+    red and ``plan`` as for cdf_imhof.
     """
     return _imhof(red, q, params, tol, plan, True)
 
@@ -863,18 +852,16 @@ def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None, tol: flo
     by its integral over the panel that ends at its node.  The bound is
     that truncation bound + lattice aliasing + the rounding of the sum.
 
-    A form without groups, and a point on or outside the support, have
-    their exact answer (``_exact_cdf``).  q may be an array: the spreads,
-    the truncation ladder and the lattice bounds are computed once for all
-    points, the lattice sum and its truncation bound per point; the result
-    is a list with each point's MethodResult or ConvergenceFailureError.
-    A NaN point is invalid input; at +-inf the CDF is exactly 0 or 1.
+    A point on or outside the support (``transforms.exact_point``), and a
+    form without groups (``_closed_form``), have their exact answer.  q may
+    be an array: the spreads, the truncation ladder and the lattice bounds
+    are computed once for all points, the lattice sum and its truncation
+    bound per point; the result is a list with each point's MethodResult or
+    ConvergenceFailureError.  A NaN point is invalid input.
     """
     qs = np.asarray(q, dtype=float)
-    pts, out = transforms.point_outcomes(qs, False, "davies")
-    support = transforms.support(red)
-    out = [_exact_cdf(red, p, "davies", support) if res is None else res
-           for res, p in zip(out or [None] * pts.size, pts.tolist())]
+    pts, out = transforms.exact_points(red, qs, False, "davies")
+    out = [res or _closed_form(red, p, "davies") for res, p in zip(out, pts.tolist())]
     idx = [i for i, res in enumerate(out) if res is None]
     if not idx:
         return one_or_all(out, qs.ndim == 0)
@@ -1064,7 +1051,8 @@ def quantile(red: ReducedForm, p: float, tol: float = 1e-8, method: str = "auto"
     except _Stop as stop:
         root = stop.args[0]
     q = Quantile(at(root))
-    q.cdf, q.cdf_calls = seen.get(q) or _exact_cdf(red, q, "support", plan.support), len(seen)
+    q.cdf = seen.get(q) or transforms.exact_point(red, float(q), False, "support", plan.support)
+    q.cdf_calls = len(seen)
     bound = q.cdf.error_bound
     if lo_s < hi_s and not (abs(q.cdf.value - p) <= tol and (bound is None or bound <= tol)):
         raise failure(f"ended more than tol={tol} from p or with a bound above it",

@@ -1,15 +1,14 @@
 """Automatic method selection and name-based dispatch for CDF/PDF queries.
 
-Auto first answers the points on or outside the support exactly, tagged
-"support": the CDF's 0 or 1, point mass included, and the density 0,
-except at a finite end of the support, where it is the limit from inside
-(inf, finite or 0 for a total dof of 1, 2 or more).  One policy routes
-every other point: far tails (Chernoff estimate below 1e-8) go to the
-saddlepoint, which keeps the exact exponential decay rate; central
-even-dof forms use the partial-fraction formula, definite forms the
-chi-square-density expansion and all others Imhof, which is also the
-route of every form with a Gaussian term (the series have none).  Imhof
-answers a pure normal (no groups) in closed form.
+Auto, like every engine, first answers +-inf and the points on or
+outside the support exactly (``transforms.exact_point``), here tagged
+"support".  One policy routes every other point: far tails (Chernoff
+estimate below 1e-8) go to the saddlepoint, which keeps the exact
+exponential decay rate; central even-dof forms use the partial-fraction
+formula, definite forms the chi-square-density expansion and all others
+Imhof, which is also the route of every form with a Gaussian term (the
+series have none).  Imhof answers a pure normal (no groups) in closed
+form.
 
 The auto ladder (``_walk``) is one rule: a point whose route is not Imhof
 and whose outcome misses (a library error, also one the route raises for
@@ -213,17 +212,13 @@ def pdf(red: ReducedForm, q, method: str = "auto", tol: float = 1e-8,
 def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
               plan: Plan | None):
     qs = np.asarray(q, dtype=float)
-    pts = transforms.points(qs)
     plan = plan if plan is not None else Plan(red)
     auto = method == "auto"
-    out: list = [None] * pts.size
     if auto:
-        lo_s, hi_s = plan.support
-        for i, x in enumerate(pts.tolist()):
-            if not lo_s < x < hi_s:
-                edge = math.isfinite(x) and x in (lo_s, hi_s)
-                out[i] = (inversion._exact_cdf(red, x, "support", plan.support) if quantity == "cdf"
-                          else transforms.support_density(red, edge))
+        pts, out = transforms.exact_points(red, qs, quantity == "pdf", "support", plan.support)
+    else:   # the engine answers these points itself
+        pts = transforms.points(qs)
+        out = [None] * pts.size
     todo = np.array([i for i, res in enumerate(out) if res is None], dtype=int)
     methods = select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size else \
         [method] * todo.size

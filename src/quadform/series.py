@@ -143,11 +143,9 @@ def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,
     """
     pfe = pfe if pfe is not None else partial_fractions(red)
     w, k, a = (np.array(v) for v in zip(*pfe.terms))
-    qs = np.asarray(q, dtype=float)
-    pts, exact = transforms.point_outcomes(qs, density, "central_even")
-    if exact is not None:   # answered below
-        pts = np.where(np.isinf(pts), red.const, pts)
-    y = (pts - red.const)[:, None] / w
+    pts, out = transforms.exact_points(red, q, density, "central_even")
+    inside = [i for i, res in enumerate(out) if res is None]
+    y = (pts[inside] - red.const)[:, None] / w
     if density:
         terms = a / np.abs(w) * _chi2_pdf(2 * k, y)
     else:
@@ -155,27 +153,18 @@ def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,
     raw = np.cumsum(terms, axis=1)[:, -1]
     bound = w.size * np.finfo(float).eps * (np.abs(terms).sum(axis=1) - np.abs(raw))
     hi = math.inf if density else 1.0
-    out = [
-        MethodResult(
-            value=min(max(float(v), 0.0), hi),
-            error_bound=max(float(b), 0.0),
-            method="central_even",
-            provenance="exact",
-            diagnostics={"raw_value": float(v), "floating_point_caveat": True,
-                         "n_terms": w.size},
-        )
-        for v, b in zip(raw, bound)
-    ]
-    if exact is not None:
-        out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
-    return out[0] if qs.ndim == 0 else out
+    for i, v, b in zip(inside, raw.tolist(), bound.tolist()):
+        out[i] = MethodResult(min(max(v, 0.0), hi), max(b, 0.0), "central_even", "exact",
+                              {"raw_value": v, "floating_point_caveat": True, "n_terms": w.size})
+    return one_or_all(out, np.ndim(q) == 0)
 
 
 def cdf_central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None = None):
     """Closed-form CDF of a central even-dof form, exact up to floating point.
 
     q may be an array: one MethodResult per point, sharing the expansion.
-    A NaN point is invalid input; at +-inf the CDF is exactly 0 or 1.
+    A NaN point is invalid input; on or outside the support the CDF is
+    exactly 0 or 1 (``transforms.exact_point``).
     """
     return _central_even(red, q, pfe, density=False)
 
@@ -409,26 +398,20 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
     is evaluated as its negation, ``plan.series_form``, at -q: its CDF is
     1 - F(-q) and its density f(-q).  Each point keeps the truncation K
     that its own 64 -> 130 -> ... doubling picks: a point leaves the batch
-    once it converges.  A scalar q raises a point's failure; an array
-    returns it in that point's slot.  A form that is not definite or has a
-    Gaussian term or no groups raises NotApplicableError (NaN aside).
+    once it converges.  Only the points inside the open support are summed;
+    the others have their exact answer (``transforms.exact_point``).  A
+    scalar q raises a point's failure; an array returns it in that point's
+    slot.  A form that is not definite or has a Gaussian term or no groups
+    raises NotApplicableError for the whole call (NaN aside).
     """
     plan = _own_plan(red, plan)
     negative = plan.cls.definiteness == "negative"
     pos = plan.series_form
     name = f"{kind}_{'cdf' if cumulative else 'pdf'}"
-    qs = np.asarray(q, dtype=float)
-    pts, exact = transforms.point_outcomes(qs, not cumulative, name)
+    pts, out = transforms.exact_points(red, q, not cumulative, name, plan.support)
     _require_positive_definite(pos, f"{kind} series")
     xs = (-pts if negative else pts) - pos.const
-    if exact is not None:   # NaN falls in neither branch below; answered at q itself
-        xs[np.isinf(xs)] = math.nan
-    out: list = [None] * xs.size
-    for i in np.flatnonzero(xs <= 0.0):
-        out[i] = (transforms.support_density(pos, True, name) if xs[i] == 0.0 and not cumulative
-                  else MethodResult(0.0, 0.0, name, "exact",
-                                    {"raw_value": 0.0, "note": "below support"}))
-    active = np.flatnonzero(xs > 0.0)
+    active = np.array([i for i, res in enumerate(out) if res is None], dtype=int)
     if kind == "kotz" and active.size:
         lam, h2 = _variables(pos)
         k1 = float(np.sum(lam * (1.0 + h2)))
@@ -472,20 +455,15 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
             diagnostics = {"raw_value": raw, "k_truncation": k_used, "beta": coeffs.beta}
             if done[j]:
                 value = min(max(raw, 0.0), 1.0) if cumulative else max(raw, 0.0)
-                out[active[j]] = MethodResult(value, float(final[j]), name, provenance,
-                                              diagnostics)
+                res = MethodResult(value, float(final[j]), name, provenance, diagnostics)
+                out[active[j]] = _mirrored(res, cumulative) if negative else res
             else:
                 out[active[j]] = ConvergenceFailureError(
                     f"{name} did not reach tol={tol} within {K_MAX} terms",
                     result=MethodResult(raw, float(bound[j]), name, provenance, diagnostics))
         active, partial = active[~done], partial[~done]
         k_terms = min(2 * (k_used + 1), K_MAX)
-    if negative:
-        out = [res if res is None or isinstance(res, Exception) else _mirrored(res, cumulative)
-               for res in out]
-    if exact is not None:
-        out = [res if at_q is None else at_q for res, at_q in zip(out, exact)]
-    return one_or_all(out, qs.ndim == 0)
+    return one_or_all(out, np.ndim(q) == 0)
 
 
 def _mirrored(res: MethodResult, cumulative: bool) -> MethodResult:
@@ -507,8 +485,9 @@ def cdf_series(red: ReducedForm, q, kind: str = "ruben", tol: float = 1e-10, pla
     (ConvergenceFailureError, NotApplicableError) that point alone raised.
     plan is a ``select.Plan`` of red, to reuse its remainder poles and
     coefficient sets; results do not depend on it.  A negative definite
-    form's results carry diagnostics["negated"].  A NaN point is invalid
-    input; at +-inf the CDF is exactly 0 or 1 and the density 0.
+    form's results carry diagnostics["negated"], but for the points on or
+    outside the support, which have their exact answer at q itself
+    (``transforms.exact_point``).  A NaN point is invalid input.
     """
     return _evaluate_series(red, q, kind, tol, True, plan)
 

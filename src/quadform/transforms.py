@@ -3,6 +3,10 @@
 All products of the type prod (1 - 2 w t)^(-nu/2) are evaluated as
 exp(-0.5 sum nu log(1 - 2 w t)) so large degree counts cannot overflow
 before the final exponentiation.
+
+The support follows from the weights' signs and the Gaussian term alone,
+so the point rule of auto and every engine is here: ``exact_point``
+answers +-inf and the points on or outside the support exactly.
 """
 
 from __future__ import annotations
@@ -170,23 +174,6 @@ def points(q) -> np.ndarray:
     return pts
 
 
-def point_outcomes(q, density: bool, method: str) -> tuple:
-    """The shared point check of the engines: q as a 1-d float array (a NaN
-    point is invalid input), and None when every point is finite, else one
-    slot per point holding its exact result under ``method`` at +-inf (the
-    CDF is 0 or 1 there and the density 0, so nothing is integrated or
-    summed) and None at a finite point."""
-    pts = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.logical_and.reduce(np.isfinite(pts)):
-        return pts, None
-    pts = points(pts)
-    out: list = [None] * pts.size
-    for i in np.flatnonzero(np.isinf(pts)).tolist():
-        v = 0.0 if density else float(pts[i] > 0.0)
-        out[i] = MethodResult(v, 0.0, method, "exact", {"raw_value": v, "note": "infinite point"})
-    return pts, out
-
-
 def support(red: ReducedForm) -> tuple[float, float]:
     """Closure of the support: bounded on a side iff no weight of that sign
     and no Gaussian term."""
@@ -200,22 +187,45 @@ def support(red: ReducedForm) -> tuple[float, float]:
     return lo, hi
 
 
-def support_density(red: ReducedForm, edge: bool, method: str = "support") -> MethodResult:
-    """The density at a point outside the support (0), or at a finite end
-    of it, where it is the limit from inside, tagged exact under ``method``.
-    Only the central term of each noncentral chi-square matters there, so
-    by the total dof the limit is inf for 1, e^(-sum delta2/2) /
-    (2 sqrt|lam_1 lam_2|) over the two chi2_1 weights for 2 (the chi2_2
-    density at 0 scaled), and 0 otherwise."""
-    if not edge:
-        return MethodResult(0.0, 0.0, method, "exact", {"note": "outside the support"})
+def exact_point(red: ReducedForm, x: float, density: bool, method: str,
+                ends: tuple) -> MethodResult | None:
+    """The exact result under ``method`` at a point x at +-inf or on or
+    outside the support [ends] (``support(red)``), where nothing is
+    integrated or summed; None inside the open support.  The CDF is 0 or 1
+    there (a point mass included) and the density 0, except at a finite
+    end, where it is the limit from inside: only the central term of each
+    noncentral chi-square matters there, so by the total dof it is inf for
+    1, e^(-sum delta2/2) / (2 sqrt|lam_1 lam_2|) over the two chi2_1
+    weights for 2 (the chi2_2 density at 0 scaled), and 0 otherwise."""
+    lo, hi = ends
+    if lo < x < hi:
+        return None
+    if not density:
+        v = 1.0 if x >= hi else 0.0
+        return MethodResult(v, 0.0, method, "exact", {
+            "raw_value": v, "note": f"at or {'above' if v else 'below'} the support"})
     value = 0.0
-    if red.total_dof == 1:
-        value = math.inf
-    elif red.total_dof == 2:
-        value = (math.exp(-0.5 * float(red.delta2.sum()))
-                 / (2.0 * math.sqrt(abs(float(np.prod(red.omega ** red.nu))))))
-    return MethodResult(value, 0.0, method, "exact", {"note": "support edge"})
+    if math.isinf(x) or x not in ends:
+        note = "outside the support"
+    else:
+        note = "support edge"
+        if red.total_dof == 1:
+            value = math.inf
+        elif red.total_dof == 2:
+            value = (math.exp(-0.5 * float(red.delta2.sum()))
+                     / (2.0 * math.sqrt(abs(float(np.prod(red.omega ** red.nu))))))
+    return MethodResult(value, 0.0, method, "exact", {"note": note})
+
+
+def exact_points(red: ReducedForm, q, density: bool, method: str, ends: tuple | None = None
+                 ) -> tuple:
+    """The shared point check of the engines: q as a 1-d float array (a NaN
+    point is invalid input), and one slot per point holding its
+    ``exact_point`` result under ``method`` (None inside the open support).
+    ends is ``support(red)`` when not given."""
+    pts = points(q)
+    ends = support(red) if ends is None else ends
+    return pts, [exact_point(red, x, density, method, ends) for x in pts.tolist()]
 
 
 def _divided(red: ReducedForm, d: float) -> ReducedForm:

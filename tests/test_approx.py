@@ -159,6 +159,14 @@ class TestCdfSpa:
         expect = 0.5 + 8.0 / (6.0 * math.sqrt(2 * math.pi) * 2.0**1.5)
         assert abs(res.value - expect) < 1e-12
 
+    def test_switch_scale_follows_the_spread(self):
+        # tiny weights beside a Gaussian term: the MGF strip is wide (t_R =
+        # 5e199), but at q = 7 sd the saddlepoint t0 = 7 is far from the mean
+        red = qf.ReducedForm([1e-200], [1], [0.0], 1.0)
+        for res in (qf.cdf(red, 7.0), qf.cdf_spa(red, 7.0)):
+            assert res.method == "spa_lr" and "mean_limit" not in res.diagnostics
+            assert 1.0 - res.value == pytest.approx(stats.norm.sf(7.0), rel=1e-3)
+
     def test_chi25_tail(self):
         red = qf.ReducedForm([1.0], [5], [0.0])
         res = qf.cdf_spa(red, 25.0, "lugannani_rice")

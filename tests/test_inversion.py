@@ -895,6 +895,8 @@ class TestTailRecord:
                     assert cdf["tail_correction"] == (
                         -_old_boundary_term(red, u, x).real / (math.pi * u)
                         if ibp <= min(plain, bal) else 0.0)
+                if "u_max" not in pdf:  # outside the support
+                    continue
                 u = pdf["u_max"]
                 _check_pdf_rung(red, 1e-6, x, u)
                 plain = _old_pdf_tail_plain(red, u)
@@ -934,6 +936,18 @@ class TestTailRecord:
         pdf = qf.pdf_imhof(huge, 0.3)
         assert math.isfinite(pdf.diagnostics["tail_bound"])
         assert abs(pdf.value - 0.5 * 1.5**-0.5 * 1e-200) <= pdf.error_bound
+
+    def test_overflowing_sigma_squared(self):
+        """sigma^2 overflows (sigma = 1e200): the first guess of U is solved
+        in log U + log(sigma/sqrt 8), so sigma^2 is never formed, and the
+        chi2_1 beside the normal is invisible at this scale."""
+        red = qf.ReducedForm([1.0], [1], [0.0], 1e200)
+        for q, want in ((0.3, 0.5), (3e200, special.ndtr(3.0))):
+            res = qf.cdf(red, q)
+            assert res.method == "imhof" and res.error_bound <= 1e-8
+            assert abs(res.value - want) <= res.error_bound + 1e-15
+        q = qf.quantile(red, 0.3)
+        assert q == pytest.approx(1e200 * special.ndtri(0.3), rel=1e-6)
 
     def test_nan_bound_fails(self, monkeypatch):
         monkeypatch.setattr(inversion, "_rounding_bound", lambda *args: math.nan)
@@ -1229,6 +1243,56 @@ class TestInfinitePoints:
         if method not in ("davies", "spa_bn", "satterthwaite"):
             pdf = select.pdf(red, [-math.inf, math.inf], method)
             assert [res.value for res in pdf] == [0.0, 0.0]
+
+
+def _own_name(method, quantity):
+    """The method tag of a named method's results."""
+    if method in ("ruben", "kotz", "laguerre"):
+        return f"{method}_{quantity}"
+    return "spa" if (method, quantity) == ("spa_lr", "pdf") else method
+
+
+# each form with its finite points on or outside the support, ascending, and
+# the named methods that do not apply to it
+SUPPORT_FORMS = {
+    "positive": (qf.ReducedForm([1.5, 0.7], [1, 1], [0.4, 0.0], 0.0, -0.3), [-1.3, -0.3],
+                 {"central_even", "wood"}),
+    "negative": (qf.ReducedForm([-1.5], [1], [0.3], 0.0, 0.3), [0.3, 1.3],
+                 {"central_even", *approx.FAMILIES}),
+    "central_even": (qf.ReducedForm([2.0, 0.5], [2, 4], [0.0, 0.0]), [-1.0, 0.0], set()),
+    "point_mass": (qf.ReducedForm([], [], [], 0.0, 0.7), [-0.3, 0.7, 1.7],
+                   {"central_even", "ruben", "kotz", "laguerre", *approx.FAMILIES}),
+}
+
+
+@pytest.mark.parametrize("form", list(SUPPORT_FORMS))
+@pytest.mark.parametrize("quantity, method", [
+    *(("cdf", m) for m in select.CDF_METHODS[1:]), *(("pdf", m) for m in select.PDF_METHODS[1:])])
+def test_support_points_match_auto(form, quantity, method, monkeypatch):
+    """One point rule for auto and every named method: at +-inf and on or
+    outside the support each value and bound is auto's, tagged exact under
+    the method's own name, with nothing integrated or summed.  A method
+    that does not apply refuses the whole call."""
+    red, finite, refused = SUPPORT_FORMS[form]
+    route = select.cdf if quantity == "cdf" else select.pdf
+    pts = [-math.inf, *finite, math.inf]
+    if method in refused:
+        with pytest.raises(qf.NotApplicableError):
+            route(red, pts, method)
+        return
+    auto = route(red, pts)
+
+    def never(*args):
+        raise AssertionError("a point on or outside the support was evaluated")
+
+    for fn in (transforms._log_cf, series._series_terms, approx.saddlepoint_solve,
+               approx.surrogate_cdf):
+        monkeypatch.setattr(sys.modules[fn.__module__], fn.__name__, never)
+    for res, want in zip(route(red, pts, method), auto):
+        assert (res.value, res.error_bound) == (want.value, want.error_bound)
+        assert (res.method, res.provenance, want.method) == (
+            _own_name(method, quantity), "exact", "support")
+        assert "negated" not in res.diagnostics
 
 
 def _cubic(x):
