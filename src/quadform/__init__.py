@@ -59,7 +59,6 @@ from .series import (
     partial_fractions,
     pdf_central_even,
     pdf_series,
-    ruben_truncation_bound,
     series_coefficients,
 )
 from .inversion import cdf_davies, cdf_imhof, imhof_integrand, pdf_imhof, quantile
@@ -96,7 +95,7 @@ __all__ = [
     "mgf", "log_mgf", "mgf_domain", "cf", "cgf_derivative", "cumulants",
     "raw_moments", "chernoff_log_tail",
     "partial_fractions", "cdf_central_even", "pdf_central_even",
-    "series_coefficients", "cdf_series", "pdf_series", "ruben_truncation_bound",
+    "series_coefficients", "cdf_series", "pdf_series",
     "imhof_integrand", "cdf_imhof", "pdf_imhof", "cdf_davies", "quantile",
     "match", "surrogate_cumulants", "cdf_matched", "saddlepoint_solve",
     "pdf_spa", "cdf_spa",

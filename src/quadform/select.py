@@ -3,9 +3,11 @@
 Auto, like every engine, first answers +-inf and the points on or
 outside the support exactly (``transforms.exact_point``), here tagged
 "support".  One policy routes every other point: far tails (Chernoff
-estimate below 1e-8) go to the saddlepoint, which keeps the exact
-exponential decay rate; central even-dof forms use the partial-fraction
-formula, definite forms the chi-square-density expansion and all others
+estimate below 1e-8; a density has none on a side with a finite support
+end) go to the saddlepoint, which keeps the exact exponential decay rate;
+central even-dof forms use the partial-fraction formula, definite forms
+the chi-square-density expansion where a point's mean mixture index is at
+most ``series.INDEX_MAX`` (``series.ruben_admits``), and all others
 Imhof, which is also the route of every form with a Gaussian term (the
 series have none).  Imhof answers a pure normal (no groups) in closed
 form.
@@ -68,9 +70,8 @@ class Plan:
 
     * routing: the classification, the support and the two crossings;
     * the partial fractions, the series form (the form, negated when it is
-      negative definite), the remainder poles of its chi-square expansion
-      and its coefficient sets, one per series kind at its default beta,
-      grown in place as the truncation K doubles;
+      negative definite) and its coefficient sets, one per series kind at
+      its default beta, grown in place as the truncation K doubles;
     * Imhof's tail constants and its rungs U = 2^j (``inversion._Rung``),
       by j alone: a rung holds no tol, so every tol shares it.
 
@@ -110,18 +111,6 @@ class Plan:
         if self.cls.definiteness != "negative":
             return red
         return ReducedForm(-red.omega, red.nu, red.delta2, red.sigma_gauss, -red.const)
-
-    @functools.cached_property
-    def ruben_poles(self):
-        """The poles of the chi-square expansion's remainder bound at its
-        default beta, for the series, which refuse a form that is not
-        definite; None where that bound does not apply (or rounding puts
-        beta outside the expansion's range, 0 < beta < 2 min(lam))."""
-        pos = self.series_form
-        beta = series.default_beta(pos, "ruben")
-        if pos.delta2.any() or pos.total_dof % 2 or not 0.0 < beta < 2.0 * pos.omega.min():
-            return None
-        return series._ruben_poles(pos, beta)
 
     def coefficients(self, kind: str, k_terms: int):
         """The first k_terms + 1 coefficients of the series form's set of
@@ -165,25 +154,35 @@ def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
 
     q may be an array; the result is then a list with one identifier per
     point.  A point is in the far tails iff it lies beyond one of the form's
-    two Chernoff crossings (see the module docstring).  plan is a Plan of
-    red to reuse.
+    two Chernoff crossings, and a definite form's point goes to Ruben only
+    up to the mean mixture index ``series.INDEX_MAX`` (see the module
+    docstring).  plan is a Plan of red to reuse.
     """
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
     plan = plan if plan is not None else Plan(red)
-    tail = _in_tail(plan, pts) if red.n_groups > 0 else np.zeros(pts.shape, dtype=bool)
+    tail = _in_tail(plan, pts, quantity) if red.n_groups > 0 else np.zeros(pts.shape, bool)
     spa = "spa_lr" if quantity == "cdf" else "spa"
     generic = _generic_method(red, cls=plan.cls) if not tail.all() else spa
-    methods = [spa if t else generic for t in tail]
+    routes = np.full(pts.shape, generic, dtype=object)
+    if generic == "ruben":
+        pos = plan.series_form
+        xs = (-pts if plan.cls.definiteness == "negative" else pts) - pos.const
+        routes[~series.ruben_admits(pos, xs)] = "imhof"
+    methods = [spa if t else r for t, r in zip(tail, routes)]
     return methods[0] if qs.ndim == 0 else methods
 
 
-def _in_tail(plan: Plan, pts: np.ndarray) -> np.ndarray:
+def _in_tail(plan: Plan, pts: np.ndarray, quantity: str) -> np.ndarray:
     """Whether a Chernoff tail bound at each point is below TAIL_THRESHOLD:
     the point lies beyond a crossing, or, within the crossing's margin, its
-    own log-tail says so."""
+    own log-tail says so.  A density has no tail on a side with a finite
+    support end, where the saddlepoint density is off and the series
+    answer."""
     tail = np.zeros(pts.shape, dtype=bool)
-    for side, (x, margin) in zip(("left", "right"), plan.crossings):
+    for side, (x, margin), end in zip(("left", "right"), plan.crossings, plan.support):
+        if quantity == "pdf" and math.isfinite(end):
+            continue
         beyond = pts - x if side == "right" else x - pts
         tail |= beyond > margin
         near = np.abs(beyond) <= margin

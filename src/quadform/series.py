@@ -10,18 +10,23 @@ Two families:
   exp-of-log-series coefficient recursion, with adaptive truncation.  A
   negative definite form is evaluated as its negation at -q.
 
+Ruben's expansion at its default beta = min(lam) is a mixture: every c_k
+is >= 0 and they sum to 1, so the mass the first K + 1 terms leave bounds
+the remainder at every point (``_ruben_remainder``), and every Ruben
+result is rigorous.  Kotz and Laguerre stop on a run of tiny terms and
+are heuristic.
+
 Like the inversion engines, the series take a ReducedForm and a
 ``select.Plan`` of it (one of their own when none is given).  The
-expansions' power sums run over the groups with their counts
-nu; only Ruben's pole pairing and the sums over the form's chi2_1
-variables (``_variables``) read one weight per degree of freedom.  The
-plan's coefficient sets grow in place as the truncation doubles, and a
-doubling evaluates only the new terms of the expansion.
+expansions' power sums run over the groups with their counts nu; only
+the sums over the form's chi2_1 variables (``_variables``) read one
+weight per degree of freedom.  The plan's coefficient sets grow in place
+as the truncation doubles, and a doubling evaluates only the new terms of
+the expansion.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -38,6 +43,7 @@ from .forms import (
 from .inversion import _own_plan
 
 K_MAX = 5000
+INDEX_MAX = 800             # auto's limit on a point's mean Ruben mixture index
 HEURISTIC_RUN = 20          # consecutive tiny terms before the heuristic stop fires
 KOTZ_MAX_Q_FACTOR = 10.0    # power series rejected beyond this multiple of the mean
 
@@ -131,6 +137,15 @@ def _chi2_pdf(dof, y):
     return np.where(inside, np.exp(log_f), 0.0)
 
 
+def _chi2_pdf_error(dof, y):
+    """A bound on ``_chi2_pdf``'s relative error where y > 0: it
+    exponentiates a sum of logs, each a few ulp off, so 4 eps times the sum
+    of their sizes."""
+    sizes = (np.abs(special.xlogy(dof / 2. - 1, y)) + y / 2. + np.abs(special.gammaln(dof / 2.))
+             + dof * math.log(2) / 2.)
+    return 4.0 * np.finfo(float).eps * sizes
+
+
 def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,
                   density: bool):
     """Partial-fraction CDF/PDF at a scalar q or elementwise over an array.
@@ -194,14 +209,35 @@ def _variables(red: ReducedForm):
 
 
 def default_beta(red: ReducedForm, kind: str) -> float | None:
-    """Free scale parameter: harmonic mean of extreme weights for the
-    chi-square expansion, arithmetic mean for Laguerre, none for Kotz."""
+    """Free scale parameter: the smallest weight for the chi-square
+    expansion, which makes it a mixture, the mean of the extreme weights for
+    Laguerre, none for Kotz."""
     lmax, lmin = float(red.omega.max()), float(red.omega.min())
     if kind == "ruben":
-        return 2.0 * lmax * lmin / (lmax + lmin)
+        return lmin
     if kind == "laguerre":
         return 0.5 * (lmax + lmin)
     return None
+
+
+def _ruben_c0(lam: np.ndarray, h2: np.ndarray, beta: float) -> float:
+    """The chi-square expansion's c0 = exp(-sum h2/2 + sum log(beta/lam)/2)
+    over the form's chi2_1 variables; every c_k is a multiple of it."""
+    return math.exp(-0.5 * float(h2.sum()) + 0.5 * float((math.log(beta) - np.log(lam)).sum()))
+
+
+def ruben_admits(red: ReducedForm, x) -> np.ndarray:
+    """Whether auto sends each shifted point x (q - const) of the positive
+    definite form to its chi-square expansion: where the mean mixture index
+    min(k_x, m) is at most INDEX_MAX.  The terms peak near
+    k_x = (x/beta - n)/2, and m = (E[Q - const]/beta - n)/2 is the mean of
+    the mixture index J.  No point is admitted when c0 is subnormal, which
+    would leave the coefficients without relative precision."""
+    lam, h2 = _variables(red)
+    beta = default_beta(red, "ruben")
+    mean = float(np.sum(lam * (1.0 + h2)))
+    admitted = np.minimum(x, mean) <= beta * (2.0 * INDEX_MAX + lam.size)
+    return admitted & (_ruben_c0(lam, h2, beta) >= np.finfo(float).tiny)
 
 
 def _powers(base: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -249,9 +285,12 @@ def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
             raise NotApplicableError(
                 "chi-square expansion needs 0 < beta < 2 min(lam)", condition="beta range"
             )
+        c0 = _ruben_c0(lam, h2, beta)
+        if c0 < np.finfo(float).tiny:
+            raise NotApplicableError(
+                "chi-square expansion's leading coefficient underflows", condition="normal c0")
         d = psum(1.0 - beta / lam_u, counts) + ks * beta * psum(
             1.0 - beta / lam_h, h2_h / lam_h, shift=1)
-        c0 = math.exp(-0.5 * float(h2.sum()) + 0.5 * float(np.log(beta / lam).sum()))
     elif kind == "kotz":
         beta = None
         d = 0.5 * (psum(1.0 / (2.0 * lam_u), counts) - ks * psum(1.0 / (2.0 * lam_h), h2_h))
@@ -310,99 +349,52 @@ def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool,
     return c * np.exp(lg + lpow) * lag / (2.0 * beta)
 
 
-def _ruben_poles(red: ReducedForm, beta: float):
-    """c0, the poles a_i and delta_i = prod_{j!=i} (a_i - a_j) of the majorant
-    |c_k| <= c0 [theta^k] prod_i (1 - a_i theta)^(-1) of the central
-    even-count chi-square expansion.
+def _ruben_remainder(coeffs: SeriesCoefficients, x: np.ndarray, partial: np.ndarray,
+                     slack: np.ndarray, cumulative: bool) -> np.ndarray:
+    """Bound on the chi-square expansion's error after its K + 1 terms at
+    the shifted points x, whose partial sums are partial; slack bounds the
+    error of the density's terms (``_chi2_pdf_error``), and is 0 for the CDF.
 
-    a_i = xi_{2i-1}, where xi = |1 - beta/lam| over the form's variables,
-    sorted descending, is paired consecutively.  A pole at 0 is the factor 1
-    and is left out, so when every weight equals beta there are none and
-    the remainder is exactly 0; so is a pole below 1e-9 of the largest,
-    whose share of the remainder is below 1e-9^K and which the tie-break
-    below could not separate.
+    At beta = min(lam) the expansion is a mixture: Q - const is
+    beta chi2_{n+2J} with P(J = k) = c_k >= 0.  The remainder is then at
+    most the leftover mass 1 - sum_{k<=K} c_k times the largest later term:
+    F_{n+2K+2}(x/beta) for the CDF, as F_m(y) falls with m, and
+    f_{m*}(y)/beta for the density, m* the first of n+2K+2, n+2K+4, ...
+    at least y, as f_{m+2}(y)/f_m(y) = y/m.  The mass and the partial sums
+    add nonnegative terms, each off by at most (nonzero terms - 1) eps of
+    its sum, a bound that also covers the c_k's own recursion; that and the
+    slack are added.  When every weight equals beta, c0 = 1 is the only
+    term, the chi-square value itself, and the bound is 0.
     """
-    lam = _variables(red)[0]
-    c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
-    xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
-    reps = xi[0::2].astype(float)
-    tie = 1e-9 * reps[0]
-    reps = reps[reps > tie]
-    # the bound is continuous in xi; break ties so the pole expansion is
-    # defined: shrink each pole until it is tie away from the earlier ones,
-    # whose nearest are its neighbours in the sorted list ``done``
-    done: list = []
-    for i in range(reps.size):
-        k = bisect.bisect(done, reps[i])
-        while ((k and reps[i] - done[k - 1] < tie)
-               or (k < len(done) and done[k] - reps[i] < tie)):
-            reps[i] *= 1.0 - 1e-7
-            k = bisect.bisect(done, reps[i])
-        done.insert(k, float(reps[i]))
-    diff = reps[:, None] - reps[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return c0, reps, np.prod(diff, axis=1)
-
-
-def ruben_truncation_bound(red: ReducedForm, beta: float, k_trunc: int, q, poles=None):
-    """Rigorous bound on the chi-square-expansion *density* truncation error
-    for central forms with an even number of variables, Sum nu (q scalar or
-    array).
-
-    Uses |c_k| <= c0 * [theta^k] prod_{i<=N/2} (1 - xi_{2i-1} theta)^{-1}
-    (xi = |1 - beta/lam| sorted descending, paired consecutively) and the
-    Poisson-tail identity to sum the remainder in closed form.  poles is
-    _ruben_poles(red, beta) when already computed.
-    """
-    _require_positive_definite(red, "truncation bound")
-    if np.any(red.delta2 != 0.0):
-        raise NotApplicableError("bound requires a central form", condition="central")
-    if red.total_dof % 2 != 0:
-        raise NotApplicableError(
-            "bound requires an even number of variables", condition="even count"
-        )
-    c0, reps, delta = poles if poles is not None else _ruben_poles(red, beta)
-    m = k_trunc + red.total_dof // 2 - 1
-    b = 2.0 * beta
-    qs = np.asarray(q, dtype=float)
-    total = np.zeros(qs.shape)
-    for a, delta_i in zip(reps, delta):
-        # h(q, a, b, m) = sum_{k>m} a^k q^k e^{-q/b} / (b^{k+1} k!)
-        #              = e^{(a-1)q/b} P[Pois(aq/b) > m] / b
-        z = a * qs / b
-        tail = np.where(z > 0, np.exp(z - qs / b) * special.gammainc(m + 1, z) / b, 0.0)
-        total = total + tail / delta_i
-    out = np.abs(c0 * total)
-    return float(out) if qs.ndim == 0 else out
-
-
-def _ruben_cdf_tail_bound(coeffs: SeriesCoefficients, x: np.ndarray, poles):
-    """Rigorous CDF remainder bound for the central even-count chi-square
-    expansion at the points x: sum_{k>K} |c_k| F(...) <= F_{K+1}-term *
-    geometric tail, with poles = _ruben_poles(red, coeffs.beta).  None when
-    the majorant does not converge."""
-    n = coeffs.n_vars
-    k_trunc = coeffs.c.shape[0] - 1
-    c0, reps, delta = poles
-    if np.any(reps >= 1.0):
-        return None
-    geo = sum(a ** (k_trunc + n // 2) / (1.0 - a) / delta_i for a, delta_i in zip(reps, delta))
-    return abs(c0 * geo) * _chi2_cdf(n + 2 * (k_trunc + 1), x / coeffs.beta)
+    n, beta, c = coeffs.n_vars, coeffs.beta, coeffs.c
+    m = n + 2 * c.size
+    y = x / beta
+    rounding = (np.count_nonzero(c) - 1) * np.finfo(float).eps
+    mass = float(c.sum())
+    leftover = max(1.0 - mass + rounding * mass, 0.0)
+    if cumulative:
+        later = _chi2_cdf(m, y)
+    else:
+        later = _chi2_pdf(np.maximum(m, m + 2.0 * np.ceil((y - m) / 2.0)), y) / beta
+    return leftover * later + (rounding * partial + slack if rounding else 0.0)
 
 
 def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: bool, plan):
     """Series CDF/PDF at a scalar q, or at every point of an array.
 
-    The points share the plan's coefficient sets and remainder poles (a
-    plan of this call only when none is given).  A negative definite form
-    is evaluated as its negation, ``plan.series_form``, at -q: its CDF is
-    1 - F(-q) and its density f(-q).  Each point keeps the truncation K
-    that its own 64 -> 130 -> ... doubling picks: a point leaves the batch
-    once it converges.  Only the points inside the open support are summed;
-    the others have their exact answer (``transforms.exact_point``).  A
-    scalar q raises a point's failure; an array returns it in that point's
-    slot.  A form that is not definite or has a Gaussian term or no groups
-    raises NotApplicableError for the whole call (NaN aside).
+    The points share the plan's coefficient sets (a plan of this call only
+    when none is given).  A negative definite form is evaluated as its
+    negation, ``plan.series_form``, at -q: its CDF is 1 - F(-q) and its
+    density f(-q).  Each point keeps the truncation K that its own
+    64 -> 130 -> ... doubling picks: a point leaves the batch once it
+    converges, a Ruben point once its remainder bound is at most tol, a
+    Kotz or Laguerre point once its last HEURISTIC_RUN terms are all below
+    tol/100 (its heuristic bound is the largest of them).  Only the points
+    inside the open support are summed; the others have their exact answer
+    (``transforms.exact_point``).  A scalar q raises a point's failure; an
+    array returns it in that point's slot.  A form that is not definite or
+    has a Gaussian term or no groups raises NotApplicableError for the whole
+    call (NaN aside).
     """
     plan = _own_plan(red, plan)
     negative = plan.cls.definiteness == "negative"
@@ -423,8 +415,8 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
                 condition="q range",
             )
         active = active[~far]
-    poles = plan.ruben_poles if kind == "ruben" else None
     k_used, k_terms, partial = -1, 64, np.zeros((active.size, 0))
+    slack = np.zeros(active.size)
     while active.size and k_used < K_MAX:
         coeffs = plan.coefficients(kind, k_terms)
         x = xs[active]
@@ -432,36 +424,29 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
         # equals the sum of all K + 1 terms in order, bit for bit
         terms = _series_terms(coeffs, x, cumulative, k_used + 1)
         partial = np.cumsum(np.hstack([partial, terms]), axis=1)[:, -1:]
+        if kind == "ruben" and not cumulative:
+            dof = coeffs.n_vars + 2 * np.arange(k_used + 1, coeffs.c.size)
+            slack = slack + (_chi2_pdf_error(dof, x[:, None] / coeffs.beta) * terms).sum(axis=1)
         k_used = coeffs.c.shape[0] - 1
-        last = np.abs(terms[:, -HEURISTIC_RUN:])
-        heuristic_bound = np.max(last, axis=1)
-        bound, provenance = heuristic_bound, "heuristic"
         if kind == "ruben":
-            rig = None
-            if poles is not None:
-                rig = (_ruben_cdf_tail_bound(coeffs, x, poles) if cumulative
-                       else ruben_truncation_bound(pos, coeffs.beta, k_used, x, poles))
-            if rig is not None:
-                bound, provenance = rig, "rigorous"
-            elif cumulative:
-                # residual mixture mass; rigorous only for a true mixture
-                bound = np.full(x.size, abs(1.0 - float(coeffs.c.sum())))
-                provenance = "rigorous" if np.all(coeffs.c >= 0.0) else "heuristic"
-        tiny_run = np.all(last < tol / 100.0, axis=1)
-        done = tiny_run | ((bound < tol) if provenance == "rigorous" else False)
-        final = bound if provenance == "rigorous" else heuristic_bound
+            bound = _ruben_remainder(coeffs, x, partial[:, 0], slack, cumulative)
+            provenance, done = "rigorous", bound <= tol
+        else:
+            last = np.abs(terms[:, -HEURISTIC_RUN:])
+            bound = np.max(last, axis=1)
+            provenance, done = "heuristic", np.all(last < tol / 100.0, axis=1)
         for j in np.flatnonzero(done | (k_used >= K_MAX)):
             raw = float(partial[j, 0])
             diagnostics = {"raw_value": raw, "k_truncation": k_used, "beta": coeffs.beta}
             if done[j]:
                 value = min(max(raw, 0.0), 1.0) if cumulative else max(raw, 0.0)
-                res = MethodResult(value, float(final[j]), name, provenance, diagnostics)
+                res = MethodResult(value, float(bound[j]), name, provenance, diagnostics)
                 out[active[j]] = _mirrored(res, cumulative) if negative else res
             else:
                 out[active[j]] = ConvergenceFailureError(
                     f"{name} did not reach tol={tol} within {K_MAX} terms",
                     result=MethodResult(raw, float(bound[j]), name, provenance, diagnostics))
-        active, partial = active[~done], partial[~done]
+        active, partial, slack = active[~done], partial[~done], slack[~done]
         k_terms = min(2 * (k_used + 1), K_MAX)
     return one_or_all(out, np.ndim(q) == 0)
 
@@ -483,8 +468,8 @@ def cdf_series(red: ReducedForm, q, kind: str = "ruben", tol: float = 1e-10, pla
 
     q may be an array: one entry per point, a MethodResult or the error
     (ConvergenceFailureError, NotApplicableError) that point alone raised.
-    plan is a ``select.Plan`` of red, to reuse its remainder poles and
-    coefficient sets; results do not depend on it.  A negative definite
+    plan is a ``select.Plan`` of red, to reuse its coefficient sets;
+    results do not depend on it.  A negative definite
     form's results carry diagnostics["negated"], but for the points on or
     outside the support, which have their exact answer at q itself
     (``transforms.exact_point``).  A NaN point is invalid input.

@@ -52,17 +52,29 @@ def _conftest_forms(seed, count=12, **kwargs):
 
 
 def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
-    """The per-point route: both Chernoff log-tails at every point."""
+    """The per-point route: both Chernoff log-tails at every point, but a
+    density's on a side with a finite support end; a definite form's point
+    goes to Ruben up to the mean mixture index series.INDEX_MAX."""
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
     tail = np.zeros(pts.shape, dtype=bool)
     if tail_hint != "none" and red.n_groups > 0:
-        log_l = transforms.chernoff_log_tail(red, pts, "left")
-        log_r = transforms.chernoff_log_tail(red, pts, "right")
-        tail = np.minimum(log_l, log_r) < LOG_TAIL
+        for side, end in zip(("left", "right"), transforms.support(red)):
+            if quantity == "cdf" or math.isinf(end):
+                tail |= transforms.chernoff_log_tail(red, pts, side) < LOG_TAIL
     spa = "spa_lr" if quantity == "cdf" else "spa"
     generic = select._generic_method(red) if not tail.all() else spa
     methods = [spa if t else generic for t in tail]
+    if generic == "ruben":
+        # Q - const = beta chi2_{n+2J} on the form of positive weights
+        sign = np.sign(red.omega[0])
+        beta, n = float(np.abs(red.omega).min()), red.total_dof
+        mean = sign * (qf.cumulants(red, 1).get(1) - red.const)
+        index = (np.minimum(sign * (pts - red.const), mean) / beta - n) / 2.0
+        c0 = math.exp(-0.5 * red.delta2.sum()
+                      + 0.5 * float(red.nu @ np.log(beta / np.abs(red.omega))))
+        far = (index > series.INDEX_MAX) | (c0 < np.finfo(float).tiny)
+        methods = ["imhof" if m == "ruben" and f else m for m, f in zip(methods, far)]
     return methods[0] if qs.ndim == 0 else methods
 
 
@@ -321,9 +333,10 @@ class TestQuantileSearch:
     def test_cdf_calls(self, monkeypatch):
         """A median of at most 8 CDF calls per search and at most 20 in every
         search whose CDF calls all succeed.  Where one fails, F-hat can jump
-        past p (the auto route of [100, 0.01] changes from the failing
-        chi-square expansion to the saddlepoint at q = 4156.9), and Brent
-        bisects down to xtol at the jump."""
+        past p, and Brent bisects down to xtol at the jump.  The one failing
+        call is Imhof's on [100, 0.01] at q = 33.34, whose mean mixture index
+        1666 is past series.INDEX_MAX: at 2^23 panels its bound is 1.2e-8,
+        above the inner tol 1e-9."""
         real, calls, failed = select.cdf, [], []
 
         def counted(*args, **kwargs):
@@ -342,7 +355,7 @@ class TestQuantileSearch:
             qf.quantile(QUANTILE_FORMS[i], p, 1e-6)
         assert np.median(calls) <= 8
         assert max(n for n, bad in zip(calls, failed) if not bad) <= 20
-        assert {case for case, bad in zip(cases, failed) if bad} <= {(7, 0.99)}
+        assert {case for case, bad in zip(cases, failed) if bad} <= {(7, 0.5)}
 
     def test_one_partial_fraction_expansion(self, monkeypatch):
         red = QUANTILE_FORMS[8]

@@ -33,10 +33,15 @@ def _oracle_select_method(red, quantity="cdf", q=0.0, plan=None):
     plan = plan if plan is not None else select.Plan(red)
     tail = np.zeros(pts.shape, dtype=bool)
     if red.n_groups > 0:
-        tail = select._in_tail(plan, pts)
+        tail = select._in_tail(plan, pts, quantity)
     spa = "spa_lr" if quantity == "cdf" else "spa"
     generic = select._generic_method(red, cls=plan.cls) if not tail.all() else spa
     methods = [spa if t else generic for t in tail]
+    if generic == "ruben":
+        pos = plan.series_form
+        xs = (pts if pos is red else -pts) - pos.const
+        admitted = series.ruben_admits(pos, xs)
+        methods = ["imhof" if m == "ruben" and not a else m for m, a in zip(methods, admitted)]
     return methods[0] if qs.ndim == 0 else methods
 
 
@@ -306,14 +311,15 @@ class TestImhofFallback:
             assert res.diagnostics[f"{route}_bound"] == math.inf
 
 
-def _bench_form(scale, spread, nu):
-    """A central definite form of the benchmark's generator: weights evenly
-    spaced in log from scale down to scale / spread, with multiplicities nu
-    (a string of digits)."""
+def _bench_form(scale, spread, nu, delta2=0.0):
+    """A definite form of the benchmark's generator: weights evenly spaced
+    in log from scale down to scale / spread, with multiplicities nu (a
+    string of digits) and a noncentrality of delta2 per degree of
+    freedom."""
     nu = [int(c) for c in nu]
     g = len(nu)
     return qf.ReducedForm(scale * np.exp(-math.log(spread) * np.arange(g) / (g - 1)), nu,
-                          [0.0] * g)
+                          [delta2 * v for v in nu])
 
 
 class TestBenchOps:
@@ -348,6 +354,61 @@ class TestBenchOps:
         q = qf.quantile(_bench_form(scale, spread, nu), p, tol=tol)
         assert abs(q.cdf.value - p) <= tol and q.cdf.method == "imhof"
         assert q == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("scale,spread,nu,delta2,hi", [
+        (0.20703252386511714, 31.622776601683785, "112133433211312344312412341", 0.0,
+         15.864922490347567),
+        (0.2797094830597299, 14.677992676220697, "44343232", 0.006434084533821351,
+         21.11590274189006),
+        (6.158730905020204, 68.12920690579612, "12", 0.0, 343.07825490833176),
+        (0.32822839171724655, 68.12920690579612, "33443224433311", 0.06965100820482313,
+         25.623370770917163),
+        (2.9588608106244885, 68.12920690579612, "231112", 0.01608521133455338,
+         184.35102010730319)],
+        ids=["seed0-op22", "seed0-op40", "seed0-op52", "seed0-op64", "seed0-op280"])
+    def test_density_grid(self, scale, spread, nu, delta2, hi):
+        """The 41-point density grids whose Ruben values were heuristic and
+        missed Imhof's density, by up to the whole peak: every point off the
+        saddlepoint and the support is rigorous and within the two bounds
+        of Imhof's."""
+        red = _bench_form(scale, spread, nu, delta2)
+        pts = np.linspace(0.0, hi, 41)
+        res = select.pdf(red, pts)
+        series_pts = [i for i, r in enumerate(res) if r.method not in ("spa", "support")]
+        assert len(series_pts) >= 29
+        imhof = inversion.pdf_imhof(red, pts[series_pts], tol=1e-9)
+        for i, ref in zip(series_pts, imhof):
+            r = res[i]
+            assert r.method == "ruben_pdf" and r.provenance == "rigorous", pts[i]
+            assert abs(r.value - ref.value) <= r.error_bound + ref.error_bound, pts[i]
+
+    @pytest.mark.parametrize("red", [
+        qf.ReducedForm([0.15689418645347603, 0.04095184928701817, 0.010689076491205422],
+                       [1, 1, 1], [0.13872638167626059] * 3),
+        qf.ReducedForm([9.313564689908624, 0.6345257757893015], [2, 1],
+                       [0.27745276335252117, 0.13872638167626059])],
+        ids=["seed0-op2460", "seed0-op1308"])
+    def test_light_noncentral_quantile_stays_on_the_series(self, red, monkeypatch):
+        """Light noncentral forms whose Ruben bound was the residual mass of
+        a series cut on its tiny terms: every CDF call of the search reran
+        on Imhof at 2^19-2^20 panels."""
+        real, calls = select.cdf, []
+        monkeypatch.setattr(select, "cdf", lambda *a, **k: calls.append(real(*a, **k))
+                            or calls[-1])
+        q = qf.quantile(red, 0.01, tol=1e-6)
+        assert abs(q.cdf.value - 0.01) <= 1e-6 and len(calls) == q.cdf_calls
+        assert all(r.method == "ruben_cdf" and "ruben_bound" not in r.diagnostics
+                   for r in calls)
+
+    def test_wide_spread_quantile(self):
+        """100 chi2_1 + 0.01 chi2_1: its mean mixture index is about 5000, so
+        Ruben is admitted point by point, near 0 where Imhof cannot answer
+        (bound 0.17) and Ruben needs 64 terms."""
+        red = qf.ReducedForm([100.0, 0.01], [1, 1], [0.0, 0.0])
+        for p in (0.01, 0.5, 0.99):
+            q = qf.quantile(red, p, tol=1e-6)
+            assert abs(q.cdf.value - p) <= 1e-6 and q.cdf.error_bound <= 1e-6
+        assert qf.quantile(red, 0.01, tol=1e-6).cdf.method == "ruben_cdf"
 
     def test_cdf_grid(self):
         """The 41-point CDF grid of a 132-group central even form (grid
@@ -413,6 +474,18 @@ class TestSupportRule:
             assert near > 1e3
         else:
             assert near == pytest.approx(limit, rel=1e-6, abs=1e-5)
+
+    @pytest.mark.parametrize("red,q,want", [
+        (qf.ReducedForm([2.0], [3], [0.0]), 1e-6, 1.41047e-4),
+        (qf.ReducedForm([1.0], [2], [0.0]), 1e-12, 0.5),
+        (qf.ReducedForm([1.0, 0.5], [1, 1], [0.0, 0.0]), 1e-12, 0.70711),
+        (qf.ReducedForm([-1.0, -0.5], [1, 1], [0.0, 0.0]), -1e-12, 0.70711)])
+    def test_density_near_a_finite_edge_is_not_the_saddlepoint(self, red, q, want):
+        # beyond the crossing on a bounded side the saddlepoint density was
+        # off (1.48995e-4 for the first form, 0.5422 and 0.7668 for the next)
+        res = select.pdf(red, q)
+        assert res.method in ("ruben_pdf", "central_even") and res.error_bound <= 1e-8
+        assert res.value == pytest.approx(want, rel=1e-5)
 
     def test_point_mass(self):
         red = qf.ReducedForm([], [], [], 0.0, 0.7)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -9,8 +10,7 @@ from scipy import integrate, stats
 
 import quadform as qf
 from quadform import select, series
-from quadform.series import (_exp_series, _require_central_even, _ruben_poles,
-                             default_beta)
+from quadform.series import _exp_series, _require_central_even
 
 from conftest import make_rng
 
@@ -384,76 +384,61 @@ class TestDefiniteForms:
                 assert a.diagnostics["k_truncation"] == b.diagnostics["k_truncation"]
 
 
-def _loop_ruben_poles(red, beta):
-    """_ruben_poles with a scan of every earlier pole per tie-break step and
-    one product per pole: the oracle for it."""
-    lam = np.repeat(red.omega, red.nu)
-    c0 = math.exp(0.5 * float(np.log(beta / lam).sum()))
-    xi = np.sort(np.abs(1.0 - beta / lam))[::-1]
-    reps = xi[0::2].astype(float)
-    reps = reps[reps > 1e-9 * reps[0]]
-    for i in range(1, reps.size):
-        while np.any(np.abs(reps[:i] - reps[i]) < 1e-9 * reps[0]):
-            reps[i] *= 1.0 - 1e-7
-    return c0, reps, [np.prod(a - np.delete(reps, i)) for i, a in enumerate(reps)]
-
-
 class TestTruncationBound:
-    @pytest.mark.parametrize("case", ["random", "cascade"])
-    def test_poles_match_loop(self, case):
-        if case == "random":
-            # nu = 4 groups give tied poles
-            red = qf.ReducedForm(make_rng(5).uniform(0.2, 3.0, 40), [2, 4] * 20, [0.0] * 40)
-            beta = default_beta(red, "ruben")
-        else:
-            # poles xi = 1 - beta/lam: a run of ties next to a pole half a
-            # shrink step away, which the shrunk ties pass
-            beta = 0.5
-            xi = [0.9] * 8 + [0.9 * (1 - 0.5e-7)] * 2 + [0.6] * 4 + [0.3, 0.2]
-            red = effective(beta / (1.0 - np.array(xi)), np.zeros(len(xi)))
-        c0, reps, delta = _ruben_poles(red, beta)
-        c0_loop, reps_loop, delta_loop = _loop_ruben_poles(red, beta)
-        assert c0 == c0_loop and np.array_equal(reps, reps_loop)
-        assert len(set(reps)) == reps.size
-        # the same factors with an exact 1 in place of the own pole; the
-        # product's order may differ, which moves it by at most n eps relative
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(delta - delta_loop) <= reps.size * eps * np.abs(delta_loop))
+    """Ruben's expansion at beta = min(lam) is a mixture of scaled chi-square
+    laws, and its leftover mass bounds the remainder at every point."""
 
-    def test_bound_vanishes_with_k(self):
-        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
-        beta = 2.0 / 3.0
-        bounds = [qf.ruben_truncation_bound(eff, beta, k, 2.0)
-                  for k in (5, 10, 20, 40, 80, 160)]
-        assert np.all(np.diff(bounds) < 0)
-        assert bounds[-1] < 1e-12
+    FORMS = [qf.ReducedForm([1.0, 0.5], [1, 2], [0.0, 0.0]),
+             qf.ReducedForm([1.5, 0.7, 0.3], [1, 2, 3], [0.5, 0.0, 1.2]),
+             qf.ReducedForm([6.158730905020207, 0.0903978071187008], [1, 2], [0.0, 0.0]),
+             qf.ReducedForm([0.3, 0.2, 0.1], [3, 1, 2], [2.0, 0.0, 0.4], 0.0, 0.7)]
 
-    def test_bound_dominates_actual_error(self):
-        eff = effective([1.0, 0.5], [0.0, 0.0], 0.0, 0.0)
-        beta = 2.0 / 3.0
-        k_trunc = 50
-        co = qf.series_coefficients(eff, "ruben", beta, k_terms=2000)
-        q = 2.0
-        kk = np.arange(2001)
-        terms = co.c * stats.chi2.pdf(q / beta, eff.total_dof + 2 * kk) / beta
-        actual = abs(terms[k_trunc + 1:].sum())
-        bound = qf.ruben_truncation_bound(eff, beta, k_trunc, q)
-        assert actual <= bound
+    @pytest.mark.parametrize("red", FORMS)
+    def test_a_mixture_at_the_smallest_weight(self, red):
+        co = qf.series_coefficients(red, "ruben", None, 4000)
+        assert co.beta == red.omega.min()
+        assert np.all(co.c >= 0.0) and co.c.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_spacing_effect(self):
-        # same extreme eigenvalues (same beta, same convergence radius);
-        # better-separated interior eigenvalues give the smaller bound
-        beta = 2 * 1.0 * 0.1 / 1.1
-        spread = effective([1.0, 0.7, 0.4, 0.1], [0.0] * 4, 0.0, 0.0)
-        clustered = effective([1.0, 0.98, 0.12, 0.1], [0.0] * 4, 0.0, 0.0)
-        for k in (20, 40, 80):
-            b_spread = qf.ruben_truncation_bound(spread, beta, k, 2.0)
-            b_clustered = qf.ruben_truncation_bound(clustered, beta, k, 2.0)
-            assert b_spread < b_clustered
+    @pytest.mark.parametrize("cumulative", [True, False], ids=["cdf", "pdf"])
+    @pytest.mark.parametrize("red", FORMS)
+    def test_bound_dominates_the_remainder(self, red, cumulative):
+        # the terms past K of a 4000-term expansion, whose own leftover
+        # mass is below 1e-12, against the bound after K + 1 terms
+        full = qf.series_coefficients(red, "ruben", None, 4000)
+        assert 1.0 - full.c.sum() < 1e-12
+        mean = qf.cumulants(red, 1).get(1) - red.const
+        x = mean * np.array([0.05, 0.3, 1.0, 2.5, 6.0])
+        terms = series._series_terms(full, x, cumulative)
+        for k in (64, 130, 262, 526):
+            head = dataclasses.replace(full, c=full.c[:k + 1], d=full.d[:k])
+            partial = terms[:, :k + 1].sum(axis=1)
+            bound = series._ruben_remainder(head, x, partial, 0.0, cumulative)
+            assert np.all(terms[:, k + 1:].sum(axis=1) <= bound)
+
+    def test_stops_on_its_bound_alone(self):
+        # a run of tiny terms is no stop: at grid seed 0 op 52 the terms are
+        # below tol/100 for a while before the mixture's bulk arrives, and
+        # a stop there gave 2.9e-15 where the density is 3.4933e-4
+        red = self.FORMS[2]
+        res = qf.pdf_series(red, 51.46, "ruben", 1e-8)
+        assert res.provenance == "rigorous" and res.error_bound <= 1e-8
+        assert abs(res.value - 3.49325135642e-4) <= 1e-13
+        for fn in (qf.cdf_series, qf.pdf_series):
+            for r in fn(red, np.linspace(0.0, 343.0, 41)[1:], "ruben", 1e-8):
+                assert r.provenance == "rigorous" and r.error_bound <= 1e-8
+
+    def test_subnormal_c0_is_refused(self):
+        # c0 = 0.01^200 would carry no relative precision into the c_k: the
+        # expansion refuses the form and auto sends it to Imhof
+        red = qf.ReducedForm([100.0, 1.0], [400, 1], [0.0, 0.0])
+        with pytest.raises(qf.NotApplicableError):
+            qf.series_coefficients(red, "ruben")
+        assert not series.ruben_admits(red, np.array([1.0, 4e4])).any()
+        assert select.select_method(red, "cdf", 4e4) == "imhof"
 
     def test_equal_weights_terminate(self):
-        # beta equals every weight, so every pole xi is 0 and the remainder
-        # is exactly 0; multiplying a zero pole never breaks the tie
+        # beta equals every weight, so c0 = 1 is the only term: the leftover
+        # mass and the rounding are exactly 0
         red = qf.ReducedForm([1.0], [4], [0.0])
         for q in (0.5, 3.0, 9.0):
             cdf = qf.select.cdf(red, q, "ruben")
