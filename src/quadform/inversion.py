@@ -468,6 +468,14 @@ def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
     return plan.rung(j), rec
 
 
+def _imhof_start(plan, tol: float, x: float, density: bool) -> tuple:
+    """The rung, tail record and start panel count of an auto Imhof row at
+    the shifted point x."""
+    tail, u_cap = (_pdf_tail, 1e7) if density else (_cdf_tail, 1e25)
+    rung, rec = _imhof_pick_u(plan, tol, x, tail, u_cap)
+    return rung, rec, _start_panels(rung.form, rung.u, x)
+
+
 def _start_panels(form: _Form, u_max: float, x: float) -> int:
     """IMHOF_PANELS_START, doubled to at least 2 panels per period of the
     integrand's phase-rate bound (1/2) sum (nu + d2)|w| + |x|/2 (the Nyquist
@@ -651,7 +659,6 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
         plans = list(plan) if plan is not None else [_own_plan(form, None) for form in red]
         if len(plans) != pts.size:
             raise InvalidInputError("a list of forms takes one point per form")
-    tail, u_cap = (_pdf_tail, 1e7) if density else (_cdf_tail, 1e25)
     rows: dict = {}
     fixed: dict = {}
     for i, (p, q_i) in enumerate(zip(plans, pts.tolist())):
@@ -662,13 +669,12 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
         if out[i] is not None:
             continue
         if params is None:
-            rung, rec = _imhof_pick_u(p, tol, x, tail, u_cap)
             # drive the quadrature below the tail target: the oscillatory
             # tail cancels far below T_U, so a tight grid keeps the value
             # accurate even when the reported (conservative) bound is
             # dominated by T_U
-            rows[i] = _Row(rung, rec, x, _start_panels(rung.form, rung.u, x), IMHOF_PANELS_MAX,
-                           min(tol, 1e-8) / 2.0)
+            rung, rec, panels = _imhof_start(p, tol, x, density)
+            rows[i] = _Row(rung, rec, x, panels, IMHOF_PANELS_MAX, min(tol, 1e-8) / 2.0)
         else:
             # a fixed grid: one halved-grid pass first, so a Richardson
             # estimate is available, then the requested panels

@@ -6,11 +6,10 @@ outside the support exactly (``transforms.exact_point``), here tagged
 estimate below 1e-8; a density has none on a side with a finite support
 end) go to the saddlepoint, which keeps the exact exponential decay rate;
 central even-dof forms use the partial-fraction formula, definite forms
-the chi-square-density expansion where a point's mean mixture index is at
-most ``series.INDEX_MAX`` (``series.ruben_admits``), and all others
-Imhof, which is also the route of every form with a Gaussian term (the
-series have none).  Imhof answers a pure normal (no groups) in closed
-form.
+the chi-square-density expansion where it is expected to certify the point
+at the least cost (``_ruben_admits``), and all others Imhof, which is also
+the route of every form with a Gaussian term (the series have none).
+Imhof answers a pure normal (no groups) in closed form.
 
 The auto ladder (``_walk``) is one rule: a point whose route is not Imhof
 and whose outcome misses (a library error, also one the route raises for
@@ -49,6 +48,7 @@ import functools
 import math
 
 import numpy as np
+from scipy import special
 
 from . import approx, inversion, series, transforms
 from .errors import InvalidInputError, QuadFormError
@@ -149,14 +149,14 @@ def _generic_method(red: ReducedForm, cls: FormClass | None = None) -> str:
 
 
 def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
-                  plan: Plan | None = None):
+                  plan: Plan | None = None, tol: float = 1e-8):
     """Pick a method identifier for the given form and evaluation point.
 
     q may be an array; the result is then a list with one identifier per
     point.  A point is in the far tails iff it lies beyond one of the form's
     two Chernoff crossings, and a definite form's point goes to Ruben only
-    up to the mean mixture index ``series.INDEX_MAX`` (see the module
-    docstring).  plan is a Plan of red to reuse.
+    where ``_ruben_admits`` holds at tol (see the module docstring).  plan
+    is a Plan of red to reuse.
     """
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
@@ -166,11 +166,34 @@ def select_method(red: ReducedForm, quantity: str = "cdf", q=0.0,
     generic = _generic_method(red, cls=plan.cls) if not tail.all() else spa
     routes = np.full(pts.shape, generic, dtype=object)
     if generic == "ruben":
-        pos = plan.series_form
-        xs = (-pts if plan.cls.definiteness == "negative" else pts) - pos.const
-        routes[~series.ruben_admits(pos, xs)] = "imhof"
+        inner = ~tail
+        routes[np.flatnonzero(inner)[~_ruben_admits(plan, pts[inner], tol, quantity)]] = "imhof"
     methods = [spa if t else r for t, r in zip(tail, routes)]
     return methods[0] if qs.ndim == 0 else methods
+
+
+def _ruben_admits(plan: Plan, pts: np.ndarray, tol: float, quantity: str) -> np.ndarray:
+    """Whether a definite form's points go to Ruben, which should certify
+    them at the lower cost: the K at which its CDF remainder's chi-square
+    factor F_{n+2K+2}(x/beta) falls to tol (for a density too, as an
+    estimate) is at most series.K_MAX, and the
+    mean mixture index min(k_x, m) is at most series.INDEX_MAX or below the
+    panels Imhof would start on (computed past INDEX_MAX only).  At
+    beta = min(w), Q - const = beta chi2_{n+2J}: the terms peak near
+    k_x = (x/beta - n)/2, and m = (E[Q - const]/beta - n)/2 is the mean of J."""
+    pos = plan.series_form
+    beta, n = float(pos.omega.min()), pos.total_dof
+    with np.errstate(over="ignore"):   # an inf index is past every limit
+        y = ((-pts if plan.cls.definiteness == "negative" else pts) - pos.const) / beta
+        mean = float(pos.omega @ (pos.nu + pos.delta2)) / beta
+    index = (np.minimum(y, mean) - n) / 2.0
+    # F_m is 0 on or below the support; need is NaN where y is inf
+    need = (special.chdtriv(min(tol, 0.5), np.maximum(y, np.finfo(float).tiny)) - n) / 2.0 - 1.0
+    admitted = (need <= series.K_MAX) & (index <= series.INDEX_MAX)
+    for i in np.flatnonzero((need <= series.K_MAX) & ~admitted):
+        x = float(pts[i]) - plan.red.const
+        admitted[i] = index[i] < inversion._imhof_start(plan, tol, x, quantity == "pdf")[2]
+    return admitted
 
 
 def _in_tail(plan: Plan, pts: np.ndarray, quantity: str) -> np.ndarray:
@@ -219,7 +242,7 @@ def _dispatch(red: ReducedForm, q, method: str, tol: float, quantity: str,
         pts = transforms.points(qs)
         out = [None] * pts.size
     todo = np.array([i for i, res in enumerate(out) if res is None], dtype=int)
-    methods = select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size else \
+    methods = select_method(red, quantity, pts[todo], plan, tol) if auto and todo.size else \
         [method] * todo.size
     evaluate = _walk if auto else _evaluate
     for name in dict.fromkeys(methods):

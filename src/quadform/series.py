@@ -43,7 +43,7 @@ from .forms import (
 from .inversion import _own_plan
 
 K_MAX = 5000
-INDEX_MAX = 800             # auto's limit on a point's mean Ruben mixture index
+INDEX_MAX = 800             # auto's Ruben index that needs no cost comparison
 HEURISTIC_RUN = 20          # consecutive tiny terms before the heuristic stop fires
 KOTZ_MAX_Q_FACTOR = 10.0    # power series rejected beyond this multiple of the mean
 
@@ -220,26 +220,6 @@ def default_beta(red: ReducedForm, kind: str) -> float | None:
     return None
 
 
-def _ruben_c0(lam: np.ndarray, h2: np.ndarray, beta: float) -> float:
-    """The chi-square expansion's c0 = exp(-sum h2/2 + sum log(beta/lam)/2)
-    over the form's chi2_1 variables; every c_k is a multiple of it."""
-    return math.exp(-0.5 * float(h2.sum()) + 0.5 * float((math.log(beta) - np.log(lam)).sum()))
-
-
-def ruben_admits(red: ReducedForm, x) -> np.ndarray:
-    """Whether auto sends each shifted point x (q - const) of the positive
-    definite form to its chi-square expansion: where the mean mixture index
-    min(k_x, m) is at most INDEX_MAX.  The terms peak near
-    k_x = (x/beta - n)/2, and m = (E[Q - const]/beta - n)/2 is the mean of
-    the mixture index J.  No point is admitted when c0 is subnormal, which
-    would leave the coefficients without relative precision."""
-    lam, h2 = _variables(red)
-    beta = default_beta(red, "ruben")
-    mean = float(np.sum(lam * (1.0 + h2)))
-    admitted = np.minimum(x, mean) <= beta * (2.0 * INDEX_MAX + lam.size)
-    return admitted & (_ruben_c0(lam, h2, beta) >= np.finfo(float).tiny)
-
-
 def _powers(base: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """(hi - lo) x base.size table of base_i^k, k = lo..hi-1: a row is one
     pow anchor base^k0 at the block start k0 (a multiple of 64) times the
@@ -285,7 +265,8 @@ def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
             raise NotApplicableError(
                 "chi-square expansion needs 0 < beta < 2 min(lam)", condition="beta range"
             )
-        c0 = _ruben_c0(lam, h2, beta)
+        c0 = math.exp(-0.5 * float(h2.sum())
+                      + 0.5 * float((math.log(beta) - np.log(lam)).sum()))
         if c0 < np.finfo(float).tiny:
             raise NotApplicableError(
                 "chi-square expansion's leading coefficient underflows", condition="normal c0")
@@ -361,10 +342,12 @@ def _ruben_remainder(coeffs: SeriesCoefficients, x: np.ndarray, partial: np.ndar
     F_{n+2K+2}(x/beta) for the CDF, as F_m(y) falls with m, and
     f_{m*}(y)/beta for the density, m* the first of n+2K+2, n+2K+4, ...
     at least y, as f_{m+2}(y)/f_m(y) = y/m.  The mass and the partial sums
-    add nonnegative terms, each off by at most (nonzero terms - 1) eps of
-    its sum, a bound that also covers the c_k's own recursion; that and the
-    slack are added.  When every weight equals beta, c0 = 1 is the only
-    term, the chi-square value itself, and the bound is 0.
+    add nonnegative terms, and (nonzero terms - 1) eps of each sum is added
+    for its rounding and the c_k's: a first-order worst case of the
+    recursion grows as K^2 eps/2, but its errors grow linearly, and the
+    tests check this allowance against the exact coefficients up to K_MAX.
+    The slack is added too.  When every weight equals beta, c0 = 1 is the
+    only term, the chi-square value itself, and the bound is 0.
     """
     n, beta, c = coeffs.n_vars, coeffs.beta, coeffs.c
     m = n + 2 * c.size

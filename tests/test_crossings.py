@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 import quadform as qf
 from quadform import inversion, select, series, transforms
@@ -51,14 +51,16 @@ def _conftest_forms(seed, count=12, **kwargs):
     return [random_reduced(rng, **kwargs) for _ in range(count)]
 
 
-def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
+def _old_select_method(red, quantity="cdf", q=0.0, plan=None, tol=1e-8):
     """The per-point route: both Chernoff log-tails at every point, but a
     density's on a side with a finite support end; a definite form's point
-    goes to Ruben up to the mean mixture index series.INDEX_MAX."""
+    goes to Ruben where the terms its remainder's chi-square factor needs
+    are at most series.K_MAX, and its mean mixture index is at most
+    series.INDEX_MAX or below Imhof's start panels."""
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
     tail = np.zeros(pts.shape, dtype=bool)
-    if tail_hint != "none" and red.n_groups > 0:
+    if red.n_groups > 0:
         for side, end in zip(("left", "right"), transforms.support(red)):
             if quantity == "cdf" or math.isinf(end):
                 tail |= transforms.chernoff_log_tail(red, pts, side) < LOG_TAIL
@@ -70,11 +72,16 @@ def _old_select_method(red, quantity="cdf", q=0.0, tail_hint=None, plan=None):
         sign = np.sign(red.omega[0])
         beta, n = float(np.abs(red.omega).min()), red.total_dof
         mean = sign * (qf.cumulants(red, 1).get(1) - red.const)
-        index = (np.minimum(sign * (pts - red.const), mean) / beta - n) / 2.0
-        c0 = math.exp(-0.5 * red.delta2.sum()
-                      + 0.5 * float(red.nu @ np.log(beta / np.abs(red.omega))))
-        far = (index > series.INDEX_MAX) | (c0 < np.finfo(float).tiny)
-        methods = ["imhof" if m == "ruben" and f else m for m, f in zip(methods, far)]
+        for i, x in enumerate(sign * (pts - red.const)):
+            if methods[i] != "ruben":
+                continue
+            index = (min(x, mean) / beta - n) / 2.0
+            m = n + 2.0 * series.K_MAX + 2.0   # the dof of the first term past K_MAX
+            certifies = x <= 0.0 or special.chdtr(m, x / beta) <= tol
+            start = inversion._imhof_start(select.Plan(red), tol, pts[i] - red.const,
+                                           quantity == "pdf")[2]
+            if not (certifies and (index <= series.INDEX_MAX or index < start)):
+                methods[i] = "imhof"
     return methods[0] if qs.ndim == 0 else methods
 
 
@@ -333,10 +340,10 @@ class TestQuantileSearch:
     def test_cdf_calls(self, monkeypatch):
         """A median of at most 8 CDF calls per search and at most 20 in every
         search whose CDF calls all succeed.  Where one fails, F-hat can jump
-        past p, and Brent bisects down to xtol at the jump.  The one failing
-        call is Imhof's on [100, 0.01] at q = 33.34, whose mean mixture index
-        1666 is past series.INDEX_MAX: at 2^23 panels its bound is 1.2e-8,
-        above the inner tol 1e-9."""
+        past p, and Brent bisects down to xtol at the jump.  Only the upper
+        tail of [100, 0.01] may see one: past q = 94 Ruben's remainder needs
+        more than K_MAX terms, and Imhof may not reach the inner tol within
+        its 2^23-panel cap."""
         real, calls, failed = select.cdf, [], []
 
         def counted(*args, **kwargs):
@@ -355,7 +362,7 @@ class TestQuantileSearch:
             qf.quantile(QUANTILE_FORMS[i], p, 1e-6)
         assert np.median(calls) <= 8
         assert max(n for n, bad in zip(calls, failed) if not bad) <= 20
-        assert {case for case, bad in zip(cases, failed) if bad} <= {(7, 0.5)}
+        assert {case for case, bad in zip(cases, failed) if bad} <= {(7, 0.99)}
 
     def test_one_partial_fraction_expansion(self, monkeypatch):
         red = QUANTILE_FORMS[8]

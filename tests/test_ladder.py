@@ -27,7 +27,7 @@ from conftest import make_rng, random_reduced
 LADDER_KEYS = {"central_even_bound", "ruben_bound", "spa_lr_bound", "spa_bound"}
 
 
-def _oracle_select_method(red, quantity="cdf", q=0.0, plan=None):
+def _oracle_select_method(red, quantity="cdf", q=0.0, plan=None, tol=1e-8):
     qs = np.asarray(q, dtype=float)
     pts = np.atleast_1d(qs)
     plan = plan if plan is not None else select.Plan(red)
@@ -38,9 +38,7 @@ def _oracle_select_method(red, quantity="cdf", q=0.0, plan=None):
     generic = select._generic_method(red, cls=plan.cls) if not tail.all() else spa
     methods = [spa if t else generic for t in tail]
     if generic == "ruben":
-        pos = plan.series_form
-        xs = (pts if pos is red else -pts) - pos.const
-        admitted = series.ruben_admits(pos, xs)
+        admitted = select._ruben_admits(plan, pts, tol, quantity)
         methods = ["imhof" if m == "ruben" and not a else m for m, a in zip(methods, admitted)]
     return methods[0] if qs.ndim == 0 else methods
 
@@ -59,7 +57,7 @@ def _oracle_dispatch(red, q, method, tol, quantity, plan):
                                   {"note": "outside the support"})
         todo = np.flatnonzero(inside)
     auto = method == "auto"
-    methods = _oracle_select_method(red, quantity, pts[todo], plan=plan) if auto and todo.size \
+    methods = _oracle_select_method(red, quantity, pts[todo], plan, tol) if auto and todo.size \
         else [method] * todo.size
     for name in dict.fromkeys(methods):
         idx = todo[[m == name for m in methods]]
@@ -402,13 +400,29 @@ class TestBenchOps:
 
     def test_wide_spread_quantile(self):
         """100 chi2_1 + 0.01 chi2_1: its mean mixture index is about 5000, so
-        Ruben is admitted point by point, near 0 where Imhof cannot answer
-        (bound 0.17) and Ruben needs 64 terms."""
+        Ruben is admitted point by point.  Near 0, where Imhof cannot answer
+        (bound 0.17), Ruben needs 64 terms; at the median (index 2274) it
+        certifies in 4,222 terms, where Imhof would start on 2^20 panels and
+        cannot reach the default tol."""
         red = qf.ReducedForm([100.0, 0.01], [1, 1], [0.0, 0.0])
         for p in (0.01, 0.5, 0.99):
             q = qf.quantile(red, p, tol=1e-6)
             assert abs(q.cdf.value - p) <= 1e-6 and q.cdf.error_bound <= 1e-6
-        assert qf.quantile(red, 0.01, tol=1e-6).cdf.method == "ruben_cdf"
+        for p in (0.01, 0.5):
+            q = qf.quantile(red, p)
+            assert abs(q.cdf.value - p) <= 1e-8 and q.cdf.error_bound <= 1e-8
+            assert q.cdf.method == "ruben_cdf"
+
+    def test_uncertifiable_point_goes_straight_to_imhof(self):
+        """1 chi2_1 + 0.001 chi2_1: its mean mixture index is about 500, but
+        at x = 11 the chi-square factor of Ruben's bound stays near 1 past
+        K_MAX and the leftover mass is still 1.6e-3 there: Imhof answers
+        without a Ruben attempt.  At x = 3 Ruben certifies."""
+        red = qf.ReducedForm([1.0, 1e-3], [1, 1], [0.0, 0.0])
+        for fn in (select.cdf, select.pdf):
+            far, near = fn(red, 11.0), fn(red, 3.0)
+            assert far.method == "imhof" and "ruben_bound" not in far.diagnostics
+            assert near.method.startswith("ruben") and near.error_bound <= 1e-8
 
     def test_cdf_grid(self):
         """The 41-point CDF grid of a 132-group central even form (grid

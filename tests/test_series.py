@@ -4,6 +4,7 @@ import math
 import pkgutil
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -429,12 +430,35 @@ class TestTruncationBound:
 
     def test_subnormal_c0_is_refused(self):
         # c0 = 0.01^200 would carry no relative precision into the c_k: the
-        # expansion refuses the form and auto sends it to Imhof
+        # expansion refuses the form, and auto's Imhof rerun answers an
+        # admitted point
         red = qf.ReducedForm([100.0, 1.0], [400, 1], [0.0, 0.0])
         with pytest.raises(qf.NotApplicableError):
             qf.series_coefficients(red, "ruben")
-        assert not series.ruben_admits(red, np.array([1.0, 4e4])).any()
-        assert select.select_method(red, "cdf", 4e4) == "imhof"
+        res, = select._walk(select.Plan(red), np.array([4e4]), "ruben", 1e-8, "cdf")
+        assert res.method == "imhof" and res.diagnostics["ruben_bound"] == math.inf
+
+    @pytest.mark.parametrize("omega,nu", [([100.0, 0.01], [1, 1]), ([1.0, 1e-3], [1, 1]),
+                                          ([3.7, 0.013], [5, 3])])
+    def test_rounding_allowance_near_k_max(self, omega, nu):
+        # one weight above beta makes J negative binomial: c_k = (1 - rho)^r
+        # (r)_k / k! rho^k with r = nu/2 and rho = 1 - beta/w.  Against these
+        # exact coefficients, every computed c_k up to K_MAX and the leftover
+        # mass are within the allowance (nonzero terms - 1) eps that
+        # _ruben_remainder adds
+        red = qf.ReducedForm(omega, nu, [0.0, 0.0])
+        co = qf.series_coefficients(red, "ruben", None, series.K_MAX)
+        allowance = (np.count_nonzero(co.c) - 1) * np.finfo(float).eps
+        with mp.workdps(40):
+            rho = 1 - mp.mpf(omega[1]) / mp.mpf(omega[0])
+            r = mp.mpf(nu[0]) / 2
+            c, exact = (1 - rho) ** r, []
+            for k in range(co.c.size):
+                exact.append(c)
+                c = c * (r + k) / (k + 1) * rho
+            assert max(abs(mp.mpf(a) / b - 1) for a, b in zip(co.c, exact)) <= allowance
+            leftover = 1 - mp.fsum(exact)
+            assert abs(leftover - (1.0 - co.c.sum())) <= allowance * co.c.sum()
 
     def test_equal_weights_terminate(self):
         # beta equals every weight, so c0 = 1 is the only term: the leftover
