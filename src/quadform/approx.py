@@ -201,12 +201,14 @@ def surrogate_cdf(sur: MatchedSurrogate, q: float) -> float:
     raise InvalidInputError(f"unknown surrogate family {sur.family!r}")
 
 
-def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
+def cdf_matched(red: ReducedForm, q, family: str):
     """Moment-matching CDF approximation (no error control; flagged).
 
     Per the applicability table the target must be positive definite with
-    no Gaussian term.  A NaN point is invalid input; on or outside the
-    support the CDF is exactly 0 or 1 (``transforms.exact_point``).
+    no Gaussian term.  q may be an array: the form is classified, and its
+    cumulants taken and matched, once per call, and the result is a list
+    with each point's MethodResult.  A NaN point is invalid input; on or
+    outside the support the CDF is exactly 0 or 1 (``transforms.exact_point``).
     """
     from .reduction import classify
 
@@ -217,14 +219,12 @@ def cdf_matched(red: ReducedForm, q: float, family: str) -> MethodResult:
             "Gaussian term",
             condition="positive definite, sigma=0",
         )
-    kappas = transforms.cumulants(red, 4)
-    sur = match(kappas, family)
-    pts, [exact] = transforms.exact_points(red, q, False, family)
-    if exact is not None:
-        return exact
-    value = surrogate_cdf(sur, float(pts[0]))
-    return MethodResult(value, None, family, "approximate",
-                        {"surrogate": sur.family, "params": dict(sur.params)})
+    sur = match(transforms.cumulants(red, 4), family)
+    pts, out = transforms.exact_points(red, q, False, family)
+    out = [res or MethodResult(surrogate_cdf(sur, x), None, family, "approximate",
+                               {"surrogate": sur.family, "params": dict(sur.params)})
+           for res, x in zip(out, pts.tolist())]
+    return one_or_all(out, np.ndim(q) == 0)
 
 
 def saddlepoint_solve(red: ReducedForm, q):

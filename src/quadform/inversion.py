@@ -4,14 +4,15 @@ Two engines built on the one-sided real inversion formula
 F(q) = 1/2 - (1/pi) int_0^inf Im{phi(u) e^{-iuq}} / u du:
 
 * Imhof: modulus-phase integrand sin(theta(u)) / (u rho(u)) on a
-  trapezoid grid over [0, U], with the closed-form tail bound used to
-  pick U and Richardson panel doubling to control quadrature error.
-  A Gaussian term only adds its envelope e^(-sigma^2 u^2/8) to the
-  modulus (see ``_Tail``).  U lies on the ladder 2^j (j < 0 allowed):
-  the CDF and the density take the first rung whose own tail bound meets
-  tol/2, by one scalar search per point.  A rung holds what its points share:
-  the x-free part of the tail record (phi(U) read once) and the modulus
-  and phase at its nested trapezoid nodes, each node evaluated once.
+  trapezoid grid over [0, U], with Richardson panel doubling to control
+  quadrature error.  One rule (``_tail``) gives the tail bound past U
+  and the correction the value takes with it; a Gaussian term only adds
+  its envelope e^(-sigma^2 u^2/8) to the modulus.  U lies on the ladder
+  2^j (j < 0 allowed): the CDF and the density take the first rung whose
+  tail bound meets tol/2, by one scalar search per point, and each row
+  reports that bound.  A rung holds what its points share: the x-free
+  part of the tail (``_Head``, phi(U) read once) and the modulus and
+  phase at its nested trapezoid nodes, each node evaluated once.
   The points of a call are the rows of one pass: each sweep steps every
   row once (its start grid, then the midpoints of one halving) as
   (rows x nodes) blocks, where a row adds its phase shift -u x/2 and one
@@ -232,7 +233,7 @@ def _integrand(nodes: np.ndarray, half_x: np.ndarray, density: bool,
 
 
 class _Form(NamedTuple):
-    """The U- and x-free constants of Imhof's tail bounds (see ``_Tail``) and
+    """The U- and x-free constants of Imhof's tail bounds (see ``_tail``) and
     of its integrand."""
 
     k: float
@@ -260,10 +261,22 @@ def _tail_form(red: ReducedForm) -> _Form:
 _KEEP_PANELS = 2**17
 
 
+class _Head(NamedTuple):
+    """The x-free part of Imhof's tail at a rung's U (see ``_tail``)."""
+
+    phase: float        # arg phi(U/2): theta(U) is phase - U x/2
+    rho: float          # rho(U); inf when it overflows, and the tail is then 0
+    m1: float           # (1/2) sum (nu + d2)|w|/(1 + w^2 U^2) >= |chi part of theta'|
+    slope: float        # theta'(U) + x/2
+    plain: float        # T_U, the CDF's closed-form tail bound
+    pdf_plain: float    # the density's bound from |integrand| <= 1/rho
+    balanced: float     # the c1 part of the CDF's balanced-phase bound (inf without c1)
+
+
 class _Rung:
     """Imhof's integrand truncated at U, for every point of one form:
 
-    * head: the x-free part of the tail record at U, from one ``_log_cf`` call.
+    * head: the ``_Head`` at U, from one ``_log_cf`` call.
     * The nested trapezoid grids on [0, U], whose panel counts differ by
       powers of 2: the ``_evaluate_nodes`` rows of the finest grid a pass has
       asked for, up to _KEEP_PANELS panels.  A pass grows it (``_grow``)
@@ -276,9 +289,9 @@ class _Rung:
         self._panels, self._grid = 0, None
 
     @functools.cached_property
-    def head(self) -> tuple:
-        """(arg phi, rho, log floor, m1, theta' + x/2, T_U, the density's
-        plain bound, the c1 part of the balanced bound) at U."""
+    def head(self) -> _Head:
+        """The ``_Head`` at U; floor is the lower bound on log rho - k log u
+        over u >= U (see ``_tail``)."""
         k, c1, _, log_w, *_ = self.form
         w, nu, d2, u = self.red.omega, self.red.nu, self.red.delta2, self.u
         sig = self.red.sigma_gauss
@@ -304,7 +317,7 @@ class _Rung:
             pdf_plain = min(pdf_plain, math.exp(min(
                 math.log(2.0 / math.pi) - 2.0 * math.log(sig) - (k + 1.0) * math.log(u)
                 - log_floor, 700.0)))
-        return float(phase), rho, log_floor, m1, slope, plain, pdf_plain, balanced
+        return _Head(float(phase), rho, m1, slope, plain, pdf_plain, balanced)
 
     def view(self, fine: int, first: bool, a: int, b: int) -> np.ndarray:
         """Nodes a..b-1 of the kept grid of ``fine`` panels (first), or of
@@ -338,98 +351,83 @@ def _grow(wanted: dict) -> None:
         rung._grid, rung._panels = nodes, panels
 
 
-class _Tail(NamedTuple):
-    """The Imhof tail at one truncation point U and shifted point x.
+def _tail(rung: _Rung, x: float, density: bool) -> tuple:
+    """(bound, correction): a bound on the tail of Imhof's integral past the
+    rung's U at the shifted point x, and the boundary term the value takes
+    with it.  The rung search and every row use this one rule.
 
-    With k = sum(nu)/2, c2 = (1/2) sum (nu + 3 d2), s the slope floor, and
-    c1 = (1/2) sum (nu + d2)/|w| when the positive and negative dof counts
-    differ by a multiple of 4 (the limiting phase is then a multiple of pi):
+    With k = sum(nu)/2, c2 = (1/2) sum (nu + 3 d2), floor a lower bound on
+    log rho - k log u over u >= U, s = max(|x|/2 - m1, 0) <= |theta'| over
+    [U, inf) (m1 decreases), and c1 = (1/2) sum (nu + d2)/|w| when the
+    positive and negative dof counts differ by a multiple of 4 (the
+    limiting phase is then a multiple of pi):
     * A Gaussian term multiplies |phi(u/2)| by e^(-sigma^2 u^2/8) and leaves
       theta alone, so floor gains (sigma U)^2/8: still a lower bound on
       log rho - k log u over u >= U, as that part increases with u.  Every
       bound below then carries the Gaussian envelope; rho stays increasing.
     * T_U = U^-k e^-floor / (pi k); the density's |integrand| <= 1/rho is
-      integrable for k > 1, giving U^(1-k) e^-floor / (2 pi (k - 1)), and
-      with sigma > 0 for every k: int_U^inf e^(-sigma^2 u^2/8) du <=
-      4 e^(-sigma^2 U^2/8) / (sigma^2 U) gives U^-(k+1) e^-floor
-      2 / (pi sigma^2).
-    * With g = 1/(rho theta'), the tail int_U^inf e^{i theta}/rho is a
-      boundary term plus int g' e^{i theta}, and int |theta''| du <= c2/U
-      (termwise, as 2w^2 u <= |w|(1 + w^2 u^2)): hence the majorant
-      [2 + c2/(U s)] / (rho(U) s).  The density's residual estimate
-      (c2 + 2k + (sigma U)^2/4) / (2 pi rho s^2 U) sizes the next order;
-      the Gaussian adds sigma^2 U/4 to rho'/rho at U, hence its term.
+      integrable for k > 1, giving the plain bound U^(1-k) e^-floor /
+      (2 pi (k - 1)), and with sigma > 0 for every k: int_U^inf
+      e^(-sigma^2 u^2/8) du <= 4 e^(-sigma^2 U^2/8) / (sigma^2 U) gives
+      U^-(k+1) e^-floor 2 / (pi sigma^2).
+    * With g = 1/(rho theta'), the tail int_U^inf e^{i theta}/rho is the
+      boundary term e^{i theta(U)} / (theta'(U) rho(U)) plus int g' e^{i theta},
+      and int |theta''| du <= c2/U (termwise, as 2w^2 u <= |w|(1 + w^2 u^2)):
+      hence, where s > 0, the majorant ibp = [2 + c2/(U s)] / (rho(U) s).
+      The density's residual estimate (c2 + 2k + (sigma U)^2/4) /
+      (2 pi rho s^2 U) sizes the next order; the Gaussian adds sigma^2 U/4
+      to rho'/rho at U, hence its term.
     * Balanced phase: |sin of the chi part| <= c1/u, and the pure
       x-oscillation is integrated by parts with its exact linear phase, so
       no slope floor is needed (x near 0, light dofs).
-    * The boundary term leads int_U^inf e^{i theta}/rho (the CDF tail is its
-      real part over U, the density's minus its imaginary part).  It needs
-      a slope floor, which fixes the sign of theta', and only refines values.
+
+    The CDF tail is the boundary term's real part over pi U, the density's
+    minus its imaginary part over 2 pi.  The CDF's bound is min(T_U,
+    ibp/(pi U), balanced) (its integrand carries an extra 1/u <= 1/U), with
+    the correction -Re(boundary)/(pi U) where the ibp term is the minimum.
+    The density's is min(ibp/(2 pi), residual), with the correction
+    -Im(boundary)/(2 pi), where ibp/(2 pi) is below the plain bound, and
+    that plain bound, with none, elsewhere.
     """
-
-    u: float
-    log_floor: float    # lower bound on log rho(u) - k log u over u >= U
-    rho: float          # rho(U); inf when it overflows, and the tail is then 0
-    theta: float        # theta(U)
-    dtheta: float       # theta'(U) where the slope floor is positive, else 0
-    m1: float           # (1/2) sum (nu + d2)|w|/(1 + w^2 U^2) >= |chi part of theta'|
-    slope_floor: float  # max(|x|/2 - m1, 0) <= |theta'| over [U, inf) (m1 decreases)
-    plain: float        # T_U, the CDF's closed-form tail bound
-    ibp: float          # the majorant: the CDF divides it by pi U, the density by 2 pi
-    balanced: float     # the CDF's balanced-phase bound (inf without c1)
-    pdf_plain: float    # the density's bound from |integrand| <= 1/rho
-    residual: float     # the density's residual estimate
-    boundary: complex   # e^{i theta(U)} / (theta'(U) rho(U)) where dtheta is set
-
-
-def _tail(rung: _Rung, x: float) -> _Tail:
-    """The tail record at the rung's U and shifted point x: its x terms on the head."""
     k, c1, c2, *_ = rung.form
-    u = rung.u
-    phase, rho, log_floor, m1, slope, plain, pdf_plain, balanced = rung.head
-    theta = phase - 0.5 * u * x
-    s = max(abs(x) / 2.0 - m1, 0.0)
-    dtheta, boundary = 0.0, 0j
+    u, head = rung.u, rung.head
+    s = max(abs(x) / 2.0 - head.m1, 0.0)
+    finite = math.isfinite(head.rho)
+    ibp, boundary = math.inf, 0j
     if s > 0.0:
-        dtheta = slope - 0.5 * x
         with np.errstate(over="ignore"):
-            boundary = complex(np.exp(1j * theta) / (dtheta * rho))
-    finite = math.isfinite(rho)
-    if s <= 0.0:
-        ibp = residual = math.inf
-    elif not finite:
-        ibp = residual = 0.0
-    else:
-        ibp = (2.0 + c2 / (u * s)) / (rho * s)
-        try:
-            s_sq = s**2
-        except OverflowError:   # a float's ** raises where the square overflows
-            s_sq = math.inf
-        residual = ((c2 + 2.0 * k + (rung.red.sigma_gauss * u) ** 2 / 4.0)
-                    / (2.0 * math.pi * rho * s_sq * u))
+            boundary = complex(np.exp(1j * (head.phase - 0.5 * u * x))
+                               / ((head.slope - 0.5 * x) * head.rho))
+        ibp = (2.0 + c2 / (u * s)) / (head.rho * s) if finite else 0.0
+    if density:
+        ibp /= 2.0 * math.pi
+        if not ibp < head.pdf_plain:
+            return head.pdf_plain, 0.0
+        residual = 0.0
+        if finite:
+            try:
+                s_sq = s**2
+            except OverflowError:   # a float's ** raises where the square overflows
+                s_sq = math.inf
+            residual = ((c2 + 2.0 * k + (rung.red.sigma_gauss * u) ** 2 / 4.0)
+                        / (2.0 * math.pi * head.rho * s_sq * u))
+        return min(ibp, residual), -boundary.imag / (2.0 * math.pi)
+    ibp /= math.pi * u
+    balanced = head.balanced
     if c1 is not None:
         if x != 0.0 and finite:
-            balanced += (2.0 / abs(x)) * (2.0 / (u * rho) + m1 * math.pi * plain)
+            balanced += (2.0 / abs(x)) * (2.0 / (u * head.rho) + head.m1 * math.pi * head.plain)
         balanced /= math.pi
-    return _Tail(u, log_floor, rho, theta, dtheta, m1, s, plain, ibp, balanced, pdf_plain,
-                 residual, boundary)
+    if ibp <= min(head.plain, balanced):
+        return ibp, -boundary.real / (math.pi * u)
+    return min(head.plain, balanced), 0.0
 
 
-def _cdf_tail(rec: _Tail) -> float:
-    """The best CDF tail bound of a record (the CDF integrand carries an
-    extra 1/u <= 1/U)."""
-    return min(rec.plain, rec.ibp / (math.pi * rec.u), rec.balanced)
-
-
-def _pdf_tail(rec: _Tail) -> float:
-    """The smallest density tail bound or estimate of a record."""
-    return min(rec.pdf_plain, rec.ibp / (2.0 * math.pi), rec.residual)
-
-
-def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
-    """The first rung U = 2^j of the plan's ladder whose ``tail`` bound
-    (``_cdf_tail`` or ``_pdf_tail``) is at most tol/2, or the first above
-    u_cap, and its record.
+def _imhof_start(plan, tol: float, x: float, density: bool) -> tuple:
+    """The rung, its ``_tail`` and the start panel count of an auto Imhof row
+    at the shifted point x: the first rung U = 2^j of the plan's ladder
+    whose tail bound is at most tol/2, or the first above the cap (1e7 for
+    the density, 1e25 for the CDF).
 
     The search starts at the rung of closed-form first guesses from the
     power-law parts of T_U and of the integration-by-parts bound times the
@@ -458,22 +456,16 @@ def _imhof_pick_u(plan, tol: float, x: float, tail, u_cap: float) -> tuple:
             v -= excess / (power + 2.0 * math.exp(2.0 * v))
         log_us.append(v - shift)
     j = math.ceil(max(min(log_us), -600.0) / math.log(2.0))
-    rec = _tail(plan.rung(j), x)
-    if tail(rec) <= half:
-        while j > -1000 and tail(lower := _tail(plan.rung(j - 1), x)) <= half:
-            j, rec = j - 1, lower
-    while tail(rec) > half and rec.u <= u_cap:
+    tail = _tail(plan.rung(j), x, density)
+    if tail[0] <= half:
+        while j > -1000 and (lower := _tail(plan.rung(j - 1), x, density))[0] <= half:
+            j, tail = j - 1, lower
+    u_cap = 1e7 if density else 1e25
+    while tail[0] > half and plan.rung(j).u <= u_cap:
         j += 1
-        rec = _tail(plan.rung(j), x)
-    return plan.rung(j), rec
-
-
-def _imhof_start(plan, tol: float, x: float, density: bool) -> tuple:
-    """The rung, tail record and start panel count of an auto Imhof row at
-    the shifted point x."""
-    tail, u_cap = (_pdf_tail, 1e7) if density else (_cdf_tail, 1e25)
-    rung, rec = _imhof_pick_u(plan, tol, x, tail, u_cap)
-    return rung, rec, _start_panels(rung.form, rung.u, x)
+        tail = _tail(plan.rung(j), x, density)
+    rung = plan.rung(j)
+    return rung, tail, _start_panels(rung.form, rung.u, x)
 
 
 def _start_panels(form: _Form, u_max: float, x: float) -> int:
@@ -489,18 +481,18 @@ def _start_panels(form: _Form, u_max: float, x: float) -> int:
 
 
 class _Row:
-    """One point of an Imhof pass: its rung, tail record and shifted x, its
+    """One point of an Imhof pass: its rung, ``_tail`` and shifted x, its
     panel count, cap and Richardson target, and its trapezoid state (the
     unscaled integral and absolute mass so far, the last Richardson
     estimate, inf until the step is first halved, and the step in log u of
     a row on that grid, else None)."""
 
-    __slots__ = ("rung", "rec", "x", "panels", "cap", "target", "total", "mass", "quad_est",
+    __slots__ = ("rung", "tail", "x", "panels", "cap", "target", "total", "mass", "quad_est",
                  "done", "log_step")
 
-    def __init__(self, rung: _Rung, rec: _Tail, x: float, panels: int, cap: int,
+    def __init__(self, rung: _Rung, tail: tuple | None, x: float, panels: int, cap: int,
                  target: float):
-        self.rung, self.rec, self.x = rung, rec, x
+        self.rung, self.tail, self.x = rung, tail, x
         self.panels, self.cap, self.target = panels, cap, target
         self.total, self.mass, self.quad_est, self.done = None, 0.0, math.inf, False
         self.log_step = None
@@ -673,15 +665,15 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
             # tail cancels far below T_U, so a tight grid keeps the value
             # accurate even when the reported (conservative) bound is
             # dominated by T_U
-            rung, rec, panels = _imhof_start(p, tol, x, density)
-            rows[i] = _Row(rung, rec, x, panels, IMHOF_PANELS_MAX, min(tol, 1e-8) / 2.0)
+            rung, tail, panels = _imhof_start(p, tol, x, density)
+            rows[i] = _Row(rung, tail, x, panels, IMHOF_PANELS_MAX, min(tol, 1e-8) / 2.0)
         else:
             # a fixed grid: one halved-grid pass first, so a Richardson
             # estimate is available, then the requested panels
             if id(p) not in fixed:
                 fixed[id(p)] = _Rung(form, params.u_max, p.tail_form)
             rung = fixed[id(p)]
-            rows[i] = _Row(rung, _tail(rung, x), x, max(params.panels // 2, 2),
+            rows[i] = _Row(rung, _tail(rung, x, density), x, max(params.panels // 2, 2),
                            max(params.panels, 4), -math.inf)
     uniform = []
     for row in rows.values():
@@ -696,56 +688,33 @@ def _imhof(red, q, params: ImhofParams | None, tol: float, plan, density: bool):
             uniform.append(row)
     _integrate(uniform, density)
     for i, row in rows.items():
-        out[i] = (_pdf_result if density else _cdf_result)(row, params is None, tol)
+        out[i] = _result(row, density, params is None, tol)
     return one_or_all(out, single and qs.ndim == 0)
 
 
-def _cdf_result(row: _Row, auto: bool, tol: float):
-    """The CDF outcome of a finished row: a ConvergenceFailureError when auto
-    and the bound is above tol."""
-    rec, u_max, quad_est = row.rec, row.rung.u, row.quad_est
-    t_plain, t_ibp, t_bal = rec.plain, rec.ibp / (math.pi * u_max), rec.balanced
-    t_u = min(t_plain, t_ibp, t_bal)
-    # the boundary-term refinement is only trustworthy in the regime where
-    # the integration-by-parts budget is the binding bound
-    correction = (-rec.boundary.real / (math.pi * u_max)
-                  if t_ibp <= min(t_plain, t_bal) else 0.0)
-    bound = (t_u + (quad_est if math.isfinite(quad_est) else 0.0)
-             + _rounding_bound(row.mass / math.pi, row.panels + 1))
-    raw = 0.5 - row.total / math.pi + correction
-    res = MethodResult(
-        min(max(raw, 0.0), 1.0), float(bound), "imhof", "rigorous",
-        _diagnostics(row, raw, t_u, tail_correction=correction),
-    )
-    if auto and not bound <= tol:   # a NaN bound fails too
+def _result(row: _Row, density: bool, auto: bool, tol: float):
+    """The outcome of a finished row: its integral with the tail correction,
+    bounded by its tail bound, Richardson estimate and sum rounding.  A CDF
+    is rigorous, and an auto one whose bound is above tol is a
+    ConvergenceFailureError; a density is heuristic.  A row on the grid in
+    log u counts its steps as panels and adds that step."""
+    scale = 2.0 * math.pi if density else math.pi
+    t_u, correction = row.tail
+    bound = (t_u + (row.quad_est if math.isfinite(row.quad_est) else 0.0)
+             + _rounding_bound(row.mass / scale, row.panels + 1))
+    raw = (row.total / scale if density else 0.5 - row.total / scale) + correction
+    diagnostics = {"raw_value": raw, "u_max": row.rung.u, "panels": row.panels,
+                   "tail_bound": t_u, "quad_estimate": row.quad_est}
+    if not density:
+        diagnostics["tail_correction"] = correction
+    if row.log_step is not None:
+        diagnostics["log_step"] = row.log_step
+    res = MethodResult(max(raw, 0.0) if density else min(max(raw, 0.0), 1.0), float(bound),
+                       "imhof", "heuristic" if density else "rigorous", diagnostics)
+    if auto and not density and not bound <= tol:   # a NaN bound fails too
         return ConvergenceFailureError(
             f"imhof did not reach tol={tol} (achieved {bound:.3e})", result=res)
     return res
-
-
-def _pdf_result(row: _Row, auto: bool, tol: float) -> MethodResult:
-    """The density result of a finished row."""
-    rec, quad_est = row.rec, row.quad_est
-    t_plain_u, t_ibp_u = rec.pdf_plain, rec.ibp / (2.0 * math.pi)
-    correct_tail = t_ibp_u < t_plain_u
-    t_u = min(t_plain_u, t_ibp_u, rec.residual if correct_tail else math.inf)
-    value = row.total / (2.0 * math.pi)
-    if correct_tail:
-        value -= rec.boundary.imag / (2.0 * math.pi)
-    bound = (t_u + (quad_est if math.isfinite(quad_est) else 0.0)
-             + _rounding_bound(row.mass / (2.0 * math.pi), row.panels + 1))
-    return MethodResult(max(value, 0.0), float(bound), "imhof", "heuristic",
-                        _diagnostics(row, value, t_u))
-
-
-def _diagnostics(row: _Row, raw: float, t_u: float, **extra) -> dict:
-    """A finished row's diagnostics; a row on the grid in log u counts its
-    steps as panels and adds that step."""
-    out = {"raw_value": raw, "u_max": row.rung.u, "panels": row.panels, "tail_bound": t_u,
-           "quad_estimate": row.quad_est, **extra}
-    if row.log_step is not None:
-        out["log_step"] = row.log_step
-    return out
 
 
 def cdf_imhof(red, q, params: ImhofParams | None = None, tol: float = 1e-8, plan=None):
@@ -839,7 +808,7 @@ def _truncation_u(red: ReducedForm, form: _Form, sd: float, tol: float,
     grows); a spacing that fills an earlier rung stops there."""
     widest = float(delta.max())
     us = [4.0 / sd]
-    while (_Rung(red, 2.0 * us[-1], form).head[5] > tol / 2.0   # T_U
+    while (_Rung(red, 2.0 * us[-1], form).head.plain > tol / 2.0
            and us[-1] / widest < DAVIES_POINTS_MAX):
         us.append(us[-1] * 1.5)
     full = np.array(us) / delta[:, None] >= DAVIES_POINTS_MAX
@@ -887,7 +856,7 @@ def cdf_davies(red: ReducedForm, q, params: DaviesParams | None = None, tol: flo
     lattice = _davies_lattice_bound(chi, x, spread)
     for i, xi, d, k, u, la in zip(idx, x.tolist(), delta.tolist(), k_max.tolist(),
                                   u_max.tolist(), lattice.tolist()):
-        trunc = _tail(_Rung(red, 2.0 * u, form), xi).plain
+        trunc = _Rung(red, 2.0 * u, form).head.plain
         row = _Row(_Rung(red, 2.0 * (k + 1) * d, form), None, xi, k + 1, k + 1, 0.0)
         [s], [m] = _step_sums([row], k + 1, False, False)
         value = 0.5 - 2.0 * d * s / math.pi

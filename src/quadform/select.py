@@ -35,8 +35,8 @@ engine reads the plan's form, and the series negate a negative definite
 one themselves (``Plan.series_form``).  The saddlepoint routes solve
 K'(t) = q once for all their points.  Imhof points are the rows of one
 trapezoid pass (``inversion.cdf_imhof``), and share through the plan the
-rungs of its U ladder (the tail record's x-free part and the integrand's
-modulus and phase at the rung's nodes).
+rungs of its U ladder (the tail's x-free part and the integrand's modulus
+and phase at the rung's nodes).
 Each point gets the route, method, provenance, bound and diagnostics that
 a call with that point alone gives.  A NaN point is invalid input.
 """
@@ -274,17 +274,6 @@ def _walk(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) ->
     return out
 
 
-def _each(fn, red: ReducedForm, xs: np.ndarray, *args, **kwargs) -> list:
-    """fn at every point; a point's library error takes its slot."""
-    out = []
-    for x in xs:
-        try:
-            out.append(fn(red, float(x), *args, **kwargs))
-        except QuadFormError as exc:
-            out.append(exc)
-    return out
-
-
 def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str) -> list:
     """One outcome (MethodResult or library error) per point of one route."""
     red = plan.red
@@ -305,7 +294,7 @@ def _evaluate(plan: Plan, xs: np.ndarray, method: str, tol: float, quantity: str
             variant = "lugannani_rice" if method == "spa_lr" else "barndorff_nielsen"
             return approx.cdf_spa(red, xs, variant)
         if method in approx.FAMILIES:
-            return _each(approx.cdf_matched, red, xs, method)
+            return approx.cdf_matched(red, xs, method)
         raise InvalidInputError(f"unknown CDF method {method!r}")
     if method in ("spa", "spa_lr"):
         return approx.pdf_spa(red, xs)

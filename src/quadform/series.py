@@ -128,22 +128,20 @@ def _chi2_sf(dof, y):
     return np.where(y > 0.0, special.chdtrc(dof, y), 1.0)
 
 
-def _chi2_pdf(dof, y):
+def _chi2_pdf(dof, y, with_error: bool = False):
+    """The chi-square density; with_error, also a bound on its relative
+    error where y > 0: it exponentiates a sum of logs, each a few ulp off,
+    so 4 eps times the sum of their sizes."""
     # exponentiated only where y >= 0: exp(-y/2) overflows far below it
     inside = y >= 0.0
     y = np.where(inside, y, 0.0)
-    log_f = (special.xlogy(dof / 2. - 1, y) - y / 2. - special.gammaln(dof / 2.)
-             - (np.log(2) * dof) / 2.)
-    return np.where(inside, np.exp(log_f), 0.0)
-
-
-def _chi2_pdf_error(dof, y):
-    """A bound on ``_chi2_pdf``'s relative error where y > 0: it
-    exponentiates a sum of logs, each a few ulp off, so 4 eps times the sum
-    of their sizes."""
-    sizes = (np.abs(special.xlogy(dof / 2. - 1, y)) + y / 2. + np.abs(special.gammaln(dof / 2.))
-             + dof * math.log(2) / 2.)
-    return 4.0 * np.finfo(float).eps * sizes
+    logs = (special.xlogy(dof / 2. - 1, y), y / 2., special.gammaln(dof / 2.),
+            (np.log(2) * dof) / 2.)
+    f = np.where(inside, np.exp(logs[0] - logs[1] - logs[2] - logs[3]), 0.0)
+    if not with_error:
+        return f
+    sizes = np.abs(logs[0]) + logs[1] + np.abs(logs[2]) + logs[3]
+    return f, 4.0 * np.finfo(float).eps * sizes
 
 
 def _central_even(red: ReducedForm, q, pfe: PartialFractionExpansion | None,
@@ -295,21 +293,26 @@ def series_coefficients(red: ReducedForm, kind: str, beta: float | None = None,
 
 
 def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool,
-                  start: int = 0) -> np.ndarray:
+                  start: int = 0) -> tuple:
     """(points x terms) contributions k = start..K of the truncated expansion
-    at shifted points x > 0 (log-gamma arithmetic throughout); a column
-    depends on its k alone."""
+    at shifted points x > 0 (log-gamma arithmetic throughout), a column
+    depending on its k alone, and per point a bound on the rounding error
+    of their sum's terms: the Ruben density's (``_chi2_pdf``), else 0."""
     kind, beta, c = coeffs.kind, coeffs.beta, coeffs.c[start:]
     n = coeffs.n_vars
     kk = np.arange(start, coeffs.c.shape[0])
     x = x[:, None]
     if kind == "ruben":
         y = x / beta
-        return c * (_chi2_cdf(n + 2 * kk, y) if cumulative else _chi2_pdf(n + 2 * kk, y) / beta)
+        if cumulative:
+            return c * _chi2_cdf(n + 2 * kk, y), 0.0
+        f, error = _chi2_pdf(n + 2 * kk, y, with_error=True)
+        terms = c * (f / beta)
+        return terms, (error * terms).sum(axis=1)
     if kind == "kotz":
         expo = (n / 2.0 + kk) if cumulative else (n / 2.0 + kk - 1.0)
         lg = special.gammaln(n / 2.0 + kk + (1.0 if cumulative else 0.0))
-        return (-1.0) ** kk * c * np.exp(expo * np.log(x) - lg)
+        return (-1.0) ** kk * c * np.exp(expo * np.log(x) - lg), 0.0
     # laguerre
     y = x / (2.0 * beta)
     if cumulative:
@@ -323,18 +326,18 @@ def _series_terms(coeffs: SeriesCoefficients, x: np.ndarray, cumulative: bool,
         out = c * np.exp(lg + lpow) * special.eval_genlaguerre(k - 1, n / 2.0, y)
         if start == 0:
             out[:, 0] = c[0] * _chi2_cdf(n, x[:, 0] / beta)
-        return out
+        return out, 0.0
     lg = special.gammaln(kk + 1.0) - special.gammaln(n / 2.0 + kk)
     lpow = (n / 2.0 - 1.0) * np.log(y) - y
     lag = special.eval_genlaguerre(kk, n / 2.0 - 1.0, y)
-    return c * np.exp(lg + lpow) * lag / (2.0 * beta)
+    return c * np.exp(lg + lpow) * lag / (2.0 * beta), 0.0
 
 
 def _ruben_remainder(coeffs: SeriesCoefficients, x: np.ndarray, partial: np.ndarray,
                      slack: np.ndarray, cumulative: bool) -> np.ndarray:
     """Bound on the chi-square expansion's error after its K + 1 terms at
     the shifted points x, whose partial sums are partial; slack bounds the
-    error of the density's terms (``_chi2_pdf_error``), and is 0 for the CDF.
+    error of the density's terms (``_series_terms``), and is 0 for the CDF.
 
     At beta = min(lam) the expansion is a mixture: Q - const is
     beta chi2_{n+2J} with P(J = k) = c_k >= 0.  The remainder is then at
@@ -405,11 +408,9 @@ def _evaluate_series(red: ReducedForm, q, kind: str, tol: float, cumulative: boo
         x = xs[active]
         # only the new terms; the running sum continues, so each partial sum
         # equals the sum of all K + 1 terms in order, bit for bit
-        terms = _series_terms(coeffs, x, cumulative, k_used + 1)
+        terms, rounding = _series_terms(coeffs, x, cumulative, k_used + 1)
         partial = np.cumsum(np.hstack([partial, terms]), axis=1)[:, -1:]
-        if kind == "ruben" and not cumulative:
-            dof = coeffs.n_vars + 2 * np.arange(k_used + 1, coeffs.c.size)
-            slack = slack + (_chi2_pdf_error(dof, x[:, None] / coeffs.beta) * terms).sum(axis=1)
+        slack = slack + rounding
         k_used = coeffs.c.shape[0] - 1
         if kind == "ruben":
             bound = _ruben_remainder(coeffs, x, partial[:, 0], slack, cumulative)

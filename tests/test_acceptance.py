@@ -128,7 +128,7 @@ def test_criterion_04_bound_validity():
             r1 = qf.cdf_imhof(red, q, params=ImhofParams(u, panels))
             r2 = qf.cdf_imhof(red, q, params=ImhofParams(4 * u, 4 * panels))
             resid = abs(r1.diagnostics["raw_value"] - r2.diagnostics["raw_value"])
-            bound = inversion._tail(inversion._Rung(red, u, inversion._tail_form(red)), 0.0).plain
+            bound = inversion._Rung(red, u, inversion._tail_form(red)).head.plain
             checked += 1
             if resid > bound:
                 violations += 1

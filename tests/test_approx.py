@@ -93,6 +93,18 @@ class TestCdfMatched:
         with pytest.raises(qf.NotApplicableError):
             qf.cdf_matched(red, 0.5, "satterthwaite")
 
+    @pytest.mark.parametrize("family", ["satterthwaite", "pearson", "hbe", "wood", "liu"])
+    def test_grid_is_the_per_point_calls(self, family):
+        # one classification and one match per call; on or outside the
+        # support each point keeps its exact answer
+        red = qf.ReducedForm([1.0, 0.5, 0.25], [1, 2, 1], [0.3, 0.0, 0.0])
+        grid = np.array([-1.0, 0.0, 0.4, 1.5, 3.0, 8.0, math.inf])
+        points = [qf.cdf_matched(red, float(q), family) for q in grid]
+        assert qf.cdf_matched(red, grid, family) == points
+        assert qf.cdf(red, grid, family) == points
+        with pytest.raises(qf.NotApplicableError):
+            qf.cdf(qf.ReducedForm([1.0, -1.0], [2, 2], [0.0, 0.0]), grid, family)
+
 
 class TestSaddlepointSolve:
     def test_paper_value(self):

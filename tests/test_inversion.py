@@ -246,7 +246,7 @@ class TestImhofTailBoundValidity:
             x = q - red.const
             form = inversion._tail_form(red)
             for u in (3.0, 6.0, 12.0):
-                bound = inversion._tail(inversion._Rung(red, u, form), 0.0).plain
+                bound = inversion._Rung(red, u, form).head.plain
                 # empirical tail over [U, 4U] with a fine fixed grid
                 grid = np.linspace(u, 4.0 * u, 20001)
                 nodes = inversion._evaluate_nodes([(red, grid)])[0]
@@ -493,6 +493,17 @@ def _gil_pelaez(red, x, quantity, nodes):
     return mp.quad(lambda t: mp.re(phi(t)), nodes) / mp.pi
 
 
+# sigma = 1 densities whose auto U the density's residual estimate once
+# picked below the rung where the bound the row reports meets tol/2 (bound
+# 1.28e-8 and 7.7e-9 at tol 1e-8): (form, point, tol-1e-13 Imhof value)
+GAUSSIAN_DENSITIES = [
+    (qf.ReducedForm([-0.38311868495572876, 2.610157215682537, 1.0], [2, 3, 2], [0, 0, 0], 1.0),
+     7.867268556646312, 0.065184129850354),
+    (qf.ReducedForm([0.38311868495572876, 1.0, -2.610157215682537], [1, 3, 3], [0, 0, 0], 1.0),
+     -6.620745707776365, 0.04620872027286481),
+]
+
+
 class TestGaussianTerm:
     """Forms with a Gaussian term are rows of the Imhof pass like any other:
     every value lies within its bound of a 30-digit Gil-Pelaez integral."""
@@ -506,6 +517,15 @@ class TestGaussianTerm:
                 assert res.method == "imhof", (q, res)
                 assert abs(res.value - exact) <= res.error_bound <= tol, (q, res, exact)
         return results
+
+    @pytest.mark.parametrize("red, x, ref", GAUSSIAN_DENSITIES)
+    def test_density_meets_tol_with_the_bound_that_picked_u(self, red, x, ref):
+        auto = qf.pdf(red, x)
+        exact = qf.pdf_imhof(red, x, tol=1e-13)
+        assert auto.method == "imhof" and auto.error_bound <= 1e-8
+        assert auto.diagnostics["tail_bound"] <= 1e-8 / 2.0
+        assert abs(auto.value - exact.value) <= min(auto.error_bound, exact.error_bound)
+        assert abs(exact.value - ref) <= exact.error_bound
 
     @pytest.mark.parametrize("quantity", ["cdf", "pdf"])
     def test_four_sd_above_the_mean(self, quantity):
@@ -816,22 +836,17 @@ def _shifted_points(red):
     return [0.0, 1e-9, -1e-9, mean, mean + 10.0 * sd, mean - 10.0 * sd]
 
 
-def _old_record(red, u, x):
-    """The tail record at U and x from the replaced helpers."""
-    theta, rho = _old_theta_rho(red, u, x)
-    slope = _old_slope_floor(red, u, x)
-    return {
-        "u": u, "log_floor": _old_log_rho_floor(red, u),
-        "rho": _old_rho(red, u), "theta": float(theta),
-        "dtheta": _old_phase_slope(red, u, x) if slope > 0.0 else 0.0,
-        "m1": _old_m1(red, u), "slope_floor": slope,
-        "plain": _old_tail_bound(red, u),
-        "ibp": _old_ibp_majorant(red, u, x),
-        "balanced": _old_balanced(red, u, x),
-        "pdf_plain": _old_pdf_tail_plain(red, u),
-        "residual": _old_pdf_residual_est(red, u, x),
-        "boundary": _old_boundary_term(red, u, x),
-    }
+def _composed_tails(red, u, x):
+    """The CDF's and the density's (bound, correction) at U and x, composed
+    from the replaced helpers as the replaced result builders composed them."""
+    plain, ibp, bal = _old_cdf_tails(red, u, x)
+    boundary = _old_boundary_term(red, u, x)
+    cdf = (min(plain, ibp, bal),
+           -boundary.real / (math.pi * u) if ibp <= min(plain, bal) else 0.0)
+    pdf_plain, pdf_ibp = _old_pdf_tail_plain(red, u), _old_ibp_majorant(red, u, x) / (2.0 * math.pi)
+    pdf = (min(pdf_plain, pdf_ibp, _old_pdf_residual_est(red, u, x)),
+           -boundary.imag / (2.0 * math.pi)) if pdf_ibp < pdf_plain else (pdf_plain, 0.0)
+    return cdf, pdf
 
 
 def _is_rung(u):
@@ -841,42 +856,81 @@ def _is_rung(u):
 
 class TestTailRecord:
     def test_fields_match_old_helpers(self):
+        # the x-free head and the one tail rule, CDF and density, against
+        # the replaced helpers, on and off the ladder
         for red in _tail_battery():
             form = inversion._tail_form(red)
             for x in _shifted_points(red):
                 for u in (1.0, 1.7, 13.0, 1e3, 1e7, 1e15, 1e25):
-                    rec = inversion._tail(inversion._Rung(red, u, form), x)
-                    want = _old_record(red, u, x)
-                    assert float(_old_theta_rho(red, u, x)[1]) == rec.rho
-                    assert rec._asdict() == want, (red, x, u)
-                    at_zero = inversion._tail(inversion._Rung(red, u, form), 0.0)
-                    assert at_zero.plain == want["plain"]
+                    rung = inversion._Rung(red, u, form)
+                    head = rung.head
+                    theta, rho = _old_theta_rho(red, u, x)
+                    assert float(rho) == head.rho == _old_rho(red, u)
+                    assert head.phase - 0.5 * u * x == float(theta)
+                    assert head.m1 == _old_m1(red, u)
+                    assert head.plain == _old_tail_bound(red, u)
+                    assert head.pdf_plain == _old_pdf_tail_plain(red, u)
+                    assert (head.balanced if form.c1 is None
+                            else head.balanced / math.pi) == _old_balanced(red, u, 0.0)
+                    if _old_slope_floor(red, u, x) > 0.0:
+                        assert head.slope - 0.5 * x == _old_phase_slope(red, u, x)
+                    cdf, pdf = _composed_tails(red, u, x)
+                    assert inversion._tail(rung, x, False) == cdf, (red, x, u)
+                    assert inversion._tail(rung, x, True) == pdf, (red, x, u)
 
     def test_pick_u_is_the_first_ladder_rung(self):
         # the smallest U = 2^j (j < 0 allowed) whose best CDF tail bound is
-        # at most tol/2, with the record the replaced helpers give there
+        # at most tol/2, with the tail the replaced helpers give there
         below_one = 0
         for red in _tail_battery():
             for x in _shifted_points(red):
                 for tol in (1e-10, 1e-8, 1e-6):
-                    rung, rec = inversion._imhof_pick_u(
-                        select.Plan(red), tol, x, inversion._cdf_tail, 1e25)
+                    rung, tail, panels = inversion._imhof_start(select.Plan(red), tol, x, False)
                     u = rung.u
-                    assert _is_rung(u) and rec.u == u
+                    assert _is_rung(u)
                     assert min(_old_cdf_tails(red, u, x)) <= tol / 2.0 or u > 1e25
                     assert min(_old_cdf_tails(red, u / 2.0, x)) > tol / 2.0, (red, x, tol)
-                    assert rec._asdict() == _old_record(red, u, x)
+                    assert tail == _composed_tails(red, u, x)[0]
+                    assert panels == inversion._start_panels(rung.form, u, x)
                     below_one += u < 1.0
         assert below_one > 0
 
     def test_exhausted_search_returns_the_record_at_its_u(self, monkeypatch):
-        tail = inversion._tail
-        monkeypatch.setattr(inversion, "_tail", lambda *a: tail(*a)._replace(
-            plain=math.inf, ibp=math.inf, balanced=math.inf))
+        # no rung meets tol: the search ends at the first rung above its
+        # cap, with that rung's own tail
+        monkeypatch.setattr(inversion, "_tail", lambda rung, x, density: (math.inf, rung.u))
         red = qf.ReducedForm([1.0, -0.5], [4, 1], [0.0, 0.4])
-        rung, rec = inversion._imhof_pick_u(select.Plan(red), 1e-8, 0.3,
-                                             inversion._cdf_tail, 1e25)
-        assert rec.u == rung.u == 2.0**84   # the first rung above 1e25
+        for density, first_above in ((False, 2.0**84), (True, 2.0**24)):
+            rung, tail, _ = inversion._imhof_start(select.Plan(red), 1e-8, 0.3, density)
+            assert tail == (math.inf, rung.u) and rung.u == first_above
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_start_is_the_first_rung_whose_reported_bound_meets_tol(self, density):
+        # the bound that picks U is the one a row reports: the rung is the
+        # first whose reported tail_bound is at most tol/2, or the first
+        # above the cap; on the battery, on its forms with sigma = 1 (the
+        # density's plain bound then carries the Gaussian envelope) and at
+        # the points where the density's search once took its residual
+        # estimate past the bound its row reported
+        fn, cap = (qf.pdf_imhof, 1e7) if density else (qf.cdf_imhof, 1e25)
+        battery = _tail_battery()
+        cases = [(red, _shifted_points(red)) for red in battery + [
+            qf.ReducedForm(red.omega, red.nu, red.delta2, 1.0, red.const) for red in battery]]
+        cases += [(red, [x]) for red, x, _ in GAUSSIAN_DENSITIES]
+        for red, xs in cases:
+            plan = select.Plan(red)
+            for x in xs:
+                q = x + red.const
+                x = q - red.const   # the drivers' own shift
+                for tol in (1e-10, 1e-8, 1e-6):
+                    rung, tail, _ = inversion._imhof_start(plan, tol, x, density)
+                    reported = [fn(red, q, params=ImhofParams(u, 4)).diagnostics.get("tail_bound")
+                                for u in (rung.u, rung.u / 2.0)]
+                    if reported[0] is None:   # on or outside the support
+                        continue
+                    assert reported[0] <= tol / 2.0 or rung.u / 2.0 <= cap < rung.u, (red, x, tol)
+                    assert reported[1] > tol / 2.0 and rung.u / 2.0 <= cap, (red, x, tol)
+                    assert tail[0] == reported[0]
 
     def test_drivers_read_the_record_at_u(self):
         # value, bound and diagnostics compose the old bounds at the chosen U
@@ -1179,13 +1233,6 @@ class TestRowPass:
             assert abs(res.value - auto.value) <= res.error_bound + auto.error_bound < 1e-8
 
 
-def _each_point(fn, *args):
-    """fn, which takes one point, over a point or a list of points."""
-    def each(red, q):
-        return [fn(red, x, *args) for x in q] if np.ndim(q) else fn(red, q, *args)
-    return each
-
-
 class TestInfinitePoints:
     """The engines share one point check: NaN is invalid input, and at +-inf
     the CDF is exactly 0 or 1 and the density 0, with nothing integrated or
@@ -1209,7 +1256,8 @@ class TestInfinitePoints:
         "cdf_spa_bn": (functools.partial(approx.cdf_spa, variant="barndorff_nielsen"),
                        INDEFINITE, False),
         "pdf_spa": (approx.pdf_spa, INDEFINITE, True),
-        "cdf_matched": (_each_point(approx.cdf_matched, "satterthwaite"), DEFINITE, False),
+        "cdf_matched": (functools.partial(approx.cdf_matched, family="satterthwaite"),
+                        DEFINITE, False),
     }
 
     @pytest.mark.parametrize("engine", list(ENGINES))
